@@ -45,7 +45,7 @@ struct OpenLoopRequest {
     double arrival_ms = 0.0;    //!< absolute virtual arrival
     std::size_t scene_index = 0;
     std::size_t tier = 0;       //!< SLO tier (0 outside the zoo)
-    int priority = 0;           //!< dispatch priority
+    int priority = 0;           //!< client-declared priority
     double deadline_ms = 0.0;   //!< relative to arrival (0 = tier/policy
                                 //!< default)
 };
@@ -93,7 +93,7 @@ class OpenLoopPoissonStream
 /** One tier of a zoo scenario's traffic mix. */
 struct TierMixEntry {
     std::size_t tier = 0;   //!< index into the admission policy's tiers
-    int priority = 0;       //!< dispatch priority for the tier's requests
+    int priority = 0;       //!< client-declared priority of the tier
     double share = 1.0;     //!< fraction of arrivals (shares must sum ~1)
 };
 

@@ -2,8 +2,8 @@
  * @file
  * Serving benchmark: an open-loop arrival process over the 7 NeRF model
  * workloads x 3 accelerator families, pushed through the RenderService
- * front-end (admission control, prepared-frame registry, priority
- * dispatch, latency telemetry).
+ * front-end (admission control, prepared-frame registry, inline
+ * prepared-frame replay, latency telemetry).
  *
  * The generator submits requests on a fixed-seed Poisson schedule whose
  * offered load deliberately exceeds the modeled device's service rate

@@ -425,7 +425,7 @@ main(int argc, char** argv)
             static_cast<double>(requests) * mean_ms / kill_load;
 
         // The drill: a loss window early, a delay spike on one link
-        // throughout, and shard 1 dying a third of the way in.
+        // throughout, and shard 1 dying from a third of the way in.
         const std::size_t victim = 1;
         FaultEvent loss;
         loss.kind = FaultEvent::Kind::kLoss;
@@ -441,11 +441,20 @@ main(int argc, char** argv)
         spike.end_ms = expected_span_ms;
         spike.magnitude = 0.25;
         controller.ScheduleFault(spike);
+        // The death instant comes from the victim's observed backlog: the
+        // first instant, from a third of the way in, at which the victim
+        // still holds an accepted ticket completing beyond it. A fixed
+        // instant can land while the victim idles between bursts and
+        // replay nothing; this one replays at least one ticket by
+        // construction. The death is scheduled just before the first
+        // submission that reaches its instant, which pumps it — the same
+        // point a death scheduled up front would fire.
+        const double death_after_ms = expected_span_ms / 3.0;
         FaultEvent death;
         death.kind = FaultEvent::Kind::kShardDeath;
         death.link = victim;
-        death.start_ms = expected_span_ms / 3.0;
-        controller.ScheduleFault(death);
+        bool death_scheduled = false;
+        double observed_ms = 0.0;  // latest arrival submitted so far
 
         OpenLoopPoissonStream stream(seed, kill_load, mean_ms, est_ms);
         const std::size_t resize_at = 2 * requests / 3;
@@ -454,10 +463,28 @@ main(int argc, char** argv)
             if (i == resize_at) {
                 // Rolling repair under load: revive the dead slot.
                 // Outstanding tickets are drained and stay claimable.
+                FLEX_CHECK_MSG(death_scheduled,
+                               "the victim never held a backlog before "
+                               "the rolling repair");
                 live_after_kill = controller.cluster().live_shards();
                 controller.RollingResize(base.shards);
             }
             const OpenLoopRequest drawn = stream.Next();
+            if (!death_scheduled && i < resize_at &&
+                drawn.arrival_ms >= death_after_ms) {
+                const double instant = std::max(death_after_ms, observed_ms);
+                const double backlog_until_ms = controller.cluster()
+                                                    .shard(victim)
+                                                    .admission()
+                                                    .counters()
+                                                    .last_completion_ms;
+                if (backlog_until_ms > instant) {
+                    death.start_ms = instant;
+                    controller.ScheduleFault(death);
+                    death_scheduled = true;
+                }
+            }
+            observed_ms = drawn.arrival_ms;
             SceneRequest request;
             request.scene = repertoire[drawn.scene_index].name;
             request.arrival_ms = drawn.arrival_ms;

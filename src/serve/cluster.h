@@ -130,7 +130,8 @@ struct ReplicationConfig {
 struct ClusterConfig {
     /** Replica count (>= 1; fatal otherwise). */
     std::size_t shards = 1;
-    /** Worker threads per replica (0 = hardware concurrency). */
+    /** Pool threads per replica for cold-compile wavefronts (0 =
+     *  hardware concurrency; see ServeConfig::threads). */
     int threads_per_shard = 0;
     /** Per-replica PlanCache capacity in entries (0 = unbounded). */
     std::size_t plan_cache_capacity = 0;

@@ -88,6 +88,28 @@ TraceNotAccepted(TraceRecorder* recorder, const RequestTrace& trace,
                           TraceArg::Str("status", ToString(status))});
 }
 
+/** Records an accepted request's queue_wait, service and request spans
+ *  around the (solo or fused) replay that served it, which ran over
+ *  wall [wall_begin_us, wall_end_us]. */
+void
+TraceServed(TraceRecorder* recorder, const RequestTrace& trace,
+            const std::string& scene, double wall_begin_us,
+            double wall_end_us, std::vector<TraceArg> service_args)
+{
+    recorder->RecordSpan(trace.ctx, "queue", "queue_wait", trace.arrival_ms,
+                         trace.start_ms, trace.wall_queued_us,
+                         wall_begin_us);
+    recorder->RecordSpan(trace.ctx, "service", "service", trace.start_ms,
+                         trace.completion_ms, wall_begin_us, wall_end_us,
+                         std::move(service_args));
+    TraceContext root_ctx;
+    root_ctx.trace_id = trace.ctx.trace_id;
+    root_ctx.parent_span = trace.root_parent;
+    recorder->RecordSpan(root_ctx, "request", "request", trace.arrival_ms,
+                         trace.completion_ms, trace.wall_submit_us,
+                         wall_end_us, {TraceArg::Str("scene", scene)});
+}
+
 }  // namespace
 
 std::string
@@ -144,14 +166,6 @@ RenderService::RenderService(const ServeConfig& config)
     }
 }
 
-RenderService::~RenderService()
-{
-    // Resolve every outstanding ticket so no worker touches a dead
-    // service; the pool destructor then drains any remaining drain
-    // tasks (which find an empty dispatch queue).
-    WaitAll();
-}
-
 void
 RenderService::RegisterScene(const std::string& name,
                              const SweepPoint& spec)
@@ -191,20 +205,72 @@ RenderService::WarmScene(const std::string& scene)
 }
 
 ServeTicket
-RenderService::Issue(std::future<RenderResult> future)
+RenderService::Resolve(RenderResult result)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     const ServeTicket ticket = next_ticket_++;
-    inflight_.emplace(ticket, std::move(future));
+    inflight_.emplace(ticket, std::move(result));
     return ticket;
 }
 
-ServeTicket
-RenderService::Submit(const SceneRequest& request, double extra_service_ms)
+RenderResult
+RenderService::Judge(const SceneRequest& request,
+                     const AdmissionController::Verdict& verdict,
+                     double est_service_ms, TraceRecorder* recorder,
+                     RequestTrace& trace)
 {
-    SubmitOptions options;
-    options.extra_service_ms = extra_service_ms;
-    return Submit(request, options);
+    RenderResult result;
+    result.scene = request.scene;
+    result.tier = verdict.tier;
+    const std::string& tier_name = admission_.tiers()[verdict.tier].name;
+    using Outcome = AdmissionController::Outcome;
+    if (verdict.outcome != Outcome::kAccepted) {
+        result.status = verdict.outcome == Outcome::kRejectedQueueFull
+                            ? RequestStatus::kRejectedQueueFull
+                            : RequestStatus::kShedDeadline;
+        registry_.CountOutcome(request.scene, /*accepted=*/false,
+                               result.status ==
+                                   RequestStatus::kShedDeadline);
+        TraceNotAccepted(recorder, trace, verdict, tier_name, result.status,
+                         request.scene);
+        return result;
+    }
+    result.queue_wait_ms = verdict.wait_ms;
+    result.latency_ms = verdict.completion_ms - verdict.arrival_ms;
+    registry_.CountOutcome(request.scene, /*accepted=*/true,
+                           /*shed=*/false);
+    // Telemetry is recorded at admission — the virtual latency is fully
+    // determined here — so percentiles never depend on execution order.
+    latency_.Record(result.latency_ms);
+    tier_latency_[verdict.tier].Record(result.latency_ms);
+    TraceAccepted(recorder, trace, verdict, tier_name, est_service_ms);
+    return result;
+}
+
+ServeTicket
+RenderService::Replay(const PlanCache::PreparedFrame& frame,
+                      const RequestTrace& trace, RenderResult result)
+{
+    // The steady-state hot path: replay the pinned prepared frame
+    // (memoized plan + result; see plan/plan_cache.h).
+    TraceRecorder* const recorder =
+        trace.active() ? TraceRecorder::Global() : nullptr;
+    if (recorder == nullptr) {
+        result.cost = cache_.Run(frame, &pool_);
+    } else {
+        const double wall_begin = recorder->NowWallUs();
+        {
+            // Propagate the request identity into the plan layer:
+            // PlanCache instants and any FramePlan execution land in
+            // this trace, anchored at the virtual start.
+            ScopedTraceContext scoped(trace.ctx, trace.start_ms);
+            result.cost = cache_.Run(frame, &pool_);
+        }
+        TraceServed(recorder, trace, result.scene, wall_begin,
+                    recorder->NowWallUs(), {});
+    }
+    completed_.fetch_add(1);
+    return Resolve(std::move(result));
 }
 
 ServeTicket
@@ -239,99 +305,12 @@ RenderService::Submit(const SceneRequest& request,
     const AdmissionController::Verdict verdict = admission_.Admit(
         request.arrival_ms, est_service_ms, request.deadline_ms,
         request.tier);
-
-    RenderResult result;
-    result.scene = request.scene;
-    result.tier = verdict.tier;
-    result.queue_wait_ms = verdict.wait_ms;
-    result.latency_ms = verdict.completion_ms - verdict.arrival_ms;
-
-    using Outcome = AdmissionController::Outcome;
-    if (verdict.outcome != Outcome::kAccepted) {
-        result.status = verdict.outcome == Outcome::kRejectedQueueFull
-                            ? RequestStatus::kRejectedQueueFull
-                            : RequestStatus::kShedDeadline;
-        result.latency_ms = 0.0;
-        result.queue_wait_ms = 0.0;
-        registry_.CountOutcome(request.scene, /*accepted=*/false,
-                               result.status ==
-                                   RequestStatus::kShedDeadline);
-        TraceNotAccepted(recorder, trace, verdict,
-                         admission_.tiers()[verdict.tier].name,
-                         result.status, request.scene);
-        // Resolve immediately: shed work never reaches the queue.
-        std::promise<RenderResult> promise;
-        promise.set_value(std::move(result));
-        return Issue(promise.get_future());
+    RenderResult result =
+        Judge(request, verdict, est_service_ms, recorder, trace);
+    if (result.status != RequestStatus::kCompleted) {
+        return Resolve(std::move(result));
     }
-
-    registry_.CountOutcome(request.scene, /*accepted=*/true,
-                           /*shed=*/false);
-    // Telemetry is recorded at admission — the virtual latency is fully
-    // determined here — so percentiles never depend on execution order.
-    latency_.Record(result.latency_ms);
-    tier_latency_[verdict.tier].Record(result.latency_ms);
-    TraceAccepted(recorder, trace, verdict,
-                  admission_.tiers()[verdict.tier].name, est_service_ms);
-
-    auto promise = std::make_shared<std::promise<RenderResult>>();
-    std::future<RenderResult> future = promise->get_future();
-
-    DispatchItem item;
-    item.priority = request.priority;
-    // Dispatch orders by the absolute deadline admission actually
-    // judged against — the clamped arrival and the policy-resolved
-    // deadline — so a request admitted under the default is exactly as
-    // urgent as one carrying the same deadline explicitly.
-    item.deadline_ms = verdict.deadline_ms > 0.0
-                           ? verdict.arrival_ms + verdict.deadline_ms
-                           : 0.0;
-    item.sequence = sequence_.fetch_add(1);
-    item.work = [this, scene, promise, trace,
-                 result = std::move(result)]() mutable {
-        // The steady-state hot path: replay the pinned prepared frame
-        // (memoized plan + result; see plan/plan_cache.h).
-        TraceRecorder* const rec =
-            trace.active() ? TraceRecorder::Global() : nullptr;
-        if (rec != nullptr) {
-            // Queue wait: virtual [arrival, start] against the wall
-            // window from enqueue to this pop.
-            rec->RecordSpan(trace.ctx, "queue", "queue_wait",
-                            trace.arrival_ms, trace.start_ms,
-                            trace.wall_queued_us, rec->NowWallUs());
-            const double wall_begin = rec->NowWallUs();
-            {
-                // Propagate the request identity into the plan layer:
-                // PlanCache instants and any FramePlan execution land
-                // in this trace, anchored at the virtual start.
-                ScopedTraceContext scoped(trace.ctx, trace.start_ms);
-                result.cost = cache_.Run(scene->frame, &pool_);
-            }
-            const double wall_end = rec->NowWallUs();
-            rec->RecordSpan(trace.ctx, "service", "service",
-                            trace.start_ms, trace.completion_ms,
-                            wall_begin, wall_end);
-            TraceContext root_ctx;
-            root_ctx.trace_id = trace.ctx.trace_id;
-            root_ctx.parent_span = trace.root_parent;
-            rec->RecordSpan(root_ctx, "request", "request",
-                            trace.arrival_ms, trace.completion_ms,
-                            trace.wall_submit_us, wall_end,
-                            {TraceArg::Str("scene", result.scene)});
-        } else {
-            result.cost = cache_.Run(scene->frame, &pool_);
-        }
-        completed_.fetch_add(1);
-        promise->set_value(std::move(result));
-    };
-    queue_.Push(std::move(item));
-    // One drain task per admitted request: the worker pops the most
-    // urgent pending item, which need not be the one just pushed.
-    pool_.Enqueue([this] {
-        DispatchItem next;
-        if (queue_.Pop(&next)) next.work();
-    });
-    return Issue(std::move(future));
+    return Replay(scene->frame, trace, std::move(result));
 }
 
 ServeTicket
@@ -361,7 +340,7 @@ RenderService::SubmitBatched(const SceneRequest& request,
     const auto open = open_by_scene_.find(request.scene);
     if (open != open_by_scene_.end()) {
         if (open->second->members.size() >= max_batch_elements_) {
-            // Full: dispatch it now; this request opens a fresh batch.
+            // Full: flush it now; this request opens a fresh batch.
             FlushBatchLocked(open->second);
         } else {
             batch = open->second;
@@ -390,53 +369,26 @@ RenderService::SubmitBatched(const SceneRequest& request,
     const AdmissionController::Verdict verdict = admission_.Admit(
         request.arrival_ms, est + extra_service_ms, request.deadline_ms,
         request.tier);
-
-    RenderResult result;
-    result.scene = request.scene;
-    result.tier = verdict.tier;
-    result.queue_wait_ms = verdict.wait_ms;
-    result.latency_ms = verdict.completion_ms - verdict.arrival_ms;
-
-    using Outcome = AdmissionController::Outcome;
-    if (verdict.outcome != Outcome::kAccepted) {
-        result.status = verdict.outcome == Outcome::kRejectedQueueFull
-                            ? RequestStatus::kRejectedQueueFull
-                            : RequestStatus::kShedDeadline;
-        result.latency_ms = 0.0;
-        result.queue_wait_ms = 0.0;
-        registry_.CountOutcome(request.scene, /*accepted=*/false,
-                               result.status ==
-                                   RequestStatus::kShedDeadline);
-        TraceNotAccepted(recorder, trace, verdict,
-                         admission_.tiers()[verdict.tier].name,
-                         result.status, request.scene);
+    RenderResult result = Judge(request, verdict, est, recorder, trace);
+    if (result.status != RequestStatus::kCompleted) {
         // A shed or rejected joiner consumes no batch slot: the open
         // batch keeps collecting as if the request never arrived.
-        std::promise<RenderResult> promise;
-        promise.set_value(std::move(result));
-        return Issue(promise.get_future());
+        return Resolve(std::move(result));
     }
-
-    registry_.CountOutcome(request.scene, /*accepted=*/true,
-                           /*shed=*/false);
-    latency_.Record(result.latency_ms);
-    tier_latency_[verdict.tier].Record(result.latency_ms);
-    TraceAccepted(recorder, trace, verdict,
-                  admission_.tiers()[verdict.tier].name, est);
     // Every member reports the scene's solo frame cost — the fused
     // execution is an amortization of identical frames, not a different
     // render — so per-request results are bit-identical to the
     // unbatched path's (the flush checks the fused cost separately).
     result.cost = scene->cost;
 
-    auto promise = std::make_shared<std::promise<RenderResult>>();
-    std::future<RenderResult> future = promise->get_future();
-    const double abs_deadline_ms =
-        verdict.deadline_ms > 0.0
-            ? verdict.arrival_ms + verdict.deadline_ms
-            : 0.0;
     BatchMember member;
-    member.promise = std::move(promise);
+    {
+        // The ticket is issued now, in submission order; its result is
+        // stored when the batch flushes.
+        std::lock_guard<std::mutex> ticket_lock(mutex_);
+        member.ticket = next_ticket_++;
+    }
+    const ServeTicket ticket = member.ticket;
     member.result = std::move(result);
     member.trace = trace;
 
@@ -457,19 +409,10 @@ RenderService::SubmitBatched(const SceneRequest& request,
         // marginal and the shape a flush replays advance together.
         batch->fused_cost = fused->cost;
         batch->frame = fused->frame;
-        batch->max_priority =
-            std::max(batch->max_priority, request.priority);
-        if (abs_deadline_ms > 0.0 &&
-            (batch->min_abs_deadline_ms == 0.0 ||
-             abs_deadline_ms < batch->min_abs_deadline_ms)) {
-            batch->min_abs_deadline_ms = abs_deadline_ms;
-        }
     } else {
         OpenBatch fresh;
         fresh.scene = request.scene;
         fresh.close_ms = arrival + batch_window_ms_;
-        fresh.max_priority = request.priority;
-        fresh.min_abs_deadline_ms = abs_deadline_ms;
         fresh.fused_cost = scene->cost;
         fresh.frame = scene->frame;
         fresh.trace_ctx = trace.ctx;
@@ -482,7 +425,7 @@ RenderService::SubmitBatched(const SceneRequest& request,
         open_batches_.push_back(std::move(fresh));
         open_by_scene_[request.scene] = std::prev(open_batches_.end());
     }
-    return Issue(std::move(future));
+    return ticket;
 }
 
 SessionId
@@ -608,41 +551,14 @@ RenderService::SubmitSession(const SceneRequest& request,
     const AdmissionController::Verdict verdict = admission_.Admit(
         request.arrival_ms, estimate.service_ms, request.deadline_ms,
         request.tier);
-
-    RenderResult result;
-    result.scene = request.scene;
-    result.tier = verdict.tier;
-    result.queue_wait_ms = verdict.wait_ms;
-    result.latency_ms = verdict.completion_ms - verdict.arrival_ms;
-
-    using Outcome = AdmissionController::Outcome;
-    if (verdict.outcome != Outcome::kAccepted) {
-        result.status = verdict.outcome == Outcome::kRejectedQueueFull
-                            ? RequestStatus::kRejectedQueueFull
-                            : RequestStatus::kShedDeadline;
-        result.latency_ms = 0.0;
-        result.queue_wait_ms = 0.0;
-        registry_.CountOutcome(request.scene, /*accepted=*/false,
-                               result.status ==
-                                   RequestStatus::kShedDeadline);
-        TraceNotAccepted(recorder, trace, verdict,
-                         admission_.tiers()[verdict.tier].name,
-                         result.status, request.scene);
+    RenderResult result =
+        Judge(request, verdict, estimate.service_ms, recorder, trace);
+    if (result.status != RequestStatus::kCompleted) {
         // The session does not advance: a rejected or shed frame was
         // never rendered, so the next frame's reuse is still measured
         // against the last frame that actually exists.
-        std::promise<RenderResult> promise;
-        promise.set_value(std::move(result));
-        return Issue(promise.get_future());
+        return Resolve(std::move(result));
     }
-
-    registry_.CountOutcome(request.scene, /*accepted=*/true,
-                           /*shed=*/false);
-    latency_.Record(result.latency_ms);
-    tier_latency_[verdict.tier].Record(result.latency_ms);
-    TraceAccepted(recorder, trace, verdict,
-                  admission_.tiers()[verdict.tier].name,
-                  estimate.service_ms);
     if (recorder != nullptr && trace.active()) {
         recorder->RecordInstant(
             trace.ctx, "session",
@@ -668,65 +584,11 @@ RenderService::SubmitSession(const SceneRequest& request,
         if (coherence_break) ++session.coherence_breaks;
     }
 
-    return DispatchFrame(request,
-                         as_delta ? delta->frame : scene->frame, verdict,
-                         trace, std::move(result));
-}
-
-ServeTicket
-RenderService::DispatchFrame(const SceneRequest& request,
-                             const PlanCache::PreparedFrame& frame,
-                             const AdmissionController::Verdict& verdict,
-                             RequestTrace trace, RenderResult result)
-{
-    auto promise = std::make_shared<std::promise<RenderResult>>();
-    std::future<RenderResult> future = promise->get_future();
-
-    DispatchItem item;
-    item.priority = request.priority;
-    item.deadline_ms = verdict.deadline_ms > 0.0
-                           ? verdict.arrival_ms + verdict.deadline_ms
-                           : 0.0;
-    item.sequence = sequence_.fetch_add(1);
-    // The handle copy pins the plan-cache entry (delta shapes live in
-    // the LRU like any entry; the pin keeps the replay safe past
-    // eviction) — the same steady-state prepared path as a solo frame.
-    item.work = [this, frame, promise, trace,
-                 result = std::move(result)]() mutable {
-        TraceRecorder* const rec =
-            trace.active() ? TraceRecorder::Global() : nullptr;
-        if (rec != nullptr) {
-            rec->RecordSpan(trace.ctx, "queue", "queue_wait",
-                            trace.arrival_ms, trace.start_ms,
-                            trace.wall_queued_us, rec->NowWallUs());
-            const double wall_begin = rec->NowWallUs();
-            {
-                ScopedTraceContext scoped(trace.ctx, trace.start_ms);
-                result.cost = cache_.Run(frame, &pool_);
-            }
-            const double wall_end = rec->NowWallUs();
-            rec->RecordSpan(trace.ctx, "service", "service",
-                            trace.start_ms, trace.completion_ms,
-                            wall_begin, wall_end);
-            TraceContext root_ctx;
-            root_ctx.trace_id = trace.ctx.trace_id;
-            root_ctx.parent_span = trace.root_parent;
-            rec->RecordSpan(root_ctx, "request", "request",
-                            trace.arrival_ms, trace.completion_ms,
-                            trace.wall_submit_us, wall_end,
-                            {TraceArg::Str("scene", result.scene)});
-        } else {
-            result.cost = cache_.Run(frame, &pool_);
-        }
-        completed_.fetch_add(1);
-        promise->set_value(std::move(result));
-    };
-    queue_.Push(std::move(item));
-    pool_.Enqueue([this] {
-        DispatchItem next;
-        if (queue_.Pop(&next)) next.work();
-    });
-    return Issue(std::move(future));
+    // The handle pins the plan-cache entry (delta shapes live in the
+    // LRU like any entry; the pin keeps the replay safe past eviction)
+    // — the same steady-state prepared path as a solo frame.
+    return Replay(as_delta ? delta->frame : scene->frame, trace,
+                  std::move(result));
 }
 
 void
@@ -758,73 +620,46 @@ RenderService::FlushBatchLocked(std::list<OpenBatch>::iterator batch)
         }
     }
 
-    DispatchItem item;
-    // The batch dispatches at its most urgent member's priority and
-    // earliest absolute deadline: fusing must never make a request less
-    // urgent than it was admitted as.
-    item.priority = closing.max_priority;
-    item.deadline_ms = closing.min_abs_deadline_ms;
-    item.sequence = sequence_.fetch_add(1);
-    auto members = std::make_shared<std::vector<BatchMember>>(
-        std::move(closing.members));
-    item.work = [this, scene = closing.scene, frame = closing.frame,
-                 expected = closing.fused_cost, members, elements]() {
-        // One fused replay serves every member. The shape was executed
-        // when its estimation run prepared it (scene_registry.h), so
-        // this replay is memoized — the batched-mode invariant is
-        // "PlanCache frame hits == batches dispatched".
-        TraceRecorder* const rec =
-            !members->empty() && (*members)[0].trace.active()
-                ? TraceRecorder::Global()
-                : nullptr;
-        double wall_begin = 0.0;
-        double wall_end = 0.0;
-        FrameCost fused_cost;
-        if (rec != nullptr) {
-            wall_begin = rec->NowWallUs();
-            // The replay runs under the opener's context (one
-            // execution, many members): its plan-layer instants land
-            // in the opener's trace.
-            ScopedTraceContext scoped((*members)[0].trace.ctx,
-                                      (*members)[0].trace.start_ms);
-            fused_cost = cache_.Run(frame, &pool_);
-            wall_end = rec->NowWallUs();
-        } else {
-            fused_cost = cache_.Run(frame, &pool_);
+    // One fused replay serves every member. The shape was executed when
+    // its estimation run prepared it (scene_registry.h), so this replay
+    // is memoized — the batched-mode invariant is "PlanCache frame hits
+    // == batches dispatched".
+    const RequestTrace& opener = closing.members[0].trace;
+    TraceRecorder* const recorder =
+        opener.active() ? TraceRecorder::Global() : nullptr;
+    double wall_begin = 0.0;
+    double wall_end = 0.0;
+    FrameCost fused_cost;
+    if (recorder != nullptr) {
+        wall_begin = recorder->NowWallUs();
+        // The replay runs under the opener's context (one execution,
+        // many members): its plan-layer instants land in the opener's
+        // trace.
+        ScopedTraceContext scoped(opener.ctx, opener.start_ms);
+        fused_cost = cache_.Run(closing.frame, &pool_);
+        wall_end = recorder->NowWallUs();
+    } else {
+        fused_cost = cache_.Run(closing.frame, &pool_);
+    }
+    FLEX_CHECK_MSG(fused_cost == closing.fused_cost,
+                   "fused batch replay diverged from its estimation run "
+                   "for scene '"
+                       << closing.scene << "' (" << elements
+                       << " elements)");
+    for (BatchMember& member : closing.members) {
+        if (recorder != nullptr && member.trace.active()) {
+            TraceServed(recorder, member.trace, member.result.scene,
+                        wall_begin, wall_end,
+                        {TraceArg::Int("batch_elements",
+                                       static_cast<std::int64_t>(elements))});
         }
-        FLEX_CHECK_MSG(fused_cost == expected,
-                       "fused batch replay diverged from its estimation "
-                       "run for scene '"
-                           << scene << "' (" << elements << " elements)");
-        for (BatchMember& member : *members) {
-            if (rec != nullptr && member.trace.active()) {
-                const RequestTrace& t = member.trace;
-                rec->RecordSpan(t.ctx, "queue", "queue_wait",
-                                t.arrival_ms, t.start_ms,
-                                t.wall_queued_us, wall_begin);
-                rec->RecordSpan(
-                    t.ctx, "service", "service", t.start_ms,
-                    t.completion_ms, wall_begin, wall_end,
-                    {TraceArg::Int("batch_elements",
-                                   static_cast<std::int64_t>(elements))});
-                TraceContext root_ctx;
-                root_ctx.trace_id = t.ctx.trace_id;
-                root_ctx.parent_span = t.root_parent;
-                rec->RecordSpan(
-                    root_ctx, "request", "request", t.arrival_ms,
-                    t.completion_ms, t.wall_submit_us, wall_end,
-                    {TraceArg::Str("scene", member.result.scene)});
-            }
-            member.result.batch_elements = elements;
-            completed_.fetch_add(1);
-            member.promise->set_value(std::move(member.result));
-        }
-    };
-    queue_.Push(std::move(item));
-    pool_.Enqueue([this] {
-        DispatchItem next;
-        if (queue_.Pop(&next)) next.work();
-    });
+        member.result.batch_elements = elements;
+    }
+    completed_.fetch_add(elements);
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (BatchMember& member : closing.members) {
+        inflight_.emplace(member.ticket, std::move(member.result));
+    }
 }
 
 bool
@@ -887,26 +722,23 @@ RenderResult
 RenderService::Wait(ServeTicket ticket)
 {
     // A waited ticket may ride a still-open batch whose window can only
-    // close on a later submission: flush every open batch so the caller
-    // never blocks on a window with nothing behind it.
+    // close on a later submission: flush every open batch so the
+    // ticket's result exists.
     FlushAllOpenBatches();
-    std::future<RenderResult> future;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = inflight_.find(ticket);
-        FLEX_CHECK_MSG(it != inflight_.end(),
-                       "unknown or already-consumed serve ticket");
-        future = std::move(it->second);
-        inflight_.erase(it);
-    }
-    return HelpfulGet(pool_, future);
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = inflight_.find(ticket);
+    FLEX_CHECK_MSG(it != inflight_.end(),
+                   "unknown or already-consumed serve ticket");
+    RenderResult result = std::move(it->second);
+    inflight_.erase(it);
+    return result;
 }
 
 std::vector<RenderResult>
 RenderService::WaitAll()
 {
     FlushAllOpenBatches();
-    std::vector<std::pair<ServeTicket, std::future<RenderResult>>> drained;
+    std::vector<std::pair<ServeTicket, RenderResult>> drained;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         drained.reserve(inflight_.size());
@@ -920,7 +752,7 @@ RenderService::WaitAll()
     std::vector<RenderResult> results;
     results.reserve(drained.size());
     for (auto& entry : drained) {
-        results.push_back(HelpfulGet(pool_, entry.second));
+        results.push_back(std::move(entry.second));
     }
     return results;
 }

@@ -3,17 +3,24 @@
  * RenderService: the render-serving front-end over the plan layer.
  *
  * This is the repo's "millions of users" request path. A RenderService
- * owns a work-stealing ThreadPool, a shared (optionally bounded/LRU)
- * PlanCache, and one accelerator instance per registered scene, and
- * exposes a Submit(SceneRequest) -> ticket API in front of
- * BatchSession-style asynchronous execution:
+ * owns a shared (optionally bounded/LRU) PlanCache, one accelerator
+ * instance per registered scene, and a work-stealing ThreadPool, and
+ * exposes a Submit(SceneRequest) -> ticket API:
  *
- *   Submit ──> SceneRegistry (compile + pin prepared frame, first touch)
+ *   Submit ──> SceneRegistry (compile + pin prepared frame, first touch;
+ *               the cold compile's wavefronts run on the ThreadPool)
  *          ──> AdmissionController (queue-depth / deadline policy,
  *               critical-path latency estimator, virtual time)
- *          ──> DispatchQueue (priority desc, deadline asc)
- *          ──> ThreadPool worker: PlanCache::Run(prepared handle)
- *          ──> ticket future; LatencyHistogram telemetry
+ *          ──> PlanCache::Run(prepared handle), on the submitting thread
+ *          ──> result stored under its ticket; LatencyHistogram telemetry
+ *
+ * Every admitted request resolves inside Submit. The replay is a
+ * memoized hit: first touch (or the estimation run that prepares a
+ * fused or delta shape) already executed the frame, and the pinned
+ * handle keeps that result past LRU eviction. A worker hop would add
+ * nothing but plumbing, so the pool runs cold compiles only. The one
+ * deferral is a fused batch: its members resolve when the batch
+ * flushes (window close, a full batch, or a Wait/WaitAll).
  *
  * Determinism contract (the repo-wide one, extended to serving): every
  * request's verdict, virtual latency, and FrameCost are fixed at
@@ -23,8 +30,7 @@
  * bench/serving prints to stderr) varies with --threads. The virtual
  * device is weighted-fair across SLO tiers (serve/admission.h):
  * SceneRequest::tier shapes verdicts and telemetry — deterministically,
- * because WFQ runs on the same virtual clock — while
- * SceneRequest::priority still orders wall-clock dispatch only.
+ * because WFQ runs on the same virtual clock.
  *
  * Thread-safety: Submit/Wait/WaitAll/Snapshot may be called from any
  * thread. Concurrent Submits are admitted in an unspecified but
@@ -37,7 +43,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <future>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -51,7 +56,6 @@
 #include "plan/plan_cache.h"
 #include "runtime/thread_pool.h"
 #include "serve/admission.h"
-#include "serve/dispatch_queue.h"
 #include "serve/scene_registry.h"
 
 namespace flexnerfer {
@@ -71,11 +75,10 @@ struct SceneRequest {
      */
     std::size_t tier = 0;
     /**
-     * Larger values dispatch first on the worker pool. Priority
-     * affects wall-clock execution order only — verdict shaping is the
-     * tier's job (see `tier`), which keeps dispatch order free to
-     * chase wall-clock urgency without touching the deterministic
-     * virtual schedule.
+     * Client-declared urgency, carried end to end (the cluster's wire
+     * codec round-trips it). It shapes no verdict — that is the tier's
+     * job (see `tier`) — and orders no execution: every request
+     * resolves inside Submit, in submission order.
      */
     int priority = 0;
     /** Deadline in model ms after arrival; 0 = tier default, then
@@ -292,7 +295,9 @@ struct ServiceStats {
 
 /** Configuration of a RenderService. */
 struct ServeConfig {
-    /** Worker threads (0 = hardware concurrency). */
+    /** Pool threads for cold-compile wavefronts (0 = hardware
+     *  concurrency). Requests themselves resolve on the submitting
+     *  thread, so this moves no result and no verdict. */
     int threads = 0;
     /** PlanCache capacity in entries (0 = unbounded). Pinned scenes
      *  survive eviction; see plan/plan_cache.h. */
@@ -325,9 +330,6 @@ class RenderService
   public:
     explicit RenderService(const ServeConfig& config = {});
 
-    /** Drains all in-flight work before destruction. */
-    ~RenderService();
-
     RenderService(const RenderService&) = delete;
     RenderService& operator=(const RenderService&) = delete;
 
@@ -344,12 +346,13 @@ class RenderService
     FrameCost WarmScene(const std::string& scene);
 
     /**
-     * Submits one request — the unified entry point. Never blocks on
-     * rendering: rejected and shed requests resolve immediately;
-     * accepted requests resolve when a worker replays the scene's
-     * prepared frame. The first request against a cold scene
-     * additionally compiles it, on the submitting thread (WarmScene
-     * avoids that).
+     * Submits one request — the unified entry point. The request is
+     * resolved before Submit returns: rejected and shed requests at
+     * once, accepted ones by replaying the scene's prepared frame (a
+     * memoized hit) on the submitting thread. Fused-batch members are
+     * the exception: they resolve when their batch flushes. The first
+     * request against a cold scene additionally compiles it, with the
+     * compile's wavefronts on the pool (WarmScene avoids that).
      *
      * @p options selects the path: default options reproduce the
      * legacy behavior exactly (batching when configured, no surcharge,
@@ -361,16 +364,6 @@ class RenderService
      */
     ServeTicket Submit(const SceneRequest& request,
                        const SubmitOptions& options = {});
-
-    /**
-     * Transitional shim for the pre-SubmitOptions signature; forwards
-     * to Submit(request, SubmitOptions{extra_service_ms}). Deliberately
-     * has no default argument (the unified overload owns the bare
-     * Submit(request) spelling) and lives one PR: migrate callers to
-     * SubmitOptions.
-     */
-    [[deprecated("pass SubmitOptions instead of a bare surcharge")]]
-    ServeTicket Submit(const SceneRequest& request, double extra_service_ms);
 
     /**
      * Opens a trajectory session for @p scene under @p model: a client
@@ -420,10 +413,16 @@ class RenderService
     bool ProbeBatchJoin(const std::string& scene, double arrival_ms,
                         double* marginal_est_ms);
 
-    /** Blocks until the ticket's request resolves; consumes the ticket. */
+    /**
+     * Returns the ticket's result and consumes the ticket. Flushes
+     * every open batch first, so a batch member's ticket resolves too;
+     * never blocks on rendering. Fatal for an unknown or consumed
+     * ticket.
+     */
     RenderResult Wait(ServeTicket ticket);
 
-    /** Drains every outstanding ticket, in submission order. */
+    /** Flushes every open batch, then returns every unclaimed result,
+     *  in submission (ticket) order. */
     std::vector<RenderResult> WaitAll();
 
     ServiceStats Snapshot() const;
@@ -455,10 +454,10 @@ class RenderService
     const LatencyHistogram& tier_latency_histogram(std::size_t tier) const;
 
   private:
-    /** One admitted request riding an open batch: its promise and the
+    /** One admitted request riding an open batch: its ticket and the
      *  result fixed at admission (batch_elements patched at flush). */
     struct BatchMember {
-        std::shared_ptr<std::promise<RenderResult>> promise;
+        ServeTicket ticket = 0;
         RenderResult result;
         /** The member's trace bookkeeping (inactive when tracing is
          *  off); per-member spans are recorded at flush around the one
@@ -473,9 +472,6 @@ class RenderService
     struct OpenBatch {
         std::string scene;
         double close_ms = 0.0;  //!< opener's clamped arrival + window
-        int max_priority = 0;
-        /** Earliest member absolute deadline (0 = none yet). */
-        double min_abs_deadline_ms = 0.0;
         FrameCost fused_cost;
         PlanCache::PreparedFrame frame;
         std::vector<BatchMember> members;
@@ -502,34 +498,43 @@ class RenderService
         double delta_savings_ms = 0.0;
     };
 
-    ServeTicket Issue(std::future<RenderResult> future);
+    /** Stores @p result under the next ticket and returns the ticket. */
+    ServeTicket Resolve(RenderResult result);
+    /**
+     * Books one admission verdict, shared by every Submit path: builds
+     * the request's result and records the outcome in the per-scene
+     * counters, the latency histograms and the trace. A refused
+     * (rejected or shed) result is final; an accepted one still needs
+     * its frame cost from a replay. @p est_service_ms is the estimate
+     * the accepted trace instant reports.
+     */
+    RenderResult Judge(const SceneRequest& request,
+                       const AdmissionController::Verdict& verdict,
+                       double est_service_ms, TraceRecorder* recorder,
+                       RequestTrace& trace);
+    /** Replays @p frame for one accepted request on the calling thread
+     *  (solo and session paths), records its spans, and resolves it. */
+    ServeTicket Replay(const PlanCache::PreparedFrame& frame,
+                       const RequestTrace& trace, RenderResult result);
     /** The batching Submit path (batch_window_ms > 0). */
     ServeTicket SubmitBatched(const SceneRequest& request,
                               double extra_service_ms);
     /** The trajectory Submit path (options.session != 0). */
     ServeTicket SubmitSession(const SceneRequest& request,
                               const SubmitOptions& options);
-    /** Enqueues one accepted request that replays @p frame (the
-     *  session path's dispatch; the solo path keeps its own inline
-     *  twin). The handle pins the plan-cache entry for the lambda's
-     *  lifetime. */
-    ServeTicket DispatchFrame(const SceneRequest& request,
-                              const PlanCache::PreparedFrame& frame,
-                              const AdmissionController::Verdict& verdict,
-                              RequestTrace trace, RenderResult result);
-    /** Dispatches @p batch as one fused execution (batch_mutex_ held). */
+    /** Replays @p batch as one fused execution and resolves every
+     *  member (batch_mutex_ held). */
     void FlushBatchLocked(std::list<OpenBatch>::iterator batch);
-    /** Dispatches every open batch whose window closed by @p arrival_ms
+    /** Flushes every open batch whose window closed by @p arrival_ms
      *  (batch_mutex_ held; list order is window-close order). */
     void FlushExpiredLocked(double arrival_ms);
-    /** Dispatches every open batch (Wait/WaitAll force the flush so a
-     *  blocked caller never waits on a window that cannot close). */
+    /** Flushes every open batch (Wait/WaitAll force the flush so a
+     *  member's ticket never waits on a window that cannot close). */
     void FlushAllOpenBatches();
 
     PlanCache cache_;
     SceneRegistry registry_;
     AdmissionController admission_;
-    DispatchQueue queue_;
     LatencyHistogram latency_;
     /** One histogram per resolved tier. A deque because histograms are
      *  neither copyable nor movable (they own a mutex): deque
@@ -538,11 +543,12 @@ class RenderService
 
     std::atomic<std::uint64_t> submitted_{0};
     std::atomic<std::uint64_t> completed_{0};
-    std::atomic<std::uint64_t> sequence_{0};
 
+    /** Guards the ticket counter and the unclaimed results. Taken
+     *  inside batch_mutex_ / session_mutex_, never around them. */
     mutable std::mutex mutex_;
     ServeTicket next_ticket_ = 0;
-    std::unordered_map<ServeTicket, std::future<RenderResult>> inflight_;
+    std::unordered_map<ServeTicket, RenderResult> inflight_;
 
     /** Batch-fusion state (ServeConfig::batch_window_ms). batch_mutex_
      *  serializes the whole join-or-open decision with its Admit call,
@@ -572,8 +578,8 @@ class RenderService
     std::unordered_map<SessionId, Session> sessions_;
     std::vector<SessionId> session_order_;  //!< open order (snapshots)
 
-    /** Declared last so it is destroyed first: its destructor drains
-     *  pending drain tasks, which reference the members above. */
+    /** Runs the wavefronts of cold compiles inside SceneRegistry's
+     *  Touch calls; no request is ever enqueued on it. */
     ThreadPool pool_;
 };
 

@@ -1,9 +1,10 @@
 /**
  * @file
  * Unit tests for the serving front-end: LatencyHistogram percentiles vs
- * exact sorted quantiles, admission accept/reject/shed paths, the
- * priority dispatch order, per-scene prepared-frame reuse, and a
- * multi-threaded soak of the whole RenderService (TSan/ASan target).
+ * exact sorted quantiles, admission accept/reject/shed paths, per-scene
+ * prepared-frame reuse, the resolve-inside-Submit contract on the solo,
+ * batched and session paths, and a multi-threaded soak of the whole
+ * RenderService (TSan/ASan target).
  */
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -24,7 +26,6 @@
 #include "runtime/sweep_runner.h"
 #include "runtime/thread_pool.h"
 #include "serve/admission.h"
-#include "serve/dispatch_queue.h"
 #include "serve/render_service.h"
 #include "serve/scene_registry.h"
 #include "frame_cost_matchers.h"
@@ -406,32 +407,6 @@ TEST(AdmissionController, WfqShieldsPaidTierFromLowTierFlood)
     EXPECT_GT(wfq.counters().tiers[1].accepted, 0u);
 }
 
-TEST(DispatchQueue, PopsByPriorityThenDeadlineThenSequence)
-{
-    DispatchQueue queue;
-    std::vector<int> ran;
-    const auto push = [&queue, &ran](int id, int priority,
-                                     double deadline, std::uint64_t seq) {
-        DispatchItem item;
-        item.priority = priority;
-        item.deadline_ms = deadline;
-        item.sequence = seq;
-        item.work = [&ran, id] { ran.push_back(id); };
-        queue.Push(std::move(item));
-    };
-    push(0, 0, 0.0, 0);    // low prio, no deadline
-    push(1, 2, 50.0, 1);   // high prio, late deadline
-    push(2, 2, 10.0, 2);   // high prio, urgent deadline -> first
-    push(3, 0, 5.0, 3);    // low prio, urgent deadline
-    push(4, 0, 0.0, 4);    // low prio, no deadline, later sequence
-
-    EXPECT_EQ(queue.size(), 5u);
-    DispatchItem item;
-    while (queue.Pop(&item)) item.work();
-    EXPECT_EQ(ran, (std::vector<int>{2, 1, 3, 0, 4}));
-    EXPECT_FALSE(queue.Pop(&item));
-}
-
 TEST(SceneRegistry, FirstTouchPreparesLaterTouchesReplay)
 {
     PlanCache cache;
@@ -488,7 +463,7 @@ TEST(RenderService, SteadyStateRequestsHitThePreparedPath)
     EXPECT_EQ(stats.accepted, 6u);
     EXPECT_EQ(stats.completed, 6u);
     // One compile (the first touch memoizes the frame result), so all
-    // six workers replay from the memo — the steady-state path.
+    // six requests replay from the memo — the steady-state path.
     EXPECT_EQ(stats.cache.plan_misses, 1u);
     EXPECT_EQ(stats.cache.frame_hits, 6u);
     ASSERT_EQ(stats.scenes.size(), 1u);
@@ -701,8 +676,9 @@ TEST(RenderService, SnapshotIsZeroSafeWhenNothingWasAccepted)
 
 TEST(RenderService, MultiThreadedSoakKeepsEveryInvariant)
 {
-    // Hammer one service from several submitter threads while its own
-    // pool executes: the TSan/ASan target for the whole subsystem.
+    // Hammer one service from several submitter threads while first
+    // touches compile on its pool: the TSan/ASan target for the whole
+    // subsystem.
     // Admission order is nondeterministic here, so the assertions are
     // the order-free invariants.
     ServeConfig config;
@@ -769,6 +745,172 @@ TEST(RenderService, MultiThreadedSoakKeepsEveryInvariant)
     EXPECT_EQ(stats.cache.plan_misses, 3u);
     EXPECT_EQ(stats.cache.evictions, 1u);
     EXPECT_EQ(stats.cache.frame_hits, stats.accepted);
+}
+
+/** The three Submit paths the inline-resolution contract covers. */
+enum class ServePath { kSolo, kBatched, kSession };
+
+/** What one fixed stream through a fresh service produced. */
+struct PathRun {
+    std::vector<RenderResult> results;  //!< WaitAll, in ticket order
+    ServiceStats stats;                 //!< Snapshot after WaitAll
+    /** Whether completed == accepted held right after every Submit,
+     *  before any Wait. */
+    bool resolved_in_submit = true;
+};
+
+/**
+ * Submits a fixed stream of 24 requests at 2.5x one device's full-frame
+ * load (10x for session frames) through a fresh service on @p path. The depth cap and deadline make
+ * the stream mix accepted, shed and rejected verdicts; the session
+ * path teleports once to force a coherence break.
+ */
+PathRun
+RunPath(ServePath path, int threads)
+{
+    const double est = EstimatedServiceMs(Reference("Instant-NGP"));
+    ServeConfig config;
+    config.threads = threads;
+    config.admission.max_queue_depth = 4;
+    if (path == ServePath::kBatched) config.batch_window_ms = 2.0 * est;
+    RenderService service(config);
+    SweepPoint kilo = NgpFlexScene();
+    kilo.model = "KiloNeRF";
+    service.RegisterScene("ngp", NgpFlexScene());
+    service.RegisterScene("kilo", kilo);
+    service.WarmScene("ngp");
+    service.WarmScene("kilo");
+    const SessionId session =
+        path == ServePath::kSession ? service.OpenSession("ngp") : 0;
+
+    PathRun run;
+    for (int i = 0; i < 24; ++i) {
+        SceneRequest request;
+        request.scene =
+            path == ServePath::kSession || i % 3 != 0 ? "ngp" : "kilo";
+        // Session deltas are far cheaper than full frames, so session
+        // traffic arrives denser to meet the same backlog.
+        request.arrival_ms =
+            (path == ServePath::kSession ? 0.1 : 0.4) * est * i;
+        request.deadline_ms = 3.0 * est;
+        SubmitOptions options;
+        options.session = session;
+        options.pose.x = 0.02 * i + (i >= 12 ? 100.0 : 0.0);
+        service.Submit(request, options);
+        const ServiceStats stats = service.Snapshot();
+        run.resolved_in_submit =
+            run.resolved_in_submit && stats.completed == stats.accepted;
+    }
+    run.results = service.WaitAll();
+    run.stats = service.Snapshot();
+    return run;
+}
+
+TEST(RenderService, SoloAndSessionRequestsResolveInsideSubmit)
+{
+    for (const ServePath path : {ServePath::kSolo, ServePath::kSession}) {
+        const PathRun run = RunPath(path, 2);
+        EXPECT_TRUE(run.resolved_in_submit);
+        EXPECT_EQ(run.stats.completed, run.stats.accepted);
+        EXPECT_EQ(run.stats.cache.frame_hits, run.stats.accepted);
+        EXPECT_GT(run.stats.accepted, 0u);
+        EXPECT_GT(run.stats.rejected_queue_full + run.stats.shed_deadline,
+                  0u);
+    }
+    const ServiceStats session = RunPath(ServePath::kSession, 2).stats;
+    EXPECT_GT(session.delta_frames, 0u);
+    EXPECT_GT(session.coherence_breaks, 0u);
+}
+
+TEST(BatchedRenderService, MembersResolveWhenTheirBatchFlushes)
+{
+    const PathRun run = RunPath(ServePath::kBatched, 2);
+    // Open batches hold their members' results until they flush.
+    EXPECT_FALSE(run.resolved_in_submit);
+    EXPECT_EQ(run.stats.completed, run.stats.accepted);
+    EXPECT_EQ(run.stats.cache.frame_hits, run.stats.batches_dispatched);
+    EXPECT_GT(run.stats.fused_batches, 0u);
+}
+
+TEST(BatchedRenderService, WaitOnAnOpenBatchMemberReturnsItsFlushedResult)
+{
+    ServeConfig config;
+    config.threads = 2;
+    config.batch_window_ms = 1e6;
+    RenderService service(config);
+    service.RegisterScene("ngp", NgpFlexScene());
+    const FrameCost warm = service.WarmScene("ngp");
+
+    std::vector<ServeTicket> tickets;
+    for (int i = 0; i < 3; ++i) {
+        SceneRequest request;
+        request.scene = "ngp";
+        tickets.push_back(service.Submit(request));
+    }
+    EXPECT_EQ(service.Snapshot().accepted, 3u);
+    EXPECT_EQ(service.Snapshot().completed, 0u);
+
+    const RenderResult joiner = service.Wait(tickets[1]);
+    EXPECT_EQ(joiner.status, RequestStatus::kCompleted);
+    EXPECT_EQ(joiner.batch_elements, 3u);
+    ExpectBitIdentical(joiner.cost, warm);
+    EXPECT_EQ(service.Snapshot().completed, 3u);
+
+    // The flush resolved the other members too; they stay claimable.
+    const std::vector<RenderResult> rest = service.WaitAll();
+    ASSERT_EQ(rest.size(), 2u);
+    for (const RenderResult& result : rest) {
+        EXPECT_EQ(result.batch_elements, 3u);
+    }
+}
+
+TEST(RenderService, EveryPathIsThreadCountInvariant)
+{
+    for (const ServePath path :
+         {ServePath::kSolo, ServePath::kBatched, ServePath::kSession}) {
+        const PathRun reference = RunPath(path, 1);
+        ASSERT_EQ(reference.results.size(), 24u);
+        for (const int threads : {2, 8}) {
+            const PathRun run = RunPath(path, threads);
+            ASSERT_EQ(run.results.size(), reference.results.size());
+            for (std::size_t i = 0; i < run.results.size(); ++i) {
+                const RenderResult& got = run.results[i];
+                const RenderResult& want = reference.results[i];
+                EXPECT_EQ(got.status, want.status) << i;
+                EXPECT_EQ(got.scene, want.scene) << i;
+                EXPECT_EQ(got.tier, want.tier) << i;
+                ExpectBitIdentical(got.cost, want.cost);
+                EXPECT_EQ(got.queue_wait_ms, want.queue_wait_ms) << i;
+                EXPECT_EQ(got.latency_ms, want.latency_ms) << i;
+                EXPECT_EQ(got.batch_elements, want.batch_elements) << i;
+            }
+            EXPECT_EQ(run.stats.completed, reference.stats.completed);
+            EXPECT_EQ(run.stats.p99_ms, reference.stats.p99_ms);
+        }
+    }
+}
+
+TEST(BatchedRenderService, DestroysWithUnclaimedTicketsAndAnOpenBatch)
+{
+    // Nothing is waited on: the service goes out of scope holding an
+    // unclaimed solo result and a still-open batch (the ASan target).
+    ServeConfig config;
+    config.threads = 2;
+    config.batch_window_ms = 1e6;
+    auto service = std::make_unique<RenderService>(config);
+    service->RegisterScene("ngp", NgpFlexScene());
+    service->WarmScene("ngp");
+    SceneRequest request;
+    request.scene = "ngp";
+    SubmitOptions solo;
+    solo.batching = false;
+    service->Submit(request, solo);
+    service->Submit(request);
+    service->Submit(request);
+    const ServiceStats stats = service->Snapshot();
+    EXPECT_EQ(stats.accepted, 3u);
+    EXPECT_EQ(stats.completed, 1u);
+    service.reset();
 }
 
 }  // namespace

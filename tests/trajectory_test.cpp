@@ -232,13 +232,14 @@ TEST(Accelerator, UnifiedEstimateMatchesTheInlineEstimators)
     EXPECT_DOUBLE_EQ(taxed.savings_ms, priced.savings_ms);
 }
 
-TEST(RenderService, UnifiedSubmitMatchesDefaultsAndDeprecatedShim)
+TEST(RenderService, UnifiedSubmitMatchesDefaults)
 {
-    // Submit(request), Submit(request, SubmitOptions{}), and the
-    // one-PR deprecated surcharge shim must produce byte-identical
-    // verdicts — the API redesign changes the signature, not a single
-    // admitted millisecond.
-    const auto run = [](int variant) {
+    // Submit(request) and Submit(request, SubmitOptions{}) must produce
+    // byte-identical results — default options are the legacy
+    // single-argument path exactly — and a surcharge must ride the
+    // admitted latency one for one.
+    enum class Variant { kBare, kDefaultOptions, kSurcharged };
+    const auto run = [](Variant variant) {
         ServeConfig config;
         config.threads = 2;
         RenderService service(config);
@@ -248,37 +249,39 @@ TEST(RenderService, UnifiedSubmitMatchesDefaultsAndDeprecatedShim)
             SceneRequest request;
             request.scene = "ngp";
             request.arrival_ms = 0.6 * est * i;
-            request.deadline_ms = 2.0 * est + 9.0;
-            if (variant == 0) {
-                SubmitOptions options;
-                options.extra_service_ms = 9.0;
-                service.Submit(request, options);
-            } else if (variant == 1) {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-                service.Submit(request, 9.0);
-#pragma GCC diagnostic pop
-            } else {
-                request.deadline_ms = 2.0 * est;
+            request.deadline_ms = 2.0 * est;
+            if (variant == Variant::kBare) {
                 service.Submit(request);
+            } else {
+                SubmitOptions options;
+                if (variant == Variant::kSurcharged) {
+                    options.extra_service_ms = 9.0;
+                    request.deadline_ms += 9.0;
+                }
+                service.Submit(request, options);
             }
         }
-        std::vector<RenderResult> results = service.WaitAll();
-        return results;
+        return service.WaitAll();
     };
 
-    const std::vector<RenderResult> options_run = run(0);
-    const std::vector<RenderResult> shim_run = run(1);
-    ASSERT_EQ(options_run.size(), shim_run.size());
-    for (std::size_t i = 0; i < options_run.size(); ++i) {
-        EXPECT_EQ(options_run[i].status, shim_run[i].status) << i;
-        EXPECT_DOUBLE_EQ(options_run[i].latency_ms, shim_run[i].latency_ms)
+    const std::vector<RenderResult> bare_run = run(Variant::kBare);
+    const std::vector<RenderResult> options_run =
+        run(Variant::kDefaultOptions);
+    ASSERT_EQ(bare_run.size(), 8u);
+    ASSERT_EQ(options_run.size(), bare_run.size());
+    for (std::size_t i = 0; i < bare_run.size(); ++i) {
+        EXPECT_EQ(options_run[i].status, bare_run[i].status) << i;
+        EXPECT_EQ(options_run[i].latency_ms, bare_run[i].latency_ms) << i;
+        EXPECT_EQ(options_run[i].queue_wait_ms, bare_run[i].queue_wait_ms)
             << i;
+        EXPECT_EQ(options_run[i].cost, bare_run[i].cost) << i;
     }
-    // Default options are the legacy single-argument path exactly: the
-    // un-surcharged run admits on the same schedule shape.
-    const std::vector<RenderResult> bare_run = run(2);
-    EXPECT_EQ(bare_run.size(), options_run.size());
+    // The first request meets an idle device: the surcharge is exactly
+    // the extra latency it books.
+    const std::vector<RenderResult> taxed_run = run(Variant::kSurcharged);
+    ASSERT_EQ(taxed_run.size(), bare_run.size());
+    ASSERT_EQ(taxed_run[0].status, RequestStatus::kCompleted);
+    EXPECT_DOUBLE_EQ(taxed_run[0].latency_ms, bare_run[0].latency_ms + 9.0);
 }
 
 /** Replays a fixed pose path through a fresh service; returns results
