@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
+#include <tuple>
 
 #include "common/logging.h"
 
@@ -317,7 +319,9 @@ TraceRecorder::SortedEvents() const
     // buffer an event landed in is not — that is exactly what this
     // sort erases). Longer spans first, so a parent recorded on a
     // different thread than its child still precedes it at equal
-    // begin times.
+    // begin times. The order is total over everything the virtual
+    // projection exports: events left tied differ in no exported
+    // field, so their relative order cannot show.
     std::sort(events.begin(), events.end(),
               [](const TraceEvent& a, const TraceEvent& b) {
                   if (a.virt_begin_ms != b.virt_begin_ms) {
@@ -331,7 +335,17 @@ TraceRecorder::SortedEvents() const
                   }
                   if (a.phase != b.phase) return a.phase < b.phase;
                   if (a.name != b.name) return a.name < b.name;
-                  return a.value < b.value;
+                  if (a.value != b.value) return a.value < b.value;
+                  const int category =
+                      std::strcmp(a.category, b.category);
+                  if (category != 0) return category < 0;
+                  return std::lexicographical_compare(
+                      a.args.begin(), a.args.end(), b.args.begin(),
+                      b.args.end(),
+                      [](const TraceArg& x, const TraceArg& y) {
+                          return std::tie(x.key, x.value, x.quoted) <
+                                 std::tie(y.key, y.value, y.quoted);
+                      });
               });
     return events;
 }

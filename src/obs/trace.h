@@ -183,10 +183,11 @@ class TraceRecorder
 
     /**
      * Every recorded event in the canonical export order: (virtual
-     * begin, trace id, longer-span-first, phase, name, value). Every
-     * key is virtual-time-deterministic, so the order — and the
-     * virtual projection serialized from it — is bit-identical for
-     * any thread count.
+     * begin, trace id, longer-span-first, phase, name, value,
+     * category, args). Every key is virtual-time-deterministic, and
+     * events still tied differ in no field the virtual projection
+     * exports, so that projection is bit-identical for any thread
+     * count and any buffer an event landed in.
      */
     std::vector<TraceEvent> SortedEvents() const;
 

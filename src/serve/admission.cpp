@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 #include "common/logging.h"
 
@@ -74,8 +75,10 @@ AdmissionController::AdmissionController(const AdmissionPolicy& policy)
                   "' needs a shed_budget in [0, 1]");
         }
     }
-    schedule_.queues.resize(queue_weights_.size());
+    schedule_.fluid.queues.resize(queue_weights_.size());
     schedule_.lanes.resize(tiers_.size());
+    probe_fluid_.queues.reserve(queue_weights_.size());
+    delay_backlog_.reserve(queue_weights_.size());
     counters_.tiers.resize(tiers_.size());
 }
 
@@ -85,26 +88,36 @@ AdmissionController::QueueOf(std::size_t tier) const
     return policy_.discipline == AdmissionDiscipline::kFifo ? 0 : tier;
 }
 
+double
+AdmissionController::ClampArrival(double arrival_ms) const
+{
+    const double clamped = std::max(arrival_ms, 0.0);
+    return schedule_.saw_arrival
+               ? std::max(clamped, schedule_.last_arrival_ms)
+               : clamped;
+}
+
 void
-AdmissionController::Drain(Schedule& schedule, double now_ms) const
+AdmissionController::DrainFluid(Fluid& fluid, double now_ms) const
 {
     // Advance the fluid device from its last event to now: backlogged
     // queues drain at weight-proportional rates, re-planned at every
     // queue-emptying event, and the WFQ virtual clock advances at
     // 1 / (sum of backlogged weights).
-    double t = schedule.last_event_ms;
+    std::vector<FluidQueue>& queues = fluid.queues;
+    double t = fluid.last_event_ms;
     while (t < now_ms) {
         double weight_sum = 0.0;
-        for (std::size_t q = 0; q < schedule.queues.size(); ++q) {
-            if (schedule.queues[q].backlog_ms > 0.0) {
+        for (std::size_t q = 0; q < queues.size(); ++q) {
+            if (queues[q].backlog_ms > 0.0) {
                 weight_sum += queue_weights_[q];
             }
         }
         if (weight_sum <= 0.0) break;  // device idle through to now
         double dt = now_ms - t;
         bool emptied_first = false;
-        for (std::size_t q = 0; q < schedule.queues.size(); ++q) {
-            const FluidQueue& queue = schedule.queues[q];
+        for (std::size_t q = 0; q < queues.size(); ++q) {
+            const FluidQueue& queue = queues[q];
             if (queue.backlog_ms <= 0.0) continue;
             const double to_empty =
                 queue.backlog_ms * weight_sum / queue_weights_[q];
@@ -113,8 +126,8 @@ AdmissionController::Drain(Schedule& schedule, double now_ms) const
                 emptied_first = true;
             }
         }
-        for (std::size_t q = 0; q < schedule.queues.size(); ++q) {
-            FluidQueue& queue = schedule.queues[q];
+        for (std::size_t q = 0; q < queues.size(); ++q) {
+            FluidQueue& queue = queues[q];
             if (queue.backlog_ms <= 0.0) continue;
             const double drained =
                 dt * queue_weights_[q] / weight_sum;
@@ -122,30 +135,36 @@ AdmissionController::Drain(Schedule& schedule, double now_ms) const
             queue.drained_ms += drained;
             if (queue.backlog_ms <= kWorkDust) {
                 // Empty exactly: cumulative drained snaps to cumulative
-                // enqueued, so every request of the queue retires below.
+                // enqueued, so every request of the queue retires.
                 queue.backlog_ms = 0.0;
                 queue.drained_ms = queue.enqueued_ms;
             }
         }
-        schedule.virtual_time += dt / weight_sum;
+        fluid.virtual_time += dt / weight_sum;
         if (!emptied_first) break;  // drained clean through to now
         t += dt;
     }
-    schedule.last_event_ms = now_ms;
+    fluid.last_event_ms = now_ms;
+}
 
-    // Retire requests whose work has fully drained.
-    for (std::size_t tier = 0; tier < schedule.lanes.size(); ++tier) {
-        const FluidQueue& queue = schedule.queues[QueueOf(tier)];
-        std::deque<double>& lane = schedule.lanes[tier].in_service;
-        while (!lane.empty() && Drained(lane.front(), queue.drained_ms)) {
-            lane.pop_front();
-        }
+std::size_t
+AdmissionController::RetiredPrefix(const Fluid& fluid,
+                                   std::size_t tier) const
+{
+    // A request retires once its queue drained past its threshold;
+    // lanes are non-decreasing, so retirements are always a prefix
+    // (usually zero or one entry long).
+    const double drained_ms = fluid.queues[QueueOf(tier)].drained_ms;
+    const std::deque<double>& lane = schedule_.lanes[tier];
+    std::size_t retired = 0;
+    while (retired < lane.size() && Drained(lane[retired], drained_ms)) {
+        ++retired;
     }
+    return retired;
 }
 
 double
-AdmissionController::FluidDelay(const Schedule& schedule,
-                                std::size_t queue,
+AdmissionController::FluidDelay(const Fluid& fluid, std::size_t queue,
                                 double est_latency_ms,
                                 double target_work) const
 {
@@ -153,9 +172,11 @@ AdmissionController::FluidDelay(const Schedule& schedule,
     // Forward-simulate the fluid device with the candidate's work
     // appended to its queue, assuming no further arrivals (exact for a
     // lone queue — the FIFO case — optimistic otherwise; file header).
-    std::vector<double> backlog(schedule.queues.size());
+    // The backlog scratch is reused under mutex_.
+    std::vector<double>& backlog = delay_backlog_;
+    backlog.resize(fluid.queues.size());
     for (std::size_t q = 0; q < backlog.size(); ++q) {
-        backlog[q] = schedule.queues[q].backlog_ms;
+        backlog[q] = fluid.queues[q].backlog_ms;
     }
     backlog[queue] += est_latency_ms;
 
@@ -188,24 +209,20 @@ AdmissionController::FluidDelay(const Schedule& schedule,
 }
 
 AdmissionController::Verdict
-AdmissionController::Evaluate(const Schedule& schedule, double arrival_ms,
+AdmissionController::Evaluate(const Fluid& fluid, std::size_t total_depth,
+                              std::size_t tier_depth, double arrival_ms,
                               double est_latency_ms, double deadline_ms,
                               std::size_t tier) const
 {
     const std::size_t queue_index = QueueOf(tier);
-    const FluidQueue& queue = schedule.queues[queue_index];
+    const FluidQueue& queue = fluid.queues[queue_index];
     const TierPolicy& tier_policy = tiers_[tier];
 
     Verdict verdict;
     verdict.arrival_ms = arrival_ms;
     verdict.tier = tier;
-
-    std::size_t total_depth = 0;
-    for (const TierLane& lane : schedule.lanes) {
-        total_depth += lane.in_service.size();
-    }
     verdict.queue_depth = total_depth;
-    verdict.tier_queue_depth = schedule.lanes[tier].in_service.size();
+    verdict.tier_queue_depth = tier_depth;
 
     // Service start: when the tier's prior backlog has drained;
     // completion: when the request's own work has too. Both priced on
@@ -213,15 +230,15 @@ AdmissionController::Evaluate(const Schedule& schedule, double arrival_ms,
     const double prior_work = queue.backlog_ms;
     verdict.start_ms =
         arrival_ms +
-        FluidDelay(schedule, queue_index, est_latency_ms, prior_work);
+        FluidDelay(fluid, queue_index, est_latency_ms, prior_work);
     verdict.completion_ms =
-        arrival_ms + FluidDelay(schedule, queue_index, est_latency_ms,
+        arrival_ms + FluidDelay(fluid, queue_index, est_latency_ms,
                                 prior_work + est_latency_ms);
     verdict.wait_ms = verdict.start_ms - arrival_ms;
 
     // Classic WFQ virtual tags over the system virtual clock.
     verdict.start_tag =
-        std::max(schedule.virtual_time, queue.last_finish_tag);
+        std::max(fluid.virtual_time, queue.last_finish_tag);
     verdict.finish_tag =
         verdict.start_tag + est_latency_ms / queue_weights_[queue_index];
 
@@ -262,18 +279,25 @@ AdmissionController::Admit(double arrival_ms, double est_latency_ms,
                            << tiers_.size() << " tiers)");
     std::lock_guard<std::mutex> lock(mutex_);
 
-    // Clamp the arrival monotone and advance the fluid device to it.
-    // Draining is how completed virtual work retires, so it runs for
-    // every outcome — Probe drains a private copy the same way, which
-    // is what keeps the two in exact agreement.
-    double clamped = std::max(arrival_ms, 0.0);
-    if (schedule_.saw_arrival) {
-        clamped = std::max(clamped, schedule_.last_arrival_ms);
+    // Clamp the arrival monotone and advance the fluid device to it,
+    // then retire the requests whose work fully drained. Draining runs
+    // for every outcome — Probe drains a copy of the fluid state the
+    // same way and counts the same retirements, which is what keeps
+    // the two in exact agreement.
+    const double clamped = ClampArrival(arrival_ms);
+    DrainFluid(schedule_.fluid, clamped);
+    std::size_t total_depth = 0;
+    for (std::size_t t = 0; t < schedule_.lanes.size(); ++t) {
+        std::deque<double>& lane = schedule_.lanes[t];
+        lane.erase(lane.begin(),
+                   lane.begin() + static_cast<std::ptrdiff_t>(
+                                      RetiredPrefix(schedule_.fluid, t)));
+        total_depth += lane.size();
     }
-    Drain(schedule_, clamped);
 
     const Verdict verdict =
-        Evaluate(schedule_, clamped, est_latency_ms, deadline_ms, tier);
+        Evaluate(schedule_.fluid, total_depth, schedule_.lanes[tier].size(),
+                 clamped, est_latency_ms, deadline_ms, tier);
 
     if (!schedule_.saw_arrival) {
         counters_.first_arrival_ms = clamped;
@@ -293,11 +317,11 @@ AdmissionController::Admit(double arrival_ms, double est_latency_ms,
         ++tier_counters.shed_deadline;
         break;
       case Outcome::kAccepted: {
-        FluidQueue& queue = schedule_.queues[QueueOf(tier)];
+        FluidQueue& queue = schedule_.fluid.queues[QueueOf(tier)];
         queue.backlog_ms += est_latency_ms;
         queue.enqueued_ms += est_latency_ms;
         queue.last_finish_tag = verdict.finish_tag;
-        schedule_.lanes[tier].in_service.push_back(queue.enqueued_ms);
+        schedule_.lanes[tier].push_back(queue.enqueued_ms);
         ++counters_.accepted;
         ++tier_counters.accepted;
         counters_.busy_ms += est_latency_ms;
@@ -320,14 +344,23 @@ AdmissionController::Probe(double arrival_ms, double est_latency_ms,
                    "tier " << tier << " out of range (policy resolves "
                            << tiers_.size() << " tiers)");
     std::lock_guard<std::mutex> lock(mutex_);
-    // Evaluate on a private copy of the schedule: the clamp and the
-    // drain happen exactly as Admit would apply them, but nothing is
+    // The clamp and the drain happen exactly as Admit would apply them,
+    // but on the scratch copy of the fluid state (assignment reuses its
+    // storage), and the lanes are counted, not popped: nothing is
     // recorded.
-    Schedule copy = schedule_;
-    double clamped = std::max(arrival_ms, 0.0);
-    if (copy.saw_arrival) clamped = std::max(clamped, copy.last_arrival_ms);
-    Drain(copy, clamped);
-    return Evaluate(copy, clamped, est_latency_ms, deadline_ms, tier);
+    const double clamped = ClampArrival(arrival_ms);
+    probe_fluid_ = schedule_.fluid;
+    DrainFluid(probe_fluid_, clamped);
+    std::size_t total_depth = 0;
+    std::size_t tier_depth = 0;
+    for (std::size_t t = 0; t < schedule_.lanes.size(); ++t) {
+        const std::size_t depth =
+            schedule_.lanes[t].size() - RetiredPrefix(probe_fluid_, t);
+        total_depth += depth;
+        if (t == tier) tier_depth = depth;
+    }
+    return Evaluate(probe_fluid_, total_depth, tier_depth, clamped,
+                    est_latency_ms, deadline_ms, tier);
 }
 
 AdmissionController::Counters

@@ -221,6 +221,12 @@ class AdmissionController
      * admission model this way before deciding where a request lands
      * (serve/cluster.h); as long as no Admit intervenes, a subsequent
      * Admit with identical arguments returns an identical verdict.
+     *
+     * A probe neither copies nor allocates: it drains a scratch copy of
+     * the per-queue fluid state only (one small struct per queue), and
+     * reads each tier's post-drain depth off the live lanes by counting
+     * the entries the drain would retire — the same predicate Admit
+     * retires them with.
      */
     Verdict Probe(double arrival_ms, double est_latency_ms,
                   double deadline_ms = 0.0, std::size_t tier = 0) const;
@@ -241,40 +247,55 @@ class AdmissionController
         double last_finish_tag = 0.0;  //!< queue's latest WFQ finish tag
     };
 
-    /** Per-tier request bookkeeping (distinct from FluidQueue so kFifo
-     *  can share one queue while depth stays per tier). */
-    struct TierLane {
-        /** Per queued request: the owning queue's enqueued_ms right
-         *  after it was admitted. The request retires when the queue's
-         *  drained_ms reaches it. */
-        std::deque<double> in_service;
+    /** The fluid device: every queue's work plus the clocks. Small and
+     *  fixed-size (one FluidQueue per queue), so Probe drains a copy of
+     *  it in place of the whole schedule. */
+    struct Fluid {
+        std::vector<FluidQueue> queues;
+        double virtual_time = 0.0;   //!< WFQ system virtual clock
+        double last_event_ms = 0.0;  //!< drained up to here
     };
 
-    /** The whole mutable virtual schedule, copyable so Probe can
-     *  evaluate on a private copy. */
+    /** The whole mutable virtual schedule. Only `fluid` is ever
+     *  copied (by Probe, into probe_fluid_); the lanes are read in
+     *  place. */
     struct Schedule {
-        std::vector<FluidQueue> queues;
-        std::vector<TierLane> lanes;
-        double virtual_time = 0.0;   //!< WFQ system virtual clock
-        double last_event_ms = 0.0;  //!< schedule drained up to here
+        Fluid fluid;
+        /**
+         * Per tier (distinct from the queues so kFifo can share one
+         * queue while depth stays per tier), per queued request: the
+         * owning queue's enqueued_ms right after it was admitted. The
+         * request retires once the queue's drained_ms reaches it, so
+         * a lane is non-decreasing and its retired entries always form
+         * a prefix.
+         */
+        std::vector<std::deque<double>> lanes;
         double last_arrival_ms = 0.0;
         bool saw_arrival = false;
     };
 
     std::size_t QueueOf(std::size_t tier) const;
-    /** Advances @p schedule's fluid device to @p now_ms: drains
-     *  backlogs at weighted-fair rates, advances the virtual clock,
-     *  retires completed requests from the lanes. */
-    void Drain(Schedule& schedule, double now_ms) const;
+    /** Clamps @p arrival_ms monotone against the recorded arrivals. */
+    double ClampArrival(double arrival_ms) const;
+    /** Advances @p fluid to @p now_ms: drains backlogs at
+     *  weighted-fair rates and advances the virtual clock. The
+     *  queue-only step, shared verbatim by Admit and Probe. */
+    void DrainFluid(Fluid& fluid, double now_ms) const;
+    /** How many leading entries of @p tier's lane have retired once
+     *  its queue drained @p fluid's drained_ms: Admit pops them,
+     *  Probe only counts them. */
+    std::size_t RetiredPrefix(const Fluid& fluid, std::size_t tier) const;
     /** Model-ms from now until @p target_work ms of queue @p queue's
      *  work has drained, with @p est_latency_ms of candidate work
-     *  already appended to it ( @p schedule already drained to now). */
-    double FluidDelay(const Schedule& schedule, std::size_t queue,
+     *  already appended to it ( @p fluid already drained to now). */
+    double FluidDelay(const Fluid& fluid, std::size_t queue,
                       double est_latency_ms, double target_work) const;
-    /** Computes the verdict for @p schedule (drained to the clamped
-     *  arrival) without mutating anything — shared verbatim by Admit
-     *  and Probe, which is what keeps them in exact agreement. */
-    Verdict Evaluate(const Schedule& schedule, double arrival_ms,
+    /** Computes the verdict for @p fluid (drained to the clamped
+     *  arrival) and the post-drain depths, without mutating anything —
+     *  shared verbatim by Admit and Probe, which is what keeps them in
+     *  exact agreement. */
+    Verdict Evaluate(const Fluid& fluid, std::size_t total_depth,
+                     std::size_t tier_depth, double arrival_ms,
                      double est_latency_ms, double deadline_ms,
                      std::size_t tier) const;
 
@@ -285,6 +306,10 @@ class AdmissionController
     mutable std::mutex mutex_;
     Schedule schedule_;
     Counters counters_;
+    /** Scratch reused under mutex_ so no verdict allocates: Probe's
+     *  drained copy of schedule_.fluid, and FluidDelay's backlogs. */
+    mutable Fluid probe_fluid_;
+    mutable std::vector<double> delay_backlog_;
 };
 
 }  // namespace flexnerfer

@@ -271,18 +271,18 @@ ShardedRenderService::RegisterScene(const std::string& name,
     desc.registered_on.assign(shards_.size(), 0);
     desc.pinned_on.assign(shards_.size(), 0);
     desc.rank = router_.Rank(name);
-    scenes_.emplace(name, std::move(desc));
+    SceneDesc& stored = scenes_.emplace(name, std::move(desc)).first->second;
     scene_order_.push_back(name);
     // Register on the home shard eagerly (it validates the spec and the
     // alias guard); spill shards register lazily on first landing.
-    EnsureRegisteredLocked(name, LiveHomeLocked(scenes_.at(name)));
+    EnsureRegisteredLocked(name, stored, LiveHomeLocked(stored));
 }
 
 void
 ShardedRenderService::EnsureRegisteredLocked(const std::string& scene,
+                                             SceneDesc& desc,
                                              std::size_t shard)
 {
-    SceneDesc& desc = scenes_.at(scene);
     if (desc.registered_on[shard]) return;
     shards_[shard]->RegisterScene(scene, desc.spec);
     desc.registered_on[shard] = 1;
@@ -302,7 +302,7 @@ ShardedRenderService::EnsureWarmLocked(const std::string& scene)
         // home pin must exist before the first routing decision. This
         // is an administrative warm-up: it does not count as a request.
         const std::size_t home = LiveHomeLocked(desc);
-        EnsureRegisteredLocked(scene, home);
+        EnsureRegisteredLocked(scene, desc, home);
         desc.warm_cost = shards_[home]->WarmScene(scene);
         // Critical-path estimate (EstimatedServiceMs): the router's
         // probes and the spill surcharge price pipeline depth, not the
@@ -556,10 +556,11 @@ ShardedRenderService::Submit(const SceneRequest& request,
              TraceArg::Num("surcharge_ms", surcharge_ms)});
     }
 
-    Pending pending;
-    RouteToShardLocked(request, options, chosen, home, spilled,
+    // The ticket's slot is appended first and routed into in place.
+    const ClusterTicket ticket = pending_base_ + pending_.size();
+    RouteToShardLocked(request, desc, options, chosen, home, spilled,
                        surcharge_ms, via_replica, /*is_replay=*/false,
-                       route_ctx, pending);
+                       route_ctx, pending_.emplace_back());
 
     if (recorder != nullptr) {
         TraceContext root_ctx;
@@ -569,21 +570,17 @@ ShardedRenderService::Submit(const SceneRequest& request,
                              wall_route_begin_us, recorder->NowWallUs(),
                              {TraceArg::Str("scene", request.scene)});
     }
-
-    const ClusterTicket ticket = next_ticket_++;
-    pending_.emplace(ticket, std::move(pending));
     return ticket;
 }
 
 void
 ShardedRenderService::RouteToShardLocked(
-    const SceneRequest& request, const SubmitOptions& options,
-    std::size_t shard, std::size_t home, bool spilled, double surcharge_ms,
-    bool via_replica, bool is_replay, const TraceContext& route_ctx,
-    Pending& pending)
+    const SceneRequest& request, SceneDesc& desc,
+    const SubmitOptions& options, std::size_t shard, std::size_t home,
+    bool spilled, double surcharge_ms, bool via_replica, bool is_replay,
+    const TraceContext& route_ctx, Pending& pending)
 {
-    EnsureRegisteredLocked(request.scene, shard);
-    SceneDesc& desc = scenes_.at(request.scene);
+    EnsureRegisteredLocked(request.scene, desc, shard);
     TraceRecorder* const recorder = TraceRecorder::Global();
 
     // The shard sees its own session handle, not the cluster's, and the
@@ -752,11 +749,18 @@ ShardedRenderService::Wait(ClusterTicket ticket)
     Pending pending;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = pending_.find(ticket);
-        FLEX_CHECK_MSG(it != pending_.end(),
-                       "unknown or already-consumed cluster ticket");
-        pending = std::move(it->second);
-        pending_.erase(it);
+        FLEX_CHECK_MSG(ticket >= pending_base_ &&
+                           ticket - pending_base_ < pending_.size() &&
+                           !pending_[ticket - pending_base_].claimed,
+                       "unknown or already-consumed cluster ticket "
+                           << ticket);
+        Pending& slot = pending_[ticket - pending_base_];
+        pending = std::move(slot);
+        slot.claimed = true;
+        while (!pending_.empty() && pending_.front().claimed) {
+            pending_.pop_front();
+            ++pending_base_;
+        }
     }
     return Finish(std::move(pending));
 }
@@ -764,21 +768,17 @@ ShardedRenderService::Wait(ClusterTicket ticket)
 std::vector<ClusterRenderResult>
 ShardedRenderService::WaitAll()
 {
-    std::vector<std::pair<ClusterTicket, Pending>> drained;
+    // Take the whole store: its slots are already in ticket order.
+    std::deque<Pending> drained;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        drained.reserve(pending_.size());
-        for (auto& entry : pending_) {
-            drained.emplace_back(entry.first, std::move(entry.second));
-        }
-        pending_.clear();
+        drained.swap(pending_);
+        pending_base_ += drained.size();
     }
-    std::sort(drained.begin(), drained.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
     std::vector<ClusterRenderResult> results;
     results.reserve(drained.size());
-    for (auto& entry : drained) {
-        results.push_back(Finish(std::move(entry.second)));
+    for (Pending& pending : drained) {
+        if (!pending.claimed) results.push_back(Finish(std::move(pending)));
     }
     return results;
 }
@@ -815,22 +815,24 @@ ShardedRenderService::KillShardLocked(std::size_t shard, double now_ms)
         double latency_ms = 0.0;
         std::size_t tier = 0;
     };
-    std::vector<ClusterTicket> to_replay;
+    // The walk is in ticket order, so replays are too.
+    std::vector<std::size_t> to_replay;  //!< indices into pending_
     std::vector<Phantom> phantoms;
-    for (auto& entry : pending_) {
-        Pending& pending = entry.second;
-        if (pending.resolved || pending.shard != shard) continue;
+    for (std::size_t i = 0; i < pending_.size(); ++i) {
+        Pending& pending = pending_[i];
+        if (pending.claimed || pending.resolved || pending.shard != shard) {
+            continue;
+        }
         RenderResult result =
             shards_[shard]->Wait(pending.shard_ticket);
         if (pending.accepted && pending.completion_ms > now_ms) {
-            to_replay.push_back(entry.first);
+            to_replay.push_back(i);
             phantoms.push_back(Phantom{result.latency_ms, result.tier});
         } else {
             pending.result = std::move(result);
             pending.resolved = true;
         }
     }
-    std::sort(to_replay.begin(), to_replay.end());
 
     // Fold the dead replica's telemetry into the lifetime aggregates.
     // Its capacity contribution is its own span — it served alone for
@@ -876,7 +878,7 @@ ShardedRenderService::KillShardLocked(std::size_t shard, double now_ms)
         if (!desc.warmed) continue;
         const std::size_t new_home = LiveHomeLocked(desc);
         if (!desc.pinned_on[new_home]) {
-            EnsureRegisteredLocked(name, new_home);
+            EnsureRegisteredLocked(name, desc, new_home);
             const FrameCost re_warmed = shards_[new_home]->WarmScene(name);
             FLEX_CHECK_MSG(re_warmed == desc.warm_cost,
                            "re-homed warm-up diverged for scene '" << name
@@ -894,8 +896,8 @@ ShardedRenderService::KillShardLocked(std::size_t shard, double now_ms)
     // (the re-homed session's shard for session frames), remaining
     // deadline budget, spill surcharge if the home is cold (a session
     // replay never pays it: re-homing just pinned the scene there).
-    for (const ClusterTicket ticket : to_replay) {
-        Pending& pending = pending_.at(ticket);
+    for (const std::size_t index : to_replay) {
+        Pending& pending = pending_[index];
         SceneRequest request = pending.request;
         const SubmitOptions options = pending.options;
         SceneDesc& desc = scenes_.at(request.scene);
@@ -917,7 +919,7 @@ ShardedRenderService::KillShardLocked(std::size_t shard, double now_ms)
         pending.rpc_delay_ms = 0.0;
         pending.spilled = false;
         pending.spill_surcharge_ms = surcharge_ms;
-        RouteToShardLocked(request, options, target, target,
+        RouteToShardLocked(request, desc, options, target, target,
                            /*spilled=*/false, surcharge_ms,
                            /*via_replica=*/false, /*is_replay=*/true,
                            drill_ctx, pending);
@@ -1016,7 +1018,7 @@ ShardedRenderService::RefreshReplicationLocked()
         desc.replicas.clear();
         for (const std::size_t shard : desc.rank) {
             if (!alive_[shard]) continue;
-            EnsureRegisteredLocked(name, shard);
+            EnsureRegisteredLocked(name, desc, shard);
             if (!desc.pinned_on[shard]) {
                 // Administrative warm (no request counts move): the
                 // replica must hold the pin before p2c sends real
@@ -1103,9 +1105,8 @@ ShardedRenderService::Resize(std::size_t new_shards)
     // Results are retained, so tickets issued before the resize stay
     // claimable after it. (Dead shards hold no unresolved tickets —
     // KillShard resolved or replayed them.)
-    for (auto& entry : pending_) {
-        Pending& pending = entry.second;
-        if (pending.resolved) continue;
+    for (Pending& pending : pending_) {
+        if (pending.claimed || pending.resolved) continue;
         pending.result = shards_[pending.shard]->Wait(pending.shard_ticket);
         pending.resolved = true;
     }
@@ -1149,7 +1150,7 @@ ShardedRenderService::Resize(std::size_t new_shards)
         desc.replicas.clear();
         const bool was_warm = desc.warmed;
         desc.warmed = false;
-        EnsureRegisteredLocked(name, desc.rank[0]);
+        EnsureRegisteredLocked(name, desc, desc.rank[0]);
         // Re-warm only scenes that were warm: never-touched scenes stay
         // cold until their first request, exactly as before the resize.
         if (was_warm) EnsureWarmLocked(name);

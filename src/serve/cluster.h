@@ -388,10 +388,11 @@ class ShardedRenderService
     SessionId OpenSession(const std::string& scene,
                           const CoherenceModel& model = {});
 
-    /** Blocks until the ticket's request resolves; consumes the ticket. */
+    /** Blocks until the ticket's request resolves; consumes the ticket.
+     *  Fatal for an unknown or already-consumed ticket. */
     ClusterRenderResult Wait(ClusterTicket ticket);
 
-    /** Drains every outstanding ticket, in submission order. */
+    /** Drains every unclaimed ticket, in submission (ticket) order. */
     std::vector<ClusterRenderResult> WaitAll();
 
     /**
@@ -488,6 +489,8 @@ class ShardedRenderService
 
     /** One outstanding or resolved ticket. */
     struct Pending {
+        /** Returned by Wait/WaitAll; the slot only awaits popping. */
+        bool claimed = false;
         bool resolved = false;
         std::size_t shard = 0;
         std::size_t home_shard = 0;
@@ -598,8 +601,9 @@ class ShardedRenderService
         std::vector<AdmissionController::TierCounters> tier_counters;
     };
 
-    /** Registers @p scene on @p shard if not yet (mutex_ held). */
-    void EnsureRegisteredLocked(const std::string& scene,
+    /** Registers @p scene (whose record is @p desc) on @p shard if
+     *  not yet (mutex_ held). */
+    void EnsureRegisteredLocked(const std::string& scene, SceneDesc& desc,
                                 std::size_t shard);
     /** Warms @p scene on its live home if not yet (mutex_ held). */
     SceneDesc& EnsureWarmLocked(const std::string& scene);
@@ -624,9 +628,10 @@ class ShardedRenderService
      * submit options; a session handle in it is translated to the
      * session's current shard-local handle here, and the verdict
      * preview prices the sticky shard's real delta-vs-full decision
-     * (PeekSessionEstimate). (mutex_ held.)
+     * (PeekSessionEstimate). @p desc is the request scene's record,
+     * looked up once by the caller. (mutex_ held.)
      */
-    void RouteToShardLocked(const SceneRequest& request,
+    void RouteToShardLocked(const SceneRequest& request, SceneDesc& desc,
                             const SubmitOptions& options, std::size_t shard,
                             std::size_t home, bool spilled,
                             double surcharge_ms, bool via_replica,
@@ -662,8 +667,16 @@ class ShardedRenderService
     std::vector<ShardAux> aux_;
     std::unordered_map<std::string, SceneDesc> scenes_;
     std::vector<std::string> scene_order_;
-    std::unordered_map<ClusterTicket, Pending> pending_;
-    ClusterTicket next_ticket_ = 0;
+    /**
+     * The ticket store. Tickets are issued sequentially, so slot i
+     * holds ticket pending_base_ + i and the next ticket is
+     * pending_base_ + pending_.size(). Wait is an index lookup that
+     * pops claimed slots off the front; WaitAll takes the whole deque
+     * and walks it in ticket order; KillShard and Resize walk it
+     * skipping claimed slots.
+     */
+    std::deque<Pending> pending_;
+    ClusterTicket pending_base_ = 0;
     /** Open trajectory sessions (never erased) and their open order —
      *  the deterministic iteration order for re-homing. */
     std::unordered_map<SessionId, SessionDesc> sessions_;

@@ -208,9 +208,28 @@ ServeTicket
 RenderService::Resolve(RenderResult result)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    const ServeTicket ticket = next_ticket_++;
-    inflight_.emplace(ticket, std::move(result));
+    const ServeTicket ticket = results_base_ + results_.size();
+    results_.push_back({TicketSlot::State::kReady, std::move(result)});
     return ticket;
+}
+
+ServeTicket
+RenderService::ReserveTicket()
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    const ServeTicket ticket = results_base_ + results_.size();
+    results_.emplace_back();
+    return ticket;
+}
+
+void
+RenderService::PopClaimedLocked()
+{
+    while (!results_.empty() &&
+           results_.front().state == TicketSlot::State::kClaimed) {
+        results_.pop_front();
+        ++results_base_;
+    }
 }
 
 RenderResult
@@ -381,13 +400,10 @@ RenderService::SubmitBatched(const SceneRequest& request,
     // unbatched path's (the flush checks the fused cost separately).
     result.cost = scene->cost;
 
+    // The ticket is issued now, in submission order; its result is
+    // stored when the batch flushes.
     BatchMember member;
-    {
-        // The ticket is issued now, in submission order; its result is
-        // stored when the batch flushes.
-        std::lock_guard<std::mutex> ticket_lock(mutex_);
-        member.ticket = next_ticket_++;
-    }
+    member.ticket = ReserveTicket();
     const ServeTicket ticket = member.ticket;
     member.result = std::move(result);
     member.trace = trace;
@@ -658,7 +674,10 @@ RenderService::FlushBatchLocked(std::list<OpenBatch>::iterator batch)
     completed_.fetch_add(elements);
     std::lock_guard<std::mutex> lock(mutex_);
     for (BatchMember& member : closing.members) {
-        inflight_.emplace(member.ticket, std::move(member.result));
+        // A pending slot is never popped, so the index is live.
+        TicketSlot& slot = results_[member.ticket - results_base_];
+        slot.result = std::move(member.result);
+        slot.state = TicketSlot::State::kReady;
     }
 }
 
@@ -726,11 +745,15 @@ RenderService::Wait(ServeTicket ticket)
     // ticket's result exists.
     FlushAllOpenBatches();
     std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = inflight_.find(ticket);
-    FLEX_CHECK_MSG(it != inflight_.end(),
-                   "unknown or already-consumed serve ticket");
-    RenderResult result = std::move(it->second);
-    inflight_.erase(it);
+    FLEX_CHECK_MSG(ticket >= results_base_ &&
+                       ticket - results_base_ < results_.size() &&
+                       results_[ticket - results_base_].state ==
+                           TicketSlot::State::kReady,
+                   "unknown or already-consumed serve ticket " << ticket);
+    TicketSlot& slot = results_[ticket - results_base_];
+    RenderResult result = std::move(slot.result);
+    slot.state = TicketSlot::State::kClaimed;
+    PopClaimedLocked();
     return result;
 }
 
@@ -738,22 +761,17 @@ std::vector<RenderResult>
 RenderService::WaitAll()
 {
     FlushAllOpenBatches();
-    std::vector<std::pair<ServeTicket, RenderResult>> drained;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        drained.reserve(inflight_.size());
-        for (auto& entry : inflight_) {
-            drained.emplace_back(entry.first, std::move(entry.second));
-        }
-        inflight_.clear();
-    }
-    std::sort(drained.begin(), drained.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
     std::vector<RenderResult> results;
-    results.reserve(drained.size());
-    for (auto& entry : drained) {
-        results.push_back(std::move(entry.second));
+    std::lock_guard<std::mutex> lock(mutex_);
+    results.reserve(results_.size());
+    // Slots are in ticket order already. A pending slot here belongs to
+    // a Submit racing this call; it stays for a later Wait.
+    for (TicketSlot& slot : results_) {
+        if (slot.state != TicketSlot::State::kReady) continue;
+        results.push_back(std::move(slot.result));
+        slot.state = TicketSlot::State::kClaimed;
     }
+    PopClaimedLocked();
     return results;
 }
 

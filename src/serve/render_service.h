@@ -498,8 +498,25 @@ class RenderService
         double delta_savings_ms = 0.0;
     };
 
+    /** One ticket's slot in the result store (results_). */
+    struct TicketSlot {
+        enum class State : std::uint8_t {
+            kPending,  //!< a fused-batch member awaiting its flush
+            kReady,    //!< resolved, not yet claimed
+            kClaimed,  //!< returned by Wait/WaitAll
+        };
+        State state = State::kPending;
+        RenderResult result;  //!< valid while kReady
+    };
+
     /** Stores @p result under the next ticket and returns the ticket. */
     ServeTicket Resolve(RenderResult result);
+    /** Issues the next ticket with its slot pending: a fused-batch
+     *  member's result is stored when its batch flushes. */
+    ServeTicket ReserveTicket();
+    /** Pops the claimed slots off the front of results_ (mutex_
+     *  held). */
+    void PopClaimedLocked();
     /**
      * Books one admission verdict, shared by every Submit path: builds
      * the request's result and records the outcome in the per-scene
@@ -544,11 +561,19 @@ class RenderService
     std::atomic<std::uint64_t> submitted_{0};
     std::atomic<std::uint64_t> completed_{0};
 
-    /** Guards the ticket counter and the unclaimed results. Taken
-     *  inside batch_mutex_ / session_mutex_, never around them. */
+    /** Guards the result store. Taken inside batch_mutex_ /
+     *  session_mutex_, never around them. */
     mutable std::mutex mutex_;
-    ServeTicket next_ticket_ = 0;
-    std::unordered_map<ServeTicket, RenderResult> inflight_;
+    /**
+     * The ticket -> RenderResult store. Tickets are issued
+     * sequentially, so slot i holds ticket results_base_ + i and the
+     * next ticket is results_base_ + results_.size(). Wait is an index
+     * lookup, WaitAll walks the slots in ticket order, and claimed
+     * slots pop off the front, so the store spans only the oldest
+     * unclaimed ticket to the newest.
+     */
+    std::deque<TicketSlot> results_;
+    ServeTicket results_base_ = 0;
 
     /** Batch-fusion state (ServeConfig::batch_window_ms). batch_mutex_
      *  serializes the whole join-or-open decision with its Admit call,

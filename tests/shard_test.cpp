@@ -12,6 +12,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <iomanip>
 #include <set>
 #include <string>
 #include <vector>
@@ -108,56 +110,6 @@ TEST(ShardRouter, ResizeMovesTheProvableMinimum)
     }
 }
 
-TEST(AdmissionController, ProbeMatchesAdmitAndHasNoSideEffects)
-{
-    AdmissionPolicy policy;
-    policy.max_queue_depth = 3;
-    policy.default_deadline_ms = 50.0;
-    AdmissionController admission(policy);
-
-    // Mixed accept/shed/reject sequence: before every Admit, a Probe
-    // with the same arguments returns the identical verdict, and the
-    // probe moves nothing (counters are bit-identical to a probe-free
-    // run of the same sequence).
-    struct Call {
-        double arrival, est, deadline;
-    };
-    const std::vector<Call> calls = {
-        {0.0, 10.0, 0.0},  {0.0, 10.0, 0.0},   {0.0, 10.0, 15.0},
-        {0.0, 10.0, 0.0},  {0.0, 10.0, 100.0}, {5.0, 10.0, 0.0},
-        {40.0, 10.0, 0.0}, {40.0, 5.0, 12.0},
-    };
-    AdmissionController reference(policy);
-    for (const Call& call : calls) {
-        const auto probed =
-            admission.Probe(call.arrival, call.est, call.deadline);
-        // Probing twice changes nothing either.
-        const auto probed_again =
-            admission.Probe(call.arrival, call.est, call.deadline);
-        const auto admitted =
-            admission.Admit(call.arrival, call.est, call.deadline);
-        EXPECT_EQ(probed.outcome, admitted.outcome);
-        EXPECT_EQ(probed.outcome, probed_again.outcome);
-        EXPECT_EQ(probed.arrival_ms, admitted.arrival_ms);
-        EXPECT_EQ(probed.start_ms, admitted.start_ms);
-        EXPECT_EQ(probed.completion_ms, admitted.completion_ms);
-        EXPECT_EQ(probed.wait_ms, admitted.wait_ms);
-        EXPECT_EQ(probed.queue_depth, admitted.queue_depth);
-        EXPECT_EQ(probed.deadline_ms, admitted.deadline_ms);
-        reference.Admit(call.arrival, call.est, call.deadline);
-    }
-    const auto probed_counters = admission.counters();
-    const auto reference_counters = reference.counters();
-    EXPECT_EQ(probed_counters.accepted, reference_counters.accepted);
-    EXPECT_EQ(probed_counters.rejected_queue_full,
-              reference_counters.rejected_queue_full);
-    EXPECT_EQ(probed_counters.shed_deadline,
-              reference_counters.shed_deadline);
-    EXPECT_EQ(probed_counters.busy_ms, reference_counters.busy_ms);
-    EXPECT_EQ(probed_counters.last_completion_ms,
-              reference_counters.last_completion_ms);
-}
-
 /** Three-tier WFQ policy shared by the tiered tests below. */
 std::vector<TierPolicy>
 DeterminismTiers()
@@ -174,52 +126,190 @@ DeterminismTiers()
     return {vip, mid, bulk};
 }
 
-TEST(AdmissionController, TieredProbeMatchesAdmit)
+bool
+BitEqual(double a, double b)
 {
-    // The router's spill decisions hang on Probe/Admit agreement, now
-    // across weighted tier queues: same drain, same fluid pricing,
-    // same tags, for every tier.
-    AdmissionPolicy policy;
-    policy.max_queue_depth = 6;
-    policy.tiers = DeterminismTiers();
-    policy.tiers[0].default_deadline_ms = 25.0;
-    policy.tiers[2].max_queue_depth = 2;
-    AdmissionController admission(policy);
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
 
-    struct Call {
-        double arrival, est, deadline;
-        std::size_t tier;
-    };
-    const std::vector<Call> calls = {
-        {0.0, 10.0, 0.0, 2},  {0.0, 10.0, 0.0, 0},  {0.0, 10.0, 0.0, 1},
-        {0.0, 10.0, 0.0, 2},  {0.0, 10.0, 0.0, 2},  {5.0, 10.0, 0.0, 0},
-        {12.0, 8.0, 30.0, 1}, {30.0, 10.0, 0.0, 2}, {31.0, 4.0, 9.0, 0},
-    };
-    for (const Call& call : calls) {
-        const auto probed = admission.Probe(call.arrival, call.est,
-                                            call.deadline, call.tier);
-        const auto admitted = admission.Admit(call.arrival, call.est,
-                                              call.deadline, call.tier);
-        EXPECT_EQ(probed.outcome, admitted.outcome);
-        EXPECT_EQ(probed.tier, admitted.tier);
-        EXPECT_EQ(probed.start_ms, admitted.start_ms);
-        EXPECT_EQ(probed.completion_ms, admitted.completion_ms);
-        EXPECT_EQ(probed.wait_ms, admitted.wait_ms);
-        EXPECT_EQ(probed.queue_depth, admitted.queue_depth);
-        EXPECT_EQ(probed.tier_queue_depth, admitted.tier_queue_depth);
-        EXPECT_EQ(probed.deadline_ms, admitted.deadline_ms);
-        EXPECT_EQ(probed.start_tag, admitted.start_tag);
-        EXPECT_EQ(probed.finish_tag, admitted.finish_tag);
+/** Every Verdict field, doubles compared bit for bit. */
+::testing::AssertionResult
+SameVerdict(const AdmissionController::Verdict& a,
+            const AdmissionController::Verdict& b)
+{
+    if (a.outcome == b.outcome && BitEqual(a.arrival_ms, b.arrival_ms) &&
+        BitEqual(a.start_ms, b.start_ms) &&
+        BitEqual(a.completion_ms, b.completion_ms) &&
+        BitEqual(a.wait_ms, b.wait_ms) && a.queue_depth == b.queue_depth &&
+        a.tier_queue_depth == b.tier_queue_depth &&
+        BitEqual(a.deadline_ms, b.deadline_ms) && a.tier == b.tier &&
+        BitEqual(a.start_tag, b.start_tag) &&
+        BitEqual(a.finish_tag, b.finish_tag)) {
+        return ::testing::AssertionSuccess();
     }
-    // The sequence exercised every verdict path across the tiers.
-    const auto counters = admission.counters();
-    std::uint64_t rejected = 0, shed = 0;
-    for (const auto& tier : counters.tiers) {
-        rejected += tier.rejected_queue_full;
-        shed += tier.shed_deadline;
+    return ::testing::AssertionFailure()
+           << std::setprecision(17) << "outcome "
+           << static_cast<int>(a.outcome) << "/"
+           << static_cast<int>(b.outcome) << " arrival " << a.arrival_ms
+           << "/" << b.arrival_ms << " start " << a.start_ms << "/"
+           << b.start_ms << " completion " << a.completion_ms << "/"
+           << b.completion_ms << " depth " << a.queue_depth << "/"
+           << b.queue_depth << " tier depth " << a.tier_queue_depth << "/"
+           << b.tier_queue_depth << " deadline " << a.deadline_ms << "/"
+           << b.deadline_ms << " tags " << a.start_tag << "/"
+           << b.start_tag << ", " << a.finish_tag << "/" << b.finish_tag;
+}
+
+/** Every Counters field, doubles compared bit for bit. */
+::testing::AssertionResult
+SameCounters(const AdmissionController::Counters& a,
+             const AdmissionController::Counters& b)
+{
+    bool same = a.accepted == b.accepted &&
+                a.rejected_queue_full == b.rejected_queue_full &&
+                a.shed_deadline == b.shed_deadline &&
+                BitEqual(a.busy_ms, b.busy_ms) &&
+                BitEqual(a.first_arrival_ms, b.first_arrival_ms) &&
+                BitEqual(a.last_completion_ms, b.last_completion_ms) &&
+                a.tiers.size() == b.tiers.size();
+    for (std::size_t t = 0; same && t < a.tiers.size(); ++t) {
+        same = a.tiers[t].submitted == b.tiers[t].submitted &&
+               a.tiers[t].accepted == b.tiers[t].accepted &&
+               a.tiers[t].rejected_queue_full ==
+                   b.tiers[t].rejected_queue_full &&
+               a.tiers[t].shed_deadline == b.tiers[t].shed_deadline &&
+               BitEqual(a.tiers[t].busy_ms, b.tiers[t].busy_ms);
     }
-    EXPECT_GT(rejected, 0u);
-    EXPECT_GT(shed, 0u);
+    if (same) return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << "counters differ: accepted " << a.accepted << "/"
+           << b.accepted << " rejected " << a.rejected_queue_full << "/"
+           << b.rejected_queue_full << " shed " << a.shed_deadline << "/"
+           << b.shed_deadline;
+}
+
+/**
+ * One configuration of the probe/admit sweep. Variant 0 sets no caps
+ * and no defaults (only the calls' own deadlines); 1 adds a global
+ * depth cap and a policy deadline; 2 adds per-tier depth caps and tier
+ * deadlines, with the last tier falling back to the policy deadline.
+ */
+AdmissionPolicy
+SweepPolicy(AdmissionDiscipline discipline, std::size_t tiers, int variant)
+{
+    const double weights[] = {4.0, 2.0, 1.0, 0.5};
+    AdmissionPolicy policy;
+    policy.discipline = discipline;
+    policy.max_queue_depth = variant == 1 ? 12 : 0;
+    policy.default_deadline_ms = variant == 0 ? 0.0 : 80.0;
+    for (std::size_t t = 0; t < tiers; ++t) {
+        TierPolicy tier;
+        tier.weight = weights[t];
+        if (variant == 2) {
+            tier.max_queue_depth = 2 + t;
+            tier.default_deadline_ms =
+                t + 1 < tiers ? 20.0 * static_cast<double>(t + 1) : 0.0;
+        }
+        policy.tiers.push_back(tier);
+    }
+    return policy;
+}
+
+/** What the sweep reached, summed over its configurations. */
+struct SweepTally {
+    std::uint64_t accepted = 0;
+    std::uint64_t rejected = 0;
+    std::uint64_t shed = 0;
+    std::uint64_t clamped = 0;  //!< arrivals the monotone clamp moved
+    /** Most queued requests one arrival retired at once. */
+    std::size_t max_retired = 0;
+};
+
+/**
+ * Drives @p calls seeded calls through a probed controller and a
+ * probe-free reference, both under @p policy, probing twice before
+ * each Admit. Arrivals mostly come 0-8 ms apart against 1-10 ms of
+ * work, with idle gaps that drain every queue and out-of-order
+ * arrivals the clamp must move.
+ */
+void
+SweepProbeAgainstAdmit(const AdmissionPolicy& policy, std::uint64_t seed,
+                       int calls, SweepTally* tally)
+{
+    AdmissionController probed(policy);
+    AdmissionController reference(policy);
+    const auto tiers = static_cast<std::int64_t>(probed.tiers().size());
+    Rng rng(seed);
+    double clock = 0.0;
+    std::size_t depth_after = 0;  // depth once the last call committed
+    for (int i = 0; i < calls; ++i) {
+        clock += rng.Bernoulli(0.02) ? rng.Uniform(150.0, 400.0)
+                                     : rng.Uniform(0.0, 8.0);
+        const double arrival =
+            rng.Bernoulli(0.05)
+                ? std::max(0.0, clock - rng.Uniform(0.0, 30.0))
+                : clock;
+        const double est =
+            rng.Bernoulli(0.03) ? 0.0 : rng.Uniform(1.0, 10.0);
+        const double deadline =
+            rng.Bernoulli(0.3) ? rng.Uniform(5.0, 60.0) : 0.0;
+        const auto tier =
+            static_cast<std::size_t>(rng.UniformInt(0, tiers - 1));
+
+        const auto first = probed.Probe(arrival, est, deadline, tier);
+        const auto second = probed.Probe(arrival, est, deadline, tier);
+        const auto admitted = probed.Admit(arrival, est, deadline, tier);
+        const auto want = reference.Admit(arrival, est, deadline, tier);
+        ASSERT_TRUE(SameVerdict(first, admitted))
+            << "seed " << seed << " call " << i;
+        ASSERT_TRUE(SameVerdict(second, admitted))
+            << "seed " << seed << " call " << i;
+        ASSERT_TRUE(SameVerdict(admitted, want))
+            << "seed " << seed << " call " << i;
+
+        if (admitted.arrival_ms > arrival) ++tally->clamped;
+        if (depth_after > admitted.queue_depth) {
+            tally->max_retired = std::max(
+                tally->max_retired, depth_after - admitted.queue_depth);
+        }
+        const bool accepted =
+            admitted.outcome == AdmissionController::Outcome::kAccepted;
+        depth_after = admitted.queue_depth + (accepted ? 1 : 0);
+    }
+    const auto counters = reference.counters();
+    ASSERT_TRUE(SameCounters(probed.counters(), counters))
+        << "seed " << seed;
+    tally->accepted += counters.accepted;
+    tally->rejected += counters.rejected_queue_full;
+    tally->shed += counters.shed_deadline;
+}
+
+TEST(AdmissionController, ProbeMatchesAdmitAcrossSeededSweep)
+{
+    // The router's routing decisions hang on Probe/Admit agreement.
+    // Across both disciplines, 1-4 tiers and every cap/deadline level,
+    // two probes before each Admit must return its verdict field for
+    // field, and a probe-free reference controller fed the same Admits
+    // must end with bit-equal verdicts and counters.
+    SweepTally tally;
+    std::uint64_t seed = 1;
+    for (const AdmissionDiscipline discipline :
+         {AdmissionDiscipline::kFifo, AdmissionDiscipline::kWeightedFair}) {
+        for (std::size_t tiers = 1; tiers <= 4; ++tiers) {
+            for (int variant = 0; variant < 3; ++variant) {
+                SweepProbeAgainstAdmit(
+                    SweepPolicy(discipline, tiers, variant), seed++,
+                    /*calls=*/1500, &tally);
+                if (HasFatalFailure()) return;
+            }
+        }
+    }
+    // The sweep reached every verdict, the clamp, and mass retirements.
+    EXPECT_GT(tally.accepted, 0u);
+    EXPECT_GT(tally.rejected, 0u);
+    EXPECT_GT(tally.shed, 0u);
+    EXPECT_GT(tally.clamped, 0u);
+    EXPECT_GE(tally.max_retired, 10u);
 }
 
 TEST(LatencyHistogram, MergeMatchesConcatenationWithinBucketBound)

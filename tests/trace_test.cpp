@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/logging.h"
@@ -115,6 +116,33 @@ TEST(TraceExport, VirtualProjectionIsThreadCountInvariant)
     const std::string eight = TracedServingRun(8);
     EXPECT_FALSE(one.empty());
     EXPECT_EQ(one, eight);
+}
+
+TEST(TraceExport, EventsTiedOnEveryTimeKeySortByTheirArgs)
+{
+    // Two instants equal in time, trace, phase, name and value — such
+    // as two rpc hops at one kill-replay instant — recorded from two
+    // threads in either order export identically: the args break the
+    // tie, so buffer order never shows.
+    const auto export_in_order = [](bool a_first) {
+        TraceRecorder recorder;
+        TraceContext ctx;
+        ctx.trace_id = recorder.BeginTrace("drill");
+        const auto record = [&](std::int64_t shard) {
+            std::thread([&recorder, ctx, shard] {
+                recorder.RecordInstant(ctx, "transport", "rpc", 5.0,
+                                       {TraceArg::Int("shard", shard)});
+            }).join();
+        };
+        record(a_first ? 0 : 1);
+        record(a_first ? 1 : 0);
+        std::ostringstream out;
+        recorder.WriteChromeTrace(out, TraceClock::kVirtual);
+        return out.str();
+    };
+    const std::string forward = export_in_order(true);
+    EXPECT_EQ(forward, export_in_order(false));
+    EXPECT_LT(forward.find("\"shard\":0"), forward.find("\"shard\":1"));
 }
 
 TEST(TraceExport, SpanNestingLinksRequestServiceFrameAndOps)
