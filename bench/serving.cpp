@@ -123,7 +123,7 @@ RunOpenLoop(int threads, std::size_t requests, double load,
         request.arrival_ms = drawn.arrival_ms;
         request.priority = drawn.priority;
         request.deadline_ms = drawn.deadline_ms;
-        tickets.push_back(service.Submit(request));
+        tickets.push_back(service.Submit(request).ticket);
     }
     out.results = service.WaitAll();
     out.wall_ms = std::chrono::duration<double, std::milli>(

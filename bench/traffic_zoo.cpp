@@ -449,7 +449,7 @@ RunClosedLoop(const Repertoire& repertoire,
         request.tier = client.tier;
         request.priority = client.priority;
         const RenderResult result =
-            service->Wait(service->Submit(request));
+            service->Wait(service->Submit(request).ticket);
 
         // The client observes its virtual latency (0 when shed) and
         // thinks before the next request.

@@ -119,7 +119,7 @@ RunTrajectory(int threads, std::size_t frames, double pan_step,
             out.peeks.push_back(
                 service.PeekSessionEstimate(session, options.pose));
         }
-        tickets.push_back(service.Submit(request, options));
+        tickets.push_back(service.Submit(request, options).ticket);
     }
     out.results = service.WaitAll();
     out.wall_ms = std::chrono::duration<double, std::milli>(

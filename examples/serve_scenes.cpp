@@ -218,7 +218,7 @@ RunSingle()
         request.priority = spec.priority;
         request.deadline_ms = spec.deadline_ms;
         request.arrival_ms = 0.0;
-        tickets.push_back(service.Submit(request));
+        tickets.push_back(service.Submit(request).ticket);
     }
 
     std::printf("\n== Request outcomes (virtual time) ==\n");

@@ -1,7 +1,6 @@
 #include "serve/cluster.h"
 
 #include <algorithm>
-#include <unordered_set>
 #include <utility>
 
 #include "common/logging.h"
@@ -225,6 +224,38 @@ ShardedRenderService::EpochFold::Add(
     }
 }
 
+void
+ShardedRenderService::EpochFold::Merge(const EpochFold& other)
+{
+    submitted += other.submitted;
+    accepted += other.accepted;
+    rejected_queue_full += other.rejected_queue_full;
+    shed_deadline += other.shed_deadline;
+    completed += other.completed;
+    batches_dispatched += other.batches_dispatched;
+    fused_batches += other.fused_batches;
+    batched_requests += other.batched_requests;
+    batched_accepted += other.batched_accepted;
+    max_batch_elements =
+        std::max(max_batch_elements, other.max_batch_elements);
+    session_frames += other.session_frames;
+    delta_frames += other.delta_frames;
+    session_full_frames += other.session_full_frames;
+    coherence_breaks += other.coherence_breaks;
+    session_reuse_sum += other.session_reuse_sum;
+    delta_savings_ms += other.delta_savings_ms;
+    busy_ms += other.busy_ms;
+    if (other.saw_arrival) {
+        if (!saw_arrival || other.first_arrival_ms < first_arrival_ms) {
+            first_arrival_ms = other.first_arrival_ms;
+        }
+        saw_arrival = true;
+    }
+    last_completion_ms = std::max(last_completion_ms,
+                                  other.last_completion_ms);
+    saw_completion = saw_completion || other.saw_completion;
+}
+
 double
 ShardedRenderService::EpochFold::SpanMs() const
 {
@@ -263,47 +294,51 @@ ShardedRenderService::RegisterScene(const std::string& name,
                                     const SweepPoint& spec)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (scenes_.count(name) != 0) {
+    const auto id = static_cast<SceneId>(scenes_.size());
+    if (!scene_ids_.emplace(name, id).second) {
         Fatal("scene '" + name + "' registered twice with the cluster");
     }
-    SceneDesc desc;
+    SceneDesc& desc = scenes_.emplace_back();
+    desc.name = name;
     desc.spec = spec;
-    desc.registered_on.assign(shards_.size(), 0);
+    desc.shard_ids.assign(shards_.size(), kNoScene);
     desc.pinned_on.assign(shards_.size(), 0);
     desc.rank = router_.Rank(name);
-    SceneDesc& stored = scenes_.emplace(name, std::move(desc)).first->second;
-    scene_order_.push_back(name);
     // Register on the home shard eagerly (it validates the spec and the
     // alias guard); spill shards register lazily on first landing.
-    EnsureRegisteredLocked(name, stored, LiveHomeLocked(stored));
+    EnsureRegisteredLocked(desc, LiveHomeLocked(desc));
 }
 
-void
-ShardedRenderService::EnsureRegisteredLocked(const std::string& scene,
-                                             SceneDesc& desc,
-                                             std::size_t shard)
+SceneId
+ShardedRenderService::ResolveLocked(const std::string& scene) const
 {
-    if (desc.registered_on[shard]) return;
-    shards_[shard]->RegisterScene(scene, desc.spec);
-    desc.registered_on[shard] = 1;
-}
-
-ShardedRenderService::SceneDesc&
-ShardedRenderService::EnsureWarmLocked(const std::string& scene)
-{
-    const auto it = scenes_.find(scene);
-    if (it == scenes_.end()) {
+    const auto it = scene_ids_.find(scene);
+    if (it == scene_ids_.end()) {
         Fatal("request names scene '" + scene +
               "' not registered with the cluster");
     }
-    SceneDesc& desc = it->second;
+    return it->second;
+}
+
+void
+ShardedRenderService::EnsureRegisteredLocked(SceneDesc& desc,
+                                             std::size_t shard)
+{
+    if (desc.shard_ids[shard] != kNoScene) return;
+    desc.shard_ids[shard] = shards_[shard]->RegisterScene(desc.name, desc.spec);
+}
+
+ShardedRenderService::SceneDesc&
+ShardedRenderService::EnsureWarmLocked(SceneId id)
+{
+    SceneDesc& desc = scenes_[id];
     if (!desc.warmed) {
         // The router probes with the scene's latency estimate, so the
         // home pin must exist before the first routing decision. This
         // is an administrative warm-up: it does not count as a request.
         const std::size_t home = LiveHomeLocked(desc);
-        EnsureRegisteredLocked(scene, desc, home);
-        desc.warm_cost = shards_[home]->WarmScene(scene);
+        EnsureRegisteredLocked(desc, home);
+        desc.warm_cost = shards_[home]->WarmScene(desc.name);
         // Critical-path estimate (EstimatedServiceMs): the router's
         // probes and the spill surcharge price pipeline depth, not the
         // flat op sum, matching what RenderService::Submit admits with.
@@ -335,13 +370,14 @@ ShardedRenderService::LiveCountLocked() const
 
 double
 ShardedRenderService::ProbePriceLocked(std::size_t shard,
-                                       const std::string& scene,
                                        const SceneDesc& desc,
                                        double arrival_ms)
 {
-    if (config_.batch_window_ms > 0.0) {
+    // A shard that has not registered the scene has no batch for it.
+    const SceneId local = desc.shard_ids[shard];
+    if (config_.batch_window_ms > 0.0 && local != kNoScene) {
         double marginal = 0.0;
-        if (shards_[shard]->ProbeBatchJoin(scene, arrival_ms, &marginal)) {
+        if (shards_[shard]->ProbeBatchJoin(local, arrival_ms, &marginal)) {
             return marginal;
         }
     }
@@ -352,7 +388,7 @@ FrameCost
 ShardedRenderService::WarmScene(const std::string& scene)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return EnsureWarmLocked(scene).warm_cost;
+    return EnsureWarmLocked(ResolveLocked(scene)).warm_cost;
 }
 
 SessionId
@@ -360,19 +396,17 @@ ShardedRenderService::OpenSession(const std::string& scene,
                                   const CoherenceModel& model)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    SceneDesc& desc = EnsureWarmLocked(scene);
-    const std::size_t home = LiveHomeLocked(desc);
+    const SceneId id = ResolveLocked(scene);
+    const std::size_t home = LiveHomeLocked(EnsureWarmLocked(id));
     SessionDesc session;
-    session.scene = scene;
+    session.scene = id;
     session.model = model;
     session.shard = home;
     // The shard-local session holds the coherence state (last pose,
     // delta plans); the cluster only remembers where it lives.
     session.shard_session = shards_[home]->OpenSession(scene, model);
-    const SessionId id = ++next_session_;
-    sessions_.emplace(id, std::move(session));
-    session_order_.push_back(id);
-    return id;
+    sessions_.push_back(session);
+    return sessions_.size();
 }
 
 ClusterTicket
@@ -380,7 +414,9 @@ ShardedRenderService::Submit(const SceneRequest& request,
                              const SubmitOptions& options)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    SceneDesc& desc = EnsureWarmLocked(request.scene);
+    // The request's one string lookup: routing keys by the id.
+    const SceneId id = ResolveLocked(request.scene);
+    SceneDesc& desc = EnsureWarmLocked(id);
     ++cluster_submitted_;
     // Popularity census drives the hot-scene replica sets (replays do
     // not re-count: the demand already did). On the refresh cadence the
@@ -408,16 +444,15 @@ ShardedRenderService::Submit(const SceneRequest& request,
 
     const SessionDesc* session = nullptr;
     if (options.session != 0) {
-        const auto it = sessions_.find(options.session);
-        FLEX_CHECK_MSG(it != sessions_.end(),
+        FLEX_CHECK_MSG(options.session <= sessions_.size(),
                        "unknown cluster session " << options.session);
-        FLEX_CHECK_MSG(it->second.scene == request.scene,
+        session = &sessions_[options.session - 1];
+        FLEX_CHECK_MSG(session->scene == id,
                        "cluster session " << options.session
                                           << " belongs to scene '"
-                                          << it->second.scene
+                                          << scenes_[session->scene].name
                                           << "', not '" << request.scene
                                           << "'");
-        session = &it->second;
     }
 
     // A session frame routes sticky to the session's home shard — the
@@ -454,12 +489,12 @@ ShardedRenderService::Submit(const SceneRequest& request,
         const AdmissionController::Verdict va =
             shards_[a]->admission().Probe(
                 request.arrival_ms,
-                ProbePriceLocked(a, request.scene, desc, request.arrival_ms),
+                ProbePriceLocked(a, desc, request.arrival_ms),
                 request.deadline_ms, request.tier);
         const AdmissionController::Verdict vb =
             shards_[b]->admission().Probe(
                 request.arrival_ms,
-                ProbePriceLocked(b, request.scene, desc, request.arrival_ms),
+                ProbePriceLocked(b, desc, request.arrival_ms),
                 request.deadline_ms, request.tier);
         const bool a_ok = va.outcome == Outcome::kAccepted;
         const bool b_ok = vb.outcome == Outcome::kAccepted;
@@ -485,8 +520,7 @@ ShardedRenderService::Submit(const SceneRequest& request,
         const AdmissionController::Verdict at_home =
             shards_[home]->admission().Probe(
                 request.arrival_ms,
-                ProbePriceLocked(home, request.scene, desc,
-                                 request.arrival_ms),
+                ProbePriceLocked(home, desc, request.arrival_ms),
                 request.deadline_ms, request.tier);
         if (recorder != nullptr) {
             recorder->RecordInstant(
@@ -516,7 +550,7 @@ ShardedRenderService::Submit(const SceneRequest& request,
                 const AdmissionController::Verdict verdict =
                     shards_[candidate]->admission().Probe(
                         request.arrival_ms,
-                        ProbePriceLocked(candidate, request.scene, desc,
+                        ProbePriceLocked(candidate, desc,
                                          request.arrival_ms) +
                             candidate_surcharge,
                         request.deadline_ms, request.tier);
@@ -558,7 +592,7 @@ ShardedRenderService::Submit(const SceneRequest& request,
 
     // The ticket's slot is appended first and routed into in place.
     const ClusterTicket ticket = pending_base_ + pending_.size();
-    RouteToShardLocked(request, desc, options, chosen, home, spilled,
+    RouteToShardLocked(request, id, options, chosen, home, spilled,
                        surcharge_ms, via_replica, /*is_replay=*/false,
                        route_ctx, pending_.emplace_back());
 
@@ -575,12 +609,13 @@ ShardedRenderService::Submit(const SceneRequest& request,
 
 void
 ShardedRenderService::RouteToShardLocked(
-    const SceneRequest& request, SceneDesc& desc,
+    const SceneRequest& request, SceneId scene,
     const SubmitOptions& options, std::size_t shard, std::size_t home,
     bool spilled, double surcharge_ms, bool via_replica, bool is_replay,
     const TraceContext& route_ctx, Pending& pending)
 {
-    EnsureRegisteredLocked(request.scene, desc, shard);
+    SceneDesc& desc = scenes_[scene];
+    EnsureRegisteredLocked(desc, shard);
     TraceRecorder* const recorder = TraceRecorder::Global();
 
     // The shard sees its own session handle, not the cluster's, and the
@@ -590,10 +625,14 @@ ShardedRenderService::RouteToShardLocked(
     SubmitOptions shard_options = options;
     shard_options.extra_service_ms += surcharge_ms;
     if (options.session != 0) {
-        shard_options.session = sessions_.at(options.session).shard_session;
+        shard_options.session = sessions_[options.session - 1].shard_session;
     }
 
-    pending.request = request;
+    pending.scene = scene;
+    pending.tier = request.tier;
+    pending.priority = request.priority;
+    pending.deadline_ms = request.deadline_ms;
+    pending.arrival_ms = request.arrival_ms;
     pending.options = options;
     pending.shard = shard;
     pending.home_shard = home;
@@ -622,14 +661,11 @@ ShardedRenderService::RouteToShardLocked(
                                        delivery.attempts))});
             }
             pending.transport_failed = true;
-            pending.resolved = true;
             pending.accepted = false;
-            pending.result = RenderResult{};
-            pending.result.status = RequestStatus::kFailedTransport;
-            pending.result.scene = request.scene;
-            pending.result.tier = request.tier;
-            pending.result.latency_ms = 0.0;
-            pending.result.queue_wait_ms = 0.0;
+            pending.result = std::make_unique<RenderResult>();
+            pending.result->status = RequestStatus::kFailedTransport;
+            pending.result->scene = request.scene;
+            pending.result->tier = request.tier;
             return;
         }
         pending.rpc_delay_ms += delivery.deliver_ms - request.arrival_ms;
@@ -652,38 +688,23 @@ ShardedRenderService::RouteToShardLocked(
         }
     }
 
-    // Final verdict preview at the exact price Submit admits at
-    // (marginal- and delta-aware; the cluster holds mutex_ across both,
-    // so the preview is exact) — the replay bookkeeping KillShard
-    // needs. A session frame prices the shard's real delta-vs-full
-    // decision for this pose (PeekSessionEstimate); everything else
-    // prices the batch-join marginal or the solo estimate.
-    const double probe_price_ms =
-        shard_options.session != 0
-            ? shards_[shard]->PeekSessionEstimate(shard_options.session,
-                                                  shard_options.pose)
-            : ProbePriceLocked(shard, request.scene, desc,
-                               request.arrival_ms);
-    const AdmissionController::Verdict verdict =
-        shards_[shard]->admission().Probe(
-            request.arrival_ms,
-            probe_price_ms + shard_options.extra_service_ms,
-            request.deadline_ms, request.tier);
+    SubmitReceipt receipt;
+    {
+        // The replica adopts this trace: its request span parents
+        // under the cluster_submit root span.
+        ScopedTraceContext scoped(route_ctx, request.arrival_ms);
+        receipt = shards_[shard]->Submit(request, shard_options);
+    }
+    // The replay bookkeeping KillShard needs comes straight from the
+    // verdict the shard admitted with.
+    const AdmissionController::Verdict& verdict = receipt.verdict;
+    pending.shard_ticket = receipt.ticket;
     pending.accepted =
         verdict.outcome == AdmissionController::Outcome::kAccepted;
     pending.completion_ms = verdict.completion_ms;
     pending.deadline_abs_ms = verdict.deadline_ms > 0.0
                                   ? verdict.arrival_ms + verdict.deadline_ms
                                   : 0.0;
-
-    {
-        // The replica adopts this trace: its request span parents
-        // under the cluster_submit root span.
-        ScopedTraceContext scoped(route_ctx, request.arrival_ms);
-        pending.shard_ticket = shards_[shard]->Submit(request,
-                                                      shard_options);
-    }
-    pending.resolved = false;
 
     if (is_replay) {
         ++aux_[shard].replayed_in;
@@ -715,16 +736,15 @@ ShardedRenderService::Finish(Pending&& pending)
     out.replayed = pending.replayed;
     out.transport_failed = pending.transport_failed;
     out.rpc_delay_ms = pending.rpc_delay_ms;
-    out.result = pending.resolved
-                     ? std::move(pending.result)
+    out.result = pending.result != nullptr
+                     ? std::move(*pending.result)
                      : shards_[pending.shard]->Wait(pending.shard_ticket);
     // The result rides the wire home: round-trip the codec and pay the
     // response leg (latency only — the verdict already exists, so the
     // return channel never fails; see serve/transport.h).
     if (config_.transport != nullptr && !pending.transport_failed) {
         const std::string frame = wire::EncodeRenderResult(out.result);
-        const double done_ms =
-            pending.request.arrival_ms + out.result.latency_ms;
+        const double done_ms = pending.arrival_ms + out.result.latency_ms;
         const SimTransport::Delivery delivery = config_.transport->Transmit(
             pending.shard, frame.size(), done_ms,
             SimTransport::Direction::kResponse);
@@ -820,17 +840,17 @@ ShardedRenderService::KillShardLocked(std::size_t shard, double now_ms)
     std::vector<Phantom> phantoms;
     for (std::size_t i = 0; i < pending_.size(); ++i) {
         Pending& pending = pending_[i];
-        if (pending.claimed || pending.resolved || pending.shard != shard) {
+        if (pending.claimed || pending.result != nullptr ||
+            pending.shard != shard) {
             continue;
         }
-        RenderResult result =
-            shards_[shard]->Wait(pending.shard_ticket);
+        RenderResult result = shards_[shard]->Wait(pending.shard_ticket);
         if (pending.accepted && pending.completion_ms > now_ms) {
             to_replay.push_back(i);
             phantoms.push_back(Phantom{result.latency_ms, result.tier});
         } else {
-            pending.result = std::move(result);
-            pending.resolved = true;
+            pending.result =
+                std::make_unique<RenderResult>(std::move(result));
         }
     }
 
@@ -857,7 +877,7 @@ ShardedRenderService::KillShardLocked(std::size_t shard, double now_ms)
         }
     }
 
-    AccumulateFoldLocked(fold);
+    retired_.totals.Merge(fold);
     retired_.capacity_ms += fold.SpanMs();
 
     shards_[shard].reset();
@@ -868,9 +888,8 @@ ShardedRenderService::KillShardLocked(std::size_t shard, double now_ms)
     // every replica set; warmed scenes whose live home moved re-warm
     // there so probes keep pricing against a real pin (administrative
     // — no request counts move).
-    for (const std::string& name : scene_order_) {
-        SceneDesc& desc = scenes_.at(name);
-        desc.registered_on[shard] = 0;
+    for (SceneDesc& desc : scenes_) {
+        desc.shard_ids[shard] = kNoScene;
         desc.pinned_on[shard] = 0;
         desc.replicas.erase(
             std::remove(desc.replicas.begin(), desc.replicas.end(), shard),
@@ -878,11 +897,12 @@ ShardedRenderService::KillShardLocked(std::size_t shard, double now_ms)
         if (!desc.warmed) continue;
         const std::size_t new_home = LiveHomeLocked(desc);
         if (!desc.pinned_on[new_home]) {
-            EnsureRegisteredLocked(name, desc, new_home);
-            const FrameCost re_warmed = shards_[new_home]->WarmScene(name);
+            EnsureRegisteredLocked(desc, new_home);
+            const FrameCost re_warmed =
+                shards_[new_home]->WarmScene(desc.name);
             FLEX_CHECK_MSG(re_warmed == desc.warm_cost,
-                           "re-homed warm-up diverged for scene '" << name
-                                                                   << "'");
+                           "re-homed warm-up diverged for scene '"
+                               << desc.name << "'");
             desc.pinned_on[new_home] = 1;
         }
     }
@@ -898,13 +918,18 @@ ShardedRenderService::KillShardLocked(std::size_t shard, double now_ms)
     // replay never pays it: re-homing just pinned the scene there).
     for (const std::size_t index : to_replay) {
         Pending& pending = pending_[index];
-        SceneRequest request = pending.request;
-        const SubmitOptions options = pending.options;
-        SceneDesc& desc = scenes_.at(request.scene);
-        const std::size_t target =
-            options.session != 0 ? sessions_.at(options.session).shard
-                                 : LiveHomeLocked(desc);
+        const SceneDesc& desc = scenes_[pending.scene];
+        // Rebuild the request and options from the ticket's scalars.
+        SceneRequest request;
+        request.scene = desc.name;
+        request.tier = pending.tier;
+        request.priority = pending.priority;
+        request.deadline_ms = pending.deadline_ms;
         request.arrival_ms = now_ms;
+        const SubmitOptions options = pending.options;
+        const std::size_t target =
+            options.session != 0 ? sessions_[options.session - 1].shard
+                                 : LiveHomeLocked(desc);
         if (pending.deadline_abs_ms > 0.0) {
             // An already-blown deadline replays with an epsilon budget:
             // the new shard sheds it honestly instead of rejudging it
@@ -919,7 +944,7 @@ ShardedRenderService::KillShardLocked(std::size_t shard, double now_ms)
         pending.rpc_delay_ms = 0.0;
         pending.spilled = false;
         pending.spill_surcharge_ms = surcharge_ms;
-        RouteToShardLocked(request, desc, options, target, target,
+        RouteToShardLocked(request, pending.scene, options, target, target,
                            /*spilled=*/false, surcharge_ms,
                            /*via_replica=*/false, /*is_replay=*/true,
                            drill_ctx, pending);
@@ -950,10 +975,10 @@ ShardedRenderService::RehomeSessionsLocked(const TraceContext& ctx,
                                            double now_ms, bool force)
 {
     TraceRecorder* const recorder = TraceRecorder::Global();
-    for (const SessionId id : session_order_) {
-        SessionDesc& session = sessions_.at(id);
-        const std::size_t target =
-            LiveHomeLocked(scenes_.at(session.scene));
+    for (std::size_t i = 0; i < sessions_.size(); ++i) {
+        SessionDesc& session = sessions_[i];
+        const SceneDesc& desc = scenes_[session.scene];
+        const std::size_t target = LiveHomeLocked(desc);
         if (!force && alive_[session.shard] && session.shard == target) {
             continue;
         }
@@ -962,13 +987,13 @@ ShardedRenderService::RehomeSessionsLocked(const TraceContext& ctx,
         // next frame is a full recompute (the coherence chain restarts
         // from it), which is the honest cost of losing the warm state.
         session.shard_session =
-            shards_[target]->OpenSession(session.scene, session.model);
+            shards_[target]->OpenSession(desc.name, session.model);
         ++session.rehomes;
         ++session_rehomes_;
         if (recorder != nullptr && ctx.active()) {
             recorder->RecordInstant(
                 ctx, "drill", "session_rehome", now_ms,
-                {TraceArg::Int("session", static_cast<std::int64_t>(id)),
+                {TraceArg::Int("session", static_cast<std::int64_t>(i + 1)),
                  TraceArg::Int("shard",
                                static_cast<std::int64_t>(target))});
         }
@@ -989,61 +1014,66 @@ ShardedRenderService::RefreshReplicationLocked()
     // Census order: submissions descending, name ascending on ties — a
     // pure function of the recorded history, so two clusters with the
     // same traffic derive the same sets.
-    std::vector<std::string> by_popularity;
-    for (const std::string& name : scene_order_) {
-        if (scenes_.at(name).submits > 0) by_popularity.push_back(name);
+    std::vector<SceneId> by_popularity;
+    for (SceneId id = 0; id < scenes_.size(); ++id) {
+        if (scenes_[id].submits > 0) by_popularity.push_back(id);
     }
     std::sort(by_popularity.begin(), by_popularity.end(),
-              [this](const std::string& a, const std::string& b) {
-                  const std::uint64_t sa = scenes_.at(a).submits;
-                  const std::uint64_t sb = scenes_.at(b).submits;
-                  if (sa != sb) return sa > sb;
-                  return a < b;
+              [this](SceneId a, SceneId b) {
+                  const SceneDesc& da = scenes_[a];
+                  const SceneDesc& db = scenes_[b];
+                  if (da.submits != db.submits) {
+                      return da.submits > db.submits;
+                  }
+                  return da.name < db.name;
               });
     if (by_popularity.size() > config_.replication.top_k) {
         by_popularity.resize(config_.replication.top_k);
     }
-    const std::unordered_set<std::string> hot(by_popularity.begin(),
-                                              by_popularity.end());
+    std::vector<char> hot(scenes_.size(), 0);
+    for (const SceneId id : by_popularity) hot[id] = 1;
 
-    for (const std::string& name : scene_order_) {
-        SceneDesc& desc = scenes_.at(name);
-        if (hot.count(name) == 0) {
+    for (SceneId id = 0; id < scenes_.size(); ++id) {
+        SceneDesc& desc = scenes_[id];
+        if (!hot[id]) {
             // Demoted scenes fall back to plain home routing; their
             // extra pins stay (a pin is just a warm plan-cache entry).
             desc.replicas.clear();
             continue;
         }
-        EnsureWarmLocked(name);
+        EnsureWarmLocked(id);
         desc.replicas.clear();
         for (const std::size_t shard : desc.rank) {
             if (!alive_[shard]) continue;
-            EnsureRegisteredLocked(name, desc, shard);
+            EnsureRegisteredLocked(desc, shard);
             if (!desc.pinned_on[shard]) {
                 // Administrative warm (no request counts move): the
                 // replica must hold the pin before p2c sends real
                 // traffic its way.
-                const FrameCost warmed = shards_[shard]->WarmScene(name);
+                const FrameCost warmed = shards_[shard]->WarmScene(desc.name);
                 FLEX_CHECK_MSG(warmed == desc.warm_cost,
                                "replica warm-up diverged for scene '"
-                                   << name << "'");
+                                   << desc.name << "'");
                 desc.pinned_on[shard] = 1;
             }
             desc.replicas.push_back(shard);
             if (desc.replicas.size() == config_.replication.factor) break;
         }
     }
-    return by_popularity;
+    std::vector<std::string> names;
+    names.reserve(by_popularity.size());
+    for (const SceneId id : by_popularity) names.push_back(scenes_[id].name);
+    return names;
 }
 
 std::vector<std::size_t>
 ShardedRenderService::ReplicasOf(const std::string& scene) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = scenes_.find(scene);
-    FLEX_CHECK_MSG(it != scenes_.end(),
+    const auto it = scene_ids_.find(scene);
+    FLEX_CHECK_MSG(it != scene_ids_.end(),
                    "scene '" << scene << "' not registered");
-    return it->second.replicas;
+    return scenes_[it->second].replicas;
 }
 
 void
@@ -1063,38 +1093,6 @@ ShardedRenderService::FoldReplicaLocked(std::size_t i, EpochFold& fold)
     aux_[i] = ShardAux{};
 }
 
-void
-ShardedRenderService::AccumulateFoldLocked(const EpochFold& fold)
-{
-    retired_.submitted += fold.submitted;
-    retired_.accepted += fold.accepted;
-    retired_.rejected_queue_full += fold.rejected_queue_full;
-    retired_.shed_deadline += fold.shed_deadline;
-    retired_.completed += fold.completed;
-    retired_.batches_dispatched += fold.batches_dispatched;
-    retired_.fused_batches += fold.fused_batches;
-    retired_.batched_requests += fold.batched_requests;
-    retired_.batched_accepted += fold.batched_accepted;
-    retired_.max_batch_elements =
-        std::max(retired_.max_batch_elements, fold.max_batch_elements);
-    retired_.session_frames += fold.session_frames;
-    retired_.delta_frames += fold.delta_frames;
-    retired_.session_full_frames += fold.session_full_frames;
-    retired_.coherence_breaks += fold.coherence_breaks;
-    retired_.session_reuse_sum += fold.session_reuse_sum;
-    retired_.delta_savings_ms += fold.delta_savings_ms;
-    retired_.busy_ms += fold.busy_ms;
-    if (fold.saw_arrival) {
-        if (!retired_.saw_arrival ||
-            fold.first_arrival_ms < retired_.first_arrival_ms) {
-            retired_.first_arrival_ms = fold.first_arrival_ms;
-        }
-        retired_.saw_arrival = true;
-    }
-    retired_.last_completion_ms = std::max(retired_.last_completion_ms,
-                                           fold.last_completion_ms);
-}
-
 std::size_t
 ShardedRenderService::Resize(std::size_t new_shards)
 {
@@ -1106,9 +1104,9 @@ ShardedRenderService::Resize(std::size_t new_shards)
     // claimable after it. (Dead shards hold no unresolved tickets —
     // KillShard resolved or replayed them.)
     for (Pending& pending : pending_) {
-        if (pending.claimed || pending.resolved) continue;
-        pending.result = shards_[pending.shard]->Wait(pending.shard_ticket);
-        pending.resolved = true;
+        if (pending.claimed || pending.result != nullptr) continue;
+        pending.result = std::make_unique<RenderResult>(
+            shards_[pending.shard]->Wait(pending.shard_ticket));
     }
 
     // Fold the retiring live replicas' telemetry into the lifetime
@@ -1120,7 +1118,7 @@ ShardedRenderService::Resize(std::size_t new_shards)
         if (!alive_[i]) continue;
         FoldReplicaLocked(i, fold);
     }
-    AccumulateFoldLocked(fold);
+    retired_.totals.Merge(fold);
     // The epoch's capacity: its own live shard count times its own
     // span. Accumulated per epoch so utilization stays a fraction of
     // the shard-time that actually existed, whatever Resize does later.
@@ -1132,28 +1130,26 @@ ShardedRenderService::Resize(std::size_t new_shards)
     // back only what it homed).
     const ShardRouter new_router(new_shards);
     std::size_t moved = 0;
-    for (const std::string& name : scene_order_) {
-        if (LiveHomeLocked(scenes_.at(name)) != new_router.Home(name)) {
-            ++moved;
-        }
+    for (const SceneDesc& desc : scenes_) {
+        if (LiveHomeLocked(desc) != new_router.Home(desc.name)) ++moved;
     }
 
     router_ = new_router;
     shards_ = MakeReplicas(config_, new_shards);
     alive_.assign(new_shards, 1);
     aux_.assign(new_shards, ShardAux{});
-    for (const std::string& name : scene_order_) {
-        SceneDesc& desc = scenes_.at(name);
-        desc.registered_on.assign(new_shards, 0);
+    for (SceneId id = 0; id < scenes_.size(); ++id) {
+        SceneDesc& desc = scenes_[id];
+        desc.shard_ids.assign(new_shards, kNoScene);
         desc.pinned_on.assign(new_shards, 0);
-        desc.rank = router_.Rank(name);
+        desc.rank = router_.Rank(desc.name);
         desc.replicas.clear();
         const bool was_warm = desc.warmed;
         desc.warmed = false;
-        EnsureRegisteredLocked(name, desc, desc.rank[0]);
+        EnsureRegisteredLocked(desc, desc.rank[0]);
         // Re-warm only scenes that were warm: never-touched scenes stay
         // cold until their first request, exactly as before the resize.
-        if (was_warm) EnsureWarmLocked(name);
+        if (was_warm) EnsureWarmLocked(id);
     }
     // The rebuild invalidated every shard-local session handle: every
     // session reopens fresh on its scene's new home (next frame fully
@@ -1211,35 +1207,29 @@ ShardedRenderService::Snapshot() const
         merged.Merge(shards_[i]->latency_histogram());
         stats.per_shard.push_back(std::move(shard));
     }
-    stats.submitted = retired_.submitted + fold.submitted;
-    stats.accepted = retired_.accepted + fold.accepted;
-    stats.rejected_queue_full =
-        retired_.rejected_queue_full + fold.rejected_queue_full;
-    stats.shed_deadline = retired_.shed_deadline + fold.shed_deadline;
-    stats.completed = retired_.completed + fold.completed;
-    stats.batches_dispatched =
-        retired_.batches_dispatched + fold.batches_dispatched;
-    stats.fused_batches = retired_.fused_batches + fold.fused_batches;
-    stats.batched_requests =
-        retired_.batched_requests + fold.batched_requests;
-    stats.max_batch_elements =
-        std::max(retired_.max_batch_elements, fold.max_batch_elements);
+    EpochFold total = retired_.totals;  // lifetime = retired + epoch
+    total.Merge(fold);
+    stats.submitted = total.submitted;
+    stats.accepted = total.accepted;
+    stats.rejected_queue_full = total.rejected_queue_full;
+    stats.shed_deadline = total.shed_deadline;
+    stats.completed = total.completed;
+    stats.batches_dispatched = total.batches_dispatched;
+    stats.fused_batches = total.fused_batches;
+    stats.batched_requests = total.batched_requests;
+    stats.max_batch_elements = total.max_batch_elements;
     if (stats.batches_dispatched > 0) {
         stats.batch_occupancy =
-            static_cast<double>(retired_.batched_accepted +
-                                fold.batched_accepted) /
+            static_cast<double>(total.batched_accepted) /
             static_cast<double>(stats.batches_dispatched);
     }
-    stats.sessions_opened = session_order_.size();
+    stats.sessions_opened = sessions_.size();
     stats.session_rehomes = session_rehomes_;
-    stats.session_frames = retired_.session_frames + fold.session_frames;
-    stats.delta_frames = retired_.delta_frames + fold.delta_frames;
-    stats.session_full_frames =
-        retired_.session_full_frames + fold.session_full_frames;
-    stats.coherence_breaks =
-        retired_.coherence_breaks + fold.coherence_breaks;
-    stats.delta_savings_ms =
-        retired_.delta_savings_ms + fold.delta_savings_ms;
+    stats.session_frames = total.session_frames;
+    stats.delta_frames = total.delta_frames;
+    stats.session_full_frames = total.session_full_frames;
+    stats.coherence_breaks = total.coherence_breaks;
+    stats.delta_savings_ms = total.delta_savings_ms;
     const std::uint64_t accepted_session_frames =
         stats.delta_frames + stats.session_full_frames;
     if (accepted_session_frames > 0) {
@@ -1247,12 +1237,12 @@ ShardedRenderService::Snapshot() const
             static_cast<double>(stats.delta_frames) /
             static_cast<double>(accepted_session_frames);
         stats.session_mean_reuse =
-            (retired_.session_reuse_sum + fold.session_reuse_sum) /
+            total.session_reuse_sum /
             static_cast<double>(accepted_session_frames);
     }
 
-    for (const auto& entry : scenes_) {
-        if (entry.second.replicas.size() >= 2) ++stats.replicated_scenes;
+    for (const SceneDesc& desc : scenes_) {
+        if (desc.replicas.size() >= 2) ++stats.replicated_scenes;
     }
 
     stats.p50_ms = merged.Quantile(0.50);
@@ -1294,20 +1284,11 @@ ShardedRenderService::Snapshot() const
         tier.latency = tier_merged.Summary();
     }
 
-    double first_arrival_ms = retired_.first_arrival_ms;
-    bool saw_arrival = retired_.saw_arrival;
-    if (fold.saw_arrival) {
-        if (!saw_arrival || fold.first_arrival_ms < first_arrival_ms) {
-            first_arrival_ms = fold.first_arrival_ms;
-        }
-        saw_arrival = true;
-    }
-    const double last_completion_ms = std::max(
-        retired_.last_completion_ms, fold.last_completion_ms);
-    const bool saw_completion =
-        retired_.accepted > 0 || fold.saw_completion;
-    if (saw_arrival && saw_completion) {
-        stats.makespan_ms = last_completion_ms - first_arrival_ms;
+    // A retired epoch counts a completion only if it kept accepted
+    // work once KillShard expunged its phantoms.
+    if (total.saw_arrival &&
+        (retired_.totals.accepted > 0 || fold.saw_completion)) {
+        stats.makespan_ms = total.last_completion_ms - total.first_arrival_ms;
     }
     if (stats.makespan_ms > 0.0) {
         stats.sustained_qps = 1e3 * static_cast<double>(stats.accepted) /
@@ -1320,8 +1301,7 @@ ShardedRenderService::Snapshot() const
         retired_.capacity_ms +
         static_cast<double>(stats.live_shards) * fold.SpanMs();
     if (capacity_ms > 0.0) {
-        stats.utilization = (retired_.busy_ms + fold.busy_ms) /
-                            capacity_ms;
+        stats.utilization = total.busy_ms / capacity_ms;
     }
     return stats;
 }

@@ -7,9 +7,10 @@
  * The cluster owns N fully independent replicas — each with its own
  * ThreadPool, bounded PlanCache, SceneRegistry, and virtual-time
  * AdmissionController — and routes Submit(SceneRequest) by rendezvous
- * (HRW) hashing on the scene id (serve/shard_router.h):
+ * (HRW) hashing on the scene name (serve/shard_router.h):
  *
- *   Submit ──> ShardRouter::Rank(scene)       home = first *live* rank
+ *   Submit ──> scene name -> cluster SceneId   the one string lookup
+ *          ──> SceneDesc::rank (cached HRW)    home = first *live* rank
  *          ──> replicated scene? p2c probe    two replicas race, the
  *               between two replicas           less-loaded verdict wins
  *          ──> else probe home admission      would it accept?
@@ -18,6 +19,8 @@
  *               (recompile surcharge when      charged to the spill
  *                the scene is cold there)      shard's virtual clock
  *          ──> all would shed: home Submit    records the real verdict
+ *          ──> the shard's SubmitReceipt       its verdict is the replay
+ *                                              bookkeeping; no re-probe
  *
  * Scene affinity is the point: every scene's prepared-frame pin lives
  * on its home shard (plus any replicas holding it deliberately), so the
@@ -70,9 +73,9 @@
  * it was opened — because the temporal-coherence state (the previous
  * frame's pose and the predecessor-keyed delta plans) lives in that
  * replica's plan cache. Session frames never route by p2c and never
- * spill: the router prices the sticky shard's real decision
- * (RenderService::PeekSessionEstimate — delta when the pose overlap
- * admits one, full otherwise) and submits there. When the shard dies,
+ * spill: the router submits straight to the sticky shard, which prices
+ * its real decision (delta when the pose overlap admits one, full
+ * otherwise) and reports the verdict back. When the shard dies,
  * KillShard re-homes its sessions along with its scenes: each re-homed
  * session reopens fresh on the new live home, so its next frame is a
  * full recompute — the trajectory replays from the last full frame,
@@ -454,6 +457,7 @@ class ShardedRenderService
   private:
     /** Cluster-side record of one registered scene. */
     struct SceneDesc {
+        std::string name;
         SweepPoint spec;
         /** EstimatedServiceMs(warm_cost); valid once warmed. */
         double est_latency_ms = 0.0;
@@ -463,8 +467,10 @@ class ShardedRenderService
          *  pure in (scene, shard count), so cached here and rebuilt
          *  only on Resize instead of re-sorted per request. */
         std::vector<std::size_t> rank;
-        /** Per-shard: scene registered on that replica. */
-        std::vector<char> registered_on;
+        /** Per-shard: the scene's id on that replica, or kNoScene. Spill,
+         *  replica and re-homed shards register lazily, in their own
+         *  order, so these differ from the cluster's id. */
+        std::vector<SceneId> shard_ids;
         /** Per-shard: replica holds the scene's pin (home warm-up or a
          *  past spill), so a spill there pays no recompile surcharge. */
         std::vector<char> pinned_on;
@@ -480,38 +486,43 @@ class ShardedRenderService
 
     /** Cluster-side record of one trajectory session. */
     struct SessionDesc {
-        std::string scene;
+        SceneId scene = 0;            //!< cluster id
         CoherenceModel model;
         std::size_t shard = 0;        //!< current sticky home replica
         SessionId shard_session = 0;  //!< its handle on that replica
         std::uint64_t rehomes = 0;    //!< kills/resizes that moved it
     };
 
-    /** One outstanding or resolved ticket. */
+    /** One outstanding or resolved ticket, kept small (several per
+     *  deque block): no scene string — KillShard rebuilds the request
+     *  from these scalars and the cluster SceneId. */
     struct Pending {
-        /** Returned by Wait/WaitAll; the slot only awaits popping. */
-        bool claimed = false;
-        bool resolved = false;
-        std::size_t shard = 0;
-        std::size_t home_shard = 0;
-        bool spilled = false;
-        double spill_surcharge_ms = 0.0;
+        /** Set once the cluster resolved the ticket itself (transport
+         *  failure, KillShard/Resize drain); else the shard holds it. */
+        std::unique_ptr<RenderResult> result;
         ServeTicket shard_ticket = 0;
-        RenderResult result;  //!< valid once resolved
-        /** Replay bookkeeping: the original request and options (the
-         *  cluster-level session handle; RouteToShardLocked translates
-         *  it to the session's *current* shard at submit time, so a
-         *  replay lands on the re-homed session), whether the shard
-         *  accepted it, its virtual completion, and the absolute
-         *  deadline admission judged against (0 = none). */
-        SceneRequest request;
+        /** The caller's options; a session handle in them is the
+         *  cluster's, translated to the session's *current* shard at
+         *  submit time, so a replay lands on the re-homed session. */
         SubmitOptions options;
-        bool accepted = false;
+        double arrival_ms = 0.0;
+        double deadline_ms = 0.0;
+        /** From the shard's Submit verdict (deadline 0 = none). */
         double completion_ms = 0.0;
         double deadline_abs_ms = 0.0;
+        double spill_surcharge_ms = 0.0;
+        double rpc_delay_ms = 0.0;
+        std::size_t shard = 0;
+        std::size_t home_shard = 0;
+        std::size_t tier = 0;
+        SceneId scene = 0;  //!< cluster id
+        int priority = 0;
+        /** Returned by Wait/WaitAll; the slot only awaits popping. */
+        bool claimed = false;
+        bool spilled = false;
+        bool accepted = false;
         bool replayed = false;
         bool transport_failed = false;
-        double rpc_delay_ms = 0.0;
     };
 
     /** Routing counters the replicas cannot see (per current epoch). */
@@ -558,6 +569,9 @@ class ShardedRenderService
 
         void Add(const ServiceStats& stats,
                  const AdmissionController::Counters& counters);
+        /** Adds @p other's totals: the earliest arrival, the latest
+         *  completion, and the sums. */
+        void Merge(const EpochFold& other);
         /** This epoch's arrival-to-completion span (0 until both
          *  seen). */
         double SpanMs() const;
@@ -566,29 +580,10 @@ class ShardedRenderService
     /** Telemetry of replicas retired by Resize or KillShard (cluster
      *  lifetime). */
     struct Retired {
-        std::uint64_t submitted = 0;
-        std::uint64_t accepted = 0;
-        std::uint64_t rejected_queue_full = 0;
-        std::uint64_t shed_deadline = 0;
-        std::uint64_t completed = 0;
+        EpochFold totals;  //!< every retired epoch's fold, merged
         std::uint64_t spilled = 0;
         std::uint64_t spill_recompiles = 0;
         std::uint64_t replica_served = 0;
-        std::uint64_t batches_dispatched = 0;
-        std::uint64_t fused_batches = 0;
-        std::uint64_t batched_requests = 0;
-        std::uint64_t batched_accepted = 0;
-        std::size_t max_batch_elements = 0;
-        std::uint64_t session_frames = 0;
-        std::uint64_t delta_frames = 0;
-        std::uint64_t session_full_frames = 0;
-        std::uint64_t coherence_breaks = 0;
-        double session_reuse_sum = 0.0;
-        double delta_savings_ms = 0.0;
-        double busy_ms = 0.0;
-        double first_arrival_ms = 0.0;
-        double last_completion_ms = 0.0;
-        bool saw_arrival = false;
         /** Shard-time retired epochs had available: each contributes
          *  its shard count x its own arrival-to-completion span (the
          *  utilization denominator; see ClusterStats::utilization). */
@@ -601,37 +596,36 @@ class ShardedRenderService
         std::vector<AdmissionController::TierCounters> tier_counters;
     };
 
-    /** Registers @p scene (whose record is @p desc) on @p shard if
-     *  not yet (mutex_ held). */
-    void EnsureRegisteredLocked(const std::string& scene, SceneDesc& desc,
-                                std::size_t shard);
-    /** Warms @p scene on its live home if not yet (mutex_ held). */
-    SceneDesc& EnsureWarmLocked(const std::string& scene);
+    /** The cluster id of @p scene; fatal if absent (mutex_ held). */
+    SceneId ResolveLocked(const std::string& scene) const;
+    /** Registers @p desc on @p shard if not yet (mutex_ held). */
+    void EnsureRegisteredLocked(SceneDesc& desc, std::size_t shard);
+    /** Warms scene @p id on its live home if not yet (mutex_ held). */
+    SceneDesc& EnsureWarmLocked(SceneId id);
     /** First live shard in the scene's HRW rank (mutex_ held). */
     std::size_t LiveHomeLocked(const SceneDesc& desc) const;
     /** Live replica count (mutex_ held). */
     std::size_t LiveCountLocked() const;
     /**
-     * The admission estimate a probe of (@p shard, @p scene) must use
-     * to agree exactly with what Submit would admit at: the batch-join
-     * marginal when the scene has an open batch there
-     * (RenderService::ProbeBatchJoin), the solo estimate otherwise.
-     * Surcharges are the caller's to add. (mutex_ held.)
+     * The admission estimate a probe of (@p shard, @p desc's scene)
+     * must use to agree exactly with what Submit would admit at: the
+     * batch-join marginal when the scene has an open batch there
+     * (RenderService::ProbeBatchJoin), the solo estimate otherwise
+     * (always, where the scene is not registered yet). Surcharges are
+     * the caller's to add. (mutex_ held.)
      */
-    double ProbePriceLocked(std::size_t shard, const std::string& scene,
-                            const SceneDesc& desc, double arrival_ms);
+    double ProbePriceLocked(std::size_t shard, const SceneDesc& desc,
+                            double arrival_ms);
     /**
      * Routes @p request to @p shard with @p surcharge_ms and records
-     * the bookkeeping into @p pending (transport hop, final verdict
-     * probe, shard submit, aux counters). The single funnel for first
-     * submissions and replays. @p options carries the cluster-level
-     * submit options; a session handle in it is translated to the
-     * session's current shard-local handle here, and the verdict
-     * preview prices the sticky shard's real delta-vs-full decision
-     * (PeekSessionEstimate). @p desc is the request scene's record,
-     * looked up once by the caller. (mutex_ held.)
+     * the bookkeeping into @p pending (transport hop, shard submit, the
+     * verdict its receipt returns, aux counters). The single funnel for
+     * first submissions and replays. @p options carries the
+     * cluster-level submit options; a session handle in it is
+     * translated to the session's current shard-local handle here.
+     * (mutex_ held.)
      */
-    void RouteToShardLocked(const SceneRequest& request, SceneDesc& desc,
+    void RouteToShardLocked(const SceneRequest& request, SceneId scene,
                             const SubmitOptions& options, std::size_t shard,
                             std::size_t home, bool spilled,
                             double surcharge_ms, bool via_replica,
@@ -648,9 +642,6 @@ class ShardedRenderService
     /** Folds replica @p i's histograms/tiers/aux into retired_ and its
      *  scalars into @p fold; zeroes aux_[i]. (mutex_ held.) */
     void FoldReplicaLocked(std::size_t i, EpochFold& fold);
-    /** Adds @p fold's scalar totals into retired_ (capacity is the
-     *  caller's: Resize and KillShard weight spans differently). */
-    void AccumulateFoldLocked(const EpochFold& fold);
     /** KillShard minus the public lock. */
     std::size_t KillShardLocked(std::size_t shard, double now_ms);
     /** RefreshReplication minus the public lock. */
@@ -665,8 +656,8 @@ class ShardedRenderService
     std::vector<std::unique_ptr<RenderService>> shards_;
     std::vector<char> alive_;
     std::vector<ShardAux> aux_;
-    std::unordered_map<std::string, SceneDesc> scenes_;
-    std::vector<std::string> scene_order_;
+    std::vector<SceneDesc> scenes_;  //!< by cluster SceneId
+    std::unordered_map<std::string, SceneId> scene_ids_;  //!< name -> id
     /**
      * The ticket store. Tickets are issued sequentially, so slot i
      * holds ticket pending_base_ + i and the next ticket is
@@ -677,11 +668,8 @@ class ShardedRenderService
      */
     std::deque<Pending> pending_;
     ClusterTicket pending_base_ = 0;
-    /** Open trajectory sessions (never erased) and their open order —
-     *  the deterministic iteration order for re-homing. */
-    std::unordered_map<SessionId, SessionDesc> sessions_;
-    std::vector<SessionId> session_order_;
-    SessionId next_session_ = 0;
+    /** Open sessions, never erased: session id i + 1 at index i. */
+    std::vector<SessionDesc> sessions_;
     std::uint64_t session_rehomes_ = 0;
     Retired retired_;
     std::uint64_t cluster_submitted_ = 0;

@@ -166,20 +166,35 @@ RenderService::RenderService(const ServeConfig& config)
     }
 }
 
-void
+SceneId
 RenderService::RegisterScene(const std::string& name,
                              const SweepPoint& spec)
 {
-    registry_.Register(name, spec);
+    // Under batch_mutex_: no batching Submit may resolve the id before
+    // its open-batch slot exists.
+    std::lock_guard<std::mutex> lock(batch_mutex_);
+    const SceneId id = registry_.Register(name, spec);
+    open_by_scene_.push_back(open_batches_.end());
+    return id;
+}
+
+SceneId
+RenderService::Resolve(const std::string& scene) const
+{
+    const SceneId id = registry_.Find(scene);
+    if (id == kNoScene) {
+        Fatal("request names unregistered scene '" + scene + "'");
+    }
+    return id;
 }
 
 FrameCost
 RenderService::WarmScene(const std::string& scene)
 {
+    const SceneId id = Resolve(scene);
     TraceRecorder* const recorder = TraceRecorder::Global();
     if (recorder == nullptr) {
-        return registry_.Touch(scene, &pool_, /*count_request=*/false)
-            ->cost;
+        return registry_.Touch(id, &pool_, /*count_request=*/false)->cost;
     }
     // Warm-ups get their own trace: the cold compile + execute they
     // trigger emits the scene's frame and per-op spans here, anchored
@@ -192,8 +207,7 @@ RenderService::WarmScene(const std::string& scene)
     FrameCost cost;
     {
         ScopedTraceContext scoped(ctx, 0.0);
-        cost = registry_.Touch(scene, &pool_, /*count_request=*/false)
-                   ->cost;
+        cost = registry_.Touch(id, &pool_, /*count_request=*/false)->cost;
     }
     TraceContext root_ctx;
     root_ctx.trace_id = ctx.trace_id;
@@ -233,7 +247,7 @@ RenderService::PopClaimedLocked()
 }
 
 RenderResult
-RenderService::Judge(const SceneRequest& request,
+RenderService::Judge(SceneId scene, const SceneRequest& request,
                      const AdmissionController::Verdict& verdict,
                      double est_service_ms, TraceRecorder* recorder,
                      RequestTrace& trace)
@@ -247,7 +261,7 @@ RenderService::Judge(const SceneRequest& request,
         result.status = verdict.outcome == Outcome::kRejectedQueueFull
                             ? RequestStatus::kRejectedQueueFull
                             : RequestStatus::kShedDeadline;
-        registry_.CountOutcome(request.scene, /*accepted=*/false,
+        registry_.CountOutcome(scene, /*accepted=*/false,
                                result.status ==
                                    RequestStatus::kShedDeadline);
         TraceNotAccepted(recorder, trace, verdict, tier_name, result.status,
@@ -256,8 +270,7 @@ RenderService::Judge(const SceneRequest& request,
     }
     result.queue_wait_ms = verdict.wait_ms;
     result.latency_ms = verdict.completion_ms - verdict.arrival_ms;
-    registry_.CountOutcome(request.scene, /*accepted=*/true,
-                           /*shed=*/false);
+    registry_.CountOutcome(scene, /*accepted=*/true, /*shed=*/false);
     // Telemetry is recorded at admission — the virtual latency is fully
     // determined here — so percentiles never depend on execution order.
     latency_.Record(result.latency_ms);
@@ -292,27 +305,29 @@ RenderService::Replay(const PlanCache::PreparedFrame& frame,
     return Resolve(std::move(result));
 }
 
-ServeTicket
+SubmitReceipt
 RenderService::Submit(const SceneRequest& request,
                       const SubmitOptions& options)
 {
+    // The request's one string lookup: every path below keys by id.
+    const SceneId id = Resolve(request.scene);
     // Each path is a separate function, not interleaved conditions:
     // with no session and the window off this body is exactly the
     // pre-batching service, byte-identical telemetry included.
     if (options.session != 0) {
-        return SubmitSession(request, options);
+        return SubmitSession(id, request, options);
     }
     const double extra_service_ms = options.extra_service_ms;
     if (batch_window_ms_ > 0.0 && options.batching) {
-        return SubmitBatched(request, extra_service_ms);
+        return SubmitBatched(id, request, extra_service_ms);
     }
     submitted_.fetch_add(1);
     TraceRecorder* const recorder = TraceRecorder::Global();
     RequestTrace trace = BeginRequestTrace(recorder, request);
     // First touch compiles and pins the scene; steady state returns the
-    // pinned entry (a map lookup).
+    // pinned entry (an index lookup).
     const std::shared_ptr<const SceneEntry> scene =
-        registry_.Touch(request.scene, &pool_);
+        registry_.Touch(id, &pool_);
 
     // The service-time estimate is the frame's pipeline floor — the
     // dependency-DAG critical path — not the flat op sum: the wavefront
@@ -325,20 +340,20 @@ RenderService::Submit(const SceneRequest& request,
         request.arrival_ms, est_service_ms, request.deadline_ms,
         request.tier);
     RenderResult result =
-        Judge(request, verdict, est_service_ms, recorder, trace);
+        Judge(id, request, verdict, est_service_ms, recorder, trace);
     if (result.status != RequestStatus::kCompleted) {
-        return Resolve(std::move(result));
+        return {Resolve(std::move(result)), verdict};
     }
-    return Replay(scene->frame, trace, std::move(result));
+    return {Replay(scene->frame, trace, std::move(result)), verdict};
 }
 
-ServeTicket
-RenderService::SubmitBatched(const SceneRequest& request,
+SubmitReceipt
+RenderService::SubmitBatched(SceneId id, const SceneRequest& request,
                              double extra_service_ms)
 {
     submitted_.fetch_add(1);
     const std::shared_ptr<const SceneEntry> scene =
-        registry_.Touch(request.scene, &pool_);
+        registry_.Touch(id, &pool_);
 
     // One lock around the whole join-or-open decision and its Admit:
     // the verdict depends on which batch the request lands in, so both
@@ -355,15 +370,12 @@ RenderService::SubmitBatched(const SceneRequest& request,
     last_batch_arrival_ms_ = arrival;
     FlushExpiredLocked(arrival);
 
-    auto batch = open_batches_.end();
-    const auto open = open_by_scene_.find(request.scene);
-    if (open != open_by_scene_.end()) {
-        if (open->second->members.size() >= max_batch_elements_) {
-            // Full: flush it now; this request opens a fresh batch.
-            FlushBatchLocked(open->second);
-        } else {
-            batch = open->second;
-        }
+    auto batch = open_by_scene_[id];
+    if (batch != open_batches_.end() &&
+        batch->members.size() >= max_batch_elements_) {
+        // Full: flush it now; this request opens a fresh batch.
+        FlushBatchLocked(batch);
+        batch = open_batches_.end();
     }
     const bool joining = batch != open_batches_.end();
 
@@ -379,8 +391,8 @@ RenderService::SubmitBatched(const SceneRequest& request,
         // thread the first time it is seen: propagate the joiner's
         // context so its frame/op spans land in this trace.
         ScopedTraceContext scoped(trace.ctx, arrival);
-        fused = registry_.TouchBatched(request.scene,
-                                       batch->members.size() + 1, &pool_);
+        fused = registry_.TouchBatched(id, batch->members.size() + 1,
+                                       &pool_);
         est = EstimatedMarginalServiceMs(fused->cost, batch->fused_cost);
     } else {
         est = EstimatedServiceMs(scene->cost);
@@ -388,11 +400,12 @@ RenderService::SubmitBatched(const SceneRequest& request,
     const AdmissionController::Verdict verdict = admission_.Admit(
         request.arrival_ms, est + extra_service_ms, request.deadline_ms,
         request.tier);
-    RenderResult result = Judge(request, verdict, est, recorder, trace);
+    RenderResult result =
+        Judge(id, request, verdict, est, recorder, trace);
     if (result.status != RequestStatus::kCompleted) {
         // A shed or rejected joiner consumes no batch slot: the open
         // batch keeps collecting as if the request never arrived.
-        return Resolve(std::move(result));
+        return {Resolve(std::move(result)), verdict};
     }
     // Every member reports the scene's solo frame cost — the fused
     // execution is an amortization of identical frames, not a different
@@ -427,7 +440,7 @@ RenderService::SubmitBatched(const SceneRequest& request,
         batch->frame = fused->frame;
     } else {
         OpenBatch fresh;
-        fresh.scene = request.scene;
+        fresh.scene = id;
         fresh.close_ms = arrival + batch_window_ms_;
         fresh.fused_cost = scene->cost;
         fresh.frame = scene->frame;
@@ -439,16 +452,17 @@ RenderService::SubmitBatched(const SceneRequest& request,
         }
         fresh.members.push_back(std::move(member));
         open_batches_.push_back(std::move(fresh));
-        open_by_scene_[request.scene] = std::prev(open_batches_.end());
+        open_by_scene_[id] = std::prev(open_batches_.end());
     }
-    return ticket;
+    return {ticket, verdict};
 }
 
 SessionId
 RenderService::OpenSession(const std::string& scene,
                            const CoherenceModel& model)
 {
-    if (!registry_.Has(scene)) {
+    const SceneId id = registry_.Find(scene);
+    if (id == kNoScene) {
         Fatal("OpenSession names unregistered scene '" + scene + "'");
     }
     if (model.reuse_quanta < 1) {
@@ -462,23 +476,19 @@ RenderService::OpenSession(const std::string& scene,
     }
     std::lock_guard<std::mutex> lock(session_mutex_);
     Session session;
-    session.id = ++next_session_;
-    session.scene = scene;
+    session.scene = id;
     session.model = model;
-    const SessionId id = session.id;
-    session_order_.push_back(id);
-    sessions_.emplace(id, std::move(session));
-    return id;
+    sessions_.push_back(session);
+    return sessions_.size();
 }
 
 double
 RenderService::PeekSessionEstimate(SessionId session, const Pose& pose)
 {
     std::lock_guard<std::mutex> lock(session_mutex_);
-    const auto it = sessions_.find(session);
-    FLEX_CHECK_MSG(it != sessions_.end(),
+    FLEX_CHECK_MSG(session != 0 && session <= sessions_.size(),
                    "unknown session " << session);
-    const Session& state = it->second;
+    const Session& state = sessions_[session - 1];
     // Administrative touch: a price preview is not a request.
     const std::shared_ptr<const SceneEntry> scene =
         registry_.Touch(state.scene, &pool_, /*count_request=*/false);
@@ -498,8 +508,8 @@ RenderService::PeekSessionEstimate(SessionId session, const Pose& pose)
     return Accelerator::Estimate(scene->cost, context).service_ms;
 }
 
-ServeTicket
-RenderService::SubmitSession(const SceneRequest& request,
+SubmitReceipt
+RenderService::SubmitSession(SceneId id, const SceneRequest& request,
                              const SubmitOptions& options)
 {
     submitted_.fetch_add(1);
@@ -507,20 +517,19 @@ RenderService::SubmitSession(const SceneRequest& request,
     // verdict depends on the session's last rendered pose, so both must
     // see one consistent submission order.
     std::lock_guard<std::mutex> lock(session_mutex_);
-    const auto it = sessions_.find(options.session);
-    FLEX_CHECK_MSG(it != sessions_.end(),
+    FLEX_CHECK_MSG(options.session <= sessions_.size(),
                    "unknown session " << options.session);
-    Session& session = it->second;
-    FLEX_CHECK_MSG(session.scene == request.scene,
-                   "session " << session.id << " is bound to scene '"
-                              << session.scene << "', not '"
-                              << request.scene << "'");
+    Session& session = sessions_[options.session - 1];
+    FLEX_CHECK_MSG(session.scene == id,
+                   "session " << options.session << " is bound to scene '"
+                              << registry_.Name(session.scene)
+                              << "', not '" << request.scene << "'");
     ++session.frames;
 
     TraceRecorder* const recorder = TraceRecorder::Global();
     RequestTrace trace = BeginRequestTrace(recorder, request);
     const std::shared_ptr<const SceneEntry> scene =
-        registry_.Touch(request.scene, &pool_);
+        registry_.Touch(id, &pool_);
 
     // Coherence decision: measure the new pose against the last
     // *rendered* pose. The first frame has no predecessor to warp from
@@ -544,7 +553,7 @@ RenderService::SubmitSession(const SceneRequest& request,
             // request's context so its frame/op spans land in this
             // trace (memoized afterwards, like batch shapes).
             ScopedTraceContext scoped(trace.ctx, request.arrival_ms);
-            delta = registry_.TouchDelta(request.scene, quantum,
+            delta = registry_.TouchDelta(id, quantum,
                                          session.model.reuse_quanta,
                                          &pool_);
         }
@@ -568,12 +577,12 @@ RenderService::SubmitSession(const SceneRequest& request,
         request.arrival_ms, estimate.service_ms, request.deadline_ms,
         request.tier);
     RenderResult result =
-        Judge(request, verdict, estimate.service_ms, recorder, trace);
+        Judge(id, request, verdict, estimate.service_ms, recorder, trace);
     if (result.status != RequestStatus::kCompleted) {
         // The session does not advance: a rejected or shed frame was
         // never rendered, so the next frame's reuse is still measured
         // against the last frame that actually exists.
-        return Resolve(std::move(result));
+        return {Resolve(std::move(result)), verdict};
     }
     if (recorder != nullptr && trace.active()) {
         recorder->RecordInstant(
@@ -582,7 +591,7 @@ RenderService::SubmitSession(const SceneRequest& request,
                      : (coherence_break ? "session_break" : "session_full"),
             verdict.arrival_ms,
             {TraceArg::Int("session",
-                           static_cast<std::int64_t>(session.id)),
+                           static_cast<std::int64_t>(options.session)),
              TraceArg::Num("reuse", reuse),
              TraceArg::Num("est_ms", estimate.service_ms),
              TraceArg::Num("savings_ms", estimate.savings_ms)});
@@ -603,16 +612,17 @@ RenderService::SubmitSession(const SceneRequest& request,
     // The handle pins the plan-cache entry (delta shapes live in the
     // LRU like any entry; the pin keeps the replay safe past eviction)
     // — the same steady-state prepared path as a solo frame.
-    return Replay(as_delta ? delta->frame : scene->frame, trace,
-                  std::move(result));
+    return {Replay(as_delta ? delta->frame : scene->frame, trace,
+                   std::move(result)),
+            verdict};
 }
 
 void
 RenderService::FlushBatchLocked(std::list<OpenBatch>::iterator batch)
 {
     OpenBatch closing = std::move(*batch);
-    open_by_scene_.erase(closing.scene);
     open_batches_.erase(batch);
+    open_by_scene_[closing.scene] = open_batches_.end();
 
     const std::size_t elements = closing.members.size();
     ++batches_dispatched_;
@@ -632,7 +642,7 @@ RenderService::FlushBatchLocked(std::list<OpenBatch>::iterator batch)
                 last_batch_arrival_ms_,
                 {TraceArg::Int("elements",
                                static_cast<std::int64_t>(elements)),
-                 TraceArg::Str("scene", closing.scene)});
+                 TraceArg::Str("scene", closing.members[0].result.scene)});
         }
     }
 
@@ -660,7 +670,8 @@ RenderService::FlushBatchLocked(std::list<OpenBatch>::iterator batch)
     FLEX_CHECK_MSG(fused_cost == closing.fused_cost,
                    "fused batch replay diverged from its estimation run "
                    "for scene '"
-                       << closing.scene << "' (" << elements
+                       << closing.members[0].result.scene << "' ("
+                       << elements
                        << " elements)");
     for (BatchMember& member : closing.members) {
         if (recorder != nullptr && member.trace.active()) {
@@ -682,29 +693,28 @@ RenderService::FlushBatchLocked(std::list<OpenBatch>::iterator batch)
 }
 
 bool
-RenderService::ProbeBatchJoin(const std::string& scene, double arrival_ms,
+RenderService::ProbeBatchJoin(SceneId scene, double arrival_ms,
                               double* marginal_est_ms)
 {
     if (batch_window_ms_ <= 0.0) return false;
     std::lock_guard<std::mutex> lock(batch_mutex_);
-    const auto open = open_by_scene_.find(scene);
-    if (open == open_by_scene_.end()) return false;
+    const auto open = open_by_scene_.at(scene);
+    if (open == open_batches_.end()) return false;
     // Mirror SubmitBatched's view without moving it: the same clamped
     // arrival decides expiry (an expired batch would flush before the
     // join) and a full batch would close, re-opening at the solo price.
     // last_batch_arrival_ms_ is read, never advanced — only a real
     // Submit moves the batching clock.
     const double arrival = std::max(arrival_ms, last_batch_arrival_ms_);
-    if (open->second->close_ms <= arrival) return false;
-    if (open->second->members.size() >= max_batch_elements_) return false;
+    if (open->close_ms <= arrival) return false;
+    if (open->members.size() >= max_batch_elements_) return false;
     // The estimation run for the next-larger fused shape is memoized
     // (scene_registry.h), so the following Submit — or the flush replay
     // — sees exactly the cost priced here.
     const std::shared_ptr<const BatchedSceneFrame> fused =
-        registry_.TouchBatched(scene, open->second->members.size() + 1,
-                               &pool_);
+        registry_.TouchBatched(scene, open->members.size() + 1, &pool_);
     *marginal_est_ms =
-        EstimatedMarginalServiceMs(fused->cost, open->second->fused_cost);
+        EstimatedMarginalServiceMs(fused->cost, open->fused_cost);
     return true;
 }
 
@@ -840,15 +850,15 @@ RenderService::Snapshot() const
 
     {
         std::lock_guard<std::mutex> session_lock(session_mutex_);
-        stats.sessions_opened = session_order_.size();
+        stats.sessions_opened = sessions_.size();
         double reuse_sum = 0.0;
         std::uint64_t accepted_session_frames = 0;
-        stats.sessions.reserve(session_order_.size());
-        for (const SessionId id : session_order_) {
-            const Session& session = sessions_.at(id);
+        stats.sessions.reserve(sessions_.size());
+        for (std::size_t i = 0; i < sessions_.size(); ++i) {
+            const Session& session = sessions_[i];
             SessionStats row;
-            row.id = session.id;
-            row.scene = session.scene;
+            row.id = i + 1;
+            row.scene = registry_.Name(session.scene);
             row.frames = session.frames;
             row.delta_frames = session.delta_frames;
             row.full_frames = session.full_frames;

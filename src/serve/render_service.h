@@ -5,9 +5,10 @@
  * This is the repo's "millions of users" request path. A RenderService
  * owns a shared (optionally bounded/LRU) PlanCache, one accelerator
  * instance per registered scene, and a work-stealing ThreadPool, and
- * exposes a Submit(SceneRequest) -> ticket API:
+ * exposes a Submit(SceneRequest) -> ticket + verdict API:
  *
- *   Submit ──> SceneRegistry (compile + pin prepared frame, first touch;
+ *   Submit ──> scene name -> SceneId, the one string lookup per request
+ *          ──> SceneRegistry (compile + pin prepared frame, first touch;
  *               the cold compile's wavefronts run on the ThreadPool)
  *          ──> AdmissionController (queue-depth / deadline policy,
  *               critical-path latency estimator, virtual time)
@@ -47,7 +48,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/stats.h"
@@ -124,6 +124,13 @@ using ServeTicket = std::uint64_t;
 
 /** Handle to one trajectory session (0 = no session). */
 using SessionId = std::uint64_t;
+
+/** What Submit returns: the ticket and the verdict it was admitted with
+ *  (so a router need not re-probe for it). */
+struct SubmitReceipt {
+    ServeTicket ticket = 0;
+    AdmissionController::Verdict verdict;
+};
 
 /**
  * Per-request submission options — the one argument that carries what
@@ -334,7 +341,7 @@ class RenderService
     RenderService& operator=(const RenderService&) = delete;
 
     /** Registers a servable scene (see SceneRegistry::Register). */
-    void RegisterScene(const std::string& name, const SweepPoint& spec);
+    SceneId RegisterScene(const std::string& name, const SweepPoint& spec);
 
     /**
      * Pre-compiles and pins @p scene so its first real request already
@@ -346,13 +353,17 @@ class RenderService
     FrameCost WarmScene(const std::string& scene);
 
     /**
-     * Submits one request — the unified entry point. The request is
-     * resolved before Submit returns: rejected and shed requests at
-     * once, accepted ones by replaying the scene's prepared frame (a
-     * memoized hit) on the submitting thread. Fused-batch members are
-     * the exception: they resolve when their batch flushes. The first
-     * request against a cold scene additionally compiles it, with the
-     * compile's wavefronts on the pool (WarmScene avoids that).
+     * Submits one request — the unified entry point. The scene name
+     * resolves to its SceneId once, on entry (fatal if unregistered).
+     * The request is resolved before Submit returns: rejected and shed
+     * requests at once, accepted ones by replaying the scene's prepared
+     * frame (a memoized hit) on the submitting thread. Fused-batch
+     * members are the exception: they resolve when their batch flushes.
+     * The first request against a cold scene additionally compiles it,
+     * with the compile's wavefronts on the pool (WarmScene avoids that).
+     * The receipt's verdict equals admission().Probe taken just before
+     * at the routing price: the solo estimate, ProbeBatchJoin's
+     * marginal or PeekSessionEstimate, plus options.extra_service_ms.
      *
      * @p options selects the path: default options reproduce the
      * legacy behavior exactly (batching when configured, no surcharge,
@@ -362,8 +373,8 @@ class RenderService
      * (EstimatedDeltaServiceMs) and as a full recompute otherwise —
      * a coherence break, counted distinctly.
      */
-    ServeTicket Submit(const SceneRequest& request,
-                       const SubmitOptions& options = {});
+    SubmitReceipt Submit(const SceneRequest& request,
+                         const SubmitOptions& options = {});
 
     /**
      * Opens a trajectory session for @p scene under @p model: a client
@@ -410,7 +421,7 @@ class RenderService
      * exact while the prober is the sole submitter (the cluster holds
      * its router lock across probe and Submit).
      */
-    bool ProbeBatchJoin(const std::string& scene, double arrival_ms,
+    bool ProbeBatchJoin(SceneId scene, double arrival_ms,
                         double* marginal_est_ms);
 
     /**
@@ -470,7 +481,7 @@ class RenderService
      *  shape, so the next joiner prices against them and a flush
      *  replays exactly the shape admission booked. */
     struct OpenBatch {
-        std::string scene;
+        SceneId scene = 0;
         double close_ms = 0.0;  //!< opener's clamped arrival + window
         FrameCost fused_cost;
         PlanCache::PreparedFrame frame;
@@ -482,8 +493,7 @@ class RenderService
 
     /** One open trajectory session (session_mutex_ guards them all). */
     struct Session {
-        SessionId id = 0;
-        std::string scene;
+        SceneId scene = 0;
         CoherenceModel model;
         /** False until the first accepted frame: there is no rendered
          *  predecessor to warp from yet. */
@@ -517,6 +527,7 @@ class RenderService
     /** Pops the claimed slots off the front of results_ (mutex_
      *  held). */
     void PopClaimedLocked();
+    SceneId Resolve(const std::string& scene) const;  //!< fatal if absent
     /**
      * Books one admission verdict, shared by every Submit path: builds
      * the request's result and records the outcome in the per-scene
@@ -525,7 +536,7 @@ class RenderService
      * its frame cost from a replay. @p est_service_ms is the estimate
      * the accepted trace instant reports.
      */
-    RenderResult Judge(const SceneRequest& request,
+    RenderResult Judge(SceneId scene, const SceneRequest& request,
                        const AdmissionController::Verdict& verdict,
                        double est_service_ms, TraceRecorder* recorder,
                        RequestTrace& trace);
@@ -534,11 +545,11 @@ class RenderService
     ServeTicket Replay(const PlanCache::PreparedFrame& frame,
                        const RequestTrace& trace, RenderResult result);
     /** The batching Submit path (batch_window_ms > 0). */
-    ServeTicket SubmitBatched(const SceneRequest& request,
-                              double extra_service_ms);
+    SubmitReceipt SubmitBatched(SceneId scene, const SceneRequest& request,
+                                double extra_service_ms);
     /** The trajectory Submit path (options.session != 0). */
-    ServeTicket SubmitSession(const SceneRequest& request,
-                              const SubmitOptions& options);
+    SubmitReceipt SubmitSession(SceneId scene, const SceneRequest& request,
+                                const SubmitOptions& options);
     /** Replays @p batch as one fused execution and resolves every
      *  member (batch_mutex_ held). */
     void FlushBatchLocked(std::list<OpenBatch>::iterator batch);
@@ -584,8 +595,8 @@ class RenderService
     /** Open batches in window-open order (list: flushing one batch must
      *  not invalidate the others' iterators in open_by_scene_). */
     std::list<OpenBatch> open_batches_;
-    std::unordered_map<std::string, std::list<OpenBatch>::iterator>
-        open_by_scene_;
+    /** By SceneId; open_batches_.end() = no open batch. */
+    std::vector<std::list<OpenBatch>::iterator> open_by_scene_;
     /** Mirror of the admission clamp (submissions in non-decreasing
      *  arrival order), driving window-expiry flushes. */
     double last_batch_arrival_ms_ = 0.0;
@@ -599,9 +610,7 @@ class RenderService
      *  frame's whole coherence decision with its Admit call, so
      *  verdicts stay pure functions of the submission order. */
     mutable std::mutex session_mutex_;
-    SessionId next_session_ = 0;  //!< ids start at 1 (0 = no session)
-    std::unordered_map<SessionId, Session> sessions_;
-    std::vector<SessionId> session_order_;  //!< open order (snapshots)
+    std::vector<Session> sessions_;  //!< session id i + 1 at index i
 
     /** Runs the wavefronts of cold compiles inside SceneRegistry's
      *  Touch calls; no request is ever enqueued on it. */

@@ -6,7 +6,7 @@
 
 namespace flexnerfer {
 
-void
+SceneId
 SceneRegistry::Register(const std::string& name, const SweepPoint& spec)
 {
     if (spec.model.empty()) {
@@ -39,28 +39,42 @@ SceneRegistry::Register(const std::string& name, const SweepPoint& spec)
               "frame across two stat rows and break the frame-hit "
               "accounting)");
     }
-    const bool inserted = slots_.emplace(name, std::move(slot)).second;
-    if (!inserted) Fatal("scene '" + name + "' registered twice");
-    order_.push_back(name);
+    const auto id = static_cast<SceneId>(slots_.size());
+    if (!ids_.emplace(name, id).second) {
+        Fatal("scene '" + name + "' registered twice");
+    }
+    slots_.push_back(std::move(slot));
+    return id;
+}
+
+SceneId
+SceneRegistry::Find(const std::string& name) const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = ids_.find(name);
+    return it == ids_.end() ? kNoScene : it->second;
+}
+
+const std::string&
+SceneRegistry::Name(SceneId id) const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return slots_.at(id).stats.name;  // slots never relocate
 }
 
 std::shared_ptr<const SceneEntry>
-SceneRegistry::Touch(const std::string& name, ThreadPool* pool,
-                     bool count_request)
+SceneRegistry::Touch(SceneId id, ThreadPool* pool, bool count_request)
 {
     std::shared_ptr<std::mutex> prepare_mutex;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = slots_.find(name);
-        if (it == slots_.end()) {
-            Fatal("request names unregistered scene '" + name + "'");
+        Slot& slot = slots_.at(id);
+        if (count_request) ++slot.stats.requests;
+        if (slot.entry != nullptr) {
+            if (count_request) ++slot.stats.prepared_replays;
+            return slot.entry;
         }
-        if (count_request) ++it->second.stats.requests;
-        if (it->second.entry != nullptr) {
-            if (count_request) ++it->second.stats.prepared_replays;
-            return it->second.entry;
-        }
-        prepare_mutex = it->second.prepare_mutex;
+        prepare_mutex = slot.prepare_mutex;
     }
     // First touch: compile, pin, and estimate outside the registry lock
     // (the expensive half). The per-scene mutex serializes racing first
@@ -72,14 +86,14 @@ SceneRegistry::Touch(const std::string& name, ThreadPool* pool,
     auto entry = std::make_shared<SceneEntry>();
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        Slot& slot = slots_.at(name);
+        Slot& slot = slots_[id];
         if (slot.entry != nullptr) {
             if (count_request) ++slot.stats.prepared_replays;
             return slot.entry;
         }
         // Holding the prepare mutex: adopt the model and workload that
         // Register built.
-        entry->name = name;
+        entry->name = slot.stats.name;
         entry->spec = slot.spec;
         entry->accel = std::move(slot.accel);
         entry->workload = std::move(slot.workload);
@@ -88,139 +102,115 @@ SceneRegistry::Touch(const std::string& name, ThreadPool* pool,
     entry->cost = cache_.Run(entry->frame, pool);
 
     std::lock_guard<std::mutex> lock(mutex_);
-    Slot& slot = slots_.at(name);
+    Slot& slot = slots_[id];
     slot.entry = std::move(entry);
     slot.stats.est_latency_ms = EstimatedServiceMs(slot.entry->cost);
     return slot.entry;
 }
 
+template <typename Frame, typename Build>
+std::shared_ptr<const Frame>
+SceneRegistry::TouchShape(SceneId id, std::size_t key,
+                          ShapeMap<Frame> Slot::*shapes, ThreadPool* pool,
+                          Build build)
+{
+    // Administrative touch: ensures the scene is prepared (shapes reuse
+    // its model and workload; delta shapes hang off its pinned handle)
+    // without moving the request counters.
+    const std::shared_ptr<const SceneEntry> entry =
+        Touch(id, pool, /*count_request=*/false);
+    const auto find = [&]() -> std::shared_ptr<const Frame> {
+        std::lock_guard<std::mutex> lock(mutex_);
+        const ShapeMap<Frame>& built = slots_[id].*shapes;
+        const auto it = built.find(key);
+        return it == built.end() ? nullptr : it->second;
+    };
+    if (auto found = find()) return found;
+    // First use of this shape: compile, pin, and estimate outside the
+    // registry lock, serialized per scene exactly like a first touch,
+    // so one estimation run executes per shape however many submits
+    // race to it.
+    std::shared_ptr<std::mutex> prepare_mutex;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        prepare_mutex = slots_[id].prepare_mutex;
+    }
+    std::lock_guard<std::mutex> prepare_lock(*prepare_mutex);
+    if (auto found = find()) return found;
+    std::shared_ptr<const Frame> frame = build(*entry);
+    std::lock_guard<std::mutex> lock(mutex_);
+    return (slots_[id].*shapes).emplace(key, std::move(frame)).first->second;
+}
+
 std::shared_ptr<const BatchedSceneFrame>
-SceneRegistry::TouchBatched(const std::string& name, std::size_t elements,
+SceneRegistry::TouchBatched(SceneId id, std::size_t elements,
                             ThreadPool* pool)
 {
     if (elements == 0) {
-        Fatal("scene '" + name + "': a batch needs at least one element");
+        Fatal("scene '" + Name(id) +
+              "': a batch needs at least one element");
     }
-    // Administrative touch: ensures the scene is prepared (the fused
-    // shapes reuse its accelerator model and workload descriptor)
-    // without moving the request counters.
-    const std::shared_ptr<const SceneEntry> entry =
-        Touch(name, pool, /*count_request=*/false);
-
-    std::shared_ptr<std::mutex> prepare_mutex;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        Slot& slot = slots_.at(name);
-        const auto it = slot.batched.find(elements);
-        if (it != slot.batched.end()) return it->second;
-        prepare_mutex = slot.prepare_mutex;
-    }
-    // First use of this (scene, element-count) shape: compile, pin, and
-    // estimate outside the registry lock, serialized per scene exactly
-    // like a first touch, so one estimation run executes per shape
-    // however many submits race to open the same batch size.
-    std::lock_guard<std::mutex> prepare_lock(*prepare_mutex);
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        Slot& slot = slots_.at(name);
-        const auto it = slot.batched.find(elements);
-        if (it != slot.batched.end()) return it->second;
-    }
-    auto batched = std::make_shared<BatchedSceneFrame>();
-    batched->elements = elements;
-    if (elements == 1) {
-        // The 1-element "batch" is the scene itself: alias its prepared
-        // entry so a singleton flush replays the same memoized frame.
-        batched->frame = entry->frame;
-        batched->cost = entry->cost;
-    } else {
-        const NerfWorkload fused = FuseBatch(entry->workload, elements);
-        batched->frame = cache_.Prepare(*entry->accel, fused);
-        batched->cost = cache_.Run(batched->frame, pool);
-    }
-    std::lock_guard<std::mutex> lock(mutex_);
-    Slot& slot = slots_.at(name);
-    return slot.batched.emplace(elements, std::move(batched))
-        .first->second;
+    return TouchShape(id, elements, &Slot::batched, pool,
+                      [&](const SceneEntry& entry) {
+        auto batched = std::make_shared<BatchedSceneFrame>();
+        batched->elements = elements;
+        if (elements == 1) {
+            // The 1-element "batch" is the scene itself: alias its
+            // prepared entry so a singleton flush replays the same
+            // memoized frame.
+            batched->frame = entry.frame;
+            batched->cost = entry.cost;
+        } else {
+            const NerfWorkload fused = FuseBatch(entry.workload, elements);
+            batched->frame = cache_.Prepare(*entry.accel, fused);
+            batched->cost = cache_.Run(batched->frame, pool);
+        }
+        return batched;
+    });
 }
 
 std::shared_ptr<const DeltaSceneFrame>
-SceneRegistry::TouchDelta(const std::string& name,
-                          std::size_t reuse_quantum,
+SceneRegistry::TouchDelta(SceneId id, std::size_t reuse_quantum,
                           std::size_t reuse_quanta, ThreadPool* pool)
 {
     if (reuse_quanta < 1 || reuse_quantum > reuse_quanta) {
-        Fatal("scene '" + name + "': reuse quantum " +
+        Fatal("scene '" + Name(id) + "': reuse quantum " +
               std::to_string(reuse_quantum) + " of " +
               std::to_string(reuse_quanta) + " is not a valid fraction");
     }
-    // Administrative touch: ensures the scene is prepared (delta shapes
-    // hang off its pinned handle and reuse its model and workload)
-    // without moving the request counters.
-    const std::shared_ptr<const SceneEntry> entry =
-        Touch(name, pool, /*count_request=*/false);
-
-    std::shared_ptr<std::mutex> prepare_mutex;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        Slot& slot = slots_.at(name);
-        const auto it = slot.deltas.find(reuse_quantum);
-        if (it != slot.deltas.end()) return it->second;
-        prepare_mutex = slot.prepare_mutex;
-    }
-    // First use of this (scene, reuse-quantum) shape: compile, pin, and
-    // estimate outside the registry lock, serialized per scene exactly
-    // like a first touch, so one estimation run executes per shape
-    // however many session frames race to the same coherence level.
-    std::lock_guard<std::mutex> prepare_lock(*prepare_mutex);
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        Slot& slot = slots_.at(name);
-        const auto it = slot.deltas.find(reuse_quantum);
-        if (it != slot.deltas.end()) return it->second;
-    }
-    auto delta = std::make_shared<DeltaSceneFrame>();
-    delta->reuse_quantum = reuse_quantum;
-    delta->reuse_quanta = reuse_quanta;
-    if (reuse_quantum == 0) {
-        // Zero reuse is the scene itself: alias its prepared entry so a
-        // no-overlap frame replays the same memoized full frame.
-        delta->frame = entry->frame;
-        delta->cost = entry->cost;
-    } else {
-        const NerfWorkload shrunken =
-            DeltaWorkload(entry->workload, reuse_quantum, reuse_quanta);
-        delta->frame =
-            cache_.PrepareDelta(entry->frame, *entry->accel, shrunken);
-        delta->cost = cache_.Run(delta->frame, pool);
-    }
-    std::lock_guard<std::mutex> lock(mutex_);
-    Slot& slot = slots_.at(name);
-    return slot.deltas.emplace(reuse_quantum, std::move(delta))
-        .first->second;
+    return TouchShape(id, reuse_quantum, &Slot::deltas, pool,
+                      [&](const SceneEntry& entry) {
+        auto delta = std::make_shared<DeltaSceneFrame>();
+        delta->reuse_quantum = reuse_quantum;
+        delta->reuse_quanta = reuse_quanta;
+        if (reuse_quantum == 0) {
+            // Zero reuse is the scene itself: alias its prepared entry
+            // so a no-overlap frame replays the same memoized full frame.
+            delta->frame = entry.frame;
+            delta->cost = entry.cost;
+        } else {
+            const NerfWorkload shrunken =
+                DeltaWorkload(entry.workload, reuse_quantum, reuse_quanta);
+            delta->frame =
+                cache_.PrepareDelta(entry.frame, *entry.accel, shrunken);
+            delta->cost = cache_.Run(delta->frame, pool);
+        }
+        return delta;
+    });
 }
 
 void
-SceneRegistry::CountOutcome(const std::string& name, bool accepted,
-                            bool shed)
+SceneRegistry::CountOutcome(SceneId id, bool accepted, bool shed)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = slots_.find(name);
-    if (it == slots_.end()) return;
+    SceneStats& stats = slots_.at(id).stats;
     if (accepted) {
-        ++it->second.stats.accepted;
+        ++stats.accepted;
     } else if (shed) {
-        ++it->second.stats.shed;
+        ++stats.shed;
     } else {
-        ++it->second.stats.rejected;
+        ++stats.rejected;
     }
-}
-
-bool
-SceneRegistry::Has(const std::string& name) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return slots_.find(name) != slots_.end();
 }
 
 std::size_t
@@ -230,22 +220,13 @@ SceneRegistry::size() const
     return slots_.size();
 }
 
-std::vector<std::string>
-SceneRegistry::Names() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return order_;
-}
-
 std::vector<SceneStats>
 SceneRegistry::Stats() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     std::vector<SceneStats> stats;
-    stats.reserve(order_.size());
-    for (const std::string& name : order_) {
-        stats.push_back(slots_.at(name).stats);
-    }
+    stats.reserve(slots_.size());
+    for (const Slot& slot : slots_) stats.push_back(slot.stats);
     return stats;
 }
 

@@ -23,6 +23,8 @@
 #define FLEXNERFER_SERVE_SCENE_REGISTRY_H_
 
 #include <cstdint>
+#include <deque>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -92,6 +94,13 @@ struct SceneStats {
     std::uint64_t shed = 0;
 };
 
+/** A scene's registration index in one registry (so one scene has
+ *  different ids on different cluster shards). Services resolve a
+ *  request's scene name to it once, on entry, and key by it below. */
+using SceneId = std::uint32_t;
+/** "No id": the scene is not registered (yet). */
+constexpr SceneId kNoScene = std::numeric_limits<SceneId>::max();
+
 /** Maps scene names to pinned prepared frames, compiling on first touch. */
 class SceneRegistry
 {
@@ -112,28 +121,33 @@ class SceneRegistry
      * so is registering a second name whose spec lowers to the same
      * (config, workload) frame: alias scenes would split one underlying
      * frame across two stat rows and double-count its estimation run,
-     * breaking the frame_hits == accepted invariant above.
+     * breaking the frame_hits == accepted invariant. Returns its id.
      */
-    void Register(const std::string& name, const SweepPoint& spec);
+    SceneId Register(const std::string& name, const SweepPoint& spec);
+
+    /** The id of @p name, or kNoScene: the one string-keyed lookup. */
+    SceneId Find(const std::string& name) const;
+    const std::string& Name(SceneId id) const;
 
     /**
-     * Returns the prepared entry for @p name, compiling and pinning it
-     * on first touch (with @p pool, the one-off estimation run fans
-     * across it). Fatal for unregistered names. The returned entry is
-     * shared and immutable; it stays valid for the caller's lifetime
-     * even if the scene is later dropped from the registry.
+     * Returns the prepared entry for scene @p id, compiling and pinning
+     * it on first touch (with @p pool, the one-off estimation run fans
+     * across it). The returned entry is shared and immutable; it stays
+     * valid for the caller's lifetime even if the scene is later
+     * dropped from the registry.
      * @p count_request: whether this touch is a serving request (moves
      * the requests/prepared_replays counters) or administrative
      * warm-up (RenderService::WarmScene), which leaves them untouched
      * so SceneStats::requests stays exactly "submits naming the scene".
      */
-    std::shared_ptr<const SceneEntry> Touch(const std::string& name,
+    std::shared_ptr<const SceneEntry> Touch(SceneId id,
                                             ThreadPool* pool = nullptr,
                                             bool count_request = true);
 
     /**
      * Returns the prepared fused frame for @p elements requests of
-     * @p name (see models/workload.h, FuseBatch), compiling and pinning
+     * scene @p id (see models/workload.h, FuseBatch), compiling and
+     * pinning
      * each (scene, element-count) shape lazily on its first use — one
      * estimation run per shape, exactly like a scene's first touch, so
      * the batching invariant "PlanCache frame hits == batches
@@ -143,12 +157,11 @@ class SceneRegistry
      * (batch-shape preparation is administrative).
      */
     std::shared_ptr<const BatchedSceneFrame> TouchBatched(
-        const std::string& name, std::size_t elements,
-        ThreadPool* pool = nullptr);
+        SceneId id, std::size_t elements, ThreadPool* pool = nullptr);
 
     /**
      * Returns the prepared delta frame for reusing @p reuse_quantum /
-     * @p reuse_quanta of @p name's previous frame (see
+     * @p reuse_quanta of scene @p id's previous frame (see
      * models/trajectory.h, DeltaWorkload), compiling and pinning each
      * (scene, quantum) shape lazily on first use via the plan cache's
      * predecessor-keyed path (PlanCache::PrepareDelta off the scene's
@@ -159,22 +172,22 @@ class SceneRegistry
      * (delta-shape preparation is administrative).
      */
     std::shared_ptr<const DeltaSceneFrame> TouchDelta(
-        const std::string& name, std::size_t reuse_quantum,
-        std::size_t reuse_quanta, ThreadPool* pool = nullptr);
+        SceneId id, std::size_t reuse_quantum, std::size_t reuse_quanta,
+        ThreadPool* pool = nullptr);
 
-    /** Counts one admission outcome against @p name's stats. */
-    void CountOutcome(const std::string& name, bool accepted, bool shed);
+    /** Counts one admission outcome against scene @p id's stats. */
+    void CountOutcome(SceneId id, bool accepted, bool shed);
 
-    bool Has(const std::string& name) const;
     std::size_t size() const;
-
-    /** Registered scene names, in registration order. */
-    std::vector<std::string> Names() const;
 
     /** Per-scene counters, in registration order. */
     std::vector<SceneStats> Stats() const;
 
   private:
+    template <typename Frame>
+    using ShapeMap =
+        std::unordered_map<std::size_t, std::shared_ptr<const Frame>>;
+
     struct Slot {
         SweepPoint spec;
         /** Built at Register (the alias guard fingerprints them) and
@@ -188,25 +201,28 @@ class SceneRegistry
         std::shared_ptr<const SceneEntry> entry;  //!< null until touched
         /** Prepared fused frames by element count (lazily built; the
          *  1-element shape aliases `entry`). */
-        std::unordered_map<std::size_t,
-                           std::shared_ptr<const BatchedSceneFrame>>
-            batched;
+        ShapeMap<BatchedSceneFrame> batched;
         /** Prepared delta frames by reuse quantum (lazily built; the
          *  0-reuse shape aliases `entry`). */
-        std::unordered_map<std::size_t,
-                           std::shared_ptr<const DeltaSceneFrame>>
-            deltas;
+        ShapeMap<DeltaSceneFrame> deltas;
         SceneStats stats;
     };
+
+    /** The shape under @p key in scene @p id's @p shapes, built once by
+     *  @p build(entry) (TouchBatched and TouchDelta share it). */
+    template <typename Frame, typename Build>
+    std::shared_ptr<const Frame> TouchShape(SceneId id, std::size_t key,
+                                            ShapeMap<Frame> Slot::*shapes,
+                                            ThreadPool* pool, Build build);
 
     PlanCache& cache_;
 
     mutable std::mutex mutex_;
-    std::unordered_map<std::string, Slot> slots_;
+    std::deque<Slot> slots_;  //!< by id; never relocated
+    std::unordered_map<std::string, SceneId> ids_;  //!< name -> id
     /** Injective spec key (label excluded) -> first name registered
      *  with it, to reject alias scenes with a useful message. */
     std::unordered_map<std::string, std::string> spec_owners_;
-    std::vector<std::string> order_;
 };
 
 }  // namespace flexnerfer

@@ -150,22 +150,22 @@ TEST(SceneRegistry, TouchBatchedAliasesTheSoloFrameAtOneElement)
 {
     PlanCache cache;
     SceneRegistry registry(cache);
-    registry.Register("ngp", NgpFlexScene());
+    const SceneId ngp = registry.Register("ngp", NgpFlexScene());
 
-    const auto solo = registry.Touch("ngp");
-    const auto batched1 = registry.TouchBatched("ngp", 1);
+    const auto solo = registry.Touch(ngp);
+    const auto batched1 = registry.TouchBatched(ngp, 1);
     EXPECT_EQ(batched1->elements, 1u);
     ExpectBitIdentical(batched1->cost, solo->cost);
     EXPECT_EQ(cache.stats().plan_misses, 1u);  // no second compile
 
     // Two elements compile (and estimation-run) the fused shape once;
     // repeat touches replay the pinned entry.
-    const auto batched2 = registry.TouchBatched("ngp", 2);
+    const auto batched2 = registry.TouchBatched(ngp, 2);
     EXPECT_EQ(batched2->elements, 2u);
     EXPECT_EQ(cache.stats().plan_misses, 2u);
     EXPECT_GT(EstimatedServiceMs(batched2->cost),
               EstimatedServiceMs(solo->cost));
-    EXPECT_EQ(registry.TouchBatched("ngp", 2).get(), batched2.get());
+    EXPECT_EQ(registry.TouchBatched(ngp, 2).get(), batched2.get());
     EXPECT_EQ(cache.stats().plan_misses, 2u);
 }
 
@@ -179,7 +179,7 @@ SubmitBurst(RenderService* service, const std::string& scene,
         SceneRequest request;
         request.scene = scene;
         request.arrival_ms = arrival_ms;
-        tickets.push_back(service->Submit(request));
+        tickets.push_back(service->Submit(request).ticket);
     }
     return tickets;
 }
@@ -287,7 +287,7 @@ TEST(BatchedRenderService, MixedTiersFuseIntoOneExecution)
         request.scene = "ngp";
         request.tier = static_cast<std::size_t>(i % 2);
         request.arrival_ms = 0.0;
-        tickets.push_back(service.Submit(request));
+        tickets.push_back(service.Submit(request).ticket);
     }
     // Tiers shape verdicts, not batch membership: all four ride one
     // fused execution yet keep their own tier in the result.
@@ -317,14 +317,14 @@ TEST(BatchedRenderService, MidWindowShedConsumesNoBatchSlot)
     SceneRequest request;
     request.scene = "ngp";
     request.arrival_ms = 0.0;
-    const ServeTicket opener = service.Submit(request);
+    const ServeTicket opener = service.Submit(request).ticket;
     // Infeasible even at the marginal price: sheds, and must leave the
     // open batch untouched.
     SceneRequest hopeless = request;
     hopeless.deadline_ms = 1e-6 * est;
-    const ServeTicket shed = service.Submit(hopeless);
-    const ServeTicket joiner_a = service.Submit(request);
-    const ServeTicket joiner_b = service.Submit(request);
+    const ServeTicket shed = service.Submit(hopeless).ticket;
+    const ServeTicket joiner_a = service.Submit(request).ticket;
+    const ServeTicket joiner_b = service.Submit(request).ticket;
 
     const RenderResult shed_result = service.Wait(shed);
     EXPECT_EQ(shed_result.status, RequestStatus::kShedDeadline);
@@ -354,11 +354,11 @@ TEST(BatchedRenderService, WindowExpiryClosesTheBatchDeterministically)
     SceneRequest request;
     request.scene = "ngp";
     request.arrival_ms = 0.0;
-    const ServeTicket first = service.Submit(request);
+    const ServeTicket first = service.Submit(request).ticket;
     // Arrives after the 10 ms window closed: flushes the first batch
     // and opens its own.
     request.arrival_ms = 25.0;
-    const ServeTicket second = service.Submit(request);
+    const ServeTicket second = service.Submit(request).ticket;
 
     EXPECT_EQ(service.Wait(first).batch_elements, 1u);
     EXPECT_EQ(service.Wait(second).batch_elements, 1u);
@@ -393,7 +393,7 @@ RunDeterministicStream(int threads)
         request.arrival_ms = 400.0 * (i / 6);  // bursts of six
         request.priority = i % 2;
         if (i % 11 == 7) request.deadline_ms = 1.0;  // forced shed
-        tickets.push_back(service.Submit(request));
+        tickets.push_back(service.Submit(request).ticket);
     }
     std::vector<RenderResult> results;
     for (ServeTicket ticket : tickets) {

@@ -411,19 +411,21 @@ TEST(SceneRegistry, FirstTouchPreparesLaterTouchesReplay)
 {
     PlanCache cache;
     SceneRegistry registry(cache);
-    registry.Register("ngp", NgpFlexScene());
-    EXPECT_TRUE(registry.Has("ngp"));
-    EXPECT_FALSE(registry.Has("missing"));
+    const SceneId ngp = registry.Register("ngp", NgpFlexScene());
+    EXPECT_EQ(ngp, 0u);  // ids are registration indices
+    EXPECT_EQ(registry.Find("ngp"), ngp);
+    EXPECT_EQ(registry.Find("missing"), kNoScene);
+    EXPECT_EQ(registry.Name(ngp), "ngp");
 
     // First touch compiles and pins; the estimate is the executed cost.
-    const auto first = registry.Touch("ngp");
+    const auto first = registry.Touch(ngp);
     EXPECT_EQ(cache.stats().plan_misses, 1u);
     EXPECT_EQ(cache.stats().frame_hits, 0u);
     ExpectBitIdentical(first->cost, Reference("Instant-NGP"));
 
     // Second touch returns the same pinned entry; replaying its frame
     // hits the memoized result, not a recompile.
-    const auto second = registry.Touch("ngp");
+    const auto second = registry.Touch(ngp);
     EXPECT_EQ(second.get(), first.get());
     ExpectBitIdentical(cache.Run(second->frame), first->cost);
     EXPECT_EQ(cache.stats().plan_misses, 1u);
@@ -449,7 +451,7 @@ TEST(RenderService, SteadyStateRequestsHitThePreparedPath)
     for (int i = 0; i < 6; ++i) {
         SceneRequest request;
         request.scene = "ngp";
-        tickets.push_back(service.Submit(request));
+        tickets.push_back(service.Submit(request).ticket);
     }
     const FrameCost reference = Reference("Instant-NGP");
     for (ServeTicket ticket : tickets) {
@@ -494,13 +496,13 @@ TEST(RenderService, DeadlineAndQueueDepthPoliciesShedAndReject)
     // rejects even requests that could otherwise be deadline-judged).
     SceneRequest request;
     request.scene = "ngp";
-    const ServeTicket a = service.Submit(request);
-    const ServeTicket b = service.Submit(request);
+    const ServeTicket a = service.Submit(request).ticket;
+    const ServeTicket b = service.Submit(request).ticket;
     SceneRequest tight = request;
     tight.deadline_ms = 0.5 * est;
-    const ServeTicket c = service.Submit(tight);
-    const ServeTicket d = service.Submit(request);
-    const ServeTicket e = service.Submit(request);
+    const ServeTicket c = service.Submit(tight).ticket;
+    const ServeTicket d = service.Submit(request).ticket;
+    const ServeTicket e = service.Submit(request).ticket;
 
     EXPECT_EQ(service.Wait(a).status, RequestStatus::kCompleted);
     EXPECT_EQ(service.Wait(b).status, RequestStatus::kCompleted);
@@ -541,7 +543,7 @@ TEST(RenderService, SnapshotReportsPerTierVerdictsAndLatency)
         request.scene = "ngp";
         request.tier = tier;
         request.deadline_ms = deadline;
-        return service.Submit(request);
+        return service.Submit(request).ticket;
     };
     for (int i = 0; i < 3; ++i) submit(0, 0.0);
     for (int i = 0; i < 2; ++i) submit(1, 0.0);
@@ -626,13 +628,13 @@ TEST(SceneRegistry, RacingFirstTouchesConvergeToOneEntry)
     // every caller observes the same estimate.
     PlanCache cache;
     SceneRegistry registry(cache);
-    registry.Register("ngp", NgpFlexScene());
+    const SceneId ngp = registry.Register("ngp", NgpFlexScene());
 
     ThreadPool pool(8);
     std::vector<double> estimates(16, 0.0);
-    pool.ParallelFor(16, [&registry, &estimates](std::int64_t i) {
+    pool.ParallelFor(16, [&registry, &estimates, ngp](std::int64_t i) {
         estimates[static_cast<std::size_t>(i)] =
-            registry.Touch("ngp")->cost.latency_ms;
+            registry.Touch(ngp)->cost.latency_ms;
     });
     const FrameCost reference = Reference("Instant-NGP");
     for (double estimate : estimates) {
@@ -663,7 +665,7 @@ TEST(RenderService, SnapshotIsZeroSafeWhenNothingWasAccepted)
     hopeless.scene = "ngp";
     hopeless.arrival_ms = 100.0;
     hopeless.deadline_ms = 0.5 * est;  // infeasible even when idle
-    EXPECT_EQ(service.Wait(service.Submit(hopeless)).status,
+    EXPECT_EQ(service.Wait(service.Submit(hopeless).ticket).status,
               RequestStatus::kShedDeadline);
 
     const ServiceStats stats = service.Snapshot();
@@ -714,7 +716,7 @@ TEST(RenderService, MultiThreadedSoakKeepsEveryInvariant)
                     (t + i) % static_cast<int>(models.size()))];
                 request.priority = i % 3;
                 request.arrival_ms = static_cast<double>(i);
-                const ServeTicket ticket = service.Submit(request);
+                const ServeTicket ticket = service.Submit(request).ticket;
                 std::lock_guard<std::mutex> lock(tickets_mutex);
                 tickets.push_back(ticket);
             }
@@ -845,7 +847,7 @@ TEST(BatchedRenderService, WaitOnAnOpenBatchMemberReturnsItsFlushedResult)
     for (int i = 0; i < 3; ++i) {
         SceneRequest request;
         request.scene = "ngp";
-        tickets.push_back(service.Submit(request));
+        tickets.push_back(service.Submit(request).ticket);
     }
     EXPECT_EQ(service.Snapshot().accepted, 3u);
     EXPECT_EQ(service.Snapshot().completed, 0u);

@@ -5,7 +5,8 @@
  * admission probes, spill mechanics (surcharge, pinning, counters), the
  * thread-count determinism of the whole cluster at 1/2/4/8 shards, the
  * per-shard "frame hits == accepted" invariant under spills, histogram
- * merge bounds, and drain/rebalance.
+ * merge bounds, drain/rebalance, per-shard scene ids, and the verdict a
+ * RenderService Submit reports against a probe at the routing price.
  */
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 
 #include "common/rng.h"
 #include "common/stats.h"
+#include "models/workload.h"
 #include "runtime/sweep_runner.h"
 #include "serve/admission.h"
 #include "serve/cluster.h"
@@ -310,6 +312,173 @@ TEST(AdmissionController, ProbeMatchesAdmitAcrossSeededSweep)
     EXPECT_GT(tally.shed, 0u);
     EXPECT_GT(tally.clamped, 0u);
     EXPECT_GE(tally.max_retired, 10u);
+}
+
+/** What the Submit-verdict sweep exercised. */
+struct PathTally {
+    std::uint64_t solo = 0;
+    std::uint64_t opens = 0;
+    std::uint64_t joins = 0;
+    std::uint64_t full_flushes = 0;  //!< a full batch closed by a joiner
+    std::uint64_t expiries = 0;      //!< a window closed by time
+    std::uint64_t session_frames = 0;
+};
+
+/**
+ * Drives @p calls seeded requests through a batching, three-tier
+ * RenderService and checks each Submit's verdict against
+ * admission().Probe taken just before it at the routing price — the
+ * price a cluster router would use: ProbeBatchJoin's marginal for a
+ * joiner, PeekSessionEstimate for a session frame, the solo estimate
+ * otherwise, plus the request's surcharge. A test-side mirror of the
+ * batch windows classifies every batching request (open, join, or
+ * open after a full or expired batch) and checks ProbeBatchJoin's
+ * answer against it.
+ */
+void
+SweepSubmitVerdicts(std::uint64_t seed, int calls, PathTally* tally)
+{
+    const std::vector<std::string> models = {"Instant-NGP", "KiloNeRF",
+                                             "TensoRF"};
+    std::vector<double> est;
+    {
+        RenderService probe;
+        for (std::size_t i = 0; i < models.size(); ++i) {
+            probe.RegisterScene(models[i], FlexScene(models[i]));
+            est.push_back(EstimatedServiceMs(probe.WarmScene(models[i])));
+        }
+    }
+    double mean_est = 0.0;
+    for (const double e : est) mean_est += e / static_cast<double>(est.size());
+
+    ServeConfig config;
+    config.threads = 1;
+    config.batch_window_ms = 2.0 * mean_est;
+    config.max_batch_elements = 3;
+    config.admission.max_queue_depth = 10;
+    config.admission.tiers = DeterminismTiers();
+    RenderService service(config);
+    std::vector<SceneId> ids;
+    for (const std::string& model : models) {
+        ids.push_back(service.RegisterScene(model, FlexScene(model)));
+        service.WarmScene(model);
+    }
+    // Two sessions: one per end of the scene list.
+    const std::vector<std::size_t> session_scene = {0, 2};
+    std::vector<SessionId> sessions;
+    std::vector<Pose> poses(session_scene.size());
+    for (const std::size_t scene : session_scene) {
+        sessions.push_back(service.OpenSession(models[scene]));
+    }
+
+    struct Window {
+        bool open = false;
+        std::size_t members = 0;
+        double close_ms = 0.0;
+    };
+    std::vector<Window> windows(models.size());
+    Rng rng(seed);
+    double clock = 0.0;
+    for (int i = 0; i < calls; ++i) {
+        if (rng.Bernoulli(0.03)) {
+            clock += rng.Uniform(3.0, 12.0) * mean_est;  // idle: drain
+        } else if (!rng.Bernoulli(0.4)) {
+            clock += rng.Uniform(0.0, 0.8) * mean_est;
+        }
+        SceneRequest request;
+        request.arrival_ms = clock;
+        request.tier = static_cast<std::size_t>(rng.UniformInt(0, 2));
+        request.deadline_ms =
+            rng.Bernoulli(0.4) ? rng.Uniform(0.5, 8.0) * mean_est : 0.0;
+        SubmitOptions options;
+        options.extra_service_ms =
+            rng.Bernoulli(0.2) ? rng.Uniform(0.0, 0.5) * mean_est : 0.0;
+        const double kind = rng.Uniform();
+        double price = 0.0;
+        std::size_t scene = 0;
+        bool join = false;
+        if (kind < 0.25) {
+            // A session frame: a short pan (a delta) or, now and then,
+            // a teleport (a coherence break).
+            const auto s = static_cast<std::size_t>(rng.UniformInt(0, 1));
+            scene = session_scene[s];
+            poses[s].x += rng.Bernoulli(0.1) ? 5.0
+                                             : 0.05 * static_cast<double>(
+                                                          rng.UniformInt(1, 3));
+            options.session = sessions[s];
+            options.pose = poses[s];
+            price = service.PeekSessionEstimate(sessions[s], poses[s]);
+            ++tally->session_frames;
+        } else {
+            scene = static_cast<std::size_t>(rng.UniformInt(0, 2));
+            options.batching = kind >= 0.45;
+            price = est[scene];
+            if (!options.batching) {
+                ++tally->solo;
+            } else {
+                double marginal = 0.0;
+                join = service.ProbeBatchJoin(ids[scene], clock, &marginal);
+                if (join) price = marginal;
+                Window& window = windows[scene];
+                const bool live = window.open && window.close_ms > clock;
+                EXPECT_EQ(join, live && window.members < 3)
+                    << "seed " << seed << " call " << i;
+                if (join) {
+                    ++tally->joins;
+                } else {
+                    ++tally->opens;
+                    if (live) ++tally->full_flushes;
+                    if (window.open && !live) ++tally->expiries;
+                }
+            }
+        }
+        request.scene = models[scene];
+
+        const AdmissionController::Verdict probed = service.admission().Probe(
+            request.arrival_ms, price + options.extra_service_ms,
+            request.deadline_ms, request.tier);
+        const SubmitReceipt receipt = service.Submit(request, options);
+        ASSERT_TRUE(SameVerdict(probed, receipt.verdict))
+            << "seed " << seed << " call " << i;
+
+        if (options.session == 0 && options.batching) {
+            // Mirror the batch windows: a non-joiner always closes the
+            // scene's old batch; an accepted one opens the next.
+            Window& window = windows[scene];
+            const bool accepted = receipt.verdict.outcome ==
+                                  AdmissionController::Outcome::kAccepted;
+            if (!join) window.open = false;
+            if (accepted && join) ++window.members;
+            if (accepted && !join) {
+                window = Window{true, 1, clock + config.batch_window_ms};
+            }
+        }
+    }
+    service.WaitAll();
+    const ServiceStats stats = service.Snapshot();
+    EXPECT_GT(stats.accepted, 0u);
+    EXPECT_GT(stats.rejected_queue_full + stats.shed_deadline, 0u);
+    EXPECT_GT(stats.delta_frames, 0u) << "seed " << seed;
+    EXPECT_GT(stats.coherence_breaks, 0u) << "seed " << seed;
+    // Each session's first accepted frame is a full recompute.
+    EXPECT_GT(stats.session_full_frames, stats.coherence_breaks);
+}
+
+TEST(RenderService, SubmitVerdictMatchesProbeAtTheRoutingPrice)
+{
+    // The cluster books its KillShard replay state from the verdict
+    // Submit returns; nothing else would catch it drifting from what a
+    // router's probe at the same price promised.
+    PathTally tally;
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        SweepSubmitVerdicts(seed, 400, &tally);
+    }
+    EXPECT_GT(tally.solo, 0u);
+    EXPECT_GT(tally.opens, 0u);
+    EXPECT_GT(tally.joins, 0u);
+    EXPECT_GT(tally.full_flushes, 0u);
+    EXPECT_GT(tally.expiries, 0u);
+    EXPECT_GT(tally.session_frames, 0u);
 }
 
 TEST(LatencyHistogram, MergeMatchesConcatenationWithinBucketBound)
@@ -863,7 +1032,7 @@ TEST(ShardedRenderService, SingleShardMatchesPlainRenderService)
         request.scene = "ngp";
         request.arrival_ms = 0.0;
         request.deadline_ms = (i % 2 == 0) ? 0.0 : 3.5 * est;
-        plain_tickets.push_back(plain.Submit(request));
+        plain_tickets.push_back(plain.Submit(request).ticket);
         cluster_tickets.push_back(cluster.Submit(request));
     }
     for (std::size_t i = 0; i < plain_tickets.size(); ++i) {
@@ -922,9 +1091,10 @@ TEST(ShardedRenderService, MarginalAwareProbeKeepsBatchJoinersHome)
         // admit B at: the probe must see the open batch and quote the
         // marginal, strictly below the solo estimate.
         const std::size_t home = cluster.router().Home("ngp");
+        RenderService& home_shard = cluster.shard(home);
         double marginal_ms = 0.0;
-        const bool joinable = cluster.shard(home).ProbeBatchJoin(
-            "ngp", 0.1 * est, &marginal_ms);
+        const bool joinable = home_shard.ProbeBatchJoin(
+            home_shard.registry().Find("ngp"), 0.1 * est, &marginal_ms);
         if (batch_window_ms > 0.0) {
             EXPECT_TRUE(joinable);
             EXPECT_LT(marginal_ms, est);
@@ -973,6 +1143,249 @@ TEST(ShardedRenderService, MarginalAwareProbeKeepsBatchJoinersHome)
         EXPECT_FALSE(solo.b.spilled);
         EXPECT_EQ(solo.stats.fused_batches, 0u);
     }
+}
+
+/**
+ * Registers one scene per model ("rep-0", "rep-1", ...) on @p cluster,
+ * in model order; returns their names.
+ */
+std::vector<std::string>
+RegisterRepertoire(ShardedRenderService& cluster)
+{
+    std::vector<std::string> names;
+    for (const std::string& model : AllModelNames()) {
+        names.push_back("rep-" + std::to_string(names.size()));
+        cluster.RegisterScene(names.back(), FlexScene(model));
+    }
+    return names;
+}
+
+/** @p scene's id on live shard @p shard (kNoScene if not there). */
+SceneId
+IdOn(ShardedRenderService& cluster, std::size_t shard,
+     const std::string& scene)
+{
+    return cluster.shard(shard).registry().Find(scene);
+}
+
+/** Every result names @p scene; every completed one carries its warm
+ *  frame cost, bit for bit. */
+void
+ExpectSceneAndWarmCost(const std::vector<ClusterRenderResult>& results,
+                       const std::string& scene, const FrameCost& warm)
+{
+    for (const ClusterRenderResult& r : results) {
+        EXPECT_EQ(r.result.scene, scene);
+        if (r.result.status == RequestStatus::kCompleted) {
+            ExpectBitIdentical(r.result.cost, warm);
+        }
+    }
+}
+
+/** Submits @p count requests for @p scene at virtual @p arrival_ms. */
+std::vector<ClusterTicket>
+SubmitBurst(ShardedRenderService& cluster, const std::string& scene,
+            int count, double arrival_ms, double deadline_ms = 0.0)
+{
+    std::vector<ClusterTicket> tickets;
+    for (int i = 0; i < count; ++i) {
+        SceneRequest request;
+        request.scene = scene;
+        request.arrival_ms = arrival_ms;
+        request.deadline_ms = deadline_ms;
+        tickets.push_back(cluster.Submit(request));
+    }
+    return tickets;
+}
+
+TEST(ShardedRenderService, SpillShardServesTheSceneUnderItsOwnId)
+{
+    // rep-0 registers first, so it is id 0 on its home; the spill shard
+    // registers it lazily, after the scenes homed there.
+    ClusterConfig config;
+    config.shards = 2;
+    config.threads_per_shard = 1;
+    ShardedRenderService cluster(config);
+    const std::vector<std::string> names = RegisterRepertoire(cluster);
+    const std::string& scene = names[0];
+    const std::size_t home = cluster.router().Home(scene);
+    const std::size_t other = 1 - home;
+    const FrameCost warm = cluster.WarmScene(scene);
+    const double est = EstimatedServiceMs(warm);
+    EXPECT_EQ(IdOn(cluster, home, scene), 0u);
+    ASSERT_EQ(IdOn(cluster, other, scene), kNoScene);
+    const std::size_t homed_there = cluster.shard(other).registry().size();
+    ASSERT_GT(homed_there, 0u);
+
+    // As in SpillPaysRecompileOnceAndKeepsInvariants: the third request
+    // spills cold, the rest shed.
+    const std::vector<ClusterTicket> tickets =
+        SubmitBurst(cluster, scene, 6, 0.0, 2.5 * est);
+    std::vector<ClusterRenderResult> results;
+    for (const ClusterTicket ticket : tickets) {
+        results.push_back(cluster.Wait(ticket));
+    }
+    EXPECT_TRUE(results[2].spilled);
+    EXPECT_EQ(results[2].shard, other);
+    EXPECT_EQ(results[2].result.status, RequestStatus::kCompleted);
+    EXPECT_EQ(IdOn(cluster, other, scene), homed_there);
+    EXPECT_EQ(IdOn(cluster, home, scene), 0u);
+    ExpectSceneAndWarmCost(results, scene, warm);
+    EXPECT_EQ(cluster.Snapshot().per_shard[other].service.scenes.at(
+                  homed_there).accepted,
+              1u);
+}
+
+TEST(ShardedRenderService, P2cReplicasServeTheSceneUnderTheirOwnIds)
+{
+    ClusterConfig config;
+    config.shards = 2;
+    config.threads_per_shard = 1;
+    config.replication.top_k = 1;
+    config.replication.factor = 2;
+    ShardedRenderService cluster(config);
+    const std::vector<std::string> names = RegisterRepertoire(cluster);
+    const std::string& scene = names[0];
+    const std::size_t home = cluster.router().Home(scene);
+    const std::size_t other = 1 - home;
+    const FrameCost warm = cluster.WarmScene(scene);
+
+    // One submit tops the census; the refresh registers the scene on
+    // the second replica after the scenes homed there.
+    std::vector<ClusterTicket> tickets = SubmitBurst(cluster, scene, 1, 0.0);
+    ASSERT_EQ(cluster.RefreshReplication(),
+              std::vector<std::string>{scene});
+    ASSERT_EQ(cluster.ReplicasOf(scene).size(), 2u);
+    EXPECT_EQ(IdOn(cluster, home, scene), 0u);
+    EXPECT_NE(IdOn(cluster, other, scene), kNoScene);
+    EXPECT_NE(IdOn(cluster, other, scene), 0u);
+
+    const std::vector<ClusterTicket> burst =
+        SubmitBurst(cluster, scene, 12, 0.0);
+    tickets.insert(tickets.end(), burst.begin(), burst.end());
+    std::vector<ClusterRenderResult> results;
+    for (const ClusterTicket ticket : tickets) {
+        results.push_back(cluster.Wait(ticket));
+    }
+    ExpectSceneAndWarmCost(results, scene, warm);
+    const ClusterStats stats = cluster.Snapshot();
+    EXPECT_EQ(stats.p2c_routed, 12u);
+    EXPECT_GT(stats.replica_served, 0u);
+    EXPECT_GT(stats.per_shard[home].service.accepted, 0u);
+    EXPECT_GT(stats.per_shard[other].service.accepted, 0u);
+}
+
+TEST(ShardedRenderService, KillShardReplaysUnderTheNewHomesId)
+{
+    ClusterConfig config;
+    config.shards = 2;
+    config.threads_per_shard = 1;
+    config.enable_spill = false;
+    ShardedRenderService cluster(config);
+    const std::vector<std::string> names = RegisterRepertoire(cluster);
+    const std::string& scene = names[0];
+    const std::size_t home = cluster.router().Home(scene);
+    const std::size_t other = 1 - home;
+    const FrameCost warm = cluster.WarmScene(scene);
+    const double est = EstimatedServiceMs(warm);
+    ASSERT_EQ(IdOn(cluster, other, scene), kNoScene);
+
+    // Completions at E, 2E, 3E, 4E: a death at 1.5E replays three.
+    const std::vector<ClusterTicket> tickets =
+        SubmitBurst(cluster, scene, 4, 0.0);
+    EXPECT_EQ(cluster.KillShard(home, 1.5 * est), 3u);
+    const SceneId rehomed = IdOn(cluster, other, scene);
+    EXPECT_NE(rehomed, kNoScene);
+    EXPECT_NE(rehomed, 0u);  // the old home's id for it
+
+    std::vector<ClusterRenderResult> results = cluster.WaitAll();
+    ASSERT_EQ(results.size(), tickets.size());
+    EXPECT_FALSE(results[0].replayed);
+    for (std::size_t i = 1; i < results.size(); ++i) {
+        EXPECT_TRUE(results[i].replayed);
+        EXPECT_EQ(results[i].shard, other);
+        EXPECT_EQ(results[i].result.status, RequestStatus::kCompleted);
+    }
+    ExpectSceneAndWarmCost(results, scene, warm);
+    EXPECT_EQ(cluster.Snapshot().per_shard[other].service.scenes.at(
+                  rehomed).accepted,
+              3u);
+}
+
+TEST(ShardedRenderService, ResizeReissuesSceneIds)
+{
+    ClusterConfig config;
+    config.shards = 2;
+    config.threads_per_shard = 1;
+    ShardedRenderService cluster(config);
+    const std::vector<std::string> names = RegisterRepertoire(cluster);
+    std::vector<FrameCost> warm;
+    for (const std::string& name : names) {
+        warm.push_back(cluster.WarmScene(name));
+    }
+    cluster.Resize(3);
+
+    // Every new replica numbers the scenes it homes from 0, in cluster
+    // registration order.
+    std::size_t registered = 0;
+    for (std::size_t shard = 0; shard < 3; ++shard) {
+        SceneId next = 0;
+        for (const std::string& name : names) {
+            const SceneId id = IdOn(cluster, shard, name);
+            if (id == kNoScene) continue;
+            EXPECT_EQ(id, next++) << name << " on shard " << shard;
+            EXPECT_EQ(cluster.router().Home(name), shard);
+        }
+        EXPECT_EQ(cluster.shard(shard).registry().size(), next);
+        registered += next;
+    }
+    EXPECT_EQ(registered, names.size());
+
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        const std::vector<ClusterTicket> tickets =
+            SubmitBurst(cluster, names[i], 2, 0.0);
+        std::vector<ClusterRenderResult> results;
+        for (const ClusterTicket ticket : tickets) {
+            results.push_back(cluster.Wait(ticket));
+        }
+        ExpectSceneAndWarmCost(results, names[i], warm[i]);
+        EXPECT_EQ(results[0].result.status, RequestStatus::kCompleted);
+    }
+}
+
+TEST(ShardedRenderServiceDeathTest, UnknownSceneAndSessionMismatchAreFatal)
+{
+    ClusterConfig config;
+    config.shards = 2;
+    config.threads_per_shard = 1;
+    ShardedRenderService cluster(config);
+    const std::vector<std::string> names = RegisterRepertoire(cluster);
+    SceneRequest unknown;
+    unknown.scene = "nope";
+    EXPECT_DEATH(cluster.Submit(unknown),
+                 "request names scene 'nope' not registered with the "
+                 "cluster");
+    SubmitOptions options;
+    options.session = cluster.OpenSession(names[0]);
+    SceneRequest wrong;
+    wrong.scene = names[1];
+    EXPECT_DEATH(cluster.Submit(wrong, options),
+                 "cluster session 1 belongs to scene 'rep-0', not "
+                 "'rep-1'");
+
+    ServeConfig serve_config;
+    serve_config.threads = 1;
+    RenderService service(serve_config);
+    service.RegisterScene("a", FlexScene("Instant-NGP"));
+    service.RegisterScene("b", FlexScene("KiloNeRF"));
+    EXPECT_DEATH(service.Submit(unknown),
+                 "request names unregistered scene 'nope'");
+    SubmitOptions service_options;
+    service_options.session = service.OpenSession("a");
+    SceneRequest b;
+    b.scene = "b";
+    EXPECT_DEATH(service.Submit(b, service_options),
+                 "session 1 is bound to scene 'a', not 'b'");
 }
 
 }  // namespace

@@ -99,6 +99,20 @@ ResultOf(const RenderResult& result)
     return result;
 }
 
+/** The ticket a Submit returned: a RenderService hands back a receipt,
+ *  a cluster the bare ticket. */
+std::uint64_t
+TicketOf(const SubmitReceipt& receipt)
+{
+    return receipt.ticket;
+}
+
+std::uint64_t
+TicketOf(ClusterTicket ticket)
+{
+    return ticket;
+}
+
 const RenderResult&
 ResultOf(const ClusterRenderResult& result)
 {
@@ -165,7 +179,8 @@ RunScript(Service& service, const std::vector<Step>& steps, bool as_written)
             request.scene = names[steps[i].scene];
             SubmitOptions options;
             options.batching = steps[i].batching;
-            const std::uint64_t ticket = service.Submit(request, options);
+            const std::uint64_t ticket =
+                TicketOf(service.Submit(request, options));
             EXPECT_EQ(ticket, next_ticket++);  // issued sequentially
             unclaimed.insert(ticket);
             continue;
@@ -323,8 +338,8 @@ ExpectConsumedTicketsAreFatal(Service& service, const char* message)
 {
     SceneRequest request;
     request.scene = CoHomedNames()[0];
-    const std::uint64_t first = service.Submit(request);
-    const std::uint64_t middle = service.Submit(request);
+    const std::uint64_t first = TicketOf(service.Submit(request));
+    const std::uint64_t middle = TicketOf(service.Submit(request));
     service.Submit(request);
     service.Wait(middle);
     // Claimed but not yet popped: an older ticket is still unclaimed.
@@ -523,8 +538,8 @@ SubmitAndWaitConcurrently(Service& service)
                     request.arrival_ms = static_cast<double>(round);
                     SubmitOptions options;
                     options.batching = i % 2 == 0;
-                    mine.emplace_back(service.Submit(request, options),
-                                      scene);
+                    mine.emplace_back(
+                        TicketOf(service.Submit(request, options)), scene);
                 }
                 std::reverse(mine.begin(), mine.end());
                 for (const auto& [ticket, scene] : mine) {

@@ -2,9 +2,10 @@
  * @file
  * Tests for the observability layer (src/obs/): the virtual trace
  * projection's thread-count invariance, span nesting/parentage across
- * the serving path (single service, batch join, cluster spill), the
- * unified MetricsRegistry against ServiceStats, the disabled path's
- * no-op guarantee, and the FLEX_CHECK flight-recorder dump.
+ * the serving path (single service, batch join, cluster spill, cluster
+ * sessions), the unified MetricsRegistry against ServiceStats, the
+ * disabled path's no-op guarantee, and the FLEX_CHECK flight-recorder
+ * dump.
  */
 #include <gtest/gtest.h>
 
@@ -339,6 +340,105 @@ TEST(TraceExport, ClusterRoutingRecordsProbesAndSpills)
         checked_parent = true;
     }
     EXPECT_TRUE(checked_parent);
+}
+
+/**
+ * One traced run of trajectory sessions on a 2-shard cluster: sessions
+ * on two scenes homed on different shards pan at a few speeds, so their
+ * frames cross several cold delta shapes (one compile each, however
+ * many frames or sessions reach it). Returns the virtual projection;
+ * @p events receives the sorted events.
+ */
+std::string
+TracedClusterSessionRun(int threads, std::vector<TraceEvent>* events)
+{
+    TraceRecorder recorder;
+    TraceRecorder::InstallGlobal(&recorder);
+    {
+        ClusterConfig config;
+        config.shards = 2;
+        config.threads_per_shard = threads;
+        ShardedRenderService cluster(config);
+        // A second scene homed on the other shard, so both replicas
+        // compile delta shapes.
+        const std::vector<std::string> names = {"ngp", "ngp-b", "ngp-c",
+                                                "ngp-d", "ngp-e"};
+        std::string second;
+        for (const std::string& name : names) {
+            if (cluster.router().Home(name) != cluster.router().Home("ngp")) {
+                second = name;
+                break;
+            }
+        }
+        EXPECT_FALSE(second.empty());
+        cluster.RegisterScene("ngp", NgpFlexScene());
+        cluster.RegisterScene(second, NerfGpuScene());
+        const std::vector<std::string> scenes = {"ngp", "ngp", second};
+        std::vector<SessionId> sessions;
+        for (const std::string& scene : scenes) {
+            sessions.push_back(cluster.OpenSession(scene));
+        }
+        const double steps[] = {0.05, 0.1, 0.05, 0.2, 0.1, 0.3};
+        double arrival = 0.0;
+        for (std::size_t frame = 0; frame < 12; ++frame) {
+            for (std::size_t s = 0; s < sessions.size(); ++s) {
+                SceneRequest request;
+                request.scene = scenes[s];
+                request.arrival_ms = arrival;
+                SubmitOptions options;
+                options.session = sessions[s];
+                options.pose.x = static_cast<double>(frame) * steps[frame % 6];
+                cluster.Submit(request, options);
+                arrival += 50.0;
+            }
+        }
+        cluster.WaitAll();
+    }
+    TraceRecorder::InstallGlobal(nullptr);
+    *events = recorder.SortedEvents();
+    std::ostringstream out;
+    recorder.WriteChromeTrace(out, TraceClock::kVirtual);
+    return out.str();
+}
+
+TEST(TraceExport, ClusterSessionDeltaCompilesTraceOnceAtAnyThreadCount)
+{
+    // The router no longer previews a session frame's price before its
+    // Submit, so a cold delta shape's compile and estimation run land
+    // in the frame's own trace context, inside the shard's Submit. The
+    // projection must still be identical at any pool size, and each
+    // cold shape must compile (and trace) exactly once.
+    std::vector<TraceEvent> events;
+    std::vector<TraceEvent> unused;
+    const std::string one = TracedClusterSessionRun(1, &events);
+    EXPECT_EQ(one, TracedClusterSessionRun(4, &unused));
+
+    std::vector<std::string> shapes;
+    for (const TraceEvent& event : events) {
+        if (event.phase == TracePhase::kSpan &&
+            event.name.rfind("frame:", 0) == 0 &&
+            event.name.find("+delta") != std::string::npos) {
+            shapes.push_back(event.name);
+        }
+    }
+    EXPECT_GE(shapes.size(), 3u);
+    for (const std::string& shape : shapes) {
+        EXPECT_EQ(CountNamed(events, TracePhase::kSpan, shape), 1u)
+            << shape;
+    }
+    // Each compile sits in a routed request's trace, under its request
+    // context, not in an orphan lane.
+    for (const TraceEvent& event : events) {
+        if (event.phase != TracePhase::kSpan ||
+            event.name.find("+delta") == std::string::npos ||
+            event.name.rfind("frame:", 0) != 0) {
+            continue;
+        }
+        EXPECT_NE(Find(events, event.trace_id, TracePhase::kSpan,
+                       "cluster_submit"),
+                  nullptr);
+        EXPECT_EQ(event.parent_span, SpanId(event.trace_id, "request"));
+    }
 }
 
 TEST(MetricsRegistry, SnapshotPublishMatchesServiceStats)
