@@ -7,7 +7,6 @@
  */
 #include <benchmark/benchmark.h>
 
-#include "accel/flexnerfer.h"
 #include "common/matrix.h"
 #include "common/rng.h"
 #include "gemm/engine.h"
@@ -16,7 +15,6 @@
 #include "noc/benes.h"
 #include "noc/hmf_noc.h"
 #include "riscv/controller.h"
-#include "runtime/batch_session.h"
 #include "runtime/sweep_runner.h"
 #include "runtime/thread_pool.h"
 #include "sparse/flex_codec.h"
@@ -193,20 +191,6 @@ BM_SweepRunnerStatisticalGrid(benchmark::State& state)
     }
 }
 BENCHMARK(BM_SweepRunnerStatisticalGrid)->Arg(1)->Arg(4)->Arg(8);
-
-void
-BM_BatchSessionFrames(benchmark::State& state)
-{
-    ThreadPool pool(static_cast<int>(state.range(0)));
-    const FlexNeRFerModel accel;
-    const NerfWorkload workload = BuildWorkload("Instant-NGP");
-    for (auto _ : state) {
-        BatchSession session(accel, pool);
-        for (int i = 0; i < 64; ++i) session.EnqueueFrame(workload);
-        benchmark::DoNotOptimize(session.WaitAll().size());
-    }
-}
-BENCHMARK(BM_BatchSessionFrames)->Arg(1)->Arg(4)->Arg(8);
 
 }  // namespace
 }  // namespace flexnerfer

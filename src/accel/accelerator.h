@@ -202,7 +202,7 @@ struct ServiceEstimate {
  *
  * Thread-safety contract: implementations must keep Plan const in the
  * deep sense — no mutable members, no global state — so one instance can
- * serve concurrent invocations from SweepRunner/BatchSession workers.
+ * serve concurrent invocations from SweepRunner/RenderService workers.
  * Plans are pure functions of (model config, workload): two calls with
  * equal inputs produce plans that execute bit-identically, which is what
  * makes plan caching and parallel sweeps reproducible.

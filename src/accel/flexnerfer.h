@@ -18,7 +18,7 @@ namespace flexnerfer {
  *
  * Thread-safety: immutable after construction (config only); Plan builds
  * all transient state locally, so one instance serves concurrent
- * SweepRunner/BatchSession invocations.
+ * SweepRunner/RenderService invocations.
  */
 class FlexNeRFerModel : public Accelerator
 {

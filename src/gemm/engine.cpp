@@ -465,9 +465,11 @@ GemmEngine::AssembleCosts(const Aggregates& agg) const
     result.onchip_ms = CyclesToMs(result.cycles, config_.clock_ghz);
 
     // --- DRAM -------------------------------------------------------------
-    // Weights always stream from local DRAM once (compressed if the codec
-    // is active). Activations/outputs touch DRAM only when not resident in
-    // the on-chip buffers (standalone GEMMs, first/last layer of a chain).
+    // The simulator's one memory model: DRAM and SRAM traffic are costed
+    // here and nowhere else. Weights always stream from local DRAM once
+    // (compressed if the codec is active). Activations/outputs touch DRAM
+    // only when not resident in the on-chip buffers (standalone GEMMs,
+    // first/last layer of a chain).
     result.dram_bytes = agg.b_bits_encoded / 8.0;
     if (config_.stream_a_from_dram) {
         result.dram_bytes += agg.a_bits_encoded / 8.0;

@@ -2,11 +2,12 @@
  * @file
  * Work-stealing thread pool for host-side parallelism.
  *
- * The simulator's experiment drivers (sweeps, ablations, batch sessions)
- * issue many independent engine/accelerator invocations; this pool fans
- * them across hardware threads. Each worker owns a deque: it pushes and
- * pops its own work LIFO (cache-warm) and steals FIFO from victims when
- * idle, so coarse parent tasks migrate while fine child tasks stay local.
+ * The simulator's experiment drivers (sweeps, ablations) and the frame
+ * plan's wavefront issue many independent engine/accelerator
+ * invocations; this pool fans them across hardware threads. Each worker
+ * owns a deque: it pushes and pops its own work LIFO (cache-warm) and
+ * steals FIFO from victims when idle, so coarse parent tasks migrate
+ * while fine child tasks stay local.
  *
  * Thread-safety: all public member functions may be called concurrently
  * from any thread, including from inside pool tasks. Determinism is the
@@ -18,7 +19,6 @@
 #define FLEXNERFER_RUNTIME_THREAD_POOL_H_
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -60,11 +60,12 @@ class ThreadPool
     }
 
     /**
-     * Fire-and-forget submission (BatchSession tracks its own futures).
-     * The task must not throw: an escaping exception would propagate out
-     * of a worker thread and terminate the process. Submit wraps tasks in
-     * a packaged_task (exceptions land in the future); ParallelFor has
-     * its own catch-and-rethrow path.
+     * Fire-and-forget submission, for callers that track completion
+     * themselves (ParallelFor's striders). The task must not throw: an
+     * escaping exception would propagate out of a worker thread and
+     * terminate the process. Submit wraps tasks in a packaged_task
+     * (exceptions land in the future); ParallelFor has its own
+     * catch-and-rethrow path.
      */
     void Enqueue(std::function<void()> task);
 
@@ -83,8 +84,9 @@ class ThreadPool
     /**
      * Runs one queued task on the calling thread, if any is queued;
      * returns whether one ran. Lets code that must block on a result
-     * (BatchSession::Wait) help drain the pool instead of deadlocking
-     * it when called from inside a pool task.
+     * help drain the pool instead of idling: PlanCache's join of an
+     * in-flight frame runs the executor's queued wavefront work while
+     * it waits.
      */
     bool Help();
 
@@ -120,30 +122,6 @@ class ThreadPool
     std::atomic<std::uint64_t> next_queue_{0};
     std::atomic<bool> stop_{false};
 };
-
-/**
- * Blocks on @p future while helping drain @p pool, so waiting from
- * inside a pool task cannot deadlock (the awaited job may sit on the
- * waiting worker's own deque). Shared by every front-end that waits on
- * pool-executed results (BatchSession, RenderService).
- */
-template <typename T>
-T
-HelpfulGet(ThreadPool& pool, std::future<T>& future)
-{
-    for (;;) {
-        if (future.wait_for(std::chrono::seconds(0)) ==
-            std::future_status::ready) {
-            return future.get();
-        }
-        if (!pool.Help()) {
-            // Nothing runnable anywhere: the job is in flight on another
-            // thread. Park on the future briefly, then re-check for new
-            // helpable work.
-            future.wait_for(std::chrono::milliseconds(1));
-        }
-    }
-}
 
 }  // namespace flexnerfer
 

@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests for the plan layer: FramePlan structure and determinism,
- * GemmMemo, PlanCache (including concurrent hit/miss stress and
- * fingerprint-collision freedom), and the MAC-weighted FrameCost sum.
+ * GemmMemo, PlanCache (including concurrent hit/miss stress, joins of
+ * an in-flight frame, and fingerprint-collision freedom), and the
+ * MAC-weighted FrameCost sum.
  */
 #include <gtest/gtest.h>
 
@@ -10,17 +11,18 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "accel/flexnerfer.h"
 #include "accel/gpu_model.h"
 #include "accel/neurex.h"
 #include "models/workload.h"
+#include "obs/trace.h"
 #include "plan/frame_plan.h"
 #include "plan/frame_planner.h"
 #include "plan/gemm_memo.h"
 #include "plan/plan_cache.h"
-#include "runtime/batch_session.h"
 #include "runtime/sweep_runner.h"
 #include "runtime/thread_pool.h"
 #include "frame_cost_matchers.h"
@@ -212,11 +214,70 @@ TEST(PlanCache, PreparedFramesReplayBitIdentically)
     // Keyed and prepared paths share one result memo.
     ExpectBitIdentical(cache.Run(model, w), model.RunWorkload(w));
     EXPECT_EQ(cache.stats().frame_hits, 3u);
+}
 
-    // Prepared frames also drive the serving front-end.
-    BatchSession session(model, pool, &cache);
-    const BatchTicket ticket = session.EnqueueFrame(flex_frame);
-    ExpectBitIdentical(session.Wait(ticket), model.RunWorkload(w));
+TEST(PlanCache, PoolTasksJoinAnInFlightColdFrame)
+{
+    // Two pool tasks replay one cold prepared frame at the same moment:
+    // one executes it, the other joins that in-flight run (a
+    // "frame_join") and runs the executor's queued wavefront work
+    // through ThreadPool::Help while it waits. The pool has a single
+    // worker; the test thread runs the second task by helping.
+    //
+    // The join is a race the late task must win before the run ends. A
+    // real frame runs in ~0.1 ms, which the late task loses whenever the
+    // two share one core. The frame here is 4096 independent GEMMs of
+    // distinct shapes: its cold run takes milliseconds, so even on one
+    // core the scheduler hands the late task the CPU mid-run, and its
+    // width gives the joiner wavefront work to help with. Fresh caches
+    // are retried until the join is seen.
+    NerfWorkload w;
+    w.name = "wide";
+    for (int i = 0; i < 4096; ++i) {
+        WorkloadOp op;
+        op.name = "gemm" + std::to_string(i);
+        op.gemm = GemmShape{16 * (i + 1), 128, 64, 0.5, 1.0, 0.0};
+        w.ops.push_back(op);
+    }
+    const FlexNeRFerModel model;
+    const FrameCost reference = model.RunWorkload(w);
+    ThreadPool pool(1);
+
+    bool joined = false;
+    for (int attempt = 0; attempt < 100 && !joined; ++attempt) {
+        TraceRecorder recorder;
+        TraceRecorder::InstallGlobal(&recorder);
+        const TraceContext ctx{recorder.BeginTrace("join"), 0};
+        PlanCache cache;
+        const PlanCache::PreparedFrame frame = cache.Prepare(model, w);
+        std::atomic<int> arrived{0};
+        const auto replay = [&] {
+            const ScopedTraceContext scope(ctx, 0.0);
+            arrived.fetch_add(1);
+            while (arrived.load() < 2) std::this_thread::yield();
+            return cache.Run(frame, &pool);
+        };
+        auto first = pool.Submit(replay);
+        auto second = pool.Submit(replay);
+        // The worker holds one task at the rendezvous until this thread
+        // takes the other. Help may first run a spent wavefront strider
+        // left queued by an earlier attempt, so help until both tasks
+        // have arrived.
+        while (arrived.load() < 2) {
+            if (!pool.Help()) std::this_thread::yield();
+        }
+        ExpectBitIdentical(first.get(), reference);
+        ExpectBitIdentical(second.get(), reference);
+        // The executor counts no hit; the joiner replays the published
+        // result as one.
+        EXPECT_EQ(cache.stats().plan_misses, 1u);
+        EXPECT_EQ(cache.stats().frame_hits, 1u);
+        TraceRecorder::InstallGlobal(nullptr);
+        for (const TraceEvent& event : recorder.SortedEvents()) {
+            joined = joined || event.name == "frame_join";
+        }
+    }
+    EXPECT_TRUE(joined);
 }
 
 TEST(PlanCache, ConcurrentHitMissStress)
@@ -361,24 +422,16 @@ TEST(PlanCache, UnboundedByDefaultNeverEvicts)
     EXPECT_EQ(cache.stats().evictions, 0u);
 }
 
-TEST(PlanCache, ServesSweepRunnerAndBatchSession)
+TEST(PlanCache, ServesSweepRunner)
 {
-    // One shared cache behind both runtime front-ends: outcomes stay
-    // identical to the uncached paths.
+    // A cached sweep revisiting the same point shares one cache entry
+    // and replays identically to the uncached sweep.
     ThreadPool pool(4);
     PlanCache cache;
     const FlexNeRFerModel model;
     const NerfWorkload w = BuildWorkload("Instant-NGP");
     const FrameCost reference = model.RunWorkload(w);
 
-    BatchSession session(model, pool, &cache);
-    for (int i = 0; i < 8; ++i) session.EnqueueFrame(w);
-    for (const FrameCost& cost : session.WaitAll()) {
-        ExpectBitIdentical(cost, reference);
-    }
-    EXPECT_GT(cache.stats().frame_hits, 0u);
-
-    // A cached sweep revisiting the same point replays identically.
     SweepPoint p;
     p.model = "Instant-NGP";
     const SweepRunner cached(pool, &cache);
@@ -389,6 +442,7 @@ TEST(PlanCache, ServesSweepRunnerAndBatchSession)
     ExpectBitIdentical(c[0].per_model[0], u[0].per_model[0]);
     ExpectBitIdentical(c[1].per_model[0], u[0].per_model[0]);
     ExpectBitIdentical(c[0].per_model[0], reference);
+    EXPECT_EQ(cache.stats().plan_misses, 1u);
 }
 
 }  // namespace

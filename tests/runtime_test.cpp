@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the host-side runtime: work-stealing ThreadPool,
- * deterministic SweepRunner, and asynchronous BatchSession.
+ * Unit tests for the host-side runtime: the work-stealing ThreadPool
+ * and the deterministic SweepRunner.
  */
 #include <gtest/gtest.h>
 
@@ -13,9 +13,7 @@
 #include <thread>
 #include <vector>
 
-#include "accel/flexnerfer.h"
 #include "models/workload.h"
-#include "runtime/batch_session.h"
 #include "runtime/sweep_runner.h"
 #include "runtime/thread_pool.h"
 
@@ -295,94 +293,6 @@ TEST(MakeAccelerator, HonorsBackendAndPrecision)
     EXPECT_EQ(MakeAccelerator(p)->name(), "RTX 2080 Ti");
     p.backend = Backend::kNeuRex;
     EXPECT_EQ(MakeAccelerator(p)->name(), "NeuRex");
-}
-
-TEST(BatchSession, FramesMatchSynchronousExecution)
-{
-    ThreadPool pool(4);
-    const FlexNeRFerModel accel;
-    BatchSession session(accel, pool);
-
-    std::vector<BatchTicket> tickets;
-    std::vector<FrameCost> expected;
-    for (const std::string& model : AllModelNames()) {
-        const NerfWorkload w = BuildWorkload(model);
-        tickets.push_back(session.EnqueueFrame(w));
-        expected.push_back(accel.RunWorkload(w));
-    }
-    for (std::size_t i = 0; i < tickets.size(); ++i) {
-        const FrameCost got = session.Wait(tickets[i]);
-        EXPECT_EQ(got.latency_ms, expected[i].latency_ms);
-        EXPECT_EQ(got.energy_mj, expected[i].energy_mj);
-    }
-}
-
-TEST(BatchSession, WaitAllReturnsEnqueueOrder)
-{
-    ThreadPool pool(4);
-    const FlexNeRFerModel accel;
-    BatchSession session(accel, pool);
-
-    GemmEngineConfig config;
-    config.compute_output = false;
-    const GemmEngine engine(config);
-    std::vector<FrameCost> expected;
-    for (int i = 1; i <= 12; ++i) {
-        const GemmShape shape{64 * i, 128, 64, 0.5, 1.0, 0.0};
-        session.EnqueueGemm(engine, shape);
-        const GemmResult r = engine.RunFromShape(shape);
-        FrameCost c;
-        c.latency_ms = r.latency_ms;
-        expected.push_back(c);
-    }
-    const std::vector<FrameCost> got = session.WaitAll();
-    ASSERT_EQ(got.size(), expected.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].latency_ms, expected[i].latency_ms);
-    }
-    EXPECT_EQ(session.enqueued(), 12u);
-}
-
-TEST(BatchSession, WaitInsidePoolTaskDoesNotDeadlock)
-{
-    // The enqueued frame lands on the waiting worker's own deque
-    // (worker-local submission); Wait must help drain the pool rather
-    // than block, or a 1-thread pool hangs forever here.
-    ThreadPool pool(1);
-    const FlexNeRFerModel accel;
-    BatchSession session(accel, pool);
-    const NerfWorkload w = BuildWorkload("Instant-NGP");
-    const double latency_ms =
-        pool.Submit([&session, &w] {
-                const BatchTicket ticket = session.EnqueueFrame(w);
-                return session.Wait(ticket).latency_ms;
-            })
-            .get();
-    EXPECT_GT(latency_ms, 0.0);
-}
-
-TEST(BatchSession, MixedProducersFromManyThreads)
-{
-    ThreadPool pool(8);
-    const FlexNeRFerModel accel;
-    BatchSession session(accel, pool);
-    const NerfWorkload w = BuildWorkload("Instant-NGP");
-
-    // Hammer the session from several producer threads at once.
-    std::vector<std::thread> producers;
-    producers.reserve(4);
-    for (int t = 0; t < 4; ++t) {
-        producers.emplace_back([&session, &w] {
-            for (int i = 0; i < 8; ++i) session.EnqueueFrame(w);
-        });
-    }
-    for (auto& t : producers) t.join();
-    const auto costs = session.WaitAll();
-    ASSERT_EQ(costs.size(), 32u);
-    const FrameCost reference = accel.RunWorkload(w);
-    for (const FrameCost& c : costs) {
-        EXPECT_EQ(c.latency_ms, reference.latency_ms);
-    }
 }
 
 }  // namespace

@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
-# Docs consistency check (run by the CI docs-check job).
+# Docs and module consistency check (run by the CI docs-check job and
+# by ctest as `docs_check`).
 #
 # Fails when:
 #  - docs/PAPER_MAP.md names a bench target (2nd table column) that
 #    CMake would not define — targets are globbed from bench/*.cpp and
 #    examples/*.cpp, so a target exists iff its source file does;
 #  - any backtick-quoted repo path (src/, tests/, bench/, examples/,
-#    tools/, docs/) referenced in docs/*.md does not exist;
+#    tools/, docs/) referenced in README.md or docs/*.md does not exist;
 #  - any docs/*.md file is not linked from README.md (orphan docs rot
-#    unseen — every guide must be reachable from the front page).
+#    unseen — every guide must be reachable from the front page);
+#  - any src/ header is an orphan module: nothing outside its own
+#    .h/.cpp pair includes it (see check 7).
 set -u
 cd "$(dirname "$0")/.."
 fail=0
@@ -38,9 +41,10 @@ while IFS= read -r target; do
 done < <(awk -F'|' '/^\|/ { print $3 }' docs/PAPER_MAP.md |
          grep -o '`[A-Za-z0-9_]*`' | tr -d '`' | sort -u)
 
-# 2. Backtick-quoted repo paths in every docs file. An extensionless
-#    bench/ or examples/ reference names a build target: it resolves
-#    if its .cpp source exists.
+# 2. Backtick-quoted repo paths in the README and every docs file. An
+#    extensionless
+#    bench/ or examples/ reference names a build target: it resolves if
+#    its .cpp source exists.
 while IFS= read -r path; do
     [ -z "${path}" ] && continue
     p="${path%/}"
@@ -50,7 +54,7 @@ while IFS= read -r path; do
     fi
 done < <(grep -hoE \
          '`(src|tests|bench|examples|tools|docs)/[A-Za-z0-9_./-]*`' \
-         docs/*.md | tr -d '`' | sort -u)
+         README.md docs/*.md | tr -d '`' | sort -u)
 
 # 3. Every docs file must be reachable from the README — not just the
 #    core two: a guide nobody can find from the front page is dead.
@@ -113,6 +117,31 @@ for test_src in tests/*.cpp; do
             fail=1
             ;;
     esac
+done
+
+# 7. Orphan modules: every src/ header needs an includer outside its
+#    own .h/.cpp pair, in src/, bench/, examples/ or perfbench/. A
+#    module only tests reach is dead weight unless it is paper structure
+#    the tests check the frame path against; those are listed here, each
+#    with the test that uses it.
+test_only_modules=(
+    noc/route_control     # tests/property_test.cpp: Fig. 11/14 controls
+    sparse/intersection   # tests/property_test.cpp: mapper vs Fig. 11
+    nerf/nerf_pipeline    # tests/nerf_test.cpp: §5.2.1 PEE render quality
+)
+for header in src/*/*.h; do
+    module="${header#src/}"
+    module="${module%.h}"
+    case " ${test_only_modules[*]} " in
+        *" ${module} "*) continue ;;
+    esac
+    if ! grep -rlF "#include \"${module}.h\"" src bench examples \
+             perfbench | grep -qvxE "src/${module}\.(h|cpp)"; then
+        echo "${header}: no src/, bench/, examples/ or perfbench/ file" \
+             "outside its own module includes it - delete the module," \
+             "or list it in tools/check_docs.sh's test_only_modules" >&2
+        fail=1
+    fi
 done
 
 if [ "${fail}" -ne 0 ]; then
