@@ -313,12 +313,20 @@ main(int argc, char** argv)
             ClusterConfig config = base;
             // Zoo requests carry no deadline, so the queue bound is the
             // only pressure valve: shallow enough that the hot home
-            // shard rejects under the burst.
-            config.admission.max_queue_depth = 12;
+            // shard rejects under the burst. The burst grows with the
+            // drill, so below 144 requests the bound shrinks with it.
+            config.admission.max_queue_depth =
+                std::clamp<std::size_t>(requests / 12, 1, 12);
             if (replicated) {
                 config.replication.top_k = 1;
                 config.replication.factor = 3;
-                config.replication.refresh_every = 50;
+                // Every 50 submissions, and at least three times per
+                // drill: the first refresh lands no later than a third
+                // of the way in, where the crowd's window opens, so the
+                // crowd routes under census-built replica sets rather
+                // than meeting its first refresh at the last request.
+                config.replication.refresh_every =
+                    std::clamp<std::uint64_t>(requests / 3, 1, 50);
             }
             ClusterControllerConfig controller_config;
             controller_config.cluster = config;

@@ -35,7 +35,7 @@ FlexNeRFerModel::EngineConfigFor(const WorkloadOp& op) const
 FramePlan
 FlexNeRFerModel::Plan(const NerfWorkload& workload) const
 {
-    FramePlanBuilder builder(workload.name);
+    FramePlanBuilder builder(workload.name, workload.ops.size());
     builder.SetEpilogue(config_.static_power_w);
 
     // Ops lower 1:1 in workload order, so the dependency edges each op

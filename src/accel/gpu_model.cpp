@@ -39,7 +39,7 @@ GpuModel::GemmEfficiency(std::int64_t k, std::int64_t n) const
 FramePlan
 GpuModel::Plan(const NerfWorkload& workload) const
 {
-    FramePlanBuilder builder(workload.name);
+    FramePlanBuilder builder(workload.name, workload.ops.size());
     // Fragments carry energy in joules; the reduction scales the sum to
     // mJ once, preserving the legacy sum-then-scale rounding exactly.
     builder.SetEpilogue(/*static_power_w=*/0.0, /*energy_scale=*/1e3);

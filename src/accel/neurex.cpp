@@ -28,7 +28,7 @@ NeuRexModel::EngineConfigFor(const WorkloadOp& op) const
 FramePlan
 NeuRexModel::Plan(const NerfWorkload& workload) const
 {
-    FramePlanBuilder builder(workload.name);
+    FramePlanBuilder builder(workload.name, workload.ops.size());
     builder.SetEpilogue(config_.static_power_w);
 
     // 1:1 lowering in workload order: dependency edges keep their

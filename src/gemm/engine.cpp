@@ -28,36 +28,6 @@ TreeDepth(int leaves)
 }  // namespace
 
 void
-AppendFingerprint(const GemmEngineConfig& config, std::string* out)
-{
-    FingerprintAppend(out, static_cast<std::uint8_t>(config.precision));
-    FingerprintAppend(out, config.array_dim);
-    FingerprintAppend(out, config.clock_ghz);
-    FingerprintAppend(out, config.support_sparsity);
-    FingerprintAppend(out, config.use_flex_codec);
-    FingerprintAppend(out, config.use_clb);
-    FingerprintAppend(out, config.detailed);
-    FingerprintAppend(out, config.compute_output);
-    FingerprintAppend(out, static_cast<std::uint8_t>(config.noc_style));
-    FingerprintAppend(out, config.fetch_bytes_per_cycle);
-    FingerprintAppend(out, config.codec_bytes_per_cycle);
-    FingerprintAppend(out, config.stream_a_from_dram);
-    FingerprintAppend(out, config.write_c_to_dram);
-    FingerprintAppend(out, config.dram_bandwidth_gb_s);
-    FingerprintAppend(out, config.dram_energy_pj_per_byte);
-    FingerprintAppend(out, config.sram_read_energy_pj_per_byte);
-    FingerprintAppend(out, config.codec_energy_pj_per_byte);
-    FingerprintAppend(out, config.noc.leaves);
-    FingerprintAppend(out, config.noc.feedback);
-    FingerprintAppend(out, config.noc.hop_energy_pj);
-    FingerprintAppend(out, config.noc.hop_energy_2x2_pj);
-    FingerprintAppend(out, config.noc.buffer_read_energy_pj);
-    FingerprintAppend(out, config.mesh.nodes);
-    FingerprintAppend(out, config.mesh.hop_energy_pj);
-    FingerprintAppend(out, config.mesh.buffer_read_energy_pj);
-}
-
-void
 AppendFingerprint(const GemmShape& shape, std::string* out)
 {
     FingerprintAppend(out, shape.m);

@@ -32,7 +32,10 @@ enum class NocStyle : std::uint8_t {
     kBenes,    //!< SIGMA-style Benes fabric (all deliveries cross all stages)
 };
 
-/** Configuration of one modelled GEMM/GEMV array. */
+/**
+ * Configuration of one modelled GEMM/GEMV array. Every field is cost
+ * relevant, so every field is part of GemmMemo's key (plan/gemm_memo.cpp).
+ */
 struct GemmEngineConfig {
     Precision precision = Precision::kInt16;
     int array_dim = 64;                //!< MAC units per side
@@ -131,14 +134,6 @@ struct GemmResult {
 
     double EnergyMj() const { return energy.TotalMj(); }
 };
-
-/**
- * Appends an injective fingerprint of every cost-relevant field of
- * @p config (including the nested NoC/mesh configs) to @p out. Two
- * configs share a fingerprint iff every field is bit-identical, which is
- * what lets GemmMemo/PlanCache treat key equality as config equality.
- */
-void AppendFingerprint(const GemmEngineConfig& config, std::string* out);
 
 /** Appends an injective fingerprint of @p shape to @p out. */
 void AppendFingerprint(const GemmShape& shape, std::string* out);

@@ -1,5 +1,8 @@
 #include "models/workload.h"
 
+#include <initializer_list>
+#include <utility>
+
 #include "common/fingerprint.h"
 #include "common/logging.h"
 
@@ -15,39 +18,41 @@ namespace {
  */
 std::size_t
 AppendMlp(NerfWorkload* w, const std::string& prefix, double samples,
-          std::int64_t input_dim, const std::vector<std::int64_t>& hidden,
+          std::int64_t input_dim, std::initializer_list<std::int64_t> hidden,
           std::int64_t output_dim, const WorkloadParams& params,
           std::vector<std::size_t> deps = {})
 {
     std::int64_t in = input_dim;
     const auto samples_i = static_cast<std::int64_t>(samples);
-    for (std::size_t layer = 0; layer < hidden.size(); ++layer) {
+    std::size_t layer = 0;
+    for (const std::int64_t width : hidden) {
         WorkloadOp op;
         op.kind = OpKind::kGemm;
         op.name = prefix + "_fc" + std::to_string(layer);
         op.deps = layer == 0
-                      ? deps
+                      ? std::move(deps)
                       : std::vector<std::size_t>{w->ops.size() - 1};
         // First layer reads freshly encoded activations (dense); hidden
         // layers see post-ReLU sparsity.
         const double density_a =
             layer == 0 ? 1.0 : params.activation_density;
-        op.gemm = {samples_i, in, hidden[layer], density_a, 1.0,
+        op.gemm = {samples_i, in, width, density_a, 1.0,
                    params.weight_prune_ratio};
         op.activations_on_chip = layer != 0;
-        w->ops.push_back(op);
-        in = hidden[layer];
+        w->ops.push_back(std::move(op));
+        in = width;
+        ++layer;
     }
     WorkloadOp head;
     head.kind = OpKind::kGemm;
     head.name = prefix + "_head";
-    head.deps = hidden.empty()
+    head.deps = hidden.size() == 0
                     ? std::move(deps)
                     : std::vector<std::size_t>{w->ops.size() - 1};
     head.gemm = {samples_i, in, output_dim, params.activation_density, 1.0,
                  params.weight_prune_ratio};
     head.activations_on_chip = true;
-    w->ops.push_back(head);
+    w->ops.push_back(std::move(head));
     return w->ops.size() - 1;
 }
 
@@ -60,7 +65,7 @@ AppendPosEnc(NerfWorkload* w, const std::string& name, double values,
     op.name = name;
     op.deps = std::move(deps);
     op.encoding_values = values;
-    w->ops.push_back(op);
+    w->ops.push_back(std::move(op));
     return w->ops.size() - 1;
 }
 
@@ -73,7 +78,7 @@ AppendHashEnc(NerfWorkload* w, const std::string& name, double queries,
     op.name = name;
     op.deps = std::move(deps);
     op.encoding_values = queries * levels;
-    w->ops.push_back(op);
+    w->ops.push_back(std::move(op));
     return w->ops.size() - 1;
 }
 
@@ -86,7 +91,7 @@ AppendOther(NerfWorkload* w, const std::string& name, double flops,
     op.name = name;
     op.deps = std::move(deps);
     op.other_flops = flops;
-    w->ops.push_back(op);
+    w->ops.push_back(std::move(op));
     return w->ops.size() - 1;
 }
 
@@ -203,6 +208,8 @@ BuildWorkload(const std::string& model_name, const WorkloadParams& params)
     NerfWorkload w;
     w.name = model_name;
     w.batch_size = params.batch_size;
+    // Sized once: the largest model (NeRF) has 14 ops.
+    w.ops.reserve(14);
 
     const double pixels =
         static_cast<double>(params.image_width) * params.image_height;
@@ -314,7 +321,7 @@ BuildWorkload(const std::string& model_name, const WorkloadParams& params)
             conv.gemm = {static_cast<std::int64_t>(feat_pixels * views),
                          9 * (layer == 0 ? 3 : 32), 32, 1.0, 1.0,
                          params.weight_prune_ratio};
-            w.ops.push_back(conv);
+            w.ops.push_back(std::move(conv));
         }
         const std::size_t cnn_out = w.ops.size() - 1;
         const double samples = w.samples_per_frame;

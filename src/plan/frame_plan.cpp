@@ -80,7 +80,7 @@ PlannedOp::Evaluate(GemmMemo* memo) const
     if (!uses_engine) return fixed;
     const GemmEngine engine(engine_config);
     const GemmResult r = memo != nullptr
-        ? memo->RunFromShape(engine, shape, memo_key)
+        ? memo->RunFromShape(engine, shape)
         : engine.RunFromShape(shape);
     switch (lowering) {
       case GemmLowering::kCodecAware:
@@ -184,7 +184,9 @@ FramePlan::EvaluateWavefront(ThreadPool& pool, GemmMemo* memo,
             bool enabled = false;
             {
                 std::lock_guard<std::mutex> lock(mutex);
-                for (const std::size_t succ : successors_[op]) {
+                for (std::size_t e = successor_begin_[op];
+                     e < successor_begin_[op + 1]; ++e) {
+                    const std::size_t succ = successors_[e];
                     if (--pending[succ] == 0) {
                         ready.push_back(succ);
                         enabled = true;
@@ -326,9 +328,11 @@ FramePlan::engine_op_count() const
     return count;
 }
 
-FramePlanBuilder::FramePlanBuilder(std::string workload_name)
+FramePlanBuilder::FramePlanBuilder(std::string workload_name,
+                                   std::size_t op_count)
 {
     plan_.workload_name_ = std::move(workload_name);
+    plan_.ops_.reserve(op_count);
 }
 
 void
@@ -344,7 +348,7 @@ FramePlanBuilder::AddEngineOp(const WorkloadOp& op,
                               const GemmShape& shape, GemmLowering lowering,
                               double useful_macs)
 {
-    PlannedOp planned;
+    PlannedOp& planned = plan_.ops_.emplace_back();
     planned.kind = op.kind;
     planned.name = op.name;
     planned.deps = op.deps;
@@ -353,58 +357,70 @@ FramePlanBuilder::AddEngineOp(const WorkloadOp& op,
     planned.shape = shape;
     planned.lowering = lowering;
     planned.useful_macs = useful_macs;
-    AppendFingerprint(config, &planned.memo_key);
-    AppendFingerprint(shape, &planned.memo_key);
-    plan_.ops_.push_back(std::move(planned));
 }
 
 void
 FramePlanBuilder::AddFixedOp(const WorkloadOp& op, const OpCost& fragment)
 {
-    PlannedOp planned;
+    PlannedOp& planned = plan_.ops_.emplace_back();
     planned.kind = op.kind;
     planned.name = op.name;
     planned.deps = op.deps;
     planned.fixed = fragment;
-    plan_.ops_.push_back(std::move(planned));
 }
 
 FramePlan
 FramePlanBuilder::Build()
 {
     const std::size_t n = plan_.ops_.size();
+    const std::vector<PlannedOp>& ops = plan_.ops_;
 
-    // Validate edges and build the successor (transposed) adjacency.
-    plan_.successors_.assign(n, {});
+    // Validate edges and count each op's out-degree.
+    std::vector<std::size_t>& begin = plan_.successor_begin_;
+    begin.assign(n + 1, 0);
     std::vector<std::size_t> pending(n, 0);
     for (std::size_t i = 0; i < n; ++i) {
-        for (const std::size_t dep : plan_.ops_[i].deps) {
+        for (const std::size_t dep : ops[i].deps) {
             if (dep >= n) {
                 Fatal("plan '" + plan_.workload_name_ + "': op '" +
-                      plan_.ops_[i].name + "' depends on op index " +
+                      ops[i].name + "' depends on op index " +
                       std::to_string(dep) + ", but the plan has only " +
                       std::to_string(n) + " ops");
             }
             if (dep == i) {
                 Fatal("plan '" + plan_.workload_name_ + "': op '" +
-                      plan_.ops_[i].name + "' depends on itself");
+                      ops[i].name + "' depends on itself");
             }
-            plan_.successors_[dep].push_back(i);
-            ++pending[i];
+            ++begin[dep];
+        }
+        pending[i] = ops[i].deps.size();
+    }
+    // Inclusive prefix sum: begin[d] is one past the end of d's run.
+    // Scattering each edge to --begin[dep], consumers in descending
+    // order, then leaves begin[d] at the start of d's run and every run
+    // ascending (the order the nested successor lists had).
+    for (std::size_t i = 1; i < n; ++i) begin[i] += begin[i - 1];
+    begin[n] = n > 0 ? begin[n - 1] : 0;
+    plan_.successors_.resize(begin[n]);
+    for (std::size_t i = n; i-- > 0;) {
+        for (const std::size_t dep : ops[i].deps) {
+            plan_.successors_[--begin[dep]] = i;
         }
     }
 
     // Kahn's algorithm with a deterministic tie-break: among ready ops,
     // the lowest index runs first. n is a few dozen at most, so the
     // O(n^2) ready scan beats a heap on both simplicity and constant.
+    // An emitted op's pending count becomes kEmitted so the scan skips
+    // it.
+    constexpr std::size_t kEmitted = static_cast<std::size_t>(-1);
     plan_.topo_order_.clear();
     plan_.topo_order_.reserve(n);
     plan_.layer_of_.assign(n, 0);
-    std::vector<char> emitted(n, 0);
     for (std::size_t step = 0; step < n; ++step) {
         std::size_t next = n;
         for (std::size_t i = 0; i < n; ++i) {
-            if (!emitted[i] && pending[i] == 0) {
+            if (pending[i] == 0) {
                 next = i;
                 break;
             }
@@ -414,16 +430,16 @@ FramePlanBuilder::Build()
                   "': dependency edges form a cycle (no executable "
                   "order exists)");
         }
-        emitted[next] = 1;
+        pending[next] = kEmitted;
         plan_.topo_order_.push_back(next);
         std::size_t layer = 0;
-        for (const std::size_t dep : plan_.ops_[next].deps) {
+        for (const std::size_t dep : ops[next].deps) {
             layer = std::max(layer, plan_.layer_of_[dep] + 1);
         }
         plan_.layer_of_[next] = layer;
         plan_.depth_ = std::max(plan_.depth_, layer + 1);
-        for (const std::size_t succ : plan_.successors_[next]) {
-            --pending[succ];
+        for (std::size_t e = begin[next]; e < begin[next + 1]; ++e) {
+            --pending[plan_.successors_[e]];
         }
     }
     return std::move(plan_);

@@ -90,9 +90,6 @@ struct PlannedOp {
     GemmLowering lowering = GemmLowering::kCodecAware;
     /** Useful (sparse) MACs weighting kDenseEngine utilization. */
     double useful_macs = 0.0;
-    /** Precomputed (engine config, shape) fingerprint: the GemmMemo key,
-     *  built once at compile time so replay lookups are cheap. */
-    std::string memo_key;
 
     /** The fragment of non-engine ops, resolved at compile time. */
     OpCost fixed;
@@ -172,11 +169,15 @@ class FramePlan
 
     std::string workload_name_;
     std::vector<PlannedOp> ops_;
-    /** Built by FramePlanBuilder::Build (see topo_order()/layer_of()).
-     *  successors_ is the transposed edge list the wavefront walks. */
+    /** Built by FramePlanBuilder::Build (see topo_order()/layer_of()). */
     std::vector<std::size_t> topo_order_;
     std::vector<std::size_t> layer_of_;
-    std::vector<std::vector<std::size_t>> successors_;
+    /** The transposed edge list the wavefront walks, as one flat CSR
+     *  array: op i's successors are the entries of successors_ in
+     *  [successor_begin_[i], successor_begin_[i + 1]), ascending (a
+     *  dependency listed twice appears twice). */
+    std::vector<std::size_t> successor_begin_;
+    std::vector<std::size_t> successors_;
     std::size_t depth_ = 0;
     /** Applied to the summed per-op energies before the static-power
      *  term: 1.0 for mJ fragments, 1e3 for the GPU's joule fragments
@@ -189,16 +190,18 @@ class FramePlan
 class FramePlanBuilder
 {
   public:
-    explicit FramePlanBuilder(std::string workload_name);
+    /** @p op_count, when known, sizes the op list once up front. */
+    explicit FramePlanBuilder(std::string workload_name,
+                              std::size_t op_count = 0);
 
     /** Sets the post-reduction epilogue terms (see FramePlan). */
     void SetEpilogue(double static_power_w, double energy_scale = 1.0);
 
     /**
-     * Adds an engine-backed GEMM op. The memo key is derived here from
-     * the resolved config and shape; @p useful_macs only matters for
-     * kDenseEngine utilization weighting. The workload op's dependency
-     * edges carry over into the plan.
+     * Adds an engine-backed GEMM op with its resolved config and shape;
+     * @p useful_macs only matters for kDenseEngine utilization
+     * weighting. The workload op's dependency edges carry over into the
+     * plan.
      */
     void AddEngineOp(const WorkloadOp& op, const GemmEngineConfig& config,
                      const GemmShape& shape, GemmLowering lowering,
@@ -211,7 +214,7 @@ class FramePlanBuilder
      * Finalizes the plan; the builder must not be reused afterwards.
      * Validates the dependency edges — every index in range, no cycles
      * (fatal otherwise) — and derives the deterministic topological
-     * order, the layer assignment, and the successor lists Execute's
+     * order, the layer assignment, and the flat successor array Execute's
      * wavefront walks.
      */
     FramePlan Build();

@@ -4,10 +4,14 @@
  *
  * RunFromShape is a pure function of (engine config, shape); the memo
  * exploits that to serve repeated frames — the serving hot path — from
- * a lookup instead of re-running the engine. Keys are injective
- * fingerprints (see common/fingerprint.h), so a hit is guaranteed to be
- * the exact same computation: memoized replay is bit-identical to a
- * fresh run by construction.
+ * a lookup instead of re-running the engine. The key is a fixed-size
+ * value built on the stack per lookup: every cost-relevant field of the
+ * config (nested NoC/mesh configs included) and of the shape packed
+ * into its own bits, doubles by bit pattern, no padding bytes. That
+ * keeps the common/fingerprint.h contract — two keys are equal iff every
+ * field is bit-identical (so -0.0 != +0.0) — so a hit is guaranteed to
+ * be the exact same computation: memoized replay is bit-identical to a
+ * fresh run by construction. Plans carry no per-op key.
  *
  * Thread-safety: all members may be called concurrently. A racing miss
  * may compute the same result twice; the first insert wins and both
@@ -16,9 +20,9 @@
 #ifndef FLEXNERFER_PLAN_GEMM_MEMO_H_
 #define FLEXNERFER_PLAN_GEMM_MEMO_H_
 
+#include <array>
 #include <cstdint>
 #include <mutex>
-#include <string>
 #include <unordered_map>
 
 #include "gemm/engine.h"
@@ -35,21 +39,35 @@ class GemmMemo
     GemmMemo& operator=(const GemmMemo&) = delete;
 
     /**
-     * Returns the memoized result for @p key, running
-     * engine.RunFromShape(shape) on a miss. @p key must be the
-     * fingerprint of (engine.config(), shape) — PlannedOps carry it
-     * precomputed.
+     * Returns the memoized result of (engine.config(), @p shape),
+     * running engine.RunFromShape(shape) on a miss.
      */
-    GemmResult RunFromShape(const GemmEngine& engine, const GemmShape& shape,
-                            const std::string& key);
+    GemmResult RunFromShape(const GemmEngine& engine,
+                            const GemmShape& shape);
 
     std::uint64_t hits() const;
     std::uint64_t misses() const;
     std::size_t size() const;
 
   private:
+    /** (engine config, shape) packed into 64-bit words (see file
+     *  comment); equality is word-wise. */
+    struct Key {
+        std::array<std::uint64_t, 20> words;
+
+        bool operator==(const Key& other) const {
+            return words == other.words;
+        }
+    };
+    struct KeyHash {
+        std::size_t operator()(const Key& key) const;
+    };
+
+    static Key MakeKey(const GemmEngineConfig& config,
+                       const GemmShape& shape);
+
     mutable std::mutex mutex_;
-    std::unordered_map<std::string, GemmResult> results_;
+    std::unordered_map<Key, GemmResult, KeyHash> results_;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
 };

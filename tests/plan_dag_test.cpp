@@ -237,6 +237,43 @@ TEST(PlanDag, CriticalPathOfDiamondTakesTheLongerBranch)
     ExpectBitIdentical(plan.Execute(&pool), serial, "diamond pooled");
 }
 
+TEST(PlanDag, DuplicateAndForwardEdgesWithTwoSourcesAreHandComputable)
+{
+    // The flat successor array against a hand-worked DAG: a dependency
+    // listed twice ("mid" on src_a), forward edges (op 0 waits on ops 2
+    // and 3, appended after it) and two sources (src_a, src_b).
+    //
+    //   0 sink   deps {3, 2}  1.0 ms
+    //   1 src_a  deps {}      2.0 ms
+    //   2 mid    deps {1, 1}  4.0 ms
+    //   3 src_b  deps {}      3.0 ms
+    //   4 tail   deps {0}     0.5 ms
+    //
+    // Kahn, lowest ready index first: 1 (retires both copies of the
+    // 1 -> 2 edge), 2, 3, 0, 4. finish: src_a 2, mid 6, src_b 3,
+    // sink max(3, 6) + 1 = 7, tail 7.5.
+    FramePlanBuilder builder("dup_forward", 5);
+    builder.AddFixedOp(FixedOp("sink", {3, 2}), FixedFragment(1.0));
+    builder.AddFixedOp(FixedOp("src_a", {}), FixedFragment(2.0));
+    builder.AddFixedOp(FixedOp("mid", {1, 1}), FixedFragment(4.0));
+    builder.AddFixedOp(FixedOp("src_b", {}), FixedFragment(3.0));
+    builder.AddFixedOp(FixedOp("tail", {0}), FixedFragment(0.5));
+    const FramePlan plan = builder.Build();
+
+    EXPECT_EQ(plan.topo_order(),
+              (std::vector<std::size_t>{1, 2, 3, 0, 4}));
+    EXPECT_EQ(plan.layer_of(), (std::vector<std::size_t>{2, 0, 1, 0, 3}));
+    EXPECT_EQ(plan.depth(), 4u);
+
+    const FrameCost serial = plan.Execute();
+    EXPECT_EQ(serial.critical_path_ms, 7.5);
+    EXPECT_EQ(serial.latency_ms, 1.0 + 2.0 + 4.0 + 3.0 + 0.5);
+    ThreadPool pool1(1);
+    ThreadPool pool8(8);
+    ExpectBitIdentical(plan.Execute(&pool1), serial, "1-thread");
+    ExpectBitIdentical(plan.Execute(&pool8), serial, "8-thread");
+}
+
 TEST(PlanDag, PipelinedVsFlatParityAllModelsAllFamilies)
 {
     // The pipelined-parity suite: for all 7 models x 3 accelerator

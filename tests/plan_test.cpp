@@ -12,6 +12,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "accel/flexnerfer.h"
@@ -63,13 +64,11 @@ TEST(FramePlan, ResolvesEveryOpAtCompileTime)
         if (op.kind == OpKind::kGemm) {
             EXPECT_TRUE(op.uses_engine);
             // Decisions are resolved, not deferred: the engine config
-            // carries the model's precision/dataflow, and the memo key
-            // is prebuilt.
+            // carries the model's precision/dataflow.
             EXPECT_EQ(op.engine_config.precision,
                       model.config().precision);
             EXPECT_EQ(op.engine_config.noc_style,
                       model.config().noc_style);
-            EXPECT_FALSE(op.memo_key.empty());
         } else {
             EXPECT_FALSE(op.uses_engine);
             EXPECT_EQ(op.fixed.cost.latency_ms, op.fixed.cost.gemm_ms +
@@ -102,18 +101,144 @@ TEST(GemmMemo, HitsReplayIdenticalResults)
     config.compute_output = false;
     const GemmEngine engine(config);
     const GemmShape shape{4096, 256, 256, 0.55, 1.0, 0.0};
-    std::string key;
-    AppendFingerprint(config, &key);
-    AppendFingerprint(shape, &key);
 
-    const GemmResult cold = memo.RunFromShape(engine, shape, key);
-    const GemmResult warm = memo.RunFromShape(engine, shape, key);
+    const GemmResult cold = memo.RunFromShape(engine, shape);
+    const GemmResult warm = memo.RunFromShape(engine, shape);
     EXPECT_EQ(memo.misses(), 1u);
     EXPECT_EQ(memo.hits(), 1u);
     EXPECT_EQ(cold.latency_ms, warm.latency_ms);
     EXPECT_EQ(cold.cycles, warm.cycles);
     EXPECT_EQ(cold.energy.TotalPj(), warm.energy.TotalPj());
     EXPECT_EQ(cold.useful_macs, warm.useful_macs);
+}
+
+TEST(GemmMemo, KeySeparatesEveryConfigAndShapeField)
+{
+    // The stack key must be injective: a pair differing in any single
+    // field of the engine config (nested NoC/mesh configs included) or
+    // of the shape runs twice, never replays the other's result. Doubles
+    // compare by bit pattern, so +0.0 and -0.0 are different keys.
+    GemmEngineConfig base_config;
+    base_config.compute_output = false;
+    const GemmShape base_shape{4096, 256, 256, 0.55, 1.0, 0.0};
+
+    using Flip = void (*)(GemmEngineConfig*, GemmShape*);
+    const std::vector<std::pair<std::string, Flip>> flips = {
+        {"precision",
+         [](GemmEngineConfig* c, GemmShape*) {
+             c->precision = Precision::kInt8;
+         }},
+        {"array_dim",
+         [](GemmEngineConfig* c, GemmShape*) { c->array_dim = 32; }},
+        {"clock_ghz",
+         [](GemmEngineConfig* c, GemmShape*) { c->clock_ghz = 1.0; }},
+        {"support_sparsity",
+         [](GemmEngineConfig* c, GemmShape*) {
+             c->support_sparsity = false;
+         }},
+        {"use_flex_codec",
+         [](GemmEngineConfig* c, GemmShape*) { c->use_flex_codec = false; }},
+        {"use_clb",
+         [](GemmEngineConfig* c, GemmShape*) { c->use_clb = false; }},
+        {"detailed",
+         [](GemmEngineConfig* c, GemmShape*) { c->detailed = true; }},
+        {"compute_output",
+         [](GemmEngineConfig* c, GemmShape*) { c->compute_output = true; }},
+        {"noc_style",
+         [](GemmEngineConfig* c, GemmShape*) {
+             c->noc_style = NocStyle::kBenes;
+         }},
+        {"fetch_bytes_per_cycle",
+         [](GemmEngineConfig* c, GemmShape*) {
+             c->fetch_bytes_per_cycle = 512.0;
+         }},
+        {"codec_bytes_per_cycle",
+         [](GemmEngineConfig* c, GemmShape*) {
+             c->codec_bytes_per_cycle = 512.0;
+         }},
+        {"stream_a_from_dram",
+         [](GemmEngineConfig* c, GemmShape*) {
+             c->stream_a_from_dram = false;
+         }},
+        {"write_c_to_dram",
+         [](GemmEngineConfig* c, GemmShape*) { c->write_c_to_dram = false; }},
+        {"dram_bandwidth_gb_s",
+         [](GemmEngineConfig* c, GemmShape*) {
+             c->dram_bandwidth_gb_s = 25.6;
+         }},
+        {"dram_energy_pj_per_byte",
+         [](GemmEngineConfig* c, GemmShape*) {
+             c->dram_energy_pj_per_byte = 20.0;
+         }},
+        {"sram_read_energy_pj_per_byte",
+         [](GemmEngineConfig* c, GemmShape*) {
+             c->sram_read_energy_pj_per_byte = 1.0;
+         }},
+        {"codec_energy_pj_per_byte",
+         [](GemmEngineConfig* c, GemmShape*) {
+             c->codec_energy_pj_per_byte = 0.2;
+         }},
+        {"noc.leaves",
+         [](GemmEngineConfig* c, GemmShape*) { c->noc.leaves = 32; }},
+        {"noc.feedback",
+         [](GemmEngineConfig* c, GemmShape*) { c->noc.feedback = false; }},
+        {"noc.hop_energy_pj",
+         [](GemmEngineConfig* c, GemmShape*) { c->noc.hop_energy_pj = 0.2; }},
+        {"noc.hop_energy_2x2_pj",
+         [](GemmEngineConfig* c, GemmShape*) {
+             c->noc.hop_energy_2x2_pj = 0.2;
+         }},
+        {"noc.buffer_read_energy_pj",
+         [](GemmEngineConfig* c, GemmShape*) {
+             c->noc.buffer_read_energy_pj = 4.0;
+         }},
+        {"mesh.nodes",
+         [](GemmEngineConfig* c, GemmShape*) { c->mesh.nodes = 32; }},
+        {"mesh.hop_energy_pj",
+         [](GemmEngineConfig* c, GemmShape*) {
+             c->mesh.hop_energy_pj = 0.1;
+         }},
+        {"mesh.buffer_read_energy_pj",
+         [](GemmEngineConfig* c, GemmShape*) {
+             c->mesh.buffer_read_energy_pj = 4.0;
+         }},
+        {"shape.m", [](GemmEngineConfig*, GemmShape* s) { s->m = 2048; }},
+        {"shape.k", [](GemmEngineConfig*, GemmShape* s) { s->k = 128; }},
+        {"shape.n", [](GemmEngineConfig*, GemmShape* s) { s->n = 128; }},
+        {"shape.density_a",
+         [](GemmEngineConfig*, GemmShape* s) { s->density_a = 0.5; }},
+        {"shape.density_b",
+         [](GemmEngineConfig*, GemmShape* s) { s->density_b = 0.5; }},
+        {"shape.structured_prune_b",
+         [](GemmEngineConfig*, GemmShape* s) {
+             s->structured_prune_b = 0.5;
+         }},
+        {"shape.structured_prune_b +0.0 -> -0.0",
+         [](GemmEngineConfig*, GemmShape* s) {
+             s->structured_prune_b = -0.0;
+         }},
+    };
+    for (const auto& [field, flip] : flips) {
+        GemmEngineConfig config = base_config;
+        GemmShape shape = base_shape;
+        flip(&config, &shape);
+        GemmMemo memo;
+        memo.RunFromShape(GemmEngine(base_config), base_shape);
+        memo.RunFromShape(GemmEngine(config), shape);
+        EXPECT_EQ(memo.misses(), 2u) << field;
+        EXPECT_EQ(memo.hits(), 0u) << field;
+        EXPECT_EQ(memo.size(), 2u) << field;
+    }
+
+    // An equal pair built independently (not the same objects) hits.
+    GemmMemo memo;
+    GemmEngineConfig equal_config;
+    equal_config.compute_output = false;
+    const GemmShape equal_shape{4096, 256, 256, 0.55, 1.0, 0.0};
+    memo.RunFromShape(GemmEngine(base_config), base_shape);
+    memo.RunFromShape(GemmEngine(equal_config), equal_shape);
+    EXPECT_EQ(memo.misses(), 1u);
+    EXPECT_EQ(memo.hits(), 1u);
 }
 
 TEST(PlanCache, WorkloadsDifferingInOneOpDensityNeverSharePlans)
