@@ -268,7 +268,7 @@ RunSingle()
     // tracing, to keep the default stdout stable.
     if (TraceRecorder::Global() != nullptr) {
         MetricsRegistry registry;
-        service.PublishMetrics(registry);
+        service.Snapshot().PublishTo(registry);
         std::printf("  metrics registry: %zu counters, %zu gauges "
                     "(WriteJson exports them)\n",
                     registry.counter_count(), registry.gauge_count());

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
 #include <string>
 
 #include "accel/flexnerfer.h"
@@ -58,27 +57,10 @@ MakeAccelerator(const SweepPoint& point)
 std::vector<SweepOutcome>
 SweepRunner::Run(const std::vector<SweepPoint>& points) const
 {
-    return Run(points, OnResult());
-}
-
-std::vector<SweepOutcome>
-SweepRunner::Run(const std::vector<SweepPoint>& points,
-                 const OnResult& on_result) const
-{
-    // One deterministic fan-out (Map) plus a mutex serializing the
-    // on_result invocations; the final vector needs no locking (every
-    // point writes its own pre-assigned slot).
-    std::mutex stream_mutex;
     return Map<SweepOutcome>(
         static_cast<std::int64_t>(points.size()),
-        [this, &points, &on_result, &stream_mutex](std::int64_t i) {
-            SweepOutcome outcome =
-                Evaluate(points[static_cast<std::size_t>(i)]);
-            if (on_result) {
-                std::lock_guard<std::mutex> lock(stream_mutex);
-                on_result(static_cast<std::size_t>(i), outcome);
-            }
-            return outcome;
+        [this, &points](std::int64_t i) {
+            return Evaluate(points[static_cast<std::size_t>(i)]);
         });
 }
 

@@ -95,27 +95,6 @@ class SweepRunner
     std::vector<SweepOutcome> Run(const std::vector<SweepPoint>& points) const;
 
     /**
-     * Streaming observer for long sweeps: called once per point as it
-     * completes, with the point's input index and its outcome.
-     * Completion order is unspecified (whatever the pool finishes
-     * first), but invocations are serialized — the callback needs no
-     * locking of its own — and each outcome is identical to the one the
-     * final table holds at that index.
-     */
-    using OnResult =
-        std::function<void(std::size_t index, const SweepOutcome& outcome)>;
-
-    /**
-     * Like Run, but streams every outcome through @p on_result as it
-     * completes instead of going silent until the whole grid is done.
-     * The returned vector is still input-ordered and bit-identical to
-     * Run's — streaming changes when results become visible, not what
-     * they are.
-     */
-    std::vector<SweepOutcome> Run(const std::vector<SweepPoint>& points,
-                                  const OnResult& on_result) const;
-
-    /**
      * Generic deterministic fan-out: computes fn(0..n-1) in parallel and
      * returns the results indexed by i. T must be default-constructible.
      */

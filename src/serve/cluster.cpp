@@ -11,14 +11,6 @@
 namespace flexnerfer {
 
 double
-ClusterStats::ShedRate() const
-{
-    if (submitted == 0) return 0.0;
-    return static_cast<double>(rejected_queue_full + shed_deadline) /
-           static_cast<double>(submitted);
-}
-
-double
 ClusterStats::SpillRate() const
 {
     if (submitted == 0) return 0.0;
@@ -29,17 +21,9 @@ void
 ClusterStats::PublishTo(MetricsRegistry& registry,
                         const std::string& prefix) const
 {
-    registry.SetCounter(prefix + ".submitted",
-                        static_cast<double>(submitted));
+    PublishShared(registry, prefix);
     registry.SetCounter(prefix + ".cluster_submitted",
                         static_cast<double>(cluster_submitted));
-    registry.SetCounter(prefix + ".accepted", static_cast<double>(accepted));
-    registry.SetCounter(prefix + ".rejected_queue_full",
-                        static_cast<double>(rejected_queue_full));
-    registry.SetCounter(prefix + ".shed_deadline",
-                        static_cast<double>(shed_deadline));
-    registry.SetCounter(prefix + ".completed",
-                        static_cast<double>(completed));
     registry.SetCounter(prefix + ".spilled", static_cast<double>(spilled));
     registry.SetCounter(prefix + ".spill_recompiles",
                         static_cast<double>(spill_recompiles));
@@ -55,68 +39,18 @@ ClusterStats::PublishTo(MetricsRegistry& registry,
                         static_cast<double>(replica_served));
     registry.SetCounter(prefix + ".replication_refreshes",
                         static_cast<double>(replication_refreshes));
-    registry.SetCounter(prefix + ".batches_dispatched",
-                        static_cast<double>(batches_dispatched));
-    registry.SetCounter(prefix + ".fused_batches",
-                        static_cast<double>(fused_batches));
-    registry.SetCounter(prefix + ".batched_requests",
-                        static_cast<double>(batched_requests));
+    // Gated like the shared session block (PublishShared).
     if (sessions_opened > 0) {
-        // Gated exactly like ServiceStats::PublishTo: a session-free
-        // cluster publishes byte-identically to the pre-session one.
-        registry.SetCounter(prefix + ".sessions_opened",
-                            static_cast<double>(sessions_opened));
-        registry.SetCounter(prefix + ".session_frames",
-                            static_cast<double>(session_frames));
-        registry.SetCounter(prefix + ".delta_frames",
-                            static_cast<double>(delta_frames));
-        registry.SetCounter(prefix + ".session_full_frames",
-                            static_cast<double>(session_full_frames));
-        registry.SetCounter(prefix + ".coherence_breaks",
-                            static_cast<double>(coherence_breaks));
         registry.SetCounter(prefix + ".session_rehomes",
                             static_cast<double>(session_rehomes));
-        registry.SetGauge(prefix + ".delta_hit_rate", delta_hit_rate);
-        registry.SetGauge(prefix + ".session_mean_reuse",
-                          session_mean_reuse);
-        registry.SetGauge(prefix + ".delta_savings_ms", delta_savings_ms);
     }
-
     registry.SetGauge(prefix + ".shards", static_cast<double>(shards));
     registry.SetGauge(prefix + ".live_shards",
                       static_cast<double>(live_shards));
     registry.SetGauge(prefix + ".replicated_scenes",
                       static_cast<double>(replicated_scenes));
-    registry.SetGauge(prefix + ".shed_rate", ShedRate());
     registry.SetGauge(prefix + ".spill_rate", SpillRate());
-    registry.SetGauge(prefix + ".makespan_ms", makespan_ms);
-    registry.SetGauge(prefix + ".sustained_qps", sustained_qps);
-    registry.SetGauge(prefix + ".utilization", utilization);
-    registry.SetGauge(prefix + ".batch_occupancy", batch_occupancy);
-    registry.SetGauge(prefix + ".max_batch_elements",
-                      static_cast<double>(max_batch_elements));
 
-    LatencySummary latency;
-    latency.p50_ms = p50_ms;
-    latency.p90_ms = p90_ms;
-    latency.p99_ms = p99_ms;
-    latency.mean_ms = mean_ms;
-    latency.max_ms = max_ms;
-    registry.SetLatency(prefix + ".latency", latency);
-
-    for (const TierStats& tier : tiers) {
-        const std::string base = prefix + ".tier." + tier.name;
-        registry.SetCounter(base + ".submitted",
-                            static_cast<double>(tier.submitted));
-        registry.SetCounter(base + ".accepted",
-                            static_cast<double>(tier.accepted));
-        registry.SetCounter(base + ".rejected_queue_full",
-                            static_cast<double>(tier.rejected_queue_full));
-        registry.SetCounter(base + ".shed_deadline",
-                            static_cast<double>(tier.shed_deadline));
-        registry.SetGauge(base + ".shed_rate", tier.ShedRate());
-        registry.SetLatency(base + ".latency", tier.latency);
-    }
     for (std::size_t i = 0; i < per_shard.size(); ++i) {
         const ShardTelemetry& shard = per_shard[i];
         const std::string base = prefix + ".shard" + std::to_string(i);
@@ -163,106 +97,7 @@ MakeReplicas(const ClusterConfig& config, std::size_t shards)
     return replicas;
 }
 
-/** Sums one epoch's per-tier counters into a lifetime accumulator
- *  (both indexed by the cluster-wide resolved tier list). */
-void
-AddTierCounters(std::vector<AdmissionController::TierCounters>& into,
-                const std::vector<AdmissionController::TierCounters>& from)
-{
-    for (std::size_t i = 0; i < into.size(); ++i) {
-        into[i].submitted += from[i].submitted;
-        into[i].accepted += from[i].accepted;
-        into[i].rejected_queue_full += from[i].rejected_queue_full;
-        into[i].shed_deadline += from[i].shed_deadline;
-        into[i].busy_ms += from[i].busy_ms;
-    }
-}
-
 }  // namespace
-
-void
-ShardedRenderService::EpochFold::Add(
-    const ServiceStats& stats, const AdmissionController::Counters& counters)
-{
-    submitted += stats.submitted;
-    accepted += stats.accepted;
-    rejected_queue_full += stats.rejected_queue_full;
-    shed_deadline += stats.shed_deadline;
-    completed += stats.completed;
-    batches_dispatched += stats.batches_dispatched;
-    fused_batches += stats.fused_batches;
-    batched_requests += stats.batched_requests;
-    // occupancy = accepted-per-batch, so occupancy x batches is the
-    // replica's accepted-in-batches count, exactly (the replica
-    // computed the ratio from these integers).
-    batched_accepted += static_cast<std::uint64_t>(
-        stats.batch_occupancy * static_cast<double>(stats.batches_dispatched) +
-        0.5);
-    max_batch_elements = std::max(max_batch_elements,
-                                  stats.max_batch_elements);
-    session_frames += stats.session_frames;
-    delta_frames += stats.delta_frames;
-    session_full_frames += stats.session_full_frames;
-    coherence_breaks += stats.coherence_breaks;
-    // mean x count reconstructs the replica's reuse sum exactly (it
-    // derived the mean from these integers and this sum).
-    session_reuse_sum +=
-        stats.session_mean_reuse *
-        static_cast<double>(stats.delta_frames + stats.session_full_frames);
-    delta_savings_ms += stats.delta_savings_ms;
-    busy_ms += counters.busy_ms;
-    if (stats.submitted > 0) {
-        if (!saw_arrival || counters.first_arrival_ms < first_arrival_ms) {
-            first_arrival_ms = counters.first_arrival_ms;
-        }
-        saw_arrival = true;
-    }
-    if (stats.accepted > 0) {
-        last_completion_ms =
-            std::max(last_completion_ms, counters.last_completion_ms);
-        saw_completion = true;
-    }
-}
-
-void
-ShardedRenderService::EpochFold::Merge(const EpochFold& other)
-{
-    submitted += other.submitted;
-    accepted += other.accepted;
-    rejected_queue_full += other.rejected_queue_full;
-    shed_deadline += other.shed_deadline;
-    completed += other.completed;
-    batches_dispatched += other.batches_dispatched;
-    fused_batches += other.fused_batches;
-    batched_requests += other.batched_requests;
-    batched_accepted += other.batched_accepted;
-    max_batch_elements =
-        std::max(max_batch_elements, other.max_batch_elements);
-    session_frames += other.session_frames;
-    delta_frames += other.delta_frames;
-    session_full_frames += other.session_full_frames;
-    coherence_breaks += other.coherence_breaks;
-    session_reuse_sum += other.session_reuse_sum;
-    delta_savings_ms += other.delta_savings_ms;
-    busy_ms += other.busy_ms;
-    if (other.saw_arrival) {
-        if (!saw_arrival || other.first_arrival_ms < first_arrival_ms) {
-            first_arrival_ms = other.first_arrival_ms;
-        }
-        saw_arrival = true;
-    }
-    last_completion_ms = std::max(last_completion_ms,
-                                  other.last_completion_ms);
-    saw_completion = saw_completion || other.saw_completion;
-}
-
-double
-ShardedRenderService::EpochFold::SpanMs() const
-{
-    return saw_arrival && saw_completion
-               ? last_completion_ms - first_arrival_ms
-               : 0.0;
-}
 
 ShardedRenderService::ShardedRenderService(const ClusterConfig& config)
     : config_(config), router_(config.shards),
@@ -278,8 +113,8 @@ ShardedRenderService::ShardedRenderService(const ClusterConfig& config)
     // Every replica resolves the same tier list; the lifetime per-tier
     // aggregates are indexed by it from day one.
     const std::size_t tiers = ResolvedTiers(config.admission).size();
+    retired_.ledger.tiers.resize(tiers);
     retired_.tier_latency.resize(tiers);
-    retired_.tier_counters.resize(tiers);
 }
 
 ShardedRenderService::~ShardedRenderService()
@@ -515,8 +350,7 @@ ShardedRenderService::Submit(const SceneRequest& request,
                  TraceArg::Int("chosen", static_cast<std::int64_t>(chosen)),
                  TraceArg::Int("accepted", (a_ok || b_ok) ? 1 : 0)});
         }
-    } else if (config_.enable_spill && LiveCountLocked() > 1 &&
-               config_.max_spill_candidates > 0) {
+    } else if (config_.enable_spill && LiveCountLocked() > 1) {
         const AdmissionController::Verdict at_home =
             shards_[home]->admission().Probe(
                 request.arrival_ms,
@@ -532,51 +366,44 @@ ShardedRenderService::Submit(const SceneRequest& request,
                  TraceArg::Num("wait_ms", at_home.wait_ms)});
         }
         if (at_home.outcome != Outcome::kAccepted) {
-            // Walk the rank past the live home, skipping dead shards,
-            // probing up to max_spill_candidates live ones.
-            std::size_t examined = 0;
-            const std::size_t candidates = std::min(
-                config_.max_spill_candidates, LiveCountLocked() - 1);
-            for (std::size_t pos = 0;
-                 pos < desc.rank.size() && examined < candidates; ++pos) {
-                const std::size_t candidate = desc.rank[pos];
-                if (candidate == home || !alive_[candidate]) continue;
-                ++examined;
-                const double candidate_surcharge =
-                    desc.pinned_on[candidate]
-                        ? 0.0
-                        : config_.spill_recompile_factor *
-                              desc.est_latency_ms;
-                const AdmissionController::Verdict verdict =
-                    shards_[candidate]->admission().Probe(
-                        request.arrival_ms,
-                        ProbePriceLocked(candidate, desc,
-                                         request.arrival_ms) +
-                            candidate_surcharge,
-                        request.deadline_ms, request.tier);
-                if (recorder != nullptr) {
-                    recorder->RecordInstant(
-                        route_ctx, "route",
-                        "probe:shard" + std::to_string(candidate),
-                        request.arrival_ms,
-                        {TraceArg::Int("accepted",
-                                       verdict.outcome ==
-                                               Outcome::kAccepted
-                                           ? 1
-                                           : 0),
-                         TraceArg::Num("surcharge_ms",
-                                       candidate_surcharge)});
-                }
-                if (verdict.outcome == Outcome::kAccepted) {
-                    chosen = candidate;
-                    spilled = true;
-                    cold_spill = !desc.pinned_on[candidate];
-                    surcharge_ms = candidate_surcharge;
+            // The spill candidate: the next live shard in the rank past
+            // the live home (the rank's first live shard).
+            std::size_t candidate = home;
+            for (const std::size_t shard : desc.rank) {
+                if (shard != home && alive_[shard]) {
+                    candidate = shard;
                     break;
                 }
             }
-            // No candidate would take it either: fall through to the
-            // home shard, which records the real shed/reject verdict.
+            const double candidate_surcharge =
+                desc.pinned_on[candidate]
+                    ? 0.0
+                    : config_.spill_recompile_factor * desc.est_latency_ms;
+            const AdmissionController::Verdict verdict =
+                shards_[candidate]->admission().Probe(
+                    request.arrival_ms,
+                    ProbePriceLocked(candidate, desc, request.arrival_ms) +
+                        candidate_surcharge,
+                    request.deadline_ms, request.tier);
+            if (recorder != nullptr) {
+                recorder->RecordInstant(
+                    route_ctx, "route",
+                    "probe:shard" + std::to_string(candidate),
+                    request.arrival_ms,
+                    {TraceArg::Int("accepted",
+                                   verdict.outcome == Outcome::kAccepted
+                                       ? 1
+                                       : 0),
+                     TraceArg::Num("surcharge_ms", candidate_surcharge)});
+            }
+            if (verdict.outcome == Outcome::kAccepted) {
+                chosen = candidate;
+                spilled = true;
+                cold_spill = !desc.pinned_on[candidate];
+                surcharge_ms = candidate_surcharge;
+            }
+            // Otherwise the home shard records the real shed/reject
+            // verdict.
         }
     }
 
@@ -854,31 +681,32 @@ ShardedRenderService::KillShardLocked(std::size_t shard, double now_ms)
         }
     }
 
-    // Fold the dead replica's telemetry into the lifetime aggregates.
-    // Its capacity contribution is its own span — it served alone for
-    // exactly that long (see ClusterStats::utilization).
-    EpochFold fold;
-    FoldReplicaLocked(shard, fold);
+    // Merge the dead replica's ledger into the lifetime ledger. Its
+    // capacity contribution is its own span — it served alone for
+    // exactly that long (see ClusterStats::utilization) — taken before
+    // the expunge below, phantom completions included.
+    ServeLedger ledger;
+    FoldReplicaLocked(shard, ledger);
+    retired_.capacity_ms += ledger.SpanMs();
 
     // A ticket that replays never finished here: the replica's ledger
     // recorded a *phantom* completion whose virtual instant lies beyond
     // the death. Expunge its acceptance, completion, and latency sample
     // so lifetime accepted/completed/histograms count real work exactly
     // once. `submitted` keeps both admissions — reconciled by the
-    // `replayed` term (see ClusterStats) — while busy_ms and the exact
-    // histogram min/max remain high-water marks.
-    fold.accepted -= phantoms.size();
-    fold.completed -= phantoms.size();
+    // `replayed` term (see ClusterStats) — while busy_ms, the latest
+    // completion, and the exact histogram min/max remain high-water
+    // marks.
+    ledger.accepted -= phantoms.size();
+    ledger.completed -= phantoms.size();
     for (const Phantom& phantom : phantoms) {
         retired_.latency.Expunge(phantom.latency_ms);
         if (phantom.tier < retired_.tier_latency.size()) {
             retired_.tier_latency[phantom.tier].Expunge(phantom.latency_ms);
-            --retired_.tier_counters[phantom.tier].accepted;
+            --ledger.tiers[phantom.tier].accepted;
         }
     }
-
-    retired_.totals.Merge(fold);
-    retired_.capacity_ms += fold.SpanMs();
+    retired_.ledger.Merge(ledger);
 
     shards_[shard].reset();
     alive_[shard] = 0;
@@ -1077,16 +905,13 @@ ShardedRenderService::ReplicasOf(const std::string& scene) const
 }
 
 void
-ShardedRenderService::FoldReplicaLocked(std::size_t i, EpochFold& fold)
+ShardedRenderService::FoldReplicaLocked(std::size_t i, ServeLedger& epoch)
 {
-    const AdmissionController::Counters counters =
-        shards_[i]->admission().counters();
-    fold.Add(shards_[i]->Snapshot(), counters);
+    epoch.Merge(shards_[i]->Ledger());
     retired_.spilled += aux_[i].spill_in;
     retired_.spill_recompiles += aux_[i].spill_recompiles;
     retired_.replica_served += aux_[i].replica_in;
     retired_.latency.Merge(shards_[i]->latency_histogram());
-    AddTierCounters(retired_.tier_counters, counters.tiers);
     for (std::size_t t = 0; t < retired_.tier_latency.size(); ++t) {
         retired_.tier_latency[t].Merge(shards_[i]->tier_latency_histogram(t));
     }
@@ -1109,20 +934,21 @@ ShardedRenderService::Resize(std::size_t new_shards)
             shards_[pending.shard]->Wait(pending.shard_ticket));
     }
 
-    // Fold the retiring live replicas' telemetry into the lifetime
-    // aggregates, so Snapshot keeps reporting cluster-lifetime totals
+    // Merge the retiring live replicas' ledgers into the lifetime
+    // ledger, so Snapshot keeps reporting cluster-lifetime totals
     // across rebalances.
     const std::size_t live_before = LiveCountLocked();
-    EpochFold fold;
+    ServeLedger epoch;
     for (std::size_t i = 0; i < shards_.size(); ++i) {
         if (!alive_[i]) continue;
-        FoldReplicaLocked(i, fold);
+        FoldReplicaLocked(i, epoch);
     }
-    retired_.totals.Merge(fold);
+    retired_.ledger.Merge(epoch);
     // The epoch's capacity: its own live shard count times its own
     // span. Accumulated per epoch so utilization stays a fraction of
     // the shard-time that actually existed, whatever Resize does later.
-    retired_.capacity_ms += static_cast<double>(live_before) * fold.SpanMs();
+    retired_.capacity_ms +=
+        static_cast<double>(live_before) * epoch.SpanMs();
 
     // Count the scenes whose live home moves — the HRW minimum (growing
     // relocates only scenes topping out on the added shards, shrinking
@@ -1177,20 +1003,28 @@ ShardedRenderService::Snapshot() const
     stats.spilled = retired_.spilled;
     stats.spill_recompiles = retired_.spill_recompiles;
     stats.replica_served = retired_.replica_served;
+    stats.sessions_opened = sessions_.size();
+    stats.session_rehomes = session_rehomes_;
+    for (const SceneDesc& desc : scenes_) {
+        if (desc.replicas.size() >= 2) ++stats.replicated_scenes;
+    }
 
-    LatencyHistogram merged;
-    merged.Merge(retired_.latency);
-
-    // The current epoch's aggregation; lifetime = retired_ + fold.
-    EpochFold fold;
+    // Lifetime = the retired ledger and histograms plus the current
+    // epoch's live replicas.
+    ServeLedger epoch;
+    LatencyHistogram latency;
+    latency.Merge(retired_.latency);
+    std::deque<LatencyHistogram> tier_latency(retired_.tier_latency.size());
+    for (std::size_t t = 0; t < tier_latency.size(); ++t) {
+        tier_latency[t].Merge(retired_.tier_latency[t]);
+    }
     stats.per_shard.reserve(shards_.size());
     for (std::size_t i = 0; i < shards_.size(); ++i) {
-        ShardTelemetry shard;
+        ShardTelemetry& shard = stats.per_shard.emplace_back();
         if (!alive_[i]) {
             // A killed slot reports a zeroed row (its lifetime totals
-            // live in the retired aggregates).
+            // live in the retired ledger).
             shard.alive = false;
-            stats.per_shard.push_back(std::move(shard));
             continue;
         }
         shard.service = shards_[i]->Snapshot();
@@ -1200,109 +1034,27 @@ ShardedRenderService::Snapshot() const
         shard.spill_recompiles = aux_[i].spill_recompiles;
         shard.replica_in = aux_[i].replica_in;
         shard.replayed_in = aux_[i].replayed_in;
-        fold.Add(shard.service, shards_[i]->admission().counters());
         stats.spilled += shard.spill_in;
         stats.spill_recompiles += shard.spill_recompiles;
         stats.replica_served += shard.replica_in;
-        merged.Merge(shards_[i]->latency_histogram());
-        stats.per_shard.push_back(std::move(shard));
-    }
-    EpochFold total = retired_.totals;  // lifetime = retired + epoch
-    total.Merge(fold);
-    stats.submitted = total.submitted;
-    stats.accepted = total.accepted;
-    stats.rejected_queue_full = total.rejected_queue_full;
-    stats.shed_deadline = total.shed_deadline;
-    stats.completed = total.completed;
-    stats.batches_dispatched = total.batches_dispatched;
-    stats.fused_batches = total.fused_batches;
-    stats.batched_requests = total.batched_requests;
-    stats.max_batch_elements = total.max_batch_elements;
-    if (stats.batches_dispatched > 0) {
-        stats.batch_occupancy =
-            static_cast<double>(total.batched_accepted) /
-            static_cast<double>(stats.batches_dispatched);
-    }
-    stats.sessions_opened = sessions_.size();
-    stats.session_rehomes = session_rehomes_;
-    stats.session_frames = total.session_frames;
-    stats.delta_frames = total.delta_frames;
-    stats.session_full_frames = total.session_full_frames;
-    stats.coherence_breaks = total.coherence_breaks;
-    stats.delta_savings_ms = total.delta_savings_ms;
-    const std::uint64_t accepted_session_frames =
-        stats.delta_frames + stats.session_full_frames;
-    if (accepted_session_frames > 0) {
-        stats.delta_hit_rate =
-            static_cast<double>(stats.delta_frames) /
-            static_cast<double>(accepted_session_frames);
-        stats.session_mean_reuse =
-            total.session_reuse_sum /
-            static_cast<double>(accepted_session_frames);
-    }
-
-    for (const SceneDesc& desc : scenes_) {
-        if (desc.replicas.size() >= 2) ++stats.replicated_scenes;
-    }
-
-    stats.p50_ms = merged.Quantile(0.50);
-    stats.p90_ms = merged.Quantile(0.90);
-    stats.p99_ms = merged.Quantile(0.99);
-    stats.mean_ms = merged.Mean();
-    stats.max_ms = merged.Max();
-    stats.latency_samples = merged.count();
-    stats.latency_sum_ms = merged.sum();
-
-    // Per-tier fleet rows: lifetime counters (retired epochs + every
-    // current replica) and losslessly merged per-tier histograms.
-    const std::vector<TierPolicy> tiers = ResolvedTiers(config_.admission);
-    std::vector<AdmissionController::TierCounters> tier_counters =
-        retired_.tier_counters;
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-        if (!alive_[i]) continue;
-        AddTierCounters(tier_counters,
-                        shards_[i]->admission().counters().tiers);
-    }
-    stats.tiers.resize(tiers.size());
-    for (std::size_t t = 0; t < tiers.size(); ++t) {
-        TierStats& tier = stats.tiers[t];
-        tier.name = tiers[t].name;
-        tier.weight = tiers[t].weight;
-        tier.shed_budget = tiers[t].shed_budget;
-        tier.default_deadline_ms = tiers[t].default_deadline_ms;
-        tier.submitted = tier_counters[t].submitted;
-        tier.accepted = tier_counters[t].accepted;
-        tier.rejected_queue_full = tier_counters[t].rejected_queue_full;
-        tier.shed_deadline = tier_counters[t].shed_deadline;
-        tier.busy_ms = tier_counters[t].busy_ms;
-        LatencyHistogram tier_merged;
-        tier_merged.Merge(retired_.tier_latency[t]);
-        for (std::size_t i = 0; i < shards_.size(); ++i) {
-            if (!alive_[i]) continue;
-            tier_merged.Merge(shards_[i]->tier_latency_histogram(t));
+        epoch.Merge(shards_[i]->Ledger());
+        latency.Merge(shards_[i]->latency_histogram());
+        for (std::size_t t = 0; t < tier_latency.size(); ++t) {
+            tier_latency[t].Merge(shards_[i]->tier_latency_histogram(t));
         }
-        tier.latency = tier_merged.Summary();
     }
-
-    // A retired epoch counts a completion only if it kept accepted
-    // work once KillShard expunged its phantoms.
-    if (total.saw_arrival &&
-        (retired_.totals.accepted > 0 || fold.saw_completion)) {
-        stats.makespan_ms = total.last_completion_ms - total.first_arrival_ms;
-    }
-    if (stats.makespan_ms > 0.0) {
-        stats.sustained_qps = 1e3 * static_cast<double>(stats.accepted) /
-                              stats.makespan_ms;
-    }
+    ServeLedger total = retired_.ledger;
+    total.Merge(epoch);
     // Utilization: busy time over the shard-time that actually existed
     // — each epoch weighted by its own live shard count and span, so
     // the ratio survives Resize unchanged in meaning.
-    const double capacity_ms =
-        retired_.capacity_ms +
-        static_cast<double>(stats.live_shards) * fold.SpanMs();
-    if (capacity_ms > 0.0) {
-        stats.utilization = total.busy_ms / capacity_ms;
-    }
+    stats.Derive(total, latency, ResolvedTiers(config_.admission),
+                 tier_latency,
+                 retired_.capacity_ms +
+                     static_cast<double>(stats.live_shards) *
+                         epoch.SpanMs());
+    stats.latency_samples = latency.count();
+    stats.latency_sum_ms = latency.sum();
     return stats;
 }
 

@@ -15,9 +15,9 @@
  *               between two replicas           less-loaded verdict wins
  *          ──> else probe home admission      would it accept?
  *          ──> yes: home shard Submit         prepared-pin replay
- *          ──> no: probe next-ranked shards   overload-aware spill,
- *               (recompile surcharge when      charged to the spill
- *                the scene is cold there)      shard's virtual clock
+ *          ──> no: probe the next live shard  overload-aware spill,
+ *               in the rank (recompile         charged to the spill
+ *               surcharge when cold there)     shard's virtual clock
  *          ──> all would shed: home Submit    records the real verdict
  *          ──> the shard's SubmitReceipt       its verdict is the replay
  *                                              bookkeeping; no re-probe
@@ -40,13 +40,14 @@
  * ever reaching a shard.
  *
  * Shard death (KillShard, usually pumped from a fault schedule by
- * ClusterController): the dead replica's telemetry folds into the
- * lifetime aggregates, its scenes re-home to the next live shard in
- * their HRW rank (the provable minimum moves), and its in-flight
- * accepted-but-unfinished tickets replay on the new home at the death
- * instant, paying the spill recompile surcharge when the new home
- * lacks the pin and keeping only the *remaining* deadline budget.
- * Every submitted ticket still resolves exactly once.
+ * ClusterController): the dead replica's ServeLedger merges into the
+ * lifetime ledger with the completions of its replayed tickets
+ * expunged (they count once, on their new home), its scenes re-home to
+ * the next live shard in their HRW rank (the provable minimum moves),
+ * and its in-flight accepted-but-unfinished tickets replay on the new
+ * home at the death instant, paying the spill recompile surcharge when
+ * the new home lacks the pin and keeping only the *remaining* deadline
+ * budget. Every submitted ticket still resolves exactly once.
  *
  * Hot-scene replication (ClusterConfig::replication): the top-k scenes
  * of the popularity census are homed on `factor` live shards (rank
@@ -84,8 +85,8 @@
  *
  * Rebalancing: Resize(new_shards) drains every in-flight request
  * (outstanding tickets stay valid — their results are resolved and
- * retained), folds the old replicas' telemetry into the cluster-lifetime
- * aggregates, rebuilds the replica set (reviving killed slots), and
+ * retained), merges the old replicas' ledgers into the cluster-lifetime
+ * ledger, rebuilds the replica set (reviving killed slots), and
  * re-registers every scene on its new home. HRW moves the minimum:
  * growing relocates ~1/(N+1) of the scenes, shrinking only those homed
  * on removed shards. Replication, if configured, re-derives its
@@ -140,10 +141,9 @@ struct ClusterConfig {
     std::size_t plan_cache_capacity = 0;
     /** Per-replica admission policy (every replica gets a copy). */
     AdmissionPolicy admission;
-    /** Try next-ranked shards when the home would not accept. */
+    /** Try the next live shard in the scene's HRW rank when the home
+     *  would not accept. */
     bool enable_spill = true;
-    /** How many next-ranked shards a spill may probe (>= 1). */
-    std::size_t max_spill_candidates = 1;
     /**
      * Virtual recompile cost a spilled request pays on a shard that
      * does not hold the scene's pin yet, as a fraction of the scene's
@@ -218,26 +218,39 @@ struct ShardTelemetry {
     std::uint64_t replayed_in = 0;  //!< replays landed here (epoch)
 };
 
-/** Cluster-level aggregate telemetry (deterministic once drained).
- *  Counters and percentiles span the cluster lifetime, including
- *  replicas retired by Resize or KillShard; per_shard covers the
- *  current epoch. */
-struct ClusterStats {
+/**
+ * Cluster-level aggregate telemetry (deterministic once drained). The
+ * shared fields (ServingStats) are derived from the fleet ledger: every
+ * retired replica's ServeLedger merged with every live one's, so they
+ * span the cluster lifetime, including replicas retired by Resize or
+ * KillShard; per_shard covers the current epoch. Fleet ratios are the
+ * exact Σ/Σ of the merged sums, and the merged latency histograms keep
+ * the single-replica ~2% bound (see common/stats.h). Cluster-specific
+ * meanings:
+ *
+ *  - submitted counts shard-level admissions. A replayed ticket admits
+ *    twice and a transport failure never admits, so across faults the
+ *    shard view reconciles with the router view as submitted ==
+ *    cluster_submitted - transport_failures + replayed
+ *    (tests/chaos_test.cpp holds this identity under every fault
+ *    schedule). Fault-free, the two are equal.
+ *  - sessions_opened counts cluster OpenSession calls, not the
+ *    replicas' re-home reopens.
+ *  - makespan_ms runs from the earliest arrival any replica saw to the
+ *    latest accepted completion on any replica, across resizes.
+ *  - utilization is total busy time over the shard-time that existed:
+ *    each epoch between resizes contributes its shard count x its own
+ *    arrival-to-completion span, so the ratio stays meaningful when
+ *    Resize changes the replica count mid-lifetime. A killed shard
+ *    contributes its own span up to its death, an approximation
+ *    (overlap with the epoch span double-counts slightly) that errs
+ *    toward *under*-reporting utilization after a kill.
+ */
+struct ClusterStats : ServingStats {
     std::size_t shards = 0;       //!< slots (incl. dead) this epoch
     std::size_t live_shards = 0;  //!< slots still serving
-    /** Shard-level admissions (lifetime). A replayed ticket admits
-     *  twice and a transport failure never admits, so across faults
-     *  the shard view reconciles with the router view as
-     *  submitted == cluster_submitted - transport_failures + replayed
-     *  (tests/chaos_test.cpp holds this identity under every fault
-     *  schedule). Fault-free, the two are equal. */
-    std::uint64_t submitted = 0;
     /** Router-level Submit() calls (lifetime). */
     std::uint64_t cluster_submitted = 0;
-    std::uint64_t accepted = 0;
-    std::uint64_t rejected_queue_full = 0;
-    std::uint64_t shed_deadline = 0;
-    std::uint64_t completed = 0;
     std::uint64_t spilled = 0;           //!< accepted away from home
     std::uint64_t spill_recompiles = 0;  //!< spills that compiled
     /** Requests that never reached a shard (transport retry budget
@@ -255,39 +268,10 @@ struct ClusterStats {
     std::size_t replicated_scenes = 0;
     /** Times the replica sets were (re-)derived from the census. */
     std::uint64_t replication_refreshes = 0;
-
-    /** Trajectory-session totals, summed across every replica and
-     *  every retired epoch (all zero until OpenSession is used; see
-     *  render_service.h ServiceStats for the per-replica semantics). */
-    std::uint64_t sessions_opened = 0;  //!< cluster OpenSession calls
-    std::uint64_t session_frames = 0;   //!< frames submitted in sessions
-    std::uint64_t delta_frames = 0;     //!< accepted on the delta path
-    std::uint64_t session_full_frames = 0;  //!< accepted full recomputes
-    std::uint64_t coherence_breaks = 0;     //!< fast motion forced full
     /** Sessions moved to a new home by KillShard or Resize (each
      *  reopens fresh there: the next frame is a full recompute). */
     std::uint64_t session_rehomes = 0;
-    double delta_hit_rate = 0.0;     //!< delta / accepted session frames
-    double session_mean_reuse = 0.0; //!< mean reuse over accepted frames
-    double delta_savings_ms = 0.0;   //!< Σ (full - admitted) estimates
 
-    /** Batch-fusion totals summed across every replica and every
-     *  retired epoch (all zero while batch_window_ms is 0; see
-     *  render_service.h ServiceStats for the per-replica semantics). */
-    std::uint64_t batches_dispatched = 0;
-    std::uint64_t fused_batches = 0;
-    std::uint64_t batched_requests = 0;
-    std::size_t max_batch_elements = 0;  //!< largest anywhere
-    double batch_occupancy = 0.0;        //!< fleet mean requests/batch
-
-    /** Merged virtual-latency percentiles over every replica's
-     *  histogram (geometric buckets merge losslessly, so the ~2%
-     *  bound is unchanged; see common/stats.h). */
-    double p50_ms = 0.0;
-    double p90_ms = 0.0;
-    double p99_ms = 0.0;
-    double mean_ms = 0.0;
-    double max_ms = 0.0;
     /** Exact sample count and sum of the merged histogram — the
      *  reconciliation hooks: latency_samples == accepted always
      *  (admission records exactly one latency per accept, dead or
@@ -296,42 +280,15 @@ struct ClusterStats {
     std::uint64_t latency_samples = 0;
     double latency_sum_ms = 0.0;
 
-    /** One row per resolved SLO tier, merged across every replica and
-     *  every retired epoch: counters sum, histograms merge losslessly,
-     *  so a tier's fleet-wide shed rate and percentiles carry the same
-     *  guarantees as a single replica's (see render_service.h
-     *  TierStats). Every replica runs the same AdmissionPolicy, so the
-     *  tier list is identical cluster-wide. */
-    std::vector<TierStats> tiers;
-
-    /** Virtual span from the earliest arrival any replica saw to the
-     *  latest accepted completion on any replica (cluster lifetime,
-     *  across resizes). */
-    double makespan_ms = 0.0;
-    /** Accepted / makespan, in requests/s of model time. */
-    double sustained_qps = 0.0;
-    /** Fraction of the available shard-time spent serving: total busy
-     *  time / total capacity, where each epoch between resizes
-     *  contributes (its shard count x its own arrival-to-completion
-     *  span) of capacity — so the ratio stays meaningful when Resize
-     *  changes the replica count mid-lifetime. A killed shard
-     *  contributes its own span up to the fold, an approximation
-     *  (overlap with the epoch span double-counts slightly) that errs
-     *  toward *under*-reporting utilization after a kill. */
-    double utilization = 0.0;
-
     std::vector<ShardTelemetry> per_shard;
 
-    double ShedRate() const;   //!< (rejected + shed) / submitted
     double SpillRate() const;  //!< spilled / submitted
 
     /**
-     * Publishes this snapshot through the unified metrics surface
-     * (obs/metrics_registry.h) under @p prefix: cluster-lifetime
-     * counters, routing/spill/replication/fault totals, merged latency
-     * digests, per-tier slices, and per-shard routing counters.
-     * Virtual-time derived, so the published values share this
-     * snapshot's thread-count invariance.
+     * Publishes this snapshot under @p prefix: the shared keys
+     * (ServingStats::PublishShared) plus the routing/spill/replication/
+     * fault totals and the per-shard rows. Virtual-time derived, so the
+     * published values share this snapshot's thread-count invariance.
      */
     void PublishTo(MetricsRegistry& registry,
                    const std::string& prefix = "cluster") const;
@@ -400,8 +357,8 @@ class ShardedRenderService
 
     /**
      * Kills shard @p shard at virtual time @p now_ms (fatal if already
-     * dead, or if it is the last live shard): folds its telemetry into
-     * the lifetime aggregates, re-homes its scenes to the next live
+     * dead, or if it is the last live shard): merges its ledger into
+     * the lifetime ledger, re-homes its scenes to the next live
      * shard in their HRW rank, prunes it from every replica set, and
      * replays its accepted-but-unfinished tickets (virtual completion
      * after @p now_ms) on their new home — arrival @p now_ms, the
@@ -433,8 +390,8 @@ class ShardedRenderService
     /**
      * Drains the cluster and rebalances onto @p new_shards replicas:
      * outstanding tickets are resolved (and stay claimable via Wait),
-     * retiring replicas fold their telemetry into the lifetime
-     * aggregates, killed slots revive, and every scene re-registers
+     * retiring replicas merge their ledgers into the lifetime
+     * ledger, killed slots revive, and every scene re-registers
      * and re-warms on its new home. Returns the number of scenes whose
      * (live) home moved — the HRW minimum. Must not race other members
      * (see file header).
@@ -535,52 +492,11 @@ class ShardedRenderService
         std::uint64_t replayed_in = 0;
     };
 
-    /**
-     * One epoch's per-replica scalar aggregation — shared by Resize /
-     * KillShard (folding retiring replicas into the lifetime
-     * aggregates) and Snapshot (reporting the current epoch), so the
-     * subtle guards (an arrival counts once the replica saw a submit,
-     * a completion once it accepted) cannot drift between them.
-     */
-    struct EpochFold {
-        std::uint64_t submitted = 0;
-        std::uint64_t accepted = 0;
-        std::uint64_t rejected_queue_full = 0;
-        std::uint64_t shed_deadline = 0;
-        std::uint64_t completed = 0;
-        std::uint64_t batches_dispatched = 0;
-        std::uint64_t fused_batches = 0;
-        std::uint64_t batched_requests = 0;
-        std::uint64_t batched_accepted = 0;
-        std::size_t max_batch_elements = 0;
-        std::uint64_t session_frames = 0;
-        std::uint64_t delta_frames = 0;
-        std::uint64_t session_full_frames = 0;
-        std::uint64_t coherence_breaks = 0;
-        /** Σ reuse over accepted session frames, reconstructed from the
-         *  replica's mean (it computed the mean from this exact sum). */
-        double session_reuse_sum = 0.0;
-        double delta_savings_ms = 0.0;
-        double busy_ms = 0.0;
-        double first_arrival_ms = 0.0;
-        bool saw_arrival = false;
-        double last_completion_ms = 0.0;
-        bool saw_completion = false;
-
-        void Add(const ServiceStats& stats,
-                 const AdmissionController::Counters& counters);
-        /** Adds @p other's totals: the earliest arrival, the latest
-         *  completion, and the sums. */
-        void Merge(const EpochFold& other);
-        /** This epoch's arrival-to-completion span (0 until both
-         *  seen). */
-        double SpanMs() const;
-    };
-
     /** Telemetry of replicas retired by Resize or KillShard (cluster
      *  lifetime). */
     struct Retired {
-        EpochFold totals;  //!< every retired epoch's fold, merged
+        /** Every retired replica's ledger, phantoms expunged. */
+        ServeLedger ledger;
         std::uint64_t spilled = 0;
         std::uint64_t spill_recompiles = 0;
         std::uint64_t replica_served = 0;
@@ -589,11 +505,10 @@ class ShardedRenderService
          *  utilization denominator; see ClusterStats::utilization). */
         double capacity_ms = 0.0;
         LatencyHistogram latency;
-        /** Per-tier lifetime telemetry (same indexing as the resolved
-         *  tier list). A deque of histograms because they are neither
-         *  copyable nor movable (common/stats.h). */
+        /** Per-tier histograms (same indexing as the resolved tier
+         *  list). A deque because histograms are neither copyable nor
+         *  movable (common/stats.h). */
         std::deque<LatencyHistogram> tier_latency;
-        std::vector<AdmissionController::TierCounters> tier_counters;
     };
 
     /** The cluster id of @p scene; fatal if absent (mutex_ held). */
@@ -639,9 +554,9 @@ class ShardedRenderService
      *  every shard-local session handle. (mutex_ held.) */
     void RehomeSessionsLocked(const TraceContext& ctx, double now_ms,
                               bool force);
-    /** Folds replica @p i's histograms/tiers/aux into retired_ and its
-     *  scalars into @p fold; zeroes aux_[i]. (mutex_ held.) */
-    void FoldReplicaLocked(std::size_t i, EpochFold& fold);
+    /** Merges replica @p i's ledger into @p epoch and its histograms
+     *  and aux counters into retired_; zeroes aux_[i]. (mutex_ held.) */
+    void FoldReplicaLocked(std::size_t i, ServeLedger& epoch);
     /** KillShard minus the public lock. */
     std::size_t KillShardLocked(std::size_t shard, double now_ms);
     /** RefreshReplication minus the public lock. */

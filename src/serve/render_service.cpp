@@ -141,12 +141,192 @@ SessionStats::DeltaHitRate() const
            static_cast<double>(accepted);
 }
 
+void
+ServeLedger::Merge(const ServeLedger& other)
+{
+    if (other.submitted > 0 &&
+        (submitted == 0 || other.first_arrival_ms < first_arrival_ms)) {
+        first_arrival_ms = other.first_arrival_ms;
+    }
+    last_completion_ms = std::max(last_completion_ms,
+                                  other.last_completion_ms);
+    submitted += other.submitted;
+    accepted += other.accepted;
+    rejected_queue_full += other.rejected_queue_full;
+    shed_deadline += other.shed_deadline;
+    completed += other.completed;
+    batches_dispatched += other.batches_dispatched;
+    fused_batches += other.fused_batches;
+    batched_requests += other.batched_requests;
+    batched_accepted += other.batched_accepted;
+    max_batch_elements = std::max(max_batch_elements,
+                                  other.max_batch_elements);
+    session_frames += other.session_frames;
+    delta_frames += other.delta_frames;
+    session_full_frames += other.session_full_frames;
+    coherence_breaks += other.coherence_breaks;
+    session_reuse_sum += other.session_reuse_sum;
+    delta_savings_ms += other.delta_savings_ms;
+    busy_ms += other.busy_ms;
+    if (tiers.size() < other.tiers.size()) tiers.resize(other.tiers.size());
+    for (std::size_t t = 0; t < other.tiers.size(); ++t) {
+        tiers[t].submitted += other.tiers[t].submitted;
+        tiers[t].accepted += other.tiers[t].accepted;
+        tiers[t].rejected_queue_full += other.tiers[t].rejected_queue_full;
+        tiers[t].shed_deadline += other.tiers[t].shed_deadline;
+        tiers[t].busy_ms += other.tiers[t].busy_ms;
+    }
+}
+
 double
-ServiceStats::ShedRate() const
+ServeLedger::SpanMs() const
+{
+    // Rejected and shed arrivals set first_arrival_ms but never a
+    // completion, so the span exists only once something was accepted.
+    return accepted > 0 ? last_completion_ms - first_arrival_ms : 0.0;
+}
+
+double
+ServingStats::ShedRate() const
 {
     if (submitted == 0) return 0.0;
     return static_cast<double>(rejected_queue_full + shed_deadline) /
            static_cast<double>(submitted);
+}
+
+void
+ServingStats::Derive(const ServeLedger& ledger,
+                     const LatencyHistogram& latency,
+                     const std::vector<TierPolicy>& policies,
+                     const std::deque<LatencyHistogram>& tier_latency,
+                     double capacity_ms)
+{
+    submitted = ledger.submitted;
+    accepted = ledger.accepted;
+    rejected_queue_full = ledger.rejected_queue_full;
+    shed_deadline = ledger.shed_deadline;
+    completed = ledger.completed;
+
+    const LatencySummary digest = latency.Summary();
+    p50_ms = digest.p50_ms;
+    p90_ms = digest.p90_ms;
+    p99_ms = digest.p99_ms;
+    mean_ms = digest.mean_ms;
+    max_ms = digest.max_ms;
+
+    makespan_ms = ledger.SpanMs();
+    if (makespan_ms > 0.0) {
+        sustained_qps = 1e3 * static_cast<double>(accepted) / makespan_ms;
+    }
+    if (capacity_ms > 0.0) utilization = ledger.busy_ms / capacity_ms;
+
+    batches_dispatched = ledger.batches_dispatched;
+    fused_batches = ledger.fused_batches;
+    batched_requests = ledger.batched_requests;
+    max_batch_elements = ledger.max_batch_elements;
+    if (batches_dispatched > 0) {
+        batch_occupancy = static_cast<double>(ledger.batched_accepted) /
+                          static_cast<double>(batches_dispatched);
+    }
+
+    session_frames = ledger.session_frames;
+    delta_frames = ledger.delta_frames;
+    session_full_frames = ledger.session_full_frames;
+    coherence_breaks = ledger.coherence_breaks;
+    delta_savings_ms = ledger.delta_savings_ms;
+    const std::uint64_t accepted_session_frames =
+        delta_frames + session_full_frames;
+    if (accepted_session_frames > 0) {
+        delta_hit_rate = static_cast<double>(delta_frames) /
+                         static_cast<double>(accepted_session_frames);
+        session_mean_reuse = ledger.session_reuse_sum /
+                             static_cast<double>(accepted_session_frames);
+    }
+
+    // One row per resolved tier: policy knobs echoed next to the
+    // counters and latency digest they govern.
+    tiers.resize(policies.size());
+    for (std::size_t t = 0; t < policies.size(); ++t) {
+        TierStats& tier = tiers[t];
+        tier.name = policies[t].name;
+        tier.weight = policies[t].weight;
+        tier.shed_budget = policies[t].shed_budget;
+        tier.default_deadline_ms = policies[t].default_deadline_ms;
+        const AdmissionController::TierCounters& counters = ledger.tiers[t];
+        tier.submitted = counters.submitted;
+        tier.accepted = counters.accepted;
+        tier.rejected_queue_full = counters.rejected_queue_full;
+        tier.shed_deadline = counters.shed_deadline;
+        tier.busy_ms = counters.busy_ms;
+        tier.latency = tier_latency[t].Summary();
+    }
+}
+
+void
+ServingStats::PublishShared(MetricsRegistry& registry,
+                            const std::string& prefix) const
+{
+    registry.SetCounter(prefix + ".submitted",
+                        static_cast<double>(submitted));
+    registry.SetCounter(prefix + ".accepted", static_cast<double>(accepted));
+    registry.SetCounter(prefix + ".rejected_queue_full",
+                        static_cast<double>(rejected_queue_full));
+    registry.SetCounter(prefix + ".shed_deadline",
+                        static_cast<double>(shed_deadline));
+    registry.SetCounter(prefix + ".completed",
+                        static_cast<double>(completed));
+    registry.SetCounter(prefix + ".batches_dispatched",
+                        static_cast<double>(batches_dispatched));
+    registry.SetCounter(prefix + ".fused_batches",
+                        static_cast<double>(fused_batches));
+    registry.SetCounter(prefix + ".batched_requests",
+                        static_cast<double>(batched_requests));
+    if (sessions_opened > 0) {
+        registry.SetCounter(prefix + ".sessions_opened",
+                            static_cast<double>(sessions_opened));
+        registry.SetCounter(prefix + ".session_frames",
+                            static_cast<double>(session_frames));
+        registry.SetCounter(prefix + ".delta_frames",
+                            static_cast<double>(delta_frames));
+        registry.SetCounter(prefix + ".session_full_frames",
+                            static_cast<double>(session_full_frames));
+        registry.SetCounter(prefix + ".coherence_breaks",
+                            static_cast<double>(coherence_breaks));
+        registry.SetGauge(prefix + ".delta_hit_rate", delta_hit_rate);
+        registry.SetGauge(prefix + ".session_mean_reuse",
+                          session_mean_reuse);
+        registry.SetGauge(prefix + ".delta_savings_ms", delta_savings_ms);
+    }
+
+    registry.SetGauge(prefix + ".shed_rate", ShedRate());
+    registry.SetGauge(prefix + ".makespan_ms", makespan_ms);
+    registry.SetGauge(prefix + ".sustained_qps", sustained_qps);
+    registry.SetGauge(prefix + ".utilization", utilization);
+    registry.SetGauge(prefix + ".batch_occupancy", batch_occupancy);
+    registry.SetGauge(prefix + ".max_batch_elements",
+                      static_cast<double>(max_batch_elements));
+
+    LatencySummary latency;
+    latency.p50_ms = p50_ms;
+    latency.p90_ms = p90_ms;
+    latency.p99_ms = p99_ms;
+    latency.mean_ms = mean_ms;
+    latency.max_ms = max_ms;
+    registry.SetLatency(prefix + ".latency", latency);
+
+    for (const TierStats& tier : tiers) {
+        const std::string base = prefix + ".tier." + tier.name;
+        registry.SetCounter(base + ".submitted",
+                            static_cast<double>(tier.submitted));
+        registry.SetCounter(base + ".accepted",
+                            static_cast<double>(tier.accepted));
+        registry.SetCounter(base + ".rejected_queue_full",
+                            static_cast<double>(tier.rejected_queue_full));
+        registry.SetCounter(base + ".shed_deadline",
+                            static_cast<double>(tier.shed_deadline));
+        registry.SetGauge(base + ".shed_rate", tier.ShedRate());
+        registry.SetLatency(base + ".latency", tier.latency);
+    }
 }
 
 RenderService::RenderService(const ServeConfig& config)
@@ -785,74 +965,50 @@ RenderService::WaitAll()
     return results;
 }
 
+ServeLedger
+RenderService::Ledger() const
+{
+    ServeLedger ledger;
+    AdmissionController::Counters admitted = admission_.counters();
+    ledger.submitted = submitted_.load();
+    ledger.accepted = admitted.accepted;
+    ledger.rejected_queue_full = admitted.rejected_queue_full;
+    ledger.shed_deadline = admitted.shed_deadline;
+    ledger.completed = completed_.load();
+    ledger.busy_ms = admitted.busy_ms;
+    ledger.first_arrival_ms = admitted.first_arrival_ms;
+    ledger.last_completion_ms = admitted.last_completion_ms;
+    ledger.tiers = std::move(admitted.tiers);
+    {
+        std::lock_guard<std::mutex> lock(batch_mutex_);
+        ledger.batches_dispatched = batches_dispatched_;
+        ledger.fused_batches = fused_batches_;
+        ledger.batched_requests = batched_requests_;
+        ledger.batched_accepted = batched_accepted_total_;
+        ledger.max_batch_elements = max_batch_seen_;
+    }
+    std::lock_guard<std::mutex> lock(session_mutex_);
+    for (const Session& session : sessions_) {
+        ledger.session_frames += session.frames;
+        ledger.delta_frames += session.delta_frames;
+        ledger.session_full_frames += session.full_frames;
+        ledger.coherence_breaks += session.coherence_breaks;
+        ledger.session_reuse_sum += session.reuse_sum;
+        ledger.delta_savings_ms += session.delta_savings_ms;
+    }
+    return ledger;
+}
+
 ServiceStats
 RenderService::Snapshot() const
 {
     ServiceStats stats;
-    const AdmissionController::Counters admitted = admission_.counters();
-    stats.submitted = submitted_.load();
-    stats.accepted = admitted.accepted;
-    stats.rejected_queue_full = admitted.rejected_queue_full;
-    stats.shed_deadline = admitted.shed_deadline;
-    stats.completed = completed_.load();
-
-    const LatencySummary latency = latency_.Summary();
-    stats.p50_ms = latency.p50_ms;
-    stats.p90_ms = latency.p90_ms;
-    stats.p99_ms = latency.p99_ms;
-    stats.mean_ms = latency.mean_ms;
-    stats.max_ms = latency.max_ms;
-
-    // One row per resolved tier: policy knobs echoed next to the
-    // counters and latency digest they govern.
-    const std::vector<TierPolicy>& tiers = admission_.tiers();
-    stats.tiers.resize(tiers.size());
-    for (std::size_t i = 0; i < tiers.size(); ++i) {
-        TierStats& tier = stats.tiers[i];
-        tier.name = tiers[i].name;
-        tier.weight = tiers[i].weight;
-        tier.shed_budget = tiers[i].shed_budget;
-        tier.default_deadline_ms = tiers[i].default_deadline_ms;
-        const AdmissionController::TierCounters& counters =
-            admitted.tiers[i];
-        tier.submitted = counters.submitted;
-        tier.accepted = counters.accepted;
-        tier.rejected_queue_full = counters.rejected_queue_full;
-        tier.shed_deadline = counters.shed_deadline;
-        tier.busy_ms = counters.busy_ms;
-        tier.latency = tier_latency_[i].Summary();
-    }
-
-    // Meaningful only once something was accepted: rejected/shed
-    // arrivals set first_arrival_ms but never a completion.
-    stats.makespan_ms =
-        admitted.accepted > 0
-            ? admitted.last_completion_ms - admitted.first_arrival_ms
-            : 0.0;
-    if (stats.makespan_ms > 0.0) {
-        stats.sustained_qps = 1e3 * static_cast<double>(admitted.accepted) /
-                              stats.makespan_ms;
-        stats.utilization = admitted.busy_ms / stats.makespan_ms;
-    }
-
+    const ServeLedger ledger = Ledger();
+    stats.Derive(ledger, latency_, admission_.tiers(), tier_latency_,
+                 ledger.SpanMs());
     {
-        std::lock_guard<std::mutex> lock(batch_mutex_);
-        stats.batches_dispatched = batches_dispatched_;
-        stats.fused_batches = fused_batches_;
-        stats.batched_requests = batched_requests_;
-        stats.max_batch_elements = max_batch_seen_;
-        if (batches_dispatched_ > 0) {
-            stats.batch_occupancy =
-                static_cast<double>(batched_accepted_total_) /
-                static_cast<double>(batches_dispatched_);
-        }
-    }
-
-    {
-        std::lock_guard<std::mutex> session_lock(session_mutex_);
+        std::lock_guard<std::mutex> lock(session_mutex_);
         stats.sessions_opened = sessions_.size();
-        double reuse_sum = 0.0;
-        std::uint64_t accepted_session_frames = 0;
         stats.sessions.reserve(sessions_.size());
         for (std::size_t i = 0; i < sessions_.size(); ++i) {
             const Session& session = sessions_[i];
@@ -871,24 +1027,8 @@ RenderService::Snapshot() const
                     : 0.0;
             row.delta_savings_ms = session.delta_savings_ms;
             stats.sessions.push_back(std::move(row));
-
-            stats.session_frames += session.frames;
-            stats.delta_frames += session.delta_frames;
-            stats.session_full_frames += session.full_frames;
-            stats.coherence_breaks += session.coherence_breaks;
-            stats.delta_savings_ms += session.delta_savings_ms;
-            reuse_sum += session.reuse_sum;
-            accepted_session_frames += accepted;
-        }
-        if (accepted_session_frames > 0) {
-            stats.delta_hit_rate =
-                static_cast<double>(stats.delta_frames) /
-                static_cast<double>(accepted_session_frames);
-            stats.session_mean_reuse =
-                reuse_sum / static_cast<double>(accepted_session_frames);
         }
     }
-
     stats.cache = cache_.stats();
     stats.cache_entries = cache_.size();
     stats.scenes = registry_.Stats();
@@ -899,21 +1039,7 @@ void
 ServiceStats::PublishTo(MetricsRegistry& registry,
                         const std::string& prefix) const
 {
-    registry.SetCounter(prefix + ".submitted",
-                        static_cast<double>(submitted));
-    registry.SetCounter(prefix + ".accepted", static_cast<double>(accepted));
-    registry.SetCounter(prefix + ".rejected_queue_full",
-                        static_cast<double>(rejected_queue_full));
-    registry.SetCounter(prefix + ".shed_deadline",
-                        static_cast<double>(shed_deadline));
-    registry.SetCounter(prefix + ".completed",
-                        static_cast<double>(completed));
-    registry.SetCounter(prefix + ".batches_dispatched",
-                        static_cast<double>(batches_dispatched));
-    registry.SetCounter(prefix + ".fused_batches",
-                        static_cast<double>(fused_batches));
-    registry.SetCounter(prefix + ".batched_requests",
-                        static_cast<double>(batched_requests));
+    PublishShared(registry, prefix);
     registry.SetCounter(prefix + ".cache.plan_hits",
                         static_cast<double>(cache.plan_hits));
     registry.SetCounter(prefix + ".cache.plan_misses",
@@ -922,28 +1048,14 @@ ServiceStats::PublishTo(MetricsRegistry& registry,
                         static_cast<double>(cache.frame_hits));
     registry.SetCounter(prefix + ".cache.evictions",
                         static_cast<double>(cache.evictions));
-    // The trajectory surface publishes only once sessions exist, so a
-    // session-free deployment's metric dump is byte-identical to the
-    // pre-session service's.
+    registry.SetGauge(prefix + ".cache.entries",
+                      static_cast<double>(cache_entries));
+    // Gated like the shared session block (PublishShared).
     if (sessions_opened > 0) {
-        registry.SetCounter(prefix + ".sessions_opened",
-                            static_cast<double>(sessions_opened));
-        registry.SetCounter(prefix + ".session_frames",
-                            static_cast<double>(session_frames));
-        registry.SetCounter(prefix + ".delta_frames",
-                            static_cast<double>(delta_frames));
-        registry.SetCounter(prefix + ".session_full_frames",
-                            static_cast<double>(session_full_frames));
-        registry.SetCounter(prefix + ".coherence_breaks",
-                            static_cast<double>(coherence_breaks));
         registry.SetCounter(prefix + ".cache.delta_hits",
                             static_cast<double>(cache.delta_hits));
         registry.SetCounter(prefix + ".cache.delta_misses",
                             static_cast<double>(cache.delta_misses));
-        registry.SetGauge(prefix + ".delta_hit_rate", delta_hit_rate);
-        registry.SetGauge(prefix + ".session_mean_reuse",
-                          session_mean_reuse);
-        registry.SetGauge(prefix + ".delta_savings_ms", delta_savings_ms);
         for (const SessionStats& session : sessions) {
             const std::string base =
                 prefix + ".session." + std::to_string(session.id);
@@ -964,38 +1076,9 @@ ServiceStats::PublishTo(MetricsRegistry& registry,
                               session.delta_savings_ms);
         }
     }
-
-    registry.SetGauge(prefix + ".shed_rate", ShedRate());
-    registry.SetGauge(prefix + ".makespan_ms", makespan_ms);
-    registry.SetGauge(prefix + ".sustained_qps", sustained_qps);
-    registry.SetGauge(prefix + ".utilization", utilization);
-    registry.SetGauge(prefix + ".batch_occupancy", batch_occupancy);
-    registry.SetGauge(prefix + ".max_batch_elements",
-                      static_cast<double>(max_batch_elements));
-    registry.SetGauge(prefix + ".cache.entries",
-                      static_cast<double>(cache_entries));
-
-    LatencySummary latency;
-    latency.p50_ms = p50_ms;
-    latency.p90_ms = p90_ms;
-    latency.p99_ms = p99_ms;
-    latency.mean_ms = mean_ms;
-    latency.max_ms = max_ms;
-    registry.SetLatency(prefix + ".latency", latency);
-
     for (const TierStats& tier : tiers) {
-        const std::string base = prefix + ".tier." + tier.name;
-        registry.SetCounter(base + ".submitted",
-                            static_cast<double>(tier.submitted));
-        registry.SetCounter(base + ".accepted",
-                            static_cast<double>(tier.accepted));
-        registry.SetCounter(base + ".rejected_queue_full",
-                            static_cast<double>(tier.rejected_queue_full));
-        registry.SetCounter(base + ".shed_deadline",
-                            static_cast<double>(tier.shed_deadline));
-        registry.SetGauge(base + ".shed_rate", tier.ShedRate());
-        registry.SetGauge(base + ".busy_ms", tier.busy_ms);
-        registry.SetLatency(base + ".latency", tier.latency);
+        registry.SetGauge(prefix + ".tier." + tier.name + ".busy_ms",
+                          tier.busy_ms);
     }
     for (const SceneStats& scene : scenes) {
         const std::string base = prefix + ".scene." + scene.name;
@@ -1011,12 +1094,6 @@ ServiceStats::PublishTo(MetricsRegistry& registry,
                             static_cast<double>(scene.prepared_replays));
         registry.SetGauge(base + ".est_latency_ms", scene.est_latency_ms);
     }
-}
-
-void
-RenderService::PublishMetrics(MetricsRegistry& registry) const
-{
-    Snapshot().PublishTo(registry);
 }
 
 }  // namespace flexnerfer

@@ -221,8 +221,57 @@ struct TierStats {
     bool WithinShedBudget() const { return ShedRate() <= shed_budget; }
 };
 
-/** Aggregate telemetry snapshot (deterministic once requests drain). */
-struct ServiceStats {
+/**
+ * Raw serving telemetry: counts and sums only, never a ratio, so any
+ * number of ledgers merge exactly. A RenderService fills one from the
+ * counters it keeps (RenderService::Ledger); the cluster merges replica
+ * ledgers, live and retired, into its fleet ledger; ServingStats::Derive
+ * turns either into the reported figures.
+ */
+struct ServeLedger {
+    std::uint64_t submitted = 0;
+    std::uint64_t accepted = 0;
+    std::uint64_t rejected_queue_full = 0;
+    std::uint64_t shed_deadline = 0;
+    std::uint64_t completed = 0;
+
+    std::uint64_t batches_dispatched = 0;
+    std::uint64_t fused_batches = 0;
+    std::uint64_t batched_requests = 0;
+    /** Accepted requests over every dispatched batch, solos included
+     *  (the batch_occupancy numerator). */
+    std::uint64_t batched_accepted = 0;
+    std::size_t max_batch_elements = 0;
+
+    std::uint64_t session_frames = 0;
+    std::uint64_t delta_frames = 0;
+    std::uint64_t session_full_frames = 0;
+    std::uint64_t coherence_breaks = 0;
+    /** Σ reuse fraction over accepted session frames. */
+    double session_reuse_sum = 0.0;
+    double delta_savings_ms = 0.0;
+
+    double busy_ms = 0.0;  //!< accepted virtual service time
+    /** Earliest arrival (meaningful once submitted > 0). */
+    double first_arrival_ms = 0.0;
+    double last_completion_ms = 0.0;  //!< latest accepted completion
+    /** Per-tier admission counters, in tier-index order. */
+    std::vector<AdmissionController::TierCounters> tiers;
+
+    /** Adds @p other: counts and sums add, the largest batch and the
+     *  latest completion take the max, the earliest arrival the min. */
+    void Merge(const ServeLedger& other);
+    /** Arrival-to-completion span: 0 until something was accepted. */
+    double SpanMs() const;
+};
+
+/**
+ * The telemetry a replica (ServiceStats) and the cluster (ClusterStats)
+ * both report. Derive computes every field from raw sources and
+ * PublishShared writes them, so each shared figure and metric key has
+ * exactly one definition.
+ */
+struct ServingStats {
     std::uint64_t submitted = 0;
     std::uint64_t accepted = 0;
     std::uint64_t rejected_queue_full = 0;
@@ -242,12 +291,12 @@ struct ServiceStats {
     /** Sustained throughput: accepted / makespan, in requests/s of
      *  model time. */
     double sustained_qps = 0.0;
-    /** Fraction of the makespan the modeled device was serving. */
+    /** Fraction of the available device time spent serving. */
     double utilization = 0.0;
 
     /**
      * Batch-fusion telemetry (all zero while the batch window is off).
-     * Counters cover dispatched batches: Snapshot() taken mid-window
+     * Counters cover dispatched batches: a snapshot taken mid-window
      * excludes still-open batches, which Wait/WaitAll flush.
      */
     std::uint64_t batches_dispatched = 0;  //!< fused executions, incl. solos
@@ -276,25 +325,51 @@ struct ServiceStats {
     /** Total virtual ms the delta path saved vs full recomputes. */
     double delta_savings_ms = 0.0;
 
-    PlanCache::Stats cache;        //!< plan hits/misses/evictions
-    std::size_t cache_entries = 0;
-    std::vector<SceneStats> scenes;
-    /** One row per opened session, in open order. */
-    std::vector<SessionStats> sessions;
-    /** One row per resolved SLO tier (AdmissionController::tiers()),
-     *  in tier-index order. */
+    /** One row per resolved SLO tier, in tier-index order. */
     std::vector<TierStats> tiers;
 
     double ShedRate() const;  //!< (rejected + shed) / submitted
 
     /**
-     * Publishes this snapshot through the unified metrics surface
+     * Sets every field but sessions_opened: the counts from @p ledger,
+     * each ratio as the exact Σ/Σ of its sums, the latency digest from
+     * @p latency, one tier row per @p policies entry (counters from
+     * ledger.tiers, digest from @p tier_latency), makespan =
+     * ledger.SpanMs(), and utilization = busy_ms / @p capacity_ms (the
+     * device time that existed: the makespan for one replica).
+     */
+    void Derive(const ServeLedger& ledger, const LatencyHistogram& latency,
+                const std::vector<TierPolicy>& policies,
+                const std::deque<LatencyHistogram>& tier_latency,
+                double capacity_ms);
+
+    /**
+     * Publishes the fields above through the unified metrics surface
      * (obs/metrics_registry.h) under @p prefix: counters for the
-     * monotone totals (including per-tier and per-scene slices and the
-     * plan-cache counters), gauges for the levels, and the latency
-     * digests. Everything published is virtual-time derived, so the
-     * registry's ToJson obeys the same thread-count-invariance as this
-     * snapshot.
+     * monotone totals, gauges for the levels, the latency digests, and
+     * the per-tier rows. The session block publishes only once
+     * sessions exist, so a session-free deployment's metric dump
+     * carries no session keys.
+     */
+    void PublishShared(MetricsRegistry& registry,
+                       const std::string& prefix) const;
+};
+
+/** One replica's telemetry snapshot (deterministic once requests
+ *  drain). */
+struct ServiceStats : ServingStats {
+    PlanCache::Stats cache;        //!< plan hits/misses/evictions
+    std::size_t cache_entries = 0;
+    std::vector<SceneStats> scenes;
+    /** One row per opened session, in open order. */
+    std::vector<SessionStats> sessions;
+
+    /**
+     * Publishes this snapshot under @p prefix: the shared keys
+     * (ServingStats::PublishShared) plus the plan-cache counters, the
+     * per-tier busy time, and the per-scene and per-session slices.
+     * Everything published is virtual-time derived, so the registry's
+     * ToJson obeys the same thread-count-invariance as this snapshot.
      */
     void PublishTo(MetricsRegistry& registry,
                    const std::string& prefix = "serve") const;
@@ -438,9 +513,9 @@ class RenderService
 
     ServiceStats Snapshot() const;
 
-    /** Snapshot() published through the unified metrics surface:
-     *  shorthand for Snapshot().PublishTo(registry). */
-    void PublishMetrics(MetricsRegistry& registry) const;
+    /** The raw counts and sums behind Snapshot(): what a cluster merges
+     *  into its fleet ledger (see ServeLedger). */
+    ServeLedger Ledger() const;
 
     ThreadPool& pool() { return pool_; }
     PlanCache& cache() { return cache_; }

@@ -239,50 +239,6 @@ TEST(SweepRunner, AllModelsPointMatchesRunAllModels)
     EXPECT_GT(outcomes[0].Total().latency_ms, 0.0);
 }
 
-TEST(SweepRunner, StreamsEveryOutcomeOnceWhilePreservingFinalOrder)
-{
-    // The streaming overload reports each point exactly once as it
-    // completes (serialized, so no locking in the callback), and the
-    // final table it returns stays bit-identical to the barrier Run.
-    ThreadPool pool(4);
-    const SweepRunner runner(pool);
-    std::vector<SweepPoint> points;
-    for (int i = 0; i < 12; ++i) {
-        SweepPoint p;
-        p.model = "Instant-NGP";
-        p.label = "point-" + std::to_string(i);
-        points.push_back(p);
-    }
-
-    std::vector<int> seen(points.size(), 0);
-    std::vector<SweepOutcome> streamed(points.size());
-    const auto outcomes = runner.Run(
-        points, [&seen, &streamed](std::size_t index,
-                                   const SweepOutcome& outcome) {
-            ++seen[index];
-            streamed[index] = outcome;
-        });
-
-    ASSERT_EQ(outcomes.size(), points.size());
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        EXPECT_EQ(seen[i], 1);
-        EXPECT_EQ(streamed[i].point.label, outcomes[i].point.label);
-        ASSERT_EQ(streamed[i].per_model.size(),
-                  outcomes[i].per_model.size());
-        EXPECT_EQ(streamed[i].Total().latency_ms,
-                  outcomes[i].Total().latency_ms);
-        EXPECT_EQ(streamed[i].Total().energy_mj,
-                  outcomes[i].Total().energy_mj);
-    }
-    // Streaming never changes the table: same grid through the
-    // non-streaming overload is bit-identical.
-    const auto barrier = runner.Run(points);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        EXPECT_EQ(barrier[i].Total().latency_ms,
-                  outcomes[i].Total().latency_ms);
-    }
-}
-
 TEST(MakeAccelerator, HonorsBackendAndPrecision)
 {
     SweepPoint p;

@@ -21,6 +21,7 @@
 
 #include "common/rng.h"
 #include "common/stats.h"
+#include "models/trajectory.h"
 #include "models/workload.h"
 #include "runtime/sweep_runner.h"
 #include "serve/admission.h"
@@ -1003,6 +1004,153 @@ TEST(ShardedRenderService, TierTelemetryMergesAcrossShardsAndResize)
               before.tiers[2].submitted + 1);
     EXPECT_EQ(final_stats.tiers[2].accepted,
               before.tiers[2].accepted + 1);
+}
+
+TEST(ShardedRenderService, FleetLedgerIsExactAcrossKillAndResize)
+{
+    // Two shards with batching and one trajectory session. Killing the
+    // session's home and then resizing re-home it twice, so its frames
+    // spread over three replica ledgers: 11 frames on the killed shard
+    // (a full opener, then ten deltas at quantum 40), and two frames on
+    // each later home. Every reuse is a multiple of 1/64, so the sums
+    // below are exact in any order; the fleet ratios must equal their
+    // Σ/Σ bit for bit. Rebuilding a replica's reuse sum as mean x count
+    // fails here: 6.25 / 11 x 11 is 6.250000000000001, which moves the
+    // fleet mean off 0.5.
+    ClusterConfig config;
+    config.shards = 2;
+    config.threads_per_shard = 1;
+    config.enable_spill = false;
+    // Bursts share one arrival instant, so any positive window fuses
+    // each burst and none of the next.
+    config.batch_window_ms = 1e-3;
+    ShardedRenderService cluster(config);
+    cluster.RegisterScene("ngp", FlexScene("Instant-NGP"));
+    cluster.RegisterScene("bulk", FlexScene("KiloNeRF"));
+    const double est = EstimatedServiceMs(cluster.WarmScene("ngp"));
+    cluster.WarmScene("bulk");
+
+    const CoherenceModel model;
+    const SessionId session = cluster.OpenSession("ngp", model);
+    std::vector<SceneRequest> submitted;  //!< in ticket order
+    std::vector<Pose> poses;              //!< per ticket (session only)
+    std::vector<char> is_session;
+    const auto frame = [&](double x, double arrival_ms) {
+        SceneRequest request;
+        request.scene = "ngp";
+        request.arrival_ms = arrival_ms;
+        SubmitOptions options;
+        options.session = session;
+        options.pose.x = x;
+        cluster.Submit(request, options);
+        submitted.push_back(request);
+        poses.push_back(options.pose);
+        is_session.push_back(1);
+    };
+    const auto burst = [&](int count, double arrival_ms) {
+        for (int i = 0; i < count; ++i) {
+            SceneRequest request;
+            request.scene = "bulk";
+            request.arrival_ms = arrival_ms;
+            cluster.Submit(request);
+            submitted.push_back(request);
+            poses.emplace_back();
+            is_session.push_back(0);
+        }
+    };
+    std::vector<ClusterRenderResult> results;
+    /** Drains a phase; returns the instant after its last completion. */
+    const auto drain = [&] {
+        double done_ms = 0.0;
+        for (ClusterRenderResult& r : cluster.WaitAll()) {
+            const SceneRequest& request = submitted[results.size()];
+            done_ms = std::max(done_ms,
+                               request.arrival_ms + r.result.latency_ms);
+            results.push_back(std::move(r));
+        }
+        return done_ms + 1.0;
+    };
+
+    // The pan step 0.37 keeps 63% of the view: quantum floor(40.32).
+    const double step = 0.37;
+    ASSERT_EQ(model.ReuseQuantum(Pose{}, Pose{step}), 40u);
+    double x = 0.0;
+    for (int k = 0; k < 11; ++k) {
+        frame(x, est * k);
+        if (k == 2) burst(3, est * k);
+        if (k == 5) burst(1, est * k);
+        if (k == 8) burst(4, est * k);
+        x += step;
+    }
+    double now_ms = drain();
+    const std::size_t home = results.front().shard;
+    cluster.KillShard(home, now_ms);
+    for (int k = 0; k < 2; ++k, x += step) frame(x, now_ms + est * k);
+    burst(2, now_ms);
+    now_ms = drain();
+    cluster.Resize(2);
+    burst(3, now_ms);
+    for (int k = 0; k < 2; ++k, x += step) frame(x, now_ms + est * k);
+    drain();
+    ASSERT_EQ(results.size(), submitted.size());
+
+    // Σ and counts from the submitted poses and the batches that served
+    // them. Each re-home reopens the session: its next frame is a full
+    // recompute, so a phase starts without a predecessor.
+    std::uint64_t delta = 0, full = 0, batched = 0, batches = 0;
+    double reuse_sum = 0.0;
+    std::size_t batch_left = 0;
+    const std::set<std::size_t> phase_starts = {0, 15, 20};
+    bool has_last = false;
+    Pose last;
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        ASSERT_EQ(results[i].result.status, RequestStatus::kCompleted) << i;
+        if (phase_starts.count(i) != 0) has_last = false;
+        if (!is_session[i]) {
+            // A batch's members are consecutive bulk tickets: its
+            // first member counts the batch.
+            if (batch_left == 0) {
+                ++batches;
+                batch_left = results[i].result.batch_elements;
+            }
+            --batch_left;
+            ++batched;
+            continue;
+        }
+        const std::size_t quantum =
+            has_last ? model.ReuseQuantum(last, poses[i]) : 0;
+        if (has_last && !model.IsCoherenceBreak(quantum) && quantum > 0) {
+            ++delta;
+            reuse_sum += static_cast<double>(quantum) /
+                         static_cast<double>(model.reuse_quanta);
+        } else {
+            ++full;
+        }
+        has_last = true;
+        last = poses[i];
+    }
+    ASSERT_EQ(delta, 12u);
+    ASSERT_EQ(full, 3u);
+    ASSERT_EQ(reuse_sum, 7.5);
+
+    const ClusterStats stats = cluster.Snapshot();
+    EXPECT_EQ(stats.killed_shards, 1u);
+    EXPECT_EQ(stats.session_frames, delta + full);
+    EXPECT_EQ(stats.delta_frames, delta);
+    EXPECT_EQ(stats.session_full_frames, full);
+    EXPECT_EQ(stats.delta_hit_rate, static_cast<double>(delta) /
+                                        static_cast<double>(delta + full));
+    EXPECT_EQ(stats.session_mean_reuse,
+              reuse_sum / static_cast<double>(delta + full));
+    EXPECT_EQ(stats.session_mean_reuse, 0.5);
+    EXPECT_EQ(stats.batches_dispatched, batches);
+    EXPECT_EQ(stats.fused_batches, 4u);
+    EXPECT_EQ(stats.batch_occupancy, static_cast<double>(batched) /
+                                         static_cast<double>(batches));
+    // Cluster OpenSession calls, not the replicas' three opens (the
+    // original and one per re-home).
+    EXPECT_EQ(stats.sessions_opened, 1u);
+    EXPECT_EQ(stats.session_rehomes, 2u);
 }
 
 TEST(ShardedRenderService, SingleShardMatchesPlainRenderService)

@@ -462,7 +462,7 @@ TEST(MetricsRegistry, SnapshotPublishMatchesServiceStats)
 
     const ServiceStats stats = service.Snapshot();
     MetricsRegistry registry;
-    service.PublishMetrics(registry);
+    stats.PublishTo(registry);
 
     EXPECT_EQ(registry.Counter("serve.submitted"),
               static_cast<double>(stats.submitted));
