@@ -483,8 +483,7 @@ main(int argc, char** argv)
                 const double instant = std::max(death_after_ms, observed_ms);
                 const double backlog_until_ms = controller.cluster()
                                                     .shard(victim)
-                                                    .admission()
-                                                    .counters()
+                                                    .Ledger()
                                                     .last_completion_ms;
                 if (backlog_until_ms > instant) {
                     death.start_ms = instant;

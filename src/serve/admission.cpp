@@ -166,13 +166,13 @@ AdmissionController::RetiredPrefix(const Fluid& fluid,
 double
 AdmissionController::FluidDelay(const Fluid& fluid, std::size_t queue,
                                 double est_latency_ms,
-                                double target_work) const
+                                double target_work)
 {
     if (target_work <= 0.0) return 0.0;
     // Forward-simulate the fluid device with the candidate's work
     // appended to its queue, assuming no further arrivals (exact for a
     // lone queue — the FIFO case — optimistic otherwise; file header).
-    // The backlog scratch is reused under mutex_.
+    // The backlog scratch is reused across verdicts.
     std::vector<double>& backlog = delay_backlog_;
     backlog.resize(fluid.queues.size());
     for (std::size_t q = 0; q < backlog.size(); ++q) {
@@ -212,7 +212,7 @@ AdmissionController::Verdict
 AdmissionController::Evaluate(const Fluid& fluid, std::size_t total_depth,
                               std::size_t tier_depth, double arrival_ms,
                               double est_latency_ms, double deadline_ms,
-                              std::size_t tier) const
+                              std::size_t tier)
 {
     const std::size_t queue_index = QueueOf(tier);
     const FluidQueue& queue = fluid.queues[queue_index];
@@ -277,8 +277,6 @@ AdmissionController::Admit(double arrival_ms, double est_latency_ms,
     FLEX_CHECK_MSG(tier < tiers_.size(),
                    "tier " << tier << " out of range (policy resolves "
                            << tiers_.size() << " tiers)");
-    std::lock_guard<std::mutex> lock(mutex_);
-
     // Clamp the arrival monotone and advance the fluid device to it,
     // then retire the requests whose work fully drained. Draining runs
     // for every outcome — Probe drains a copy of the fluid state the
@@ -336,14 +334,13 @@ AdmissionController::Admit(double arrival_ms, double est_latency_ms,
 
 AdmissionController::Verdict
 AdmissionController::Probe(double arrival_ms, double est_latency_ms,
-                           double deadline_ms, std::size_t tier) const
+                           double deadline_ms, std::size_t tier)
 {
     FLEX_CHECK_MSG(est_latency_ms >= 0.0,
                    "negative latency estimate " << est_latency_ms);
     FLEX_CHECK_MSG(tier < tiers_.size(),
                    "tier " << tier << " out of range (policy resolves "
                            << tiers_.size() << " tiers)");
-    std::lock_guard<std::mutex> lock(mutex_);
     // The clamp and the drain happen exactly as Admit would apply them,
     // but on the scratch copy of the fluid state (assignment reuses its
     // storage), and the lanes are counted, not popped: nothing is
@@ -361,13 +358,6 @@ AdmissionController::Probe(double arrival_ms, double est_latency_ms,
     }
     return Evaluate(probe_fluid_, total_depth, tier_depth, clamped,
                     est_latency_ms, deadline_ms, tier);
-}
-
-AdmissionController::Counters
-AdmissionController::counters() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return counters_;
 }
 
 }  // namespace flexnerfer

@@ -40,11 +40,11 @@
  * at-admission estimate; the internal fluid backlog keeps draining
  * against the real arrival sequence.
  *
- * Thread-safety: Admit, Probe, and counter reads may be called
- * concurrently from any thread; verdicts are serialized internally in
- * call order (one mutex), and determinism then holds per the admission
- * order observed — which is why the serving benches submit from one
- * thread and the cluster router serializes its submissions.
+ * Thread-safety: externally synchronized — the controller holds no
+ * lock. RenderService calls it only under its service mutex (and
+ * exposes RenderService::Probe for routers), and standalone users call
+ * it from one thread. Determinism holds per the admission order the
+ * caller serializes.
  */
 #ifndef FLEXNERFER_SERVE_ADMISSION_H_
 #define FLEXNERFER_SERVE_ADMISSION_H_
@@ -53,8 +53,6 @@
 #include <deque>
 #include <string>
 #include <vector>
-
-#include <mutex>
 
 namespace flexnerfer {
 
@@ -218,9 +216,10 @@ class AdmissionController
      * right now, without committing anything: no counters move, the
      * virtual schedule is untouched, and the monotone arrival clamp is
      * applied but not recorded. The shard router probes a replica's
-     * admission model this way before deciding where a request lands
-     * (serve/cluster.h); as long as no Admit intervenes, a subsequent
-     * Admit with identical arguments returns an identical verdict.
+     * admission model this way (RenderService::Probe) before deciding
+     * where a request lands (serve/cluster.h); as long as no Admit
+     * intervenes, a subsequent Admit with identical arguments returns
+     * an identical verdict. Non-const only because it reuses scratch.
      *
      * A probe neither copies nor allocates: it drains a scratch copy of
      * the per-queue fluid state only (one small struct per queue), and
@@ -229,9 +228,9 @@ class AdmissionController
      * retires them with.
      */
     Verdict Probe(double arrival_ms, double est_latency_ms,
-                  double deadline_ms = 0.0, std::size_t tier = 0) const;
+                  double deadline_ms = 0.0, std::size_t tier = 0);
 
-    Counters counters() const;
+    const Counters& counters() const { return counters_; }
     const AdmissionPolicy& policy() const { return policy_; }
     /** The resolved tier list verdicts and counters index into. */
     const std::vector<TierPolicy>& tiers() const { return tiers_; }
@@ -289,7 +288,7 @@ class AdmissionController
      *  work has drained, with @p est_latency_ms of candidate work
      *  already appended to it ( @p fluid already drained to now). */
     double FluidDelay(const Fluid& fluid, std::size_t queue,
-                      double est_latency_ms, double target_work) const;
+                      double est_latency_ms, double target_work);
     /** Computes the verdict for @p fluid (drained to the clamped
      *  arrival) and the post-drain depths, without mutating anything —
      *  shared verbatim by Admit and Probe, which is what keeps them in
@@ -297,19 +296,18 @@ class AdmissionController
     Verdict Evaluate(const Fluid& fluid, std::size_t total_depth,
                      std::size_t tier_depth, double arrival_ms,
                      double est_latency_ms, double deadline_ms,
-                     std::size_t tier) const;
+                     std::size_t tier);
 
     const AdmissionPolicy policy_;
     const std::vector<TierPolicy> tiers_;   //!< resolved (never empty)
     const std::vector<double> queue_weights_;  //!< per scheduling queue
 
-    mutable std::mutex mutex_;
     Schedule schedule_;
     Counters counters_;
-    /** Scratch reused under mutex_ so no verdict allocates: Probe's
-     *  drained copy of schedule_.fluid, and FluidDelay's backlogs. */
-    mutable Fluid probe_fluid_;
-    mutable std::vector<double> delay_backlog_;
+    /** Scratch reused so no verdict allocates: Probe's drained copy of
+     *  schedule_.fluid, and FluidDelay's backlogs. */
+    Fluid probe_fluid_;
+    std::vector<double> delay_backlog_;
 };
 
 }  // namespace flexnerfer

@@ -21,28 +21,22 @@ void
 ClusterStats::PublishTo(MetricsRegistry& registry,
                         const std::string& prefix) const
 {
+    const auto count = [&](const std::string& key, std::uint64_t value) {
+        registry.SetCounter(key, static_cast<double>(value));
+    };
     PublishShared(registry, prefix);
-    registry.SetCounter(prefix + ".cluster_submitted",
-                        static_cast<double>(cluster_submitted));
-    registry.SetCounter(prefix + ".spilled", static_cast<double>(spilled));
-    registry.SetCounter(prefix + ".spill_recompiles",
-                        static_cast<double>(spill_recompiles));
-    registry.SetCounter(prefix + ".transport_failures",
-                        static_cast<double>(transport_failures));
-    registry.SetCounter(prefix + ".replayed",
-                        static_cast<double>(replayed));
-    registry.SetCounter(prefix + ".killed_shards",
-                        static_cast<double>(killed_shards));
-    registry.SetCounter(prefix + ".p2c_routed",
-                        static_cast<double>(p2c_routed));
-    registry.SetCounter(prefix + ".replica_served",
-                        static_cast<double>(replica_served));
-    registry.SetCounter(prefix + ".replication_refreshes",
-                        static_cast<double>(replication_refreshes));
+    count(prefix + ".cluster_submitted", cluster_submitted);
+    count(prefix + ".spilled", spilled);
+    count(prefix + ".spill_recompiles", spill_recompiles);
+    count(prefix + ".transport_failures", transport_failures);
+    count(prefix + ".replayed", replayed);
+    count(prefix + ".killed_shards", killed_shards);
+    count(prefix + ".p2c_routed", p2c_routed);
+    count(prefix + ".replica_served", replica_served);
+    count(prefix + ".replication_refreshes", replication_refreshes);
     // Gated like the shared session block (PublishShared).
     if (sessions_opened > 0) {
-        registry.SetCounter(prefix + ".session_rehomes",
-                            static_cast<double>(session_rehomes));
+        count(prefix + ".session_rehomes", session_rehomes);
     }
     registry.SetGauge(prefix + ".shards", static_cast<double>(shards));
     registry.SetGauge(prefix + ".live_shards",
@@ -55,18 +49,12 @@ ClusterStats::PublishTo(MetricsRegistry& registry,
         const ShardTelemetry& shard = per_shard[i];
         const std::string base = prefix + ".shard" + std::to_string(i);
         registry.SetGauge(base + ".alive", shard.alive ? 1.0 : 0.0);
-        registry.SetCounter(base + ".homed",
-                            static_cast<double>(shard.homed));
-        registry.SetCounter(base + ".spill_in",
-                            static_cast<double>(shard.spill_in));
-        registry.SetCounter(base + ".spill_out",
-                            static_cast<double>(shard.spill_out));
-        registry.SetCounter(base + ".spill_recompiles",
-                            static_cast<double>(shard.spill_recompiles));
-        registry.SetCounter(base + ".replica_in",
-                            static_cast<double>(shard.replica_in));
-        registry.SetCounter(base + ".replayed_in",
-                            static_cast<double>(shard.replayed_in));
+        count(base + ".homed", shard.homed);
+        count(base + ".spill_in", shard.spill_in);
+        count(base + ".spill_out", shard.spill_out);
+        count(base + ".spill_recompiles", shard.spill_recompiles);
+        count(base + ".replica_in", shard.replica_in);
+        count(base + ".replayed_in", shard.replayed_in);
         shard.service.PublishTo(registry, base);
     }
 }
@@ -322,12 +310,12 @@ ShardedRenderService::Submit(const SceneRequest& request,
         const std::size_t a = desc.replicas[cursor % n];
         const std::size_t b = desc.replicas[(cursor + 1) % n];
         const AdmissionController::Verdict va =
-            shards_[a]->admission().Probe(
+            shards_[a]->Probe(
                 request.arrival_ms,
                 ProbePriceLocked(a, desc, request.arrival_ms),
                 request.deadline_ms, request.tier);
         const AdmissionController::Verdict vb =
-            shards_[b]->admission().Probe(
+            shards_[b]->Probe(
                 request.arrival_ms,
                 ProbePriceLocked(b, desc, request.arrival_ms),
                 request.deadline_ms, request.tier);
@@ -352,7 +340,7 @@ ShardedRenderService::Submit(const SceneRequest& request,
         }
     } else if (config_.enable_spill && LiveCountLocked() > 1) {
         const AdmissionController::Verdict at_home =
-            shards_[home]->admission().Probe(
+            shards_[home]->Probe(
                 request.arrival_ms,
                 ProbePriceLocked(home, desc, request.arrival_ms),
                 request.deadline_ms, request.tier);
@@ -380,7 +368,7 @@ ShardedRenderService::Submit(const SceneRequest& request,
                     ? 0.0
                     : config_.spill_recompile_factor * desc.est_latency_ms;
             const AdmissionController::Verdict verdict =
-                shards_[candidate]->admission().Probe(
+                shards_[candidate]->Probe(
                     request.arrival_ms,
                     ProbePriceLocked(candidate, desc, request.arrival_ms) +
                         candidate_surcharge,
@@ -458,7 +446,6 @@ ShardedRenderService::RouteToShardLocked(
     pending.scene = scene;
     pending.tier = request.tier;
     pending.priority = request.priority;
-    pending.deadline_ms = request.deadline_ms;
     pending.arrival_ms = request.arrival_ms;
     pending.options = options;
     pending.shard = shard;
@@ -526,6 +513,11 @@ ShardedRenderService::RouteToShardLocked(
     // verdict the shard admitted with.
     const AdmissionController::Verdict& verdict = receipt.verdict;
     pending.shard_ticket = receipt.ticket;
+    pending.reuse = receipt.session_frame.reuse;
+    pending.savings_ms = receipt.session_frame.savings_ms;
+    pending.delta = receipt.session_frame.delta;
+    pending.coherence_break = receipt.session_frame.coherence_break;
+    pending.batch = receipt.batch;
     pending.accepted =
         verdict.outcome == AdmissionController::Outcome::kAccepted;
     pending.completion_ms = verdict.completion_ms;
@@ -659,11 +651,11 @@ ShardedRenderService::KillShardLocked(std::size_t shard, double now_ms)
     // they replay. Everything else (completed, shed, rejected, or
     // already resolved) keeps its original result.
     struct Phantom {
+        std::size_t index = 0;  //!< into pending_
         double latency_ms = 0.0;
-        std::size_t tier = 0;
+        std::size_t batch_elements = 1;
     };
     // The walk is in ticket order, so replays are too.
-    std::vector<std::size_t> to_replay;  //!< indices into pending_
     std::vector<Phantom> phantoms;
     for (std::size_t i = 0; i < pending_.size(); ++i) {
         Pending& pending = pending_[i];
@@ -673,8 +665,8 @@ ShardedRenderService::KillShardLocked(std::size_t shard, double now_ms)
         }
         RenderResult result = shards_[shard]->Wait(pending.shard_ticket);
         if (pending.accepted && pending.completion_ms > now_ms) {
-            to_replay.push_back(i);
-            phantoms.push_back(Phantom{result.latency_ms, result.tier});
+            phantoms.push_back(
+                Phantom{i, result.latency_ms, result.batch_elements});
         } else {
             pending.result =
                 std::make_unique<RenderResult>(std::move(result));
@@ -691,19 +683,37 @@ ShardedRenderService::KillShardLocked(std::size_t shard, double now_ms)
 
     // A ticket that replays never finished here: the replica's ledger
     // recorded a *phantom* completion whose virtual instant lies beyond
-    // the death. Expunge its acceptance, completion, and latency sample
-    // so lifetime accepted/completed/histograms count real work exactly
-    // once. `submitted` keeps both admissions — reconciled by the
-    // `replayed` term (see ClusterStats) — while busy_ms, the latest
-    // completion, and the exact histogram min/max remain high-water
-    // marks.
+    // the death. Expunge everything it booked — its acceptance,
+    // completion and latency sample, and its session frame (pricing
+    // path, reuse, savings) or batch membership — so lifetime counters,
+    // ratios and histograms count real work exactly once. `submitted`
+    // keeps both admissions — reconciled by the `replayed` term (see
+    // ClusterStats) — while busy_ms, the latest completion, the largest
+    // batch and the exact histogram min/max remain high-water marks.
     ledger.accepted -= phantoms.size();
     ledger.completed -= phantoms.size();
+    std::unordered_map<std::uint32_t, std::size_t> batch_phantoms;
     for (const Phantom& phantom : phantoms) {
+        const Pending& pending = pending_[phantom.index];
         retired_.latency.Expunge(phantom.latency_ms);
-        if (phantom.tier < retired_.tier_latency.size()) {
-            retired_.tier_latency[phantom.tier].Expunge(phantom.latency_ms);
-            --ledger.tiers[phantom.tier].accepted;
+        retired_.tier_latency[pending.tier].Expunge(phantom.latency_ms);
+        --ledger.tiers[pending.tier].accepted;
+        const std::size_t elements = phantom.batch_elements;
+        if (pending.options.session != 0) {
+            --ledger.session_frames;
+            --(pending.delta ? ledger.delta_frames
+                             : ledger.session_full_frames);
+            if (pending.coherence_break) --ledger.coherence_breaks;
+            ledger.session_reuse_sum -= pending.reuse;
+            ledger.delta_savings_ms -= pending.savings_ms;
+        } else if (pending.batch != 0) {
+            --ledger.batched_accepted;
+            if (elements >= 2) --ledger.batched_requests;
+            // A batch whose every member replays served nobody here.
+            if (++batch_phantoms[pending.batch] == elements) {
+                --ledger.batches_dispatched;
+                if (elements >= 2) --ledger.fused_batches;
+            }
         }
     }
     retired_.ledger.Merge(ledger);
@@ -744,24 +754,24 @@ ShardedRenderService::KillShardLocked(std::size_t shard, double now_ms)
     // (the re-homed session's shard for session frames), remaining
     // deadline budget, spill surcharge if the home is cold (a session
     // replay never pays it: re-homing just pinned the scene there).
-    for (const std::size_t index : to_replay) {
-        Pending& pending = pending_[index];
+    for (const Phantom& phantom : phantoms) {
+        Pending& pending = pending_[phantom.index];
         const SceneDesc& desc = scenes_[pending.scene];
         // Rebuild the request and options from the ticket's scalars.
         SceneRequest request;
         request.scene = desc.name;
         request.tier = pending.tier;
         request.priority = pending.priority;
-        request.deadline_ms = pending.deadline_ms;
         request.arrival_ms = now_ms;
         const SubmitOptions options = pending.options;
         const std::size_t target =
             options.session != 0 ? sessions_[options.session - 1].shard
                                  : LiveHomeLocked(desc);
         if (pending.deadline_abs_ms > 0.0) {
-            // An already-blown deadline replays with an epsilon budget:
-            // the new shard sheds it honestly instead of rejudging it
-            // under a fresh default.
+            // The budget left of the verdict's resolved deadline (none
+            // resolved resolves none again on any replica). A blown one
+            // replays with an epsilon budget: the new shard sheds it
+            // honestly instead of rejudging it under a fresh default.
             request.deadline_ms =
                 std::max(pending.deadline_abs_ms - now_ms, 1e-9);
         }
@@ -791,11 +801,11 @@ ShardedRenderService::KillShardLocked(std::size_t shard, double now_ms)
             drill_ctx, "drill", "shard_death", now_ms,
             {TraceArg::Int("shard", static_cast<std::int64_t>(shard)),
              TraceArg::Int("replayed",
-                           static_cast<std::int64_t>(to_replay.size())),
+                           static_cast<std::int64_t>(phantoms.size())),
              TraceArg::Int("live",
                            static_cast<std::int64_t>(LiveCountLocked()))});
     }
-    return to_replay.size();
+    return phantoms.size();
 }
 
 void

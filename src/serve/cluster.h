@@ -41,8 +41,8 @@
  *
  * Shard death (KillShard, usually pumped from a fault schedule by
  * ClusterController): the dead replica's ServeLedger merges into the
- * lifetime ledger with the completions of its replayed tickets
- * expunged (they count once, on their new home), its scenes re-home to
+ * lifetime ledger with everything its replayed tickets booked expunged
+ * (they count once, on their new home), its scenes re-home to
  * the next live shard in their HRW rank (the provable minimum moves),
  * and its in-flight accepted-but-unfinished tickets replay on the new
  * home at the death instant, paying the spill recompile surcharge when
@@ -95,10 +95,14 @@
  * Thread-safety: Submit/Wait/WaitAll/Snapshot/WarmScene may be called
  * concurrently (submissions serialize internally, in an unspecified
  * order — determinism then holds per admission order observed, which is
- * why bench/serving_cluster submits from one thread). Resize and
- * KillShard must not race other members: quiesce callers first.
- * Submitting directly to a replica obtained via shard() would break
- * the probe/Admit agreement — replicas are exposed for inspection only.
+ * why bench/serving_cluster submits from one thread). The router mutex
+ * is held across each routing decision — its probes (RenderService::
+ * Probe) and the shard Submit — and each replica call takes only that
+ * replica's one service lock, so the lock order is router -> service,
+ * never the reverse. Resize and KillShard must not race other members:
+ * quiesce callers first. Submitting directly to a replica obtained via
+ * shard() would break the probe/Admit agreement — replicas are exposed
+ * for inspection only.
  */
 #ifndef FLEXNERFER_SERVE_CLUSTER_H_
 #define FLEXNERFER_SERVE_CLUSTER_H_
@@ -463,15 +467,19 @@ class ShardedRenderService
          *  submit time, so a replay lands on the re-homed session. */
         SubmitOptions options;
         double arrival_ms = 0.0;
-        double deadline_ms = 0.0;
         /** From the shard's Submit verdict (deadline 0 = none). */
         double completion_ms = 0.0;
         double deadline_abs_ms = 0.0;
         double spill_surcharge_ms = 0.0;
         double rpc_delay_ms = 0.0;
-        std::size_t shard = 0;
-        std::size_t home_shard = 0;
-        std::size_t tier = 0;
+        /** The receipt's session frame and batch, so KillShard can take
+         *  back a phantom's share (flat, so the record stays 168 B). */
+        double reuse = 0.0;
+        double savings_ms = 0.0;
+        std::uint32_t batch = 0;
+        std::uint32_t shard = 0;
+        std::uint32_t home_shard = 0;
+        std::uint32_t tier = 0;
         SceneId scene = 0;  //!< cluster id
         int priority = 0;
         /** Returned by Wait/WaitAll; the slot only awaits popping. */
@@ -480,6 +488,8 @@ class ShardedRenderService
         bool accepted = false;
         bool replayed = false;
         bool transport_failed = false;
+        bool delta = false;
+        bool coherence_break = false;
     };
 
     /** Routing counters the replicas cannot see (per current epoch). */

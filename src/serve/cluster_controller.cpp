@@ -91,8 +91,7 @@ ClusterController::PullShardSnapshots(double now_ms)
             continue;
         }
         const ServiceStats stats = cluster_.shard(i).Snapshot();
-        const AdmissionController::Counters& counters =
-            cluster_.shard(i).admission().counters();
+        const ServeLedger ledger = cluster_.shard(i).Ledger();
 
         wire::WireSnapshot snapshot;
         snapshot.shard = i;
@@ -101,7 +100,7 @@ ClusterController::PullShardSnapshots(double now_ms)
         snapshot.rejected_queue_full = stats.rejected_queue_full;
         snapshot.shed_deadline = stats.shed_deadline;
         snapshot.completed = stats.completed;
-        snapshot.busy_ms = counters.busy_ms;
+        snapshot.busy_ms = ledger.busy_ms;
         snapshot.p50_latency_ms = stats.p50_ms;
         snapshot.p99_latency_ms = stats.p99_ms;
 

@@ -266,32 +266,23 @@ void
 ServingStats::PublishShared(MetricsRegistry& registry,
                             const std::string& prefix) const
 {
-    registry.SetCounter(prefix + ".submitted",
-                        static_cast<double>(submitted));
-    registry.SetCounter(prefix + ".accepted", static_cast<double>(accepted));
-    registry.SetCounter(prefix + ".rejected_queue_full",
-                        static_cast<double>(rejected_queue_full));
-    registry.SetCounter(prefix + ".shed_deadline",
-                        static_cast<double>(shed_deadline));
-    registry.SetCounter(prefix + ".completed",
-                        static_cast<double>(completed));
-    registry.SetCounter(prefix + ".batches_dispatched",
-                        static_cast<double>(batches_dispatched));
-    registry.SetCounter(prefix + ".fused_batches",
-                        static_cast<double>(fused_batches));
-    registry.SetCounter(prefix + ".batched_requests",
-                        static_cast<double>(batched_requests));
+    const auto count = [&](const std::string& key, std::uint64_t value) {
+        registry.SetCounter(key, static_cast<double>(value));
+    };
+    count(prefix + ".submitted", submitted);
+    count(prefix + ".accepted", accepted);
+    count(prefix + ".rejected_queue_full", rejected_queue_full);
+    count(prefix + ".shed_deadline", shed_deadline);
+    count(prefix + ".completed", completed);
+    count(prefix + ".batches_dispatched", batches_dispatched);
+    count(prefix + ".fused_batches", fused_batches);
+    count(prefix + ".batched_requests", batched_requests);
     if (sessions_opened > 0) {
-        registry.SetCounter(prefix + ".sessions_opened",
-                            static_cast<double>(sessions_opened));
-        registry.SetCounter(prefix + ".session_frames",
-                            static_cast<double>(session_frames));
-        registry.SetCounter(prefix + ".delta_frames",
-                            static_cast<double>(delta_frames));
-        registry.SetCounter(prefix + ".session_full_frames",
-                            static_cast<double>(session_full_frames));
-        registry.SetCounter(prefix + ".coherence_breaks",
-                            static_cast<double>(coherence_breaks));
+        count(prefix + ".sessions_opened", sessions_opened);
+        count(prefix + ".session_frames", session_frames);
+        count(prefix + ".delta_frames", delta_frames);
+        count(prefix + ".session_full_frames", session_full_frames);
+        count(prefix + ".coherence_breaks", coherence_breaks);
         registry.SetGauge(prefix + ".delta_hit_rate", delta_hit_rate);
         registry.SetGauge(prefix + ".session_mean_reuse",
                           session_mean_reuse);
@@ -316,14 +307,10 @@ ServingStats::PublishShared(MetricsRegistry& registry,
 
     for (const TierStats& tier : tiers) {
         const std::string base = prefix + ".tier." + tier.name;
-        registry.SetCounter(base + ".submitted",
-                            static_cast<double>(tier.submitted));
-        registry.SetCounter(base + ".accepted",
-                            static_cast<double>(tier.accepted));
-        registry.SetCounter(base + ".rejected_queue_full",
-                            static_cast<double>(tier.rejected_queue_full));
-        registry.SetCounter(base + ".shed_deadline",
-                            static_cast<double>(tier.shed_deadline));
+        count(base + ".submitted", tier.submitted);
+        count(base + ".accepted", tier.accepted);
+        count(base + ".rejected_queue_full", tier.rejected_queue_full);
+        count(base + ".shed_deadline", tier.shed_deadline);
         registry.SetGauge(base + ".shed_rate", tier.ShedRate());
         registry.SetLatency(base + ".latency", tier.latency);
     }
@@ -350,28 +337,21 @@ SceneId
 RenderService::RegisterScene(const std::string& name,
                              const SweepPoint& spec)
 {
-    // Under batch_mutex_: no batching Submit may resolve the id before
-    // its open-batch slot exists.
-    std::lock_guard<std::mutex> lock(batch_mutex_);
+    // Under the service lock: no Submit may resolve the id before its
+    // per-scene state exists.
+    std::lock_guard<std::mutex> lock(mutex_);
     const SceneId id = registry_.Register(name, spec);
-    open_by_scene_.push_back(open_batches_.end());
-    return id;
-}
-
-SceneId
-RenderService::Resolve(const std::string& scene) const
-{
-    const SceneId id = registry_.Find(scene);
-    if (id == kNoScene) {
-        Fatal("request names unregistered scene '" + scene + "'");
-    }
+    scenes_.push_back({open_batches_.end()});
     return id;
 }
 
 FrameCost
 RenderService::WarmScene(const std::string& scene)
 {
-    const SceneId id = Resolve(scene);
+    const SceneId id = registry_.Find(scene);
+    if (id == kNoScene) {
+        Fatal("request names unregistered scene '" + scene + "'");
+    }
     TraceRecorder* const recorder = TraceRecorder::Global();
     if (recorder == nullptr) {
         return registry_.Touch(id, &pool_, /*count_request=*/false)->cost;
@@ -401,7 +381,6 @@ RenderService::WarmScene(const std::string& scene)
 ServeTicket
 RenderService::Resolve(RenderResult result)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     const ServeTicket ticket = results_base_ + results_.size();
     results_.push_back({TicketSlot::State::kReady, std::move(result)});
     return ticket;
@@ -410,7 +389,6 @@ RenderService::Resolve(RenderResult result)
 ServeTicket
 RenderService::ReserveTicket()
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     const ServeTicket ticket = results_base_ + results_.size();
     results_.emplace_back();
     return ticket;
@@ -436,21 +414,20 @@ RenderService::Judge(SceneId scene, const SceneRequest& request,
     result.scene = request.scene;
     result.tier = verdict.tier;
     const std::string& tier_name = admission_.tiers()[verdict.tier].name;
+    SceneState& state = scenes_[scene];
     using Outcome = AdmissionController::Outcome;
     if (verdict.outcome != Outcome::kAccepted) {
-        result.status = verdict.outcome == Outcome::kRejectedQueueFull
-                            ? RequestStatus::kRejectedQueueFull
-                            : RequestStatus::kShedDeadline;
-        registry_.CountOutcome(scene, /*accepted=*/false,
-                               result.status ==
-                                   RequestStatus::kShedDeadline);
+        const bool shed = verdict.outcome == Outcome::kShedDeadline;
+        result.status = shed ? RequestStatus::kShedDeadline
+                             : RequestStatus::kRejectedQueueFull;
+        ++(shed ? state.shed : state.rejected);
         TraceNotAccepted(recorder, trace, verdict, tier_name, result.status,
                          request.scene);
         return result;
     }
     result.queue_wait_ms = verdict.wait_ms;
     result.latency_ms = verdict.completion_ms - verdict.arrival_ms;
-    registry_.CountOutcome(scene, /*accepted=*/true, /*shed=*/false);
+    ++state.accepted;
     // Telemetry is recorded at admission — the virtual latency is fully
     // determined here — so percentiles never depend on execution order.
     latency_.Record(result.latency_ms);
@@ -481,7 +458,7 @@ RenderService::Replay(const PlanCache::PreparedFrame& frame,
         TraceServed(recorder, trace, result.scene, wall_begin,
                     recorder->NowWallUs(), {});
     }
-    completed_.fetch_add(1);
+    ++completed_;
     return Resolve(std::move(result));
 }
 
@@ -489,25 +466,27 @@ SubmitReceipt
 RenderService::Submit(const SceneRequest& request,
                       const SubmitOptions& options)
 {
-    // The request's one string lookup: every path below keys by id.
-    const SceneId id = Resolve(request.scene);
+    // One registry call, outside the service lock: name -> pinned entry
+    // (a cold first touch compiles it, its wavefronts on the pool).
+    const SceneEntry* const scene = registry_.TouchName(request.scene, &pool_);
+    if (scene == nullptr) {
+        Fatal("request names unregistered scene '" + request.scene + "'");
+    }
+    // The request's one service-lock acquisition: admission, telemetry,
+    // the replay and the ticket all happen inside it.
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++submitted_;
     // Each path is a separate function, not interleaved conditions:
     // with no session and the window off this body is exactly the
     // pre-batching service, byte-identical telemetry included.
     if (options.session != 0) {
-        return SubmitSession(id, request, options);
+        return SubmitSession(*scene, request, options);
     }
-    const double extra_service_ms = options.extra_service_ms;
     if (batch_window_ms_ > 0.0 && options.batching) {
-        return SubmitBatched(id, request, extra_service_ms);
+        return SubmitBatched(*scene, request, options.extra_service_ms);
     }
-    submitted_.fetch_add(1);
     TraceRecorder* const recorder = TraceRecorder::Global();
     RequestTrace trace = BeginRequestTrace(recorder, request);
-    // First touch compiles and pins the scene; steady state returns the
-    // pinned entry (an index lookup).
-    const std::shared_ptr<const SceneEntry> scene =
-        registry_.Touch(id, &pool_);
 
     // The service-time estimate is the frame's pipeline floor — the
     // dependency-DAG critical path — not the flat op sum: the wavefront
@@ -515,32 +494,28 @@ RenderService::Submit(const SceneRequest& request,
     // occupies the device for its longest chain, and admission verdicts
     // must reflect that (see accel/accelerator.h, EstimatedServiceMs).
     const double est_service_ms =
-        EstimatedServiceMs(scene->cost) + extra_service_ms;
+        EstimatedServiceMs(scene->cost) + options.extra_service_ms;
     const AdmissionController::Verdict verdict = admission_.Admit(
         request.arrival_ms, est_service_ms, request.deadline_ms,
         request.tier);
     RenderResult result =
-        Judge(id, request, verdict, est_service_ms, recorder, trace);
+        Judge(scene->id, request, verdict, est_service_ms, recorder, trace);
     if (result.status != RequestStatus::kCompleted) {
-        return {Resolve(std::move(result)), verdict};
+        return {Resolve(std::move(result)), verdict, {}, 0};
     }
-    return {Replay(scene->frame, trace, std::move(result)), verdict};
+    return {Replay(scene->frame, trace, std::move(result)), verdict, {}, 0};
 }
 
 SubmitReceipt
-RenderService::SubmitBatched(SceneId id, const SceneRequest& request,
+RenderService::SubmitBatched(const SceneEntry& scene,
+                             const SceneRequest& request,
                              double extra_service_ms)
 {
-    submitted_.fetch_add(1);
-    const std::shared_ptr<const SceneEntry> scene =
-        registry_.Touch(id, &pool_);
-
-    // One lock around the whole join-or-open decision and its Admit:
-    // the verdict depends on which batch the request lands in, so both
-    // must see one consistent submission order.
-    std::lock_guard<std::mutex> lock(batch_mutex_);
-    // The trace opens under the lock too: batched submitters serialize
-    // here, so trace ids stay deterministic in admission order.
+    // The service lock spans the whole join-or-open decision and its
+    // Admit: the verdict depends on which batch the request lands in,
+    // so both see one consistent submission order. The trace opens
+    // under it too, so trace ids stay deterministic in admission order.
+    const SceneId id = scene.id;
     TraceRecorder* const recorder = TraceRecorder::Global();
     RequestTrace trace = BeginRequestTrace(recorder, request);
     // Mirror the admission clamp (arrivals are non-decreasing) so
@@ -550,7 +525,7 @@ RenderService::SubmitBatched(SceneId id, const SceneRequest& request,
     last_batch_arrival_ms_ = arrival;
     FlushExpiredLocked(arrival);
 
-    auto batch = open_by_scene_[id];
+    auto batch = scenes_[id].open_batch;
     if (batch != open_batches_.end() &&
         batch->members.size() >= max_batch_elements_) {
         // Full: flush it now; this request opens a fresh batch.
@@ -575,7 +550,7 @@ RenderService::SubmitBatched(SceneId id, const SceneRequest& request,
                                        &pool_);
         est = EstimatedMarginalServiceMs(fused->cost, batch->fused_cost);
     } else {
-        est = EstimatedServiceMs(scene->cost);
+        est = EstimatedServiceMs(scene.cost);
     }
     const AdmissionController::Verdict verdict = admission_.Admit(
         request.arrival_ms, est + extra_service_ms, request.deadline_ms,
@@ -585,13 +560,13 @@ RenderService::SubmitBatched(SceneId id, const SceneRequest& request,
     if (result.status != RequestStatus::kCompleted) {
         // A shed or rejected joiner consumes no batch slot: the open
         // batch keeps collecting as if the request never arrived.
-        return {Resolve(std::move(result)), verdict};
+        return {Resolve(std::move(result)), verdict, {}, 0};
     }
     // Every member reports the scene's solo frame cost — the fused
     // execution is an amortization of identical frames, not a different
     // render — so per-request results are bit-identical to the
     // unbatched path's (the flush checks the fused cost separately).
-    result.cost = scene->cost;
+    result.cost = scene.cost;
 
     // The ticket is issued now, in submission order; its result is
     // stored when the batch flushes.
@@ -620,10 +595,14 @@ RenderService::SubmitBatched(SceneId id, const SceneRequest& request,
         batch->frame = fused->frame;
     } else {
         OpenBatch fresh;
+        // Batches opened so far, this one included: a flush moves one
+        // batch from open to dispatched, so the sum only grows on open.
+        fresh.ordinal = static_cast<std::uint32_t>(
+            batches_dispatched_ + open_batches_.size() + 1);
         fresh.scene = id;
         fresh.close_ms = arrival + batch_window_ms_;
-        fresh.fused_cost = scene->cost;
-        fresh.frame = scene->frame;
+        fresh.fused_cost = scene.cost;
+        fresh.frame = scene.frame;
         fresh.trace_ctx = trace.ctx;
         if (recorder != nullptr && trace.active()) {
             recorder->RecordInstant(
@@ -632,9 +611,10 @@ RenderService::SubmitBatched(SceneId id, const SceneRequest& request,
         }
         fresh.members.push_back(std::move(member));
         open_batches_.push_back(std::move(fresh));
-        open_by_scene_[id] = std::prev(open_batches_.end());
+        batch = std::prev(open_batches_.end());
+        scenes_[id].open_batch = batch;
     }
-    return {ticket, verdict};
+    return {ticket, verdict, {}, batch->ordinal};
 }
 
 SessionId
@@ -654,7 +634,7 @@ RenderService::OpenSession(const std::string& scene,
     if (model.translation_scale <= 0.0 || model.rotation_scale_deg <= 0.0) {
         Fatal("CoherenceModel scales must be positive");
     }
-    std::lock_guard<std::mutex> lock(session_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     Session session;
     session.scene = id;
     session.model = model;
@@ -665,11 +645,15 @@ RenderService::OpenSession(const std::string& scene,
 double
 RenderService::PeekSessionEstimate(SessionId session, const Pose& pose)
 {
-    std::lock_guard<std::mutex> lock(session_mutex_);
-    FLEX_CHECK_MSG(session != 0 && session <= sessions_.size(),
-                   "unknown session " << session);
-    const Session& state = sessions_[session - 1];
-    // Administrative touch: a price preview is not a request.
+    Session state;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        FLEX_CHECK_MSG(session != 0 && session <= sessions_.size(),
+                       "unknown session " << session);
+        state = sessions_[session - 1];
+    }
+    // Priced off a copy, outside the service lock. Administrative
+    // touch: a price preview is not a request.
     const std::shared_ptr<const SceneEntry> scene =
         registry_.Touch(state.scene, &pool_, /*count_request=*/false);
     EstimateContext context;
@@ -689,14 +673,14 @@ RenderService::PeekSessionEstimate(SessionId session, const Pose& pose)
 }
 
 SubmitReceipt
-RenderService::SubmitSession(SceneId id, const SceneRequest& request,
+RenderService::SubmitSession(const SceneEntry& scene,
+                             const SceneRequest& request,
                              const SubmitOptions& options)
 {
-    submitted_.fetch_add(1);
-    // One lock around the whole coherence decision and its Admit: the
-    // verdict depends on the session's last rendered pose, so both must
-    // see one consistent submission order.
-    std::lock_guard<std::mutex> lock(session_mutex_);
+    // The service lock spans the whole coherence decision and its
+    // Admit: the verdict depends on the session's last rendered pose,
+    // so both see one consistent submission order.
+    const SceneId id = scene.id;
     FLEX_CHECK_MSG(options.session <= sessions_.size(),
                    "unknown session " << options.session);
     Session& session = sessions_[options.session - 1];
@@ -708,26 +692,22 @@ RenderService::SubmitSession(SceneId id, const SceneRequest& request,
 
     TraceRecorder* const recorder = TraceRecorder::Global();
     RequestTrace trace = BeginRequestTrace(recorder, request);
-    const std::shared_ptr<const SceneEntry> scene =
-        registry_.Touch(id, &pool_);
 
     // Coherence decision: measure the new pose against the last
     // *rendered* pose. The first frame has no predecessor to warp from
     // (a full recompute, not a break); later frames go delta when the
     // overlap clears the model's break threshold.
-    bool as_delta = false;
-    bool coherence_break = false;
-    double reuse = 0.0;
+    SessionFrame booked;
     std::shared_ptr<const DeltaSceneFrame> delta;
     if (session.has_last_pose) {
         const std::size_t quantum =
             session.model.ReuseQuantum(session.last_pose, options.pose);
         if (session.model.IsCoherenceBreak(quantum)) {
-            coherence_break = true;
+            booked.coherence_break = true;
         } else if (quantum > 0) {
-            as_delta = true;
-            reuse = static_cast<double>(quantum) /
-                    static_cast<double>(session.model.reuse_quanta);
+            booked.delta = true;
+            booked.reuse = static_cast<double>(quantum) /
+                           static_cast<double>(session.model.reuse_quanta);
             // The estimation run executes a cold delta shape on this
             // thread the first time its quantum is seen: propagate the
             // request's context so its frame/op spans land in this
@@ -746,12 +726,12 @@ RenderService::SubmitSession(SceneId id, const SceneRequest& request,
     EstimateContext context;
     context.extra_service_ms = options.extra_service_ms;
     ServiceEstimate estimate;
-    if (as_delta) {
+    if (booked.delta) {
         context.kind = EstimateKind::kDelta;
-        context.reference = &scene->cost;
+        context.reference = &scene.cost;
         estimate = Accelerator::Estimate(delta->cost, context);
     } else {
-        estimate = Accelerator::Estimate(scene->cost, context);
+        estimate = Accelerator::Estimate(scene.cost, context);
     }
     const AdmissionController::Verdict verdict = admission_.Admit(
         request.arrival_ms, estimate.service_ms, request.deadline_ms,
@@ -762,39 +742,41 @@ RenderService::SubmitSession(SceneId id, const SceneRequest& request,
         // The session does not advance: a rejected or shed frame was
         // never rendered, so the next frame's reuse is still measured
         // against the last frame that actually exists.
-        return {Resolve(std::move(result)), verdict};
+        return {Resolve(std::move(result)), verdict, {}, 0};
     }
     if (recorder != nullptr && trace.active()) {
         recorder->RecordInstant(
             trace.ctx, "session",
-            as_delta ? "session_delta"
-                     : (coherence_break ? "session_break" : "session_full"),
+            booked.delta ? "session_delta"
+                         : (booked.coherence_break ? "session_break"
+                                                   : "session_full"),
             verdict.arrival_ms,
             {TraceArg::Int("session",
                            static_cast<std::int64_t>(options.session)),
-             TraceArg::Num("reuse", reuse),
+             TraceArg::Num("reuse", booked.reuse),
              TraceArg::Num("est_ms", estimate.service_ms),
              TraceArg::Num("savings_ms", estimate.savings_ms)});
     }
 
     // This frame renders: it becomes the session's predecessor.
+    booked.savings_ms = estimate.savings_ms;
     session.has_last_pose = true;
     session.last_pose = options.pose;
-    session.reuse_sum += reuse;
-    session.delta_savings_ms += estimate.savings_ms;
-    if (as_delta) {
+    session.reuse_sum += booked.reuse;
+    session.delta_savings_ms += booked.savings_ms;
+    if (booked.delta) {
         ++session.delta_frames;
     } else {
         ++session.full_frames;
-        if (coherence_break) ++session.coherence_breaks;
+        if (booked.coherence_break) ++session.coherence_breaks;
     }
 
     // The handle pins the plan-cache entry (delta shapes live in the
     // LRU like any entry; the pin keeps the replay safe past eviction)
     // — the same steady-state prepared path as a solo frame.
-    return {Replay(as_delta ? delta->frame : scene->frame, trace,
+    return {Replay(booked.delta ? delta->frame : scene.frame, trace,
                    std::move(result)),
-            verdict};
+            verdict, booked, 0};
 }
 
 void
@@ -802,7 +784,7 @@ RenderService::FlushBatchLocked(std::list<OpenBatch>::iterator batch)
 {
     OpenBatch closing = std::move(*batch);
     open_batches_.erase(batch);
-    open_by_scene_[closing.scene] = open_batches_.end();
+    scenes_[closing.scene].open_batch = open_batches_.end();
 
     const std::size_t elements = closing.members.size();
     ++batches_dispatched_;
@@ -862,8 +844,7 @@ RenderService::FlushBatchLocked(std::list<OpenBatch>::iterator batch)
         }
         member.result.batch_elements = elements;
     }
-    completed_.fetch_add(elements);
-    std::lock_guard<std::mutex> lock(mutex_);
+    completed_ += elements;
     for (BatchMember& member : closing.members) {
         // A pending slot is never popped, so the index is live.
         TicketSlot& slot = results_[member.ticket - results_base_];
@@ -877,8 +858,8 @@ RenderService::ProbeBatchJoin(SceneId scene, double arrival_ms,
                               double* marginal_est_ms)
 {
     if (batch_window_ms_ <= 0.0) return false;
-    std::lock_guard<std::mutex> lock(batch_mutex_);
-    const auto open = open_by_scene_.at(scene);
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto open = scenes_.at(scene).open_batch;
     if (open == open_batches_.end()) return false;
     // Mirror SubmitBatched's view without moving it: the same clamped
     // arrival decides expiry (an expired batch would flush before the
@@ -910,9 +891,8 @@ RenderService::FlushExpiredLocked(double arrival_ms)
 }
 
 void
-RenderService::FlushAllOpenBatches()
+RenderService::FlushAllLocked()
 {
-    std::lock_guard<std::mutex> lock(batch_mutex_);
     while (!open_batches_.empty()) {
         FlushBatchLocked(open_batches_.begin());
     }
@@ -933,8 +913,8 @@ RenderService::Wait(ServeTicket ticket)
     // A waited ticket may ride a still-open batch whose window can only
     // close on a later submission: flush every open batch so the
     // ticket's result exists.
-    FlushAllOpenBatches();
     std::lock_guard<std::mutex> lock(mutex_);
+    FlushAllLocked();
     FLEX_CHECK_MSG(ticket >= results_base_ &&
                        ticket - results_base_ < results_.size() &&
                        results_[ticket - results_base_].state ==
@@ -950,12 +930,12 @@ RenderService::Wait(ServeTicket ticket)
 std::vector<RenderResult>
 RenderService::WaitAll()
 {
-    FlushAllOpenBatches();
-    std::vector<RenderResult> results;
     std::lock_guard<std::mutex> lock(mutex_);
+    FlushAllLocked();
+    std::vector<RenderResult> results;
     results.reserve(results_.size());
-    // Slots are in ticket order already. A pending slot here belongs to
-    // a Submit racing this call; it stays for a later Wait.
+    // Slots are in ticket order already, and the flush left none
+    // pending: every unclaimed slot is ready.
     for (TicketSlot& slot : results_) {
         if (slot.state != TicketSlot::State::kReady) continue;
         results.push_back(std::move(slot.result));
@@ -965,29 +945,40 @@ RenderService::WaitAll()
     return results;
 }
 
+AdmissionController::Verdict
+RenderService::Probe(double arrival_ms, double est_latency_ms,
+                     double deadline_ms, std::size_t tier)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return admission_.Probe(arrival_ms, est_latency_ms, deadline_ms, tier);
+}
+
 ServeLedger
 RenderService::Ledger() const
 {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return LedgerLocked();
+}
+
+ServeLedger
+RenderService::LedgerLocked() const
+{
     ServeLedger ledger;
-    AdmissionController::Counters admitted = admission_.counters();
-    ledger.submitted = submitted_.load();
+    const AdmissionController::Counters& admitted = admission_.counters();
+    ledger.submitted = submitted_;
     ledger.accepted = admitted.accepted;
     ledger.rejected_queue_full = admitted.rejected_queue_full;
     ledger.shed_deadline = admitted.shed_deadline;
-    ledger.completed = completed_.load();
+    ledger.completed = completed_;
     ledger.busy_ms = admitted.busy_ms;
     ledger.first_arrival_ms = admitted.first_arrival_ms;
     ledger.last_completion_ms = admitted.last_completion_ms;
-    ledger.tiers = std::move(admitted.tiers);
-    {
-        std::lock_guard<std::mutex> lock(batch_mutex_);
-        ledger.batches_dispatched = batches_dispatched_;
-        ledger.fused_batches = fused_batches_;
-        ledger.batched_requests = batched_requests_;
-        ledger.batched_accepted = batched_accepted_total_;
-        ledger.max_batch_elements = max_batch_seen_;
-    }
-    std::lock_guard<std::mutex> lock(session_mutex_);
+    ledger.tiers = admitted.tiers;
+    ledger.batches_dispatched = batches_dispatched_;
+    ledger.fused_batches = fused_batches_;
+    ledger.batched_requests = batched_requests_;
+    ledger.batched_accepted = batched_accepted_total_;
+    ledger.max_batch_elements = max_batch_seen_;
     for (const Session& session : sessions_) {
         ledger.session_frames += session.frames;
         ledger.delta_frames += session.delta_frames;
@@ -1002,36 +993,39 @@ RenderService::Ledger() const
 ServiceStats
 RenderService::Snapshot() const
 {
+    // One cut: every figure below is read under one hold of the lock.
+    std::lock_guard<std::mutex> lock(mutex_);
     ServiceStats stats;
-    const ServeLedger ledger = Ledger();
+    const ServeLedger ledger = LedgerLocked();
     stats.Derive(ledger, latency_, admission_.tiers(), tier_latency_,
                  ledger.SpanMs());
-    {
-        std::lock_guard<std::mutex> lock(session_mutex_);
-        stats.sessions_opened = sessions_.size();
-        stats.sessions.reserve(sessions_.size());
-        for (std::size_t i = 0; i < sessions_.size(); ++i) {
-            const Session& session = sessions_[i];
-            SessionStats row;
-            row.id = i + 1;
-            row.scene = registry_.Name(session.scene);
-            row.frames = session.frames;
-            row.delta_frames = session.delta_frames;
-            row.full_frames = session.full_frames;
-            row.coherence_breaks = session.coherence_breaks;
-            const std::uint64_t accepted =
-                session.delta_frames + session.full_frames;
-            row.mean_reuse =
-                accepted > 0
-                    ? session.reuse_sum / static_cast<double>(accepted)
-                    : 0.0;
-            row.delta_savings_ms = session.delta_savings_ms;
-            stats.sessions.push_back(std::move(row));
-        }
+    stats.sessions_opened = sessions_.size();
+    stats.sessions.reserve(sessions_.size());
+    for (std::size_t i = 0; i < sessions_.size(); ++i) {
+        const Session& session = sessions_[i];
+        SessionStats row;
+        row.id = i + 1;
+        row.scene = registry_.Name(session.scene);
+        row.frames = session.frames;
+        row.delta_frames = session.delta_frames;
+        row.full_frames = session.full_frames;
+        row.coherence_breaks = session.coherence_breaks;
+        const std::uint64_t accepted =
+            session.delta_frames + session.full_frames;
+        row.mean_reuse =
+            accepted > 0 ? session.reuse_sum / static_cast<double>(accepted)
+                         : 0.0;
+        row.delta_savings_ms = session.delta_savings_ms;
+        stats.sessions.push_back(std::move(row));
     }
     stats.cache = cache_.stats();
     stats.cache_entries = cache_.size();
     stats.scenes = registry_.Stats();
+    for (std::size_t id = 0; id < stats.scenes.size(); ++id) {
+        stats.scenes[id].accepted = scenes_[id].accepted;
+        stats.scenes[id].rejected = scenes_[id].rejected;
+        stats.scenes[id].shed = scenes_[id].shed;
+    }
     return stats;
 }
 
@@ -1039,36 +1033,27 @@ void
 ServiceStats::PublishTo(MetricsRegistry& registry,
                         const std::string& prefix) const
 {
+    const auto count = [&](const std::string& key, std::uint64_t value) {
+        registry.SetCounter(key, static_cast<double>(value));
+    };
     PublishShared(registry, prefix);
-    registry.SetCounter(prefix + ".cache.plan_hits",
-                        static_cast<double>(cache.plan_hits));
-    registry.SetCounter(prefix + ".cache.plan_misses",
-                        static_cast<double>(cache.plan_misses));
-    registry.SetCounter(prefix + ".cache.frame_hits",
-                        static_cast<double>(cache.frame_hits));
-    registry.SetCounter(prefix + ".cache.evictions",
-                        static_cast<double>(cache.evictions));
+    count(prefix + ".cache.plan_hits", cache.plan_hits);
+    count(prefix + ".cache.plan_misses", cache.plan_misses);
+    count(prefix + ".cache.frame_hits", cache.frame_hits);
+    count(prefix + ".cache.evictions", cache.evictions);
     registry.SetGauge(prefix + ".cache.entries",
                       static_cast<double>(cache_entries));
     // Gated like the shared session block (PublishShared).
     if (sessions_opened > 0) {
-        registry.SetCounter(prefix + ".cache.delta_hits",
-                            static_cast<double>(cache.delta_hits));
-        registry.SetCounter(prefix + ".cache.delta_misses",
-                            static_cast<double>(cache.delta_misses));
+        count(prefix + ".cache.delta_hits", cache.delta_hits);
+        count(prefix + ".cache.delta_misses", cache.delta_misses);
         for (const SessionStats& session : sessions) {
             const std::string base =
                 prefix + ".session." + std::to_string(session.id);
-            registry.SetCounter(base + ".frames",
-                                static_cast<double>(session.frames));
-            registry.SetCounter(
-                base + ".delta_frames",
-                static_cast<double>(session.delta_frames));
-            registry.SetCounter(base + ".full_frames",
-                                static_cast<double>(session.full_frames));
-            registry.SetCounter(
-                base + ".coherence_breaks",
-                static_cast<double>(session.coherence_breaks));
+            count(base + ".frames", session.frames);
+            count(base + ".delta_frames", session.delta_frames);
+            count(base + ".full_frames", session.full_frames);
+            count(base + ".coherence_breaks", session.coherence_breaks);
             registry.SetGauge(base + ".delta_hit_rate",
                               session.DeltaHitRate());
             registry.SetGauge(base + ".mean_reuse", session.mean_reuse);
@@ -1082,16 +1067,11 @@ ServiceStats::PublishTo(MetricsRegistry& registry,
     }
     for (const SceneStats& scene : scenes) {
         const std::string base = prefix + ".scene." + scene.name;
-        registry.SetCounter(base + ".requests",
-                            static_cast<double>(scene.requests));
-        registry.SetCounter(base + ".accepted",
-                            static_cast<double>(scene.accepted));
-        registry.SetCounter(base + ".rejected",
-                            static_cast<double>(scene.rejected));
-        registry.SetCounter(base + ".shed",
-                            static_cast<double>(scene.shed));
-        registry.SetCounter(base + ".prepared_replays",
-                            static_cast<double>(scene.prepared_replays));
+        count(base + ".requests", scene.requests);
+        count(base + ".accepted", scene.accepted);
+        count(base + ".rejected", scene.rejected);
+        count(base + ".shed", scene.shed);
+        count(base + ".prepared_replays", scene.prepared_replays);
         registry.SetGauge(base + ".est_latency_ms", scene.est_latency_ms);
     }
 }

@@ -7,13 +7,12 @@
  * instance per registered scene, and a work-stealing ThreadPool, and
  * exposes a Submit(SceneRequest) -> ticket + verdict API:
  *
- *   Submit ──> scene name -> SceneId, the one string lookup per request
- *          ──> SceneRegistry (compile + pin prepared frame, first touch;
- *               the cold compile's wavefronts run on the ThreadPool)
- *          ──> AdmissionController (queue-depth / deadline policy,
- *               critical-path latency estimator, virtual time)
- *          ──> PlanCache::Run(prepared handle), on the submitting thread
- *          ──> result stored under its ticket; LatencyHistogram telemetry
+ *   Submit ──> SceneRegistry::TouchName: name -> pinned entry in one
+ *               call, outside the service lock (a cold first touch
+ *               compiles here, its wavefronts on the ThreadPool)
+ *          ──> service lock, held once: AdmissionController (virtual
+ *               time), per-scene + tier telemetry, PlanCache::Run (the
+ *               memoized replay), the result stored under its ticket
  *
  * Every admitted request resolves inside Submit. The replay is a
  * memoized hit: first touch (or the estimation run that prepares a
@@ -33,15 +32,22 @@
  * SceneRequest::tier shapes verdicts and telemetry — deterministically,
  * because WFQ runs on the same virtual clock.
  *
- * Thread-safety: Submit/Wait/WaitAll/Snapshot may be called from any
- * thread. Concurrent Submits are admitted in an unspecified but
- * serialized order (determinism then holds per submission order
- * observed, which is why the open-loop bench submits from one thread).
+ * Thread-safety: every member may be called from any thread. One
+ * service mutex guards all per-request state — admission, the per-scene
+ * outcome counters, submitted/completed, open batches, sessions and the
+ * ticket store — so a solo Submit enters one critical section and every
+ * Snapshot/Ledger is a consistent cut. Concurrent Submits are admitted
+ * in an unspecified but serialized order (determinism holds per
+ * submission order observed, which is why the open-loop bench submits
+ * from one thread). A cold first touch compiles outside the lock; fused
+ * and delta shapes prepare under it, as the shape a request prices
+ * depends on the state it guards. Pool workers never take the service
+ * lock, so the lock order is one way: cluster router -> service ->
+ * {registry, plan cache, histograms}.
  */
 #ifndef FLEXNERFER_SERVE_RENDER_SERVICE_H_
 #define FLEXNERFER_SERVE_RENDER_SERVICE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <list>
@@ -125,11 +131,27 @@ using ServeTicket = std::uint64_t;
 /** Handle to one trajectory session (0 = no session). */
 using SessionId = std::uint64_t;
 
-/** What Submit returns: the ticket and the verdict it was admitted with
- *  (so a router need not re-probe for it). */
+/** What one accepted session frame booked into its session's counters
+ *  (all zero for any other request). */
+struct SessionFrame {
+    bool delta = false;            //!< priced as a delta of the last pose
+    bool coherence_break = false;  //!< full recompute forced by a break
+    double reuse = 0.0;            //!< reuse fraction (0 unless delta)
+    double savings_ms = 0.0;       //!< ServiceEstimate::savings_ms
+};
+
+/** What Submit returns: the ticket, the verdict it was admitted with
+ *  (so a router need not re-probe for it), and what an accepted request
+ *  booked into the session or batch counters (so a router can take back
+ *  a request that never rendered; see ShardedRenderService::KillShard). */
 struct SubmitReceipt {
     ServeTicket ticket = 0;
     AdmissionController::Verdict verdict;
+    SessionFrame session_frame;
+    /** 1-based ordinal of the fused batch the request rides on its
+     *  replica (0 = none), wrapping after 2^32 batches: only batches in
+     *  flight together are ever told apart by it. */
+    std::uint32_t batch = 0;
 };
 
 /**
@@ -436,7 +458,7 @@ class RenderService
      * members are the exception: they resolve when their batch flushes.
      * The first request against a cold scene additionally compiles it,
      * with the compile's wavefronts on the pool (WarmScene avoids that).
-     * The receipt's verdict equals admission().Probe taken just before
+     * The receipt's verdict equals Probe taken just before
      * at the routing price: the solo estimate, ProbeBatchJoin's
      * marginal or PeekSessionEstimate, plus options.extra_service_ms.
      *
@@ -474,9 +496,9 @@ class RenderService
      * not recorded — so a probe that does not lead to a Submit leaves
      * the session untouched. May lazily prepare the (scene, quantum)
      * delta shape, which is administrative and memoized, exactly like
-     * ProbeBatchJoin's estimation runs. Like admission(), the preview
-     * only stays exact while the prober is the sole submitter (the
-     * cluster holds its router lock across probe and Submit).
+     * ProbeBatchJoin's estimation runs. Like Probe, the preview only
+     * stays exact while the prober is the sole submitter (the cluster
+     * holds its router lock across probe and Submit).
      */
     double PeekSessionEstimate(SessionId session, const Pose& pose);
 
@@ -492,9 +514,9 @@ class RenderService
      *
      * No batch state moves: expiry/fullness are *checked*, not
      * flushed, so a probe that does not lead to a Submit leaves the
-     * service untouched. Like admission(), the preview only stays
-     * exact while the prober is the sole submitter (the cluster holds
-     * its router lock across probe and Submit).
+     * service untouched. Like Probe, the preview only stays exact
+     * while the prober is the sole submitter (the cluster holds its
+     * router lock across probe and Submit).
      */
     bool ProbeBatchJoin(SceneId scene, double arrival_ms,
                         double* marginal_est_ms);
@@ -521,12 +543,15 @@ class RenderService
     PlanCache& cache() { return cache_; }
     const SceneRegistry& registry() const { return registry_; }
 
-    /** The virtual-time admission model, for side-effect-free probes
-     *  (AdmissionController::Probe) and raw counter reads. Routing
-     *  layers probe here before choosing a replica; the probe/Admit
-     *  agreement only holds while the prober is the sole submitter
-     *  (serve/cluster.h serializes its submissions for exactly this). */
-    const AdmissionController& admission() const { return admission_; }
+    /** A side-effect-free admission probe under the service lock
+     *  (AdmissionController::Probe). Routing layers probe here before
+     *  choosing a replica; the probe/Admit agreement only holds while
+     *  the prober is the sole submitter (serve/cluster.h serializes its
+     *  submissions for exactly this). */
+    AdmissionController::Verdict Probe(double arrival_ms,
+                                       double est_latency_ms,
+                                       double deadline_ms = 0.0,
+                                       std::size_t tier = 0);
 
     /** Virtual request-latency histogram over accepted requests.
      *  Geometric buckets merge losslessly (LatencyHistogram::Merge), so
@@ -534,9 +559,9 @@ class RenderService
      *  the same ~2% bound as any single replica's. */
     const LatencyHistogram& latency_histogram() const { return latency_; }
 
-    /** Per-tier slice of the latency histogram (same tier indexing as
-     *  admission().tiers()); the cluster merges these into fleet
-     *  per-tier percentiles exactly like the global one. */
+    /** Per-tier slice of the latency histogram (indexed by the
+     *  resolved tier list, ResolvedTiers); the cluster merges these
+     *  into fleet per-tier percentiles exactly like the global one. */
     const LatencyHistogram& tier_latency_histogram(std::size_t tier) const;
 
   private:
@@ -556,6 +581,7 @@ class RenderService
      *  shape, so the next joiner prices against them and a flush
      *  replays exactly the shape admission booked. */
     struct OpenBatch {
+        std::uint32_t ordinal = 0;  //!< SubmitReceipt::batch
         SceneId scene = 0;
         double close_ms = 0.0;  //!< opener's clamped arrival + window
         FrameCost fused_cost;
@@ -566,7 +592,7 @@ class RenderService
         TraceContext trace_ctx;
     };
 
-    /** One open trajectory session (session_mutex_ guards them all). */
+    /** One open trajectory session. */
     struct Session {
         SceneId scene = 0;
         CoherenceModel model;
@@ -594,15 +620,24 @@ class RenderService
         RenderResult result;  //!< valid while kReady
     };
 
+    /** Per-scene service state, by SceneId. */
+    struct SceneState {
+        /** The scene's open batch; open_batches_.end() = none. */
+        std::list<OpenBatch>::iterator open_batch;
+        /** Admission outcomes: the ServiceStats::scenes columns. */
+        std::uint64_t accepted = 0;
+        std::uint64_t rejected = 0;
+        std::uint64_t shed = 0;
+    };
+
+    // Every helper below runs with mutex_ held.
     /** Stores @p result under the next ticket and returns the ticket. */
     ServeTicket Resolve(RenderResult result);
     /** Issues the next ticket with its slot pending: a fused-batch
      *  member's result is stored when its batch flushes. */
     ServeTicket ReserveTicket();
-    /** Pops the claimed slots off the front of results_ (mutex_
-     *  held). */
+    /** Pops the claimed slots off the front of results_. */
     void PopClaimedLocked();
-    SceneId Resolve(const std::string& scene) const;  //!< fatal if absent
     /**
      * Books one admission verdict, shared by every Submit path: builds
      * the request's result and records the outcome in the per-scene
@@ -620,36 +655,41 @@ class RenderService
     ServeTicket Replay(const PlanCache::PreparedFrame& frame,
                        const RequestTrace& trace, RenderResult result);
     /** The batching Submit path (batch_window_ms > 0). */
-    SubmitReceipt SubmitBatched(SceneId scene, const SceneRequest& request,
+    SubmitReceipt SubmitBatched(const SceneEntry& scene,
+                                const SceneRequest& request,
                                 double extra_service_ms);
     /** The trajectory Submit path (options.session != 0). */
-    SubmitReceipt SubmitSession(SceneId scene, const SceneRequest& request,
+    SubmitReceipt SubmitSession(const SceneEntry& scene,
+                                const SceneRequest& request,
                                 const SubmitOptions& options);
     /** Replays @p batch as one fused execution and resolves every
-     *  member (batch_mutex_ held). */
+     *  member. */
     void FlushBatchLocked(std::list<OpenBatch>::iterator batch);
     /** Flushes every open batch whose window closed by @p arrival_ms
-     *  (batch_mutex_ held; list order is window-close order). */
+     *  (list order is window-close order). */
     void FlushExpiredLocked(double arrival_ms);
     /** Flushes every open batch (Wait/WaitAll force the flush so a
      *  member's ticket never waits on a window that cannot close). */
-    void FlushAllOpenBatches();
+    void FlushAllLocked();
+    ServeLedger LedgerLocked() const;
 
     PlanCache cache_;
     SceneRegistry registry_;
+
+    /** The service lock: guards every member below but pool_ (see the
+     *  file header's Thread-safety paragraph). The histograms keep
+     *  their own locks but record under this one too, so a snapshot
+     *  reads them in the same cut as the counters. */
+    mutable std::mutex mutex_;
     AdmissionController admission_;
     LatencyHistogram latency_;
     /** One histogram per resolved tier. A deque because histograms are
      *  neither copyable nor movable (they own a mutex): deque
      *  emplace-constructs in place and never relocates. */
     std::deque<LatencyHistogram> tier_latency_;
-
-    std::atomic<std::uint64_t> submitted_{0};
-    std::atomic<std::uint64_t> completed_{0};
-
-    /** Guards the result store. Taken inside batch_mutex_ /
-     *  session_mutex_, never around them. */
-    mutable std::mutex mutex_;
+    std::uint64_t submitted_ = 0;
+    std::uint64_t completed_ = 0;
+    std::vector<SceneState> scenes_;
     /**
      * The ticket -> RenderResult store. Tickets are issued
      * sequentially, so slot i holds ticket results_base_ + i and the
@@ -661,17 +701,12 @@ class RenderService
     std::deque<TicketSlot> results_;
     ServeTicket results_base_ = 0;
 
-    /** Batch-fusion state (ServeConfig::batch_window_ms). batch_mutex_
-     *  serializes the whole join-or-open decision with its Admit call,
-     *  so verdicts stay pure functions of the submission order. */
+    /** Batch-fusion state (ServeConfig::batch_window_ms). */
     const double batch_window_ms_;
     const std::size_t max_batch_elements_;
-    mutable std::mutex batch_mutex_;
     /** Open batches in window-open order (list: flushing one batch must
-     *  not invalidate the others' iterators in open_by_scene_). */
+     *  not invalidate the others' iterators in scenes_). */
     std::list<OpenBatch> open_batches_;
-    /** By SceneId; open_batches_.end() = no open batch. */
-    std::vector<std::list<OpenBatch>::iterator> open_by_scene_;
     /** Mirror of the admission clamp (submissions in non-decreasing
      *  arrival order), driving window-expiry flushes. */
     double last_batch_arrival_ms_ = 0.0;
@@ -681,10 +716,6 @@ class RenderService
     std::uint64_t batched_accepted_total_ = 0;
     std::size_t max_batch_seen_ = 0;
 
-    /** Trajectory-session state. session_mutex_ serializes a session
-     *  frame's whole coherence decision with its Admit call, so
-     *  verdicts stay pure functions of the submission order. */
-    mutable std::mutex session_mutex_;
     std::vector<Session> sessions_;  //!< session id i + 1 at index i
 
     /** Runs the wavefronts of cold compiles inside SceneRegistry's

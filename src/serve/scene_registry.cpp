@@ -93,6 +93,7 @@ SceneRegistry::Touch(SceneId id, ThreadPool* pool, bool count_request)
         }
         // Holding the prepare mutex: adopt the model and workload that
         // Register built.
+        entry->id = id;
         entry->name = slot.stats.name;
         entry->spec = slot.spec;
         entry->accel = std::move(slot.accel);
@@ -106,6 +107,26 @@ SceneRegistry::Touch(SceneId id, ThreadPool* pool, bool count_request)
     slot.entry = std::move(entry);
     slot.stats.est_latency_ms = EstimatedServiceMs(slot.entry->cost);
     return slot.entry;
+}
+
+const SceneEntry*
+SceneRegistry::TouchName(const std::string& name, ThreadPool* pool)
+{
+    SceneId id = kNoScene;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        const auto it = ids_.find(name);
+        if (it == ids_.end()) return nullptr;
+        id = it->second;
+        Slot& slot = slots_[id];
+        if (slot.entry != nullptr) {
+            ++slot.stats.requests;
+            ++slot.stats.prepared_replays;
+            return slot.entry.get();
+        }
+    }
+    // Cold: the counted Touch compiles and does the counting.
+    return Touch(id, pool).get();
 }
 
 template <typename Frame, typename Build>
@@ -197,20 +218,6 @@ SceneRegistry::TouchDelta(SceneId id, std::size_t reuse_quantum,
         }
         return delta;
     });
-}
-
-void
-SceneRegistry::CountOutcome(SceneId id, bool accepted, bool shed)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    SceneStats& stats = slots_.at(id).stats;
-    if (accepted) {
-        ++stats.accepted;
-    } else if (shed) {
-        ++stats.shed;
-    } else {
-        ++stats.rejected;
-    }
 }
 
 std::size_t

@@ -12,12 +12,15 @@
  * steady-state prepared path that skips per-request fingerprinting — and
  * the pin keeps the scene immune to LRU eviction in a bounded cache.
  *
- * Thread-safety: all members may be called concurrently. Racing first
- * touches of one scene serialize on a per-scene mutex, so exactly one
- * estimation run executes per scene however many requests race to it —
- * which is what keeps the serving invariant "PlanCache frame hits ==
- * accepted requests" exact even for cold concurrent submits. Distinct
- * scenes prepare concurrently.
+ * Thread-safety: all members may be called concurrently (one registry
+ * mutex, never held across a compile). Racing first touches of one
+ * scene serialize on a per-scene mutex, so exactly one estimation run
+ * executes per scene however many requests race to it — which is what
+ * keeps the serving invariant "PlanCache frame hits == accepted
+ * requests" exact even for cold concurrent submits. Distinct scenes
+ * prepare concurrently. RenderService calls in from outside its service
+ * lock (a request's TouchName) and from under it (shape preparation);
+ * the registry never calls back into the service, so either is safe.
  */
 #ifndef FLEXNERFER_SERVE_SCENE_REGISTRY_H_
 #define FLEXNERFER_SERVE_SCENE_REGISTRY_H_
@@ -38,8 +41,16 @@
 
 namespace flexnerfer {
 
+/** A scene's registration index in one registry (so one scene has
+ *  different ids on different cluster shards). Services resolve a
+ *  request's scene name to it once, on entry, and key by it below. */
+using SceneId = std::uint32_t;
+/** "No id": the scene is not registered (yet). */
+constexpr SceneId kNoScene = std::numeric_limits<SceneId>::max();
+
 /** One registered scene, immutable once prepared. */
 struct SceneEntry {
+    SceneId id = 0;
     std::string name;
     SweepPoint spec;  //!< backend/precision/dataflow/model/params
     std::unique_ptr<const Accelerator> accel;
@@ -81,7 +92,9 @@ struct DeltaSceneFrame {
     FrameCost cost;                  //!< executed delta-frame cost
 };
 
-/** Per-scene serving counters (snapshot). */
+/** Per-scene serving counters (snapshot). The registry counts touches;
+ *  accepted/rejected/shed are admission outcomes, which the registry
+ *  leaves at zero and RenderService::Snapshot fills in. */
 struct SceneStats {
     std::string name;
     /** The admission service-time estimate: the scene frame's
@@ -93,13 +106,6 @@ struct SceneStats {
     std::uint64_t rejected = 0;
     std::uint64_t shed = 0;
 };
-
-/** A scene's registration index in one registry (so one scene has
- *  different ids on different cluster shards). Services resolve a
- *  request's scene name to it once, on entry, and key by it below. */
-using SceneId = std::uint32_t;
-/** "No id": the scene is not registered (yet). */
-constexpr SceneId kNoScene = std::numeric_limits<SceneId>::max();
 
 /** Maps scene names to pinned prepared frames, compiling on first touch. */
 class SceneRegistry
@@ -145,6 +151,16 @@ class SceneRegistry
                                             bool count_request = true);
 
     /**
+     * A request's one registry call: resolves @p name and touches its
+     * scene as a counted Touch does, in one lock acquisition when the
+     * scene is prepared. Returns nullptr when @p name is not
+     * registered. Entries are never dropped or replaced, so the pointer
+     * stays valid for the registry's lifetime and no refcount moves.
+     */
+    const SceneEntry* TouchName(const std::string& name,
+                                ThreadPool* pool = nullptr);
+
+    /**
      * Returns the prepared fused frame for @p elements requests of
      * scene @p id (see models/workload.h, FuseBatch), compiling and
      * pinning
@@ -174,9 +190,6 @@ class SceneRegistry
     std::shared_ptr<const DeltaSceneFrame> TouchDelta(
         SceneId id, std::size_t reuse_quantum, std::size_t reuse_quanta,
         ThreadPool* pool = nullptr);
-
-    /** Counts one admission outcome against scene @p id's stats. */
-    void CountOutcome(SceneId id, bool accepted, bool shed);
 
     std::size_t size() const;
 

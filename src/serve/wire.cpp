@@ -8,35 +8,20 @@ namespace flexnerfer {
 namespace wire {
 namespace {
 
+/** Appends @p v little-endian, in sizeof(T) bytes. */
+template <typename T>
 void
-AppendU8(std::string& out, std::uint8_t v)
+AppendLE(std::string& out, T v)
 {
-    out.push_back(static_cast<char>(v));
-}
-
-void
-AppendU16(std::string& out, std::uint16_t v)
-{
-    for (int i = 0; i < 2; ++i) {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
         out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
     }
 }
 
-void
-AppendU32(std::string& out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i) {
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-    }
-}
-
-void
-AppendU64(std::string& out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-    }
-}
+constexpr auto AppendU8 = &AppendLE<std::uint8_t>;
+constexpr auto AppendU16 = &AppendLE<std::uint16_t>;
+constexpr auto AppendU32 = &AppendLE<std::uint32_t>;
+constexpr auto AppendU64 = &AppendLE<std::uint64_t>;
 
 void
 AppendF64(std::string& out, double v)
@@ -64,54 +49,10 @@ public:
     {
     }
 
-    std::uint8_t
-    U8()
-    {
-        Need(1);
-        return static_cast<std::uint8_t>(frame_[pos_++]);
-    }
-
-    std::uint16_t
-    U16()
-    {
-        Need(2);
-        std::uint16_t v = 0;
-        for (int i = 0; i < 2; ++i) {
-            v |= static_cast<std::uint16_t>(
-                     static_cast<std::uint8_t>(frame_[pos_ + i]))
-                 << (8 * i);
-        }
-        pos_ += 2;
-        return v;
-    }
-
-    std::uint32_t
-    U32()
-    {
-        Need(4);
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i) {
-            v |= static_cast<std::uint32_t>(
-                     static_cast<std::uint8_t>(frame_[pos_ + i]))
-                 << (8 * i);
-        }
-        pos_ += 4;
-        return v;
-    }
-
-    std::uint64_t
-    U64()
-    {
-        Need(8);
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i) {
-            v |= static_cast<std::uint64_t>(
-                     static_cast<std::uint8_t>(frame_[pos_ + i]))
-                 << (8 * i);
-        }
-        pos_ += 8;
-        return v;
-    }
+    std::uint8_t U8() { return LE<std::uint8_t>(); }
+    std::uint16_t U16() { return LE<std::uint16_t>(); }
+    std::uint32_t U32() { return LE<std::uint32_t>(); }
+    std::uint64_t U64() { return LE<std::uint64_t>(); }
 
     double
     F64()
@@ -144,6 +85,21 @@ public:
     }
 
 private:
+    /** Reads a little-endian T of sizeof(T) bytes. */
+    template <typename T>
+    T
+    LE()
+    {
+        Need(sizeof(T));
+        T v = 0;
+        for (std::size_t i = 0; i < sizeof(T); ++i) {
+            v |= static_cast<T>(static_cast<std::uint8_t>(frame_[pos_ + i]))
+                 << (8 * i);
+        }
+        pos_ += sizeof(T);
+        return v;
+    }
+
     void
     Need(std::size_t bytes) const
     {

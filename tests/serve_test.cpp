@@ -3,8 +3,10 @@
  * Unit tests for the serving front-end: LatencyHistogram percentiles vs
  * exact sorted quantiles, admission accept/reject/shed paths, per-scene
  * prepared-frame reuse, the resolve-inside-Submit contract on the solo,
- * batched and session paths, and a multi-threaded soak of the whole
- * RenderService (TSan/ASan target).
+ * batched and session paths, a multi-threaded soak of the whole
+ * RenderService, consistent snapshots under concurrent submits, and
+ * cold shape compiles under the service lock racing every other
+ * service call (TSan/ASan targets).
  */
 #include <gtest/gtest.h>
 
@@ -12,8 +14,11 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <condition_variable>
 #include <limits>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -913,6 +918,228 @@ TEST(BatchedRenderService, DestroysWithUnclaimedTicketsAndAnOpenBatch)
     EXPECT_EQ(stats.accepted, 3u);
     EXPECT_EQ(stats.completed, 1u);
     service.reset();
+}
+
+TEST(RenderService, SnapshotsAreAConsistentCut)
+{
+    // Four threads submit solo requests to warmed scenes while a fifth
+    // snapshots in a loop. One lock guards every counter a snapshot
+    // reads, so each snapshot falls between whole requests.
+    const double est = EstimatedServiceMs(Reference("Instant-NGP"));
+    ServeConfig config;
+    config.threads = 2;
+    config.admission.max_queue_depth = 6;
+    config.admission.tiers.resize(2);
+    config.admission.tiers[0].weight = 3.0;
+    config.admission.tiers[0].default_deadline_ms = 4.0 * est;
+    config.admission.tiers[1].default_deadline_ms = 2.0 * est;
+    RenderService service(config);
+    const std::vector<std::string> models = {"Instant-NGP", "KiloNeRF"};
+    for (const std::string& model : models) {
+        SweepPoint spec = NgpFlexScene();
+        spec.model = model;
+        service.RegisterScene(model, spec);
+        service.WarmScene(model);
+    }
+
+    std::atomic<bool> done{false};
+    std::uint64_t snapshots = 0;
+    std::string violation;  // the first inconsistent snapshot, if any
+    std::thread snapshotter([&] {
+        do {
+            const ServiceStats stats = service.Snapshot();
+            ++snapshots;
+            std::uint64_t tier_accepted = 0;
+            for (const TierStats& tier : stats.tiers) {
+                tier_accepted += tier.accepted;
+            }
+            std::uint64_t scene_accepted = 0;
+            for (const SceneStats& scene : stats.scenes) {
+                scene_accepted += scene.accepted;
+            }
+            const bool consistent =
+                stats.submitted == stats.accepted +
+                                       stats.rejected_queue_full +
+                                       stats.shed_deadline &&
+                stats.completed == stats.accepted &&
+                tier_accepted == stats.accepted &&
+                scene_accepted == stats.accepted;
+            if (!consistent && violation.empty()) {
+                violation = "submitted " + std::to_string(stats.submitted) +
+                            " accepted " + std::to_string(stats.accepted) +
+                            " completed " + std::to_string(stats.completed) +
+                            " tiers " + std::to_string(tier_accepted) +
+                            " scenes " + std::to_string(scene_accepted);
+            }
+        } while (!done.load());
+    });
+
+    constexpr int kThreads = 4;
+    constexpr int kPerThread = 300;
+    std::vector<std::thread> submitters;
+    for (int t = 0; t < kThreads; ++t) {
+        submitters.emplace_back([&service, &models, est, t] {
+            for (int i = 0; i < kPerThread; ++i) {
+                SceneRequest request;
+                request.scene = models[static_cast<std::size_t>(i % 2)];
+                request.tier = static_cast<std::size_t>((t + i) % 2);
+                request.arrival_ms = 0.5 * est * i;
+                service.Submit(request);
+            }
+        });
+    }
+    for (std::thread& submitter : submitters) submitter.join();
+    done = true;
+    snapshotter.join();
+
+    EXPECT_TRUE(violation.empty()) << violation;
+    EXPECT_GT(snapshots, 0u);
+    const ServiceStats stats = service.Snapshot();
+    EXPECT_EQ(stats.submitted,
+              static_cast<std::uint64_t>(kThreads * kPerThread));
+    EXPECT_GT(stats.accepted, 0u);
+    EXPECT_GT(stats.rejected_queue_full + stats.shed_deadline, 0u);
+}
+
+/** Every result of one cold-shape stream by ticket, and its snapshot. */
+struct ColdShapeRun {
+    std::map<ServeTicket, RenderResult> results;
+    ServiceStats stats;
+};
+
+/**
+ * One submitter drives a batch-window service with one open session
+ * through two phases: same-scene bursts of 2..5 requests (each burst
+ * compiles the next cold fused shape), then session frames panning at
+ * growing steps (each step compiles a cold delta shape). Both compile
+ * on the pool under the service lock. With @p contend, other threads
+ * meanwhile loop on Snapshot and Probe, and in the session phase a
+ * waiter claims each frame's ticket as soon as it is issued. A Wait
+ * flushes every open batch, so the waiter starts only once no batch can
+ * gain a member, where an early flush changes nothing.
+ */
+ColdShapeRun
+RunColdShapeStream(bool contend)
+{
+    const double est = EstimatedServiceMs(Reference("Instant-NGP"));
+    ServeConfig config;
+    config.threads = 4;
+    config.batch_window_ms = 1e-3;
+    RenderService service(config);
+    service.RegisterScene("ngp", NgpFlexScene());
+    service.WarmScene("ngp");
+    const SessionId session = service.OpenSession("ngp");
+
+    std::atomic<bool> done{false};
+    std::vector<std::thread> contenders;
+    if (contend) {
+        contenders.emplace_back([&] {
+            while (!done.load()) service.Snapshot();
+        });
+        contenders.emplace_back([&] {
+            while (!done.load()) service.Probe(0.0, est);
+        });
+    }
+
+    ColdShapeRun run;
+    double arrival_ms = 0.0;
+    for (int burst = 2; burst <= 5; ++burst, arrival_ms += 10.0 * est) {
+        for (int i = 0; i < burst; ++i) {
+            SceneRequest request;
+            request.scene = "ngp";
+            request.arrival_ms = arrival_ms;
+            service.Submit(request);
+        }
+    }
+
+    std::mutex handoff_mutex;
+    std::condition_variable handoff;
+    std::vector<ServeTicket> issued;
+    bool issuing = true;
+    std::thread waiter;
+    if (contend) {
+        waiter = std::thread([&] {
+            for (std::size_t next = 0;; ++next) {
+                ServeTicket ticket = 0;
+                {
+                    std::unique_lock<std::mutex> lock(handoff_mutex);
+                    handoff.wait(lock, [&] {
+                        return next < issued.size() || !issuing;
+                    });
+                    if (next == issued.size()) return;
+                    ticket = issued[next];
+                }
+                RenderResult result = service.Wait(ticket);
+                std::lock_guard<std::mutex> lock(handoff_mutex);
+                run.results.emplace(ticket, std::move(result));
+            }
+        });
+    }
+    Pose pose;
+    for (const double step : {0.0, 0.05, 0.1, 0.15, 0.2, 0.3}) {
+        pose.x += step;
+        SceneRequest request;
+        request.scene = "ngp";
+        request.arrival_ms = arrival_ms;
+        arrival_ms += 10.0 * est;
+        SubmitOptions options;
+        options.session = session;
+        options.pose = pose;
+        const ServeTicket ticket = service.Submit(request, options).ticket;
+        std::lock_guard<std::mutex> lock(handoff_mutex);
+        issued.push_back(ticket);
+        handoff.notify_one();
+    }
+    {
+        std::lock_guard<std::mutex> lock(handoff_mutex);
+        issuing = false;
+        handoff.notify_one();
+    }
+    if (waiter.joinable()) waiter.join();
+    done = true;
+    for (std::thread& contender : contenders) contender.join();
+
+    // WaitAll returns the unclaimed tickets in ticket order.
+    std::vector<RenderResult> rest = service.WaitAll();
+    std::size_t next = 0;
+    for (ServeTicket ticket = 0; next < rest.size(); ++ticket) {
+        if (run.results.count(ticket) != 0) continue;
+        run.results.emplace(ticket, std::move(rest[next++]));
+    }
+    run.stats = service.Snapshot();
+    return run;
+}
+
+TEST(RenderService, ColdShapeCompilesUnderTheLockRaceEveryServiceCall)
+{
+    const ColdShapeRun reference = RunColdShapeStream(/*contend=*/false);
+    // The warm frame, four fused shapes (2..5 elements) and five delta
+    // shapes compiled.
+    EXPECT_EQ(reference.stats.cache.plan_misses, 1u + 4u + 5u);
+    EXPECT_EQ(reference.stats.cache.delta_misses, 5u);
+    EXPECT_EQ(reference.stats.fused_batches, 4u);
+    EXPECT_EQ(reference.stats.delta_frames, 5u);
+
+    const ColdShapeRun run = RunColdShapeStream(/*contend=*/true);
+    ASSERT_EQ(run.results.size(), reference.results.size());
+    for (const auto& [ticket, want] : reference.results) {
+        const auto found = run.results.find(ticket);
+        ASSERT_NE(found, run.results.end()) << ticket;
+        const RenderResult& got = found->second;
+        EXPECT_EQ(got.status, want.status) << ticket;
+        ExpectBitIdentical(got.cost, want.cost);
+        EXPECT_EQ(got.queue_wait_ms, want.queue_wait_ms) << ticket;
+        EXPECT_EQ(got.latency_ms, want.latency_ms) << ticket;
+        EXPECT_EQ(got.batch_elements, want.batch_elements) << ticket;
+    }
+    EXPECT_EQ(run.stats.accepted, reference.stats.accepted);
+    EXPECT_EQ(run.stats.batches_dispatched,
+              reference.stats.batches_dispatched);
+    EXPECT_EQ(run.stats.session_mean_reuse,
+              reference.stats.session_mean_reuse);
+    EXPECT_EQ(run.stats.cache.plan_misses, reference.stats.cache.plan_misses);
+    EXPECT_EQ(run.stats.cache.delta_misses,
+              reference.stats.cache.delta_misses);
 }
 
 }  // namespace

@@ -328,7 +328,7 @@ struct PathTally {
 /**
  * Drives @p calls seeded requests through a batching, three-tier
  * RenderService and checks each Submit's verdict against
- * admission().Probe taken just before it at the routing price — the
+ * RenderService::Probe taken just before it at the routing price — the
  * price a cluster router would use: ProbeBatchJoin's marginal for a
  * joiner, PeekSessionEstimate for a session frame, the solo estimate
  * otherwise, plus the request's surcharge. A test-side mirror of the
@@ -435,7 +435,7 @@ SweepSubmitVerdicts(std::uint64_t seed, int calls, PathTally* tally)
         }
         request.scene = models[scene];
 
-        const AdmissionController::Verdict probed = service.admission().Probe(
+        const AdmissionController::Verdict probed = service.Probe(
             request.arrival_ms, price + options.extra_service_ms,
             request.deadline_ms, request.tier);
         const SubmitReceipt receipt = service.Submit(request, options);
@@ -1151,6 +1151,85 @@ TEST(ShardedRenderService, FleetLedgerIsExactAcrossKillAndResize)
     // original and one per re-home).
     EXPECT_EQ(stats.sessions_opened, 1u);
     EXPECT_EQ(stats.session_rehomes, 2u);
+}
+
+/** A 2-shard cluster whose batch window fuses arrivals at one instant
+ *  and whose router never spills. */
+ClusterConfig
+KillDrillConfig()
+{
+    ClusterConfig config;
+    config.shards = 2;
+    config.threads_per_shard = 1;
+    config.enable_spill = false;
+    config.batch_window_ms = 1e-3;
+    return config;
+}
+
+TEST(ShardedRenderService, KillShardTakesBackReplayedSessionFrames)
+{
+    // Six session frames are in flight when their home dies at
+    // 0.01 x est: all six replay on the new home, where the re-homed
+    // session restarts with a full frame and five deltas. The dead
+    // replica booked the same six frames; the fleet ledger must count
+    // only the frames that rendered, so the ratios average over them.
+    ShardedRenderService cluster(KillDrillConfig());
+    cluster.RegisterScene("ngp", FlexScene("Instant-NGP"));
+    const double est = EstimatedServiceMs(cluster.WarmScene("ngp"));
+    const CoherenceModel model;
+    const SessionId session = cluster.OpenSession("ngp", model);
+    const double step = 0.37;  // quantum 40 of 64 per pan
+    ASSERT_EQ(model.ReuseQuantum(Pose{}, Pose{step}), 40u);
+    for (int k = 0; k < 6; ++k) {
+        SceneRequest request;
+        request.scene = "ngp";
+        SubmitOptions options;
+        options.session = session;
+        options.pose.x = step * k;
+        cluster.Submit(request, options);
+    }
+    EXPECT_EQ(cluster.KillShard(cluster.router().Home("ngp"), 0.01 * est),
+              6u);
+    for (const ClusterRenderResult& r : cluster.WaitAll()) {
+        EXPECT_EQ(r.result.status, RequestStatus::kCompleted);
+        EXPECT_TRUE(r.replayed);
+    }
+
+    const ClusterStats stats = cluster.Snapshot();
+    EXPECT_EQ(stats.accepted, 6u);
+    EXPECT_EQ(stats.session_frames, 6u);
+    EXPECT_EQ(stats.delta_frames, 5u);
+    EXPECT_EQ(stats.session_full_frames, 1u);
+    EXPECT_EQ(stats.delta_hit_rate, 5.0 / 6.0);
+    EXPECT_EQ(stats.session_mean_reuse, 5 * (40.0 / 64.0) / 6.0);
+}
+
+TEST(ShardedRenderService, KillShardTakesBackReplayedBatches)
+{
+    // A fused batch of three is in flight when its shard dies: the
+    // members replay on the new home, where they fuse again. The dead
+    // replica's batch served nobody, so the fleet counts one batch.
+    ShardedRenderService cluster(KillDrillConfig());
+    cluster.RegisterScene("ngp", FlexScene("Instant-NGP"));
+    const double est = EstimatedServiceMs(cluster.WarmScene("ngp"));
+    for (int k = 0; k < 3; ++k) {
+        SceneRequest request;
+        request.scene = "ngp";
+        cluster.Submit(request);
+    }
+    EXPECT_EQ(cluster.KillShard(cluster.router().Home("ngp"), 0.01 * est),
+              3u);
+    for (const ClusterRenderResult& r : cluster.WaitAll()) {
+        EXPECT_EQ(r.result.status, RequestStatus::kCompleted);
+        EXPECT_EQ(r.result.batch_elements, 3u);
+    }
+
+    const ClusterStats stats = cluster.Snapshot();
+    EXPECT_EQ(stats.accepted, 3u);
+    EXPECT_EQ(stats.batches_dispatched, 1u);
+    EXPECT_EQ(stats.fused_batches, 1u);
+    EXPECT_EQ(stats.batched_requests, 3u);
+    EXPECT_EQ(stats.batch_occupancy, 3.0);
 }
 
 TEST(ShardedRenderService, SingleShardMatchesPlainRenderService)
