@@ -227,7 +227,8 @@ RunSingle()
     for (std::size_t i = 0; i < tickets.size(); ++i) {
         const RenderResult r = service.Wait(tickets[i]);
         outcomes.AddRow(
-            {std::to_string(i), r.scene, std::to_string(burst[i].priority),
+            {std::to_string(i), std::string(r.scene),
+             std::to_string(burst[i].priority),
              burst[i].deadline_ms > 0.0
                  ? FormatDouble(burst[i].deadline_ms, 1)
                  : "-",

@@ -76,7 +76,7 @@ AdmissionController::AdmissionController(const AdmissionPolicy& policy)
         }
     }
     schedule_.fluid.queues.resize(queue_weights_.size());
-    schedule_.lanes.resize(tiers_.size());
+    schedule_.lanes = std::vector<SlotRing<double>>(tiers_.size());
     probe_fluid_.queues.reserve(queue_weights_.size());
     delay_backlog_.reserve(queue_weights_.size());
     counters_.tiers.resize(tiers_.size());
@@ -155,7 +155,7 @@ AdmissionController::RetiredPrefix(const Fluid& fluid,
     // lanes are non-decreasing, so retirements are always a prefix
     // (usually zero or one entry long).
     const double drained_ms = fluid.queues[QueueOf(tier)].drained_ms;
-    const std::deque<double>& lane = schedule_.lanes[tier];
+    const SlotRing<double>& lane = schedule_.lanes[tier];
     std::size_t retired = 0;
     while (retired < lane.size() && Drained(lane[retired], drained_ms)) {
         ++retired;
@@ -286,10 +286,10 @@ AdmissionController::Admit(double arrival_ms, double est_latency_ms,
     DrainFluid(schedule_.fluid, clamped);
     std::size_t total_depth = 0;
     for (std::size_t t = 0; t < schedule_.lanes.size(); ++t) {
-        std::deque<double>& lane = schedule_.lanes[t];
-        lane.erase(lane.begin(),
-                   lane.begin() + static_cast<std::ptrdiff_t>(
-                                      RetiredPrefix(schedule_.fluid, t)));
+        SlotRing<double>& lane = schedule_.lanes[t];
+        for (std::size_t n = RetiredPrefix(schedule_.fluid, t); n > 0; --n) {
+            lane.pop_front();
+        }
         total_depth += lane.size();
     }
 
@@ -319,7 +319,7 @@ AdmissionController::Admit(double arrival_ms, double est_latency_ms,
         queue.backlog_ms += est_latency_ms;
         queue.enqueued_ms += est_latency_ms;
         queue.last_finish_tag = verdict.finish_tag;
-        schedule_.lanes[tier].push_back(queue.enqueued_ms);
+        schedule_.lanes[tier].push_back() = queue.enqueued_ms;
         ++counters_.accepted;
         ++tier_counters.accepted;
         counters_.busy_ms += est_latency_ms;

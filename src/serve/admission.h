@@ -50,9 +50,10 @@
 #define FLEXNERFER_SERVE_ADMISSION_H_
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
+
+#include "common/slot_ring.h"
 
 namespace flexnerfer {
 
@@ -266,9 +267,9 @@ class AdmissionController
          * owning queue's enqueued_ms right after it was admitted. The
          * request retires once the queue's drained_ms reaches it, so
          * a lane is non-decreasing and its retired entries always form
-         * a prefix.
+         * a prefix, popped off a ring whose chunks recycle.
          */
-        std::vector<std::deque<double>> lanes;
+        std::vector<SlotRing<double>> lanes;
         double last_arrival_ms = 0.0;
         bool saw_arrival = false;
     };

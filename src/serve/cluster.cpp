@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/intern.h"
 #include "common/logging.h"
 #include "obs/metrics_registry.h"
 #include "serve/transport.h"
@@ -191,22 +192,6 @@ ShardedRenderService::LiveCountLocked() const
     return live;
 }
 
-double
-ShardedRenderService::ProbePriceLocked(std::size_t shard,
-                                       const SceneDesc& desc,
-                                       double arrival_ms)
-{
-    // A shard that has not registered the scene has no batch for it.
-    const SceneId local = desc.shard_ids[shard];
-    if (config_.batch_window_ms > 0.0 && local != kNoScene) {
-        double marginal = 0.0;
-        if (shards_[shard]->ProbeBatchJoin(local, arrival_ms, &marginal)) {
-            return marginal;
-        }
-    }
-    return desc.est_latency_ms;
-}
-
 FrameCost
 ShardedRenderService::WarmScene(const std::string& scene)
 {
@@ -289,6 +274,13 @@ ShardedRenderService::Submit(const SceneRequest& request,
     bool via_replica = false;
     double surcharge_ms = 0.0;
 
+    // One replica lock per candidate: Quote prices the request as the
+    // shard's Submit would (batch-join marginal or solo estimate, plus
+    // any surcharge) and probes admission at that price.
+    const auto quote = [&](std::size_t shard, double extra_ms) {
+        return shards_[shard]->Quote(desc.shard_ids[shard], request,
+                                     desc.est_latency_ms, extra_ms);
+    };
     using Outcome = AdmissionController::Outcome;
     if (session != nullptr) {
         if (recorder != nullptr) {
@@ -309,16 +301,8 @@ ShardedRenderService::Submit(const SceneRequest& request,
         const std::uint64_t cursor = desc.p2c_cursor++;
         const std::size_t a = desc.replicas[cursor % n];
         const std::size_t b = desc.replicas[(cursor + 1) % n];
-        const AdmissionController::Verdict va =
-            shards_[a]->Probe(
-                request.arrival_ms,
-                ProbePriceLocked(a, desc, request.arrival_ms),
-                request.deadline_ms, request.tier);
-        const AdmissionController::Verdict vb =
-            shards_[b]->Probe(
-                request.arrival_ms,
-                ProbePriceLocked(b, desc, request.arrival_ms),
-                request.deadline_ms, request.tier);
+        const AdmissionController::Verdict va = quote(a, 0.0);
+        const AdmissionController::Verdict vb = quote(b, 0.0);
         const bool a_ok = va.outcome == Outcome::kAccepted;
         const bool b_ok = vb.outcome == Outcome::kAccepted;
         if (a_ok != b_ok) {
@@ -339,11 +323,7 @@ ShardedRenderService::Submit(const SceneRequest& request,
                  TraceArg::Int("accepted", (a_ok || b_ok) ? 1 : 0)});
         }
     } else if (config_.enable_spill && LiveCountLocked() > 1) {
-        const AdmissionController::Verdict at_home =
-            shards_[home]->Probe(
-                request.arrival_ms,
-                ProbePriceLocked(home, desc, request.arrival_ms),
-                request.deadline_ms, request.tier);
+        const AdmissionController::Verdict at_home = quote(home, 0.0);
         if (recorder != nullptr) {
             recorder->RecordInstant(
                 route_ctx, "route", "probe:shard" + std::to_string(home),
@@ -368,11 +348,7 @@ ShardedRenderService::Submit(const SceneRequest& request,
                     ? 0.0
                     : config_.spill_recompile_factor * desc.est_latency_ms;
             const AdmissionController::Verdict verdict =
-                shards_[candidate]->Probe(
-                    request.arrival_ms,
-                    ProbePriceLocked(candidate, desc, request.arrival_ms) +
-                        candidate_surcharge,
-                    request.deadline_ms, request.tier);
+                quote(candidate, candidate_surcharge);
             if (recorder != nullptr) {
                 recorder->RecordInstant(
                     route_ctx, "route",
@@ -406,10 +382,10 @@ ShardedRenderService::Submit(const SceneRequest& request,
     }
 
     // The ticket's slot is appended first and routed into in place.
-    const ClusterTicket ticket = pending_base_ + pending_.size();
+    const ClusterTicket ticket = pending_.end_seq();
     RouteToShardLocked(request, id, options, chosen, home, spilled,
                        surcharge_ms, via_replica, /*is_replay=*/false,
-                       route_ctx, pending_.emplace_back());
+                       route_ctx, pending_.push_back());
 
     if (recorder != nullptr) {
         TraceContext root_ctx;
@@ -478,7 +454,7 @@ ShardedRenderService::RouteToShardLocked(
             pending.accepted = false;
             pending.result = std::make_unique<RenderResult>();
             pending.result->status = RequestStatus::kFailedTransport;
-            pending.result->scene = request.scene;
+            pending.result->scene = InternName(request.scene);
             pending.result->tier = request.tier;
             return;
         }
@@ -588,17 +564,16 @@ ShardedRenderService::Wait(ClusterTicket ticket)
     Pending pending;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        FLEX_CHECK_MSG(ticket >= pending_base_ &&
-                           ticket - pending_base_ < pending_.size() &&
-                           !pending_[ticket - pending_base_].claimed,
+        // Wraps past size() for a ticket older than the front.
+        const std::uint64_t index = ticket - pending_.front_seq();
+        FLEX_CHECK_MSG(index < pending_.size() && !pending_[index].claimed,
                        "unknown or already-consumed cluster ticket "
                            << ticket);
-        Pending& slot = pending_[ticket - pending_base_];
+        Pending& slot = pending_[index];
         pending = std::move(slot);
         slot.claimed = true;
         while (!pending_.empty() && pending_.front().claimed) {
             pending_.pop_front();
-            ++pending_base_;
         }
     }
     return Finish(std::move(pending));
@@ -607,16 +582,13 @@ ShardedRenderService::Wait(ClusterTicket ticket)
 std::vector<ClusterRenderResult>
 ShardedRenderService::WaitAll()
 {
-    // Take the whole store: its slots are already in ticket order.
-    std::deque<Pending> drained;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        drained.swap(pending_);
-        pending_base_ += drained.size();
-    }
+    // Finish every slot in ticket order and pop it, so the store's
+    // chunks recycle for the next stream.
+    std::lock_guard<std::mutex> lock(mutex_);
     std::vector<ClusterRenderResult> results;
-    results.reserve(drained.size());
-    for (Pending& pending : drained) {
+    results.reserve(pending_.size());
+    for (; !pending_.empty(); pending_.pop_front()) {
+        Pending& pending = pending_.front();
         if (!pending.claimed) results.push_back(Finish(std::move(pending)));
     }
     return results;
@@ -938,7 +910,8 @@ ShardedRenderService::Resize(std::size_t new_shards)
     // Results are retained, so tickets issued before the resize stay
     // claimable after it. (Dead shards hold no unresolved tickets —
     // KillShard resolved or replayed them.)
-    for (Pending& pending : pending_) {
+    for (std::size_t i = 0; i < pending_.size(); ++i) {
+        Pending& pending = pending_[i];
         if (pending.claimed || pending.result != nullptr) continue;
         pending.result = std::make_unique<RenderResult>(
             shards_[pending.shard]->Wait(pending.shard_ticket));
@@ -1037,7 +1010,9 @@ ShardedRenderService::Snapshot() const
             shard.alive = false;
             continue;
         }
-        shard.service = shards_[i]->Snapshot();
+        // The replica's stats and ledger in one cut (one lock).
+        ServeLedger ledger;
+        shard.service = shards_[i]->Snapshot(&ledger);
         shard.homed = aux_[i].homed;
         shard.spill_in = aux_[i].spill_in;
         shard.spill_out = aux_[i].spill_out;
@@ -1047,7 +1022,7 @@ ShardedRenderService::Snapshot() const
         stats.spilled += shard.spill_in;
         stats.spill_recompiles += shard.spill_recompiles;
         stats.replica_served += shard.replica_in;
-        epoch.Merge(shards_[i]->Ledger());
+        epoch.Merge(ledger);
         latency.Merge(shards_[i]->latency_histogram());
         for (std::size_t t = 0; t < tier_latency.size(); ++t) {
             tier_latency[t].Merge(shards_[i]->tier_latency_histogram(t));

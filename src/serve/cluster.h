@@ -97,12 +97,12 @@
  * order — determinism then holds per admission order observed, which is
  * why bench/serving_cluster submits from one thread). The router mutex
  * is held across each routing decision — its probes (RenderService::
- * Probe) and the shard Submit — and each replica call takes only that
- * replica's one service lock, so the lock order is router -> service,
- * never the reverse. Resize and KillShard must not race other members:
- * quiesce callers first. Submitting directly to a replica obtained via
- * shard() would break the probe/Admit agreement — replicas are exposed
- * for inspection only.
+ * Quote, one replica lock per candidate) and the shard Submit — and
+ * each replica call takes only that replica's one service lock, so the
+ * lock order is router -> service, never the reverse. Resize and
+ * KillShard must not race other members: quiesce callers first.
+ * Submitting directly to a replica obtained via shard() would break the
+ * probe/Admit agreement — replicas are exposed for inspection only.
  */
 #ifndef FLEXNERFER_SERVE_CLUSTER_H_
 #define FLEXNERFER_SERVE_CLUSTER_H_
@@ -115,6 +115,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/slot_ring.h"
 #include "serve/render_service.h"
 #include "serve/shard_router.h"
 
@@ -167,7 +168,7 @@ struct ClusterConfig {
      * arrivals collect into one shard's windows. Router probes are
      * marginal-aware: when the scene has an open, unexpired,
      * non-full batch on the probed shard, the probe prices the join
-     * at EstimatedMarginalServiceMs (RenderService::ProbeBatchJoin) —
+     * at EstimatedMarginalServiceMs (RenderService::Quote) —
      * the exact price Submit admits at — so probe-accept implies
      * submit-accept *and* shards advertise their in-flight batch
      * capacity instead of spilling joiners a marginal-priced home
@@ -454,9 +455,9 @@ class ShardedRenderService
         std::uint64_t rehomes = 0;    //!< kills/resizes that moved it
     };
 
-    /** One outstanding or resolved ticket, kept small (several per
-     *  deque block): no scene string — KillShard rebuilds the request
-     *  from these scalars and the cluster SceneId. */
+    /** One outstanding or resolved ticket, kept small (the store holds
+     *  a whole stream until it drains): no scene string — KillShard
+     *  rebuilds the request from these scalars and the cluster SceneId. */
     struct Pending {
         /** Set once the cluster resolved the ticket itself (transport
          *  failure, KillShard/Resize drain); else the shard holds it. */
@@ -532,16 +533,6 @@ class ShardedRenderService
     /** Live replica count (mutex_ held). */
     std::size_t LiveCountLocked() const;
     /**
-     * The admission estimate a probe of (@p shard, @p desc's scene)
-     * must use to agree exactly with what Submit would admit at: the
-     * batch-join marginal when the scene has an open batch there
-     * (RenderService::ProbeBatchJoin), the solo estimate otherwise
-     * (always, where the scene is not registered yet). Surcharges are
-     * the caller's to add. (mutex_ held.)
-     */
-    double ProbePriceLocked(std::size_t shard, const SceneDesc& desc,
-                            double arrival_ms);
-    /**
      * Routes @p request to @p shard with @p surcharge_ms and records
      * the bookkeeping into @p pending (transport hop, shard submit, the
      * verdict its receipt returns, aux counters). The single funnel for
@@ -584,15 +575,12 @@ class ShardedRenderService
     std::vector<SceneDesc> scenes_;  //!< by cluster SceneId
     std::unordered_map<std::string, SceneId> scene_ids_;  //!< name -> id
     /**
-     * The ticket store. Tickets are issued sequentially, so slot i
-     * holds ticket pending_base_ + i and the next ticket is
-     * pending_base_ + pending_.size(). Wait is an index lookup that
-     * pops claimed slots off the front; WaitAll takes the whole deque
-     * and walks it in ticket order; KillShard and Resize walk it
-     * skipping claimed slots.
+     * The ticket store. A ticket is its slot's ring sequence, so Wait
+     * is an index lookup that pops claimed slots off the front; WaitAll
+     * finishes and pops every slot in ticket order; KillShard and
+     * Resize walk it skipping claimed slots. Popped chunks recycle.
      */
-    std::deque<Pending> pending_;
-    ClusterTicket pending_base_ = 0;
+    SlotRing<Pending> pending_;
     /** Open sessions, never erased: session id i + 1 at index i. */
     std::vector<SessionDesc> sessions_;
     std::uint64_t session_rehomes_ = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/intern.h"
 #include "common/logging.h"
 #include "obs/metrics_registry.h"
 
@@ -67,7 +68,7 @@ void
 TraceNotAccepted(TraceRecorder* recorder, const RequestTrace& trace,
                  const AdmissionController::Verdict& verdict,
                  const std::string& tier_name, RequestStatus status,
-                 const std::string& scene)
+                 std::string_view scene)
 {
     if (recorder == nullptr || !trace.active()) return;
     recorder->RecordInstant(
@@ -84,7 +85,7 @@ TraceNotAccepted(TraceRecorder* recorder, const RequestTrace& trace,
     recorder->RecordSpan(root_ctx, "request", "request",
                          verdict.arrival_ms, verdict.arrival_ms,
                          trace.wall_submit_us, recorder->NowWallUs(),
-                         {TraceArg::Str("scene", scene),
+                         {TraceArg::Str("scene", std::string(scene)),
                           TraceArg::Str("status", ToString(status))});
 }
 
@@ -93,7 +94,7 @@ TraceNotAccepted(TraceRecorder* recorder, const RequestTrace& trace,
  *  wall [wall_begin_us, wall_end_us]. */
 void
 TraceServed(TraceRecorder* recorder, const RequestTrace& trace,
-            const std::string& scene, double wall_begin_us,
+            std::string_view scene, double wall_begin_us,
             double wall_end_us, std::vector<TraceArg> service_args)
 {
     recorder->RecordSpan(trace.ctx, "queue", "queue_wait", trace.arrival_ms,
@@ -107,7 +108,8 @@ TraceServed(TraceRecorder* recorder, const RequestTrace& trace,
     root_ctx.parent_span = trace.root_parent;
     recorder->RecordSpan(root_ctx, "request", "request", trace.arrival_ms,
                          trace.completion_ms, trace.wall_submit_us,
-                         wall_end_us, {TraceArg::Str("scene", scene)});
+                         wall_end_us,
+                         {TraceArg::Str("scene", std::string(scene))});
 }
 
 }  // namespace
@@ -341,7 +343,7 @@ RenderService::RegisterScene(const std::string& name,
     // per-scene state exists.
     std::lock_guard<std::mutex> lock(mutex_);
     const SceneId id = registry_.Register(name, spec);
-    scenes_.push_back({open_batches_.end()});
+    scenes_.push_back({open_batches_.end(), InternName(name)});
     return id;
 }
 
@@ -381,16 +383,8 @@ RenderService::WarmScene(const std::string& scene)
 ServeTicket
 RenderService::Resolve(RenderResult result)
 {
-    const ServeTicket ticket = results_base_ + results_.size();
-    results_.push_back({TicketSlot::State::kReady, std::move(result)});
-    return ticket;
-}
-
-ServeTicket
-RenderService::ReserveTicket()
-{
-    const ServeTicket ticket = results_base_ + results_.size();
-    results_.emplace_back();
+    const ServeTicket ticket = results_.end_seq();
+    results_.push_back() = {TicketSlot::State::kReady, std::move(result)};
     return ticket;
 }
 
@@ -400,21 +394,20 @@ RenderService::PopClaimedLocked()
     while (!results_.empty() &&
            results_.front().state == TicketSlot::State::kClaimed) {
         results_.pop_front();
-        ++results_base_;
     }
 }
 
 RenderResult
-RenderService::Judge(SceneId scene, const SceneRequest& request,
+RenderService::Judge(SceneId scene,
                      const AdmissionController::Verdict& verdict,
                      double est_service_ms, TraceRecorder* recorder,
                      RequestTrace& trace)
 {
+    SceneState& state = scenes_[scene];
     RenderResult result;
-    result.scene = request.scene;
+    result.scene = state.name;
     result.tier = verdict.tier;
     const std::string& tier_name = admission_.tiers()[verdict.tier].name;
-    SceneState& state = scenes_[scene];
     using Outcome = AdmissionController::Outcome;
     if (verdict.outcome != Outcome::kAccepted) {
         const bool shed = verdict.outcome == Outcome::kShedDeadline;
@@ -422,7 +415,7 @@ RenderService::Judge(SceneId scene, const SceneRequest& request,
                              : RequestStatus::kRejectedQueueFull;
         ++(shed ? state.shed : state.rejected);
         TraceNotAccepted(recorder, trace, verdict, tier_name, result.status,
-                         request.scene);
+                         state.name);
         return result;
     }
     result.queue_wait_ms = verdict.wait_ms;
@@ -499,7 +492,7 @@ RenderService::Submit(const SceneRequest& request,
         request.arrival_ms, est_service_ms, request.deadline_ms,
         request.tier);
     RenderResult result =
-        Judge(scene->id, request, verdict, est_service_ms, recorder, trace);
+        Judge(scene->id, verdict, est_service_ms, recorder, trace);
     if (result.status != RequestStatus::kCompleted) {
         return {Resolve(std::move(result)), verdict, {}, 0};
     }
@@ -555,8 +548,7 @@ RenderService::SubmitBatched(const SceneEntry& scene,
     const AdmissionController::Verdict verdict = admission_.Admit(
         request.arrival_ms, est + extra_service_ms, request.deadline_ms,
         request.tier);
-    RenderResult result =
-        Judge(id, request, verdict, est, recorder, trace);
+    RenderResult result = Judge(id, verdict, est, recorder, trace);
     if (result.status != RequestStatus::kCompleted) {
         // A shed or rejected joiner consumes no batch slot: the open
         // batch keeps collecting as if the request never arrived.
@@ -571,7 +563,8 @@ RenderService::SubmitBatched(const SceneEntry& scene,
     // The ticket is issued now, in submission order; its result is
     // stored when the batch flushes.
     BatchMember member;
-    member.ticket = ReserveTicket();
+    member.ticket = results_.end_seq();
+    results_.push_back();  // pending: the slot fills at the flush
     const ServeTicket ticket = member.ticket;
     member.result = std::move(result);
     member.trace = trace;
@@ -737,7 +730,7 @@ RenderService::SubmitSession(const SceneEntry& scene,
         request.arrival_ms, estimate.service_ms, request.deadline_ms,
         request.tier);
     RenderResult result =
-        Judge(id, request, verdict, estimate.service_ms, recorder, trace);
+        Judge(id, verdict, estimate.service_ms, recorder, trace);
     if (result.status != RequestStatus::kCompleted) {
         // The session does not advance: a rejected or shed frame was
         // never rendered, so the next frame's reuse is still measured
@@ -804,7 +797,8 @@ RenderService::FlushBatchLocked(std::list<OpenBatch>::iterator batch)
                 last_batch_arrival_ms_,
                 {TraceArg::Int("elements",
                                static_cast<std::int64_t>(elements)),
-                 TraceArg::Str("scene", closing.members[0].result.scene)});
+                 TraceArg::Str("scene", std::string(
+                                            closing.members[0].result.scene))});
         }
     }
 
@@ -847,7 +841,7 @@ RenderService::FlushBatchLocked(std::list<OpenBatch>::iterator batch)
     completed_ += elements;
     for (BatchMember& member : closing.members) {
         // A pending slot is never popped, so the index is live.
-        TicketSlot& slot = results_[member.ticket - results_base_];
+        TicketSlot& slot = results_[member.ticket - results_.front_seq()];
         slot.result = std::move(member.result);
         slot.state = TicketSlot::State::kReady;
     }
@@ -857,8 +851,15 @@ bool
 RenderService::ProbeBatchJoin(SceneId scene, double arrival_ms,
                               double* marginal_est_ms)
 {
-    if (batch_window_ms_ <= 0.0) return false;
     std::lock_guard<std::mutex> lock(mutex_);
+    return ProbeBatchJoinLocked(scene, arrival_ms, marginal_est_ms);
+}
+
+bool
+RenderService::ProbeBatchJoinLocked(SceneId scene, double arrival_ms,
+                                    double* marginal_est_ms)
+{
+    if (batch_window_ms_ <= 0.0) return false;
     const auto open = scenes_.at(scene).open_batch;
     if (open == open_batches_.end()) return false;
     // Mirror SubmitBatched's view without moving it: the same clamped
@@ -915,12 +916,12 @@ RenderService::Wait(ServeTicket ticket)
     // ticket's result exists.
     std::lock_guard<std::mutex> lock(mutex_);
     FlushAllLocked();
-    FLEX_CHECK_MSG(ticket >= results_base_ &&
-                       ticket - results_base_ < results_.size() &&
-                       results_[ticket - results_base_].state ==
-                           TicketSlot::State::kReady,
+    // Wraps past size() for a ticket older than the front.
+    const std::uint64_t index = ticket - results_.front_seq();
+    FLEX_CHECK_MSG(index < results_.size() &&
+                       results_[index].state == TicketSlot::State::kReady,
                    "unknown or already-consumed serve ticket " << ticket);
-    TicketSlot& slot = results_[ticket - results_base_];
+    TicketSlot& slot = results_[index];
     RenderResult result = std::move(slot.result);
     slot.state = TicketSlot::State::kClaimed;
     PopClaimedLocked();
@@ -936,12 +937,12 @@ RenderService::WaitAll()
     results.reserve(results_.size());
     // Slots are in ticket order already, and the flush left none
     // pending: every unclaimed slot is ready.
-    for (TicketSlot& slot : results_) {
-        if (slot.state != TicketSlot::State::kReady) continue;
-        results.push_back(std::move(slot.result));
-        slot.state = TicketSlot::State::kClaimed;
+    for (; !results_.empty(); results_.pop_front()) {
+        TicketSlot& slot = results_.front();
+        if (slot.state == TicketSlot::State::kReady) {
+            results.push_back(std::move(slot.result));
+        }
     }
-    PopClaimedLocked();
     return results;
 }
 
@@ -951,6 +952,19 @@ RenderService::Probe(double arrival_ms, double est_latency_ms,
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return admission_.Probe(arrival_ms, est_latency_ms, deadline_ms, tier);
+}
+
+AdmissionController::Verdict
+RenderService::Quote(SceneId scene, const SceneRequest& request,
+                     double solo_est_ms, double surcharge_ms)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    double price = solo_est_ms;
+    if (scene != kNoScene) {
+        ProbeBatchJoinLocked(scene, request.arrival_ms, &price);
+    }
+    return admission_.Probe(request.arrival_ms, price + surcharge_ms,
+                            request.deadline_ms, request.tier);
 }
 
 ServeLedger
@@ -991,12 +1005,13 @@ RenderService::LedgerLocked() const
 }
 
 ServiceStats
-RenderService::Snapshot() const
+RenderService::Snapshot(ServeLedger* ledger_out) const
 {
     // One cut: every figure below is read under one hold of the lock.
     std::lock_guard<std::mutex> lock(mutex_);
     ServiceStats stats;
     const ServeLedger ledger = LedgerLocked();
+    if (ledger_out != nullptr) *ledger_out = ledger;
     stats.Derive(ledger, latency_, admission_.tiers(), tier_latency_,
                  ledger.SpanMs());
     stats.sessions_opened = sessions_.size();

@@ -54,8 +54,10 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/slot_ring.h"
 #include "common/stats.h"
 #include "models/trajectory.h"
 #include "obs/trace.h"
@@ -112,7 +114,9 @@ std::string ToString(RequestStatus status);
 /** Outcome of one request (virtual-time latencies; see file header). */
 struct RenderResult {
     RequestStatus status = RequestStatus::kCompleted;
-    std::string scene;
+    /** The scene's interned name (common/intern.h): valid for the
+     *  process lifetime, so copy it only where a string must be owned. */
+    std::string_view scene;
     /** The SLO tier the request was judged under. */
     std::size_t tier = 0;
     /** Rendered frame cost (kCompleted only; zero otherwise). */
@@ -458,9 +462,9 @@ class RenderService
      * members are the exception: they resolve when their batch flushes.
      * The first request against a cold scene additionally compiles it,
      * with the compile's wavefronts on the pool (WarmScene avoids that).
-     * The receipt's verdict equals Probe taken just before
-     * at the routing price: the solo estimate, ProbeBatchJoin's
-     * marginal or PeekSessionEstimate, plus options.extra_service_ms.
+     * The receipt's verdict equals a Quote taken just before (for a
+     * session frame, a Probe at PeekSessionEstimate's price) with
+     * options.extra_service_ms as the surcharge.
      *
      * @p options selects the path: default options reproduce the
      * legacy behavior exactly (batching when configured, no surcharge,
@@ -533,7 +537,9 @@ class RenderService
      *  in submission (ticket) order. */
     std::vector<RenderResult> WaitAll();
 
-    ServiceStats Snapshot() const;
+    /** The replica's telemetry; with @p ledger, also the raw ledger
+     *  behind it, read in the same cut. */
+    ServiceStats Snapshot(ServeLedger* ledger = nullptr) const;
 
     /** The raw counts and sums behind Snapshot(): what a cluster merges
      *  into its fleet ledger (see ServeLedger). */
@@ -552,6 +558,18 @@ class RenderService
                                        double est_latency_ms,
                                        double deadline_ms = 0.0,
                                        std::size_t tier = 0);
+
+    /**
+     * A router's one call per candidate replica, under one service
+     * lock: prices @p request as Submit would (ProbeBatchJoin's
+     * marginal when @p scene has a joinable batch, else @p solo_est_ms;
+     * @p scene may be kNoScene), adds @p surcharge_ms, and returns
+     * Probe's verdict at that price.
+     */
+    AdmissionController::Verdict Quote(SceneId scene,
+                                       const SceneRequest& request,
+                                       double solo_est_ms,
+                                       double surcharge_ms = 0.0);
 
     /** Virtual request-latency histogram over accepted requests.
      *  Geometric buckets merge losslessly (LatencyHistogram::Merge), so
@@ -624,6 +642,7 @@ class RenderService
     struct SceneState {
         /** The scene's open batch; open_batches_.end() = none. */
         std::list<OpenBatch>::iterator open_batch;
+        std::string_view name;  //!< interned at RegisterScene
         /** Admission outcomes: the ServiceStats::scenes columns. */
         std::uint64_t accepted = 0;
         std::uint64_t rejected = 0;
@@ -633,11 +652,11 @@ class RenderService
     // Every helper below runs with mutex_ held.
     /** Stores @p result under the next ticket and returns the ticket. */
     ServeTicket Resolve(RenderResult result);
-    /** Issues the next ticket with its slot pending: a fused-batch
-     *  member's result is stored when its batch flushes. */
-    ServeTicket ReserveTicket();
     /** Pops the claimed slots off the front of results_. */
     void PopClaimedLocked();
+    /** ProbeBatchJoin minus the lock. */
+    bool ProbeBatchJoinLocked(SceneId scene, double arrival_ms,
+                              double* marginal_est_ms);
     /**
      * Books one admission verdict, shared by every Submit path: builds
      * the request's result and records the outcome in the per-scene
@@ -646,7 +665,7 @@ class RenderService
      * its frame cost from a replay. @p est_service_ms is the estimate
      * the accepted trace instant reports.
      */
-    RenderResult Judge(SceneId scene, const SceneRequest& request,
+    RenderResult Judge(SceneId scene,
                        const AdmissionController::Verdict& verdict,
                        double est_service_ms, TraceRecorder* recorder,
                        RequestTrace& trace);
@@ -691,15 +710,12 @@ class RenderService
     std::uint64_t completed_ = 0;
     std::vector<SceneState> scenes_;
     /**
-     * The ticket -> RenderResult store. Tickets are issued
-     * sequentially, so slot i holds ticket results_base_ + i and the
-     * next ticket is results_base_ + results_.size(). Wait is an index
-     * lookup, WaitAll walks the slots in ticket order, and claimed
-     * slots pop off the front, so the store spans only the oldest
-     * unclaimed ticket to the newest.
+     * The ticket -> RenderResult store. A ticket is its slot's ring
+     * sequence, so Wait is an index lookup and WaitAll walks the slots
+     * in ticket order. Claimed slots pop off the front and their
+     * chunks recycle, so a warmed store allocates nothing.
      */
-    std::deque<TicketSlot> results_;
-    ServeTicket results_base_ = 0;
+    SlotRing<TicketSlot> results_;
 
     /** Batch-fusion state (ServeConfig::batch_window_ms). */
     const double batch_window_ms_;

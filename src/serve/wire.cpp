@@ -1,7 +1,9 @@
 #include "serve/wire.h"
 
 #include <cstring>
+#include <string_view>
 
+#include "common/intern.h"
 #include "common/logging.h"
 
 namespace flexnerfer {
@@ -34,7 +36,7 @@ AppendF64(std::string& out, double v)
 }
 
 void
-AppendString(std::string& out, const std::string& s)
+AppendString(std::string& out, std::string_view s)
 {
     AppendU32(out, static_cast<std::uint32_t>(s.size()));
     out.append(s);
@@ -63,12 +65,13 @@ public:
         return v;
     }
 
-    std::string
+    /** A view into the frame: valid while the frame is. */
+    std::string_view
     String()
     {
         const std::uint32_t size = U32();
         Need(size);
-        std::string s = frame_.substr(pos_, size);
+        const std::string_view s(frame_.data() + pos_, size);
         pos_ += size;
         return s;
     }
@@ -215,7 +218,7 @@ DecodeSceneRequest(const std::string& frame)
 {
     Reader reader = OpenFrame(frame, MessageType::kSceneRequest);
     SceneRequest request;
-    request.scene = reader.String();
+    request.scene.assign(reader.String());
     request.tier = static_cast<std::size_t>(reader.U64());
     request.priority =
         static_cast<int>(static_cast<std::int64_t>(reader.U64()));
@@ -265,7 +268,7 @@ DecodeRenderResult(const std::string& frame)
     Reader reader = OpenFrame(frame, MessageType::kRenderResult);
     RenderResult result;
     result.status = static_cast<RequestStatus>(reader.U8());
-    result.scene = reader.String();
+    result.scene = InternName(reader.String());
     result.tier = static_cast<std::size_t>(reader.U64());
     result.cost = ReadFrameCost(reader);
     result.queue_wait_ms = reader.F64();

@@ -1,12 +1,18 @@
 /**
  * @file
  * Unit tests for the common infrastructure: types, matrices, RNG, stats,
- * tables, and unit conversions.
+ * tables, unit conversions, the slot ring, and interned names.
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <string_view>
+
+#include "common/intern.h"
 #include "common/matrix.h"
 #include "common/rng.h"
+#include "common/slot_ring.h"
 #include "common/stats.h"
 #include "common/table.h"
 #include "common/types.h"
@@ -200,6 +206,82 @@ TEST(Units, PpaBreakdownTotals)
     b.components.push_back({"noc", 5.0, 1.0});
     EXPECT_DOUBLE_EQ(b.TotalAreaMm2(), 15.0);
     EXPECT_DOUBLE_EQ(b.TotalPowerW(), 3.0);
+}
+
+TEST(SlotRing, KeepsFifoOrderAndIndexingAcrossChunkBoundaries)
+{
+    // Rounds of 70 pushes and 50 pops: pushes, pops and indexing all
+    // cross chunk boundaries, and the index grows while slots are live.
+    SlotRing<std::uint64_t> ring;
+    std::uint64_t next = 0;  // value pushed next (== its sequence)
+    for (int round = 0; round < 50; ++round) {
+        for (int i = 0; i < 70; ++i) ring.push_back() = next++;
+        for (int i = 0; i < 50; ++i) {
+            ASSERT_EQ(ring.front(), ring.front_seq());
+            ring.pop_front();
+        }
+        ASSERT_EQ(ring.end_seq(), next);
+        ASSERT_EQ(ring.size(), ring.end_seq() - ring.front_seq());
+        for (std::size_t i = 0; i < ring.size(); ++i) {
+            ASSERT_EQ(ring[i], ring.front_seq() + i) << "round " << round;
+        }
+    }
+    while (!ring.empty()) {
+        const std::uint64_t seq = ring.front_seq();
+        EXPECT_EQ(ring.front(), seq);
+        ring.pop_front();
+    }
+    EXPECT_EQ(ring.front_seq(), next);
+}
+
+TEST(SlotRing, PopResetsTheSlotSoNoStaleValueSurvives)
+{
+    SlotRing<std::string> ring;
+    // Fill and drain two chunks: the back then reuses the popped
+    // chunks' slots.
+    const std::size_t slots = 2 * SlotRing<std::string>::kChunkSlots;
+    for (std::size_t i = 0; i < slots; ++i) {
+        ring.push_back() = "stale result " + std::to_string(i);
+    }
+    for (std::size_t i = 0; i < slots; ++i) ring.pop_front();
+    const std::size_t chunks = ring.chunks();
+    for (std::size_t i = 0; i < slots; ++i) {
+        EXPECT_EQ(ring.push_back(), "") << i;
+    }
+    EXPECT_EQ(ring.chunks(), chunks);  // recycled, not reallocated
+}
+
+TEST(SlotRing, ChunkCountStopsGrowingInSteadyState)
+{
+    SlotRing<double> ring;
+    // A store that fills to 500 entries and drains to 100, over and
+    // over: 400 pops a cycle move the front's chunk offset by 16 slots,
+    // so it has taken all four of its offsets after four cycles, and
+    // 500 slots from any of them span at most 9 chunks. From then on
+    // every chunk the store needs exists.
+    const auto cycle = [&] {
+        while (ring.size() < 500) ring.push_back() = 1.0;
+        while (ring.size() > 100) ring.pop_front();
+    };
+    for (int warm = 0; warm < 8; ++warm) cycle();
+    const std::size_t warmed = ring.chunks();
+    for (int i = 0; i < 200; ++i) {
+        cycle();
+        ASSERT_EQ(ring.chunks(), warmed) << "cycle " << i;
+    }
+    // The index has 16 entries, and only those hold chunks.
+    EXPECT_LE(warmed, 16u);
+}
+
+TEST(InternName, EqualNamesShareOneProcessLifetimeCopy)
+{
+    std::string name = "Instant-NGP/flexnerfer-int8";
+    const std::string_view first = InternName(name);
+    name.assign("overwritten, then destroyed");
+    EXPECT_EQ(first, "Instant-NGP/flexnerfer-int8");
+    const std::string_view again = InternName("Instant-NGP/flexnerfer-int8");
+    EXPECT_EQ(again.data(), first.data());
+    EXPECT_NE(InternName("KiloNeRF/flexnerfer-int8").data(), first.data());
 }
 
 }  // namespace

@@ -27,6 +27,7 @@
 #include "serve/admission.h"
 #include "serve/cluster.h"
 #include "serve/shard_router.h"
+#include "serve/transport.h"
 #include "frame_cost_matchers.h"
 
 namespace flexnerfer {
@@ -908,7 +909,8 @@ TEST(ShardedRenderService, ResizeDrainsRebalancesAndKeepsTelemetry)
     for (const ClusterTicket ticket : more) {
         const ClusterRenderResult result = cluster.Wait(ticket);
         EXPECT_EQ(result.result.status, RequestStatus::kCompleted);
-        EXPECT_EQ(result.shard, new_router.Home(result.result.scene));
+        EXPECT_EQ(result.shard,
+                  new_router.Home(std::string(result.result.scene)));
     }
     const ClusterStats final_stats = cluster.Snapshot();
     EXPECT_EQ(final_stats.submitted, 14u);
@@ -1578,6 +1580,81 @@ TEST(ShardedRenderService, ResizeReissuesSceneIds)
         ExpectSceneAndWarmCost(results, names[i], warm[i]);
         EXPECT_EQ(results[0].result.status, RequestStatus::kCompleted);
     }
+}
+
+TEST(ShardedRenderService, ResultsKeepTheirSceneNamePastTheirOwners)
+{
+    // A result views the process-lifetime interned scene name, never a
+    // string its service or cluster owns: it must still read its scene
+    // once that owner is destroyed, has lost the shard that served it,
+    // or was rebuilt (ASan checks every read below).
+    const std::string name = "lifetime/Instant-NGP/flexnerfer-int8";
+    SceneRequest request;
+    request.scene = name;
+    std::vector<RenderResult> solo;
+    {
+        RenderService service;
+        service.RegisterScene(name, FlexScene("Instant-NGP"));
+        solo.push_back(service.Wait(service.Submit(request).ticket));
+    }
+    std::vector<ClusterRenderResult> fleet;
+    {
+        ClusterConfig config;
+        config.shards = 2;
+        config.threads_per_shard = 1;
+        config.enable_spill = false;
+        ShardedRenderService cluster(config);
+        cluster.RegisterScene(name, FlexScene("Instant-NGP"));
+        const double est = EstimatedServiceMs(cluster.WarmScene(name));
+        // Completions at E, 2E, 3E, 4E: a death at 1.5E replays three.
+        const std::vector<ClusterTicket> killed =
+            SubmitBurst(cluster, name, 4, 0.0);
+        ASSERT_EQ(cluster.KillShard(cluster.router().Home(name), 1.5 * est),
+                  3u);
+        for (const ClusterTicket ticket : killed) {
+            fleet.push_back(cluster.Wait(ticket));
+        }
+        // Resize drains these into results it retains, then destroys
+        // every replica that produced them.
+        const std::vector<ClusterTicket> resized =
+            SubmitBurst(cluster, name, 2, 10.0 * est);
+        cluster.Resize(3);
+        for (const ClusterTicket ticket : resized) {
+            fleet.push_back(cluster.Wait(ticket));
+        }
+        // A WaitAll result too, read like the rest after the cluster dies.
+        SubmitBurst(cluster, name, 1, 20.0 * est);
+        std::vector<ClusterRenderResult> rest = cluster.WaitAll();
+        fleet.insert(fleet.end(), rest.begin(), rest.end());
+    }
+    {
+        // A partition on every link from virtual 0: the request never
+        // reaches a shard and the cluster resolves it itself.
+        SimTransport transport(7);
+        FaultEvent partition;
+        partition.kind = FaultEvent::Kind::kPartition;
+        partition.link = SimTransport::kAllLinks;
+        partition.end_ms = 1e9;
+        transport.Schedule(partition);
+        ClusterConfig config;
+        config.shards = 2;
+        config.threads_per_shard = 1;
+        config.transport = &transport;
+        ShardedRenderService cluster(config);
+        cluster.RegisterScene(name, FlexScene("Instant-NGP"));
+        fleet.push_back(cluster.Wait(cluster.Submit(request)));
+        EXPECT_TRUE(fleet.back().transport_failed);
+    }
+    ASSERT_EQ(solo.size(), 1u);
+    EXPECT_EQ(solo[0].scene, name);
+    ASSERT_EQ(fleet.size(), 8u);
+    std::size_t replayed = 0;
+    for (const ClusterRenderResult& r : fleet) {
+        EXPECT_EQ(r.result.scene, name);
+        if (r.replayed) ++replayed;
+    }
+    EXPECT_EQ(replayed, 3u);
+    EXPECT_EQ(fleet.back().result.status, RequestStatus::kFailedTransport);
 }
 
 TEST(ShardedRenderServiceDeathTest, UnknownSceneAndSessionMismatchAreFatal)
