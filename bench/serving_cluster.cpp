@@ -9,8 +9,8 @@
  *     in-process ShardedRenderService and (b) the ClusterController
  *     with a fault-free transport. Every verdict, shard choice, spill
  *     flag, latency, and merged counter must match field-for-field:
- *     crossing the versioned wire codec and paying simulated RPC
- *     latency is verdict-transparent when nothing fails.
+ *     crossing the simulated links and paying simulated RPC latency is
+ *     verdict-transparent when nothing fails.
  *
  *  2. flash — a flash crowd hammering one hot scene, served twice from
  *     the identical stream: single-home HRW (replication off) versus

@@ -6,9 +6,8 @@
  * into each result would cost an allocation per request for any name
  * past the small-string buffer, so results carry a std::string_view
  * into this table instead. Names are interned where they enter the
- * process: scene registration and the wire decoder. The table is never
- * freed, so a view outlives the service, cluster or frame that produced
- * it.
+ * process, at scene registration. The table is never freed, so a view
+ * outlives the service, cluster or frame that produced it.
  */
 #ifndef FLEXNERFER_COMMON_INTERN_H_
 #define FLEXNERFER_COMMON_INTERN_H_

@@ -421,7 +421,6 @@ ShardedRenderService::RouteToShardLocked(
 
     pending.scene = scene;
     pending.tier = request.tier;
-    pending.priority = request.priority;
     pending.arrival_ms = request.arrival_ms;
     pending.options = options;
     pending.shard = shard;
@@ -430,13 +429,12 @@ ShardedRenderService::RouteToShardLocked(
     pending.spill_surcharge_ms = surcharge_ms;
     pending.replayed = pending.replayed || is_replay;
 
-    // The cross-host hop: the request round-trips the wire codec and
-    // pays the link model. Delay is telemetry; loss is terminal once
-    // the retransmit budget runs out (see serve/transport.h).
+    // The cross-host hop: the request pays the link model, sized as
+    // its frame (serve/wire.h). Delay is telemetry; loss is terminal
+    // once the retransmit budget runs out (see serve/transport.h).
     if (config_.transport != nullptr) {
-        const std::string frame = wire::EncodeSceneRequest(request);
         const SimTransport::Delivery delivery = config_.transport->Transmit(
-            shard, frame.size(), request.arrival_ms,
+            shard, wire::RequestBytes(request), request.arrival_ms,
             SimTransport::Direction::kRequest);
         if (!delivery.delivered) {
             ++transport_failures_;
@@ -459,14 +457,6 @@ ShardedRenderService::RouteToShardLocked(
             return;
         }
         pending.rpc_delay_ms += delivery.deliver_ms - request.arrival_ms;
-        const SceneRequest echoed = wire::DecodeSceneRequest(frame);
-        FLEX_CHECK_MSG(echoed.scene == request.scene &&
-                           echoed.tier == request.tier &&
-                           echoed.priority == request.priority &&
-                           echoed.deadline_ms == request.deadline_ms &&
-                           echoed.arrival_ms == request.arrival_ms,
-                       "wire round-trip diverged for scene '"
-                           << request.scene << "'");
         if (recorder != nullptr) {
             recorder->RecordInstant(
                 route_ctx, "transport", "rpc", request.arrival_ms,
@@ -534,26 +524,15 @@ ShardedRenderService::Finish(Pending&& pending)
     out.result = pending.result != nullptr
                      ? std::move(*pending.result)
                      : shards_[pending.shard]->Wait(pending.shard_ticket);
-    // The result rides the wire home: round-trip the codec and pay the
-    // response leg (latency only — the verdict already exists, so the
-    // return channel never fails; see serve/transport.h).
+    // The result rides the link home and pays the response leg
+    // (latency only — the verdict already exists, so the return channel
+    // never fails; see serve/transport.h).
     if (config_.transport != nullptr && !pending.transport_failed) {
-        const std::string frame = wire::EncodeRenderResult(out.result);
         const double done_ms = pending.arrival_ms + out.result.latency_ms;
         const SimTransport::Delivery delivery = config_.transport->Transmit(
-            pending.shard, frame.size(), done_ms,
+            pending.shard, wire::ResultBytes(out.result), done_ms,
             SimTransport::Direction::kResponse);
         out.rpc_delay_ms += delivery.deliver_ms - done_ms;
-        RenderResult echoed = wire::DecodeRenderResult(frame);
-        FLEX_CHECK_MSG(echoed.status == out.result.status &&
-                           echoed.scene == out.result.scene &&
-                           echoed.cost == out.result.cost &&
-                           echoed.latency_ms == out.result.latency_ms &&
-                           echoed.batch_elements ==
-                               out.result.batch_elements,
-                       "wire round-trip diverged for a result of scene '"
-                           << out.result.scene << "'");
-        out.result = std::move(echoed);
     }
     return out;
 }
@@ -733,7 +712,6 @@ ShardedRenderService::KillShardLocked(std::size_t shard, double now_ms)
         SceneRequest request;
         request.scene = desc.name;
         request.tier = pending.tier;
-        request.priority = pending.priority;
         request.arrival_ms = now_ms;
         const SubmitOptions options = pending.options;
         const std::size_t target =

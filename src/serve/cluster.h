@@ -30,9 +30,9 @@
  *
  * Cross-host shape (optional, ClusterConfig::transport): every
  * controller->shard submit and shard->controller result crosses a
- * simulated per-shard link (serve/transport.h) through the versioned
- * wire codec (serve/wire.h) — plans, prepared handles, and plan caches
- * never cross; only requests, results, and snapshots do. Transport
+ * simulated per-shard link (serve/transport.h), priced at its frame
+ * size (serve/wire.h) — plans, prepared handles, and plan caches never
+ * cross; only requests, results, and snapshots do. Transport
  * *delay* is telemetry (rpc_delay_ms): it does not re-time admission,
  * which is what keeps the side-effect-free probe == Admit agreement
  * exact under faults. Transport *loss* is real: a request that
@@ -181,7 +181,7 @@ struct ClusterConfig {
      * Simulated RPC transport for the cross-host shape (nullptr = pure
      * in-process calls, the PR 4 behavior, byte-identical to it). Not
      * owned; must outlive the cluster. With a transport attached every
-     * submit round-trips the wire codec and can fail in transit.
+     * submit crosses the simulated link and can fail in transit.
      */
     SimTransport* transport = nullptr;
     /** Hot-scene replication policy (top_k = 0 disables). */
@@ -482,7 +482,6 @@ class ShardedRenderService
         std::uint32_t home_shard = 0;
         std::uint32_t tier = 0;
         SceneId scene = 0;  //!< cluster id
-        int priority = 0;
         /** Returned by Wait/WaitAll; the slot only awaits popping. */
         bool claimed = false;
         bool spilled = false;

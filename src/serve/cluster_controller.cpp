@@ -106,11 +106,10 @@ ClusterController::PullShardSnapshots(double now_ms)
 
         // The summary crosses the shard's response channel like any
         // other result: pays latency (and any delay spike), never
-        // fails, and round-trips the versioned codec.
-        const std::string frame = wire::EncodeSnapshot(snapshot);
-        transport_.Transmit(i, frame.size(), now_ms,
+        // fails, and adds its frame size to the link's byte count.
+        transport_.Transmit(i, wire::SnapshotBytes(), now_ms,
                             SimTransport::Direction::kResponse);
-        rows.push_back(wire::DecodeSnapshot(frame));
+        rows.push_back(snapshot);
     }
     return rows;
 }

@@ -21,9 +21,9 @@
  *    resolved by the drain inside Resize and stay claimable, so a
  *    stream can keep submitting across the boundary.
  *  - PullShardSnapshots() fetches every live shard's telemetry summary
- *    through the versioned wire codec (one kShardSnapshot frame per
- *    shard over its response channel), which is how chaos drills
- *    reconcile merged cluster counters against shard-local truth.
+ *    over its response channel (one snapshot-sized message per shard;
+ *    see serve/wire.h), which is how chaos drills reconcile merged
+ *    cluster counters against shard-local truth.
  *
  * Determinism: the controller adds no randomness of its own. Deaths
  * apply in (start_ms, link) order at scheduled instants, snapshots pull
@@ -106,11 +106,10 @@ class ClusterController
     std::size_t RollingResize(std::size_t new_shards);
 
     /**
-     * Pulls every live shard's telemetry summary through the wire
-     * codec: each snapshot is encoded as a kShardSnapshot frame,
-     * crosses the shard's response channel (pays latency, never fails),
-     * and is decoded back. Rows arrive in shard-index order; dead
-     * shards are skipped. @p now_ms is the virtual pull time (feeds the
+     * Pulls every live shard's telemetry summary: each row crosses the
+     * shard's response channel at wire::SnapshotBytes() (pays latency,
+     * never fails). Rows arrive in shard-index order; dead shards are
+     * skipped. @p now_ms is the virtual pull time (feeds the
      * transport's fault windows).
      */
     std::vector<wire::WireSnapshot> PullShardSnapshots(double now_ms);

@@ -83,10 +83,10 @@ struct SceneRequest {
      */
     std::size_t tier = 0;
     /**
-     * Client-declared urgency, carried end to end (the cluster's wire
-     * codec round-trips it). It shapes no verdict — that is the tier's
-     * job (see `tier`) — and orders no execution: every request
-     * resolves inside Submit, in submission order.
+     * Client-declared urgency. It shapes no verdict — that is the
+     * tier's job (see `tier`) — orders no execution (every request
+     * resolves inside Submit, in submission order), and is not kept
+     * for a cluster replay.
      */
     int priority = 0;
     /** Deadline in model ms after arrival; 0 = tier default, then

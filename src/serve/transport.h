@@ -106,7 +106,7 @@ public:
         std::uint64_t failed = 0;  //!< request sends that exhausted retries
         std::uint64_t dropped_attempts = 0;
         std::uint64_t retries = 0;
-        std::uint64_t bytes = 0;  //!< payload bytes of delivered messages
+        std::uint64_t bytes = 0;  //!< frame bytes (header included) delivered
     };
 
     explicit SimTransport(std::uint64_t seed,

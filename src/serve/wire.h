@@ -1,60 +1,35 @@
 /**
  * @file
- * Versioned wire format for the cross-host cluster shape.
+ * Message-size model for the cross-host cluster shape.
  *
  * The simulated cluster keeps plans, prepared handles, and plan caches
- * strictly shard-local — only *descriptions* cross the wire: scene
- * requests, tickets, render results, and telemetry snapshots. Each
- * message is a length-prefixed binary frame:
+ * strictly shard-local — only *descriptions* cross the simulated link:
+ * scene requests, render results, and telemetry snapshots. The link
+ * model (serve/transport.h) needs only each message's size, so this
+ * header prices a message as the length-prefixed binary frame it would
+ * travel in, without building it:
  *
  *     [magic u32][version u16][type u8][reserved u8][payload u32][payload...]
  *
- * Encoding is explicit little-endian byte serialization (no struct
- * memcpy), so frames are identical across hosts and the decode side can
- * be validated byte-for-byte. Any malformed frame — wrong magic, wrong
- * version, wrong message type, or a size that disagrees with the header
- * — is a `Fatal` error mentioning "wire", because a version skew between
- * controller and shard is an operator error, not a recoverable fault.
- *
- * Determinism contract: Encode(x) is a pure function of x, and
- * Decode(Encode(x)) == x field-for-field (FrameCost has exact
- * operator==). The live submit path round-trips every request through
- * the codec when a transport is attached, so drift between in-process
- * and wire shapes cannot hide.
+ * Payloads are fixed-width little-endian fields; a string is a u32
+ * length followed by its bytes. Every size is a pure function of its
+ * argument, so `SimTransport::Stats::bytes` is deterministic.
  */
 #ifndef FLEXNERFER_SERVE_WIRE_H_
 #define FLEXNERFER_SERVE_WIRE_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
 
 #include "serve/render_service.h"
 
 namespace flexnerfer {
 namespace wire {
 
-/// Frame magic: "FNRW" (FlexNeRFer wire).
-inline constexpr std::uint32_t kMagic = 0x464E5257u;
-/// Current format version. Decoders reject any other version.
-inline constexpr std::uint16_t kVersion = 1;
-/// Fixed header size in bytes.
+/// Fixed frame header size in bytes.
 inline constexpr std::size_t kHeaderSize = 12;
 
-/// Message type tags carried in the frame header.
-enum class MessageType : std::uint8_t {
-    kSceneRequest = 1,
-    kTicket = 2,
-    kRenderResult = 3,
-    kShardSnapshot = 4,
-};
-
-/// A cluster-issued ticket as it crosses the wire.
-struct WireTicket {
-    std::uint64_t ticket = 0;
-    std::uint64_t shard = 0;
-};
-
-/// The per-shard telemetry summary a controller pulls over the wire to
+/// The per-shard telemetry summary a controller pulls over the link to
 /// reconcile merged cluster counters against shard-local truth.
 struct WireSnapshot {
     std::uint64_t shard = 0;
@@ -68,18 +43,32 @@ struct WireSnapshot {
     double p99_latency_ms = 0.0;
 };
 
-/// Encoders: pure functions of their argument.
-std::string EncodeSceneRequest(const SceneRequest& request);
-std::string EncodeTicket(const WireTicket& ticket);
-std::string EncodeRenderResult(const RenderResult& result);
-std::string EncodeSnapshot(const WireSnapshot& snapshot);
+static_assert(sizeof(FrameCost) == 10 * sizeof(double),
+              "ResultBytes counts FrameCost as 10 eight-byte fields");
 
-/// Decoders: `Fatal` (message contains "wire") on magic/version/type
-/// mismatch or on any frame whose size disagrees with its header.
-SceneRequest DecodeSceneRequest(const std::string& frame);
-WireTicket DecodeTicket(const std::string& frame);
-RenderResult DecodeRenderResult(const std::string& frame);
-WireSnapshot DecodeSnapshot(const std::string& frame);
+/// Scene request: the name (u32 length + bytes), then tier, priority,
+/// deadline and arrival at 8 bytes each.
+inline std::size_t
+RequestBytes(const SceneRequest& request)
+{
+    return kHeaderSize + 4 + request.scene.size() + 4 * 8;
+}
+
+/// Render result: status u8, the name (u32 length + bytes), tier, the
+/// FrameCost, queue wait, latency and batch elements at 8 bytes each.
+inline std::size_t
+ResultBytes(const RenderResult& result)
+{
+    return kHeaderSize + 1 + 4 + result.scene.size() + 8 +
+           sizeof(FrameCost) + 3 * 8;
+}
+
+/// Shard snapshot: the nine eight-byte fields of WireSnapshot.
+inline constexpr std::size_t
+SnapshotBytes()
+{
+    return kHeaderSize + 9 * 8;
+}
 
 }  // namespace wire
 }  // namespace flexnerfer

@@ -7,8 +7,8 @@
  * transport failures, the merged latency histogram's count equals the
  * lifetime accepted count) and thread-count invariance (threads 1 and
  * 8 produce field-identical verdicts and telemetry for the same seed),
- * plus wire-format death tests: magic / version / type / size
- * mismatches are Fatal, never a silent misparse.
+ * plus the message-size model pinned against its hand-computed frame
+ * layout.
  */
 #include <gtest/gtest.h>
 
@@ -343,9 +343,10 @@ TEST(ChaosQuick, PartitionFailsRequestsTerminallyAndDeterministically)
 
 TEST(ChaosQuick, FaultFreeTransportMatchesInProcessCluster)
 {
-    // The wire layer is verdict-transparent without faults: the same
+    // The transport is verdict-transparent without faults: the same
     // schedule through a transport-attached cluster and a plain one
-    // produces identical verdicts and telemetry (rpc_delay_ms aside).
+    // produces identical verdicts and telemetry (rpc_delay_ms aside),
+    // and the link carries exactly the size model's bytes.
     ClusterConfig plain_config;
     plain_config.shards = 4;
     plain_config.threads_per_shard = 2;
@@ -369,10 +370,12 @@ TEST(ChaosQuick, FaultFreeTransportMatchesInProcessCluster)
     }
     mean /= static_cast<double>(est_ms.size());
 
+    std::uint64_t model_bytes = 0;
     for (const SceneRequest& request :
          ChaosSchedule(42u, est_ms, mean, 100)) {
         plain.Submit(request);
         wired.Submit(request);
+        model_bytes += wire::RequestBytes(request);
     }
     const std::vector<ClusterRenderResult> a = plain.WaitAll();
     const std::vector<ClusterRenderResult> b = wired.WaitAll();
@@ -383,105 +386,63 @@ TEST(ChaosQuick, FaultFreeTransportMatchesInProcessCluster)
         EXPECT_EQ(a[i].shard, b[i].shard);
         EXPECT_EQ(a[i].spilled, b[i].spilled);
         EXPECT_EQ(b[i].rpc_delay_ms > 0.0, true) << "request " << i;
+        model_bytes += wire::ResultBytes(b[i].result);
     }
     EXPECT_EQ(plain.Snapshot().accepted, wired.Snapshot().accepted);
     EXPECT_EQ(wired.Snapshot().transport_failures, 0u);
+    EXPECT_EQ(wired.transport().stats().bytes, model_bytes);
 }
 
 // ---------------------------------------------------------------------
-// Wire-format death tests: version skew is Fatal, never a misparse.
+// Message-size model: each size is the frame the message would travel
+// in, counted field by field from the documented layout.
 // ---------------------------------------------------------------------
 
-SceneRequest
-WireRequest()
+TEST(WireSize, MatchesHandComputedFrameLayout)
 {
+    constexpr std::size_t kHeader = 4 + 2 + 1 + 1 + 4;  // magic..payload
+    ASSERT_EQ(wire::kHeaderSize, kHeader);
+
+    // 27 bytes: longer than the small-string buffer.
+    const std::string long_name = "Instant-NGP/flexnerfer-int8";
+    ASSERT_EQ(long_name.size(), 27u);
+    ASSERT_GT(long_name.size(), std::string().capacity());
+
+    constexpr std::size_t kRequestFixed = kHeader + 4  // name length
+                                          + 8          // tier
+                                          + 8          // priority
+                                          + 8          // deadline
+                                          + 8;         // arrival
     SceneRequest request;
-    request.scene = "ngp";
-    request.tier = 1;
+    EXPECT_EQ(wire::RequestBytes(request), kRequestFixed);
+    EXPECT_EQ(wire::RequestBytes(request), 48u);
+    request.scene = long_name;
+    request.tier = 3;
     request.priority = 2;
     request.deadline_ms = 7.5;
-    request.arrival_ms = 123.25;
-    return request;
-}
+    EXPECT_EQ(wire::RequestBytes(request), kRequestFixed + 27);
+    EXPECT_EQ(wire::RequestBytes(request), 75u);
 
-TEST(WireFormat, RoundTripsEveryField)
-{
-    const SceneRequest request = WireRequest();
-    const SceneRequest back =
-        wire::DecodeSceneRequest(wire::EncodeSceneRequest(request));
-    EXPECT_EQ(back.scene, request.scene);
-    EXPECT_EQ(back.tier, request.tier);
-    EXPECT_EQ(back.priority, request.priority);
-    EXPECT_EQ(back.deadline_ms, request.deadline_ms);
-    EXPECT_EQ(back.arrival_ms, request.arrival_ms);
+    constexpr std::size_t kResultFixed = kHeader + 1  // status
+                                         + 4          // name length
+                                         + 8          // tier
+                                         + 10 * 8     // FrameCost
+                                         + 8          // queue wait
+                                         + 8          // latency
+                                         + 8;         // batch elements
+    RenderResult result;
+    EXPECT_EQ(wire::ResultBytes(result), kResultFixed);
+    EXPECT_EQ(wire::ResultBytes(result), 129u);
+    result.scene = long_name;
+    result.status = RequestStatus::kShedDeadline;
+    result.batch_elements = 4;
+    EXPECT_EQ(wire::ResultBytes(result), kResultFixed + 27);
+    EXPECT_EQ(wire::ResultBytes(result), 156u);
 
-    wire::WireTicket ticket;
-    ticket.ticket = 0xDEADBEEFCAFEull;
-    ticket.shard = 3;
-    const wire::WireTicket ticket_back =
-        wire::DecodeTicket(wire::EncodeTicket(ticket));
-    EXPECT_EQ(ticket_back.ticket, ticket.ticket);
-    EXPECT_EQ(ticket_back.shard, ticket.shard);
-
-    wire::WireSnapshot snapshot;
-    snapshot.shard = 2;
-    snapshot.submitted = 10;
-    snapshot.accepted = 8;
-    snapshot.rejected_queue_full = 1;
-    snapshot.shed_deadline = 1;
-    snapshot.completed = 8;
-    snapshot.busy_ms = 99.5;
-    snapshot.p50_latency_ms = 3.25;
-    snapshot.p99_latency_ms = 9.75;
-    const wire::WireSnapshot snap_back =
-        wire::DecodeSnapshot(wire::EncodeSnapshot(snapshot));
-    EXPECT_EQ(snap_back.shard, snapshot.shard);
-    EXPECT_EQ(snap_back.submitted, snapshot.submitted);
-    EXPECT_EQ(snap_back.accepted, snapshot.accepted);
-    EXPECT_EQ(snap_back.busy_ms, snapshot.busy_ms);
-    EXPECT_EQ(snap_back.p99_latency_ms, snapshot.p99_latency_ms);
-}
-
-TEST(WireFormatDeath, RejectsWrongMagic)
-{
-    std::string frame = wire::EncodeSceneRequest(WireRequest());
-    frame[0] = 'X';
-    EXPECT_DEATH(wire::DecodeSceneRequest(frame), "wire");
-}
-
-TEST(WireFormatDeath, RejectsVersionSkew)
-{
-    std::string frame = wire::EncodeSceneRequest(WireRequest());
-    frame[4] = static_cast<char>(wire::kVersion + 1);  // version u16 LE
-    EXPECT_DEATH(wire::DecodeSceneRequest(frame), "wire");
-}
-
-TEST(WireFormatDeath, RejectsWrongMessageType)
-{
-    wire::WireTicket ticket;
-    ticket.ticket = 7;
-    const std::string frame = wire::EncodeTicket(ticket);
-    EXPECT_DEATH(wire::DecodeSceneRequest(frame), "wire");
-}
-
-TEST(WireFormatDeath, RejectsTruncatedFrame)
-{
-    std::string frame = wire::EncodeSceneRequest(WireRequest());
-    frame.resize(frame.size() - 3);
-    EXPECT_DEATH(wire::DecodeSceneRequest(frame), "wire");
-}
-
-TEST(WireFormatDeath, RejectsTrailingBytes)
-{
-    std::string frame = wire::EncodeSceneRequest(WireRequest());
-    frame.push_back('\0');
-    EXPECT_DEATH(wire::DecodeSceneRequest(frame), "wire");
-}
-
-TEST(WireFormatDeath, RejectsHeaderShorterThanFixedSize)
-{
-    const std::string frame = "FNRW";
-    EXPECT_DEATH(wire::DecodeSceneRequest(frame), "wire");
+    // Nine eight-byte fields, whatever their values.
+    EXPECT_EQ(sizeof(wire::WireSnapshot), 9u * 8u);
+    EXPECT_EQ(wire::SnapshotBytes(), kHeader + 9 * 8);
+    EXPECT_EQ(wire::SnapshotBytes(), 84u);
 }
 
 }  // namespace
