@@ -1,13 +1,14 @@
 /**
  * @file
- * Cross-host cluster drills: the ClusterController (simulated RPC
- * transport + fault schedule) driven through three deterministic
- * scenarios, each asserting its headline claim as a hard invariant.
+ * Cross-host cluster drills: a ShardedRenderService with a SimTransport
+ * attached (simulated RPC links + fault schedule) driven through three
+ * deterministic scenarios, each asserting its headline claim as a hard
+ * invariant.
  *
  *  1. parity — the same open-loop stream as bench/serving_sharded
  *     (same seed, load, cache cap, queue depth) through (a) the plain
- *     in-process ShardedRenderService and (b) the ClusterController
- *     with a fault-free transport. Every verdict, shard choice, spill
+ *     in-process ShardedRenderService and (b) the same cluster with a
+ *     fault-free transport attached. Every verdict, shard choice, spill
  *     flag, latency, and merged counter must match field-for-field:
  *     crossing the simulated links and paying simulated RPC latency is
  *     verdict-transparent when nothing fails.
@@ -26,7 +27,7 @@
  *     completed + shed + rejected + transport-failed == submitted, and
  *     shard-level submissions reconcile with router submissions via
  *     replays and transport failures), that in-flight tickets actually
- *     replayed, and that the wire-pulled per-shard snapshots agree
+ *     replayed, and that every live replica's own snapshot agrees
  *     with the merged cluster snapshot row-for-row.
  *
  * stdout (thread-count invariant): human tables plus machine-readable
@@ -50,7 +51,8 @@
 #include "open_loop.h"
 #include "runtime/sweep_runner.h"
 #include "scene_repertoire.h"
-#include "serve/cluster_controller.h"
+#include "serve/cluster.h"
+#include "serve/transport.h"
 #include "trace_support.h"
 
 using namespace flexnerfer;
@@ -183,10 +185,13 @@ main(int argc, char** argv)
         const std::vector<double> est_ms = SetupScenes(plain, repertoire);
         const double mean_ms = MeanOf(est_ms);
 
-        ClusterControllerConfig controller_config;
-        controller_config.cluster = base;
-        ClusterController controller(controller_config);
-        SetupScenes(controller.cluster(), repertoire);
+        // Declared before its cluster: the cluster's destructor drains
+        // through it.
+        SimTransport transport(0x5EEDu);
+        ClusterConfig wired_config = base;
+        wired_config.transport = &transport;
+        ShardedRenderService wired(wired_config);
+        SetupScenes(wired, repertoire);
 
         OpenLoopPoissonStream stream_a(seed, load, mean_ms, est_ms);
         OpenLoopPoissonStream stream_b(seed, load, mean_ms, est_ms);
@@ -203,12 +208,12 @@ main(int argc, char** argv)
             request.arrival_ms = b.arrival_ms;
             request.priority = b.priority;
             request.deadline_ms = b.deadline_ms;
-            controller.Submit(request);
+            wired.Submit(request);
         }
         const std::vector<ClusterRenderResult> plain_results =
             plain.WaitAll();
         const std::vector<ClusterRenderResult> wire_results =
-            controller.WaitAll();
+            wired.WaitAll();
 
         FLEX_CHECK(plain_results.size() == requests &&
                    wire_results.size() == requests);
@@ -229,13 +234,13 @@ main(int argc, char** argv)
         }
 
         const ClusterStats plain_stats = plain.Snapshot();
-        const ClusterStats wire_stats = controller.Snapshot();
+        const ClusterStats wire_stats = wired.Snapshot();
         CheckStatsParity(plain_stats, wire_stats);
         CheckFrameHits(wire_stats);
         FLEX_CHECK(wire_stats.cluster_submitted == requests);
         FLEX_CHECK(wire_stats.transport_failures == 0 &&
                    wire_stats.replayed == 0);
-        const SimTransport::Stats net = controller.transport().stats();
+        const SimTransport::Stats net = transport.stats();
         FLEX_CHECK(net.failed == 0 && net.delivered == net.messages);
 
         if (trace_session.metrics_requested()) {
@@ -328,10 +333,10 @@ main(int argc, char** argv)
                 config.replication.refresh_every =
                     std::clamp<std::uint64_t>(requests / 3, 1, 50);
             }
-            ClusterControllerConfig controller_config;
-            controller_config.cluster = config;
-            ClusterController controller(controller_config);
-            SetupScenes(controller.cluster(), repertoire);
+            SimTransport transport(0x5EEDu);
+            config.transport = &transport;
+            ShardedRenderService cluster(config);
+            SetupScenes(cluster, repertoire);
 
             TrafficZooStream stream(seed, crowd_mean_ms, repertoire.size(),
                                     crowd);
@@ -341,16 +346,16 @@ main(int argc, char** argv)
                 request.scene = repertoire[drawn.scene_index].name;
                 request.arrival_ms = drawn.arrival_ms;
                 request.priority = drawn.priority;
-                controller.Submit(request);
+                cluster.Submit(request);
             }
-            controller.WaitAll();
+            cluster.WaitAll();
 
-            const ClusterStats stats = controller.Snapshot();
+            const ClusterStats stats = cluster.Snapshot();
             CheckFrameHits(stats);
             FLEX_CHECK(stats.completed == stats.accepted);
             if (replicated) {
                 FLEX_CHECK_MSG(
-                    controller.cluster().ReplicasOf(hot_name).size() == 3,
+                    cluster.ReplicasOf(hot_name).size() == 3,
                     "the hot scene should hold a 3-shard replica set");
                 FLEX_CHECK(stats.p2c_routed > 0);
                 FLEX_CHECK(stats.replication_refreshes > 0);
@@ -422,12 +427,12 @@ main(int argc, char** argv)
         // shedding).
         const double kill_load = 5.0;
 
-        ClusterControllerConfig controller_config;
-        controller_config.cluster = base;
-        controller_config.cluster.admission.max_queue_depth = 0;
-        ClusterController controller(controller_config);
-        const std::vector<double> est_ms =
-            SetupScenes(controller.cluster(), repertoire);
+        SimTransport transport(0x5EEDu);
+        ClusterConfig config = base;
+        config.admission.max_queue_depth = 0;
+        config.transport = &transport;
+        ShardedRenderService cluster(config);
+        const std::vector<double> est_ms = SetupScenes(cluster, repertoire);
         const double mean_ms = MeanOf(est_ms);
         const double expected_span_ms =
             static_cast<double>(requests) * mean_ms / kill_load;
@@ -441,22 +446,22 @@ main(int argc, char** argv)
         loss.start_ms = 0.10 * expected_span_ms;
         loss.end_ms = 0.20 * expected_span_ms;
         loss.magnitude = 0.6;
-        controller.ScheduleFault(loss);
+        transport.Schedule(loss);
         FaultEvent spike;
         spike.kind = FaultEvent::Kind::kDelaySpike;
         spike.link = 0;
         spike.start_ms = 0.0;
         spike.end_ms = expected_span_ms;
         spike.magnitude = 0.25;
-        controller.ScheduleFault(spike);
+        transport.Schedule(spike);
         // The death instant comes from the victim's observed backlog: the
         // first instant, from a third of the way in, at which the victim
         // still holds an accepted ticket completing beyond it. A fixed
         // instant can land while the victim idles between bursts and
         // replay nothing; this one replays at least one ticket by
         // construction. The death is scheduled just before the first
-        // submission that reaches its instant, which pumps it — the same
-        // point a death scheduled up front would fire.
+        // submission that reaches its instant, which applies it — the
+        // same point a death scheduled up front would fire.
         const double death_after_ms = expected_span_ms / 3.0;
         FaultEvent death;
         death.kind = FaultEvent::Kind::kShardDeath;
@@ -474,20 +479,18 @@ main(int argc, char** argv)
                 FLEX_CHECK_MSG(death_scheduled,
                                "the victim never held a backlog before "
                                "the rolling repair");
-                live_after_kill = controller.cluster().live_shards();
-                controller.RollingResize(base.shards);
+                live_after_kill = cluster.live_shards();
+                cluster.Resize(base.shards);
             }
             const OpenLoopRequest drawn = stream.Next();
             if (!death_scheduled && i < resize_at &&
                 drawn.arrival_ms >= death_after_ms) {
                 const double instant = std::max(death_after_ms, observed_ms);
-                const double backlog_until_ms = controller.cluster()
-                                                    .shard(victim)
-                                                    .Ledger()
-                                                    .last_completion_ms;
+                const double backlog_until_ms =
+                    cluster.shard(victim).Ledger().last_completion_ms;
                 if (backlog_until_ms > instant) {
                     death.start_ms = instant;
-                    controller.ScheduleFault(death);
+                    transport.Schedule(death);
                     death_scheduled = true;
                 }
             }
@@ -496,10 +499,9 @@ main(int argc, char** argv)
             request.scene = repertoire[drawn.scene_index].name;
             request.arrival_ms = drawn.arrival_ms;
             request.priority = drawn.priority;
-            controller.Submit(request);
+            cluster.Submit(request);
         }
-        const std::vector<ClusterRenderResult> results =
-            controller.WaitAll();
+        const std::vector<ClusterRenderResult> results = cluster.WaitAll();
         FLEX_CHECK(results.size() == requests);
 
         // Conservation: every ticket resolved exactly once, into
@@ -537,7 +539,7 @@ main(int argc, char** argv)
                        "no replayed ticket completed — recovery is "
                        "unmeasurable");
 
-        const ClusterStats stats = controller.Snapshot();
+        const ClusterStats stats = cluster.Snapshot();
         FLEX_CHECK(stats.cluster_submitted == requests);
         FLEX_CHECK(stats.killed_shards == 1);
         FLEX_CHECK(live_after_kill == base.shards - 1);
@@ -560,25 +562,26 @@ main(int argc, char** argv)
         FLEX_CHECK(stats.latency_samples == stats.accepted);
         CheckFrameHits(stats);
 
-        // Pull per-shard truth over the wire and reconcile against the
-        // merged snapshot's current-epoch rows.
-        const std::vector<wire::WireSnapshot> pulled =
-            controller.PullShardSnapshots(expected_span_ms);
-        FLEX_CHECK(pulled.size() == stats.live_shards);
-        for (const wire::WireSnapshot& row : pulled) {
-            const ShardTelemetry& shard =
-                stats.per_shard[static_cast<std::size_t>(row.shard)];
-            FLEX_CHECK_MSG(row.submitted == shard.service.submitted &&
-                               row.accepted == shard.service.accepted &&
-                               row.rejected_queue_full ==
+        // Reconcile each live replica's own snapshot against the merged
+        // snapshot's current-epoch rows.
+        std::size_t live_rows = 0;
+        for (std::size_t i = 0; i < cluster.shards(); ++i) {
+            if (!cluster.alive(i)) continue;
+            ++live_rows;
+            const ServiceStats local = cluster.shard(i).Snapshot();
+            const ShardTelemetry& shard = stats.per_shard[i];
+            FLEX_CHECK_MSG(local.submitted == shard.service.submitted &&
+                               local.accepted == shard.service.accepted &&
+                               local.rejected_queue_full ==
                                    shard.service.rejected_queue_full &&
-                               row.shed_deadline ==
+                               local.shed_deadline ==
                                    shard.service.shed_deadline &&
-                               row.completed == shard.service.completed,
-                           "wire snapshot disagrees with the merged view "
+                               local.completed == shard.service.completed,
+                           "shard snapshot disagrees with the merged view "
                            "at shard "
-                               << row.shard);
+                               << i);
         }
+        FLEX_CHECK(live_rows == stats.live_shards);
 
         if (trace_session.metrics_requested()) {
             stats.PublishTo(registry, "cluster_drill.kill");

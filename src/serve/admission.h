@@ -42,7 +42,7 @@
  *
  * Thread-safety: externally synchronized — the controller holds no
  * lock. RenderService calls it only under its service mutex (and
- * exposes RenderService::Probe for routers), and standalone users call
+ * exposes RenderService::Quote for routers), and standalone users call
  * it from one thread. Determinism holds per the admission order the
  * caller serializes.
  */
@@ -217,7 +217,7 @@ class AdmissionController
      * right now, without committing anything: no counters move, the
      * virtual schedule is untouched, and the monotone arrival clamp is
      * applied but not recorded. The shard router probes a replica's
-     * admission model this way (RenderService::Probe) before deciding
+     * admission model this way (RenderService::Quote) before deciding
      * where a request lands (serve/cluster.h); as long as no Admit
      * intervenes, a subsequent Admit with identical arguments returns
      * an identical verdict. Non-const only because it reuses scratch.

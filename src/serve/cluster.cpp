@@ -222,6 +222,23 @@ ShardedRenderService::Submit(const SceneRequest& request,
                              const SubmitOptions& options)
 {
     std::lock_guard<std::mutex> lock(mutex_);
+    // Due shard deaths first, so the warm-up below lands on the live
+    // home. Each kills at its *scheduled* instant, not this arrival:
+    // the kill point is a pure function of the fault schedule. A drill
+    // may over-schedule (dead or last live target: skipped), but
+    // naming a shard that does not exist is a malformed drill.
+    if (config_.transport != nullptr) {
+        for (const FaultEvent& death :
+             config_.transport->ConsumeDeaths(request.arrival_ms)) {
+            FLEX_CHECK_MSG(death.link < shards_.size(),
+                           "chaos drill names shard "
+                               << death.link << " but the cluster has "
+                               << shards_.size());
+            if (alive_[death.link] && LiveCountLocked() >= 2) {
+                KillShardLocked(death.link, death.start_ms);
+            }
+        }
+    }
     // The request's one string lookup: routing keys by the id.
     const SceneId id = ResolveLocked(request.scene);
     SceneDesc& desc = EnsureWarmLocked(id);

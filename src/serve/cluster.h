@@ -29,25 +29,30 @@
  * explicit plan compiles, never as broken hit accounting.
  *
  * Cross-host shape (optional, ClusterConfig::transport): every
- * controller->shard submit and shard->controller result crosses a
- * simulated per-shard link (serve/transport.h), priced at its frame
- * size (serve/wire.h) — plans, prepared handles, and plan caches never
- * cross; only requests, results, and snapshots do. Transport
- * *delay* is telemetry (rpc_delay_ms): it does not re-time admission,
- * which is what keeps the side-effect-free probe == Admit agreement
- * exact under faults. Transport *loss* is real: a request that
- * exhausts its retransmit budget resolves as kFailedTransport without
- * ever reaching a shard.
+ * router->shard submit and shard->router result crosses a simulated
+ * per-shard link (serve/transport.h), priced at its frame size
+ * (serve/wire.h) — plans, prepared handles, and plan caches never
+ * cross; only requests and results do. Transport *delay* is telemetry
+ * (rpc_delay_ms): it does not re-time admission, which is what keeps
+ * the side-effect-free probe == Admit agreement exact under faults.
+ * Transport *loss* is real: a request that exhausts its retransmit
+ * budget resolves as kFailedTransport without ever reaching a shard.
  *
- * Shard death (KillShard, usually pumped from a fault schedule by
- * ClusterController): the dead replica's ServeLedger merges into the
- * lifetime ledger with everything its replayed tickets booked expunged
- * (they count once, on their new home), its scenes re-home to
- * the next live shard in their HRW rank (the provable minimum moves),
- * and its in-flight accepted-but-unfinished tickets replay on the new
- * home at the death instant, paying the spill recompile surcharge when
- * the new home lacks the pin and keeping only the *remaining* deadline
- * budget. Every submitted ticket still resolves exactly once.
+ * Shard death (KillShard, or a kShardDeath scheduled on the attached
+ * transport): the dead replica's ServeLedger merges into the lifetime
+ * ledger with everything its replayed tickets booked expunged (they
+ * count once, on their new home), its scenes re-home to the next live
+ * shard in their HRW rank (the provable minimum moves), and its
+ * in-flight accepted-but-unfinished tickets replay on the new home at
+ * the death instant, paying the spill recompile surcharge when the new
+ * home lacks the pin and keeping only the *remaining* deadline budget.
+ * Every submitted ticket still resolves exactly once. Scheduled deaths
+ * are applied by Submit, first thing: every death the request's
+ * arrival has reached, in (start_ms, link) order, each at its
+ * *scheduled* instant, so the kill point is a pure function of the
+ * fault schedule, not of traffic. A death whose shard is already dead,
+ * or is the last live one, is skipped; one naming a shard the cluster
+ * does not have is fatal.
  *
  * Hot-scene replication (ClusterConfig::replication): the top-k scenes
  * of the popularity census are homed on `factor` live shards (rank
@@ -100,7 +105,10 @@
  * Quote, one replica lock per candidate) and the shard Submit — and
  * each replica call takes only that replica's one service lock, so the
  * lock order is router -> service, never the reverse. Resize and
- * KillShard must not race other members: quiesce callers first.
+ * KillShard must not race other members: quiesce callers first. The
+ * same holds for Submit once the attached transport has deaths
+ * scheduled, because Submit may then kill a shard: drive such a
+ * cluster from one thread (Wait/WaitAll may be called from it too).
  * Submitting directly to a replica obtained via shard() would break the
  * probe/Admit agreement — replicas are exposed for inspection only.
  */
@@ -179,9 +187,12 @@ struct ClusterConfig {
     std::size_t max_batch_elements = 8;
     /**
      * Simulated RPC transport for the cross-host shape (nullptr = pure
-     * in-process calls, the PR 4 behavior, byte-identical to it). Not
-     * owned; must outlive the cluster. With a transport attached every
-     * submit crosses the simulated link and can fail in transit.
+     * in-process calls). Not owned; must outlive the cluster, whose
+     * destructor drains through it (WaitAll sends every unclaimed
+     * result's response leg), so declare it before the cluster. With
+     * a transport attached every submit crosses the simulated link and
+     * can fail in transit, and Submit applies the transport's
+     * scheduled shard deaths (see file header).
      */
     SimTransport* transport = nullptr;
     /** Hot-scene replication policy (top_k = 0 disables). */
@@ -336,7 +347,9 @@ class ShardedRenderService
      * the frame routes sticky to the session's home shard — no p2c, no
      * spill — priced at that shard's real delta-vs-full decision.
      * Never blocks on rendering; the first touch of a cold scene (home
-     * warm-up or spill recompile) runs on the submitting thread.
+     * warm-up or spill recompile) runs on the submitting thread. With
+     * a transport attached, first applies every scheduled shard death
+     * the request's arrival has reached (see file header).
      */
     ClusterTicket Submit(const SceneRequest& request,
                          const SubmitOptions& options = {});

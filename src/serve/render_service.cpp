@@ -947,14 +947,6 @@ RenderService::WaitAll()
 }
 
 AdmissionController::Verdict
-RenderService::Probe(double arrival_ms, double est_latency_ms,
-                     double deadline_ms, std::size_t tier)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return admission_.Probe(arrival_ms, est_latency_ms, deadline_ms, tier);
-}
-
-AdmissionController::Verdict
 RenderService::Quote(SceneId scene, const SceneRequest& request,
                      double solo_est_ms, double surcharge_ms)
 {

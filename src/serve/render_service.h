@@ -463,8 +463,8 @@ class RenderService
      * The first request against a cold scene additionally compiles it,
      * with the compile's wavefronts on the pool (WarmScene avoids that).
      * The receipt's verdict equals a Quote taken just before (for a
-     * session frame, a Probe at PeekSessionEstimate's price) with
-     * options.extra_service_ms as the surcharge.
+     * session frame, a kNoScene Quote at PeekSessionEstimate's price)
+     * with options.extra_service_ms as the surcharge.
      *
      * @p options selects the path: default options reproduce the
      * legacy behavior exactly (batching when configured, no surcharge,
@@ -500,7 +500,7 @@ class RenderService
      * not recorded — so a probe that does not lead to a Submit leaves
      * the session untouched. May lazily prepare the (scene, quantum)
      * delta shape, which is administrative and memoized, exactly like
-     * ProbeBatchJoin's estimation runs. Like Probe, the preview only
+     * ProbeBatchJoin's estimation runs. Like Quote, the preview only
      * stays exact while the prober is the sole submitter (the cluster
      * holds its router lock across probe and Submit).
      */
@@ -518,7 +518,7 @@ class RenderService
      *
      * No batch state moves: expiry/fullness are *checked*, not
      * flushed, so a probe that does not lead to a Submit leaves the
-     * service untouched. Like Probe, the preview only stays exact
+     * service untouched. Like Quote, the preview only stays exact
      * while the prober is the sole submitter (the cluster holds its
      * router lock across probe and Submit).
      */
@@ -549,22 +549,15 @@ class RenderService
     PlanCache& cache() { return cache_; }
     const SceneRegistry& registry() const { return registry_; }
 
-    /** A side-effect-free admission probe under the service lock
-     *  (AdmissionController::Probe). Routing layers probe here before
-     *  choosing a replica; the probe/Admit agreement only holds while
-     *  the prober is the sole submitter (serve/cluster.h serializes its
-     *  submissions for exactly this). */
-    AdmissionController::Verdict Probe(double arrival_ms,
-                                       double est_latency_ms,
-                                       double deadline_ms = 0.0,
-                                       std::size_t tier = 0);
-
     /**
      * A router's one call per candidate replica, under one service
      * lock: prices @p request as Submit would (ProbeBatchJoin's
      * marginal when @p scene has a joinable batch, else @p solo_est_ms;
      * @p scene may be kNoScene), adds @p surcharge_ms, and returns
-     * Probe's verdict at that price.
+     * AdmissionController::Probe's verdict at that price. Side-effect
+     * free; the quote/Admit agreement only holds while the quoter is
+     * the sole submitter (serve/cluster.h serializes its submissions
+     * for exactly this).
      */
     AdmissionController::Verdict Quote(SceneId scene,
                                        const SceneRequest& request,

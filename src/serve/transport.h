@@ -4,7 +4,7 @@
  * clock for the cross-host cluster shape.
  *
  * The cluster stays one process, but every request/response between the
- * controller and a shard pays a simulated RPC hop over a per-shard
+ * cluster router and a shard pays a simulated RPC hop over a per-shard
  * *link*. The model is a pure function of (seed, link, direction,
  * per-link message ordinal, virtual send time): no wall clock, no
  * global RNG — so a fault drill replays byte-identically for any
@@ -18,11 +18,11 @@
  * time, so the same schedule hits the same messages every run.
  *
  * Semantics:
- *  - Request direction (controller -> shard): each attempt can be lost
+ *  - Request direction (router -> shard): each attempt can be lost
  *    (base loss + active kLoss magnitudes) or blocked by an active
  *    partition; the sender retries with a fixed virtual backoff up to
  *    `max_attempts`, then reports a terminal transport failure.
- *  - Response direction (shard -> controller): pays latency/jitter and
+ *  - Response direction (shard -> router): pays latency/jitter and
  *    delay spikes but never fails — the shard already holds the
  *    verdict, so the worst the return channel does is arrive late.
  *    This keeps admission verdicts independent of response-channel
@@ -30,7 +30,7 @@
  *  - Transport delay does NOT re-time admission: the shard judges the
  *    request at its original virtual arrival. Delay is reported as
  *    `rpc_delay_ms` telemetry. This is what keeps the side-effect-free
- *    Probe == Admit agreement exact under faults; loss and partitions
+ *    probe == Admit agreement exact under faults; loss and partitions
  *    instead gate *which* requests reach a shard at all.
  */
 #ifndef FLEXNERFER_SERVE_TRANSPORT_H_
@@ -62,7 +62,8 @@ struct TransportConfig {
  * cluster-wide event); the window [start_ms, end_ms) is half-open in
  * virtual time. kShardDeath ignores end_ms and magnitude: it marks the
  * link's shard as dying at start_ms, to be consumed exactly once by
- * the controller's death pump.
+ * the cluster's Submit (serve/cluster.h), which kills the shard at
+ * start_ms.
  */
 struct FaultEvent {
     enum class Kind : std::uint8_t {
@@ -129,7 +130,7 @@ public:
     /**
      * Returns scheduled kShardDeath events with start_ms <= now_ms that
      * have not been returned before, ordered by (start_ms, link). The
-     * controller pumps this before routing each submission.
+     * cluster calls this before routing each submission.
      */
     std::vector<FaultEvent> ConsumeDeaths(double now_ms);
 

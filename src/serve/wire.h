@@ -4,10 +4,10 @@
  *
  * The simulated cluster keeps plans, prepared handles, and plan caches
  * strictly shard-local — only *descriptions* cross the simulated link:
- * scene requests, render results, and telemetry snapshots. The link
- * model (serve/transport.h) needs only each message's size, so this
- * header prices a message as the length-prefixed binary frame it would
- * travel in, without building it:
+ * scene requests and render results. The link model
+ * (serve/transport.h) needs only each message's size, so this header
+ * prices a message as the length-prefixed binary frame it would travel
+ * in, without building it:
  *
  *     [magic u32][version u16][type u8][reserved u8][payload u32][payload...]
  *
@@ -19,7 +19,6 @@
 #define FLEXNERFER_SERVE_WIRE_H_
 
 #include <cstddef>
-#include <cstdint>
 
 #include "serve/render_service.h"
 
@@ -28,20 +27,6 @@ namespace wire {
 
 /// Fixed frame header size in bytes.
 inline constexpr std::size_t kHeaderSize = 12;
-
-/// The per-shard telemetry summary a controller pulls over the link to
-/// reconcile merged cluster counters against shard-local truth.
-struct WireSnapshot {
-    std::uint64_t shard = 0;
-    std::uint64_t submitted = 0;
-    std::uint64_t accepted = 0;
-    std::uint64_t rejected_queue_full = 0;
-    std::uint64_t shed_deadline = 0;
-    std::uint64_t completed = 0;
-    double busy_ms = 0.0;
-    double p50_latency_ms = 0.0;
-    double p99_latency_ms = 0.0;
-};
 
 static_assert(sizeof(FrameCost) == 10 * sizeof(double),
               "ResultBytes counts FrameCost as 10 eight-byte fields");
@@ -61,13 +46,6 @@ ResultBytes(const RenderResult& result)
 {
     return kHeaderSize + 1 + 4 + result.scene.size() + 8 +
            sizeof(FrameCost) + 3 * 8;
-}
-
-/// Shard snapshot: the nine eight-byte fields of WireSnapshot.
-inline constexpr std::size_t
-SnapshotBytes()
-{
-    return kHeaderSize + 9 * 8;
 }
 
 }  // namespace wire

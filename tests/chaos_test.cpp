@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "serve/cluster_controller.h"
+#include "serve/cluster.h"
 #include "serve/transport.h"
 #include "serve/wire.h"
 
@@ -73,21 +73,21 @@ enum class FaultPlan { kKill, kPartition, kLoss };
 
 /** The fault schedule: a pure function of (seed, plan, span). */
 void
-ScheduleFaults(ClusterController& controller, FaultPlan plan,
+ScheduleFaults(SimTransport& transport, FaultPlan plan,
                std::uint64_t seed, double span_ms, std::size_t shards)
 {
     switch (plan) {
         case FaultPlan::kKill: {
             // One death a third in, a second (possibly redundant —
-            // the controller skips unsafe kills) two thirds in.
+            // the cluster skips unsafe kills) two thirds in.
             FaultEvent death;
             death.kind = FaultEvent::Kind::kShardDeath;
             death.link = seed % shards;
             death.start_ms = span_ms / 3.0;
-            controller.ScheduleFault(death);
+            transport.Schedule(death);
             death.link = (seed / 7) % shards;
             death.start_ms = 2.0 * span_ms / 3.0;
-            controller.ScheduleFault(death);
+            transport.Schedule(death);
             break;
         }
         case FaultPlan::kPartition: {
@@ -96,7 +96,7 @@ ScheduleFaults(ClusterController& controller, FaultPlan plan,
             partition.link = seed % shards;
             partition.start_ms = span_ms / 4.0;
             partition.end_ms = span_ms / 2.0;
-            controller.ScheduleFault(partition);
+            transport.Schedule(partition);
             break;
         }
         case FaultPlan::kLoss: {
@@ -106,14 +106,14 @@ ScheduleFaults(ClusterController& controller, FaultPlan plan,
             loss.start_ms = span_ms / 5.0;
             loss.end_ms = 3.0 * span_ms / 5.0;
             loss.magnitude = 0.55;
-            controller.ScheduleFault(loss);
+            transport.Schedule(loss);
             FaultEvent spike;
             spike.kind = FaultEvent::Kind::kDelaySpike;
             spike.link = (seed + 1) % shards;
             spike.start_ms = 0.0;
             spike.end_ms = span_ms;
             spike.magnitude = 0.2;
-            controller.ScheduleFault(spike);
+            transport.Schedule(spike);
             break;
         }
     }
@@ -129,20 +129,21 @@ ChaosRun
 RunChaos(std::uint64_t seed, FaultPlan plan, int threads_per_shard,
          std::size_t requests = 120)
 {
-    ClusterControllerConfig config;
-    config.cluster.shards = 4;
-    config.cluster.threads_per_shard = threads_per_shard;
-    config.cluster.admission.max_queue_depth = 8;
-    config.transport_seed = seed;
-    ClusterController controller(config);
+    SimTransport transport(seed);
+    ClusterConfig config;
+    config.shards = 4;
+    config.threads_per_shard = threads_per_shard;
+    config.admission.max_queue_depth = 8;
+    config.transport = &transport;
+    ShardedRenderService cluster(config);
 
     std::vector<double> est_ms;
     double mean = 0.0;
     for (const std::string& model : ChaosModels()) {
-        controller.RegisterScene(model, FlexScene(model));
+        cluster.RegisterScene(model, FlexScene(model));
     }
     for (const std::string& model : ChaosModels()) {
-        est_ms.push_back(EstimatedServiceMs(controller.WarmScene(model)));
+        est_ms.push_back(EstimatedServiceMs(cluster.WarmScene(model)));
         mean += est_ms.back();
     }
     mean /= static_cast<double>(est_ms.size());
@@ -150,15 +151,15 @@ RunChaos(std::uint64_t seed, FaultPlan plan, int threads_per_shard,
     const std::vector<SceneRequest> schedule =
         ChaosSchedule(seed, est_ms, mean, requests);
     const double span_ms = schedule.back().arrival_ms;
-    ScheduleFaults(controller, plan, seed, span_ms, 4);
+    ScheduleFaults(transport, plan, seed, span_ms, 4);
 
     for (const SceneRequest& request : schedule) {
-        controller.Submit(request);
+        cluster.Submit(request);
     }
     ChaosRun run;
-    run.results = controller.WaitAll();
-    run.stats = controller.Snapshot();
-    run.transport_failed_messages = controller.transport().stats().failed;
+    run.results = cluster.WaitAll();
+    run.stats = cluster.Snapshot();
+    run.transport_failed_messages = transport.stats().failed;
     return run;
 }
 
@@ -353,9 +354,10 @@ TEST(ChaosQuick, FaultFreeTransportMatchesInProcessCluster)
     plain_config.admission.max_queue_depth = 8;
     ShardedRenderService plain(plain_config);
 
-    ClusterControllerConfig wired_config;
-    wired_config.cluster = plain_config;
-    ClusterController wired(wired_config);
+    SimTransport transport(0x5EEDu);
+    ClusterConfig wired_config = plain_config;
+    wired_config.transport = &transport;
+    ShardedRenderService wired(wired_config);
 
     std::vector<double> est_ms;
     double mean = 0.0;
@@ -390,7 +392,78 @@ TEST(ChaosQuick, FaultFreeTransportMatchesInProcessCluster)
     }
     EXPECT_EQ(plain.Snapshot().accepted, wired.Snapshot().accepted);
     EXPECT_EQ(wired.Snapshot().transport_failures, 0u);
-    EXPECT_EQ(wired.transport().stats().bytes, model_bytes);
+    EXPECT_EQ(transport.stats().bytes, model_bytes);
+}
+
+TEST(ChaosQuick, TransportDeathsApplyAtTheirScheduledInstant)
+{
+    SimTransport transport(0x5EEDu);
+    ClusterConfig config;
+    config.shards = 3;
+    config.threads_per_shard = 1;
+    config.transport = &transport;
+    ShardedRenderService cluster(config);
+    const std::string scene = ChaosModels()[0];
+    cluster.RegisterScene(scene, FlexScene(scene));
+    const double est = EstimatedServiceMs(cluster.WarmScene(scene));
+    const std::size_t victim = cluster.router().Home(scene);
+
+    // Alone on its home, this ticket completes at est.
+    SceneRequest request;
+    request.scene = scene;
+    const ClusterTicket in_flight = cluster.Submit(request);
+
+    // A death at est / 2, first observed by an arrival at 2 est: killed
+    // at its own instant, the victim still held the ticket in flight,
+    // so it replays. Killed at the observing arrival, it would not.
+    FaultEvent death;
+    death.kind = FaultEvent::Kind::kShardDeath;
+    death.link = victim;
+    death.start_ms = 0.5 * est;
+    transport.Schedule(death);
+    request.arrival_ms = 2.0 * est;
+    cluster.Submit(request);
+    EXPECT_FALSE(cluster.alive(victim));
+    EXPECT_EQ(cluster.Snapshot().killed_shards, 1u);
+    const ClusterRenderResult replayed = cluster.Wait(in_flight);
+    EXPECT_TRUE(replayed.replayed);
+    EXPECT_NE(replayed.shard, victim);
+    EXPECT_EQ(replayed.result.status, RequestStatus::kCompleted);
+
+    // A second death of the same shard is skipped, not fatal.
+    death.start_ms = 3.0 * est;
+    transport.Schedule(death);
+    request.arrival_ms = 4.0 * est;
+    cluster.Submit(request);
+    EXPECT_EQ(cluster.live_shards(), 2u);
+    EXPECT_EQ(cluster.Snapshot().killed_shards, 1u);
+
+    // Deaths of both survivors at one instant apply in link order: the
+    // first kills its shard, the second names the last live shard and
+    // is skipped.
+    std::vector<std::size_t> survivors;
+    for (std::size_t i = 0; i < cluster.shards(); ++i) {
+        if (cluster.alive(i)) survivors.push_back(i);
+    }
+    ASSERT_EQ(survivors.size(), 2u);
+    death.start_ms = 5.0 * est;
+    for (const std::size_t link : survivors) {
+        death.link = link;
+        transport.Schedule(death);
+    }
+    request.arrival_ms = 6.0 * est;
+    cluster.Submit(request);
+    EXPECT_FALSE(cluster.alive(survivors[0]));
+    EXPECT_TRUE(cluster.alive(survivors[1]));
+    const ClusterStats stats = cluster.Snapshot();
+    EXPECT_EQ(stats.killed_shards, 2u);
+    EXPECT_EQ(stats.live_shards, 1u);
+
+    const std::vector<ClusterRenderResult> rest = cluster.WaitAll();
+    ASSERT_EQ(rest.size(), 3u);
+    for (const ClusterRenderResult& r : rest) {
+        EXPECT_EQ(r.result.status, RequestStatus::kCompleted);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -438,11 +511,6 @@ TEST(WireSize, MatchesHandComputedFrameLayout)
     result.batch_elements = 4;
     EXPECT_EQ(wire::ResultBytes(result), kResultFixed + 27);
     EXPECT_EQ(wire::ResultBytes(result), 156u);
-
-    // Nine eight-byte fields, whatever their values.
-    EXPECT_EQ(sizeof(wire::WireSnapshot), 9u * 8u);
-    EXPECT_EQ(wire::SnapshotBytes(), kHeader + 9 * 8);
-    EXPECT_EQ(wire::SnapshotBytes(), 84u);
 }
 
 }  // namespace

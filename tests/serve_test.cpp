@@ -1037,7 +1037,8 @@ RunColdShapeStream(bool contend)
             while (!done.load()) service.Snapshot();
         });
         contenders.emplace_back([&] {
-            while (!done.load()) service.Probe(0.0, est);
+            const SceneRequest probe;
+            while (!done.load()) service.Quote(kNoScene, probe, est);
         });
     }
 

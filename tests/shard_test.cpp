@@ -328,8 +328,8 @@ struct PathTally {
 
 /**
  * Drives @p calls seeded requests through a batching, three-tier
- * RenderService and checks each Submit's verdict against
- * RenderService::Probe taken just before it at the routing price — the
+ * RenderService and checks each Submit's verdict against a kNoScene
+ * RenderService::Quote taken just before it at the routing price — the
  * price a cluster router would use: ProbeBatchJoin's marginal for a
  * joiner, PeekSessionEstimate for a session frame, the solo estimate
  * otherwise, plus the request's surcharge. A test-side mirror of the
@@ -436,9 +436,8 @@ SweepSubmitVerdicts(std::uint64_t seed, int calls, PathTally* tally)
         }
         request.scene = models[scene];
 
-        const AdmissionController::Verdict probed = service.Probe(
-            request.arrival_ms, price + options.extra_service_ms,
-            request.deadline_ms, request.tier);
+        const AdmissionController::Verdict probed = service.Quote(
+            kNoScene, request, price, options.extra_service_ms);
         const SubmitReceipt receipt = service.Submit(request, options);
         ASSERT_TRUE(SameVerdict(probed, receipt.verdict))
             << "seed " << seed << " call " << i;
@@ -1690,6 +1689,27 @@ TEST(ShardedRenderServiceDeathTest, UnknownSceneAndSessionMismatchAreFatal)
     b.scene = "b";
     EXPECT_DEATH(service.Submit(b, service_options),
                  "session 1 is bound to scene 'a', not 'b'");
+}
+
+TEST(ShardedRenderServiceDeathTest, TransportDeathOutsideTheClusterIsFatal)
+{
+    SimTransport transport(0x5EEDu);
+    ClusterConfig config;
+    config.shards = 3;
+    config.threads_per_shard = 1;
+    config.transport = &transport;
+    ShardedRenderService cluster(config);
+    cluster.RegisterScene("a", FlexScene("Instant-NGP"));
+    FaultEvent death;
+    death.kind = FaultEvent::Kind::kShardDeath;
+    death.link = 3;
+    death.start_ms = 1.0;
+    transport.Schedule(death);
+    SceneRequest request;
+    request.scene = "a";
+    request.arrival_ms = 2.0;
+    EXPECT_DEATH(cluster.Submit(request),
+                 "chaos drill names shard 3 but the cluster has 3");
 }
 
 }  // namespace
