@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 
 namespace flexnerfer {
 
@@ -66,7 +67,7 @@ FingerprintAppend(std::string* out, std::uint8_t v)
 
 /** Length-prefixed so "ab" + "c" never aliases "a" + "bc". */
 inline void
-FingerprintAppend(std::string* out, const std::string& s)
+FingerprintAppend(std::string* out, std::string_view s)
 {
     FingerprintAppend(out, static_cast<std::uint64_t>(s.size()));
     out->append(s);

@@ -6,8 +6,10 @@
  * into each result would cost an allocation per request for any name
  * past the small-string buffer, so results carry a std::string_view
  * into this table instead. Names are interned where they enter the
- * process, at scene registration. The table is never freed, so a view
- * outlives the service, cluster or frame that produced it.
+ * process: at scene registration, and where a workload derives op
+ * names (a batch element's "#e<k>", a delta frame's "#d"). The table
+ * is never freed, so a view outlives the service, cluster or frame
+ * that produced it.
  */
 #ifndef FLEXNERFER_COMMON_INTERN_H_
 #define FLEXNERFER_COMMON_INTERN_H_
@@ -22,6 +24,13 @@ namespace flexnerfer {
  * without allocating; only a first sighting copies it. Thread-safe.
  */
 std::string_view InternName(std::string_view name);
+
+/**
+ * Interns @p name followed by @p suffix. The two are joined in a stack
+ * buffer, not an owned string, so a joined name already interned costs
+ * no allocation. The joined name must fit 128 bytes (FLEX_CHECK).
+ */
+std::string_view InternName(std::string_view name, std::string_view suffix);
 
 }  // namespace flexnerfer
 

@@ -52,13 +52,9 @@ int
 FlexibleReductionTree::DepthForLeaves(int n_leaves)
 {
     FLEX_CHECK(n_leaves >= 1);
-    int depth = 0;
-    int width = 1;
-    while (width < n_leaves) {
-        width *= 2;
-        ++depth;
-    }
-    return depth;
+    // ceil(log2(n_leaves)): the bit length of n_leaves - 1.
+    if (n_leaves == 1) return 0;
+    return 32 - __builtin_clz(static_cast<unsigned>(n_leaves - 1));
 }
 
 }  // namespace flexnerfer

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/intern.h"
 #include "common/logging.h"
 
 namespace flexnerfer {
@@ -72,16 +73,21 @@ DeltaWorkload(const NerfWorkload& base, std::size_t reuse_quantum,
                          static_cast<double>(reuse_quanta);
     const double invalidated = 1.0 - reuse;
 
-    NerfWorkload delta = base;
+    NerfWorkload delta;
     delta.name = base.name + "+delta" + std::to_string(reuse_quantum) +
                  "of" + std::to_string(reuse_quanta);
+    delta.batch_size = base.batch_size;
     delta.samples_per_frame =
         std::max(1.0, base.samples_per_frame * invalidated);
+    // One allocation: the base ops plus the warp pass appended below.
+    delta.ops.reserve(base.ops.size() + 1);
+    delta.ops.assign(base.ops.begin(), base.ops.end());
 
     for (WorkloadOp& op : delta.ops) {
-        // Deps are copied verbatim with `delta = base`: the delta DAG has
-        // the base frame's shape, each stage just processes fewer samples.
-        op.name += "#d";
+        // Deps are copied verbatim: the delta DAG has the base frame's
+        // shape, each stage just processes fewer samples. The "#d" name
+        // is interned, so a repeated delta shape allocates no name.
+        op.name = InternName(op.name, "#d");
         if (op.kind == OpKind::kGemm) {
             op.gemm.m = std::max<std::int64_t>(
                 1, static_cast<std::int64_t>(std::llround(

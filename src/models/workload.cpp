@@ -1,37 +1,68 @@
 #include "models/workload.h"
 
+#include <charconv>
 #include <initializer_list>
-#include <utility>
+#include <iterator>
 
 #include "common/fingerprint.h"
+#include "common/intern.h"
 #include "common/logging.h"
 
 namespace flexnerfer {
 namespace {
 
+// Op names are literals with static storage, one table per MLP (its
+// layers, then its head): a frame never formats or owns a name.
+constexpr std::string_view kTrunk8Names[] = {
+    "mlp_fc0", "mlp_fc1", "mlp_fc2", "mlp_fc3", "mlp_fc4",
+    "mlp_fc5", "mlp_fc6", "mlp_fc7", "mlp_head"};
+constexpr std::string_view kTrunk3Names[] = {"mlp_fc0", "mlp_fc1",
+                                             "mlp_fc2", "mlp_head"};
+constexpr std::string_view kRgbBranchNames[] = {"rgb_branch_fc0",
+                                                "rgb_branch_head"};
+constexpr std::string_view kTinyMlpNames[] = {"tiny_mlp_fc0", "tiny_mlp_fc1",
+                                              "tiny_mlp_head"};
+constexpr std::string_view kDensityMlpNames[] = {"density_mlp_fc0",
+                                                 "density_mlp_head"};
+constexpr std::string_view kColorMlpNames[] = {
+    "color_mlp_fc0", "color_mlp_fc1", "color_mlp_head"};
+constexpr std::string_view kQkvNames[] = {"ray_transformer_qkv_fc0",
+                                          "ray_transformer_qkv_fc1",
+                                          "ray_transformer_qkv_head"};
+constexpr std::string_view kAggregationNames[] = {"aggregation_fc0",
+                                                  "aggregation_head"};
+constexpr std::string_view kDecodeMlpNames[] = {"decode_mlp_fc0",
+                                                "decode_mlp_head"};
+constexpr std::string_view kCnnConvNames[] = {"cnn_conv0", "cnn_conv1",
+                                              "cnn_conv2", "cnn_conv3"};
+
 /**
  * Helper appending an MLP chain: input layer, hidden layers, output
- * head. @p deps feeds the first layer (the encodings or upstream head
+ * head, named from @p names (one entry per hidden layer, then the
+ * head). @p deps feeds the first layer (the encodings or upstream head
  * whose activations it reads); every later layer chains on its
  * predecessor. Returns the head's op index so downstream stages (a
  * color branch, volume rendering) can depend on it.
  */
+template <std::size_t N>
 std::size_t
-AppendMlp(NerfWorkload* w, const std::string& prefix, double samples,
+AppendMlp(NerfWorkload* w, const std::string_view (&names)[N], double samples,
           std::int64_t input_dim, std::initializer_list<std::int64_t> hidden,
           std::int64_t output_dim, const WorkloadParams& params,
-          std::vector<std::size_t> deps = {})
+          OpDeps deps = {})
 {
+    FLEX_CHECK_MSG(N == hidden.size() + 1,
+                   "MLP '" << names[N - 1] << "' has " << N
+                           << " names for " << hidden.size() + 1
+                           << " layers");
     std::int64_t in = input_dim;
     const auto samples_i = static_cast<std::int64_t>(samples);
     std::size_t layer = 0;
     for (const std::int64_t width : hidden) {
         WorkloadOp op;
         op.kind = OpKind::kGemm;
-        op.name = prefix + "_fc" + std::to_string(layer);
-        op.deps = layer == 0
-                      ? std::move(deps)
-                      : std::vector<std::size_t>{w->ops.size() - 1};
+        op.name = names[layer];
+        op.deps = layer == 0 ? deps : OpDeps{w->ops.size() - 1};
         // First layer reads freshly encoded activations (dense); hidden
         // layers see post-ReLU sparsity.
         const double density_a =
@@ -39,59 +70,57 @@ AppendMlp(NerfWorkload* w, const std::string& prefix, double samples,
         op.gemm = {samples_i, in, width, density_a, 1.0,
                    params.weight_prune_ratio};
         op.activations_on_chip = layer != 0;
-        w->ops.push_back(std::move(op));
+        w->ops.push_back(op);
         in = width;
         ++layer;
     }
     WorkloadOp head;
     head.kind = OpKind::kGemm;
-    head.name = prefix + "_head";
-    head.deps = hidden.size() == 0
-                    ? std::move(deps)
-                    : std::vector<std::size_t>{w->ops.size() - 1};
+    head.name = names[N - 1];
+    head.deps = hidden.size() == 0 ? deps : OpDeps{w->ops.size() - 1};
     head.gemm = {samples_i, in, output_dim, params.activation_density, 1.0,
                  params.weight_prune_ratio};
     head.activations_on_chip = true;
-    w->ops.push_back(std::move(head));
+    w->ops.push_back(head);
     return w->ops.size() - 1;
 }
 
 std::size_t
-AppendPosEnc(NerfWorkload* w, const std::string& name, double values,
-             std::vector<std::size_t> deps = {})
+AppendPosEnc(NerfWorkload* w, std::string_view name, double values,
+             OpDeps deps = {})
 {
     WorkloadOp op;
     op.kind = OpKind::kPositionalEncoding;
     op.name = name;
-    op.deps = std::move(deps);
+    op.deps = deps;
     op.encoding_values = values;
-    w->ops.push_back(std::move(op));
+    w->ops.push_back(op);
     return w->ops.size() - 1;
 }
 
 std::size_t
-AppendHashEnc(NerfWorkload* w, const std::string& name, double queries,
-              int levels, std::vector<std::size_t> deps = {})
+AppendHashEnc(NerfWorkload* w, std::string_view name, double queries,
+              int levels, OpDeps deps = {})
 {
     WorkloadOp op;
     op.kind = OpKind::kHashEncoding;
     op.name = name;
-    op.deps = std::move(deps);
+    op.deps = deps;
     op.encoding_values = queries * levels;
-    w->ops.push_back(std::move(op));
+    w->ops.push_back(op);
     return w->ops.size() - 1;
 }
 
 std::size_t
-AppendOther(NerfWorkload* w, const std::string& name, double flops,
-            std::vector<std::size_t> deps = {})
+AppendOther(NerfWorkload* w, std::string_view name, double flops,
+            OpDeps deps = {})
 {
     WorkloadOp op;
     op.kind = OpKind::kOther;
     op.name = name;
-    op.deps = std::move(deps);
+    op.deps = deps;
     op.other_flops = flops;
-    w->ops.push_back(std::move(op));
+    w->ops.push_back(op);
     return w->ops.size() - 1;
 }
 
@@ -179,15 +208,21 @@ FuseBatch(const NerfWorkload& base, std::size_t elements)
     const std::size_t stride = base.ops.size();
     fused.ops.reserve(stride * elements);
     for (std::size_t element = 0; element < elements; ++element) {
+        // "#e<k>": interned, so a second fuse of this shape finds every
+        // name without allocating.
+        char tag[24] = "#e";
+        const char* const tag_end =
+            std::to_chars(tag + 2, std::end(tag), element).ptr;
+        const std::string_view suffix(tag, tag_end - tag);
         for (std::size_t i = 0; i < stride; ++i) {
             WorkloadOp op = base.ops[i];
-            op.name += "#e" + std::to_string(element);
+            op.name = InternName(op.name, suffix);
             // Intra-element edges shift with the replica...
             for (std::size_t& dep : op.deps) dep += element * stride;
             // ...and each stage waits for the previous element to clear
             // it: unit stage occupancy, the pipeline's only coupling.
             if (element > 0) op.deps.push_back((element - 1) * stride + i);
-            fused.ops.push_back(std::move(op));
+            fused.ops.push_back(op);
         }
     }
     return fused;
@@ -229,12 +264,12 @@ BuildWorkload(const std::string& model_name, const WorkloadParams& params)
         const std::size_t posenc =
             AppendPosEnc(&w, "posenc_xyz_dir", samples * 5.0 * 10.0);
         const std::size_t trunk = AppendMlp(
-            &w, "mlp", samples, 60,
+            &w, kTrunk8Names, samples, 60,
             {256, 256, 256, 256, 256, 256, 256, 256}, 256, params,
             {posenc});
         // The color branch reads the trunk features and the (already
         // computed) view-direction encoding.
-        const std::size_t rgb = AppendMlp(&w, "rgb_branch", samples,
+        const std::size_t rgb = AppendMlp(&w, kRgbBranchNames, samples,
                                           256 + 24, {128}, 3, params,
                                           {trunk, posenc});
         AppendOther(&w, "volume_rendering", samples * 12.0, {rgb});
@@ -250,7 +285,7 @@ BuildWorkload(const std::string& model_name, const WorkloadParams& params)
         w.samples_per_frame = samples;
         const std::size_t posenc =
             AppendPosEnc(&w, "posenc", samples * 5.0 * 10.0);
-        const std::size_t head = AppendMlp(&w, "tiny_mlp", samples, 60,
+        const std::size_t head = AppendMlp(&w, kTinyMlpNames, samples, 60,
                                            {32, 32}, 4, params, {posenc});
         AppendOther(&w, "volume_rendering", samples * 12.0, {head});
         // Routing samples to their tiny MLPs precedes encoding them.
@@ -269,8 +304,8 @@ BuildWorkload(const std::string& model_name, const WorkloadParams& params)
             AppendPosEnc(&w, "posenc", samples * 5.0 * 6.0);
         // Both feature paths feed the MLP and run concurrently once
         // traversal has emitted the surviving samples.
-        AppendMlp(&w, "mlp", samples, 32 + 24, {128, 128, 128}, 4, params,
-                  {embed, posenc});
+        AppendMlp(&w, kTrunk3Names, samples, 32 + 24, {128, 128, 128}, 4,
+                  params, {embed, posenc});
         const std::size_t traversal =
             AppendOther(&w, "voxel_traversal", samples * 16.0);
         w.ops[embed].deps = {traversal};
@@ -283,10 +318,10 @@ BuildWorkload(const std::string& model_name, const WorkloadParams& params)
         const std::size_t posenc = AppendPosEnc(
             &w, "integrated_posenc", samples * 5.0 * 16.0);
         const std::size_t trunk = AppendMlp(
-            &w, "mlp", samples, 96,
+            &w, kTrunk8Names, samples, 96,
             {256, 256, 256, 256, 256, 256, 256, 256}, 256, params,
             {posenc});
-        const std::size_t rgb = AppendMlp(&w, "rgb_branch", samples,
+        const std::size_t rgb = AppendMlp(&w, kRgbBranchNames, samples,
                                           256 + 24, {128}, 3, params,
                                           {trunk, posenc});
         AppendOther(&w, "volume_rendering", samples * 12.0, {rgb});
@@ -297,9 +332,9 @@ BuildWorkload(const std::string& model_name, const WorkloadParams& params)
         w.samples_per_frame = samples;
         const std::size_t hash =
             AppendHashEnc(&w, "hash_encoding", samples, 16);
-        const std::size_t density = AppendMlp(&w, "density_mlp", samples,
+        const std::size_t density = AppendMlp(&w, kDensityMlpNames, samples,
                                               32, {64}, 16, params, {hash});
-        const std::size_t color = AppendMlp(&w, "color_mlp", samples,
+        const std::size_t color = AppendMlp(&w, kColorMlpNames, samples,
                                             16 + 16, {64, 64}, 3, params,
                                             {density});
         AppendOther(&w, "volume_rendering", samples * 12.0, {color});
@@ -314,14 +349,14 @@ BuildWorkload(const std::string& model_name, const WorkloadParams& params)
         for (int layer = 0; layer < 4; ++layer) {
             WorkloadOp conv;
             conv.kind = OpKind::kGemm;
-            conv.name = "cnn_conv" + std::to_string(layer);
+            conv.name = kCnnConvNames[layer];
             // Convolution layers chain; conv0 reads the source views.
             if (layer > 0) conv.deps = {w.ops.size() - 1};
             // im2col GEMM: (HW) x (9 * C_in) x C_out per view.
             conv.gemm = {static_cast<std::int64_t>(feat_pixels * views),
                          9 * (layer == 0 ? 3 : 32), 32, 1.0, 1.0,
                          params.weight_prune_ratio};
-            w.ops.push_back(std::move(conv));
+            w.ops.push_back(conv);
         }
         const std::size_t cnn_out = w.ops.size() - 1;
         const double samples = w.samples_per_frame;
@@ -330,9 +365,9 @@ BuildWorkload(const std::string& model_name, const WorkloadParams& params)
         // two branches meet at aggregation, which blends the CNN's
         // view features under the attention weights.
         const std::size_t qkv =
-            AppendMlp(&w, "ray_transformer_qkv", samples, 35, {64, 64}, 16,
+            AppendMlp(&w, kQkvNames, samples, 35, {64, 64}, 16,
                       params);
-        const std::size_t agg = AppendMlp(&w, "aggregation", samples,
+        const std::size_t agg = AppendMlp(&w, kAggregationNames, samples,
                                           16 * 10, {64}, 4, params);
         const std::size_t softmax = AppendOther(
             &w, "attention_softmax", samples * views * 8.0, {qkv});
@@ -347,7 +382,7 @@ BuildWorkload(const std::string& model_name, const WorkloadParams& params)
             AppendHashEnc(&w, "tensor_interp", samples, 3);
         const std::size_t posenc =
             AppendPosEnc(&w, "posenc_app", samples * 3.0 * 2.0);
-        const std::size_t head = AppendMlp(&w, "decode_mlp", samples,
+        const std::size_t head = AppendMlp(&w, kDecodeMlpNames, samples,
                                            27 + 120, {128}, 3, params);
         const std::size_t products = AppendOther(
             &w, "tensor_products", samples * 48.0, {interp});

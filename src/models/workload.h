@@ -12,9 +12,13 @@
 #ifndef FLEXNERFER_MODELS_WORKLOAD_H_
 #define FLEXNERFER_MODELS_WORKLOAD_H_
 
+#include <cstddef>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/logging.h"
 #include "gemm/engine.h"
 
 namespace flexnerfer {
@@ -27,10 +31,67 @@ enum class OpKind : std::uint8_t {
     kOther,               //!< sampling, compositing, misc element-wise work
 };
 
+/**
+ * The producer indices of one op, held inline. Base ops read at most
+ * two producers and FuseBatch adds one cross-element edge, so four
+ * slots cover every workload and an op list never allocates per op. A
+ * push past capacity is a simulator bug (FLEX_CHECK).
+ */
+class OpDeps
+{
+  public:
+    static constexpr std::size_t kCapacity = 4;
+
+    OpDeps() = default;
+    OpDeps(std::initializer_list<std::size_t> deps)
+    {
+        for (const std::size_t dep : deps) push_back(dep);
+    }
+
+    void
+    push_back(std::size_t dep)
+    {
+        FLEX_CHECK_MSG(size_ < kCapacity,
+                       "an op reads at most " << kCapacity << " producers");
+        slots_[size_++] = dep;
+    }
+    void clear() { size_ = 0; }
+
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    std::size_t operator[](std::size_t i) const { return slots_[i]; }
+    std::size_t back() const { return slots_[size_ - 1]; }
+
+    std::size_t* begin() { return slots_; }
+    std::size_t* end() { return slots_ + size_; }
+    const std::size_t* begin() const { return slots_; }
+    const std::size_t* end() const { return slots_ + size_; }
+
+    friend bool
+    operator==(const OpDeps& a, const OpDeps& b)
+    {
+        if (a.size_ != b.size_) return false;
+        for (std::size_t i = 0; i < a.size_; ++i) {
+            if (a.slots_[i] != b.slots_[i]) return false;
+        }
+        return true;
+    }
+
+  private:
+    std::size_t slots_[kCapacity] = {};
+    std::size_t size_ = 0;
+};
+
 /** One operator instance within a frame. */
 struct WorkloadOp {
     OpKind kind = OpKind::kGemm;
-    std::string name;
+    /**
+     * A view into static storage, never owned: BuildWorkload's literal
+     * name tables, or the interned table (common/intern.h) for derived
+     * names such as FuseBatch's "#e<k>". Never assign it a temporary
+     * std::string.
+     */
+    std::string_view name;
 
     /**
      * Indices (into NerfWorkload::ops) of the ops whose outputs this op
@@ -42,7 +103,7 @@ struct WorkloadOp {
      * as a wavefront (see plan/frame_plan.h). An empty list marks a
      * source op, ready at frame start.
      */
-    std::vector<std::size_t> deps;
+    OpDeps deps;
 
     /** GEMM geometry (kGemm only); m is the total sample count. */
     GemmShape gemm;

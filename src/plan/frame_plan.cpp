@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <condition_variable>
-#include <deque>
 #include <mutex>
 #include <utility>
 
@@ -91,44 +90,48 @@ PlannedOp::Evaluate(GemmMemo* memo) const
     return fixed;
 }
 
+const std::size_t*
+FramePlan::successors_begin(std::size_t i) const
+{
+    const std::size_t n = ops_.size();
+    return index_.data() + 3 * n + 1 + index_[2 * n + i];
+}
+
+const std::size_t*
+FramePlan::successors_end(std::size_t i) const
+{
+    return successors_begin(i + 1);
+}
+
 void
-FramePlan::EvaluateOp(std::size_t i, GemmMemo* memo,
-                      std::vector<OpCost>* fragments,
-                      TraceRecorder* recorder,
-                      std::vector<double>* wall_begin_us,
-                      std::vector<double>* wall_end_us) const
+FramePlan::EvaluateOp(std::size_t i, GemmMemo* memo, OpSlot* slots,
+                      TraceRecorder* recorder) const
 {
     if (recorder != nullptr) {
-        (*wall_begin_us)[i] = recorder->NowWallUs();
-        (*fragments)[i] = ops_[i].Evaluate(memo);
-        (*wall_end_us)[i] = recorder->NowWallUs();
+        slots[i].wall_begin_us = recorder->NowWallUs();
+        slots[i].fragment = ops_[i].Evaluate(memo);
+        slots[i].wall_end_us = recorder->NowWallUs();
     } else {
-        (*fragments)[i] = ops_[i].Evaluate(memo);
+        slots[i].fragment = ops_[i].Evaluate(memo);
     }
 }
 
 void
-FramePlan::EvaluateSerial(GemmMemo* memo, std::vector<OpCost>* fragments,
-                          TraceRecorder* recorder,
-                          std::vector<double>* wall_begin_us,
-                          std::vector<double>* wall_end_us) const
+FramePlan::EvaluateSerial(GemmMemo* memo, OpSlot* slots,
+                          TraceRecorder* recorder) const
 {
     // Topological order is the serial analogue of the wavefront: each
     // op runs after its predecessors, as the modeled pipeline would.
     // (Evaluation is pure per op, so any order yields the same
     // fragments; the contract is about fidelity, not correctness.)
-    for (const std::size_t i : topo_order_) {
-        EvaluateOp(i, memo, fragments, recorder, wall_begin_us,
-                   wall_end_us);
+    for (std::size_t k = 0; k < ops_.size(); ++k) {
+        EvaluateOp(topo_order(k), memo, slots, recorder);
     }
 }
 
 void
 FramePlan::EvaluateWavefront(ThreadPool& pool, GemmMemo* memo,
-                             std::vector<OpCost>* fragments,
-                             TraceRecorder* recorder,
-                             std::vector<double>* wall_begin_us,
-                             std::vector<double>* wall_end_us) const
+                             OpSlot* slots, TraceRecorder* recorder) const
 {
     const std::size_t n = ops_.size();
     // Plan-local wavefront state, drained by a ParallelFor over n
@@ -139,36 +142,37 @@ FramePlan::EvaluateWavefront(ThreadPool& pool, GemmMemo* memo,
     // iterations itself, so an Execute issued from inside a pool task
     // — the serving hot path — finishes even when every other worker
     // is blocked in a frame of its own.
+    //
+    // The ready FIFO lives in the slots' `ready` fields: every op is
+    // pushed exactly once, so [ready_head, ready_tail) never passes n.
     std::mutex mutex;
     std::condition_variable cv;
-    std::deque<std::size_t> ready;
+    std::size_t ready_head = 0;
+    std::size_t ready_tail = 0;
     bool aborted = false;  // an Evaluate threw; wake and bail out
-    std::vector<std::size_t> pending(n);
     for (std::size_t i = 0; i < n; ++i) {
-        pending[i] = ops_[i].deps.size();
-        if (pending[i] == 0) ready.push_back(i);
+        slots[i].pending = ops_[i].deps.size();
+        if (slots[i].pending == 0) slots[ready_tail++].ready = i;
     }
 
     pool.ParallelFor(
         static_cast<std::int64_t>(n), [&](std::int64_t) {
             std::size_t op;
             {
-                // Waiting is deadlock-free: when the ready deque is
+                // Waiting is deadlock-free: when the ready FIFO is
                 // empty and ops remain, some op is mid-evaluation on
                 // another thread (an iteration never blocks while it
                 // holds an op), and its retirement — or its failure —
                 // signals us.
                 std::unique_lock<std::mutex> lock(mutex);
-                cv.wait(lock, [&ready, &aborted] {
-                    return !ready.empty() || aborted;
+                cv.wait(lock, [&] {
+                    return ready_head != ready_tail || aborted;
                 });
                 if (aborted) return;
-                op = ready.front();
-                ready.pop_front();
+                op = slots[ready_head++].ready;
             }
             try {
-                EvaluateOp(op, memo, fragments, recorder, wall_begin_us,
-                           wall_end_us);
+                EvaluateOp(op, memo, slots, recorder);
             } catch (...) {
                 // Unblock every waiting iteration before propagating:
                 // the op's successors will never retire, and
@@ -184,11 +188,10 @@ FramePlan::EvaluateWavefront(ThreadPool& pool, GemmMemo* memo,
             bool enabled = false;
             {
                 std::lock_guard<std::mutex> lock(mutex);
-                for (std::size_t e = successor_begin_[op];
-                     e < successor_begin_[op + 1]; ++e) {
-                    const std::size_t succ = successors_[e];
-                    if (--pending[succ] == 0) {
-                        ready.push_back(succ);
+                for (const std::size_t* succ = successors_begin(op);
+                     succ != successors_end(op); ++succ) {
+                    if (--slots[*succ].pending == 0) {
+                        slots[ready_tail++].ready = *succ;
                         enabled = true;
                     }
                 }
@@ -210,27 +213,19 @@ FramePlan::Execute(ThreadPool* pool, GemmMemo* memo) const
         trace_ctx = CurrentTraceContext();
         if (!trace_ctx.active() || ops_.empty()) recorder = nullptr;
     }
-    std::vector<double> wall_begin_us;
-    std::vector<double> wall_end_us;
     double frame_wall_begin_us = 0.0;
-    if (recorder != nullptr) {
-        wall_begin_us.assign(ops_.size(), 0.0);
-        wall_end_us.assign(ops_.size(), 0.0);
-        frame_wall_begin_us = recorder->NowWallUs();
-    }
+    if (recorder != nullptr) frame_wall_begin_us = recorder->NowWallUs();
 
-    std::vector<OpCost> fragments(ops_.size());
+    std::vector<OpSlot> slots(ops_.size());
     // The wavefront only pays off when the DAG has width: a pure chain
     // (depth == op count) admits one ready op at a time, so fanning it
     // out would just park pool workers in waits for the whole frame —
     // run it on the calling thread instead (identical result either
     // way; evaluation is pure and the reduction is fixed-order).
     if (pool != nullptr && ops_.size() > 1 && depth_ < ops_.size()) {
-        EvaluateWavefront(*pool, memo, &fragments, recorder,
-                          &wall_begin_us, &wall_end_us);
+        EvaluateWavefront(*pool, memo, slots.data(), recorder);
     } else {
-        EvaluateSerial(memo, &fragments, recorder, &wall_begin_us,
-                       &wall_end_us);
+        EvaluateSerial(memo, slots.data(), recorder);
     }
 
     // Enqueue-order reduction: one addition per op per field, in op
@@ -240,7 +235,8 @@ FramePlan::Execute(ThreadPool* pool, GemmMemo* memo) const
     double energy = 0.0;
     double utilization_weighted = 0.0;
     double utilization_macs = 0.0;
-    for (const OpCost& fragment : fragments) {
+    for (const OpSlot& slot : slots) {
+        const OpCost& fragment = slot.fragment;
         total.latency_ms += fragment.cost.latency_ms;
         total.gemm_ms += fragment.cost.gemm_ms;
         total.encoding_ms += fragment.cost.encoding_ms;
@@ -270,15 +266,15 @@ FramePlan::Execute(ThreadPool* pool, GemmMemo* memo) const
     // value is bit-identical for any thread count and reproducible by
     // an independent implementation of the same recurrence (the parity
     // tests compute it from the legacy per-op latencies).
-    std::vector<double> finish(ops_.size(), 0.0);
     double critical_path_ms = 0.0;
-    for (const std::size_t i : topo_order_) {
+    for (std::size_t k = 0; k < ops_.size(); ++k) {
+        const std::size_t i = topo_order(k);
         double ready_ms = 0.0;
         for (const std::size_t dep : ops_[i].deps) {
-            ready_ms = std::max(ready_ms, finish[dep]);
+            ready_ms = std::max(ready_ms, slots[dep].finish_ms);
         }
-        finish[i] = ready_ms + fragments[i].cost.latency_ms;
-        critical_path_ms = std::max(critical_path_ms, finish[i]);
+        slots[i].finish_ms = ready_ms + slots[i].fragment.cost.latency_ms;
+        critical_path_ms = std::max(critical_path_ms, slots[i].finish_ms);
     }
     total.critical_path_ms = critical_path_ms;
 
@@ -293,16 +289,19 @@ FramePlan::Execute(ThreadPool* pool, GemmMemo* memo) const
         TraceContext op_ctx;
         op_ctx.trace_id = trace_ctx.trace_id;
         op_ctx.parent_span = SpanId(trace_ctx.trace_id, frame_name);
-        for (const std::size_t i : topo_order_) {
-            const double latency_ms = fragments[i].cost.latency_ms;
+        for (std::size_t k = 0; k < ops_.size(); ++k) {
+            const std::size_t i = topo_order(k);
+            const OpSlot& slot = slots[i];
+            std::string span_name = "op" + std::to_string(i) + ":";
+            span_name += ops_[i].name;
             recorder->RecordSpan(
-                op_ctx, "op",
-                "op" + std::to_string(i) + ":" + ops_[i].name,
-                anchor_ms + finish[i] - latency_ms, anchor_ms + finish[i],
-                wall_begin_us[i], wall_end_us[i],
+                op_ctx, "op", span_name,
+                anchor_ms + slot.finish_ms - slot.fragment.cost.latency_ms,
+                anchor_ms + slot.finish_ms, slot.wall_begin_us,
+                slot.wall_end_us,
                 {TraceArg::Int("index", static_cast<std::int64_t>(i)),
                  TraceArg::Int("layer",
-                               static_cast<std::int64_t>(layer_of_[i])),
+                               static_cast<std::int64_t>(layer_of(i))),
                  TraceArg::Str("stage", StageName(ops_[i].kind)),
                  TraceArg::Int("engine", ops_[i].uses_engine ? 1 : 0)});
         }
@@ -375,48 +374,54 @@ FramePlanBuilder::Build()
     const std::size_t n = plan_.ops_.size();
     const std::vector<PlannedOp>& ops = plan_.ops_;
 
-    // Validate edges and count each op's out-degree.
-    std::vector<std::size_t>& begin = plan_.successor_begin_;
-    begin.assign(n + 1, 0);
-    std::vector<std::size_t> pending(n, 0);
+    // Validate edges and count them, so the index block is sized once.
+    std::size_t edges = 0;
     for (std::size_t i = 0; i < n; ++i) {
         for (const std::size_t dep : ops[i].deps) {
             if (dep >= n) {
                 Fatal("plan '" + plan_.workload_name_ + "': op '" +
-                      ops[i].name + "' depends on op index " +
+                      std::string(ops[i].name) + "' depends on op index " +
                       std::to_string(dep) + ", but the plan has only " +
                       std::to_string(n) + " ops");
             }
             if (dep == i) {
                 Fatal("plan '" + plan_.workload_name_ + "': op '" +
-                      ops[i].name + "' depends on itself");
+                      std::string(ops[i].name) + "' depends on itself");
             }
-            ++begin[dep];
         }
-        pending[i] = ops[i].deps.size();
+        edges += ops[i].deps.size();
     }
-    // Inclusive prefix sum: begin[d] is one past the end of d's run.
-    // Scattering each edge to --begin[dep], consumers in descending
-    // order, then leaves begin[d] at the start of d's run and every run
-    // ascending (the order the nested successor lists had).
+    plan_.index_.assign(3 * n + 1 + edges, 0);
+    std::size_t* const topo = plan_.index_.data();
+    std::size_t* const layer_of = topo + n;
+    std::size_t* const begin = layer_of + n;
+    std::size_t* const successors = begin + n + 1;
+
+    // Count each op's out-degree, then an inclusive prefix sum:
+    // begin[d] is one past the end of d's run. Scattering each edge to
+    // --begin[dep], consumers in descending order, then leaves begin[d]
+    // at the start of d's run and every run ascending (the order the
+    // nested successor lists had).
+    for (std::size_t i = 0; i < n; ++i) {
+        for (const std::size_t dep : ops[i].deps) ++begin[dep];
+    }
     for (std::size_t i = 1; i < n; ++i) begin[i] += begin[i - 1];
-    begin[n] = n > 0 ? begin[n - 1] : 0;
-    plan_.successors_.resize(begin[n]);
+    begin[n] = edges;
     for (std::size_t i = n; i-- > 0;) {
         for (const std::size_t dep : ops[i].deps) {
-            plan_.successors_[--begin[dep]] = i;
+            successors[--begin[dep]] = i;
         }
     }
 
     // Kahn's algorithm with a deterministic tie-break: among ready ops,
     // the lowest index runs first. n is a few dozen at most, so the
     // O(n^2) ready scan beats a heap on both simplicity and constant.
-    // An emitted op's pending count becomes kEmitted so the scan skips
+    // The layer words hold each op's pending count until the order is
+    // fixed; an emitted op's count becomes kEmitted so the scan skips
     // it.
     constexpr std::size_t kEmitted = static_cast<std::size_t>(-1);
-    plan_.topo_order_.clear();
-    plan_.topo_order_.reserve(n);
-    plan_.layer_of_.assign(n, 0);
+    std::size_t* const pending = layer_of;
+    for (std::size_t i = 0; i < n; ++i) pending[i] = ops[i].deps.size();
     for (std::size_t step = 0; step < n; ++step) {
         std::size_t next = n;
         for (std::size_t i = 0; i < n; ++i) {
@@ -431,16 +436,21 @@ FramePlanBuilder::Build()
                   "order exists)");
         }
         pending[next] = kEmitted;
-        plan_.topo_order_.push_back(next);
-        std::size_t layer = 0;
-        for (const std::size_t dep : ops[next].deps) {
-            layer = std::max(layer, plan_.layer_of_[dep] + 1);
-        }
-        plan_.layer_of_[next] = layer;
-        plan_.depth_ = std::max(plan_.depth_, layer + 1);
+        topo[step] = next;
         for (std::size_t e = begin[next]; e < begin[next + 1]; ++e) {
-            --pending[plan_.successors_[e]];
+            --pending[successors[e]];
         }
+    }
+    // Layers, folded in topological order so every dependency's layer
+    // is final before its consumers read it.
+    for (std::size_t step = 0; step < n; ++step) {
+        const std::size_t op = topo[step];
+        std::size_t layer = 0;
+        for (const std::size_t dep : ops[op].deps) {
+            layer = std::max(layer, layer_of[dep] + 1);
+        }
+        layer_of[op] = layer;
+        plan_.depth_ = std::max(plan_.depth_, layer + 1);
     }
     return std::move(plan_);
 }

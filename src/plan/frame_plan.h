@@ -38,6 +38,7 @@
 #define FLEXNERFER_PLAN_FRAME_PLAN_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "accel/accelerator.h"
@@ -76,11 +77,13 @@ enum class GemmLowering : std::uint8_t {
 /** One operator of a compiled frame, with all decisions resolved. */
 struct PlannedOp {
     OpKind kind = OpKind::kGemm;
-    std::string name;
+    /** The workload op's name: a view into static or interned storage
+     *  (see WorkloadOp::name), never owned. */
+    std::string_view name;
 
-    /** Predecessor op indices (the workload op's dependency edges).
-     *  Empty marks a source op, ready at frame start. */
-    std::vector<std::size_t> deps;
+    /** Predecessor op indices (the workload op's dependency edges,
+     *  inline). Empty marks a source op, ready at frame start. */
+    OpDeps deps;
 
     /** True when Execute must run the GEMM engine for this op; false
      *  when the fragment was fully resolved at compile time. */
@@ -122,17 +125,18 @@ class FramePlan
     std::size_t engine_op_count() const;
 
     /**
-     * The deterministic topological order Build derived: Kahn's
-     * algorithm with the lowest-index ready op first, so two compiles
-     * of one (config, workload) — on any thread — order identically.
+     * The @p k-th op of the deterministic topological order Build
+     * derived: Kahn's algorithm with the lowest-index ready op first,
+     * so two compiles of one (config, workload) — on any thread —
+     * order identically.
      */
-    const std::vector<std::size_t>& topo_order() const {
-        return topo_order_;
-    }
+    std::size_t topo_order(std::size_t k) const { return index_[k]; }
 
-    /** Dependency layer of each op: 0 for sources, else
+    /** Dependency layer of op @p i: 0 for sources, else
      *  1 + max(layer of predecessors). */
-    const std::vector<std::size_t>& layer_of() const { return layer_of_; }
+    std::size_t layer_of(std::size_t i) const {
+        return index_[ops_.size() + i];
+    }
 
     /** Number of dependency layers (pipeline depth); 0 for empty plans,
      *  ops_.size() for a pure chain. */
@@ -144,40 +148,46 @@ class FramePlan
   private:
     friend class FramePlanBuilder;
 
+    /** Execute's per-op scratch: one allocation per frame. */
+    struct OpSlot {
+        OpCost fragment;
+        double finish_ms = 0.0;      //!< critical-path fold
+        double wall_begin_us = 0.0;  //!< measured when tracing
+        double wall_end_us = 0.0;
+        std::size_t pending = 0;     //!< wavefront: unretired deps
+        std::size_t ready = 0;       //!< wavefront: the ready FIFO
+    };
+
     /**
-     * Evaluates op @p i into its fragment slot, wall-timing it into the
-     * pre-assigned @p wall slots when tracing (each slot written once
-     * by the evaluating thread, read only after every op retired —
-     * race-free by construction, like the fragment slots).
+     * Evaluates op @p i into its slot's fragment, wall-timing it into
+     * the slot when tracing (each slot written once by the evaluating
+     * thread, read only after every op retired — race-free by
+     * construction).
      */
-    void EvaluateOp(std::size_t i, GemmMemo* memo,
-                    std::vector<OpCost>* fragments,
-                    TraceRecorder* recorder,
-                    std::vector<double>* wall_begin_us,
-                    std::vector<double>* wall_end_us) const;
+    void EvaluateOp(std::size_t i, GemmMemo* memo, OpSlot* slots,
+                    TraceRecorder* recorder) const;
     /** Evaluates fragments serially, in topological order. */
-    void EvaluateSerial(GemmMemo* memo, std::vector<OpCost>* fragments,
-                        TraceRecorder* recorder,
-                        std::vector<double>* wall_begin_us,
-                        std::vector<double>* wall_end_us) const;
+    void EvaluateSerial(GemmMemo* memo, OpSlot* slots,
+                        TraceRecorder* recorder) const;
     /** Evaluates fragments as a wavefront over @p pool. */
-    void EvaluateWavefront(ThreadPool& pool, GemmMemo* memo,
-                           std::vector<OpCost>* fragments,
-                           TraceRecorder* recorder,
-                           std::vector<double>* wall_begin_us,
-                           std::vector<double>* wall_end_us) const;
+    void EvaluateWavefront(ThreadPool& pool, GemmMemo* memo, OpSlot* slots,
+                           TraceRecorder* recorder) const;
+
+    /** Op @p i's successors: [successors_begin(i), successors_end(i)),
+     *  ascending (a dependency listed twice appears twice). */
+    const std::size_t* successors_begin(std::size_t i) const;
+    const std::size_t* successors_end(std::size_t i) const;
 
     std::string workload_name_;
     std::vector<PlannedOp> ops_;
-    /** Built by FramePlanBuilder::Build (see topo_order()/layer_of()). */
-    std::vector<std::size_t> topo_order_;
-    std::vector<std::size_t> layer_of_;
-    /** The transposed edge list the wavefront walks, as one flat CSR
-     *  array: op i's successors are the entries of successors_ in
-     *  [successor_begin_[i], successor_begin_[i + 1]), ascending (a
-     *  dependency listed twice appears twice). */
-    std::vector<std::size_t> successor_begin_;
-    std::vector<std::size_t> successors_;
+    /**
+     * Every index Build derives, in one block. With n ops and e edges:
+     * [0, n) the topological order; [n, 2n) each op's layer (Build's
+     * pending counts until the order is fixed); [2n, 3n + 1) the CSR
+     * offsets of the transposed edge list the wavefront walks; and
+     * [3n + 1, 3n + 1 + e) the successors themselves.
+     */
+    std::vector<std::size_t> index_;
     std::size_t depth_ = 0;
     /** Applied to the summed per-op energies before the static-power
      *  term: 1.0 for mJ fragments, 1e3 for the GPU's joule fragments

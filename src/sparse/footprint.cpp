@@ -8,9 +8,10 @@ int
 IndexBits(std::int64_t n)
 {
     FLEX_CHECK(n >= 1);
-    int bits = 1;
-    while ((std::int64_t{1} << bits) < n) ++bits;
-    return bits;
+    // The smallest bits >= 1 with 2^bits >= n: ceil(log2(n)), which is
+    // the bit length of n - 1.
+    if (n <= 2) return 1;
+    return 64 - __builtin_clzll(static_cast<unsigned long long>(n - 1));
 }
 
 std::int64_t

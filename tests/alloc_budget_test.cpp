@@ -1,6 +1,7 @@
 /**
  * @file
- * Allocation budget of a warmed request: zero heap allocations.
+ * Allocation budgets: zero heap allocations per warmed request, and
+ * four per cold frame.
  *
  * This binary replaces the global operator new with a counting one (no
  * LD_PRELOAD, and no test framework, which would allocate on its own).
@@ -11,16 +12,29 @@
  * choices all run) and no transport. Each window must hold accepted
  * and refused verdicts alike. The warm-up window before each count runs
  * the same traffic, so every store has seen its high-water mark.
+ *
+ * Cold frames run the Fig. 19 design grid (147 frames) through
+ * BuildWorkload, FramePlanner::Compile and a serial FramePlan::Execute,
+ * and every frame must allocate exactly once, twice and once: the op
+ * list, the plan's op list and index block, and Execute's slots. A
+ * second batch fuse or delta derivation of a workload, which finds
+ * every derived op name already interned, must stay under a fixed
+ * ceiling.
  */
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <string>
 #include <vector>
 
+#include "models/trajectory.h"
+#include "models/workload.h"
+#include "plan/frame_planner.h"
+#include "runtime/sweep_runner.h"
 #include "serve/cluster.h"
 #include "serve/render_service.h"
 
@@ -292,6 +306,153 @@ ClusterHoldsBudget(const std::vector<Scene>& scenes)
     return ok;
 }
 
+/** Allocations made while @p fn runs. */
+template <typename Fn>
+std::uint64_t
+Counted(Fn fn)
+{
+    const std::uint64_t before = g_allocations.load();
+    g_counting.store(true);
+    fn();
+    g_counting.store(false);
+    return g_allocations.load() - before;
+}
+
+/** The 21 design points of Fig. 19: the GPU, NeuRex x 5 prune ratios
+ *  and FlexNeRFer x 3 precisions x 5 prune ratios. */
+std::vector<SweepPoint>
+DesignPoints()
+{
+    constexpr double kPrunes[] = {0.0, 0.3, 0.5, 0.7, 0.9};
+    std::vector<SweepPoint> points(1);
+    points[0].backend = Backend::kGpu;
+    for (double prune : kPrunes) {
+        SweepPoint point;
+        point.backend = Backend::kNeuRex;
+        point.params.weight_prune_ratio = prune;
+        points.push_back(point);
+    }
+    for (Precision precision :
+         {Precision::kInt16, Precision::kInt8, Precision::kInt4}) {
+        for (double prune : kPrunes) {
+            SweepPoint point;
+            point.backend = Backend::kFlexNeRFer;
+            point.precision = precision;
+            point.params.weight_prune_ratio = prune;
+            points.push_back(point);
+        }
+    }
+    return points;
+}
+
+/** Per-stage allocation counts of one pass over the grid. */
+struct ColdPass {
+    std::size_t frames = 0;
+    std::uint64_t build = 0;
+    std::uint64_t compile = 0;
+    std::uint64_t execute = 0;
+    /** Frames whose counts were not exactly 1 / 2 / 1. */
+    std::size_t off_budget = 0;
+};
+
+ColdPass
+RunColdGrid(const std::vector<std::unique_ptr<Accelerator>>& accels,
+            const std::vector<SweepPoint>& points)
+{
+    ColdPass pass;
+    NerfWorkload workload;
+    FramePlan plan;
+    for (std::size_t design = 0; design < points.size(); ++design) {
+        for (const std::string& model : AllModelNames()) {
+            const std::uint64_t build = Counted([&] {
+                workload = BuildWorkload(model, points[design].params);
+            });
+            const std::uint64_t compile = Counted([&] {
+                plan = FramePlanner::Compile(*accels[design], workload);
+            });
+            FrameCost cost;
+            const std::uint64_t execute =
+                Counted([&] { cost = plan.Execute(); });
+            ++pass.frames;
+            pass.build += build;
+            pass.compile += compile;
+            pass.execute += execute;
+            if (build != 1 || compile != 2 || execute != 1) {
+                ++pass.off_budget;
+            }
+        }
+    }
+    return pass;
+}
+
+/** Most allocations a repeated fuse or delta derivation plus its
+ *  compile may make: the op list and the plan's op list and index
+ *  block, plus, for a derived workload name past the small-string
+ *  buffer ("Instant-NGP+batch3"), the name and the plan's copy of it. */
+constexpr std::uint64_t kDerivedCeiling = 5;
+
+bool
+ColdFramesHoldBudget()
+{
+    const std::vector<SweepPoint> points = DesignPoints();
+    std::vector<std::unique_ptr<Accelerator>> accels;
+    for (const SweepPoint& point : points) {
+        accels.push_back(MakeAccelerator(point));
+    }
+    RunColdGrid(accels, points);  // warm any lazily built statics
+    const ColdPass pass = RunColdGrid(accels, points);
+    const double frames = static_cast<double>(pass.frames);
+    std::printf("cold frames: %zu frames, %llu build + %llu compile + "
+                "%llu execute allocations (%.2f / %.2f / %.2f per "
+                "frame)\n",
+                pass.frames, static_cast<unsigned long long>(pass.build),
+                static_cast<unsigned long long>(pass.compile),
+                static_cast<unsigned long long>(pass.execute),
+                static_cast<double>(pass.build) / frames,
+                static_cast<double>(pass.compile) / frames,
+                static_cast<double>(pass.execute) / frames);
+    bool ok = true;
+    if (pass.frames != 147 || pass.off_budget != 0) {
+        std::printf("FAIL cold frames: %zu of %zu frames are not exactly "
+                    "1 / 2 / 1 allocations\n",
+                    pass.off_budget, pass.frames);
+        ok = false;
+    }
+
+    // Repeated derivations find every "#e<k>" / "#d" name interned.
+    const Accelerator& accel = *accels.back();
+    std::uint64_t worst_fuse = 0;
+    std::uint64_t worst_delta = 0;
+    for (const std::string& model : AllModelNames()) {
+        const NerfWorkload base = BuildWorkload(model);
+        FramePlanner::Compile(accel, FuseBatch(base, 3));
+        FramePlanner::Compile(accel, DeltaWorkload(base, 5, 8));
+        NerfWorkload derived;
+        FramePlan plan;
+        const std::uint64_t fuse = Counted([&] {
+            derived = FuseBatch(base, 3);
+            plan = FramePlanner::Compile(accel, derived);
+        });
+        const std::uint64_t delta = Counted([&] {
+            derived = DeltaWorkload(base, 5, 8);
+            plan = FramePlanner::Compile(accel, derived);
+        });
+        worst_fuse = std::max(worst_fuse, fuse);
+        worst_delta = std::max(worst_delta, delta);
+    }
+    std::printf("repeated derivations: FuseBatch(w, 3) + Compile at most "
+                "%llu, DeltaWorkload + Compile at most %llu allocations "
+                "(ceiling %llu)\n",
+                static_cast<unsigned long long>(worst_fuse),
+                static_cast<unsigned long long>(worst_delta),
+                static_cast<unsigned long long>(kDerivedCeiling));
+    if (worst_fuse > kDerivedCeiling || worst_delta > kDerivedCeiling) {
+        std::printf("FAIL repeated derivations: over the ceiling\n");
+        ok = false;
+    }
+    return ok;
+}
+
 }  // namespace
 }  // namespace flexnerfer
 
@@ -301,7 +462,8 @@ main()
     const std::vector<flexnerfer::Scene> scenes = flexnerfer::Scenes();
     const bool service = flexnerfer::ServiceHoldsBudget(scenes);
     const bool cluster = flexnerfer::ClusterHoldsBudget(scenes);
-    if (!service || !cluster) return 1;
+    const bool cold = flexnerfer::ColdFramesHoldBudget();
+    if (!service || !cluster || !cold) return 1;
     std::printf("alloc budget OK\n");
     return 0;
 }

@@ -70,7 +70,7 @@ TEST(FuseBatch, ReplicatesOpsAndAddsCrossElementStageEdges)
     for (std::size_t element = 0; element < 3; ++element) {
         for (std::size_t i = 0; i < stride; ++i) {
             const WorkloadOp& op = fused.ops[element * stride + i];
-            EXPECT_EQ(op.name, base.ops[i].name + "#e" +
+            EXPECT_EQ(op.name, std::string(base.ops[i].name) + "#e" +
                                    std::to_string(element));
             // Intra-element deps shift with the element...
             const std::size_t base_deps = base.ops[i].deps.size();

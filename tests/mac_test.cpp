@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "common/rng.h"
 #include "mac/bit_scalable_mac.h"
 #include "mac/mac_array.h"
@@ -174,6 +176,35 @@ TEST(ReductionTree, MergesEqualIndexRuns)
     EXPECT_EQ(out[2].value, 5);
     EXPECT_EQ(out[2].index, 2);
     EXPECT_GT(stats.additions, 0);
+}
+
+/** DepthForLeaves' loop definition: double a width from 1 until it
+ *  covers the leaves (64-bit, so 2^31 leaves' width cannot overflow). */
+int
+DepthByLoop(int n_leaves)
+{
+    int depth = 0;
+    for (std::int64_t width = 1; width < n_leaves; width *= 2) ++depth;
+    return depth;
+}
+
+TEST(ReductionTree, DepthForLeavesMatchesLoopDefinition)
+{
+    int mismatches = 0;
+    for (int n = 1; n <= (1 << 20); ++n) {
+        if (FlexibleReductionTree::DepthForLeaves(n) != DepthByLoop(n)) {
+            ++mismatches;
+        }
+    }
+    EXPECT_EQ(mismatches, 0);
+    for (int s = 1; s <= 30; ++s) {
+        const int power = 1 << s;
+        for (const int n : {power - 1, power, power + 1}) {
+            EXPECT_EQ(FlexibleReductionTree::DepthForLeaves(n),
+                      DepthByLoop(n))
+                << "n = " << n;
+        }
+    }
 }
 
 TEST(ReductionTree, BypassesDistinctIndices)

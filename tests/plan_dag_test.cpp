@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "accel/flexnerfer.h"
@@ -26,15 +27,38 @@
 namespace flexnerfer {
 namespace {
 
-/** A fixed op with a known latency, for synthetic DAGs. */
+/** A fixed op with a known latency, for synthetic DAGs. @p name must
+ *  outlive the plan: pass a literal. */
 WorkloadOp
-FixedOp(const std::string& name, std::vector<std::size_t> deps)
+FixedOp(std::string_view name, OpDeps deps)
 {
     WorkloadOp op;
     op.kind = OpKind::kOther;
     op.name = name;
-    op.deps = std::move(deps);
+    op.deps = deps;
     return op;
+}
+
+/** The plan's topological order, copied out for whole-order checks. */
+std::vector<std::size_t>
+TopoOrder(const FramePlan& plan)
+{
+    std::vector<std::size_t> order(plan.ops().size());
+    for (std::size_t k = 0; k < order.size(); ++k) {
+        order[k] = plan.topo_order(k);
+    }
+    return order;
+}
+
+/** Each op's dependency layer, copied out for whole-plan checks. */
+std::vector<std::size_t>
+Layers(const FramePlan& plan)
+{
+    std::vector<std::size_t> layers(plan.ops().size());
+    for (std::size_t i = 0; i < layers.size(); ++i) {
+        layers[i] = plan.layer_of(i);
+    }
+    return layers;
 }
 
 OpCost
@@ -50,7 +74,7 @@ FixedFragment(double latency_ms)
 void
 ExpectValidTopoOrder(const FramePlan& plan)
 {
-    const std::vector<std::size_t>& order = plan.topo_order();
+    const std::vector<std::size_t> order = TopoOrder(plan);
     ASSERT_EQ(order.size(), plan.ops().size());
     std::vector<std::size_t> position(order.size());
     for (std::size_t i = 0; i < order.size(); ++i) {
@@ -90,10 +114,10 @@ TEST(PlanDag, WorkloadEdgesSurviveLoweringForEveryFamily)
                 std::size_t expect_layer = 0;
                 for (const std::size_t dep : plan.ops()[i].deps) {
                     expect_layer = std::max(expect_layer,
-                                            plan.layer_of()[dep] + 1);
+                                            plan.layer_of(dep) + 1);
                 }
-                EXPECT_EQ(plan.layer_of()[i], expect_layer);
-                max_layer = std::max(max_layer, plan.layer_of()[i]);
+                EXPECT_EQ(plan.layer_of(i), expect_layer);
+                max_layer = std::max(max_layer, plan.layer_of(i));
             }
             EXPECT_EQ(plan.depth(), max_layer + 1);
         }
@@ -152,6 +176,15 @@ TEST(PlanDagDeathTest, RejectsSelfDependencyAndOutOfRangeEdges)
     }
 }
 
+TEST(PlanDagDeathTest, AFifthDependencyIsFatal)
+{
+    // Edges are held inline, OpDeps::kCapacity of them: a push past
+    // capacity is a simulator bug, not a silent truncation.
+    OpDeps deps = {0, 1, 2, 3};
+    ASSERT_EQ(deps.size(), OpDeps::kCapacity);
+    EXPECT_DEATH(deps.push_back(4), "at most 4 producers");
+}
+
 TEST(PlanDag, TopoOrderDeterministicAcrossCompilesAndThreadCounts)
 {
     // Two independent compiles order identically, and executing on 1-
@@ -164,13 +197,13 @@ TEST(PlanDag, TopoOrderDeterministicAcrossCompilesAndThreadCounts)
         const NerfWorkload w = BuildWorkload(name);
         const FramePlan a = FramePlanner::Compile(flex, w);
         const FramePlan b = FramePlanner::Compile(flex, w);
-        EXPECT_EQ(a.topo_order(), b.topo_order()) << name;
-        EXPECT_EQ(a.layer_of(), b.layer_of()) << name;
+        EXPECT_EQ(TopoOrder(a), TopoOrder(b)) << name;
+        EXPECT_EQ(Layers(a), Layers(b)) << name;
         const FrameCost serial = a.Execute();
         ExpectBitIdentical(a.Execute(&pool1), serial, name + " 1-thread");
         ExpectBitIdentical(a.Execute(&pool8), serial, name + " 8-thread");
         ExpectBitIdentical(b.Execute(&pool8), serial, name + " recompiled");
-        EXPECT_EQ(a.topo_order(), b.topo_order()) << name << " post-run";
+        EXPECT_EQ(TopoOrder(a), TopoOrder(b)) << name << " post-run";
     }
 }
 
@@ -184,11 +217,12 @@ TEST(PlanDag, CriticalPathOfThreeLayerMlpChainIsHandComputable)
     const FlexNeRFerModel flex;
     NerfWorkload chain;
     chain.name = "chain3";
+    constexpr std::string_view kNames[] = {"fc0", "fc1", "fc2"};
     std::int64_t in = 64;
     for (int layer = 0; layer < 3; ++layer) {
         WorkloadOp op;
         op.kind = OpKind::kGemm;
-        op.name = "fc" + std::to_string(layer);
+        op.name = kNames[layer];
         if (layer > 0) op.deps = {static_cast<std::size_t>(layer - 1)};
         op.gemm = {4096, in, 128, 1.0, 1.0, 0.0};
         chain.ops.push_back(op);
@@ -199,7 +233,7 @@ TEST(PlanDag, CriticalPathOfThreeLayerMlpChainIsHandComputable)
     double expected_flat = 0.0;
     for (const WorkloadOp& op : chain.ops) {
         NerfWorkload single;
-        single.name = "single_" + op.name;
+        single.name = "single_" + std::string(op.name);
         WorkloadOp alone = op;
         alone.deps.clear();
         single.ops.push_back(alone);
@@ -260,9 +294,8 @@ TEST(PlanDag, DuplicateAndForwardEdgesWithTwoSourcesAreHandComputable)
     builder.AddFixedOp(FixedOp("tail", {0}), FixedFragment(0.5));
     const FramePlan plan = builder.Build();
 
-    EXPECT_EQ(plan.topo_order(),
-              (std::vector<std::size_t>{1, 2, 3, 0, 4}));
-    EXPECT_EQ(plan.layer_of(), (std::vector<std::size_t>{2, 0, 1, 0, 3}));
+    EXPECT_EQ(TopoOrder(plan), (std::vector<std::size_t>{1, 2, 3, 0, 4}));
+    EXPECT_EQ(Layers(plan), (std::vector<std::size_t>{2, 0, 1, 0, 3}));
     EXPECT_EQ(plan.depth(), 4u);
 
     const FrameCost serial = plan.Execute();

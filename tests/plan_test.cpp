@@ -9,8 +9,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -18,6 +20,8 @@
 #include "accel/flexnerfer.h"
 #include "accel/gpu_model.h"
 #include "accel/neurex.h"
+#include "common/intern.h"
+#include "models/trajectory.h"
 #include "models/workload.h"
 #include "obs/trace.h"
 #include "plan/frame_plan.h"
@@ -286,6 +290,84 @@ TEST(PlanCache, WorkloadsDifferingInOneOpDensityNeverSharePlans)
     EXPECT_EQ(cache.size(), 4u);
 }
 
+/** FNV-1a (64-bit) of @p bytes: a compact pin of a whole fingerprint. */
+std::uint64_t
+Fnv1a(const std::string& bytes)
+{
+    std::uint64_t hash = 14695981039346656037ull;
+    for (const unsigned char byte : bytes) {
+        hash ^= byte;
+        hash *= 1099511628211ull;
+    }
+    return hash;
+}
+
+TEST(PlanCache, WorkloadFingerprintsAndOpNamesArePinned)
+{
+    // Fingerprints are plan-cache keys, and op names reach both the keys
+    // and the traced op spans. A typo in a name table or a drift in the
+    // fingerprint encoding would silently move every key, so the digest
+    // of each key, and each model's op-name list, are pinned.
+    const std::pair<const char*, std::uint64_t> kModelDigests[] = {
+        {"NeRF", 0x5a78a440436180f5ull},
+        {"KiloNeRF", 0x333beb8376b6fc4bull},
+        {"NSVF", 0x78d3e8d52c529d57ull},
+        {"Mip-NeRF", 0x14d1bcd82ab88272ull},
+        {"Instant-NGP", 0xd0018b21afcb33aeull},
+        {"IBRNet", 0xe4f5dae1e60062dbull},
+        {"TensoRF", 0xfd201f28540e4644ull},
+    };
+    ASSERT_EQ(AllModelNames().size(), std::size(kModelDigests));
+    for (const auto& [model, digest] : kModelDigests) {
+        EXPECT_EQ(Fnv1a(WorkloadFingerprint(BuildWorkload(model))), digest)
+            << model;
+    }
+    const NerfWorkload nerf = BuildWorkload("NeRF");
+    EXPECT_EQ(Fnv1a(WorkloadFingerprint(FuseBatch(nerf, 3))),
+              0x016598251b6a5cb7ull);
+    EXPECT_EQ(Fnv1a(WorkloadFingerprint(DeltaWorkload(nerf, 5, 8))),
+              0x7a832cd5b98cd793ull);
+
+    const std::pair<const char*, std::vector<std::string_view>> kOpNames[] =
+        {
+            {"NeRF",
+             {"posenc_xyz_dir", "mlp_fc0", "mlp_fc1", "mlp_fc2", "mlp_fc3",
+              "mlp_fc4", "mlp_fc5", "mlp_fc6", "mlp_fc7", "mlp_head",
+              "rgb_branch_fc0", "rgb_branch_head", "volume_rendering",
+              "ray_marching"}},
+            {"KiloNeRF",
+             {"posenc", "tiny_mlp_fc0", "tiny_mlp_fc1", "tiny_mlp_head",
+              "volume_rendering", "grid_routing"}},
+            {"NSVF",
+             {"voxel_embedding", "posenc", "mlp_fc0", "mlp_fc1", "mlp_fc2",
+              "mlp_head", "voxel_traversal"}},
+            {"Mip-NeRF",
+             {"integrated_posenc", "mlp_fc0", "mlp_fc1", "mlp_fc2",
+              "mlp_fc3", "mlp_fc4", "mlp_fc5", "mlp_fc6", "mlp_fc7",
+              "mlp_head", "rgb_branch_fc0", "rgb_branch_head",
+              "volume_rendering"}},
+            {"Instant-NGP",
+             {"hash_encoding", "density_mlp_fc0", "density_mlp_head",
+              "color_mlp_fc0", "color_mlp_fc1", "color_mlp_head",
+              "volume_rendering", "occupancy_marching"}},
+            {"IBRNet",
+             {"cnn_conv0", "cnn_conv1", "cnn_conv2", "cnn_conv3",
+              "ray_transformer_qkv_fc0", "ray_transformer_qkv_fc1",
+              "ray_transformer_qkv_head", "aggregation_fc0",
+              "aggregation_head", "attention_softmax", "volume_rendering"}},
+            {"TensoRF",
+             {"tensor_interp", "posenc_app", "decode_mlp_fc0",
+              "decode_mlp_head", "tensor_products", "volume_rendering"}},
+        };
+    for (const auto& [model, names] : kOpNames) {
+        std::vector<std::string_view> built;
+        for (const WorkloadOp& op : BuildWorkload(model).ops) {
+            built.push_back(op.name);
+        }
+        EXPECT_EQ(built, names) << model;
+    }
+}
+
 TEST(PlanCache, RepeatedGetsHitAndShareOnePlan)
 {
     const NeuRexModel model;
@@ -360,7 +442,7 @@ TEST(PlanCache, PoolTasksJoinAnInFlightColdFrame)
     w.name = "wide";
     for (int i = 0; i < 4096; ++i) {
         WorkloadOp op;
-        op.name = "gemm" + std::to_string(i);
+        op.name = InternName("gemm" + std::to_string(i));
         op.gemm = GemmShape{16 * (i + 1), 128, 64, 0.5, 1.0, 0.0};
         w.ops.push_back(op);
     }

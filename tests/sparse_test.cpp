@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <tuple>
 
 #include "common/matrix.h"
@@ -29,6 +30,33 @@ TEST(Footprint, IndexBits)
     EXPECT_EQ(IndexBits(64), 6);
     EXPECT_EQ(IndexBits(65), 7);
     EXPECT_EQ(IndexBits(4096), 12);
+}
+
+/** IndexBits' loop definition: the smallest bits >= 1 with 2^bits >= n
+ *  (unsigned, so 2^63 is representable). */
+int
+IndexBitsByLoop(std::int64_t n)
+{
+    int bits = 1;
+    while ((std::uint64_t{1} << bits) < static_cast<std::uint64_t>(n)) {
+        ++bits;
+    }
+    return bits;
+}
+
+TEST(Footprint, IndexBitsMatchesLoopDefinition)
+{
+    int mismatches = 0;
+    for (std::int64_t n = 1; n <= (std::int64_t{1} << 20); ++n) {
+        if (IndexBits(n) != IndexBitsByLoop(n)) ++mismatches;
+    }
+    EXPECT_EQ(mismatches, 0);
+    for (int s = 1; s <= 62; ++s) {
+        const std::int64_t power = std::int64_t{1} << s;
+        for (const std::int64_t n : {power - 1, power, power + 1}) {
+            EXPECT_EQ(IndexBits(n), IndexBitsByLoop(n)) << "n = " << n;
+        }
+    }
 }
 
 TEST(Footprint, DenseMatchesElementCount)

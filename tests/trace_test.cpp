@@ -268,6 +268,11 @@ TEST(TraceExport, BatchJoinRecordsLifecycleInstantsForEveryMember)
     EXPECT_EQ(
         CountNamed(events, TracePhase::kSpan, "frame:Instant-NGP+batch3"),
         1u);
+    // Its op spans name each element's ops by their interned "#e<k>"
+    // views: the 8-op base frame's last op, in element 2, is op 23.
+    EXPECT_EQ(CountNamed(events, TracePhase::kSpan,
+                         "op23:occupancy_marching#e2"),
+              1u);
     // The joiners' batch_join instants name the batch they joined: the
     // opener's trace (trace 2; 1 is the warm-up).
     for (const TraceEvent& event : events) {
@@ -426,6 +431,20 @@ TEST(TraceExport, ClusterSessionDeltaCompilesTraceOnceAtAnyThreadCount)
         EXPECT_EQ(CountNamed(events, TracePhase::kSpan, shape), 1u)
             << shape;
     }
+    // Each traced delta frame names its ops by their interned "#d"
+    // views, its appended warp pass included.
+    const std::string warp = ":warp_validate#d";
+    std::size_t warp_spans = 0;
+    for (const TraceEvent& event : events) {
+        if (event.phase == TracePhase::kSpan &&
+            std::string(event.category) == "op" &&
+            event.name.size() > warp.size() &&
+            event.name.compare(event.name.size() - warp.size(),
+                               warp.size(), warp) == 0) {
+            ++warp_spans;
+        }
+    }
+    EXPECT_EQ(warp_spans, shapes.size());
     // Each compile sits in a routed request's trace, under its request
     // context, not in an orphan lane.
     for (const TraceEvent& event : events) {
