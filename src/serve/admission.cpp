@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstring>
+#include <limits>
 
 #include "common/logging.h"
 
@@ -23,6 +25,14 @@ bool
 Drained(double threshold, double drained_ms)
 {
     return threshold <= drained_ms + kWorkDust * (1.0 + drained_ms);
+}
+
+/** Bit equality: a quote is committed only for the very arguments it
+ *  was priced with (0.0 and -0.0 are different requests here). */
+bool
+SameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
 }
 
 std::vector<double>
@@ -78,6 +88,7 @@ AdmissionController::AdmissionController(const AdmissionPolicy& policy)
     schedule_.fluid.queues.resize(queue_weights_.size());
     schedule_.lanes = std::vector<SlotRing<double>>(tiers_.size());
     probe_fluid_.queues.reserve(queue_weights_.size());
+    probe_retired_.resize(tiers_.size());
     delay_backlog_.reserve(queue_weights_.size());
     counters_.tiers.resize(tiers_.size());
 }
@@ -208,6 +219,73 @@ AdmissionController::FluidDelay(const Fluid& fluid, std::size_t queue,
     return elapsed;
 }
 
+void
+AdmissionController::FluidDelays(const Fluid& fluid, std::size_t queue,
+                                 double est_latency_ms, double* start_ms,
+                                 double* completion_ms)
+{
+    // FluidDelay's walk toward the candidate's completion, tracking the
+    // walk toward its start alongside: until the start target drains,
+    // both walks take the same steps (completion's target is never the
+    // smaller), so the start falls out of the shared prefix bit for bit.
+    const double prior_work = fluid.queues[queue].backlog_ms;
+    std::vector<double>& backlog = delay_backlog_;
+    backlog.resize(fluid.queues.size());
+    for (std::size_t q = 0; q < backlog.size(); ++q) {
+        backlog[q] = fluid.queues[q].backlog_ms;
+    }
+    backlog[queue] += est_latency_ms;
+
+    double elapsed = 0.0;
+    double to_start = prior_work;
+    double to_done = prior_work + est_latency_ms;
+    bool started = !(to_start > 0.0);
+    bool diverged = false;
+    *start_ms = 0.0;
+    while (to_done > 0.0) {
+        double weight_sum = 0.0;
+        for (std::size_t q = 0; q < backlog.size(); ++q) {
+            if (backlog[q] > 0.0) weight_sum += queue_weights_[q];
+        }
+        const double rate = queue_weights_[queue] / weight_sum;
+        // The soonest other queue to empty bounds every step.
+        double others = std::numeric_limits<double>::infinity();
+        for (std::size_t q = 0; q < backlog.size(); ++q) {
+            if (q == queue || backlog[q] <= 0.0) continue;
+            others = std::min(others,
+                              backlog[q] * weight_sum / queue_weights_[q]);
+        }
+        const double dt = std::min(to_done / rate, others);
+        if (!started) {
+            const double start_dt = std::min(to_start / rate, others);
+            to_start -= start_dt * rate;
+            if (to_start <= kWorkDust) to_start = 0.0;
+            if (!(to_start > 0.0)) {
+                *start_ms = elapsed + start_dt;
+                started = true;
+            } else if (start_dt != dt) {
+                // A rounding residue past the dust bound: the start walk
+                // would go on from a state this walk never visits, so it
+                // runs on its own once this one is done with the scratch.
+                started = true;
+                diverged = true;
+            }
+        }
+        for (std::size_t q = 0; q < backlog.size(); ++q) {
+            if (backlog[q] <= 0.0) continue;
+            backlog[q] -= dt * queue_weights_[q] / weight_sum;
+            if (backlog[q] <= kWorkDust) backlog[q] = 0.0;
+        }
+        to_done -= dt * rate;
+        if (to_done <= kWorkDust) to_done = 0.0;
+        elapsed += dt;
+    }
+    *completion_ms = elapsed;
+    if (diverged) {
+        *start_ms = FluidDelay(fluid, queue, est_latency_ms, prior_work);
+    }
+}
+
 AdmissionController::Verdict
 AdmissionController::Evaluate(const Fluid& fluid, std::size_t total_depth,
                               std::size_t tier_depth, double arrival_ms,
@@ -226,14 +304,13 @@ AdmissionController::Evaluate(const Fluid& fluid, std::size_t total_depth,
 
     // Service start: when the tier's prior backlog has drained;
     // completion: when the request's own work has too. Both priced on
-    // the weighted-fair fluid device (FluidDelay).
-    const double prior_work = queue.backlog_ms;
-    verdict.start_ms =
-        arrival_ms +
-        FluidDelay(fluid, queue_index, est_latency_ms, prior_work);
-    verdict.completion_ms =
-        arrival_ms + FluidDelay(fluid, queue_index, est_latency_ms,
-                                prior_work + est_latency_ms);
+    // the weighted-fair fluid device, in one walk (FluidDelays).
+    double start_delay = 0.0;
+    double completion_delay = 0.0;
+    FluidDelays(fluid, queue_index, est_latency_ms, &start_delay,
+                &completion_delay);
+    verdict.start_ms = arrival_ms + start_delay;
+    verdict.completion_ms = arrival_ms + completion_delay;
     verdict.wait_ms = verdict.start_ms - arrival_ms;
 
     // Classic WFQ virtual tags over the system virtual clock.
@@ -281,21 +358,34 @@ AdmissionController::Admit(double arrival_ms, double est_latency_ms,
     // then retire the requests whose work fully drained. Draining runs
     // for every outcome — Probe drains a copy of the fluid state the
     // same way and counts the same retirements, which is what keeps
-    // the two in exact agreement.
+    // the two in exact agreement. A matching quote already holds the
+    // drained copy, the retired counts and the verdict: commit those.
     const double clamped = ClampArrival(arrival_ms);
-    DrainFluid(schedule_.fluid, clamped);
-    std::size_t total_depth = 0;
-    for (std::size_t t = 0; t < schedule_.lanes.size(); ++t) {
-        SlotRing<double>& lane = schedule_.lanes[t];
-        for (std::size_t n = RetiredPrefix(schedule_.fluid, t); n > 0; --n) {
-            lane.pop_front();
+    const Verdict verdict = [&] {
+        if (QuoteMatches(arrival_ms, est_latency_ms, deadline_ms, tier)) {
+            std::swap(schedule_.fluid, probe_fluid_);
+            for (std::size_t t = 0; t < schedule_.lanes.size(); ++t) {
+                for (std::size_t n = probe_retired_[t]; n > 0; --n) {
+                    schedule_.lanes[t].pop_front();
+                }
+            }
+            return quote_.verdict;
         }
-        total_depth += lane.size();
-    }
-
-    const Verdict verdict =
-        Evaluate(schedule_.fluid, total_depth, schedule_.lanes[tier].size(),
-                 clamped, est_latency_ms, deadline_ms, tier);
+        DrainFluid(schedule_.fluid, clamped);
+        std::size_t total_depth = 0;
+        for (std::size_t t = 0; t < schedule_.lanes.size(); ++t) {
+            SlotRing<double>& lane = schedule_.lanes[t];
+            for (std::size_t n = RetiredPrefix(schedule_.fluid, t); n > 0;
+                 --n) {
+                lane.pop_front();
+            }
+            total_depth += lane.size();
+        }
+        return Evaluate(schedule_.fluid, total_depth,
+                        schedule_.lanes[tier].size(), clamped,
+                        est_latency_ms, deadline_ms, tier);
+    }();
+    ++generation_;
 
     if (!schedule_.saw_arrival) {
         counters_.first_arrival_ms = clamped;
@@ -351,13 +441,30 @@ AdmissionController::Probe(double arrival_ms, double est_latency_ms,
     std::size_t total_depth = 0;
     std::size_t tier_depth = 0;
     for (std::size_t t = 0; t < schedule_.lanes.size(); ++t) {
+        probe_retired_[t] = RetiredPrefix(probe_fluid_, t);
         const std::size_t depth =
-            schedule_.lanes[t].size() - RetiredPrefix(probe_fluid_, t);
+            schedule_.lanes[t].size() - probe_retired_[t];
         total_depth += depth;
         if (t == tier) tier_depth = depth;
     }
-    return Evaluate(probe_fluid_, total_depth, tier_depth, clamped,
-                    est_latency_ms, deadline_ms, tier);
+    quote_.generation = generation_;
+    quote_.arrival_ms = arrival_ms;
+    quote_.est_latency_ms = est_latency_ms;
+    quote_.deadline_ms = deadline_ms;
+    quote_.tier = tier;
+    quote_.verdict = Evaluate(probe_fluid_, total_depth, tier_depth, clamped,
+                              est_latency_ms, deadline_ms, tier);
+    return quote_.verdict;
+}
+
+bool
+AdmissionController::QuoteMatches(double arrival_ms, double est_latency_ms,
+                                  double deadline_ms, std::size_t tier) const
+{
+    return quote_.generation == generation_ &&
+           quote_.tier == tier && SameBits(quote_.arrival_ms, arrival_ms) &&
+           SameBits(quote_.est_latency_ms, est_latency_ms) &&
+           SameBits(quote_.deadline_ms, deadline_ms);
 }
 
 }  // namespace flexnerfer

@@ -227,6 +227,14 @@ class AdmissionController
      * reads each tier's post-drain depth off the live lanes by counting
      * the entries the drain would retire — the same predicate Admit
      * retires them with.
+     *
+     * The probe is also a quote Admit can commit: the drained copy, the
+     * per-tier retired counts and the verdict stay stamped with the
+     * admission generation (every Admit bumps it). An Admit whose
+     * arguments are bit-equal to the latest probe's, with no Admit in
+     * between, adopts that state instead of draining and evaluating
+     * again; any other Admit takes the full path. Either way it returns
+     * the same verdict and leaves the same schedule.
      */
     Verdict Probe(double arrival_ms, double est_latency_ms,
                   double deadline_ms = 0.0, std::size_t tier = 0);
@@ -290,6 +298,13 @@ class AdmissionController
      *  already appended to it ( @p fluid already drained to now). */
     double FluidDelay(const Fluid& fluid, std::size_t queue,
                       double est_latency_ms, double target_work);
+    /** FluidDelay to the queue's prior work (the candidate's start,
+     *  into @p start_ms) and to the candidate's own (its completion,
+     *  into @p completion_ms) in one forward walk, bit-equal to two
+     *  FluidDelay calls. */
+    void FluidDelays(const Fluid& fluid, std::size_t queue,
+                     double est_latency_ms, double* start_ms,
+                     double* completion_ms);
     /** Computes the verdict for @p fluid (drained to the clamped
      *  arrival) and the post-drain depths, without mutating anything —
      *  shared verbatim by Admit and Probe, which is what keeps them in
@@ -303,12 +318,35 @@ class AdmissionController
     const std::vector<TierPolicy> tiers_;   //!< resolved (never empty)
     const std::vector<double> queue_weights_;  //!< per scheduling queue
 
+    /** The latest Probe, as Admit may commit it (see Probe). */
+    struct Quote {
+        /** The admission generation it was taken at; stale once an
+         *  Admit bumped generation_ past it (0: no probe yet). */
+        std::uint64_t generation = 0;
+        double arrival_ms = 0.0;
+        double est_latency_ms = 0.0;
+        double deadline_ms = 0.0;
+        std::size_t tier = 0;
+        Verdict verdict;
+    };
+
+    /** Whether quote_ was probed with exactly these arguments
+     *  against the current schedule. */
+    bool QuoteMatches(double arrival_ms, double est_latency_ms,
+                      double deadline_ms, std::size_t tier) const;
+
     Schedule schedule_;
     Counters counters_;
     /** Scratch reused so no verdict allocates: Probe's drained copy of
-     *  schedule_.fluid, and FluidDelay's backlogs. */
+     *  schedule_.fluid and per-tier retired counts (together with
+     *  quote_, the quote's state), and FluidDelay's backlogs. */
     Fluid probe_fluid_;
     std::vector<double> delay_backlog_;
+    std::vector<std::size_t> probe_retired_;
+    /** Bumped by every Admit: a quote taken before it is stale.
+     *  Starts at 1, so the empty quote never matches. */
+    std::uint64_t generation_ = 1;
+    Quote quote_;
 };
 
 }  // namespace flexnerfer

@@ -490,7 +490,8 @@ ShardedRenderService::RouteToShardLocked(
         // The replica adopts this trace: its request span parents
         // under the cluster_submit root span.
         ScopedTraceContext scoped(route_ctx, request.arrival_ms);
-        receipt = shards_[shard]->Submit(request, shard_options);
+        receipt = shards_[shard]->Submit(desc.shard_ids[shard], request,
+                                         shard_options);
     }
     // The replay bookkeeping KillShard needs comes straight from the
     // verdict the shard admitted with.
@@ -527,10 +528,10 @@ ShardedRenderService::RouteToShardLocked(
     }
 }
 
-ClusterRenderResult
-ShardedRenderService::Finish(Pending&& pending)
+void
+ShardedRenderService::Finish(const Pending& pending,
+                             ClusterRenderResult& out)
 {
-    ClusterRenderResult out;
     out.shard = pending.shard;
     out.home_shard = pending.home_shard;
     out.spilled = pending.spilled;
@@ -538,9 +539,6 @@ ShardedRenderService::Finish(Pending&& pending)
     out.replayed = pending.replayed;
     out.transport_failed = pending.transport_failed;
     out.rpc_delay_ms = pending.rpc_delay_ms;
-    out.result = pending.result != nullptr
-                     ? std::move(*pending.result)
-                     : shards_[pending.shard]->Wait(pending.shard_ticket);
     // The result rides the link home and pays the response leg
     // (latency only — the verdict already exists, so the return channel
     // never fails; see serve/transport.h).
@@ -551,7 +549,6 @@ ShardedRenderService::Finish(Pending&& pending)
             SimTransport::Direction::kResponse);
         out.rpc_delay_ms += delivery.deliver_ms - done_ms;
     }
-    return out;
 }
 
 ClusterRenderResult
@@ -572,22 +569,49 @@ ShardedRenderService::Wait(ClusterTicket ticket)
             pending_.pop_front();
         }
     }
-    return Finish(std::move(pending));
+    ClusterRenderResult out;
+    out.result = pending.result != nullptr
+                     ? std::move(*pending.result)
+                     : shards_[pending.shard]->Wait(pending.shard_ticket);
+    Finish(pending, out);
+    return out;
 }
 
 std::vector<ClusterRenderResult>
 ShardedRenderService::WaitAll()
 {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto drains = DrainLiveLocked();
     // Finish every slot in ticket order and pop it, so the store's
     // chunks recycle for the next stream.
-    std::lock_guard<std::mutex> lock(mutex_);
     std::vector<ClusterRenderResult> results;
     results.reserve(pending_.size());
     for (; !pending_.empty(); pending_.pop_front()) {
         Pending& pending = pending_.front();
-        if (!pending.claimed) results.push_back(Finish(std::move(pending)));
+        if (pending.claimed) continue;
+        ClusterRenderResult& out = results.emplace_back();
+        out.result = pending.result != nullptr
+                         ? std::move(*pending.result)
+                         : drains[pending.shard]->Take(pending.shard_ticket);
+        Finish(pending, out);
     }
     return results;
+}
+
+std::vector<std::unique_ptr<RenderService::Drain>>
+ShardedRenderService::DrainLiveLocked()
+{
+    // Holding several service locks is safe: nothing else takes a
+    // second service lock while holding one.
+    std::vector<std::unique_ptr<RenderService::Drain>> drains(
+        shards_.size());
+    for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
+        if (alive_[shard]) {
+            drains[shard] =
+                std::make_unique<RenderService::Drain>(*shards_[shard]);
+        }
+    }
+    return drains;
 }
 
 std::size_t
@@ -625,19 +649,22 @@ ShardedRenderService::KillShardLocked(std::size_t shard, double now_ms)
     };
     // The walk is in ticket order, so replays are too.
     std::vector<Phantom> phantoms;
-    for (std::size_t i = 0; i < pending_.size(); ++i) {
-        Pending& pending = pending_[i];
-        if (pending.claimed || pending.result != nullptr ||
-            pending.shard != shard) {
-            continue;
-        }
-        RenderResult result = shards_[shard]->Wait(pending.shard_ticket);
-        if (pending.accepted && pending.completion_ms > now_ms) {
-            phantoms.push_back(
-                Phantom{i, result.latency_ms, result.batch_elements});
-        } else {
-            pending.result =
-                std::make_unique<RenderResult>(std::move(result));
+    {
+        RenderService::Drain drain(*shards_[shard]);
+        for (std::size_t i = 0; i < pending_.size(); ++i) {
+            Pending& pending = pending_[i];
+            if (pending.claimed || pending.result != nullptr ||
+                pending.shard != shard) {
+                continue;
+            }
+            RenderResult result = drain.Take(pending.shard_ticket);
+            if (pending.accepted && pending.completion_ms > now_ms) {
+                phantoms.push_back(
+                    Phantom{i, result.latency_ms, result.batch_elements});
+            } else {
+                pending.result =
+                    std::make_unique<RenderResult>(std::move(result));
+            }
         }
     }
 
@@ -905,11 +932,14 @@ ShardedRenderService::Resize(std::size_t new_shards)
     // Results are retained, so tickets issued before the resize stay
     // claimable after it. (Dead shards hold no unresolved tickets —
     // KillShard resolved or replayed them.)
-    for (std::size_t i = 0; i < pending_.size(); ++i) {
-        Pending& pending = pending_[i];
-        if (pending.claimed || pending.result != nullptr) continue;
-        pending.result = std::make_unique<RenderResult>(
-            shards_[pending.shard]->Wait(pending.shard_ticket));
+    {
+        const auto drains = DrainLiveLocked();
+        for (std::size_t i = 0; i < pending_.size(); ++i) {
+            Pending& pending = pending_[i];
+            if (pending.claimed || pending.result != nullptr) continue;
+            pending.result = std::make_unique<RenderResult>(
+                drains[pending.shard]->Take(pending.shard_ticket));
+        }
     }
 
     // Merge the retiring live replicas' ledgers into the lifetime

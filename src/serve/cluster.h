@@ -14,13 +14,17 @@
  *          ──> replicated scene? p2c probe    two replicas race, the
  *               between two replicas           less-loaded verdict wins
  *          ──> else probe home admission      would it accept?
- *          ──> yes: home shard Submit         prepared-pin replay
+ *          ──> yes: home shard Submit(id)     prepared-pin replay, by the
+ *                                              replica's own SceneId
  *          ──> no: probe the next live shard  overload-aware spill,
  *               in the rank (recompile         charged to the spill
  *               surcharge when cold there)     shard's virtual clock
  *          ──> all would shed: home Submit    records the real verdict
  *          ──> the shard's SubmitReceipt       its verdict is the replay
- *                                              bookkeeping; no re-probe
+ *                                              bookkeeping; its Admit
+ *                                              committed the last quote
+ *   WaitAll ──> one RenderService::Drain       one lock hold per live
+ *                per live shard                shard claims its results
  *
  * Scene affinity is the point: every scene's prepared-frame pin lives
  * on its home shard (plus any replicas holding it deliberately), so the
@@ -104,7 +108,9 @@
  * is held across each routing decision — its probes (RenderService::
  * Quote, one replica lock per candidate) and the shard Submit — and
  * each replica call takes only that replica's one service lock, so the
- * lock order is router -> service, never the reverse. Resize and
+ * lock order is router -> service, never the reverse. WaitAll and
+ * Resize alone hold several service locks at once (one Drain per live
+ * shard, taken in shard order); nothing else ever holds two. Resize and
  * KillShard must not race other members: quiesce callers first. The
  * same holds for Submit once the attached transport has deaths
  * scheduled, because Submit may then kill a shard: drive such a
@@ -570,12 +576,17 @@ class ShardedRenderService
     /** Merges replica @p i's ledger into @p epoch and its histograms
      *  and aux counters into retired_; zeroes aux_[i]. (mutex_ held.) */
     void FoldReplicaLocked(std::size_t i, ServeLedger& epoch);
+    /** One RenderService::Drain per live shard (null for a dead
+     *  slot): each live shard's lock, held once, claims every result
+     *  it holds. (mutex_ held.) */
+    std::vector<std::unique_ptr<RenderService::Drain>> DrainLiveLocked();
     /** KillShard minus the public lock. */
     std::size_t KillShardLocked(std::size_t shard, double now_ms);
     /** RefreshReplication minus the public lock. */
     std::vector<std::string> RefreshReplicationLocked();
-    /** Resolves @p pending's shard ticket into its result. */
-    ClusterRenderResult Finish(Pending&& pending);
+    /** Fills @p out's routing fields from @p pending, whose result
+     *  @p out already holds, and sends the response leg. */
+    void Finish(const Pending& pending, ClusterRenderResult& out);
 
     const ClusterConfig config_;
 

@@ -343,7 +343,10 @@ RenderService::RegisterScene(const std::string& name,
     // per-scene state exists.
     std::lock_guard<std::mutex> lock(mutex_);
     const SceneId id = registry_.Register(name, spec);
-    scenes_.push_back({open_batches_.end(), InternName(name)});
+    SceneState& state = scenes_.emplace_back();
+    state.open_batch = open_batches_.end();
+    state.name = InternName(name);
+    ids_.emplace(state.name, id);
     return id;
 }
 
@@ -355,9 +358,7 @@ RenderService::WarmScene(const std::string& scene)
         Fatal("request names unregistered scene '" + scene + "'");
     }
     TraceRecorder* const recorder = TraceRecorder::Global();
-    if (recorder == nullptr) {
-        return registry_.Touch(id, &pool_, /*count_request=*/false)->cost;
-    }
+    if (recorder == nullptr) return registry_.Touch(id, &pool_)->cost;
     // Warm-ups get their own trace: the cold compile + execute they
     // trigger emits the scene's frame and per-op spans here, anchored
     // at virtual 0 — steady-state requests then replay memoized
@@ -369,7 +370,7 @@ RenderService::WarmScene(const std::string& scene)
     FrameCost cost;
     {
         ScopedTraceContext scoped(ctx, 0.0);
-        cost = registry_.Touch(id, &pool_, /*count_request=*/false)->cost;
+        cost = registry_.Touch(id, &pool_)->cost;
     }
     TraceContext root_ctx;
     root_ctx.trace_id = ctx.trace_id;
@@ -459,15 +460,48 @@ SubmitReceipt
 RenderService::Submit(const SceneRequest& request,
                       const SubmitOptions& options)
 {
-    // One registry call, outside the service lock: name -> pinned entry
-    // (a cold first touch compiles it, its wavefronts on the pool).
-    const SceneEntry* const scene = registry_.TouchName(request.scene, &pool_);
-    if (scene == nullptr) {
+    // The request's one service-lock acquisition: the name lookup, the
+    // scene's cached entry, admission, telemetry, the replay and the
+    // ticket all happen inside it.
+    std::unique_lock<std::mutex> lock(mutex_);
+    const auto it = ids_.find(request.scene);
+    if (it == ids_.end()) {
         Fatal("request names unregistered scene '" + request.scene + "'");
     }
-    // The request's one service-lock acquisition: admission, telemetry,
-    // the replay and the ticket all happen inside it.
-    std::lock_guard<std::mutex> lock(mutex_);
+    return SubmitLocked(lock, it->second, request, options);
+}
+
+SubmitReceipt
+RenderService::Submit(SceneId id, const SceneRequest& request,
+                      const SubmitOptions& options)
+{
+    std::unique_lock<std::mutex> lock(mutex_);
+    FLEX_CHECK_MSG(id < scenes_.size(), "request names unknown scene id "
+                                            << id << " ('" << request.scene
+                                            << "')");
+    return SubmitLocked(lock, id, request, options);
+}
+
+SubmitReceipt
+RenderService::SubmitLocked(std::unique_lock<std::mutex>& lock, SceneId id,
+                            const SceneRequest& request,
+                            const SubmitOptions& options)
+{
+    bool compiled_here = false;
+    if (scenes_[id].entry == nullptr) {
+        // Cold first touch: compile outside the service lock, its
+        // wavefronts on the pool. Racing touches serialize in the
+        // registry, and only the one that compiled is not a replay.
+        lock.unlock();
+        const SceneEntry* const entry =
+            registry_.Touch(id, &pool_, &compiled_here).get();
+        lock.lock();
+        scenes_[id].entry = entry;
+    }
+    SceneState& state = scenes_[id];
+    const SceneEntry* const scene = state.entry;
+    ++state.requests;
+    if (!compiled_here) ++state.prepared_replays;
     ++submitted_;
     // Each path is a separate function, not interleaved conditions:
     // with no session and the window off this body is exactly the
@@ -532,15 +566,14 @@ RenderService::SubmitBatched(const SceneEntry& scene,
     // bottleneck stage (models/workload.h, FuseBatch) — instead of a
     // whole frame. Openers pay the full solo estimate, exactly like
     // the unbatched path.
-    std::shared_ptr<const BatchedSceneFrame> fused;
+    const BatchedSceneFrame* fused = nullptr;
     double est = 0.0;
     if (joining) {
         // The estimation run executes a cold fused shape on this
         // thread the first time it is seen: propagate the joiner's
         // context so its frame/op spans land in this trace.
         ScopedTraceContext scoped(trace.ctx, arrival);
-        fused = registry_.TouchBatched(id, batch->members.size() + 1,
-                                       &pool_);
+        fused = &FusedShapeLocked(id, batch->members.size() + 1);
         est = EstimatedMarginalServiceMs(fused->cost, batch->fused_cost);
     } else {
         est = EstimatedServiceMs(scene.cost);
@@ -587,11 +620,20 @@ RenderService::SubmitBatched(const SceneEntry& scene,
         batch->fused_cost = fused->cost;
         batch->frame = fused->frame;
     } else {
-        OpenBatch fresh;
+        // A recycled node keeps its members' capacity; only a batch
+        // count above the high-water mark allocates.
+        if (spare_batches_.empty()) {
+            open_batches_.emplace_back();
+        } else {
+            open_batches_.splice(open_batches_.end(), spare_batches_,
+                                 spare_batches_.begin());
+        }
+        batch = std::prev(open_batches_.end());
+        OpenBatch& fresh = *batch;
         // Batches opened so far, this one included: a flush moves one
         // batch from open to dispatched, so the sum only grows on open.
         fresh.ordinal = static_cast<std::uint32_t>(
-            batches_dispatched_ + open_batches_.size() + 1);
+            batches_dispatched_ + open_batches_.size());
         fresh.scene = id;
         fresh.close_ms = arrival + batch_window_ms_;
         fresh.fused_cost = scene.cost;
@@ -603,8 +645,6 @@ RenderService::SubmitBatched(const SceneEntry& scene,
                 {TraceArg::Num("close_ms", fresh.close_ms)});
         }
         fresh.members.push_back(std::move(member));
-        open_batches_.push_back(std::move(fresh));
-        batch = std::prev(open_batches_.end());
         scenes_[id].open_batch = batch;
     }
     return {ticket, verdict, {}, batch->ordinal};
@@ -648,7 +688,7 @@ RenderService::PeekSessionEstimate(SessionId session, const Pose& pose)
     // Priced off a copy, outside the service lock. Administrative
     // touch: a price preview is not a request.
     const std::shared_ptr<const SceneEntry> scene =
-        registry_.Touch(state.scene, &pool_, /*count_request=*/false);
+        registry_.Touch(state.scene, &pool_);
     EstimateContext context;
     if (state.has_last_pose) {
         const std::size_t quantum =
@@ -691,7 +731,7 @@ RenderService::SubmitSession(const SceneEntry& scene,
     // (a full recompute, not a break); later frames go delta when the
     // overlap clears the model's break threshold.
     SessionFrame booked;
-    std::shared_ptr<const DeltaSceneFrame> delta;
+    const DeltaSceneFrame* delta = nullptr;
     if (session.has_last_pose) {
         const std::size_t quantum =
             session.model.ReuseQuantum(session.last_pose, options.pose);
@@ -706,9 +746,8 @@ RenderService::SubmitSession(const SceneEntry& scene,
             // request's context so its frame/op spans land in this
             // trace (memoized afterwards, like batch shapes).
             ScopedTraceContext scoped(trace.ctx, request.arrival_ms);
-            delta = registry_.TouchDelta(id, quantum,
-                                         session.model.reuse_quanta,
-                                         &pool_);
+            delta = &DeltaShapeLocked(id, quantum,
+                                      session.model.reuse_quanta);
         }
     }
 
@@ -775,8 +814,10 @@ RenderService::SubmitSession(const SceneEntry& scene,
 void
 RenderService::FlushBatchLocked(std::list<OpenBatch>::iterator batch)
 {
-    OpenBatch closing = std::move(*batch);
-    open_batches_.erase(batch);
+    // The node moves to the spare list (the iterator stays valid) and
+    // is flushed there; its members clear, keeping their capacity.
+    spare_batches_.splice(spare_batches_.end(), open_batches_, batch);
+    OpenBatch& closing = *batch;
     scenes_[closing.scene].open_batch = open_batches_.end();
 
     const std::size_t elements = closing.members.size();
@@ -845,6 +886,8 @@ RenderService::FlushBatchLocked(std::list<OpenBatch>::iterator batch)
         slot.result = std::move(member.result);
         slot.state = TicketSlot::State::kReady;
     }
+    closing.members.clear();
+    closing.frame = {};
 }
 
 bool
@@ -873,11 +916,44 @@ RenderService::ProbeBatchJoinLocked(SceneId scene, double arrival_ms,
     // The estimation run for the next-larger fused shape is memoized
     // (scene_registry.h), so the following Submit — or the flush replay
     // — sees exactly the cost priced here.
-    const std::shared_ptr<const BatchedSceneFrame> fused =
-        registry_.TouchBatched(scene, open->members.size() + 1, &pool_);
+    const BatchedSceneFrame& fused =
+        FusedShapeLocked(scene, open->members.size() + 1);
     *marginal_est_ms =
-        EstimatedMarginalServiceMs(fused->cost, open->fused_cost);
+        EstimatedMarginalServiceMs(fused.cost, open->fused_cost);
     return true;
+}
+
+namespace {
+
+/** The shape under @p key in @p shapes, looked up in the registry by
+ *  @p touch on a miss and cached (the registry keeps it alive). */
+template <typename Frame, typename Touch>
+const Frame&
+CachedShape(std::vector<const Frame*>& shapes, std::size_t key, Touch touch)
+{
+    if (key >= shapes.size()) shapes.resize(key + 1, nullptr);
+    if (shapes[key] == nullptr) shapes[key] = touch().get();
+    return *shapes[key];
+}
+
+}  // namespace
+
+const BatchedSceneFrame&
+RenderService::FusedShapeLocked(SceneId scene, std::size_t elements)
+{
+    return CachedShape(scenes_.at(scene).fused, elements, [&] {
+        return registry_.TouchBatched(scene, elements, &pool_);
+    });
+}
+
+const DeltaSceneFrame&
+RenderService::DeltaShapeLocked(SceneId scene, std::size_t reuse_quantum,
+                                std::size_t reuse_quanta)
+{
+    return CachedShape(scenes_.at(scene).deltas, reuse_quantum, [&] {
+        return registry_.TouchDelta(scene, reuse_quantum, reuse_quanta,
+                                    &pool_);
+    });
 }
 
 void
@@ -908,24 +984,35 @@ RenderService::tier_latency_histogram(std::size_t tier) const
     return tier_latency_[tier];
 }
 
+RenderService::Drain::Drain(RenderService& service)
+    : service_(service), lock_(service.mutex_)
+{
+    // A claimed ticket may ride a still-open batch whose window can
+    // only close on a later submission: flush every open batch so the
+    // ticket's result exists.
+    service_.FlushAllLocked();
+}
+
+RenderResult
+RenderService::Drain::Take(ServeTicket ticket)
+{
+    SlotRing<TicketSlot>& results = service_.results_;
+    // Wraps past size() for a ticket older than the front.
+    const std::uint64_t index = ticket - results.front_seq();
+    FLEX_CHECK_MSG(index < results.size() &&
+                       results[index].state == TicketSlot::State::kReady,
+                   "unknown or already-consumed serve ticket " << ticket);
+    TicketSlot& slot = results[index];
+    RenderResult result = std::move(slot.result);
+    slot.state = TicketSlot::State::kClaimed;
+    service_.PopClaimedLocked();
+    return result;
+}
+
 RenderResult
 RenderService::Wait(ServeTicket ticket)
 {
-    // A waited ticket may ride a still-open batch whose window can only
-    // close on a later submission: flush every open batch so the
-    // ticket's result exists.
-    std::lock_guard<std::mutex> lock(mutex_);
-    FlushAllLocked();
-    // Wraps past size() for a ticket older than the front.
-    const std::uint64_t index = ticket - results_.front_seq();
-    FLEX_CHECK_MSG(index < results_.size() &&
-                       results_[index].state == TicketSlot::State::kReady,
-                   "unknown or already-consumed serve ticket " << ticket);
-    TicketSlot& slot = results_[index];
-    RenderResult result = std::move(slot.result);
-    slot.state = TicketSlot::State::kClaimed;
-    PopClaimedLocked();
-    return result;
+    return Drain(*this).Take(ticket);
 }
 
 std::vector<RenderResult>
@@ -1029,6 +1116,8 @@ RenderService::Snapshot(ServeLedger* ledger_out) const
     stats.cache_entries = cache_.size();
     stats.scenes = registry_.Stats();
     for (std::size_t id = 0; id < stats.scenes.size(); ++id) {
+        stats.scenes[id].requests = scenes_[id].requests;
+        stats.scenes[id].prepared_replays = scenes_[id].prepared_replays;
         stats.scenes[id].accepted = scenes_[id].accepted;
         stats.scenes[id].rejected = scenes_[id].rejected;
         stats.scenes[id].shed = scenes_[id].shed;

@@ -7,12 +7,18 @@
  * instance per registered scene, and a work-stealing ThreadPool, and
  * exposes a Submit(SceneRequest) -> ticket + verdict API:
  *
- *   Submit ──> SceneRegistry::TouchName: name -> pinned entry in one
- *               call, outside the service lock (a cold first touch
- *               compiles here, its wavefronts on the ThreadPool)
- *          ──> service lock, held once: AdmissionController (virtual
- *               time), per-scene + tier telemetry, PlanCache::Run (the
- *               memoized replay), the result stored under its ticket
+ *   Submit(name | id) ──> service lock, held once: name -> SceneId
+ *                          (the one string lookup; a router passes the
+ *                          id instead), the scene's cached pinned entry
+ *                          and fused/delta shapes (raw pointers, no
+ *                          registry call once warm), AdmissionController
+ *                          (virtual time; commits the router's quote
+ *                          when it matches), per-scene + tier telemetry,
+ *                          PlanCache::Run (the memoized replay), the
+ *                          result under its ticket
+ *                     ──> cold first touch only: the lock drops while
+ *                          SceneRegistry::Touch compiles the scene, its
+ *                          wavefronts on the ThreadPool
  *
  * Every admitted request resolves inside Submit. The replay is a
  * memoized hit: first touch (or the estimation run that prepares a
@@ -55,6 +61,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/slot_ring.h"
@@ -455,7 +462,8 @@ class RenderService
 
     /**
      * Submits one request — the unified entry point. The scene name
-     * resolves to its SceneId once, on entry (fatal if unregistered).
+     * resolves to its SceneId once, on entry (fatal if unregistered),
+     * and the request then runs exactly as Submit(id, ...) below.
      * The request is resolved before Submit returns: rejected and shed
      * requests at once, accepted ones by replaying the scene's prepared
      * frame (a memoized hit) on the submitting thread. Fused-batch
@@ -475,6 +483,15 @@ class RenderService
      * a coherence break, counted distinctly.
      */
     SubmitReceipt Submit(const SceneRequest& request,
+                         const SubmitOptions& options = {});
+
+    /**
+     * Submit for a request whose scene the caller already resolved to
+     * this replica's @p scene id (fatal if out of range) — what a
+     * router holding per-replica ids calls. @p request.scene must name
+     * that scene; it is kept only for traces and messages.
+     */
+    SubmitReceipt Submit(SceneId scene, const SceneRequest& request,
                          const SubmitOptions& options = {});
 
     /**
@@ -536,6 +553,30 @@ class RenderService
     /** Flushes every open batch, then returns every unclaimed result,
      *  in submission (ticket) order. */
     std::vector<RenderResult> WaitAll();
+
+    /**
+     * Claims many tickets under one hold of the service lock: the
+     * constructor takes the lock and flushes every open batch, and
+     * Take(ticket) is Wait(ticket) without re-locking (Wait itself is
+     * a one-ticket Drain). A cluster drains a replica through one, so
+     * claiming N results costs one lock, not N. Every other member
+     * blocks while a Drain lives: keep it short-lived.
+     */
+    class Drain
+    {
+      public:
+        explicit Drain(RenderService& service);
+        Drain(const Drain&) = delete;
+        Drain& operator=(const Drain&) = delete;
+
+        /** Returns the ticket's result and consumes the ticket. Fatal
+         *  for an unknown or consumed ticket. */
+        RenderResult Take(ServeTicket ticket);
+
+      private:
+        RenderService& service_;
+        std::lock_guard<std::mutex> lock_;
+    };
 
     /** The replica's telemetry; with @p ledger, also the raw ledger
      *  behind it, read in the same cut. */
@@ -631,12 +672,26 @@ class RenderService
         RenderResult result;  //!< valid while kReady
     };
 
-    /** Per-scene service state, by SceneId. */
+    /**
+     * Per-scene service state, by SceneId. The registry never drops or
+     * replaces a prepared entry or shape, so the cached raw pointers
+     * stay valid for the registry's lifetime: a warm request reads them
+     * under the service lock and never calls into the registry.
+     */
     struct SceneState {
         /** The scene's open batch; open_batches_.end() = none. */
         std::list<OpenBatch>::iterator open_batch;
         std::string_view name;  //!< interned at RegisterScene
-        /** Admission outcomes: the ServiceStats::scenes columns. */
+        /** The pinned entry, once a request touched it (null = cold). */
+        const SceneEntry* entry = nullptr;
+        /** Fused shapes by element count, delta shapes by reuse
+         *  quantum (null = not looked up yet; see SceneRegistry). */
+        std::vector<const BatchedSceneFrame*> fused;
+        std::vector<const DeltaSceneFrame*> deltas;
+        /** The ServiceStats::scenes columns: submits naming the scene,
+         *  those that found it prepared, and admission outcomes. */
+        std::uint64_t requests = 0;
+        std::uint64_t prepared_replays = 0;
         std::uint64_t accepted = 0;
         std::uint64_t rejected = 0;
         std::uint64_t shed = 0;
@@ -647,9 +702,23 @@ class RenderService
     ServeTicket Resolve(RenderResult result);
     /** Pops the claimed slots off the front of results_. */
     void PopClaimedLocked();
+    /** Submit's body for scene @p id, entered with @p lock held on
+     *  mutex_ (a cold first touch releases it while compiling). */
+    SubmitReceipt SubmitLocked(std::unique_lock<std::mutex>& lock,
+                               SceneId id, const SceneRequest& request,
+                               const SubmitOptions& options);
     /** ProbeBatchJoin minus the lock. */
     bool ProbeBatchJoinLocked(SceneId scene, double arrival_ms,
                               double* marginal_est_ms);
+    /** Scene @p scene's fused shape for @p elements requests, through
+     *  its SceneState cache (a miss prepares it via the registry). */
+    const BatchedSceneFrame& FusedShapeLocked(SceneId scene,
+                                              std::size_t elements);
+    /** Scene @p scene's delta shape at @p reuse_quantum /
+     *  @p reuse_quanta, through its SceneState cache. */
+    const DeltaSceneFrame& DeltaShapeLocked(SceneId scene,
+                                            std::size_t reuse_quantum,
+                                            std::size_t reuse_quanta);
     /**
      * Books one admission verdict, shared by every Submit path: builds
      * the request's result and records the outcome in the per-scene
@@ -674,8 +743,8 @@ class RenderService
     SubmitReceipt SubmitSession(const SceneEntry& scene,
                                 const SceneRequest& request,
                                 const SubmitOptions& options);
-    /** Replays @p batch as one fused execution and resolves every
-     *  member. */
+    /** Replays @p batch as one fused execution, resolves every
+     *  member, and parks the batch's node on spare_batches_. */
     void FlushBatchLocked(std::list<OpenBatch>::iterator batch);
     /** Flushes every open batch whose window closed by @p arrival_ms
      *  (list order is window-close order). */
@@ -726,6 +795,15 @@ class RenderService
     std::size_t max_batch_seen_ = 0;
 
     std::vector<Session> sessions_;  //!< session id i + 1 at index i
+
+    /** Scene name (the interned view in SceneState) -> id: a by-name
+     *  Submit resolves under the service lock, taking no registry
+     *  lock. */
+    std::unordered_map<std::string_view, SceneId> ids_;
+    /** Flushed batch nodes, spliced back into open_batches_ by the next
+     *  open with their members' capacity kept: a warmed service opens
+     *  batches without allocating. */
+    std::list<OpenBatch> spare_batches_;
 
     /** Runs the wavefronts of cold compiles inside SceneRegistry's
      *  Touch calls; no request is ever enqueued on it. */

@@ -63,17 +63,14 @@ SceneRegistry::Name(SceneId id) const
 }
 
 std::shared_ptr<const SceneEntry>
-SceneRegistry::Touch(SceneId id, ThreadPool* pool, bool count_request)
+SceneRegistry::Touch(SceneId id, ThreadPool* pool, bool* compiled)
 {
+    if (compiled != nullptr) *compiled = false;
     std::shared_ptr<std::mutex> prepare_mutex;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         Slot& slot = slots_.at(id);
-        if (count_request) ++slot.stats.requests;
-        if (slot.entry != nullptr) {
-            if (count_request) ++slot.stats.prepared_replays;
-            return slot.entry;
-        }
+        if (slot.entry != nullptr) return slot.entry;
         prepare_mutex = slot.prepare_mutex;
     }
     // First touch: compile, pin, and estimate outside the registry lock
@@ -87,10 +84,7 @@ SceneRegistry::Touch(SceneId id, ThreadPool* pool, bool count_request)
     {
         std::lock_guard<std::mutex> lock(mutex_);
         Slot& slot = slots_[id];
-        if (slot.entry != nullptr) {
-            if (count_request) ++slot.stats.prepared_replays;
-            return slot.entry;
-        }
+        if (slot.entry != nullptr) return slot.entry;
         // Holding the prepare mutex: adopt the model and workload that
         // Register built.
         entry->id = id;
@@ -101,6 +95,7 @@ SceneRegistry::Touch(SceneId id, ThreadPool* pool, bool count_request)
     }
     entry->frame = cache_.Prepare(*entry->accel, entry->workload);
     entry->cost = cache_.Run(entry->frame, pool);
+    if (compiled != nullptr) *compiled = true;
 
     std::lock_guard<std::mutex> lock(mutex_);
     Slot& slot = slots_[id];
@@ -109,37 +104,15 @@ SceneRegistry::Touch(SceneId id, ThreadPool* pool, bool count_request)
     return slot.entry;
 }
 
-const SceneEntry*
-SceneRegistry::TouchName(const std::string& name, ThreadPool* pool)
-{
-    SceneId id = kNoScene;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = ids_.find(name);
-        if (it == ids_.end()) return nullptr;
-        id = it->second;
-        Slot& slot = slots_[id];
-        if (slot.entry != nullptr) {
-            ++slot.stats.requests;
-            ++slot.stats.prepared_replays;
-            return slot.entry.get();
-        }
-    }
-    // Cold: the counted Touch compiles and does the counting.
-    return Touch(id, pool).get();
-}
-
 template <typename Frame, typename Build>
 std::shared_ptr<const Frame>
 SceneRegistry::TouchShape(SceneId id, std::size_t key,
                           ShapeMap<Frame> Slot::*shapes, ThreadPool* pool,
                           Build build)
 {
-    // Administrative touch: ensures the scene is prepared (shapes reuse
-    // its model and workload; delta shapes hang off its pinned handle)
-    // without moving the request counters.
-    const std::shared_ptr<const SceneEntry> entry =
-        Touch(id, pool, /*count_request=*/false);
+    // Ensures the scene is prepared: shapes reuse its model and
+    // workload, and delta shapes hang off its pinned handle.
+    const std::shared_ptr<const SceneEntry> entry = Touch(id, pool);
     const auto find = [&]() -> std::shared_ptr<const Frame> {
         std::lock_guard<std::mutex> lock(mutex_);
         const ShapeMap<Frame>& built = slots_[id].*shapes;

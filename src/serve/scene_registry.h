@@ -19,8 +19,11 @@
  * keeps the serving invariant "PlanCache frame hits == accepted
  * requests" exact even for cold concurrent submits. Distinct scenes
  * prepare concurrently. RenderService calls in from outside its service
- * lock (a request's TouchName) and from under it (shape preparation);
- * the registry never calls back into the service, so either is safe.
+ * lock (a cold first touch) and from under it (registration, shape
+ * preparation); the registry never calls back into the service, so
+ * either is safe. Prepared entries and shapes are never dropped or
+ * replaced, so a caller may cache raw pointers to them for the
+ * registry's lifetime (RenderService does, per scene).
  */
 #ifndef FLEXNERFER_SERVE_SCENE_REGISTRY_H_
 #define FLEXNERFER_SERVE_SCENE_REGISTRY_H_
@@ -92,9 +95,9 @@ struct DeltaSceneFrame {
     FrameCost cost;                  //!< executed delta-frame cost
 };
 
-/** Per-scene serving counters (snapshot). The registry counts touches;
- *  accepted/rejected/shed are admission outcomes, which the registry
- *  leaves at zero and RenderService::Snapshot fills in. */
+/** Per-scene serving counters (snapshot). The registry fills in the
+ *  name and estimate; the counters are RenderService's (it counts under
+ *  its service lock) and stay zero in SceneRegistry::Stats. */
 struct SceneStats {
     std::string name;
     /** The admission service-time estimate: the scene frame's
@@ -140,25 +143,14 @@ class SceneRegistry
      * it on first touch (with @p pool, the one-off estimation run fans
      * across it). The returned entry is shared and immutable; it stays
      * valid for the caller's lifetime even if the scene is later
-     * dropped from the registry.
-     * @p count_request: whether this touch is a serving request (moves
-     * the requests/prepared_replays counters) or administrative
-     * warm-up (RenderService::WarmScene), which leaves them untouched
-     * so SceneStats::requests stays exactly "submits naming the scene".
+     * dropped from the registry. With @p compiled, reports whether this
+     * very call ran the estimation run (false for every touch that
+     * found the entry prepared, racing losers included) — how a
+     * service tells its one cold request from prepared replays.
      */
     std::shared_ptr<const SceneEntry> Touch(SceneId id,
                                             ThreadPool* pool = nullptr,
-                                            bool count_request = true);
-
-    /**
-     * A request's one registry call: resolves @p name and touches its
-     * scene as a counted Touch does, in one lock acquisition when the
-     * scene is prepared. Returns nullptr when @p name is not
-     * registered. Entries are never dropped or replaced, so the pointer
-     * stays valid for the registry's lifetime and no refcount moves.
-     */
-    const SceneEntry* TouchName(const std::string& name,
-                                ThreadPool* pool = nullptr);
+                                            bool* compiled = nullptr);
 
     /**
      * Returns the prepared fused frame for @p elements requests of
@@ -169,8 +161,7 @@ class SceneRegistry
      * the batching invariant "PlanCache frame hits == batches
      * dispatched" stays exact. @p elements == 1 aliases the scene's own
      * prepared entry (same plan-cache entry, same cost). Touches the
-     * scene first if needed; never moves the request counters
-     * (batch-shape preparation is administrative).
+     * scene first if needed.
      */
     std::shared_ptr<const BatchedSceneFrame> TouchBatched(
         SceneId id, std::size_t elements, ThreadPool* pool = nullptr);
@@ -184,8 +175,7 @@ class SceneRegistry
      * pinned handle) — one estimation run per shape, exactly like a
      * scene's first touch. @p reuse_quantum == 0 aliases the scene's
      * own prepared entry (no overlap is a full recompute). Touches the
-     * scene first if needed; never moves the request counters
-     * (delta-shape preparation is administrative).
+     * scene first if needed.
      */
     std::shared_ptr<const DeltaSceneFrame> TouchDelta(
         SceneId id, std::size_t reuse_quantum, std::size_t reuse_quanta,
@@ -193,7 +183,7 @@ class SceneRegistry
 
     std::size_t size() const;
 
-    /** Per-scene counters, in registration order. */
+    /** Per-scene names and estimates, in registration order. */
     std::vector<SceneStats> Stats() const;
 
   private:

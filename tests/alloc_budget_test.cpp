@@ -9,8 +9,12 @@
  * solo Submits plus a Wait on each ticket, and fails unless the count
  * is zero. It does the same for a 2-shard cluster with spill and one
  * replicated scene (so home probes, spill probes and power-of-two
- * choices all run) and no transport. Each window must hold accepted
- * and refused verdicts alike. The warm-up window before each count runs
+ * choices all run) and no transport. Both run again with a batch
+ * window and trajectory sessions, so batches open, join and flush and
+ * every fourth request is a session frame priced as a delta: once the
+ * warm-up compiled every fused and delta shape the stream reaches,
+ * those must not allocate either. Each window must hold accepted and
+ * refused verdicts alike. The warm-up window before each count runs
  * the same traffic, so every store has seen its high-water mark.
  *
  * Cold frames run the Fig. 19 design grid (147 frames) through
@@ -182,6 +186,62 @@ Stream(const std::vector<Scene>& scenes, const std::vector<double>& est_ms)
     return requests;
 }
 
+/** One request of the batched stream: a session frame when `session`
+ *  (1-based, into the scene list) is set. */
+struct MixedRequest {
+    SceneRequest request;
+    std::size_t session = 0;
+    Pose pose;
+};
+
+/** Stream(), with every fourth request a frame of one of the scenes'
+ *  trajectory sessions. A session sways between two poses a short pan
+ *  apart (deltas) and every 16th frame jumps across the coherence break
+ *  (a full frame), so however admission thins its frames, the reuse
+ *  quanta it reaches stay a small closed set the warm-up compiles. */
+std::vector<MixedRequest>
+MixedStream(const std::vector<Scene>& scenes,
+            const std::vector<double>& est_ms)
+{
+    const std::vector<SceneRequest> base = Stream(scenes, est_ms);
+    std::vector<MixedRequest> requests(base.size());
+    for (std::size_t i = 0; i < base.size(); ++i) {
+        MixedRequest& r = requests[i];
+        r.request = base[i];
+        if (i % 4 != 3) continue;
+        const std::size_t slot = (i / 4) % scenes.size();
+        const std::size_t frame = i / 4 / scenes.size();  // session's own
+        r.session = slot + 1;
+        r.request.scene = scenes[slot].name;
+        r.pose.x = frame % 16 == 15 ? 1.0 : 0.05 * static_cast<double>(
+                                                       frame % 2);
+    }
+    return requests;
+}
+
+/** @p r's submit options against @p sessions (one per scene). */
+template <typename Sessions>
+SubmitOptions
+OptionsOf(const MixedRequest& r, const Sessions& sessions)
+{
+    SubmitOptions options;
+    if (r.session != 0) {
+        options.session = sessions[r.session - 1];
+        options.pose = r.pose;
+    }
+    return options;
+}
+
+/** A batch window of two mean estimates, three elements at most. */
+double
+BatchWindowMs(const std::vector<double>& est_ms)
+{
+    double mean_ms = 0.0;
+    for (double est : est_ms) mean_ms += est;
+    return 2.0 * mean_ms / static_cast<double>(est_ms.size());
+}
+constexpr std::size_t kMaxBatch = 3;
+
 /** What one window of rounds saw. */
 struct Window {
     std::uint64_t allocations = 0;
@@ -194,9 +254,9 @@ struct Window {
  * on each ticket. @p submit returns a ticket; @p wait returns the
  * result's RenderResult. Counts allocations while @p counted.
  */
-template <typename Submit, typename Wait>
+template <typename Request, typename Submit, typename Wait>
 Window
-RunRounds(const std::vector<SceneRequest>& requests, std::size_t first,
+RunRounds(const std::vector<Request>& requests, std::size_t first,
           std::size_t last, bool counted, Submit submit, Wait wait)
 {
     Window window;
@@ -304,6 +364,102 @@ ClusterHoldsBudget(const std::vector<Scene>& scenes)
         ok = false;
     }
     return ok;
+}
+
+/** Checks that a batched window fused batches and priced delta
+ *  frames: @p before and @p after are snapshots around it. */
+bool
+CheckBatched(const char* what, const ServingStats& before,
+             const ServingStats& after)
+{
+    const auto fused = after.fused_batches - before.fused_batches;
+    const auto deltas = after.delta_frames - before.delta_frames;
+    std::printf("%s: %llu fused batches, %llu delta frames\n", what,
+                static_cast<unsigned long long>(fused),
+                static_cast<unsigned long long>(deltas));
+    if (fused == 0 || deltas == 0) {
+        std::printf("FAIL %s: the window must fuse batches and price "
+                    "delta frames\n", what);
+        return false;
+    }
+    return true;
+}
+
+bool
+BatchedServiceHoldsBudget(const std::vector<Scene>& scenes)
+{
+    const std::vector<double> est_ms = Estimates(scenes);
+    ServeConfig config;
+    config.threads = 1;
+    config.admission = Policy(est_ms);
+    config.batch_window_ms = BatchWindowMs(est_ms);
+    config.max_batch_elements = kMaxBatch;
+    RenderService service(config);
+    std::vector<SessionId> sessions;
+    for (const Scene& scene : scenes) {
+        service.RegisterScene(scene.name, scene.spec);
+        service.WarmScene(scene.name);
+        sessions.push_back(service.OpenSession(scene.name));
+    }
+    const std::vector<MixedRequest> requests = MixedStream(scenes, est_ms);
+    const auto submit = [&](const MixedRequest& r) {
+        return service.Submit(r.request, OptionsOf(r, sessions)).ticket;
+    };
+    const auto wait = [&](ServeTicket ticket) { return service.Wait(ticket); };
+    RunRounds(requests, 0, kWarmRounds, false, submit, wait);
+    const ServiceStats before = service.Snapshot();
+    const Window window =
+        RunRounds(requests, kWarmRounds, kWarmRounds + kCountedRounds, true,
+                  submit, wait);
+    const bool ok = Check("RenderService (batched + sessions)", window);
+    return CheckBatched("RenderService (batched + sessions)", before,
+                        service.Snapshot()) &&
+           ok;
+}
+
+bool
+BatchedClusterHoldsBudget(const std::vector<Scene>& scenes)
+{
+    const std::vector<double> est_ms = Estimates(scenes);
+    ClusterConfig config;
+    config.shards = 2;
+    config.threads_per_shard = 1;
+    config.admission = Policy(est_ms);
+    config.batch_window_ms = BatchWindowMs(est_ms);
+    config.max_batch_elements = kMaxBatch;
+    config.replication.top_k = 1;
+    config.replication.factor = 2;
+    ShardedRenderService fleet(config);
+    std::vector<SessionId> sessions;
+    for (const Scene& scene : scenes) {
+        fleet.RegisterScene(scene.name, scene.spec);
+        fleet.WarmScene(scene.name);
+        sessions.push_back(fleet.OpenSession(scene.name));
+    }
+    const std::vector<MixedRequest> requests = MixedStream(scenes, est_ms);
+    const auto submit = [&](const MixedRequest& r) {
+        return fleet.Submit(r.request, OptionsOf(r, sessions));
+    };
+    const auto wait = [&](ClusterTicket ticket) {
+        return fleet.Wait(ticket).result;
+    };
+    RunRounds(requests, 0, 1, false, submit, wait);
+    fleet.RefreshReplication();
+    RunRounds(requests, 1, kWarmRounds, false, submit, wait);
+    const ClusterStats before = fleet.Snapshot();
+    const Window window =
+        RunRounds(requests, kWarmRounds, kWarmRounds + kCountedRounds, true,
+                  submit, wait);
+    const ClusterStats after = fleet.Snapshot();
+    std::printf("batched cluster routing: %llu p2c-routed, %llu spilled\n",
+                static_cast<unsigned long long>(after.p2c_routed -
+                                                before.p2c_routed),
+                static_cast<unsigned long long>(after.spilled -
+                                                before.spilled));
+    const bool ok = Check("ShardedRenderService (batched + sessions)", window);
+    return CheckBatched("ShardedRenderService (batched + sessions)", before,
+                        after) &&
+           ok;
 }
 
 /** Allocations made while @p fn runs. */
@@ -462,8 +618,15 @@ main()
     const std::vector<flexnerfer::Scene> scenes = flexnerfer::Scenes();
     const bool service = flexnerfer::ServiceHoldsBudget(scenes);
     const bool cluster = flexnerfer::ClusterHoldsBudget(scenes);
+    const bool batched_service =
+        flexnerfer::BatchedServiceHoldsBudget(scenes);
+    const bool batched_cluster =
+        flexnerfer::BatchedClusterHoldsBudget(scenes);
     const bool cold = flexnerfer::ColdFramesHoldBudget();
-    if (!service || !cluster || !cold) return 1;
+    if (!service || !cluster || !batched_service || !batched_cluster ||
+        !cold) {
+        return 1;
+    }
     std::printf("alloc budget OK\n");
     return 0;
 }

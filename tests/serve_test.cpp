@@ -423,23 +423,27 @@ TEST(SceneRegistry, FirstTouchPreparesLaterTouchesReplay)
     EXPECT_EQ(registry.Name(ngp), "ngp");
 
     // First touch compiles and pins; the estimate is the executed cost.
-    const auto first = registry.Touch(ngp);
+    bool compiled = false;
+    const auto first = registry.Touch(ngp, nullptr, &compiled);
+    EXPECT_TRUE(compiled);
     EXPECT_EQ(cache.stats().plan_misses, 1u);
     EXPECT_EQ(cache.stats().frame_hits, 0u);
     ExpectBitIdentical(first->cost, Reference("Instant-NGP"));
 
     // Second touch returns the same pinned entry; replaying its frame
     // hits the memoized result, not a recompile.
-    const auto second = registry.Touch(ngp);
+    const auto second = registry.Touch(ngp, nullptr, &compiled);
+    EXPECT_FALSE(compiled);
     EXPECT_EQ(second.get(), first.get());
     ExpectBitIdentical(cache.Run(second->frame), first->cost);
     EXPECT_EQ(cache.stats().plan_misses, 1u);
     EXPECT_EQ(cache.stats().frame_hits, 1u);
 
+    // The request counters are the serving front-end's to keep.
     const std::vector<SceneStats> stats = registry.Stats();
     ASSERT_EQ(stats.size(), 1u);
-    EXPECT_EQ(stats[0].requests, 2u);
-    EXPECT_EQ(stats[0].prepared_replays, 1u);
+    EXPECT_EQ(stats[0].name, "ngp");
+    EXPECT_EQ(stats[0].requests, 0u);
     // The recorded estimate is the critical path — what admission
     // schedules with — not the flat op sum.
     EXPECT_EQ(stats[0].est_latency_ms, EstimatedServiceMs(first->cost));
@@ -637,9 +641,13 @@ TEST(SceneRegistry, RacingFirstTouchesConvergeToOneEntry)
 
     ThreadPool pool(8);
     std::vector<double> estimates(16, 0.0);
-    pool.ParallelFor(16, [&registry, &estimates, ngp](std::int64_t i) {
+    std::atomic<int> compiles{0};
+    pool.ParallelFor(16, [&registry, &estimates, &compiles,
+                          ngp](std::int64_t i) {
+        bool compiled = false;
         estimates[static_cast<std::size_t>(i)] =
-            registry.Touch(ngp)->cost.latency_ms;
+            registry.Touch(ngp, nullptr, &compiled)->cost.latency_ms;
+        if (compiled) ++compiles;
     });
     const FrameCost reference = Reference("Instant-NGP");
     for (double estimate : estimates) {
@@ -652,10 +660,9 @@ TEST(SceneRegistry, RacingFirstTouchesConvergeToOneEntry)
     // replays from the result memo — frame hits stay reserved for
     // actual requests.
     EXPECT_EQ(cache.stats().frame_hits, 0u);
-    const std::vector<SceneStats> stats = registry.Stats();
-    ASSERT_EQ(stats.size(), 1u);
-    EXPECT_EQ(stats[0].requests, 16u);
-    EXPECT_EQ(stats[0].prepared_replays, 15u);
+    // Exactly one touch reports the compile: the other 15 adopted the
+    // winner's entry, which a service counts as prepared replays.
+    EXPECT_EQ(compiles.load(), 1);
 }
 
 TEST(RenderService, SnapshotIsZeroSafeWhenNothingWasAccepted)

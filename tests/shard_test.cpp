@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstring>
 #include <iomanip>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -230,11 +231,53 @@ struct SweepTally {
 };
 
 /**
+ * How one sweep call probes around its Admit. An Admit commits the
+ * latest probe's state when its arguments match (serve/admission.h), so
+ * every way a quote can go stale must still leave Admit exact.
+ */
+enum class ProbeCase {
+    kTwoProbes,       //!< two matching probes, then the Admit
+    kOtherArgs,       //!< a probe with other arguments, then the Admit
+    kNoAdmit,         //!< a probe that no Admit follows
+    kMatchThenOther,  //!< a matching probe, another one, then the Admit
+    kAdmitTwice,      //!< a matching probe, the Admit, the same Admit
+};
+
+/** Arguments of one Admit or Probe call. */
+struct AdmitArgs {
+    double arrival = 0.0;
+    double est = 0.0;
+    double deadline = 0.0;
+    std::size_t tier = 0;
+};
+
+/** @p args with one argument moved, so a probe at them is not the
+ *  Admit's quote (an arrival move also drains a different state). */
+AdmitArgs
+OtherArgs(AdmitArgs args, std::size_t tiers, Rng& rng)
+{
+    switch (rng.UniformInt(0, 3)) {
+      case 0: args.arrival += rng.Uniform(1.0, 20.0); break;
+      case 1: args.est += rng.Uniform(0.5, 3.0); break;
+      case 2: args.deadline = args.deadline > 0.0 ? 0.0 : 30.0; break;
+      default:
+        if (tiers > 1) {
+            args.tier = (args.tier + 1) % tiers;
+        } else {
+            args.arrival += 5.0;
+        }
+    }
+    return args;
+}
+
+/**
  * Drives @p calls seeded calls through a probed controller and a
- * probe-free reference, both under @p policy, probing twice before
- * each Admit. Arrivals mostly come 0-8 ms apart against 1-10 ms of
- * work, with idle gaps that drain every queue and out-of-order
- * arrivals the clamp must move.
+ * probe-free reference, both under @p policy. Most calls probe twice
+ * before each Admit; the rest take one of the stale-quote cases above
+ * (drawn from their own stream, so the call sequence is unchanged).
+ * Arrivals mostly come 0-8 ms apart against 1-10 ms of work, with idle
+ * gaps that drain every queue and out-of-order arrivals the clamp must
+ * move.
  */
 void
 SweepProbeAgainstAdmit(const AdmissionPolicy& policy, std::uint64_t seed,
@@ -244,6 +287,7 @@ SweepProbeAgainstAdmit(const AdmissionPolicy& policy, std::uint64_t seed,
     AdmissionController reference(policy);
     const auto tiers = static_cast<std::int64_t>(probed.tiers().size());
     Rng rng(seed);
+    Rng cases(seed ^ 0x5DEECE66Dull);
     double clock = 0.0;
     std::size_t depth_after = 0;  // depth once the last call committed
     for (int i = 0; i < calls; ++i) {
@@ -260,25 +304,56 @@ SweepProbeAgainstAdmit(const AdmissionPolicy& policy, std::uint64_t seed,
         const auto tier =
             static_cast<std::size_t>(rng.UniformInt(0, tiers - 1));
 
+        const double pick = cases.Uniform();
+        const ProbeCase kind =
+            pick < 0.6    ? ProbeCase::kTwoProbes
+            : pick < 0.7  ? ProbeCase::kOtherArgs
+            : pick < 0.8  ? ProbeCase::kNoAdmit
+            : pick < 0.9  ? ProbeCase::kMatchThenOther
+                          : ProbeCase::kAdmitTwice;
+        const AdmitArgs other =
+            OtherArgs({arrival, est, deadline, tier},
+                      static_cast<std::size_t>(tiers), cases);
+        const auto probe_other = [&] {
+            probed.Probe(other.arrival, other.est, other.deadline,
+                         other.tier);
+        };
         const auto first = probed.Probe(arrival, est, deadline, tier);
-        const auto second = probed.Probe(arrival, est, deadline, tier);
+        if (kind == ProbeCase::kOtherArgs ||
+            kind == ProbeCase::kMatchThenOther) {
+            probe_other();
+        } else if (kind == ProbeCase::kTwoProbes) {
+            const auto second = probed.Probe(arrival, est, deadline, tier);
+            ASSERT_TRUE(SameVerdict(first, second))
+                << "seed " << seed << " call " << i;
+        } else if (kind == ProbeCase::kNoAdmit) {
+            continue;  // neither controller admits this call
+        }
         const auto admitted = probed.Admit(arrival, est, deadline, tier);
         const auto want = reference.Admit(arrival, est, deadline, tier);
         ASSERT_TRUE(SameVerdict(first, admitted))
             << "seed " << seed << " call " << i;
-        ASSERT_TRUE(SameVerdict(second, admitted))
-            << "seed " << seed << " call " << i;
         ASSERT_TRUE(SameVerdict(admitted, want))
             << "seed " << seed << " call " << i;
-
         if (admitted.arrival_ms > arrival) ++tally->clamped;
         if (depth_after > admitted.queue_depth) {
             tally->max_retired = std::max(
                 tally->max_retired, depth_after - admitted.queue_depth);
         }
-        const bool accepted =
-            admitted.outcome == AdmissionController::Outcome::kAccepted;
-        depth_after = admitted.queue_depth + (accepted ? 1 : 0);
+        const auto depth_once = [](const AdmissionController::Verdict& v) {
+            const bool accepted =
+                v.outcome == AdmissionController::Outcome::kAccepted;
+            return v.queue_depth + (accepted ? 1 : 0);
+        };
+        depth_after = depth_once(admitted);
+        if (kind == ProbeCase::kAdmitTwice) {
+            // The quote went stale with the first Admit.
+            const auto again = probed.Admit(arrival, est, deadline, tier);
+            ASSERT_TRUE(SameVerdict(
+                again, reference.Admit(arrival, est, deadline, tier)))
+                << "seed " << seed << " call " << i << " (second Admit)";
+            depth_after = depth_once(again);
+        }
     }
     const auto counters = reference.counters();
     ASSERT_TRUE(SameCounters(probed.counters(), counters))
@@ -1501,6 +1576,66 @@ TEST(ShardedRenderService, P2cReplicasServeTheSceneUnderTheirOwnIds)
     EXPECT_GT(stats.replica_served, 0u);
     EXPECT_GT(stats.per_shard[home].service.accepted, 0u);
     EXPECT_GT(stats.per_shard[other].service.accepted, 0u);
+}
+
+TEST(ShardedRenderService, SceneCountersFollowTheIdPath)
+{
+    // The router submits by per-replica id and each replica counts its
+    // scene rows under its own lock: every row's requests must equal
+    // the requests routed to that replica for that scene, and its
+    // prepared replays all of them but a cold first touch — here, the
+    // spill that compiles a scene on the shard that never held it.
+    ClusterConfig config;
+    config.shards = 2;
+    config.threads_per_shard = 1;
+    config.replication.top_k = 1;
+    config.replication.factor = 2;
+    ShardedRenderService cluster(config);
+    const std::vector<std::string> names = RegisterRepertoire(cluster);
+    const std::string& hot = names[0];
+    const std::string& spilling = names[1];
+    cluster.WarmScene(hot);
+    const double est = EstimatedServiceMs(cluster.WarmScene(spilling));
+    ASSERT_EQ(IdOn(cluster, 1 - cluster.router().Home(spilling), spilling),
+              kNoScene);
+
+    // The hot scene tops the census and is replicated on both shards;
+    // its burst routes by power-of-two choices. Much later, when every
+    // queue has drained, the other scene's burst spills cold to the
+    // shard without its pin (as in SpillPaysRecompileOnceAndKeepsInvariants).
+    SubmitBurst(cluster, hot, 1, 0.0);
+    ASSERT_EQ(cluster.RefreshReplication(), std::vector<std::string>{hot});
+    SubmitBurst(cluster, hot, 12, 0.0);
+    SubmitBurst(cluster, spilling, 6, 1000.0 * est, 2.5 * est);
+    const std::vector<ClusterRenderResult> results = cluster.WaitAll();
+    ASSERT_EQ(results.size(), 19u);
+
+    std::map<std::pair<std::size_t, std::string>, std::uint64_t> routed;
+    std::map<std::pair<std::size_t, std::string>, std::uint64_t> cold;
+    for (const ClusterRenderResult& r : results) {
+        const auto key = std::make_pair(r.shard, std::string(r.result.scene));
+        ++routed[key];
+        if (r.spill_surcharge_ms > 0.0) ++cold[key];
+    }
+    const ClusterStats stats = cluster.Snapshot();
+    EXPECT_EQ(stats.p2c_routed, 12u);
+    EXPECT_GT(stats.replica_served, 0u);
+    EXPECT_EQ(stats.spill_recompiles, 1u);
+    std::uint64_t rows_checked = 0;
+    for (std::size_t shard = 0; shard < 2; ++shard) {
+        EXPECT_GT((routed[{shard, hot}]), 0u) << "shard " << shard;
+        for (const SceneStats& row : cluster.shard(shard).Snapshot().scenes) {
+            const auto key = std::make_pair(shard, row.name);
+            EXPECT_EQ(row.requests, routed[key])
+                << "shard " << shard << " scene " << row.name;
+            ASSERT_LE(cold[key], 1u);
+            EXPECT_EQ(row.prepared_replays, routed[key] - cold[key])
+                << "shard " << shard << " scene " << row.name;
+            rows_checked += routed[key];
+        }
+    }
+    // Every routed request landed on a row that was checked.
+    EXPECT_EQ(rows_checked, results.size());
 }
 
 TEST(ShardedRenderService, KillShardReplaysUnderTheNewHomesId)
