@@ -16,16 +16,6 @@
 #include "sparse/format_selector.h"
 
 namespace flexnerfer {
-namespace {
-
-/** Tree depth of a power-of-two NoC spanning @p leaves. */
-double
-TreeDepth(int leaves)
-{
-    return std::ceil(std::log2(std::max(2, leaves)));
-}
-
-}  // namespace
 
 void
 AppendFingerprint(const GemmShape& shape, std::string* out)
@@ -342,7 +332,9 @@ void
 GemmEngine::EstimateNocTraffic(Aggregates* agg) const
 {
     const int t = GridDim();
-    const double depth = TreeDepth(t);
+    // Depth of the power-of-two NoC tree spanning the t leaves.
+    const double depth =
+        FlexibleReductionTree::DepthForLeaves(std::max(2, t));
     const double avg_group =
         agg->a_deliveries > 0.0
             ? std::clamp(agg->useful_macs / agg->a_deliveries, 1.0,

@@ -1,6 +1,7 @@
 #include "plan/frame_plan.h"
 
 #include <algorithm>
+#include <cstring>
 #include <condition_variable>
 #include <mutex>
 #include <utility>
@@ -71,6 +72,22 @@ AssembleDenseEngine(const GemmResult& r, double useful_macs)
     return fragment;
 }
 
+/**
+ * True when engine ops @p a and @p b evaluate to bit-identical
+ * fragments: the same lowering, useful MACs (by bit pattern, so -0.0
+ * and +0.0 stay apart) and GemmMemo key. The plan-level fields are
+ * compared first; they are the cheapest.
+ */
+bool
+SameEngineRun(const PlannedOp& a, const PlannedOp& b)
+{
+    return a.lowering == b.lowering &&
+           std::memcmp(&a.useful_macs, &b.useful_macs,
+                       sizeof(a.useful_macs)) == 0 &&
+           GemmMemo::SameRun(a.engine_config, a.shape, b.engine_config,
+                             b.shape);
+}
+
 }  // namespace
 
 OpCost
@@ -94,7 +111,7 @@ const std::size_t*
 FramePlan::successors_begin(std::size_t i) const
 {
     const std::size_t n = ops_.size();
-    return index_.data() + 3 * n + 1 + index_[2 * n + i];
+    return index_.data() + 4 * n + 1 + index_[3 * n + i];
 }
 
 const std::size_t*
@@ -107,13 +124,13 @@ void
 FramePlan::EvaluateOp(std::size_t i, GemmMemo* memo, OpSlot* slots,
                       TraceRecorder* recorder) const
 {
-    if (recorder != nullptr) {
-        slots[i].wall_begin_us = recorder->NowWallUs();
-        slots[i].fragment = ops_[i].Evaluate(memo);
-        slots[i].wall_end_us = recorder->NowWallUs();
-    } else {
-        slots[i].fragment = ops_[i].Evaluate(memo);
-    }
+    // An op repeating a predecessor's engine run copies its fragment:
+    // the predecessor retired before this op became ready.
+    const std::size_t source = run_source(i);
+    if (recorder != nullptr) slots[i].wall_begin_us = recorder->NowWallUs();
+    slots[i].fragment =
+        source == i ? ops_[i].Evaluate(memo) : slots[source].fragment;
+    if (recorder != nullptr) slots[i].wall_end_us = recorder->NowWallUs();
 }
 
 void
@@ -327,6 +344,16 @@ FramePlan::engine_op_count() const
     return count;
 }
 
+std::size_t
+FramePlan::engine_run_count() const
+{
+    std::size_t count = 0;
+    for (std::size_t i = 0; i < ops_.size(); ++i) {
+        if (ops_[i].uses_engine && run_source(i) == i) ++count;
+    }
+    return count;
+}
+
 FramePlanBuilder::FramePlanBuilder(std::string workload_name,
                                    std::size_t op_count)
 {
@@ -391,11 +418,28 @@ FramePlanBuilder::Build()
         }
         edges += ops[i].deps.size();
     }
-    plan_.index_.assign(3 * n + 1 + edges, 0);
+    plan_.index_.assign(4 * n + 1 + edges, 0);
     std::size_t* const topo = plan_.index_.data();
     std::size_t* const layer_of = topo + n;
-    std::size_t* const begin = layer_of + n;
+    std::size_t* const run_source = layer_of + n;
+    std::size_t* const begin = run_source + n;
     std::size_t* const successors = begin + n + 1;
+
+    // Run sources: an engine op whose run is bit-equal to that of one of
+    // its direct predecessors (equal layers of an MLP trunk, one layer
+    // across the elements of a fused batch) copies that predecessor's
+    // fragment instead of running the engine again. A chain of equal
+    // ops therefore runs the engine once.
+    for (std::size_t i = 0; i < n; ++i) {
+        run_source[i] = i;
+        if (!ops[i].uses_engine) continue;
+        for (const std::size_t dep : ops[i].deps) {
+            if (ops[dep].uses_engine && SameEngineRun(ops[i], ops[dep])) {
+                run_source[i] = dep;
+                break;
+            }
+        }
+    }
 
     // Count each op's out-degree, then an inclusive prefix sum:
     // begin[d] is one past the end of d's run. Scattering each edge to

@@ -8,7 +8,12 @@
  * compile time, into a list of PlannedOps. Executing the plan then only
  * runs the cycle-level GEMM engine for engine-backed ops (everything
  * else was folded into fixed cost fragments during lowering) and reduces
- * the per-op fragments in enqueue order.
+ * the per-op fragments in enqueue order. The engine runs once per
+ * distinct run: Build marks every engine op whose run (config, shape,
+ * lowering, useful MACs) is bit-equal to that of one of its direct
+ * predecessors — the equal hidden layers of an MLP trunk, one layer
+ * across the elements of a fused batch — and Execute copies that
+ * predecessor's fragment, which has always retired by then.
  *
  * Plans are dependency-aware: each PlannedOp carries the predecessor
  * edges of its workload op (MLP layer chains, the sampling -> feature
@@ -107,13 +112,15 @@ class FramePlan
   public:
     /**
      * Executes every op and reduces the fragments in enqueue order.
-     * With @p pool, the dependency DAG runs as a wavefront across the
-     * work-stealing pool (ops become ready as their predecessors
-     * retire); with null, execution walks the deterministic topological
-     * order serially. @p memo, when given, memoizes engine runs across
-     * repeated executions (and across plans sharing engine-config/shape
-     * pairs). Bit-identical for any combination, including the
-     * critical-path field.
+     * The engine runs engine_run_count() times; the other engine ops
+     * copy a direct predecessor's fragment. With @p pool, the
+     * dependency DAG runs as a wavefront across the work-stealing pool
+     * (ops become ready as their predecessors retire); with null,
+     * execution walks the deterministic topological order serially.
+     * @p memo, when given, memoizes engine runs across repeated
+     * executions (and across plans sharing engine-config/shape pairs):
+     * one lookup per distinct run. Bit-identical for any combination,
+     * including the critical-path field.
      */
     FrameCost Execute(ThreadPool* pool = nullptr,
                       GemmMemo* memo = nullptr) const;
@@ -121,8 +128,14 @@ class FramePlan
     const std::string& workload_name() const { return workload_name_; }
     const std::vector<PlannedOp>& ops() const { return ops_; }
 
-    /** Ops Execute evaluates through the GEMM engine. */
+    /** Engine-backed ops (uses_engine), whether or not Execute runs
+     *  the engine for each: see engine_run_count. */
     std::size_t engine_op_count() const;
+
+    /** Distinct engine runs Execute performs: engine ops minus those
+     *  that copy the fragment of a direct predecessor with a bit-equal
+     *  run (same config, shape, lowering and useful MACs). */
+    std::size_t engine_run_count() const;
 
     /**
      * The @p k-th op of the deterministic topological order Build
@@ -173,6 +186,13 @@ class FramePlan
     void EvaluateWavefront(ThreadPool& pool, GemmMemo* memo, OpSlot* slots,
                            TraceRecorder* recorder) const;
 
+    /** The op whose fragment op @p i copies: @p i itself when op i is
+     *  evaluated, else a direct predecessor with a bit-equal engine
+     *  run. */
+    std::size_t run_source(std::size_t i) const {
+        return index_[2 * ops_.size() + i];
+    }
+
     /** Op @p i's successors: [successors_begin(i), successors_end(i)),
      *  ascending (a dependency listed twice appears twice). */
     const std::size_t* successors_begin(std::size_t i) const;
@@ -183,9 +203,10 @@ class FramePlan
     /**
      * Every index Build derives, in one block. With n ops and e edges:
      * [0, n) the topological order; [n, 2n) each op's layer (Build's
-     * pending counts until the order is fixed); [2n, 3n + 1) the CSR
-     * offsets of the transposed edge list the wavefront walks; and
-     * [3n + 1, 3n + 1 + e) the successors themselves.
+     * pending counts until the order is fixed); [2n, 3n) each op's run
+     * source (see run_source); [3n, 4n + 1) the CSR offsets of the
+     * transposed edge list the wavefront walks; and
+     * [4n + 1, 4n + 1 + e) the successors themselves.
      */
     std::vector<std::size_t> index_;
     std::size_t depth_ = 0;

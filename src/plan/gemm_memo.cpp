@@ -1,5 +1,6 @@
 #include "plan/gemm_memo.h"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -31,13 +32,13 @@ Bit(bool v, int position)
 
 }  // namespace
 
-GemmMemo::Key
-GemmMemo::MakeKey(const GemmEngineConfig& config, const GemmShape& shape)
+GemmMemo::ConfigWords
+GemmMemo::PackConfig(const GemmEngineConfig& config)
 {
     // One field per bit range, every bit defined: small fields share
-    // the first two words, each double and int64 gets a word of its own.
-    // A new GemmEngineConfig/GemmShape field must join this key.
-    return Key{{
+    // the first two words, each double gets a word of its own.
+    // A new GemmEngineConfig field must join these words.
+    return ConfigWords{{
         static_cast<std::uint64_t>(config.precision) |
             static_cast<std::uint64_t>(config.noc_style) << 8 |
             Bit(config.support_sparsity, 16) |
@@ -59,6 +60,14 @@ GemmMemo::MakeKey(const GemmEngineConfig& config, const GemmShape& shape)
         Bits(config.noc.buffer_read_energy_pj),
         Bits(config.mesh.hop_energy_pj),
         Bits(config.mesh.buffer_read_energy_pj),
+    }};
+}
+
+GemmMemo::ShapeWords
+GemmMemo::PackShape(const GemmShape& shape)
+{
+    // A new GemmShape field must join these words.
+    return ShapeWords{{
         static_cast<std::uint64_t>(shape.m),
         static_cast<std::uint64_t>(shape.k),
         static_cast<std::uint64_t>(shape.n),
@@ -66,6 +75,29 @@ GemmMemo::MakeKey(const GemmEngineConfig& config, const GemmShape& shape)
         Bits(shape.density_b),
         Bits(shape.structured_prune_b),
     }};
+}
+
+GemmMemo::Key
+GemmMemo::MakeKey(const GemmEngineConfig& config, const GemmShape& shape)
+{
+    const ConfigWords config_words = PackConfig(config);
+    const ShapeWords shape_words = PackShape(shape);
+    Key key;
+    static_assert(sizeof(key.words) ==
+                      sizeof(config_words) + sizeof(shape_words),
+                  "the key is the config's words, then the shape's");
+    std::copy(config_words.begin(), config_words.end(), key.words.begin());
+    std::copy(shape_words.begin(), shape_words.end(),
+              key.words.begin() + config_words.size());
+    return key;
+}
+
+bool
+GemmMemo::SameRun(const GemmEngineConfig& a_config, const GemmShape& a_shape,
+                  const GemmEngineConfig& b_config, const GemmShape& b_shape)
+{
+    return PackShape(a_shape) == PackShape(b_shape) &&
+           PackConfig(a_config) == PackConfig(b_config);
 }
 
 std::size_t

@@ -45,13 +45,28 @@ class GemmMemo
     GemmResult RunFromShape(const GemmEngine& engine,
                             const GemmShape& shape);
 
+    /**
+     * True when the two (config, shape) pairs pack to the same key, so
+     * RunFromShape returns bit-identical results for them. The shape
+     * words are compared first: neighbouring ops of one plan usually
+     * share a config and differ, if at all, in shape.
+     */
+    static bool SameRun(const GemmEngineConfig& a_config,
+                        const GemmShape& a_shape,
+                        const GemmEngineConfig& b_config,
+                        const GemmShape& b_shape);
+
     std::uint64_t hits() const;
     std::uint64_t misses() const;
     std::size_t size() const;
 
   private:
+    using ConfigWords = std::array<std::uint64_t, 14>;
+    using ShapeWords = std::array<std::uint64_t, 6>;
+
     /** (engine config, shape) packed into 64-bit words (see file
-     *  comment); equality is word-wise. */
+     *  comment): the config's words, then the shape's; equality is
+     *  word-wise. */
     struct Key {
         std::array<std::uint64_t, 20> words;
 
@@ -63,6 +78,8 @@ class GemmMemo
         std::size_t operator()(const Key& key) const;
     };
 
+    static ConfigWords PackConfig(const GemmEngineConfig& config);
+    static ShapeWords PackShape(const GemmShape& shape);
     static Key MakeKey(const GemmEngineConfig& config,
                        const GemmShape& shape);
 

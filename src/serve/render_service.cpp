@@ -950,7 +950,15 @@ const DeltaSceneFrame&
 RenderService::DeltaShapeLocked(SceneId scene, std::size_t reuse_quantum,
                                 std::size_t reuse_quanta)
 {
-    return CachedShape(scenes_.at(scene).deltas, reuse_quantum, [&] {
+    // A scene's sessions use one grid or a few: a linear scan.
+    std::vector<DeltaGrid>& grids = scenes_.at(scene).deltas;
+    auto grid = std::find_if(
+        grids.begin(), grids.end(),
+        [&](const DeltaGrid& g) { return g.quanta == reuse_quanta; });
+    if (grid == grids.end()) {
+        grid = grids.insert(grids.end(), DeltaGrid{reuse_quanta, {}});
+    }
+    return CachedShape(grid->by_quantum, reuse_quantum, [&] {
         return registry_.TouchDelta(scene, reuse_quantum, reuse_quanta,
                                     &pool_);
     });

@@ -672,6 +672,12 @@ class RenderService
         RenderResult result;  //!< valid while kReady
     };
 
+    /** One reuse grid's delta shapes of a scene, by quantum. */
+    struct DeltaGrid {
+        std::size_t quanta = 1;
+        std::vector<const DeltaSceneFrame*> by_quantum;
+    };
+
     /**
      * Per-scene service state, by SceneId. The registry never drops or
      * replaces a prepared entry or shape, so the cached raw pointers
@@ -684,10 +690,11 @@ class RenderService
         std::string_view name;  //!< interned at RegisterScene
         /** The pinned entry, once a request touched it (null = cold). */
         const SceneEntry* entry = nullptr;
-        /** Fused shapes by element count, delta shapes by reuse
-         *  quantum (null = not looked up yet; see SceneRegistry). */
+        /** Fused shapes by element count, and delta shapes per reuse
+         *  grid by quantum (null = not looked up yet; see
+         *  SceneRegistry). */
         std::vector<const BatchedSceneFrame*> fused;
-        std::vector<const DeltaSceneFrame*> deltas;
+        std::vector<DeltaGrid> deltas;
         /** The ServiceStats::scenes columns: submits naming the scene,
          *  those that found it prepared, and admission outcomes. */
         std::uint64_t requests = 0;

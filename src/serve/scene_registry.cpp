@@ -104,18 +104,18 @@ SceneRegistry::Touch(SceneId id, ThreadPool* pool, bool* compiled)
     return slot.entry;
 }
 
-template <typename Frame, typename Build>
+template <typename Key, typename Frame, typename Build>
 std::shared_ptr<const Frame>
-SceneRegistry::TouchShape(SceneId id, std::size_t key,
-                          ShapeMap<Frame> Slot::*shapes, ThreadPool* pool,
-                          Build build)
+SceneRegistry::TouchShape(SceneId id, const Key& key,
+                          ShapeMap<Key, Frame> Slot::*shapes,
+                          ThreadPool* pool, Build build)
 {
     // Ensures the scene is prepared: shapes reuse its model and
     // workload, and delta shapes hang off its pinned handle.
     const std::shared_ptr<const SceneEntry> entry = Touch(id, pool);
     const auto find = [&]() -> std::shared_ptr<const Frame> {
         std::lock_guard<std::mutex> lock(mutex_);
-        const ShapeMap<Frame>& built = slots_[id].*shapes;
+        const ShapeMap<Key, Frame>& built = slots_[id].*shapes;
         const auto it = built.find(key);
         return it == built.end() ? nullptr : it->second;
     };
@@ -172,7 +172,8 @@ SceneRegistry::TouchDelta(SceneId id, std::size_t reuse_quantum,
               std::to_string(reuse_quantum) + " of " +
               std::to_string(reuse_quanta) + " is not a valid fraction");
     }
-    return TouchShape(id, reuse_quantum, &Slot::deltas, pool,
+    return TouchShape(id, DeltaKey(reuse_quantum, reuse_quanta),
+                      &Slot::deltas, pool,
                       [&](const SceneEntry& entry) {
         auto delta = std::make_shared<DeltaSceneFrame>();
         delta->reuse_quantum = reuse_quantum;

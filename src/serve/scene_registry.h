@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -80,7 +81,7 @@ struct BatchedSceneFrame {
 };
 
 /**
- * One prepared delta frame of a scene — the (scene, reuse-quantum)
+ * One prepared delta frame of a scene — the (scene, reuse fraction)
  * grain of the trajectory path (see models/trajectory.h). Immutable
  * once built: the frame handle pins the predecessor-keyed delta plan in
  * the cache and `cost` is its executed cost, so
@@ -170,12 +171,12 @@ class SceneRegistry
      * Returns the prepared delta frame for reusing @p reuse_quantum /
      * @p reuse_quanta of scene @p id's previous frame (see
      * models/trajectory.h, DeltaWorkload), compiling and pinning each
-     * (scene, quantum) shape lazily on first use via the plan cache's
-     * predecessor-keyed path (PlanCache::PrepareDelta off the scene's
-     * pinned handle) — one estimation run per shape, exactly like a
-     * scene's first touch. @p reuse_quantum == 0 aliases the scene's
-     * own prepared entry (no overlap is a full recompute). Touches the
-     * scene first if needed.
+     * (scene, quantum, quanta) shape lazily on first use via the plan
+     * cache's predecessor-keyed path (PlanCache::PrepareDelta off the
+     * scene's pinned handle) — one estimation run per shape, exactly
+     * like a scene's first touch. @p reuse_quantum == 0 aliases the
+     * scene's own prepared entry (no overlap is a full recompute).
+     * Touches the scene first if needed.
      */
     std::shared_ptr<const DeltaSceneFrame> TouchDelta(
         SceneId id, std::size_t reuse_quantum, std::size_t reuse_quanta,
@@ -187,9 +188,11 @@ class SceneRegistry
     std::vector<SceneStats> Stats() const;
 
   private:
-    template <typename Frame>
-    using ShapeMap =
-        std::unordered_map<std::size_t, std::shared_ptr<const Frame>>;
+    template <typename Key, typename Frame>
+    using ShapeMap = std::map<Key, std::shared_ptr<const Frame>>;
+    /** A delta shape's reuse fraction: (quantum, quanta). Sessions on
+     *  different reuse grids never share a shape. */
+    using DeltaKey = std::pair<std::size_t, std::size_t>;
 
     struct Slot {
         SweepPoint spec;
@@ -204,19 +207,19 @@ class SceneRegistry
         std::shared_ptr<const SceneEntry> entry;  //!< null until touched
         /** Prepared fused frames by element count (lazily built; the
          *  1-element shape aliases `entry`). */
-        ShapeMap<BatchedSceneFrame> batched;
-        /** Prepared delta frames by reuse quantum (lazily built; the
-         *  0-reuse shape aliases `entry`). */
-        ShapeMap<DeltaSceneFrame> deltas;
+        ShapeMap<std::size_t, BatchedSceneFrame> batched;
+        /** Prepared delta frames by reuse fraction (lazily built; the
+         *  0-reuse shapes alias `entry`). */
+        ShapeMap<DeltaKey, DeltaSceneFrame> deltas;
         SceneStats stats;
     };
 
     /** The shape under @p key in scene @p id's @p shapes, built once by
      *  @p build(entry) (TouchBatched and TouchDelta share it). */
-    template <typename Frame, typename Build>
-    std::shared_ptr<const Frame> TouchShape(SceneId id, std::size_t key,
-                                            ShapeMap<Frame> Slot::*shapes,
-                                            ThreadPool* pool, Build build);
+    template <typename Key, typename Frame, typename Build>
+    std::shared_ptr<const Frame> TouchShape(
+        SceneId id, const Key& key, ShapeMap<Key, Frame> Slot::*shapes,
+        ThreadPool* pool, Build build);
 
     PlanCache& cache_;
 

@@ -1,6 +1,7 @@
 #include "sparse/format_selector.h"
 
 #include <cmath>
+#include <iterator>
 
 #include "common/logging.h"
 #include "sparse/footprint.h"
@@ -18,10 +19,11 @@ constexpr SparsityFormat kCandidates[] = {
 SparsityFormat
 SelectOptimalFormat(int rows, int cols, std::int64_t nnz, Precision precision)
 {
-    SparsityFormat best = SparsityFormat::kNone;
+    SparsityFormat best = kCandidates[0];
     std::int64_t best_bits =
-        FootprintBits(SparsityFormat::kNone, rows, cols, nnz, precision);
-    for (SparsityFormat f : kCandidates) {
+        FootprintBits(best, rows, cols, nnz, precision);
+    for (std::size_t c = 1; c < std::size(kCandidates); ++c) {
+        const SparsityFormat f = kCandidates[c];
         const std::int64_t bits =
             FootprintBits(f, rows, cols, nnz, precision);
         if (bits < best_bits) {

@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 
 #include "common/rng.h"
@@ -205,6 +207,21 @@ TEST(ReductionTree, DepthForLeavesMatchesLoopDefinition)
                 << "n = " << n;
         }
     }
+}
+
+TEST(ReductionTree, DepthForLeavesMatchesLibmNocTreeDepth)
+{
+    // The GEMM engine's NoC tree depth was ceil(log2(max(2, t))) through
+    // libm; the integer depth must equal it for every grid width t.
+    int mismatches = 0;
+    for (int t = 1; t <= (1 << 16); ++t) {
+        const int leaves = std::max(2, t);
+        const double libm = std::ceil(std::log2(leaves));
+        const double integer =
+            FlexibleReductionTree::DepthForLeaves(leaves);
+        if (integer != libm) ++mismatches;
+    }
+    EXPECT_EQ(mismatches, 0);
 }
 
 TEST(ReductionTree, BypassesDistinctIndices)

@@ -11,8 +11,11 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <iterator>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "accel/flexnerfer.h"
@@ -21,6 +24,7 @@
 #include "models/workload.h"
 #include "plan/frame_plan.h"
 #include "plan/frame_planner.h"
+#include "plan/gemm_memo.h"
 #include "runtime/thread_pool.h"
 #include "frame_cost_matchers.h"
 
@@ -340,6 +344,198 @@ TEST(PlanDag, PipelinedVsFlatParityAllModelsAllFamilies)
             EXPECT_LE(serial.critical_path_ms,
                       serial.latency_ms * (1.0 + 1e-12))
                 << label;
+        }
+    }
+}
+
+/** Distinct engine runs per plan of the 7 models, in AllModelNames
+ *  order: NeRF and Mip-NeRF run their 8 x 256 trunk's equal hidden
+ *  layers once, NSVF its equal 128-wide pair and IBRNet its three
+ *  equal conv layers. */
+constexpr std::size_t kModelEngineRuns[] = {4, 3, 3, 4, 5, 7, 2};
+
+TEST(PlanDag, EachDistinctEngineRunIsCountedOnce)
+{
+    const FlexNeRFerModel flex;
+    const NeuRexModel neurex;
+    const std::vector<std::string>& names = AllModelNames();
+    ASSERT_EQ(names.size(), std::size(kModelEngineRuns));
+    for (std::size_t m = 0; m < names.size(); ++m) {
+        const NerfWorkload w = BuildWorkload(names[m]);
+        for (const Accelerator* accel :
+             {static_cast<const Accelerator*>(&flex),
+              static_cast<const Accelerator*>(&neurex)}) {
+            const FramePlan plan = FramePlanner::Compile(*accel, w);
+            EXPECT_EQ(plan.engine_run_count(), kModelEngineRuns[m])
+                << accel->name() << " " << names[m];
+            // Every engine op still counts as one.
+            std::size_t gemm_ops = 0;
+            for (const WorkloadOp& op : w.ops) {
+                if (op.kind == OpKind::kGemm) ++gemm_ops;
+            }
+            EXPECT_EQ(plan.engine_op_count(), gemm_ops)
+                << accel->name() << " " << names[m];
+        }
+    }
+    // Fusing chains each element's op behind the previous element's
+    // equal op, so three NeRF frames still make NeRF's 4 runs.
+    const FramePlan fused =
+        FramePlanner::Compile(flex, FuseBatch(BuildWorkload("NeRF"), 3));
+    EXPECT_EQ(fused.engine_op_count(), 33u);
+    EXPECT_EQ(fused.engine_run_count(), 4u);
+}
+
+/** One engine run: everything Build compares to merge two runs. */
+struct EngineRun {
+    GemmEngineConfig config;
+    GemmShape shape{4096, 256, 256, 0.55, 1.0, 0.0};
+    GemmLowering lowering = GemmLowering::kCodecAware;
+    double useful_macs = 1e6;
+};
+
+/** An engine op named @p name (a literal) with edges @p deps. */
+WorkloadOp
+GemmOp(std::string_view name, OpDeps deps)
+{
+    WorkloadOp op;
+    op.kind = OpKind::kGemm;
+    op.name = name;
+    op.deps = deps;
+    return op;
+}
+
+/** fc0 -> fc1, running @p first then @p second. */
+FramePlan
+EngineChain(const EngineRun& first, const EngineRun& second)
+{
+    FramePlanBuilder builder("engine_chain", 2);
+    builder.AddEngineOp(GemmOp("fc0", {}), first.config, first.shape,
+                        first.lowering, first.useful_macs);
+    builder.AddEngineOp(GemmOp("fc1", {0}), second.config, second.shape,
+                        second.lowering, second.useful_macs);
+    return builder.Build();
+}
+
+/** Engine lookups one Execute of @p plan makes, counted by a memo. */
+std::uint64_t
+EngineLookups(const FramePlan& plan)
+{
+    GemmMemo memo;
+    plan.Execute(nullptr, &memo);
+    return memo.hits() + memo.misses();
+}
+
+TEST(PlanDag, RunsMergeOnlyWhenBitEqual)
+{
+    const EngineRun base;
+    const FramePlan equal = EngineChain(base, base);
+    EXPECT_EQ(equal.engine_op_count(), 2u);
+    EXPECT_EQ(equal.engine_run_count(), 1u);
+    EXPECT_EQ(EngineLookups(equal), 1u);
+    // The copied fragment is the evaluated one: each op's share of the
+    // frame equals a fresh evaluation of that op.
+    const FrameCost cost = equal.Execute();
+    const OpCost fragment = equal.ops()[0].Evaluate(nullptr);
+    EXPECT_EQ(cost.latency_ms,
+              fragment.cost.latency_ms + fragment.cost.latency_ms);
+    EXPECT_EQ(cost.critical_path_ms, cost.latency_ms);
+
+    using Flip = void (*)(EngineRun*);
+    const std::vector<std::pair<std::string, Flip>> flips = {
+        {"shape.structured_prune_b +0.0 -> -0.0",
+         [](EngineRun* r) { r->shape.structured_prune_b = -0.0; }},
+        {"config.noc.hop_energy_pj",
+         [](EngineRun* r) { r->config.noc.hop_energy_pj *= 2.0; }},
+        {"lowering",
+         [](EngineRun* r) { r->lowering = GemmLowering::kDenseEngine; }},
+        {"useful_macs", [](EngineRun* r) { r->useful_macs = 2e6; }},
+    };
+    for (const auto& [field, flip] : flips) {
+        EngineRun other = base;
+        flip(&other);
+        const FramePlan plan = EngineChain(base, other);
+        EXPECT_EQ(plan.engine_run_count(), 2u) << field;
+        EXPECT_EQ(EngineLookups(plan), 2u) << field;
+        // The second op's fragment is its own evaluation, not a copy.
+        const FrameCost separate = plan.Execute();
+        EXPECT_EQ(separate.latency_ms,
+                  plan.ops()[0].Evaluate(nullptr).cost.latency_ms +
+                      plan.ops()[1].Evaluate(nullptr).cost.latency_ms)
+            << field;
+    }
+}
+
+TEST(PlanDag, EqualRunsWithoutAnEdgeAreBothEvaluated)
+{
+    // Instant-NGP's density_mlp_fc0 and color_mlp_fc0 are the same
+    // engine run, but neither depends on the other, so neither can
+    // copy the other's fragment: both reach the engine (the memo sees
+    // the second as a hit).
+    const FlexNeRFerModel flex;
+    const FramePlan plan =
+        FramePlanner::Compile(flex, BuildWorkload("Instant-NGP"));
+    std::size_t density0 = plan.ops().size();
+    std::size_t color0 = plan.ops().size();
+    for (std::size_t i = 0; i < plan.ops().size(); ++i) {
+        if (plan.ops()[i].name == "density_mlp_fc0") density0 = i;
+        if (plan.ops()[i].name == "color_mlp_fc0") color0 = i;
+    }
+    ASSERT_LT(density0, plan.ops().size());
+    ASSERT_LT(color0, plan.ops().size());
+    const PlannedOp& a = plan.ops()[density0];
+    const PlannedOp& b = plan.ops()[color0];
+    ASSERT_TRUE(a.uses_engine && b.uses_engine);
+    ASSERT_TRUE(GemmMemo::SameRun(a.engine_config, a.shape,
+                                  b.engine_config, b.shape));
+    ASSERT_EQ(a.lowering, b.lowering);
+    ASSERT_EQ(a.useful_macs, b.useful_macs);
+    for (const std::size_t dep : b.deps) EXPECT_NE(dep, density0);
+    for (const std::size_t dep : a.deps) EXPECT_NE(dep, color0);
+
+    EXPECT_EQ(plan.engine_run_count(), plan.engine_op_count());
+    GemmMemo memo;
+    plan.Execute(nullptr, &memo);
+    EXPECT_EQ(memo.hits() + memo.misses(), plan.engine_op_count());
+    EXPECT_EQ(memo.hits(), 1u);
+}
+
+TEST(PlanDag, FusedPlansAreBitIdenticalAtAnyThreadCount)
+{
+    // A fused batch is where copies reach furthest (one run feeds a
+    // chain of equal ops across elements): serial, 1-thread and
+    // 8-thread execution agree bit for bit, and every field of the
+    // frame equals the op-order sum of fresh per-op evaluations.
+    ThreadPool pool1(1);
+    ThreadPool pool8(8);
+    const FlexNeRFerModel flex;
+    const NeuRexModel neurex;
+    for (const Accelerator* accel :
+         {static_cast<const Accelerator*>(&flex),
+          static_cast<const Accelerator*>(&neurex)}) {
+        for (const std::string& name : AllModelNames()) {
+            const FramePlan plan = FramePlanner::Compile(
+                *accel, FuseBatch(BuildWorkload(name), 3));
+            const std::string label = accel->name() + " fused " + name;
+            const FrameCost serial = plan.Execute();
+            ExpectBitIdentical(plan.Execute(&pool1), serial,
+                               label + " threads=1");
+            ExpectBitIdentical(plan.Execute(&pool8), serial,
+                               label + " threads=8");
+            double latency_ms = 0.0;
+            double gemm_ms = 0.0;
+            double dram_ms = 0.0;
+            double gemm_macs = 0.0;
+            for (const PlannedOp& op : plan.ops()) {
+                const OpCost fragment = op.Evaluate(nullptr);
+                latency_ms += fragment.cost.latency_ms;
+                gemm_ms += fragment.cost.gemm_ms;
+                dram_ms += fragment.cost.dram_ms;
+                gemm_macs += fragment.utilization_macs;
+            }
+            EXPECT_EQ(serial.latency_ms, latency_ms) << label;
+            EXPECT_EQ(serial.gemm_ms, gemm_ms) << label;
+            EXPECT_EQ(serial.dram_ms, dram_ms) << label;
+            EXPECT_EQ(serial.gemm_macs, gemm_macs) << label;
         }
     }
 }

@@ -335,9 +335,10 @@ CheckAllPaths(const Accelerator& accel, const NerfWorkload& workload,
                        label + " memo replay");
     // Identical ops (e.g. a chain of equal hidden layers) share one memo
     // entry even within the cold pass: misses = distinct (config, shape)
-    // keys, and both passes together issue two lookups per engine op.
+    // keys, and both passes together issue two lookups per engine run
+    // (an op repeating its predecessor's run copies it, no lookup).
     EXPECT_EQ(memo.misses(), memo.size()) << label;
-    EXPECT_EQ(memo.hits() + memo.misses(), 2 * plan.engine_op_count())
+    EXPECT_EQ(memo.hits() + memo.misses(), 2 * plan.engine_run_count())
         << label;
     EXPECT_LE(memo.size(), plan.engine_op_count()) << label;
 

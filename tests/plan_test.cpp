@@ -232,6 +232,10 @@ TEST(GemmMemo, KeySeparatesEveryConfigAndShapeField)
         EXPECT_EQ(memo.misses(), 2u) << field;
         EXPECT_EQ(memo.hits(), 0u) << field;
         EXPECT_EQ(memo.size(), 2u) << field;
+        // Plans merge equal runs by the same packing.
+        EXPECT_FALSE(
+            GemmMemo::SameRun(base_config, base_shape, config, shape))
+            << field;
     }
 
     // An equal pair built independently (not the same objects) hits.
@@ -243,6 +247,8 @@ TEST(GemmMemo, KeySeparatesEveryConfigAndShapeField)
     memo.RunFromShape(GemmEngine(equal_config), equal_shape);
     EXPECT_EQ(memo.misses(), 1u);
     EXPECT_EQ(memo.hits(), 1u);
+    EXPECT_TRUE(GemmMemo::SameRun(base_config, base_shape, equal_config,
+                                  equal_shape));
 }
 
 TEST(PlanCache, WorkloadsDifferingInOneOpDensityNeverSharePlans)

@@ -254,6 +254,47 @@ TEST(FormatSelector, SelectionMatchesExhaustiveMinimum)
     }
 }
 
+/** SelectOptimalFormat's earlier definition: start from kNone, then
+ *  scan every candidate in tie-break order, kNone included. */
+SparsityFormat
+SelectByFullScan(int rows, int cols, std::int64_t nnz, Precision precision)
+{
+    constexpr SparsityFormat kOrder[] = {
+        SparsityFormat::kNone, SparsityFormat::kBitmap, SparsityFormat::kCsr,
+        SparsityFormat::kCoo};
+    SparsityFormat best = SparsityFormat::kNone;
+    std::int64_t best_bits =
+        FootprintBits(SparsityFormat::kNone, rows, cols, nnz, precision);
+    for (SparsityFormat f : kOrder) {
+        const std::int64_t bits = FootprintBits(f, rows, cols, nnz, precision);
+        if (bits < best_bits) {
+            best = f;
+            best_bits = bits;
+        }
+    }
+    return best;
+}
+
+TEST(FormatSelector, SelectionMatchesFullScanDefinition)
+{
+    int checked = 0;
+    for (Precision p : kAllPrecisions) {
+        for (const int dim : {1, 7, TileDim(p, 16), TileDim(p, 64)}) {
+            for (const int cols : {dim, 2 * dim + 1}) {
+                const auto total = static_cast<std::int64_t>(dim) * cols;
+                for (std::int64_t nnz = 0; nnz <= total; ++nnz) {
+                    ASSERT_EQ(SelectOptimalFormat(dim, cols, nnz, p),
+                              SelectByFullScan(dim, cols, nnz, p))
+                        << ToString(p) << " " << dim << "x" << cols
+                        << " nnz " << nnz;
+                    ++checked;
+                }
+            }
+        }
+    }
+    EXPECT_GT(checked, 0);
+}
+
 TEST(SrCalculator, ExactRatioOverMultipleFetches)
 {
     SrCalculator calc(Precision::kInt16, 8);  // 64 elements per fetch

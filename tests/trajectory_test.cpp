@@ -376,6 +376,91 @@ TEST(RenderService, SessionVerdictsAreThreadCountInvariant)
                      stats_four.session_mean_reuse);
 }
 
+/** What a service shows for one session's second frame. */
+struct StepFrame {
+    double peek_ms = 0.0;     //!< PeekSessionEstimate before submitting
+    double frame_ms = 0.0;    //!< the rendered frame's modeled latency
+};
+
+/**
+ * One Instant-NGP service with a session per @p models entry: every
+ * session renders a frame at x = 0, then one at its @p steps entry.
+ */
+std::vector<StepFrame>
+StepSessions(const std::vector<CoherenceModel>& models,
+             const std::vector<Pose>& steps)
+{
+    RenderService service;
+    service.RegisterScene("ngp", FlexScene("Instant-NGP"));
+    const double est = EstimatedServiceMs(service.WarmScene("ngp"));
+    std::vector<SessionId> sessions;
+    for (const CoherenceModel& model : models) {
+        sessions.push_back(service.OpenSession("ngp", model));
+    }
+    double arrival_ms = 0.0;
+    const auto submit = [&](SessionId session, const Pose& pose) {
+        SceneRequest request;
+        request.scene = "ngp";
+        request.arrival_ms = arrival_ms;
+        request.deadline_ms = 4.0 * est;
+        arrival_ms += 2.0 * est;
+        SubmitOptions options;
+        options.session = session;
+        options.pose = pose;
+        service.Submit(request, options);
+    };
+    for (const SessionId session : sessions) submit(session, PoseAt(0.0));
+    std::vector<StepFrame> frames(sessions.size());
+    for (std::size_t s = 0; s < sessions.size(); ++s) {
+        frames[s].peek_ms =
+            service.PeekSessionEstimate(sessions[s], steps[s]);
+        submit(sessions[s], steps[s]);
+    }
+    const std::vector<RenderResult> results = service.WaitAll();
+    for (std::size_t s = 0; s < sessions.size(); ++s) {
+        const RenderResult& result = results[sessions.size() + s];
+        EXPECT_EQ(result.status, RequestStatus::kCompleted)
+            << "session " << s;
+        frames[s].frame_ms = result.cost.latency_ms;
+    }
+    return frames;
+}
+
+TEST(RenderService, SessionsOnDifferentReuseGridsNeverShareDeltaShapes)
+{
+    // Two sessions of one scene reuse 4/64 and 4/8 of their previous
+    // frame: the same quantum, different fractions. Each must price and
+    // render at its own fraction, as it does alone, whichever shape
+    // compiled first.
+    CoherenceModel fine;
+    fine.reuse_quanta = 64;
+    fine.break_threshold = 0.0;
+    CoherenceModel coarse = fine;
+    coarse.reuse_quanta = 8;
+    const Pose fine_step = PoseAt(0.9375);  // overlap 1/16
+    const Pose coarse_step = PoseAt(0.5);   // overlap 1/2
+    ASSERT_EQ(fine.ReuseQuantum(PoseAt(0.0), fine_step), 4u);
+    ASSERT_EQ(coarse.ReuseQuantum(PoseAt(0.0), coarse_step), 4u);
+
+    const StepFrame fine_alone = StepSessions({fine}, {fine_step})[0];
+    const StepFrame coarse_alone = StepSessions({coarse}, {coarse_step})[0];
+    ASSERT_NE(fine_alone.peek_ms, coarse_alone.peek_ms);
+    ASSERT_NE(fine_alone.frame_ms, coarse_alone.frame_ms);
+
+    for (const bool fine_first : {true, false}) {
+        const std::vector<StepFrame> both =
+            fine_first
+                ? StepSessions({fine, coarse}, {fine_step, coarse_step})
+                : StepSessions({coarse, fine}, {coarse_step, fine_step});
+        const StepFrame& f = both[fine_first ? 0 : 1];
+        const StepFrame& c = both[fine_first ? 1 : 0];
+        EXPECT_EQ(f.peek_ms, fine_alone.peek_ms) << fine_first;
+        EXPECT_EQ(c.peek_ms, coarse_alone.peek_ms) << fine_first;
+        EXPECT_EQ(f.frame_ms, fine_alone.frame_ms) << fine_first;
+        EXPECT_EQ(c.frame_ms, coarse_alone.frame_ms) << fine_first;
+    }
+}
+
 TEST(ShardedRenderService, SessionsStickToTheirHomeAndRehomeOnKill)
 {
     ClusterConfig config;
