@@ -2,8 +2,8 @@
  * @file
  * Google-benchmark micro-kernels: simulator hot paths (format codecs, the
  * fused MAC datapath, NoC delivery, Benes routing, grid queries, engine
- * runs, controller execution). These track the simulator's own speed, not
- * modelled hardware latency.
+ * runs). These track the simulator's own speed, not modelled hardware
+ * latency.
  */
 #include <benchmark/benchmark.h>
 
@@ -14,7 +14,6 @@
 #include "nerf/hash_encoding.h"
 #include "noc/benes.h"
 #include "noc/hmf_noc.h"
-#include "riscv/controller.h"
 #include "runtime/sweep_runner.h"
 #include "runtime/thread_pool.h"
 #include "sparse/flex_codec.h"
@@ -137,17 +136,6 @@ BM_GemmEngineStatistical(benchmark::State& state)
     }
 }
 BENCHMARK(BM_GemmEngineStatistical);
-
-void
-BM_ControllerProgram(benchmark::State& state)
-{
-    const auto program = BuildGemmControlProgram(16, 64, 64);
-    for (auto _ : state) {
-        AcceleratorController controller;
-        benchmark::DoNotOptimize(controller.RunProgram(program));
-    }
-}
-BENCHMARK(BM_ControllerProgram);
 
 void
 BM_ThreadPoolParallelFor(benchmark::State& state)

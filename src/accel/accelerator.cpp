@@ -5,14 +5,6 @@
 
 namespace flexnerfer {
 
-std::string
-Accelerator::ConfigFingerprint() const
-{
-    std::string out;
-    AppendConfigFingerprint(&out);
-    return out;
-}
-
 FrameCost
 Accelerator::RunWorkload(const NerfWorkload& workload, ThreadPool* pool) const
 {

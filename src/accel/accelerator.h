@@ -227,9 +227,6 @@ class Accelerator
      */
     virtual void AppendConfigFingerprint(std::string* out) const = 0;
 
-    /** The config fingerprint as a standalone key component. */
-    std::string ConfigFingerprint() const;
-
     /**
      * Estimates the cost of rendering one frame of @p workload by
      * compiling and executing a plan in place. With a pool, the op DAG

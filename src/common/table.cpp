@@ -53,22 +53,6 @@ Table::ToString() const
 }
 
 std::string
-Table::ToCsv() const
-{
-    std::ostringstream out;
-    auto emit_row = [&](const std::vector<std::string>& row) {
-        for (std::size_t c = 0; c < row.size(); ++c) {
-            if (c) out << ",";
-            out << row[c];
-        }
-        out << "\n";
-    };
-    emit_row(header_);
-    for (const auto& row : rows_) emit_row(row);
-    return out.str();
-}
-
-std::string
 FormatDouble(double value, int decimals)
 {
     std::ostringstream out;

@@ -1,7 +1,7 @@
 /**
  * @file
  * Plain-text table rendering used by every benchmark binary to print
- * paper-style rows (and optional CSV for downstream plotting).
+ * paper-style rows.
  */
 #ifndef FLEXNERFER_COMMON_TABLE_H_
 #define FLEXNERFER_COMMON_TABLE_H_
@@ -22,9 +22,6 @@ class Table
 
     /** Renders the table with aligned columns and a separator rule. */
     std::string ToString() const;
-
-    /** Renders the table as CSV (header + rows). */
-    std::string ToCsv() const;
 
     std::size_t NumRows() const { return rows_.size(); }
 

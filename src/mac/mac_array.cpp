@@ -49,13 +49,6 @@ MacArray::MacEnergyPj(Precision precision) const
     return 1.01;
 }
 
-double
-MacArray::UnitsAreaMm2() const
-{
-    return BitScalableMacUnit::AreaUm2(config_.optimized_shifters) * 1e-6 *
-           static_cast<double>(MacUnits());
-}
-
 std::vector<ReductionOperand>
 MacArray::ComputeMapped(Precision precision,
                         const std::vector<MappedOperand>& mapped,

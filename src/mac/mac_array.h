@@ -58,9 +58,6 @@ class MacArray
      */
     double MacEnergyPj(Precision precision) const;
 
-    /** Area of all MAC units (excluding NoC) in mm^2. */
-    double UnitsAreaMm2() const;
-
     /**
      * Functionally executes one mapped wave: at most Multipliers(precision)
      * operand pairs, each assigned to a sub-multiplier lane, products reduced

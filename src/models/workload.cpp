@@ -149,14 +149,6 @@ NerfWorkload::TotalEncodingValues() const
     return total;
 }
 
-double
-NerfWorkload::TotalOtherFlops() const
-{
-    double total = 0.0;
-    for (const WorkloadOp& op : ops) total += op.other_flops;
-    return total;
-}
-
 void
 AppendFingerprint(const NerfWorkload& workload, std::string* out)
 {

@@ -130,7 +130,6 @@ struct NerfWorkload {
 
     double TotalGemmMacs() const;
     double TotalEncodingValues() const;
-    double TotalOtherFlops() const;
 };
 
 /** Global parameters of the evaluation setup. */

@@ -133,15 +133,4 @@ Mlp::ForwardQuantized(const std::vector<double>& input, Precision precision,
     return activation;
 }
 
-std::vector<std::pair<int, int>>
-Mlp::LayerShapes() const
-{
-    std::vector<std::pair<int, int>> shapes;
-    shapes.reserve(weights_.size());
-    for (const MatrixD& w : weights_) {
-        shapes.emplace_back(w.rows(), w.cols());
-    }
-    return shapes;
-}
-
 }  // namespace flexnerfer

@@ -53,12 +53,6 @@ class Mlp
 
     int NumLayers() const { return static_cast<int>(weights_.size()); }
 
-    /** Layer weight matrix (out_dim x in_dim). */
-    const MatrixD& WeightMatrix(int layer) const { return weights_[layer]; }
-
-    /** GEMM dimensions of each layer, for the workload models. */
-    std::vector<std::pair<int, int>> LayerShapes() const;
-
     const Config& config() const { return config_; }
 
   private:

@@ -38,9 +38,6 @@ struct Vec3 {
         const double len = Length();
         return len > 0.0 ? *this / len : Vec3{0.0, 0.0, 1.0};
     }
-
-    /** Component-wise product (used for color modulation). */
-    Vec3 Hadamard(const Vec3& o) const { return {x * o.x, y * o.y, z * o.z}; }
 };
 
 /** Component-wise absolute value. */

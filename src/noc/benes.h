@@ -45,9 +45,6 @@ class BenesNetwork
     /** Total 2x2 switches: (n/2) * stages. */
     int SwitchCount() const;
 
-    /** Switch traversals for delivering one element (all stages). */
-    int HopsPerElement() const { return Stages(); }
-
     int ports() const { return n_; }
 
   private:

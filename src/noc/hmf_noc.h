@@ -88,9 +88,6 @@ class HmfNoc
     Dataflow ClassifyDataflow(std::size_t n_dests) const;
 
   private:
-    /** Edges in the union of root->leaf paths for the destination set. */
-    int MulticastEdges(int from_depth, const std::vector<int>& dests) const;
-
     Config config_;
     int leaves_;        //!< rounded up to a power of two
     int depth_;

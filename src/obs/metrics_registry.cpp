@@ -38,13 +38,6 @@ WriteSection(std::ostream& out, const char* title,
 }  // namespace
 
 void
-MetricsRegistry::AddCounter(const std::string& name, double delta)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    counters_[name] += delta;
-}
-
-void
 MetricsRegistry::SetCounter(const std::string& name, double value)
 {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -57,13 +50,6 @@ MetricsRegistry::Counter(const std::string& name) const
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = counters_.find(name);
     return it == counters_.end() ? 0.0 : it->second;
-}
-
-bool
-MetricsRegistry::HasCounter(const std::string& name) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return counters_.count(name) != 0;
 }
 
 void
@@ -79,13 +65,6 @@ MetricsRegistry::Gauge(const std::string& name) const
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = gauges_.find(name);
     return it == gauges_.end() ? 0.0 : it->second;
-}
-
-bool
-MetricsRegistry::HasGauge(const std::string& name) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return gauges_.count(name) != 0;
 }
 
 void

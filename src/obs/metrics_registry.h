@@ -44,9 +44,6 @@ class MetricsRegistry
     MetricsRegistry(const MetricsRegistry&) = delete;
     MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-    /** Adds @p delta to counter @p name (created at zero if absent). */
-    void AddCounter(const std::string& name, double delta);
-
     /** Sets counter @p name to an absolute total (publish path: stats
      *  structs overwrite with their authoritative counts). */
     void SetCounter(const std::string& name, double value);
@@ -54,15 +51,11 @@ class MetricsRegistry
     /** Counter value; 0 when never touched. */
     double Counter(const std::string& name) const;
 
-    bool HasCounter(const std::string& name) const;
-
     /** Sets gauge @p name to @p value. */
     void SetGauge(const std::string& name, double value);
 
     /** Gauge value; 0 when never set. */
     double Gauge(const std::string& name) const;
-
-    bool HasGauge(const std::string& name) const;
 
     /** Publishes a latency digest under @p name (five gauges:
      *  <name>.p50_ms/.p90_ms/.p99_ms/.mean_ms/.max_ms). */

@@ -1122,13 +1122,14 @@ RenderService::Snapshot(ServeLedger* ledger_out) const
     }
     stats.cache = cache_.stats();
     stats.cache_entries = cache_.size();
-    stats.scenes = registry_.Stats();
-    for (std::size_t id = 0; id < stats.scenes.size(); ++id) {
-        stats.scenes[id].requests = scenes_[id].requests;
-        stats.scenes[id].prepared_replays = scenes_[id].prepared_replays;
-        stats.scenes[id].accepted = scenes_[id].accepted;
-        stats.scenes[id].rejected = scenes_[id].rejected;
-        stats.scenes[id].shed = scenes_[id].shed;
+    stats.scenes.reserve(scenes_.size());
+    for (std::size_t id = 0; id < scenes_.size(); ++id) {
+        const SceneState& scene = scenes_[id];
+        stats.scenes.push_back(
+            {std::string(scene.name),
+             registry_.EstimatedMs(static_cast<SceneId>(id)), scene.requests,
+             scene.prepared_replays, scene.accepted, scene.rejected,
+             scene.shed});
     }
     return stats;
 }

@@ -25,7 +25,7 @@ SceneRegistry::Register(const std::string& name, const SweepPoint& spec)
     slot.spec = spec;
     slot.accel = MakeAccelerator(spec);
     slot.workload = BuildWorkload(spec.model, spec.params);
-    slot.stats.name = name;
+    slot.name = name;
     std::string key;
     slot.accel->AppendConfigFingerprint(&key);
     AppendFingerprint(slot.workload, &key);
@@ -59,7 +59,14 @@ const std::string&
 SceneRegistry::Name(SceneId id) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return slots_.at(id).stats.name;  // slots never relocate
+    return slots_.at(id).name;  // slots never relocate
+}
+
+double
+SceneRegistry::EstimatedMs(SceneId id) const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return slots_.at(id).est_latency_ms;
 }
 
 std::shared_ptr<const SceneEntry>
@@ -88,7 +95,7 @@ SceneRegistry::Touch(SceneId id, ThreadPool* pool, bool* compiled)
         // Holding the prepare mutex: adopt the model and workload that
         // Register built.
         entry->id = id;
-        entry->name = slot.stats.name;
+        entry->name = slot.name;
         entry->spec = slot.spec;
         entry->accel = std::move(slot.accel);
         entry->workload = std::move(slot.workload);
@@ -100,7 +107,7 @@ SceneRegistry::Touch(SceneId id, ThreadPool* pool, bool* compiled)
     std::lock_guard<std::mutex> lock(mutex_);
     Slot& slot = slots_[id];
     slot.entry = std::move(entry);
-    slot.stats.est_latency_ms = EstimatedServiceMs(slot.entry->cost);
+    slot.est_latency_ms = EstimatedServiceMs(slot.entry->cost);
     return slot.entry;
 }
 
@@ -199,16 +206,6 @@ SceneRegistry::size() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return slots_.size();
-}
-
-std::vector<SceneStats>
-SceneRegistry::Stats() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<SceneStats> stats;
-    stats.reserve(slots_.size());
-    for (const Slot& slot : slots_) stats.push_back(slot.stats);
-    return stats;
 }
 
 }  // namespace flexnerfer

@@ -96,9 +96,8 @@ struct DeltaSceneFrame {
     FrameCost cost;                  //!< executed delta-frame cost
 };
 
-/** Per-scene serving counters (snapshot). The registry fills in the
- *  name and estimate; the counters are RenderService's (it counts under
- *  its service lock) and stay zero in SceneRegistry::Stats. */
+/** One scene's row of a RenderService snapshot: the registry's name and
+ *  estimate beside the counters the service keeps under its lock. */
 struct SceneStats {
     std::string name;
     /** The admission service-time estimate: the scene frame's
@@ -138,6 +137,9 @@ class SceneRegistry
     /** The id of @p name, or kNoScene: the one string-keyed lookup. */
     SceneId Find(const std::string& name) const;
     const std::string& Name(SceneId id) const;
+    /** Scene @p id's admission estimate, EstimatedServiceMs of its
+     *  executed cost; 0 until its first touch. */
+    double EstimatedMs(SceneId id) const;
 
     /**
      * Returns the prepared entry for scene @p id, compiling and pinning
@@ -184,9 +186,6 @@ class SceneRegistry
 
     std::size_t size() const;
 
-    /** Per-scene names and estimates, in registration order. */
-    std::vector<SceneStats> Stats() const;
-
   private:
     template <typename Key, typename Frame>
     using ShapeMap = std::map<Key, std::shared_ptr<const Frame>>;
@@ -211,7 +210,8 @@ class SceneRegistry
         /** Prepared delta frames by reuse fraction (lazily built; the
          *  0-reuse shapes alias `entry`). */
         ShapeMap<DeltaKey, DeltaSceneFrame> deltas;
-        SceneStats stats;
+        std::string name;
+        double est_latency_ms = 0.0;  //!< set by the first touch
     };
 
     /** The shape under @p key in scene @p id's @p shapes, built once by

@@ -163,13 +163,6 @@ TEST(Table, RendersAlignedColumns)
     EXPECT_EQ(t.NumRows(), 2u);
 }
 
-TEST(Table, CsvOutput)
-{
-    Table t({"a", "b"});
-    t.AddRow({"1", "2"});
-    EXPECT_EQ(t.ToCsv(), "a,b\n1,2\n");
-}
-
 TEST(Units, CycleConversionsRoundTrip)
 {
     const double cycles = 123456.0;

@@ -176,6 +176,16 @@ TEST(Engine, DenseWaveCountIsTilesTimesGrid)
     const GemmEngine dense(SmallConfig(Precision::kInt16, false, false));
     // 2x2x2 tile triples at grid 4: 8 triples x 4 waves each.
     EXPECT_DOUBLE_EQ(dense.Run(a, b).waves, 8 * 4.0);
+
+    // A dense 256^3 GEMM on the default 64-wide array: 4x4x4 tile triples
+    // x 64 waves each.
+    GemmEngineConfig config;
+    config.compute_output = false;
+    config.support_sparsity = false;
+    config.use_flex_codec = false;
+    EXPECT_DOUBLE_EQ(
+        GemmEngine(config).RunFromShape({256, 256, 256, 1.0, 1.0, 0.0}).waves,
+        4 * 4 * 4 * 64.0);
 }
 
 TEST(Engine, DetailedAndTiledAgreeOnWorkCounts)

@@ -1,8 +1,8 @@
 /**
  * @file
  * Cross-module integration tests: the full accelerator pipeline driven end
- * to end — controller program to engine execution, render-to-quantize
- * paths, and the claims the paper derives from component interactions.
+ * to end — render-to-quantize paths and the claims the paper derives from
+ * component interactions.
  */
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include "gemm/engine.h"
 #include "nerf/field_fit.h"
 #include "nerf/renderer.h"
-#include "riscv/controller.h"
 #include "obs/metrics.h"
 #include "sparse/flex_codec.h"
 #include "sparse/footprint.h"
@@ -20,39 +19,6 @@
 
 namespace flexnerfer {
 namespace {
-
-TEST(Integration, ControllerDrivesEngineWaves)
-{
-    // A RISC-V program issues GEMM commands; the issued wave counts drive
-    // the engine's compute stage, closing the Fig. 14 control loop.
-    AcceleratorController controller;
-    // A dense 256^3 GEMM on the 64-wide array needs 4 x 4 x 4 = 64 tile
-    // triples of 64 waves each.
-    controller.RunProgram(BuildGemmControlProgram(/*precision=*/16,
-                                                  /*tiles=*/64,
-                                                  /*waves=*/64));
-    double total_waves = 0.0;
-    Precision precision = Precision::kInt16;
-    for (const ControlCommand& cmd : controller.commands()) {
-        if (cmd.op == ControlOp::kSetPrecision) {
-            precision = cmd.operand == 4    ? Precision::kInt4
-                        : cmd.operand == 8  ? Precision::kInt8
-                                            : Precision::kInt16;
-        }
-        if (cmd.op == ControlOp::kRunGemm) total_waves += cmd.operand;
-    }
-    EXPECT_EQ(precision, Precision::kInt16);
-    EXPECT_DOUBLE_EQ(total_waves, 64 * 64.0);
-
-    // The same wave count falls out of a dense 256^3 GEMM on the engine.
-    GemmEngineConfig config;
-    config.compute_output = false;
-    config.support_sparsity = false;
-    config.use_flex_codec = false;
-    const GemmResult r =
-        GemmEngine(config).RunFromShape({256, 256, 256, 1.0, 1.0, 0.0});
-    EXPECT_DOUBLE_EQ(r.waves, total_waves);
-}
 
 TEST(Integration, RenderQuantizeMeasureSparsityCompress)
 {

@@ -439,14 +439,11 @@ TEST(SceneRegistry, FirstTouchPreparesLaterTouchesReplay)
     EXPECT_EQ(cache.stats().plan_misses, 1u);
     EXPECT_EQ(cache.stats().frame_hits, 1u);
 
-    // The request counters are the serving front-end's to keep.
-    const std::vector<SceneStats> stats = registry.Stats();
-    ASSERT_EQ(stats.size(), 1u);
-    EXPECT_EQ(stats[0].name, "ngp");
-    EXPECT_EQ(stats[0].requests, 0u);
+    EXPECT_EQ(registry.size(), 1u);
+    EXPECT_EQ(registry.Name(ngp), "ngp");
     // The recorded estimate is the critical path — what admission
     // schedules with — not the flat op sum.
-    EXPECT_EQ(stats[0].est_latency_ms, EstimatedServiceMs(first->cost));
+    EXPECT_EQ(registry.EstimatedMs(ngp), EstimatedServiceMs(first->cost));
 }
 
 TEST(RenderService, SteadyStateRequestsHitThePreparedPath)
