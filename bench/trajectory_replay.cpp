@@ -23,8 +23,8 @@
  *     pure replay cost;
  *   - mean virtual latency grows monotonically with pan speed;
  *   - the delta path bends p50/p99 below the full-recompute baseline;
- *   - PeekSessionEstimate equals the latency admission charges
- *     (probe == admit, frame by frame);
+ *   - RenderService::Preview's price equals the latency admission
+ *     charges (preview == admit, frame by frame);
  *   - a mid-trajectory teleport causes exactly one coherence break,
  *     exactly one extra full-price frame, and zero extra plan
  *     compiles (the break replays the scene's pinned full frame; the
@@ -59,7 +59,7 @@ struct RunOutput {
     ServiceStats stats;
     SessionStats session;  //!< zero row for the baseline
     std::vector<RenderResult> results;
-    std::vector<double> peeks;  //!< per-frame PeekSessionEstimate
+    std::vector<double> previews;  //!< per-frame RenderService::Preview price
     double full_est_ms = 0.0;   //!< the scene's full-recompute estimate
     double wall_ms = 0.0;
 };
@@ -116,8 +116,7 @@ RunTrajectory(int threads, std::size_t frames, double pan_step,
         options.session = session;
         options.pose.x = x;
         if (use_session) {
-            out.peeks.push_back(
-                service.PeekSessionEstimate(session, options.pose));
+            out.previews.push_back(service.Preview(request, options).price_ms);
         }
         tickets.push_back(service.Submit(request, options).ticket);
     }
@@ -138,17 +137,17 @@ RunTrajectory(int threads, std::size_t frames, double pan_step,
                    "trajectory schedule must admit every frame (accepted "
                        << out.stats.accepted << " of " << frames << ")");
 
-    // Probe == admit, frame by frame: the side-effect-free preview must
+    // Preview == admit, frame by frame: the side-effect-free preview must
     // equal the virtual service time admission actually charged (the
     // queue is empty, so latency == service estimate exactly).
-    for (std::size_t k = 0; k < out.peeks.size(); ++k) {
+    for (std::size_t k = 0; k < out.previews.size(); ++k) {
         const double charged =
             out.results[k].latency_ms - out.results[k].queue_wait_ms;
-        FLEX_CHECK_MSG(std::abs(charged - out.peeks[k]) <=
-                           1e-9 * std::max(1.0, out.peeks[k]),
-                       "PeekSessionEstimate diverged from the admitted "
-                       "price at frame "
-                           << k << ": peek " << out.peeks[k]
+        FLEX_CHECK_MSG(std::abs(charged - out.previews[k]) <=
+                           1e-9 * std::max(1.0, out.previews[k]),
+                       "Preview diverged from the admitted price at "
+                       "frame "
+                           << k << ": preview " << out.previews[k]
                            << " vs charged " << charged);
     }
     return out;

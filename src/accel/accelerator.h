@@ -159,44 +159,6 @@ EstimatedDeltaServiceMs(const FrameCost& delta, const FrameCost& full)
     return delta_ms < full_ms ? delta_ms : full_ms;
 }
 
-/** Which pricing rule a ServiceEstimate was derived under. */
-enum class EstimateKind : std::uint8_t {
-    kFull,       //!< a standalone frame: EstimatedServiceMs
-    kBatchJoin,  //!< joining an in-flight batch: the marginal estimator
-    kDelta,      //!< a trajectory delta frame: the delta estimator
-};
-
-/**
- * Context for Accelerator::Estimate — which rule to price under and the
- * reference cost that rule compares against. kFull needs no reference;
- * kBatchJoin compares the fused cost against @p reference = the batch at
- * its current size; kDelta compares the delta cost against @p reference
- * = the scene's full frame. @p extra_service_ms is an additive
- * surcharge (the cluster's spill recompile penalty) folded into the
- * final price.
- */
-struct EstimateContext {
-    EstimateKind kind = EstimateKind::kFull;
-    const FrameCost* reference = nullptr;
-    double extra_service_ms = 0.0;
-};
-
-/**
- * The unified service-time estimate: one struct, one call, so
- * admission, router probes, and benches stop pattern-matching on which
- * estimator overload applies. service_ms is the price admission books;
- * full_ms is what the same frame would cost standalone (equal to
- * service_ms for kFull); savings_ms = full_ms - service_ms is what the
- * chosen rule saved — the telescoping batch margin or the trajectory
- * delta discount.
- */
-struct ServiceEstimate {
-    EstimateKind kind = EstimateKind::kFull;
-    double service_ms = 0.0;
-    double full_ms = 0.0;
-    double savings_ms = 0.0;
-};
-
 /**
  * A device that can execute a NeRF frame.
  *
@@ -236,18 +198,6 @@ class Accelerator
      */
     FrameCost RunWorkload(const NerfWorkload& workload,
                           ThreadPool* pool = nullptr) const;
-
-    /**
-     * Prices @p cost under the rule @p context selects, dispatching to
-     * the single-definition inline estimators above (EstimatedServiceMs
-     * and friends remain the primitives; this is the one entry point
-     * serving code calls). kBatchJoin and kDelta require
-     * context.reference (fatal otherwise); extra_service_ms is added to
-     * service_ms and full_ms alike, so savings_ms reflects the rule's
-     * discount only. Static and pure: a function of its arguments.
-     */
-    static ServiceEstimate Estimate(const FrameCost& cost,
-                                    const EstimateContext& context);
 
     virtual std::string name() const = 0;
 };

@@ -22,7 +22,7 @@
  * delta *shapes* finite — one plan-cache entry per (scene, quantum)
  * instead of one per continuous pose delta — which is what makes delta
  * plans cacheable and the serving path's delta-hit accounting exact
- * (see plan/plan_cache.h RunDelta and serve/scene_registry.h
+ * (see plan/plan_cache.h PrepareDelta and serve/scene_registry.h
  * TouchDelta).
  *
  * Everything here is a pure function of its inputs: two sessions

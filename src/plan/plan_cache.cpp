@@ -254,14 +254,6 @@ PlanCache::PrepareDelta(const PreparedFrame& predecessor,
     return PreparedFrame(std::move(entry));
 }
 
-FrameCost
-PlanCache::RunDelta(const PreparedFrame& predecessor,
-                    const Accelerator& accel,
-                    const NerfWorkload& delta_workload, ThreadPool* pool)
-{
-    return Run(PrepareDelta(predecessor, accel, delta_workload), pool);
-}
-
 PlanCache::Stats
 PlanCache::stats() const
 {

@@ -74,10 +74,10 @@ class PlanCache
         std::uint64_t plan_misses = 0;  //!< keyed lookups that compiled
         std::uint64_t frame_hits = 0;   //!< replays from the result memo
         std::uint64_t evictions = 0;    //!< LRU entries dropped (bounded)
-        /** Predecessor-keyed lookups (PrepareDelta / RunDelta) that
-         *  found their delta entry resident. Delta lookups go through
-         *  the same key table, so they also move plan_hits/plan_misses;
-         *  these two split out the trajectory path. */
+        /** Predecessor-keyed lookups (PrepareDelta) that found their
+         *  delta entry resident. Delta lookups go through the same key
+         *  table, so they also move plan_hits/plan_misses; these two
+         *  split out the trajectory path. */
         std::uint64_t delta_hits = 0;
         std::uint64_t delta_misses = 0;  //!< delta lookups that compiled
     };
@@ -177,16 +177,6 @@ class PlanCache
     PreparedFrame PrepareDelta(const PreparedFrame& predecessor,
                                const Accelerator& accel,
                                const NerfWorkload& delta_workload);
-
-    /**
-     * One-shot convenience for the trajectory hot path: PrepareDelta +
-     * Run. The returned cost telescopes along the trajectory — each
-     * frame pays its shrunken delta plan, not the full frame.
-     */
-    FrameCost RunDelta(const PreparedFrame& predecessor,
-                       const Accelerator& accel,
-                       const NerfWorkload& delta_workload,
-                       ThreadPool* pool = nullptr);
 
     /** The engine-run memo shared by executions through this cache. */
     GemmMemo& memo() { return memo_; }

@@ -173,6 +173,29 @@ ShardedRenderService::EnsureWarmLocked(SceneId id)
     return desc;
 }
 
+void
+ShardedRenderService::PinLocked(SceneDesc& desc, std::size_t shard)
+{
+    EnsureRegisteredLocked(desc, shard);
+    if (desc.pinned_on[shard]) return;
+    // Administrative warm (no request counts move): the shard holds the
+    // pin before real traffic or a probe prices against it.
+    const FrameCost warmed = shards_[shard]->WarmScene(desc.name);
+    FLEX_CHECK_MSG(warmed == desc.warm_cost,
+                   "warm-up on shard " << shard << " diverged for scene '"
+                                       << desc.name << "'");
+    desc.pinned_on[shard] = 1;
+}
+
+double
+ShardedRenderService::RecompileSurchargeLocked(const SceneDesc& desc,
+                                               std::size_t shard) const
+{
+    return desc.pinned_on[shard]
+               ? 0.0
+               : config_.spill_recompile_factor * desc.est_latency_ms;
+}
+
 std::size_t
 ShardedRenderService::LiveHomeLocked(const SceneDesc& desc) const
 {
@@ -293,10 +316,13 @@ ShardedRenderService::Submit(const SceneRequest& request,
 
     // One replica lock per candidate: Quote prices the request as the
     // shard's Submit would (batch-join marginal or solo estimate, plus
-    // any surcharge) and probes admission at that price.
+    // the caller's surcharge and the candidate's extra_ms) and probes
+    // admission at that price.
     const auto quote = [&](std::size_t shard, double extra_ms) {
+        SubmitOptions quoted = options;
+        quoted.extra_service_ms += extra_ms;
         return shards_[shard]->Quote(desc.shard_ids[shard], request,
-                                     desc.est_latency_ms, extra_ms);
+                                     desc.est_latency_ms, quoted);
     };
     using Outcome = AdmissionController::Outcome;
     if (session != nullptr) {
@@ -361,9 +387,7 @@ ShardedRenderService::Submit(const SceneRequest& request,
                 }
             }
             const double candidate_surcharge =
-                desc.pinned_on[candidate]
-                    ? 0.0
-                    : config_.spill_recompile_factor * desc.est_latency_ms;
+                RecompileSurchargeLocked(desc, candidate);
             const AdmissionController::Verdict verdict =
                 quote(candidate, candidate_surcharge);
             if (recorder != nullptr) {
@@ -727,17 +751,7 @@ ShardedRenderService::KillShardLocked(std::size_t shard, double now_ms)
         desc.replicas.erase(
             std::remove(desc.replicas.begin(), desc.replicas.end(), shard),
             desc.replicas.end());
-        if (!desc.warmed) continue;
-        const std::size_t new_home = LiveHomeLocked(desc);
-        if (!desc.pinned_on[new_home]) {
-            EnsureRegisteredLocked(desc, new_home);
-            const FrameCost re_warmed =
-                shards_[new_home]->WarmScene(desc.name);
-            FLEX_CHECK_MSG(re_warmed == desc.warm_cost,
-                           "re-homed warm-up diverged for scene '"
-                               << desc.name << "'");
-            desc.pinned_on[new_home] = 1;
-        }
+        if (desc.warmed) PinLocked(desc, LiveHomeLocked(desc));
     }
 
     // Sessions stranded on the dead shard re-home with their scenes:
@@ -769,10 +783,7 @@ ShardedRenderService::KillShardLocked(std::size_t shard, double now_ms)
             request.deadline_ms =
                 std::max(pending.deadline_abs_ms - now_ms, 1e-9);
         }
-        const double surcharge_ms =
-            desc.pinned_on[target]
-                ? 0.0
-                : config_.spill_recompile_factor * desc.est_latency_ms;
+        const double surcharge_ms = RecompileSurchargeLocked(desc, target);
         pending.rpc_delay_ms = 0.0;
         pending.spilled = false;
         pending.spill_surcharge_ms = surcharge_ms;
@@ -877,17 +888,7 @@ ShardedRenderService::RefreshReplicationLocked()
         desc.replicas.clear();
         for (const std::size_t shard : desc.rank) {
             if (!alive_[shard]) continue;
-            EnsureRegisteredLocked(desc, shard);
-            if (!desc.pinned_on[shard]) {
-                // Administrative warm (no request counts move): the
-                // replica must hold the pin before p2c sends real
-                // traffic its way.
-                const FrameCost warmed = shards_[shard]->WarmScene(desc.name);
-                FLEX_CHECK_MSG(warmed == desc.warm_cost,
-                               "replica warm-up diverged for scene '"
-                                   << desc.name << "'");
-                desc.pinned_on[shard] = 1;
-            }
+            PinLocked(desc, shard);
             desc.replicas.push_back(shard);
             if (desc.replicas.size() == config_.replication.factor) break;
         }

@@ -546,6 +546,14 @@ class ShardedRenderService
     void EnsureRegisteredLocked(SceneDesc& desc, std::size_t shard);
     /** Warms scene @p id on its live home if not yet (mutex_ held). */
     SceneDesc& EnsureWarmLocked(SceneId id);
+    /** Registers warmed @p desc on @p shard and pins it there if not
+     *  yet, checking the warm-up against desc.warm_cost (mutex_ held). */
+    void PinLocked(SceneDesc& desc, std::size_t shard);
+    /** The recompile surcharge a request pays on @p shard: 0 where the
+     *  scene holds a pin, else spill_recompile_factor x its estimate
+     *  (mutex_ held). */
+    double RecompileSurchargeLocked(const SceneDesc& desc,
+                                    std::size_t shard) const;
     /** First live shard in the scene's HRW rank (mutex_ held). */
     std::size_t LiveHomeLocked(const SceneDesc& desc) const;
     /** Live replica count (mutex_ held). */

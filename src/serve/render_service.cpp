@@ -1,6 +1,7 @@
 #include "serve/render_service.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "common/intern.h"
@@ -456,6 +457,30 @@ RenderService::Replay(const PlanCache::PreparedFrame& frame,
     return Resolve(std::move(result));
 }
 
+SceneId
+RenderService::FindLocked(const std::string& name) const
+{
+    const auto it = ids_.find(name);
+    if (it == ids_.end()) {
+        Fatal("request names unregistered scene '" + name + "'");
+    }
+    return it->second;
+}
+
+void
+RenderService::TouchLocked(std::unique_lock<std::mutex>& lock, SceneId id,
+                           bool* compiled)
+{
+    if (scenes_[id].entry != nullptr) return;
+    // Cold first touch: compile outside the service lock, its wavefronts
+    // on the pool. Racing touches serialize in the registry, and only
+    // the one that compiled is not a replay.
+    lock.unlock();
+    const SceneEntry* const entry = registry_.Touch(id, &pool_, compiled).get();
+    lock.lock();
+    scenes_[id].entry = entry;
+}
+
 SubmitReceipt
 RenderService::Submit(const SceneRequest& request,
                       const SubmitOptions& options)
@@ -464,11 +489,7 @@ RenderService::Submit(const SceneRequest& request,
     // scene's cached entry, admission, telemetry, the replay and the
     // ticket all happen inside it.
     std::unique_lock<std::mutex> lock(mutex_);
-    const auto it = ids_.find(request.scene);
-    if (it == ids_.end()) {
-        Fatal("request names unregistered scene '" + request.scene + "'");
-    }
-    return SubmitLocked(lock, it->second, request, options);
+    return SubmitLocked(lock, FindLocked(request.scene), request, options);
 }
 
 SubmitReceipt
@@ -482,116 +503,197 @@ RenderService::Submit(SceneId id, const SceneRequest& request,
     return SubmitLocked(lock, id, request, options);
 }
 
+RequestPrice
+RenderService::Preview(const SceneRequest& request,
+                       const SubmitOptions& options)
+{
+    std::unique_lock<std::mutex> lock(mutex_);
+    const SceneId id = FindLocked(request.scene);
+    TouchLocked(lock, id);
+    return PriceLocked(id, request, options, nullptr);
+}
+
+RenderService::Pricing
+RenderService::PriceLocked(SceneId id, const SceneRequest& request,
+                           const SubmitOptions& options,
+                           const TraceContext* trace)
+{
+    // A cold fused or delta shape executes its estimation run on this
+    // thread the first time it is seen: a Submit propagates the
+    // request's context so the run's frame/op spans land in its trace.
+    std::optional<ScopedTraceContext> scoped;
+    const SceneEntry& scene = *scenes_[id].entry;
+    Pricing priced;
+    priced.price_ms = EstimatedServiceMs(scene.cost);
+    priced.frame = &scene.frame;
+    priced.cost = &scene.cost;
+    if (options.session != 0) {
+        FLEX_CHECK_MSG(options.session <= sessions_.size(),
+                       "unknown session " << options.session);
+        const Session& session = sessions_[options.session - 1];
+        FLEX_CHECK_MSG(session.scene == id,
+                       "session " << options.session << " is bound to scene '"
+                                  << registry_.Name(session.scene)
+                                  << "', not '" << request.scene << "'");
+        // Coherence decision: measure the new pose against the last
+        // *rendered* pose. The first frame has no predecessor to warp
+        // from (a full recompute, not a break); later frames go delta
+        // when the overlap clears the model's break threshold.
+        SessionFrame& booked = priced.session_frame;
+        if (session.has_last_pose) {
+            const std::size_t quantum =
+                session.model.ReuseQuantum(session.last_pose, options.pose);
+            if (session.model.IsCoherenceBreak(quantum)) {
+                booked.coherence_break = true;
+            } else if (quantum > 0) {
+                if (trace != nullptr) {
+                    scoped.emplace(*trace, request.arrival_ms);
+                }
+                const DeltaSceneFrame& delta =
+                    DeltaShapeLocked(id, quantum, session.model.reuse_quanta);
+                priced.rule = PriceRule::kDelta;
+                priced.price_ms = EstimatedDeltaServiceMs(delta.cost,
+                                                          scene.cost);
+                priced.frame = &delta.frame;
+                priced.cost = &delta.cost;
+                booked.delta = true;
+                booked.reuse =
+                    static_cast<double>(quantum) /
+                    static_cast<double>(session.model.reuse_quanta);
+            }
+        }
+        // The surcharge rides both sides, so the savings are the rule's.
+        const double extra = options.extra_service_ms;
+        booked.savings_ms = (EstimatedServiceMs(scene.cost) + extra) -
+                            (priced.price_ms + extra);
+        return priced;
+    }
+    if (batch_window_ms_ <= 0.0 || !options.batching) return priced;
+    // Join predicate: the scene's batch is open, its window is still
+    // open at the clamped arrival (an expired batch flushes before the
+    // request lands), and it has a free slot (a full one flushes, and
+    // the request opens a fresh batch at the solo price).
+    const auto batch = scenes_[id].open_batch;
+    const double arrival =
+        std::max(request.arrival_ms, last_batch_arrival_ms_);
+    if (batch == open_batches_.end() || batch->close_ms <= arrival ||
+        batch->members.size() >= max_batch_elements_) {
+        return priced;
+    }
+    // Joiners are priced at the *marginal* critical path: how much the
+    // fused frame grows by taking one more element — roughly one
+    // bottleneck stage (models/workload.h, FuseBatch) — instead of a
+    // whole frame.
+    if (trace != nullptr) scoped.emplace(*trace, arrival);
+    const BatchedSceneFrame& fused =
+        FusedShapeLocked(id, batch->members.size() + 1);
+    priced.rule = PriceRule::kJoin;
+    priced.price_ms = EstimatedMarginalServiceMs(fused.cost, batch->fused_cost);
+    priced.frame = &fused.frame;
+    priced.cost = &fused.cost;
+    return priced;
+}
+
 SubmitReceipt
 RenderService::SubmitLocked(std::unique_lock<std::mutex>& lock, SceneId id,
                             const SceneRequest& request,
                             const SubmitOptions& options)
 {
     bool compiled_here = false;
-    if (scenes_[id].entry == nullptr) {
-        // Cold first touch: compile outside the service lock, its
-        // wavefronts on the pool. Racing touches serialize in the
-        // registry, and only the one that compiled is not a replay.
-        lock.unlock();
-        const SceneEntry* const entry =
-            registry_.Touch(id, &pool_, &compiled_here).get();
-        lock.lock();
-        scenes_[id].entry = entry;
-    }
+    TouchLocked(lock, id, &compiled_here);
     SceneState& state = scenes_[id];
-    const SceneEntry* const scene = state.entry;
     ++state.requests;
     if (!compiled_here) ++state.prepared_replays;
     ++submitted_;
-    // Each path is a separate function, not interleaved conditions:
-    // with no session and the window off this body is exactly the
-    // pre-batching service, byte-identical telemetry included.
-    if (options.session != 0) {
-        return SubmitSession(*scene, request, options);
-    }
-    if (batch_window_ms_ > 0.0 && options.batching) {
-        return SubmitBatched(*scene, request, options.extra_service_ms);
-    }
+    // The trace opens under the lock too, so trace ids stay
+    // deterministic in admission order.
     TraceRecorder* const recorder = TraceRecorder::Global();
     RequestTrace trace = BeginRequestTrace(recorder, request);
 
-    // The service-time estimate is the frame's pipeline floor — the
-    // dependency-DAG critical path — not the flat op sum: the wavefront
-    // executor overlaps independent stages, so a deep-but-narrow frame
-    // occupies the device for its longest chain, and admission verdicts
-    // must reflect that (see accel/accelerator.h, EstimatedServiceMs).
-    const double est_service_ms =
-        EstimatedServiceMs(scene->cost) + options.extra_service_ms;
+    // The service lock spans the pricing decision and its Admit: the
+    // price depends on the session's last rendered pose or the batch the
+    // request lands in, so both see one consistent submission order.
+    const Pricing priced = PriceLocked(id, request, options, &trace.ctx);
+    // Session frames never fuse: a delta plan is specific to its
+    // predecessor.
+    const bool batched =
+        options.session == 0 && batch_window_ms_ > 0.0 && options.batching;
+    if (options.session != 0) ++sessions_[options.session - 1].frames;
+    if (batched) {
+        // Mirror the admission clamp (arrivals are non-decreasing) so
+        // window expiry and the device clock agree on "now". A batch
+        // still open past the expiry flush that the request does not
+        // join is full: it flushes, and the request opens a fresh one.
+        last_batch_arrival_ms_ =
+            std::max(request.arrival_ms, last_batch_arrival_ms_);
+        FlushExpiredLocked(last_batch_arrival_ms_);
+        if (priced.rule != PriceRule::kJoin &&
+            state.open_batch != open_batches_.end()) {
+            FlushBatchLocked(state.open_batch);
+        }
+    }
+
+    const double est_service_ms = priced.price_ms + options.extra_service_ms;
     const AdmissionController::Verdict verdict = admission_.Admit(
         request.arrival_ms, est_service_ms, request.deadline_ms,
         request.tier);
     RenderResult result =
-        Judge(scene->id, verdict, est_service_ms, recorder, trace);
+        Judge(id, verdict, batched ? priced.price_ms : est_service_ms,
+              recorder, trace);
     if (result.status != RequestStatus::kCompleted) {
+        // A refused request books nothing: a session does not advance
+        // (the next frame's reuse is still measured against the last
+        // frame that exists), and an open batch keeps collecting as if
+        // the request never arrived.
         return {Resolve(std::move(result)), verdict, {}, 0};
     }
-    return {Replay(scene->frame, trace, std::move(result)), verdict, {}, 0};
+    if (batched) {
+        return BatchLocked(id, priced, verdict, trace, std::move(result));
+    }
+    if (options.session != 0) {
+        const SessionFrame& booked = priced.session_frame;
+        if (recorder != nullptr && trace.active()) {
+            recorder->RecordInstant(
+                trace.ctx, "session",
+                booked.delta ? "session_delta"
+                             : (booked.coherence_break ? "session_break"
+                                                       : "session_full"),
+                verdict.arrival_ms,
+                {TraceArg::Int("session",
+                               static_cast<std::int64_t>(options.session)),
+                 TraceArg::Num("reuse", booked.reuse),
+                 TraceArg::Num("est_ms", est_service_ms),
+                 TraceArg::Num("savings_ms", booked.savings_ms)});
+        }
+        // This frame renders: it becomes the session's predecessor.
+        Session& session = sessions_[options.session - 1];
+        session.has_last_pose = true;
+        session.last_pose = options.pose;
+        session.reuse_sum += booked.reuse;
+        session.delta_savings_ms += booked.savings_ms;
+        if (booked.delta) {
+            ++session.delta_frames;
+        } else {
+            ++session.full_frames;
+            if (booked.coherence_break) ++session.coherence_breaks;
+        }
+    }
+    // The handle pins the plan-cache entry (delta shapes live in the
+    // LRU like any entry; the pin keeps the replay safe past eviction).
+    return {Replay(*priced.frame, trace, std::move(result)), verdict,
+            priced.session_frame, 0};
 }
 
 SubmitReceipt
-RenderService::SubmitBatched(const SceneEntry& scene,
-                             const SceneRequest& request,
-                             double extra_service_ms)
+RenderService::BatchLocked(SceneId id, const Pricing& priced,
+                           const AdmissionController::Verdict& verdict,
+                           const RequestTrace& trace, RenderResult result)
 {
-    // The service lock spans the whole join-or-open decision and its
-    // Admit: the verdict depends on which batch the request lands in,
-    // so both see one consistent submission order. The trace opens
-    // under it too, so trace ids stay deterministic in admission order.
-    const SceneId id = scene.id;
-    TraceRecorder* const recorder = TraceRecorder::Global();
-    RequestTrace trace = BeginRequestTrace(recorder, request);
-    // Mirror the admission clamp (arrivals are non-decreasing) so
-    // window expiry and the device clock agree on "now".
-    const double arrival =
-        std::max(request.arrival_ms, last_batch_arrival_ms_);
-    last_batch_arrival_ms_ = arrival;
-    FlushExpiredLocked(arrival);
-
-    auto batch = scenes_[id].open_batch;
-    if (batch != open_batches_.end() &&
-        batch->members.size() >= max_batch_elements_) {
-        // Full: flush it now; this request opens a fresh batch.
-        FlushBatchLocked(batch);
-        batch = open_batches_.end();
-    }
-    const bool joining = batch != open_batches_.end();
-
-    // Joiners are priced at the *marginal* critical path: how much the
-    // fused frame grows by taking one more element — roughly one
-    // bottleneck stage (models/workload.h, FuseBatch) — instead of a
-    // whole frame. Openers pay the full solo estimate, exactly like
-    // the unbatched path.
-    const BatchedSceneFrame* fused = nullptr;
-    double est = 0.0;
-    if (joining) {
-        // The estimation run executes a cold fused shape on this
-        // thread the first time it is seen: propagate the joiner's
-        // context so its frame/op spans land in this trace.
-        ScopedTraceContext scoped(trace.ctx, arrival);
-        fused = &FusedShapeLocked(id, batch->members.size() + 1);
-        est = EstimatedMarginalServiceMs(fused->cost, batch->fused_cost);
-    } else {
-        est = EstimatedServiceMs(scene.cost);
-    }
-    const AdmissionController::Verdict verdict = admission_.Admit(
-        request.arrival_ms, est + extra_service_ms, request.deadline_ms,
-        request.tier);
-    RenderResult result = Judge(id, verdict, est, recorder, trace);
-    if (result.status != RequestStatus::kCompleted) {
-        // A shed or rejected joiner consumes no batch slot: the open
-        // batch keeps collecting as if the request never arrived.
-        return {Resolve(std::move(result)), verdict, {}, 0};
-    }
     // Every member reports the scene's solo frame cost — the fused
     // execution is an amortization of identical frames, not a different
     // render — so per-request results are bit-identical to the
     // unbatched path's (the flush checks the fused cost separately).
-    result.cost = scene.cost;
+    result.cost = scenes_[id].entry->cost;
 
     // The ticket is issued now, in submission order; its result is
     // stored when the batch flushes.
@@ -602,8 +704,11 @@ RenderService::SubmitBatched(const SceneEntry& scene,
     member.result = std::move(result);
     member.trace = trace;
 
-    if (joining) {
-        if (recorder != nullptr && trace.active()) {
+    TraceRecorder* const recorder =
+        trace.active() ? TraceRecorder::Global() : nullptr;
+    auto batch = scenes_[id].open_batch;
+    if (priced.rule == PriceRule::kJoin) {
+        if (recorder != nullptr) {
             recorder->RecordInstant(
                 trace.ctx, "batch", "batch_join", verdict.arrival_ms,
                 {TraceArg::Int("elements",
@@ -612,13 +717,9 @@ RenderService::SubmitBatched(const SceneEntry& scene,
                  TraceArg::Int("batch_trace",
                                static_cast<std::int64_t>(
                                    batch->trace_ctx.trace_id)),
-                 TraceArg::Num("marginal_ms", est)});
+                 TraceArg::Num("marginal_ms", priced.price_ms)});
         }
         batch->members.push_back(std::move(member));
-        // The batch now *is* the next-larger fused shape: the admitted
-        // marginal and the shape a flush replays advance together.
-        batch->fused_cost = fused->cost;
-        batch->frame = fused->frame;
     } else {
         // A recycled node keeps its members' capacity; only a batch
         // count above the high-water mark allocates.
@@ -629,24 +730,25 @@ RenderService::SubmitBatched(const SceneEntry& scene,
                                  spare_batches_.begin());
         }
         batch = std::prev(open_batches_.end());
-        OpenBatch& fresh = *batch;
         // Batches opened so far, this one included: a flush moves one
         // batch from open to dispatched, so the sum only grows on open.
-        fresh.ordinal = static_cast<std::uint32_t>(
+        batch->ordinal = static_cast<std::uint32_t>(
             batches_dispatched_ + open_batches_.size());
-        fresh.scene = id;
-        fresh.close_ms = arrival + batch_window_ms_;
-        fresh.fused_cost = scene.cost;
-        fresh.frame = scene.frame;
-        fresh.trace_ctx = trace.ctx;
-        if (recorder != nullptr && trace.active()) {
+        batch->scene = id;
+        batch->close_ms = last_batch_arrival_ms_ + batch_window_ms_;
+        batch->trace_ctx = trace.ctx;
+        if (recorder != nullptr) {
             recorder->RecordInstant(
                 trace.ctx, "batch", "batch_open", verdict.arrival_ms,
-                {TraceArg::Num("close_ms", fresh.close_ms)});
+                {TraceArg::Num("close_ms", batch->close_ms)});
         }
-        fresh.members.push_back(std::move(member));
+        batch->members.push_back(std::move(member));
         scenes_[id].open_batch = batch;
     }
+    // The batch now *is* the priced shape: the admitted price and the
+    // shape a flush replays advance together.
+    batch->fused_cost = *priced.cost;
+    batch->frame = *priced.frame;
     return {ticket, verdict, {}, batch->ordinal};
 }
 
@@ -673,142 +775,6 @@ RenderService::OpenSession(const std::string& scene,
     session.model = model;
     sessions_.push_back(session);
     return sessions_.size();
-}
-
-double
-RenderService::PeekSessionEstimate(SessionId session, const Pose& pose)
-{
-    Session state;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        FLEX_CHECK_MSG(session != 0 && session <= sessions_.size(),
-                       "unknown session " << session);
-        state = sessions_[session - 1];
-    }
-    // Priced off a copy, outside the service lock. Administrative
-    // touch: a price preview is not a request.
-    const std::shared_ptr<const SceneEntry> scene =
-        registry_.Touch(state.scene, &pool_);
-    EstimateContext context;
-    if (state.has_last_pose) {
-        const std::size_t quantum =
-            state.model.ReuseQuantum(state.last_pose, pose);
-        if (quantum > 0 && !state.model.IsCoherenceBreak(quantum)) {
-            const std::shared_ptr<const DeltaSceneFrame> delta =
-                registry_.TouchDelta(state.scene, quantum,
-                                     state.model.reuse_quanta, &pool_);
-            context.kind = EstimateKind::kDelta;
-            context.reference = &scene->cost;
-            return Accelerator::Estimate(delta->cost, context).service_ms;
-        }
-    }
-    return Accelerator::Estimate(scene->cost, context).service_ms;
-}
-
-SubmitReceipt
-RenderService::SubmitSession(const SceneEntry& scene,
-                             const SceneRequest& request,
-                             const SubmitOptions& options)
-{
-    // The service lock spans the whole coherence decision and its
-    // Admit: the verdict depends on the session's last rendered pose,
-    // so both see one consistent submission order.
-    const SceneId id = scene.id;
-    FLEX_CHECK_MSG(options.session <= sessions_.size(),
-                   "unknown session " << options.session);
-    Session& session = sessions_[options.session - 1];
-    FLEX_CHECK_MSG(session.scene == id,
-                   "session " << options.session << " is bound to scene '"
-                              << registry_.Name(session.scene)
-                              << "', not '" << request.scene << "'");
-    ++session.frames;
-
-    TraceRecorder* const recorder = TraceRecorder::Global();
-    RequestTrace trace = BeginRequestTrace(recorder, request);
-
-    // Coherence decision: measure the new pose against the last
-    // *rendered* pose. The first frame has no predecessor to warp from
-    // (a full recompute, not a break); later frames go delta when the
-    // overlap clears the model's break threshold.
-    SessionFrame booked;
-    const DeltaSceneFrame* delta = nullptr;
-    if (session.has_last_pose) {
-        const std::size_t quantum =
-            session.model.ReuseQuantum(session.last_pose, options.pose);
-        if (session.model.IsCoherenceBreak(quantum)) {
-            booked.coherence_break = true;
-        } else if (quantum > 0) {
-            booked.delta = true;
-            booked.reuse = static_cast<double>(quantum) /
-                           static_cast<double>(session.model.reuse_quanta);
-            // The estimation run executes a cold delta shape on this
-            // thread the first time its quantum is seen: propagate the
-            // request's context so its frame/op spans land in this
-            // trace (memoized afterwards, like batch shapes).
-            ScopedTraceContext scoped(trace.ctx, request.arrival_ms);
-            delta = &DeltaShapeLocked(id, quantum,
-                                      session.model.reuse_quanta);
-        }
-    }
-
-    // Admission prices delta vs full recompute through the unified
-    // estimator: a delta frame books its shrunken plan's critical path
-    // (never more than the full frame's), a break or first frame books
-    // the full estimate — both plus any surcharge.
-    EstimateContext context;
-    context.extra_service_ms = options.extra_service_ms;
-    ServiceEstimate estimate;
-    if (booked.delta) {
-        context.kind = EstimateKind::kDelta;
-        context.reference = &scene.cost;
-        estimate = Accelerator::Estimate(delta->cost, context);
-    } else {
-        estimate = Accelerator::Estimate(scene.cost, context);
-    }
-    const AdmissionController::Verdict verdict = admission_.Admit(
-        request.arrival_ms, estimate.service_ms, request.deadline_ms,
-        request.tier);
-    RenderResult result =
-        Judge(id, verdict, estimate.service_ms, recorder, trace);
-    if (result.status != RequestStatus::kCompleted) {
-        // The session does not advance: a rejected or shed frame was
-        // never rendered, so the next frame's reuse is still measured
-        // against the last frame that actually exists.
-        return {Resolve(std::move(result)), verdict, {}, 0};
-    }
-    if (recorder != nullptr && trace.active()) {
-        recorder->RecordInstant(
-            trace.ctx, "session",
-            booked.delta ? "session_delta"
-                         : (booked.coherence_break ? "session_break"
-                                                   : "session_full"),
-            verdict.arrival_ms,
-            {TraceArg::Int("session",
-                           static_cast<std::int64_t>(options.session)),
-             TraceArg::Num("reuse", booked.reuse),
-             TraceArg::Num("est_ms", estimate.service_ms),
-             TraceArg::Num("savings_ms", estimate.savings_ms)});
-    }
-
-    // This frame renders: it becomes the session's predecessor.
-    booked.savings_ms = estimate.savings_ms;
-    session.has_last_pose = true;
-    session.last_pose = options.pose;
-    session.reuse_sum += booked.reuse;
-    session.delta_savings_ms += booked.savings_ms;
-    if (booked.delta) {
-        ++session.delta_frames;
-    } else {
-        ++session.full_frames;
-        if (booked.coherence_break) ++session.coherence_breaks;
-    }
-
-    // The handle pins the plan-cache entry (delta shapes live in the
-    // LRU like any entry; the pin keeps the replay safe past eviction)
-    // — the same steady-state prepared path as a solo frame.
-    return {Replay(booked.delta ? delta->frame : scene.frame, trace,
-                   std::move(result)),
-            verdict, booked, 0};
 }
 
 void
@@ -888,39 +854,6 @@ RenderService::FlushBatchLocked(std::list<OpenBatch>::iterator batch)
     }
     closing.members.clear();
     closing.frame = {};
-}
-
-bool
-RenderService::ProbeBatchJoin(SceneId scene, double arrival_ms,
-                              double* marginal_est_ms)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return ProbeBatchJoinLocked(scene, arrival_ms, marginal_est_ms);
-}
-
-bool
-RenderService::ProbeBatchJoinLocked(SceneId scene, double arrival_ms,
-                                    double* marginal_est_ms)
-{
-    if (batch_window_ms_ <= 0.0) return false;
-    const auto open = scenes_.at(scene).open_batch;
-    if (open == open_batches_.end()) return false;
-    // Mirror SubmitBatched's view without moving it: the same clamped
-    // arrival decides expiry (an expired batch would flush before the
-    // join) and a full batch would close, re-opening at the solo price.
-    // last_batch_arrival_ms_ is read, never advanced — only a real
-    // Submit moves the batching clock.
-    const double arrival = std::max(arrival_ms, last_batch_arrival_ms_);
-    if (open->close_ms <= arrival) return false;
-    if (open->members.size() >= max_batch_elements_) return false;
-    // The estimation run for the next-larger fused shape is memoized
-    // (scene_registry.h), so the following Submit — or the flush replay
-    // — sees exactly the cost priced here.
-    const BatchedSceneFrame& fused =
-        FusedShapeLocked(scene, open->members.size() + 1);
-    *marginal_est_ms =
-        EstimatedMarginalServiceMs(fused.cost, open->fused_cost);
-    return true;
 }
 
 namespace {
@@ -1043,14 +976,17 @@ RenderService::WaitAll()
 
 AdmissionController::Verdict
 RenderService::Quote(SceneId scene, const SceneRequest& request,
-                     double solo_est_ms, double surcharge_ms)
+                     double solo_est_ms, const SubmitOptions& options)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    double price = solo_est_ms;
-    if (scene != kNoScene) {
-        ProbeBatchJoinLocked(scene, request.arrival_ms, &price);
-    }
-    return admission_.Probe(request.arrival_ms, price + surcharge_ms,
+    // A replica that never served the scene has no batch to join and
+    // no session on it: the caller's solo estimate is its price.
+    const double price =
+        scene != kNoScene && scenes_.at(scene).entry != nullptr
+            ? PriceLocked(scene, request, options, nullptr).price_ms
+            : solo_est_ms;
+    return admission_.Probe(request.arrival_ms,
+                            price + options.extra_service_ms,
                             request.deadline_ms, request.tier);
 }
 

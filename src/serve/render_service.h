@@ -148,7 +148,34 @@ struct SessionFrame {
     bool delta = false;            //!< priced as a delta of the last pose
     bool coherence_break = false;  //!< full recompute forced by a break
     double reuse = 0.0;            //!< reuse fraction (0 unless delta)
-    double savings_ms = 0.0;       //!< ServiceEstimate::savings_ms
+    /** (full frame + surcharge) - (price + surcharge): what the delta
+     *  saved over a full recompute (0 for a full frame). */
+    double savings_ms = 0.0;
+};
+
+/** The rule a replica prices one request under (RenderService::Preview):
+ *  the paper's on-device real-time budget for each kind of frame. */
+enum class PriceRule : std::uint8_t {
+    /** A solo frame, a batch opener, or a session frame with no coherent
+     *  predecessor: the frame's critical path (EstimatedServiceMs). */
+    kFrame,
+    /** A joiner of the scene's open batch: the marginal growth of the
+     *  fused frame (EstimatedMarginalServiceMs). */
+    kJoin,
+    /** A coherent session frame: its delta plan, never above the full
+     *  frame (EstimatedDeltaServiceMs). */
+    kDelta,
+};
+
+/** What Submit would admit one request at. */
+struct RequestPrice {
+    PriceRule rule = PriceRule::kFrame;
+    /** The estimate admission books, before
+     *  SubmitOptions::extra_service_ms. */
+    double price_ms = 0.0;
+    /** What the frame books into its session if accepted (all zero for
+     *  a request without a session). */
+    SessionFrame session_frame;
 };
 
 /** What Submit returns: the ticket, the verdict it was admitted with
@@ -218,7 +245,7 @@ struct SessionStats {
      *  count as zero reuse). */
     double mean_reuse = 0.0;
     /** Total virtual ms the delta path saved vs recomputing every
-     *  accepted frame from scratch (ServiceEstimate::savings_ms). */
+     *  accepted frame from scratch (SessionFrame::savings_ms). */
     double delta_savings_ms = 0.0;
 
     /** delta_frames / accepted frames — the delta hit rate. */
@@ -470,9 +497,8 @@ class RenderService
      * members are the exception: they resolve when their batch flushes.
      * The first request against a cold scene additionally compiles it,
      * with the compile's wavefronts on the pool (WarmScene avoids that).
-     * The receipt's verdict equals a Quote taken just before (for a
-     * session frame, a kNoScene Quote at PeekSessionEstimate's price)
-     * with options.extra_service_ms as the surcharge.
+     * The receipt's verdict equals a Quote with the same arguments
+     * taken just before.
      *
      * @p options selects the path: default options reproduce the
      * legacy behavior exactly (batching when configured, no surcharge,
@@ -509,38 +535,17 @@ class RenderService
                           const CoherenceModel& model = {});
 
     /**
-     * Side-effect-free preview of what a session frame at @p pose
-     * would be priced (before any surcharge): the delta estimate when
-     * the pose coheres with the session's last rendered pose, the full
-     * frame estimate otherwise (first frame, zero overlap, or a
-     * coherence break). No session state moves — the pose is compared,
-     * not recorded — so a probe that does not lead to a Submit leaves
-     * the session untouched. May lazily prepare the (scene, quantum)
-     * delta shape, which is administrative and memoized, exactly like
-     * ProbeBatchJoin's estimation runs. Like Quote, the preview only
-     * stays exact while the prober is the sole submitter (the cluster
-     * holds its router lock across probe and Submit).
+     * Side-effect-free preview of what Submit(request, options) would
+     * price: the rule, the price before options.extra_service_ms, and
+     * what an accepted session frame would book. Nothing moves — no
+     * batch flushes, no session advances, no request counter — but a
+     * cold scene compiles as its first Submit would (the service lock
+     * drops meanwhile) and a cold fused or delta shape prepares; both
+     * are administrative and memoized. Like Quote, the preview only
+     * stays exact while the caller is the sole submitter.
      */
-    double PeekSessionEstimate(SessionId session, const Pose& pose);
-
-    /**
-     * Side-effect-free preview of the batching Submit path's pricing:
-     * would a request for @p scene arriving at @p arrival_ms join the
-     * scene's open batch, and at what marginal estimate? Returns true
-     * and writes EstimatedMarginalServiceMs(fused, open batch) when the
-     * batch exists, its window is still open at the clamped arrival,
-     * and it has a free slot; false otherwise (including with the
-     * batch window off) — the caller then prices at the solo estimate,
-     * exactly as SubmitBatched would for an opener.
-     *
-     * No batch state moves: expiry/fullness are *checked*, not
-     * flushed, so a probe that does not lead to a Submit leaves the
-     * service untouched. Like Quote, the preview only stays exact
-     * while the prober is the sole submitter (the cluster holds its
-     * router lock across probe and Submit).
-     */
-    bool ProbeBatchJoin(SceneId scene, double arrival_ms,
-                        double* marginal_est_ms);
+    RequestPrice Preview(const SceneRequest& request,
+                         const SubmitOptions& options = {});
 
     /**
      * Returns the ticket's result and consumes the ticket. Flushes
@@ -592,18 +597,19 @@ class RenderService
 
     /**
      * A router's one call per candidate replica, under one service
-     * lock: prices @p request as Submit would (ProbeBatchJoin's
-     * marginal when @p scene has a joinable batch, else @p solo_est_ms;
-     * @p scene may be kNoScene), adds @p surcharge_ms, and returns
-     * AdmissionController::Probe's verdict at that price. Side-effect
-     * free; the quote/Admit agreement only holds while the quoter is
-     * the sole submitter (serve/cluster.h serializes its submissions
-     * for exactly this).
+     * lock: prices @p request as Submit(scene, request, options) would,
+     * adds options.extra_service_ms, and returns
+     * AdmissionController::Probe's verdict at that price. A replica
+     * with no entry for the scene (@p scene is kNoScene, or no request
+     * touched it yet) prices at @p solo_est_ms and compiles nothing.
+     * Side-effect free; the quote/Admit agreement only holds while the
+     * quoter is the sole submitter (serve/cluster.h serializes its
+     * submissions for exactly this).
      */
     AdmissionController::Verdict Quote(SceneId scene,
                                        const SceneRequest& request,
                                        double solo_est_ms,
-                                       double surcharge_ms = 0.0);
+                                       const SubmitOptions& options = {});
 
     /** Virtual request-latency histogram over accepted requests.
      *  Geometric buckets merge losslessly (LatencyHistogram::Merge), so
@@ -709,14 +715,36 @@ class RenderService
     ServeTicket Resolve(RenderResult result);
     /** Pops the claimed slots off the front of results_. */
     void PopClaimedLocked();
+    /** The id of registered scene @p name (fatal otherwise). */
+    SceneId FindLocked(const std::string& name) const;
+    /** Caches scene @p id's pinned entry. A cold first touch compiles
+     *  it with @p lock on mutex_ released; @p compiled reports whether
+     *  this call ran the estimation run (see SceneRegistry::Touch). */
+    void TouchLocked(std::unique_lock<std::mutex>& lock, SceneId id,
+                     bool* compiled = nullptr);
     /** Submit's body for scene @p id, entered with @p lock held on
      *  mutex_ (a cold first touch releases it while compiling). */
     SubmitReceipt SubmitLocked(std::unique_lock<std::mutex>& lock,
                                SceneId id, const SceneRequest& request,
                                const SubmitOptions& options);
-    /** ProbeBatchJoin minus the lock. */
-    bool ProbeBatchJoinLocked(SceneId scene, double arrival_ms,
-                              double* marginal_est_ms);
+
+    /** A RequestPrice plus the shape an accepted request replays. */
+    struct Pricing : RequestPrice {
+        /** The scene frame, the next fused shape, or the delta shape. */
+        const PlanCache::PreparedFrame* frame = nullptr;
+        const FrameCost* cost = nullptr;  //!< that shape's executed cost
+    };
+    /**
+     * The one pricing decision, shared by Submit, Quote and Preview:
+     * the session's coherence decision for a session frame, the join
+     * predicate for a batching request, else the solo frame. Scene
+     * @p id must be touched. Moves no state; a cold fused or delta
+     * shape prepares here, its estimation run under @p trace (null for
+     * a preview or a quote: no request owns the run).
+     */
+    Pricing PriceLocked(SceneId id, const SceneRequest& request,
+                        const SubmitOptions& options,
+                        const TraceContext* trace);
     /** Scene @p scene's fused shape for @p elements requests, through
      *  its SceneState cache (a miss prepares it via the registry). */
     const BatchedSceneFrame& FusedShapeLocked(SceneId scene,
@@ -742,14 +770,13 @@ class RenderService
      *  (solo and session paths), records its spans, and resolves it. */
     ServeTicket Replay(const PlanCache::PreparedFrame& frame,
                        const RequestTrace& trace, RenderResult result);
-    /** The batching Submit path (batch_window_ms > 0). */
-    SubmitReceipt SubmitBatched(const SceneEntry& scene,
-                                const SceneRequest& request,
-                                double extra_service_ms);
-    /** The trajectory Submit path (options.session != 0). */
-    SubmitReceipt SubmitSession(const SceneEntry& scene,
-                                const SceneRequest& request,
-                                const SubmitOptions& options);
+    /** Books an accepted batching request (@p result) into the batch
+     *  @p priced chose: the scene's open batch for a joiner, a fresh
+     *  one otherwise. The ticket resolves when the batch flushes. */
+    SubmitReceipt BatchLocked(SceneId scene, const Pricing& priced,
+                              const AdmissionController::Verdict& verdict,
+                              const RequestTrace& trace,
+                              RenderResult result);
     /** Replays @p batch as one fused execution, resolves every
      *  member, and parks the batch's node on spare_batches_. */
     void FlushBatchLocked(std::list<OpenBatch>::iterator batch);

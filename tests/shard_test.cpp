@@ -403,14 +403,12 @@ struct PathTally {
 
 /**
  * Drives @p calls seeded requests through a batching, three-tier
- * RenderService and checks each Submit's verdict against a kNoScene
- * RenderService::Quote taken just before it at the routing price — the
- * price a cluster router would use: ProbeBatchJoin's marginal for a
- * joiner, PeekSessionEstimate for a session frame, the solo estimate
- * otherwise, plus the request's surcharge. A test-side mirror of the
- * batch windows classifies every batching request (open, join, or
- * open after a full or expired batch) and checks ProbeBatchJoin's
- * answer against it.
+ * RenderService and checks each Submit's verdict against a
+ * RenderService::Quote taken just before it with the same scene id,
+ * request and options, as a cluster router quotes. A test-side mirror
+ * of the batch windows classifies every batching request (open, join,
+ * or open after a full or expired batch) and checks it against the
+ * Preview's rule and, once accepted, the batch the receipt names.
  */
 void
 SweepSubmitVerdicts(std::uint64_t seed, int calls, PathTally* tally)
@@ -452,6 +450,7 @@ SweepSubmitVerdicts(std::uint64_t seed, int calls, PathTally* tally)
         bool open = false;
         std::size_t members = 0;
         double close_ms = 0.0;
+        std::uint32_t batch = 0;  //!< SubmitReceipt::batch
     };
     std::vector<Window> windows(models.size());
     Rng rng(seed);
@@ -471,7 +470,6 @@ SweepSubmitVerdicts(std::uint64_t seed, int calls, PathTally* tally)
         options.extra_service_ms =
             rng.Bernoulli(0.2) ? rng.Uniform(0.0, 0.5) * mean_est : 0.0;
         const double kind = rng.Uniform();
-        double price = 0.0;
         std::size_t scene = 0;
         bool join = false;
         if (kind < 0.25) {
@@ -484,22 +482,16 @@ SweepSubmitVerdicts(std::uint64_t seed, int calls, PathTally* tally)
                                                           rng.UniformInt(1, 3));
             options.session = sessions[s];
             options.pose = poses[s];
-            price = service.PeekSessionEstimate(sessions[s], poses[s]);
             ++tally->session_frames;
         } else {
             scene = static_cast<std::size_t>(rng.UniformInt(0, 2));
             options.batching = kind >= 0.45;
-            price = est[scene];
             if (!options.batching) {
                 ++tally->solo;
             } else {
-                double marginal = 0.0;
-                join = service.ProbeBatchJoin(ids[scene], clock, &marginal);
-                if (join) price = marginal;
-                Window& window = windows[scene];
+                const Window& window = windows[scene];
                 const bool live = window.open && window.close_ms > clock;
-                EXPECT_EQ(join, live && window.members < 3)
-                    << "seed " << seed << " call " << i;
+                join = live && window.members < 3;
                 if (join) {
                     ++tally->joins;
                 } else {
@@ -511,22 +503,36 @@ SweepSubmitVerdicts(std::uint64_t seed, int calls, PathTally* tally)
         }
         request.scene = models[scene];
 
-        const AdmissionController::Verdict probed = service.Quote(
-            kNoScene, request, price, options.extra_service_ms);
+        const RequestPrice price = service.Preview(request, options);
+        EXPECT_EQ(price.rule == PriceRule::kJoin, join)
+            << "seed " << seed << " call " << i;
+        const AdmissionController::Verdict probed =
+            service.Quote(ids[scene], request, est[scene], options);
         const SubmitReceipt receipt = service.Submit(request, options);
         ASSERT_TRUE(SameVerdict(probed, receipt.verdict))
             << "seed " << seed << " call " << i;
+        const bool accepted = receipt.verdict.outcome ==
+                              AdmissionController::Outcome::kAccepted;
+        if (accepted && options.session != 0) {
+            EXPECT_EQ(receipt.session_frame.delta, price.session_frame.delta);
+            EXPECT_EQ(receipt.session_frame.savings_ms,
+                      price.session_frame.savings_ms);
+        }
 
         if (options.session == 0 && options.batching) {
-            // Mirror the batch windows: a non-joiner always closes the
-            // scene's old batch; an accepted one opens the next.
+            // Mirror the batch windows: a joiner rides the window's
+            // batch; a non-joiner always closes the scene's old batch,
+            // and an accepted one opens the next.
             Window& window = windows[scene];
-            const bool accepted = receipt.verdict.outcome ==
-                                  AdmissionController::Outcome::kAccepted;
+            if (accepted) {
+                EXPECT_EQ(receipt.batch == window.batch, join)
+                    << "seed " << seed << " call " << i;
+            }
             if (!join) window.open = false;
             if (accepted && join) ++window.members;
             if (accepted && !join) {
-                window = Window{true, 1, clock + config.batch_window_ms};
+                window = Window{true, 1, clock + config.batch_window_ms,
+                                receipt.batch};
             }
         }
     }
@@ -1390,26 +1396,24 @@ TEST(ShardedRenderService, MarginalAwareProbeKeepsBatchJoinersHome)
         opener.arrival_ms = 0.0;
         const ClusterTicket a = cluster.Submit(opener);
 
-        // With the window on, preview the exact price Submit would
-        // admit B at: the probe must see the open batch and quote the
-        // marginal, strictly below the solo estimate.
-        const std::size_t home = cluster.router().Home("ngp");
-        RenderService& home_shard = cluster.shard(home);
-        double marginal_ms = 0.0;
-        const bool joinable = home_shard.ProbeBatchJoin(
-            home_shard.registry().Find("ngp"), 0.1 * est, &marginal_ms);
-        if (batch_window_ms > 0.0) {
-            EXPECT_TRUE(joinable);
-            EXPECT_LT(marginal_ms, est);
-            EXPECT_GT(marginal_ms, 0.0);
-        } else {
-            EXPECT_FALSE(joinable);
-        }
-
         SceneRequest joiner;
         joiner.scene = "ngp";
         joiner.arrival_ms = 0.1 * est;
         joiner.deadline_ms = 1.6 * est;
+
+        // With the window on, preview the exact price Submit would
+        // admit B at: the preview must see the open batch and price the
+        // marginal, strictly below the solo estimate.
+        const std::size_t home = cluster.router().Home("ngp");
+        const RequestPrice price = cluster.shard(home).Preview(joiner);
+        if (batch_window_ms > 0.0) {
+            EXPECT_EQ(price.rule, PriceRule::kJoin);
+            EXPECT_LT(price.price_ms, est);
+            EXPECT_GT(price.price_ms, 0.0);
+        } else {
+            EXPECT_EQ(price.rule, PriceRule::kFrame);
+            EXPECT_EQ(price.price_ms, est);
+        }
         const ClusterTicket b = cluster.Submit(joiner);
 
         struct Outcome {

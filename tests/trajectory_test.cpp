@@ -4,16 +4,16 @@
  * quantized reuse mapping, the DeltaWorkload transform (fingerprints,
  * preserved dependency edges, op floors), the PlanCache predecessor-
  * keyed delta path (including the race between delta lookups and LRU
- * eviction — satellite pin semantics), the unified
- * Accelerator::Estimate entry point vs the inline estimators, the
- * unified Submit(request, SubmitOptions) API and its one-PR deprecated
- * shim, trajectory sessions through RenderService (delta pricing,
+ * eviction — pin semantics), the delta estimator's floor at the full
+ * frame, the unified Submit(request, SubmitOptions) API, trajectory
+ * sessions through RenderService (delta pricing, previews,
  * coherence-break fallback, thread-count determinism), and sticky
  * sessions on the sharded cluster (home routing and KillShard
  * re-homing).
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -135,10 +135,10 @@ TEST(PlanCache, DeltaLookupsTelescopeAndCountDistinctly)
 
     // First delta lookup compiles (a delta miss on top of the plan
     // miss); the replay is a delta hit and replays bit-identically.
-    const FrameCost first = cache.RunDelta(frame, accel, shape);
+    const FrameCost first = cache.Run(cache.PrepareDelta(frame, accel, shape));
     EXPECT_EQ(cache.stats().delta_misses, 1u);
     EXPECT_EQ(cache.stats().delta_hits, 0u);
-    const FrameCost again = cache.RunDelta(frame, accel, shape);
+    const FrameCost again = cache.Run(cache.PrepareDelta(frame, accel, shape));
     EXPECT_EQ(cache.stats().delta_hits, 1u);
     ExpectBitIdentical(again, first);
     EXPECT_LT(EstimatedServiceMs(first), EstimatedServiceMs(full));
@@ -154,7 +154,7 @@ TEST(PlanCache, DeltaLookupsTelescopeAndCountDistinctly)
     EXPECT_EQ(cache.size(), before + 1);
     const PlanCache::PreparedFrame chained =
         cache.PrepareDelta(frame, accel, shape);
-    cache.RunDelta(chained, accel, shape);
+    cache.Run(cache.PrepareDelta(chained, accel, shape));
     EXPECT_EQ(cache.stats().delta_misses, 3u);
 }
 
@@ -172,7 +172,7 @@ TEST(PlanCache, DeltaLookupsSurviveLruEvictionThroughPins)
 
     PlanCache cache(/*capacity=*/2);
     const PlanCache::PreparedFrame frame = cache.Prepare(accel, base);
-    const FrameCost first = cache.RunDelta(frame, accel, shape);
+    const FrameCost first = cache.Run(cache.PrepareDelta(frame, accel, shape));
     EXPECT_EQ(cache.stats().delta_misses, 1u);
 
     // Churn two unrelated frames through the bounded cache: both the
@@ -185,51 +185,33 @@ TEST(PlanCache, DeltaLookupsSurviveLruEvictionThroughPins)
     // The pinned predecessor still replays bit-identically, and the
     // delta path recompiles into the same plan: same cost, one more
     // delta miss (distinctly counted), zero delta hits wasted.
-    const FrameCost replayed = cache.RunDelta(frame, accel, shape);
+    const FrameCost replayed =
+        cache.Run(cache.PrepareDelta(frame, accel, shape));
     ExpectBitIdentical(replayed, first);
     EXPECT_EQ(cache.stats().delta_misses, 2u);
     EXPECT_EQ(cache.stats().delta_hits, 0u);
 
     // Once resident again it hits like any entry.
-    cache.RunDelta(frame, accel, shape);
+    cache.Run(cache.PrepareDelta(frame, accel, shape));
     EXPECT_EQ(cache.stats().delta_hits, 1u);
 }
 
-TEST(Accelerator, UnifiedEstimateMatchesTheInlineEstimators)
+TEST(Accelerator, DeltaEstimateNeverPricesAboveTheFullFrame)
 {
     const FlexNeRFerModel accel;
     const NerfWorkload base = BuildWorkload("Instant-NGP");
     const FrameCost full = accel.RunWorkload(base);
     const FrameCost delta = accel.RunWorkload(DeltaWorkload(base, 48, 64));
 
-    EstimateContext context;
-    const ServiceEstimate plain = Accelerator::Estimate(full, context);
-    EXPECT_EQ(plain.kind, EstimateKind::kFull);
-    EXPECT_DOUBLE_EQ(plain.service_ms, EstimatedServiceMs(full));
-    EXPECT_DOUBLE_EQ(plain.full_ms, plain.service_ms);
-    EXPECT_DOUBLE_EQ(plain.savings_ms, 0.0);
-
-    context.kind = EstimateKind::kBatchJoin;
-    context.reference = &delta;  // "previous" = the smaller frame
-    const ServiceEstimate join = Accelerator::Estimate(full, context);
-    EXPECT_DOUBLE_EQ(join.service_ms,
-                     EstimatedMarginalServiceMs(full, delta));
-    EXPECT_DOUBLE_EQ(join.savings_ms, join.full_ms - join.service_ms);
-
-    context.kind = EstimateKind::kDelta;
-    context.reference = &full;
-    const ServiceEstimate priced = Accelerator::Estimate(delta, context);
-    EXPECT_DOUBLE_EQ(priced.service_ms,
-                     EstimatedDeltaServiceMs(delta, full));
-    EXPECT_DOUBLE_EQ(priced.full_ms, EstimatedServiceMs(full));
-    EXPECT_GT(priced.savings_ms, 0.0);
-
-    // The surcharge rides both sides, so savings reflect the rule only.
-    context.extra_service_ms = 7.5;
-    const ServiceEstimate taxed = Accelerator::Estimate(delta, context);
-    EXPECT_DOUBLE_EQ(taxed.service_ms, priced.service_ms + 7.5);
-    EXPECT_DOUBLE_EQ(taxed.full_ms, priced.full_ms + 7.5);
-    EXPECT_DOUBLE_EQ(taxed.savings_ms, priced.savings_ms);
+    // The delta rule is min(delta, full), from either side.
+    const double full_ms = EstimatedServiceMs(full);
+    const double delta_ms = EstimatedDeltaServiceMs(delta, full);
+    EXPECT_EQ(delta_ms, std::min(EstimatedServiceMs(delta), full_ms));
+    EXPECT_EQ(EstimatedDeltaServiceMs(full, delta), delta_ms);
+    EXPECT_EQ(EstimatedDeltaServiceMs(full, full), full_ms);
+    // Reusing 48/64 of the view prices strictly below the full frame.
+    EXPECT_LT(delta_ms, full_ms);
+    EXPECT_GT(delta_ms, 0.0);
 }
 
 TEST(RenderService, UnifiedSubmitMatchesDefaults)
@@ -284,10 +266,13 @@ TEST(RenderService, UnifiedSubmitMatchesDefaults)
     EXPECT_DOUBLE_EQ(taxed_run[0].latency_ms, bare_run[0].latency_ms + 9.0);
 }
 
-/** Replays a fixed pose path through a fresh service; returns results
- *  and the snapshot for determinism comparisons. */
+/** Replays a fixed pose path through a fresh service, each frame
+ *  surcharged by @p surcharge_share x the scene's estimate (its deadline
+ *  extended to match); returns results and the snapshot for determinism
+ *  comparisons. */
 std::pair<std::vector<RenderResult>, ServiceStats>
-ReplayTrajectory(int threads, const std::vector<Pose>& poses)
+ReplayTrajectory(int threads, const std::vector<Pose>& poses,
+                 double surcharge_share = 0.0)
 {
     ServeConfig config;
     config.threads = threads;
@@ -299,10 +284,11 @@ ReplayTrajectory(int threads, const std::vector<Pose>& poses)
         SceneRequest request;
         request.scene = "ngp";
         request.arrival_ms = 1.1 * est * static_cast<double>(k);
-        request.deadline_ms = 4.0 * est;
         SubmitOptions options;
         options.session = session;
         options.pose = poses[k];
+        options.extra_service_ms = surcharge_share * est;
+        request.deadline_ms = 4.0 * est + options.extra_service_ms;
         service.Submit(request, options);
     }
     auto results = service.WaitAll();
@@ -351,6 +337,54 @@ TEST(RenderService, SessionsPriceDeltasAndFallBackOnBreaks)
     EXPECT_EQ(stats.session_frames, poses.size());
     EXPECT_EQ(stats.delta_frames, session.delta_frames);
     EXPECT_EQ(stats.coherence_breaks, 1u);
+
+    // A surcharge rides the delta and the full price alike: the savings
+    // are the delta rule's alone.
+    const auto [taxed_results, taxed] = ReplayTrajectory(2, poses, 0.25);
+    ASSERT_EQ(taxed.sessions.size(), 1u);
+    EXPECT_EQ(taxed.sessions.front().delta_frames, session.delta_frames);
+    EXPECT_NEAR(taxed.sessions.front().delta_savings_ms,
+                session.delta_savings_ms, 1e-9 * session.delta_savings_ms);
+    EXPECT_GT(taxed_results[0].latency_ms, full_latency);
+
+    // A preview of a scene no request touched compiles it as its first
+    // Submit would, but counts no request: both Submits below find the
+    // scene prepared and admit at the previewed prices.
+    RenderService cold;
+    cold.RegisterScene("ngp", FlexScene("Instant-NGP"));
+    SceneRequest request;
+    request.scene = "ngp";
+    SubmitOptions options;
+    options.session = cold.OpenSession("ngp");
+    options.pose = poses[0];
+    const RequestPrice first = cold.Preview(request, options);
+    EXPECT_EQ(first.rule, PriceRule::kFrame);
+    EXPECT_EQ(first.price_ms, full_latency);
+    EXPECT_FALSE(first.session_frame.delta);
+    ServiceStats previewed = cold.Snapshot();
+    EXPECT_EQ(previewed.submitted, 0u);
+    EXPECT_EQ(previewed.scenes[0].requests, 0u);
+    EXPECT_EQ(previewed.cache.plan_misses, 1u);
+    cold.Submit(request, options);
+
+    request.arrival_ms = 2.0 * full_latency;
+    options.pose = poses[1];
+    const RequestPrice next = cold.Preview(request, options);
+    EXPECT_EQ(next.rule, PriceRule::kDelta);
+    EXPECT_LT(next.price_ms, first.price_ms);
+    const SubmitReceipt receipt = cold.Submit(request, options);
+    EXPECT_TRUE(receipt.session_frame.delta);
+    EXPECT_EQ(receipt.session_frame.reuse, next.session_frame.reuse);
+    EXPECT_EQ(receipt.session_frame.savings_ms,
+              next.session_frame.savings_ms);
+    const std::vector<RenderResult> served = cold.WaitAll();
+    ASSERT_EQ(served.size(), 2u);
+    EXPECT_EQ(served[0].latency_ms, first.price_ms);
+    EXPECT_NEAR(served[1].latency_ms, next.price_ms, 1e-9 * next.price_ms);
+    previewed = cold.Snapshot();
+    EXPECT_EQ(previewed.scenes[0].requests, 2u);
+    EXPECT_EQ(previewed.scenes[0].prepared_replays, 2u);
+    EXPECT_EQ(previewed.cache.delta_misses, 1u);
 }
 
 TEST(RenderService, SessionVerdictsAreThreadCountInvariant)
@@ -378,7 +412,7 @@ TEST(RenderService, SessionVerdictsAreThreadCountInvariant)
 
 /** What a service shows for one session's second frame. */
 struct StepFrame {
-    double peek_ms = 0.0;     //!< PeekSessionEstimate before submitting
+    double peek_ms = 0.0;     //!< the Preview price before submitting
     double frame_ms = 0.0;    //!< the rendered frame's modeled latency
 };
 
@@ -407,14 +441,14 @@ StepSessions(const std::vector<CoherenceModel>& models,
         SubmitOptions options;
         options.session = session;
         options.pose = pose;
+        const double price_ms = service.Preview(request, options).price_ms;
         service.Submit(request, options);
+        return price_ms;
     };
     for (const SessionId session : sessions) submit(session, PoseAt(0.0));
     std::vector<StepFrame> frames(sessions.size());
     for (std::size_t s = 0; s < sessions.size(); ++s) {
-        frames[s].peek_ms =
-            service.PeekSessionEstimate(sessions[s], steps[s]);
-        submit(sessions[s], steps[s]);
+        frames[s].peek_ms = submit(sessions[s], steps[s]);
     }
     const std::vector<RenderResult> results = service.WaitAll();
     for (std::size_t s = 0; s < sessions.size(); ++s) {
