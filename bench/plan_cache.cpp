@@ -83,7 +83,7 @@ main(int argc, char** argv)
         for (const auto& w : workloads) {
             for (const auto& accel : accels) {
                 const FrameCost& c = costs[i++];
-                t.AddRow({w.name, accel->name(),
+                t.AddRow({std::string(w.name), accel->name(),
                           FormatDouble(c.latency_ms, 3),
                           FormatDouble(c.energy_mj, 3),
                           FormatDouble(100.0 * c.gemm_utilization, 2)});

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <string_view>
 
 #include "common/intern.h"
 #include "common/logging.h"
@@ -74,8 +76,13 @@ DeltaWorkload(const NerfWorkload& base, std::size_t reuse_quantum,
     const double invalidated = 1.0 - reuse;
 
     NerfWorkload delta;
-    delta.name = base.name + "+delta" + std::to_string(reuse_quantum) +
-                 "of" + std::to_string(reuse_quanta);
+    // "+delta<q>of<n>", joined to the base name in the interned table:
+    // a repeated delta shape allocates no name.
+    char tag[64];
+    const int tag_size = std::snprintf(tag, sizeof(tag), "+delta%zuof%zu",
+                                       reuse_quantum, reuse_quanta);
+    delta.name = InternName(
+        base.name, std::string_view(tag, static_cast<std::size_t>(tag_size)));
     delta.batch_size = base.batch_size;
     delta.samples_per_frame =
         std::max(1.0, base.samples_per_frame * invalidated);

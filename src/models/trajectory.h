@@ -22,8 +22,8 @@
  * delta *shapes* finite — one plan-cache entry per (scene, quantum)
  * instead of one per continuous pose delta — which is what makes delta
  * plans cacheable and the serving path's delta-hit accounting exact
- * (see plan/plan_cache.h PrepareDelta and serve/scene_registry.h
- * TouchDelta).
+ * (see plan/plan_cache.h PrepareDelta and serve/render_service.h,
+ * whose per-scene state owns one delta shape per quantum).
  *
  * Everything here is a pure function of its inputs: two sessions
  * replaying the same pose path derive identical reuse fractions,

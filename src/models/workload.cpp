@@ -189,11 +189,17 @@ FuseBatch(const NerfWorkload& base, std::size_t elements)
     if (elements == 0) Fatal("FuseBatch needs at least one element");
     if (elements == 1) return base;
     if (base.ops.empty()) {
-        Fatal("cannot batch-fuse workload '" + base.name +
+        Fatal("cannot batch-fuse workload '" + std::string(base.name) +
               "' with no ops");
     }
     NerfWorkload fused;
-    fused.name = base.name + "+batch" + std::to_string(elements);
+    // "+batch<n>", joined to the base name in the interned table: a
+    // repeated fuse allocates no name.
+    char batch[32] = "+batch";
+    const char* const batch_end =
+        std::to_chars(batch + 6, std::end(batch), elements).ptr;
+    fused.name =
+        InternName(base.name, std::string_view(batch, batch_end - batch));
     fused.batch_size = base.batch_size;
     fused.samples_per_frame =
         base.samples_per_frame * static_cast<double>(elements);
@@ -233,7 +239,7 @@ NerfWorkload
 BuildWorkload(const std::string& model_name, const WorkloadParams& params)
 {
     NerfWorkload w;
-    w.name = model_name;
+    w.name = InternName(model_name);
     w.batch_size = params.batch_size;
     // Sized once: the largest model (NeRF) has 14 ops.
     w.ops.reserve(14);

@@ -123,7 +123,10 @@ struct WorkloadOp {
 
 /** Per-frame workload of one NeRF model. */
 struct NerfWorkload {
-    std::string name;
+    /** Interned (common/intern.h) or a literal, like WorkloadOp::name:
+     *  a derived workload names itself without allocating once its
+     *  name was seen. Never assign it a temporary std::string. */
+    std::string_view name;
     std::vector<WorkloadOp> ops;
     double samples_per_frame = 0.0;
     int batch_size = 4096;

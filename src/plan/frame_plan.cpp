@@ -302,7 +302,8 @@ FramePlan::Execute(ThreadPool* pool, GemmMemo* memo) const
         // modeled device executes it, whatever the host interleaving
         // was. Wall endpoints are the measured evaluation windows.
         const double anchor_ms = CurrentTraceAnchorMs();
-        const std::string frame_name = "frame:" + workload_name_;
+        const std::string frame_name =
+            std::string("frame:").append(workload_name_);
         TraceContext op_ctx;
         op_ctx.trace_id = trace_ctx.trace_id;
         op_ctx.parent_span = SpanId(trace_ctx.trace_id, frame_name);
@@ -354,10 +355,10 @@ FramePlan::engine_run_count() const
     return count;
 }
 
-FramePlanBuilder::FramePlanBuilder(std::string workload_name,
+FramePlanBuilder::FramePlanBuilder(std::string_view workload_name,
                                    std::size_t op_count)
 {
-    plan_.workload_name_ = std::move(workload_name);
+    plan_.workload_name_ = workload_name;
     plan_.ops_.reserve(op_count);
 }
 
@@ -406,14 +407,16 @@ FramePlanBuilder::Build()
     for (std::size_t i = 0; i < n; ++i) {
         for (const std::size_t dep : ops[i].deps) {
             if (dep >= n) {
-                Fatal("plan '" + plan_.workload_name_ + "': op '" +
-                      std::string(ops[i].name) + "' depends on op index " +
+                Fatal("plan '" + std::string(plan_.workload_name_) +
+                      "': op '" + std::string(ops[i].name) +
+                      "' depends on op index " +
                       std::to_string(dep) + ", but the plan has only " +
                       std::to_string(n) + " ops");
             }
             if (dep == i) {
-                Fatal("plan '" + plan_.workload_name_ + "': op '" +
-                      std::string(ops[i].name) + "' depends on itself");
+                Fatal("plan '" + std::string(plan_.workload_name_) +
+                      "': op '" + std::string(ops[i].name) +
+                      "' depends on itself");
             }
         }
         edges += ops[i].deps.size();
@@ -475,7 +478,7 @@ FramePlanBuilder::Build()
             }
         }
         if (next == n) {
-            Fatal("plan '" + plan_.workload_name_ +
+            Fatal("plan '" + std::string(plan_.workload_name_) +
                   "': dependency edges form a cycle (no executable "
                   "order exists)");
         }

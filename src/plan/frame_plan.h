@@ -125,7 +125,7 @@ class FramePlan
     FrameCost Execute(ThreadPool* pool = nullptr,
                       GemmMemo* memo = nullptr) const;
 
-    const std::string& workload_name() const { return workload_name_; }
+    std::string_view workload_name() const { return workload_name_; }
     const std::vector<PlannedOp>& ops() const { return ops_; }
 
     /** Engine-backed ops (uses_engine), whether or not Execute runs
@@ -198,7 +198,9 @@ class FramePlan
     const std::size_t* successors_begin(std::size_t i) const;
     const std::size_t* successors_end(std::size_t i) const;
 
-    std::string workload_name_;
+    /** The workload's name (NerfWorkload::name: interned or a
+     *  literal), so a plan carries no copy of it. */
+    std::string_view workload_name_;
     std::vector<PlannedOp> ops_;
     /**
      * Every index Build derives, in one block. With n ops and e edges:
@@ -222,7 +224,7 @@ class FramePlanBuilder
 {
   public:
     /** @p op_count, when known, sizes the op list once up front. */
-    explicit FramePlanBuilder(std::string workload_name,
+    explicit FramePlanBuilder(std::string_view workload_name,
                               std::size_t op_count = 0);
 
     /** Sets the post-reduction epilogue terms (see FramePlan). */

@@ -118,8 +118,8 @@ class PlanCache
      * Pinning lifetime: the pin is the handle — the entry lives
      * exactly as long as any copy of the handle does (shared_ptr
      * semantics), through LRU eviction and even past the PlanCache's
-     * own destruction. This is what lets a serving scene registry
-     * (serve/scene_registry.h) hold one handle per scene and guarantee
+     * own destruction. This is what lets a serving replica
+     * (serve/render_service.h) hold one handle per scene and guarantee
      * the steady-state prepared path forever, and what keeps a shard
      * replica's pins independent of its siblings in a cluster
      * (serve/cluster.h).

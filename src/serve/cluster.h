@@ -5,9 +5,9 @@
  *
  * One RenderService models one device; fleet-scale traffic needs many.
  * The cluster owns N fully independent replicas — each with its own
- * ThreadPool, bounded PlanCache, SceneRegistry, and virtual-time
- * AdmissionController — and routes Submit(SceneRequest) by rendezvous
- * (HRW) hashing on the scene name (serve/shard_router.h):
+ * ThreadPool, bounded PlanCache, scene table of pinned frames, and
+ * virtual-time AdmissionController — and routes Submit(SceneRequest) by
+ * rendezvous (HRW) hashing on the scene name (serve/shard_router.h):
  *
  *   Submit ──> scene name -> cluster SceneId   the one string lookup
  *          ──> SceneDesc::rank (cached HRW)    home = first *live* rank

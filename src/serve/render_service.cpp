@@ -320,7 +320,7 @@ ServingStats::PublishShared(MetricsRegistry& registry,
 }
 
 RenderService::RenderService(const ServeConfig& config)
-    : cache_(config.plan_cache_capacity), registry_(cache_),
+    : cache_(config.plan_cache_capacity),
       admission_(config.admission),
       tier_latency_(admission_.tiers().size()),
       batch_window_ms_(config.batch_window_ms),
@@ -340,26 +340,55 @@ SceneId
 RenderService::RegisterScene(const std::string& name,
                              const SweepPoint& spec)
 {
+    if (spec.model.empty()) {
+        Fatal("scene '" + name +
+              "' must name a single model (empty model means a whole "
+              "sweep, which is not a servable scene)");
+    }
+    // Build the model and workload once, outside the lock: the alias
+    // guard fingerprints them here and the first touch compiles them.
+    // The fingerprint pair is the spec's authoritative identity —
+    // exactly the (config, workload) key the PlanCache will use — so two
+    // specs that lower to the same frame (e.g. GPU-backend scenes
+    // differing only in the precision field the GPU model ignores)
+    // collide however their raw SweepPoint fields differ.
+    std::unique_ptr<const Accelerator> accel = MakeAccelerator(spec);
+    NerfWorkload workload = BuildWorkload(spec.model, spec.params);
+    std::string key;
+    accel->AppendConfigFingerprint(&key);
+    AppendFingerprint(workload, &key);
+
     // Under the service lock: no Submit may resolve the id before its
-    // per-scene state exists.
+    // state exists.
     std::lock_guard<std::mutex> lock(mutex_);
-    const SceneId id = registry_.Register(name, spec);
+    const auto id = static_cast<SceneId>(scenes_.size());
+    const auto owner = spec_owners_.emplace(std::move(key), id);
+    if (!owner.second) {
+        Fatal("scene '" + name + "' duplicates the spec of scene '" +
+              std::string(scenes_[owner.first->second].name) +
+              "' (alias scenes are not supported: they would split one "
+              "frame across two stat rows and break the frame-hit "
+              "accounting)");
+    }
+    const std::string_view interned = InternName(name);
+    if (!ids_.emplace(interned, id).second) {
+        Fatal("scene '" + name + "' registered twice");
+    }
     SceneState& state = scenes_.emplace_back();
     state.open_batch = open_batches_.end();
-    state.name = InternName(name);
-    ids_.emplace(state.name, id);
+    state.name = interned;
+    state.accel = std::move(accel);
+    state.workload = std::move(workload);
     return id;
 }
 
 FrameCost
 RenderService::WarmScene(const std::string& scene)
 {
-    const SceneId id = registry_.Find(scene);
-    if (id == kNoScene) {
-        Fatal("request names unregistered scene '" + scene + "'");
-    }
+    std::unique_lock<std::mutex> lock(mutex_);
+    const SceneId id = FindLocked(scene);
     TraceRecorder* const recorder = TraceRecorder::Global();
-    if (recorder == nullptr) return registry_.Touch(id, &pool_)->cost;
+    if (recorder == nullptr) return TouchLocked(lock, id).frame->cost;
     // Warm-ups get their own trace: the cold compile + execute they
     // trigger emits the scene's frame and per-op spans here, anchored
     // at virtual 0 — steady-state requests then replay memoized
@@ -371,7 +400,7 @@ RenderService::WarmScene(const std::string& scene)
     FrameCost cost;
     {
         ScopedTraceContext scoped(ctx, 0.0);
-        cost = registry_.Touch(id, &pool_)->cost;
+        cost = TouchLocked(lock, id).frame->cost;
     }
     TraceContext root_ctx;
     root_ctx.trace_id = ctx.trace_id;
@@ -400,12 +429,11 @@ RenderService::PopClaimedLocked()
 }
 
 RenderResult
-RenderService::Judge(SceneId scene,
+RenderService::Judge(SceneState& state,
                      const AdmissionController::Verdict& verdict,
                      double est_service_ms, TraceRecorder* recorder,
                      RequestTrace& trace)
 {
-    SceneState& state = scenes_[scene];
     RenderResult result;
     result.scene = state.name;
     result.tier = verdict.tier;
@@ -467,18 +495,46 @@ RenderService::FindLocked(const std::string& name) const
     return it->second;
 }
 
-void
+RenderService::SceneState&
 RenderService::TouchLocked(std::unique_lock<std::mutex>& lock, SceneId id,
                            bool* compiled)
 {
-    if (scenes_[id].entry != nullptr) return;
+    if (compiled != nullptr) *compiled = false;
+    SceneState& warm = scenes_[id];
+    if (warm.frame) return warm;
+    // RegisterScene may grow scenes_ while the lock is down below, so
+    // no reference into it survives the unlocked window.
+    if (warm.accel == nullptr) {
+        // Another touch is compiling the scene: wait for its one
+        // estimation run and take the prepared path like any later
+        // touch.
+        touched_.wait(lock, [&] { return scenes_[id].frame.has_value(); });
+        return scenes_[id];
+    }
     // Cold first touch: compile outside the service lock, its wavefronts
-    // on the pool. Racing touches serialize in the registry, and only
-    // the one that compiled is not a replay.
+    // on the pool, with the model and workload taken out under the lock
+    // and the result stored back by id.
+    std::unique_ptr<const Accelerator> accel = std::move(warm.accel);
+    NerfWorkload workload = std::move(warm.workload);
     lock.unlock();
-    const SceneEntry* const entry = registry_.Touch(id, &pool_, compiled).get();
+    Shape frame = Estimate(cache_.Prepare(*accel, workload));
     lock.lock();
-    scenes_[id].entry = entry;
+    SceneState& state = scenes_[id];
+    state.accel = std::move(accel);
+    state.workload = std::move(workload);
+    state.frame = std::move(frame);
+    if (compiled != nullptr) *compiled = true;
+    touched_.notify_all();
+    return state;
+}
+
+RenderService::Shape
+RenderService::Estimate(PlanCache::PreparedFrame frame)
+{
+    Shape shape;
+    shape.cost = cache_.Run(frame, &pool_);
+    shape.frame = std::move(frame);
+    return shape;
 }
 
 SubmitReceipt
@@ -486,7 +542,7 @@ RenderService::Submit(const SceneRequest& request,
                       const SubmitOptions& options)
 {
     // The request's one service-lock acquisition: the name lookup, the
-    // scene's cached entry, admission, telemetry, the replay and the
+    // scene's state, admission, telemetry, the replay and the
     // ticket all happen inside it.
     std::unique_lock<std::mutex> lock(mutex_);
     return SubmitLocked(lock, FindLocked(request.scene), request, options);
@@ -509,12 +565,12 @@ RenderService::Preview(const SceneRequest& request,
 {
     std::unique_lock<std::mutex> lock(mutex_);
     const SceneId id = FindLocked(request.scene);
-    TouchLocked(lock, id);
-    return PriceLocked(id, request, options, nullptr);
+    return PriceLocked(id, TouchLocked(lock, id), request, options, nullptr);
 }
 
 RenderService::Pricing
-RenderService::PriceLocked(SceneId id, const SceneRequest& request,
+RenderService::PriceLocked(SceneId id, SceneState& scene,
+                           const SceneRequest& request,
                            const SubmitOptions& options,
                            const TraceContext* trace)
 {
@@ -522,18 +578,17 @@ RenderService::PriceLocked(SceneId id, const SceneRequest& request,
     // thread the first time it is seen: a Submit propagates the
     // request's context so the run's frame/op spans land in its trace.
     std::optional<ScopedTraceContext> scoped;
-    const SceneEntry& scene = *scenes_[id].entry;
+    const Shape& full = *scene.frame;
     Pricing priced;
-    priced.price_ms = EstimatedServiceMs(scene.cost);
-    priced.frame = &scene.frame;
-    priced.cost = &scene.cost;
+    priced.price_ms = EstimatedServiceMs(full.cost);
+    priced.shape = &full;
     if (options.session != 0) {
         FLEX_CHECK_MSG(options.session <= sessions_.size(),
                        "unknown session " << options.session);
         const Session& session = sessions_[options.session - 1];
         FLEX_CHECK_MSG(session.scene == id,
                        "session " << options.session << " is bound to scene '"
-                                  << registry_.Name(session.scene)
+                                  << scenes_[session.scene].name
                                   << "', not '" << request.scene << "'");
         // Coherence decision: measure the new pose against the last
         // *rendered* pose. The first frame has no predecessor to warp
@@ -549,13 +604,12 @@ RenderService::PriceLocked(SceneId id, const SceneRequest& request,
                 if (trace != nullptr) {
                     scoped.emplace(*trace, request.arrival_ms);
                 }
-                const DeltaSceneFrame& delta =
-                    DeltaShapeLocked(id, quantum, session.model.reuse_quanta);
+                const Shape& delta = DeltaShapeLocked(
+                    scene, quantum, session.model.reuse_quanta);
                 priced.rule = PriceRule::kDelta;
                 priced.price_ms = EstimatedDeltaServiceMs(delta.cost,
-                                                          scene.cost);
-                priced.frame = &delta.frame;
-                priced.cost = &delta.cost;
+                                                          full.cost);
+                priced.shape = &delta;
                 booked.delta = true;
                 booked.reuse =
                     static_cast<double>(quantum) /
@@ -564,7 +618,7 @@ RenderService::PriceLocked(SceneId id, const SceneRequest& request,
         }
         // The surcharge rides both sides, so the savings are the rule's.
         const double extra = options.extra_service_ms;
-        booked.savings_ms = (EstimatedServiceMs(scene.cost) + extra) -
+        booked.savings_ms = (EstimatedServiceMs(full.cost) + extra) -
                             (priced.price_ms + extra);
         return priced;
     }
@@ -573,7 +627,7 @@ RenderService::PriceLocked(SceneId id, const SceneRequest& request,
     // open at the clamped arrival (an expired batch flushes before the
     // request lands), and it has a free slot (a full one flushes, and
     // the request opens a fresh batch at the solo price).
-    const auto batch = scenes_[id].open_batch;
+    const auto batch = scene.open_batch;
     const double arrival =
         std::max(request.arrival_ms, last_batch_arrival_ms_);
     if (batch == open_batches_.end() || batch->close_ms <= arrival ||
@@ -585,12 +639,10 @@ RenderService::PriceLocked(SceneId id, const SceneRequest& request,
     // bottleneck stage (models/workload.h, FuseBatch) — instead of a
     // whole frame.
     if (trace != nullptr) scoped.emplace(*trace, arrival);
-    const BatchedSceneFrame& fused =
-        FusedShapeLocked(id, batch->members.size() + 1);
+    const Shape& fused = FusedShapeLocked(scene, batch->members.size() + 1);
     priced.rule = PriceRule::kJoin;
     priced.price_ms = EstimatedMarginalServiceMs(fused.cost, batch->fused_cost);
-    priced.frame = &fused.frame;
-    priced.cost = &fused.cost;
+    priced.shape = &fused;
     return priced;
 }
 
@@ -600,8 +652,7 @@ RenderService::SubmitLocked(std::unique_lock<std::mutex>& lock, SceneId id,
                             const SubmitOptions& options)
 {
     bool compiled_here = false;
-    TouchLocked(lock, id, &compiled_here);
-    SceneState& state = scenes_[id];
+    SceneState& state = TouchLocked(lock, id, &compiled_here);
     ++state.requests;
     if (!compiled_here) ++state.prepared_replays;
     ++submitted_;
@@ -613,7 +664,8 @@ RenderService::SubmitLocked(std::unique_lock<std::mutex>& lock, SceneId id,
     // The service lock spans the pricing decision and its Admit: the
     // price depends on the session's last rendered pose or the batch the
     // request lands in, so both see one consistent submission order.
-    const Pricing priced = PriceLocked(id, request, options, &trace.ctx);
+    const Pricing priced =
+        PriceLocked(id, state, request, options, &trace.ctx);
     // Session frames never fuse: a delta plan is specific to its
     // predecessor.
     const bool batched =
@@ -638,8 +690,7 @@ RenderService::SubmitLocked(std::unique_lock<std::mutex>& lock, SceneId id,
         request.arrival_ms, est_service_ms, request.deadline_ms,
         request.tier);
     RenderResult result =
-        Judge(id, verdict, batched ? priced.price_ms : est_service_ms,
-              recorder, trace);
+        Judge(state, verdict, est_service_ms, recorder, trace);
     if (result.status != RequestStatus::kCompleted) {
         // A refused request books nothing: a session does not advance
         // (the next frame's reuse is still measured against the last
@@ -648,7 +699,8 @@ RenderService::SubmitLocked(std::unique_lock<std::mutex>& lock, SceneId id,
         return {Resolve(std::move(result)), verdict, {}, 0};
     }
     if (batched) {
-        return BatchLocked(id, priced, verdict, trace, std::move(result));
+        return BatchLocked(id, state, priced, verdict, trace,
+                           std::move(result));
     }
     if (options.session != 0) {
         const SessionFrame& booked = priced.session_frame;
@@ -680,12 +732,13 @@ RenderService::SubmitLocked(std::unique_lock<std::mutex>& lock, SceneId id,
     }
     // The handle pins the plan-cache entry (delta shapes live in the
     // LRU like any entry; the pin keeps the replay safe past eviction).
-    return {Replay(*priced.frame, trace, std::move(result)), verdict,
+    return {Replay(priced.shape->frame, trace, std::move(result)), verdict,
             priced.session_frame, 0};
 }
 
 SubmitReceipt
-RenderService::BatchLocked(SceneId id, const Pricing& priced,
+RenderService::BatchLocked(SceneId id, SceneState& scene,
+                           const Pricing& priced,
                            const AdmissionController::Verdict& verdict,
                            const RequestTrace& trace, RenderResult result)
 {
@@ -693,7 +746,7 @@ RenderService::BatchLocked(SceneId id, const Pricing& priced,
     // execution is an amortization of identical frames, not a different
     // render — so per-request results are bit-identical to the
     // unbatched path's (the flush checks the fused cost separately).
-    result.cost = scenes_[id].entry->cost;
+    result.cost = scene.frame->cost;
 
     // The ticket is issued now, in submission order; its result is
     // stored when the batch flushes.
@@ -706,7 +759,7 @@ RenderService::BatchLocked(SceneId id, const Pricing& priced,
 
     TraceRecorder* const recorder =
         trace.active() ? TraceRecorder::Global() : nullptr;
-    auto batch = scenes_[id].open_batch;
+    auto batch = scene.open_batch;
     if (priced.rule == PriceRule::kJoin) {
         if (recorder != nullptr) {
             recorder->RecordInstant(
@@ -743,12 +796,12 @@ RenderService::BatchLocked(SceneId id, const Pricing& priced,
                 {TraceArg::Num("close_ms", batch->close_ms)});
         }
         batch->members.push_back(std::move(member));
-        scenes_[id].open_batch = batch;
+        scene.open_batch = batch;
     }
     // The batch now *is* the priced shape: the admitted price and the
     // shape a flush replays advance together.
-    batch->fused_cost = *priced.cost;
-    batch->frame = *priced.frame;
+    batch->fused_cost = priced.shape->cost;
+    batch->frame = priced.shape->frame;
     return {ticket, verdict, {}, batch->ordinal};
 }
 
@@ -756,8 +809,9 @@ SessionId
 RenderService::OpenSession(const std::string& scene,
                            const CoherenceModel& model)
 {
-    const SceneId id = registry_.Find(scene);
-    if (id == kNoScene) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto id = ids_.find(scene);
+    if (id == ids_.end()) {
         Fatal("OpenSession names unregistered scene '" + scene + "'");
     }
     if (model.reuse_quanta < 1) {
@@ -769,9 +823,8 @@ RenderService::OpenSession(const std::string& scene,
     if (model.translation_scale <= 0.0 || model.rotation_scale_deg <= 0.0) {
         Fatal("CoherenceModel scales must be positive");
     }
-    std::lock_guard<std::mutex> lock(mutex_);
     Session session;
-    session.scene = id;
+    session.scene = id->second;
     session.model = model;
     sessions_.push_back(session);
     return sessions_.size();
@@ -810,7 +863,7 @@ RenderService::FlushBatchLocked(std::list<OpenBatch>::iterator batch)
     }
 
     // One fused replay serves every member. The shape was executed when
-    // its estimation run prepared it (scene_registry.h), so this replay
+    // its estimation run prepared it (FusedShapeLocked), so this replay
     // is memoized — the batched-mode invariant is "PlanCache frame hits
     // == batches dispatched".
     const RequestTrace& opener = closing.members[0].trace;
@@ -858,43 +911,52 @@ RenderService::FlushBatchLocked(std::list<OpenBatch>::iterator batch)
 
 namespace {
 
-/** The shape under @p key in @p shapes, looked up in the registry by
- *  @p touch on a miss and cached (the registry keeps it alive). */
-template <typename Frame, typename Touch>
-const Frame&
-CachedShape(std::vector<const Frame*>& shapes, std::size_t key, Touch touch)
+/** The slot under @p key, growing @p slots to hold it. */
+template <typename T>
+T&
+SlotAt(std::vector<T>& slots, std::size_t key)
 {
-    if (key >= shapes.size()) shapes.resize(key + 1, nullptr);
-    if (shapes[key] == nullptr) shapes[key] = touch().get();
-    return *shapes[key];
+    if (key >= slots.size()) slots.resize(key + 1);
+    return slots[key];
 }
 
 }  // namespace
 
-const BatchedSceneFrame&
-RenderService::FusedShapeLocked(SceneId scene, std::size_t elements)
+const RenderService::Shape&
+RenderService::FusedShapeLocked(SceneState& scene, std::size_t elements)
 {
-    return CachedShape(scenes_.at(scene).fused, elements, [&] {
-        return registry_.TouchBatched(scene, elements, &pool_);
-    });
+    // One estimation run per (scene, element count), so the batching
+    // invariant "PlanCache frame hits == batches dispatched" stays exact.
+    std::optional<Shape>& fused = SlotAt(scene.fused, elements);
+    if (!fused) {
+        fused = Estimate(cache_.Prepare(*scene.accel,
+                                        FuseBatch(scene.workload, elements)));
+    }
+    return *fused;
 }
 
-const DeltaSceneFrame&
-RenderService::DeltaShapeLocked(SceneId scene, std::size_t reuse_quantum,
+const RenderService::Shape&
+RenderService::DeltaShapeLocked(SceneState& scene, std::size_t reuse_quantum,
                                 std::size_t reuse_quanta)
 {
-    // A scene's sessions use one grid or a few: a linear scan.
-    std::vector<DeltaGrid>& grids = scenes_.at(scene).deltas;
+    // A scene's sessions use one grid or a few: a linear scan. Sessions
+    // on different grids never share a shape.
+    std::vector<DeltaGrid>& grids = scene.deltas;
     auto grid = std::find_if(
         grids.begin(), grids.end(),
         [&](const DeltaGrid& g) { return g.quanta == reuse_quanta; });
     if (grid == grids.end()) {
         grid = grids.insert(grids.end(), DeltaGrid{reuse_quanta, {}});
     }
-    return CachedShape(grid->by_quantum, reuse_quantum, [&] {
-        return registry_.TouchDelta(scene, reuse_quantum, reuse_quanta,
-                                    &pool_);
-    });
+    // The predecessor-keyed path off the scene's pinned handle: one
+    // estimation run per (scene, quantum, grid).
+    std::optional<Shape>& delta = SlotAt(grid->by_quantum, reuse_quantum);
+    if (!delta) {
+        delta = Estimate(cache_.PrepareDelta(
+            scene.frame->frame, *scene.accel,
+            DeltaWorkload(scene.workload, reuse_quantum, reuse_quanta)));
+    }
+    return *delta;
 }
 
 void
@@ -981,9 +1043,10 @@ RenderService::Quote(SceneId scene, const SceneRequest& request,
     std::lock_guard<std::mutex> lock(mutex_);
     // A replica that never served the scene has no batch to join and
     // no session on it: the caller's solo estimate is its price.
+    SceneState* const state = scene == kNoScene ? nullptr : &scenes_.at(scene);
     const double price =
-        scene != kNoScene && scenes_.at(scene).entry != nullptr
-            ? PriceLocked(scene, request, options, nullptr).price_ms
+        state != nullptr && state->frame
+            ? PriceLocked(scene, *state, request, options, nullptr).price_ms
             : solo_est_ms;
     return admission_.Probe(request.arrival_ms,
                             price + options.extra_service_ms,
@@ -1043,7 +1106,7 @@ RenderService::Snapshot(ServeLedger* ledger_out) const
         const Session& session = sessions_[i];
         SessionStats row;
         row.id = i + 1;
-        row.scene = registry_.Name(session.scene);
+        row.scene = std::string(scenes_[session.scene].name);
         row.frames = session.frames;
         row.delta_frames = session.delta_frames;
         row.full_frames = session.full_frames;
@@ -1059,13 +1122,12 @@ RenderService::Snapshot(ServeLedger* ledger_out) const
     stats.cache = cache_.stats();
     stats.cache_entries = cache_.size();
     stats.scenes.reserve(scenes_.size());
-    for (std::size_t id = 0; id < scenes_.size(); ++id) {
-        const SceneState& scene = scenes_[id];
+    for (const SceneState& scene : scenes_) {
         stats.scenes.push_back(
             {std::string(scene.name),
-             registry_.EstimatedMs(static_cast<SceneId>(id)), scene.requests,
-             scene.prepared_replays, scene.accepted, scene.rejected,
-             scene.shed});
+             scene.frame ? EstimatedServiceMs(scene.frame->cost) : 0.0,
+             scene.requests, scene.prepared_replays, scene.accepted,
+             scene.rejected, scene.shed});
     }
     return stats;
 }

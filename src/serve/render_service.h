@@ -9,16 +9,16 @@
  *
  *   Submit(name | id) ──> service lock, held once: name -> SceneId
  *                          (the one string lookup; a router passes the
- *                          id instead), the scene's cached pinned entry
- *                          and fused/delta shapes (raw pointers, no
- *                          registry call once warm), AdmissionController
- *                          (virtual time; commits the router's quote
- *                          when it matches), per-scene + tier telemetry,
+ *                          id instead), the scene's SceneState (its
+ *                          pinned frame and fused/delta shapes, owned
+ *                          in place), AdmissionController (virtual
+ *                          time; commits the router's quote when it
+ *                          matches), per-scene + tier telemetry,
  *                          PlanCache::Run (the memoized replay), the
  *                          result under its ticket
  *                     ──> cold first touch only: the lock drops while
- *                          SceneRegistry::Touch compiles the scene, its
- *                          wavefronts on the ThreadPool
+ *                          the scene compiles, its wavefronts on the
+ *                          ThreadPool
  *
  * Every admitted request resolves inside Submit. The replay is a
  * memoized hit: first touch (or the estimation run that prepares a
@@ -45,20 +45,24 @@
  * Snapshot/Ledger is a consistent cut. Concurrent Submits are admitted
  * in an unspecified but serialized order (determinism holds per
  * submission order observed, which is why the open-loop bench submits
- * from one thread). A cold first touch compiles outside the lock; fused
- * and delta shapes prepare under it, as the shape a request prices
- * depends on the state it guards. Pool workers never take the service
- * lock, so the lock order is one way: cluster router -> service ->
- * {registry, plan cache, histograms}.
+ * from one thread). A cold first touch compiles outside the lock, and
+ * racing first touches of that scene wait on a condition variable for
+ * its one estimation run; fused and delta shapes prepare under the
+ * lock, as the shape a request prices depends on the state it guards.
+ * Pool workers never take the service lock, so the lock order is one
+ * way: cluster router -> service -> {plan cache, histograms}.
  */
 #ifndef FLEXNERFER_SERVE_RENDER_SERVICE_H_
 #define FLEXNERFER_SERVE_RENDER_SERVICE_H_
 
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -69,13 +73,34 @@
 #include "models/trajectory.h"
 #include "obs/trace.h"
 #include "plan/plan_cache.h"
+#include "runtime/sweep_runner.h"
 #include "runtime/thread_pool.h"
 #include "serve/admission.h"
-#include "serve/scene_registry.h"
 
 namespace flexnerfer {
 
 class MetricsRegistry;
+
+/** A scene's registration index on one replica (so one scene has
+ *  different ids on different cluster shards). A service resolves a
+ *  request's scene name to it once, on entry, and keys by it below. */
+using SceneId = std::uint32_t;
+/** "No id": the scene is not registered (yet). */
+constexpr SceneId kNoScene = std::numeric_limits<SceneId>::max();
+
+/** One scene's row of a RenderService snapshot, at index SceneId. */
+struct SceneStats {
+    std::string name;
+    /** The admission service-time estimate: the scene frame's
+     *  critical-path latency (EstimatedServiceMs); 0 until the scene's
+     *  first touch. */
+    double est_latency_ms = 0.0;
+    std::uint64_t requests = 0;          //!< submits naming this scene
+    std::uint64_t prepared_replays = 0;  //!< touches after preparation
+    std::uint64_t accepted = 0;
+    std::uint64_t rejected = 0;
+    std::uint64_t shed = 0;
+};
 
 /** One render request against a registered scene. */
 struct SceneRequest {
@@ -466,7 +491,7 @@ struct ServeConfig {
     std::size_t max_batch_elements = 8;
 };
 
-/** Serving front-end: admission, prepared-frame registry, telemetry. */
+/** Serving front-end: admission, per-scene prepared frames, telemetry. */
 class RenderService
 {
   public:
@@ -475,7 +500,18 @@ class RenderService
     RenderService(const RenderService&) = delete;
     RenderService& operator=(const RenderService&) = delete;
 
-    /** Registers a servable scene (see SceneRegistry::Register). */
+    /**
+     * Registers @p name as the scene described by @p spec (which must
+     * name a single model: a serving request renders one frame, not a
+     * sweep) and returns its id, the registration index. Registration
+     * builds the accelerator model and workload (cheap, and the alias
+     * guard fingerprints them); plan compilation and the estimation run
+     * wait for the first touch. Re-registering a name is fatal, and so
+     * is registering a second name whose spec lowers to the same
+     * (config, workload) frame: alias scenes would split one frame
+     * across two stat rows and double-count its estimation run,
+     * breaking the frame_hits == accepted invariant.
+     */
     SceneId RegisterScene(const std::string& name, const SweepPoint& spec);
 
     /**
@@ -483,7 +519,8 @@ class RenderService
      * takes the prepared path, returning the scene's executed frame
      * cost (EstimatedServiceMs of it — the dependency-DAG critical
      * path — is the admission estimate; callers can build arrival
-     * schedules or reference-check replays against it).
+     * schedules or reference-check replays against it). Counts no
+     * request.
      */
     FrameCost WarmScene(const std::string& scene);
 
@@ -593,7 +630,6 @@ class RenderService
 
     ThreadPool& pool() { return pool_; }
     PlanCache& cache() { return cache_; }
-    const SceneRegistry& registry() const { return registry_; }
 
     /**
      * A router's one call per candidate replica, under one service
@@ -678,28 +714,39 @@ class RenderService
         RenderResult result;  //!< valid while kReady
     };
 
+    /** One prepared frame of a scene: the scene frame itself, a fused
+     *  batch shape, or a delta shape. The handle pins the plan in the
+     *  cache (past LRU eviction) and `cost` is its executed cost, so a
+     *  replay through it is a memoized hit. */
+    struct Shape {
+        PlanCache::PreparedFrame frame;
+        FrameCost cost;
+    };
+
     /** One reuse grid's delta shapes of a scene, by quantum. */
     struct DeltaGrid {
         std::size_t quanta = 1;
-        std::vector<const DeltaSceneFrame*> by_quantum;
+        std::vector<std::optional<Shape>> by_quantum;
     };
 
     /**
-     * Per-scene service state, by SceneId. The registry never drops or
-     * replaces a prepared entry or shape, so the cached raw pointers
-     * stay valid for the registry's lifetime: a warm request reads them
-     * under the service lock and never calls into the registry.
+     * The one per-scene record, by SceneId. Shapes are built once, on
+     * first use, and never dropped or replaced.
      */
     struct SceneState {
         /** The scene's open batch; open_batches_.end() = none. */
         std::list<OpenBatch>::iterator open_batch;
         std::string_view name;  //!< interned at RegisterScene
-        /** The pinned entry, once a request touched it (null = cold). */
-        const SceneEntry* entry = nullptr;
+        /** Built at RegisterScene. A cold first touch holds them while
+         *  it compiles (accel is null only then) and puts them back;
+         *  fused and delta shapes derive from them. */
+        std::unique_ptr<const Accelerator> accel;
+        NerfWorkload workload;
+        /** The pinned scene frame, once a request touched it. */
+        std::optional<Shape> frame;
         /** Fused shapes by element count, and delta shapes per reuse
-         *  grid by quantum (null = not looked up yet; see
-         *  SceneRegistry). */
-        std::vector<const BatchedSceneFrame*> fused;
+         *  grid by quantum (empty = not built yet). */
+        std::vector<std::optional<Shape>> fused;
         std::vector<DeltaGrid> deltas;
         /** The ServiceStats::scenes columns: submits naming the scene,
          *  those that found it prepared, and admission outcomes. */
@@ -717,11 +764,14 @@ class RenderService
     void PopClaimedLocked();
     /** The id of registered scene @p name (fatal otherwise). */
     SceneId FindLocked(const std::string& name) const;
-    /** Caches scene @p id's pinned entry. A cold first touch compiles
-     *  it with @p lock on mutex_ released; @p compiled reports whether
-     *  this call ran the estimation run (see SceneRegistry::Touch). */
-    void TouchLocked(std::unique_lock<std::mutex>& lock, SceneId id,
-                     bool* compiled = nullptr);
+    /**
+     * Returns scene @p id's state with its frame prepared. A cold first
+     * touch compiles it with @p lock on mutex_ released; a touch racing
+     * it waits for that compile. @p compiled reports whether this call
+     * ran the estimation run.
+     */
+    SceneState& TouchLocked(std::unique_lock<std::mutex>& lock, SceneId id,
+                            bool* compiled = nullptr);
     /** Submit's body for scene @p id, entered with @p lock held on
      *  mutex_ (a cold first touch releases it while compiling). */
     SubmitReceipt SubmitLocked(std::unique_lock<std::mutex>& lock,
@@ -731,29 +781,32 @@ class RenderService
     /** A RequestPrice plus the shape an accepted request replays. */
     struct Pricing : RequestPrice {
         /** The scene frame, the next fused shape, or the delta shape. */
-        const PlanCache::PreparedFrame* frame = nullptr;
-        const FrameCost* cost = nullptr;  //!< that shape's executed cost
+        const Shape* shape = nullptr;
     };
     /**
      * The one pricing decision, shared by Submit, Quote and Preview:
      * the session's coherence decision for a session frame, the join
      * predicate for a batching request, else the solo frame. Scene
-     * @p id must be touched. Moves no state; a cold fused or delta
-     * shape prepares here, its estimation run under @p trace (null for
-     * a preview or a quote: no request owns the run).
+     * @p id (whose state is @p scene) must be touched. Moves no state;
+     * a cold fused or delta shape prepares here, its estimation run
+     * under @p trace (null for a preview or a quote: no request owns
+     * the run).
      */
-    Pricing PriceLocked(SceneId id, const SceneRequest& request,
+    Pricing PriceLocked(SceneId id, SceneState& scene,
+                        const SceneRequest& request,
                         const SubmitOptions& options,
                         const TraceContext* trace);
-    /** Scene @p scene's fused shape for @p elements requests, through
-     *  its SceneState cache (a miss prepares it via the registry). */
-    const BatchedSceneFrame& FusedShapeLocked(SceneId scene,
-                                              std::size_t elements);
-    /** Scene @p scene's delta shape at @p reuse_quantum /
-     *  @p reuse_quanta, through its SceneState cache. */
-    const DeltaSceneFrame& DeltaShapeLocked(SceneId scene,
-                                            std::size_t reuse_quantum,
-                                            std::size_t reuse_quanta);
+    /** @p scene's fused shape for @p elements (>= 2) requests. */
+    const Shape& FusedShapeLocked(SceneState& scene, std::size_t elements);
+    /** @p scene's delta shape at @p reuse_quantum (>= 1) /
+     *  @p reuse_quanta. */
+    const Shape& DeltaShapeLocked(SceneState& scene,
+                                  std::size_t reuse_quantum,
+                                  std::size_t reuse_quanta);
+    /** Executes the freshly prepared @p frame once — its estimation
+     *  run, wavefronts on the pool — and returns it with its cost. Reads
+     *  no guarded state, so a cold first touch calls it unlocked. */
+    Shape Estimate(PlanCache::PreparedFrame frame);
     /**
      * Books one admission verdict, shared by every Submit path: builds
      * the request's result and records the outcome in the per-scene
@@ -762,7 +815,7 @@ class RenderService
      * its frame cost from a replay. @p est_service_ms is the estimate
      * the accepted trace instant reports.
      */
-    RenderResult Judge(SceneId scene,
+    RenderResult Judge(SceneState& scene,
                        const AdmissionController::Verdict& verdict,
                        double est_service_ms, TraceRecorder* recorder,
                        RequestTrace& trace);
@@ -773,7 +826,8 @@ class RenderService
     /** Books an accepted batching request (@p result) into the batch
      *  @p priced chose: the scene's open batch for a joiner, a fresh
      *  one otherwise. The ticket resolves when the batch flushes. */
-    SubmitReceipt BatchLocked(SceneId scene, const Pricing& priced,
+    SubmitReceipt BatchLocked(SceneId id, SceneState& scene,
+                              const Pricing& priced,
                               const AdmissionController::Verdict& verdict,
                               const RequestTrace& trace,
                               RenderResult result);
@@ -789,7 +843,6 @@ class RenderService
     ServeLedger LedgerLocked() const;
 
     PlanCache cache_;
-    SceneRegistry registry_;
 
     /** The service lock: guards every member below but pool_ (see the
      *  file header's Thread-safety paragraph). The histograms keep
@@ -805,6 +858,8 @@ class RenderService
     std::uint64_t submitted_ = 0;
     std::uint64_t completed_ = 0;
     std::vector<SceneState> scenes_;
+    /** Signalled when a cold first touch stores its scene's frame. */
+    std::condition_variable touched_;
     /**
      * The ticket -> RenderResult store. A ticket is its slot's ring
      * sequence, so Wait is an index lookup and WaitAll walks the slots
@@ -830,17 +885,19 @@ class RenderService
 
     std::vector<Session> sessions_;  //!< session id i + 1 at index i
 
-    /** Scene name (the interned view in SceneState) -> id: a by-name
-     *  Submit resolves under the service lock, taking no registry
-     *  lock. */
+    /** Scene name (the interned view in SceneState) -> id: the one
+     *  string-keyed lookup, taken by a by-name Submit. */
     std::unordered_map<std::string_view, SceneId> ids_;
+    /** Injective spec key (config and workload fingerprints) -> the
+     *  scene first registered with it: the alias guard. */
+    std::unordered_map<std::string, SceneId> spec_owners_;
     /** Flushed batch nodes, spliced back into open_batches_ by the next
      *  open with their members' capacity kept: a warmed service opens
      *  batches without allocating. */
     std::list<OpenBatch> spare_batches_;
 
-    /** Runs the wavefronts of cold compiles inside SceneRegistry's
-     *  Touch calls; no request is ever enqueued on it. */
+    /** Runs the wavefronts of cold compiles and estimation runs; no
+     *  request is ever enqueued on it. */
     ThreadPool pool_;
 };
 

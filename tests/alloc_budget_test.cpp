@@ -543,9 +543,9 @@ RunColdGrid(const std::vector<std::unique_ptr<Accelerator>>& accels,
 
 /** Most allocations a repeated fuse or delta derivation plus its
  *  compile may make: the op list and the plan's op list and index
- *  block, plus, for a derived workload name past the small-string
- *  buffer ("Instant-NGP+batch3"), the name and the plan's copy of it. */
-constexpr std::uint64_t kDerivedCeiling = 5;
+ *  block. The derived workload name ("Instant-NGP+batch3") is interned,
+ *  and the plan views it, so neither allocates. */
+constexpr std::uint64_t kDerivedCeiling = 3;
 
 bool
 ColdFramesHoldBudget()

@@ -21,7 +21,6 @@
 #include "runtime/thread_pool.h"
 #include "serve/admission.h"
 #include "serve/render_service.h"
-#include "serve/scene_registry.h"
 #include "frame_cost_matchers.h"
 
 namespace flexnerfer {
@@ -62,7 +61,7 @@ TEST(FuseBatch, ReplicatesOpsAndAddsCrossElementStageEdges)
     const std::size_t stride = base.ops.size();
     const NerfWorkload fused = FuseBatch(base, 3);
 
-    EXPECT_EQ(fused.name, base.name + "+batch3");
+    EXPECT_EQ(fused.name, std::string(base.name) + "+batch3");
     ASSERT_EQ(fused.ops.size(), 3 * stride);
     EXPECT_EQ(fused.samples_per_frame, 3.0 * base.samples_per_frame);
     EXPECT_EQ(fused.batch_size, base.batch_size);
@@ -146,29 +145,6 @@ TEST(FuseBatch, MarginalCostStaysBelowTheSoloCriticalPath)
     EXPECT_DOUBLE_EQ(telescoped, EstimatedServiceMs(costs.back()));
 }
 
-TEST(SceneRegistry, TouchBatchedAliasesTheSoloFrameAtOneElement)
-{
-    PlanCache cache;
-    SceneRegistry registry(cache);
-    const SceneId ngp = registry.Register("ngp", NgpFlexScene());
-
-    const auto solo = registry.Touch(ngp);
-    const auto batched1 = registry.TouchBatched(ngp, 1);
-    EXPECT_EQ(batched1->elements, 1u);
-    ExpectBitIdentical(batched1->cost, solo->cost);
-    EXPECT_EQ(cache.stats().plan_misses, 1u);  // no second compile
-
-    // Two elements compile (and estimation-run) the fused shape once;
-    // repeat touches replay the pinned entry.
-    const auto batched2 = registry.TouchBatched(ngp, 2);
-    EXPECT_EQ(batched2->elements, 2u);
-    EXPECT_EQ(cache.stats().plan_misses, 2u);
-    EXPECT_GT(EstimatedServiceMs(batched2->cost),
-              EstimatedServiceMs(solo->cost));
-    EXPECT_EQ(registry.TouchBatched(ngp, 2).get(), batched2.get());
-    EXPECT_EQ(cache.stats().plan_misses, 2u);
-}
-
 /** Submits @p count same-scene requests at one arrival instant. */
 std::vector<ServeTicket>
 SubmitBurst(RenderService* service, const std::string& scene,
@@ -182,6 +158,54 @@ SubmitBurst(RenderService* service, const std::string& scene,
         tickets.push_back(service->Submit(request).ticket);
     }
     return tickets;
+}
+
+TEST(BatchedRenderService, SingletonsCompileNothingAndEachShapeCompilesOnce)
+{
+    ServeConfig config;
+    config.threads = 1;
+    config.batch_window_ms = 10.0;
+    RenderService service(config);
+    service.RegisterScene("ngp", NgpFlexScene());
+    const FrameCost warm = service.WarmScene("ngp");
+    EXPECT_EQ(service.cache().stats().plan_misses, 1u);
+
+    // A batch that flushes with one member is the scene frame itself:
+    // it replays the pinned entry and compiles nothing.
+    SubmitBurst(&service, "ngp", 1, 0.0);
+    service.WaitAll();
+    ServiceStats stats = service.Snapshot();
+    EXPECT_EQ(stats.batches_dispatched, 1u);
+    EXPECT_EQ(stats.fused_batches, 0u);
+    EXPECT_EQ(stats.cache.plan_misses, 1u);
+
+    // The first two-element batch compiles (and estimation-runs) the
+    // fused shape once; later two-element batches replay it.
+    for (int window = 1; window <= 3; ++window) {
+        const double arrival = 100.0 * window;
+        for (const ServeTicket ticket :
+             SubmitBurst(&service, "ngp", 2, arrival)) {
+            const RenderResult result = service.Wait(ticket);
+            EXPECT_EQ(result.batch_elements, 2u);
+            ExpectBitIdentical(result.cost, warm);
+        }
+        EXPECT_EQ(service.cache().stats().plan_misses, 2u)
+            << "window " << window;
+    }
+    stats = service.Snapshot();
+    EXPECT_EQ(stats.fused_batches, 3u);
+    EXPECT_EQ(stats.cache.frame_hits, stats.batches_dispatched);
+
+    // The fused frame outgrows the solo one: a joiner's marginal price
+    // is positive and below a whole frame.
+    SceneRequest request;
+    request.scene = "ngp";
+    request.arrival_ms = 1000.0;
+    service.Submit(request);
+    const RequestPrice joiner = service.Preview(request);
+    EXPECT_EQ(joiner.rule, PriceRule::kJoin);
+    EXPECT_GT(joiner.price_ms, 0.0);
+    EXPECT_LT(joiner.price_ms, EstimatedServiceMs(warm));
 }
 
 TEST(BatchedRenderService, FusedRequestsKeepPerElementParity)

@@ -32,7 +32,6 @@
 #include "runtime/thread_pool.h"
 #include "serve/admission.h"
 #include "serve/render_service.h"
-#include "serve/scene_registry.h"
 #include "frame_cost_matchers.h"
 
 namespace flexnerfer {
@@ -412,38 +411,47 @@ TEST(AdmissionController, WfqShieldsPaidTierFromLowTierFlood)
     EXPECT_GT(wfq.counters().tiers[1].accepted, 0u);
 }
 
-TEST(SceneRegistry, FirstTouchPreparesLaterTouchesReplay)
+TEST(RenderService, FirstTouchCompilesAndIdsAreRegistrationIndices)
 {
-    PlanCache cache;
-    SceneRegistry registry(cache);
-    const SceneId ngp = registry.Register("ngp", NgpFlexScene());
-    EXPECT_EQ(ngp, 0u);  // ids are registration indices
-    EXPECT_EQ(registry.Find("ngp"), ngp);
-    EXPECT_EQ(registry.Find("missing"), kNoScene);
-    EXPECT_EQ(registry.Name(ngp), "ngp");
+    ServeConfig config;
+    config.threads = 1;
+    RenderService service(config);
+    EXPECT_EQ(service.RegisterScene("ngp", NgpFlexScene()), 0u);
+    SweepPoint int4 = NgpFlexScene();
+    int4.precision = Precision::kInt4;
+    EXPECT_EQ(service.RegisterScene("ngp-int4", int4), 1u);
+    // Snapshot rows are indexed by SceneId; a cold scene has no
+    // estimate yet.
+    ServiceStats stats = service.Snapshot();
+    ASSERT_EQ(stats.scenes.size(), 2u);
+    EXPECT_EQ(stats.scenes[0].name, "ngp");
+    EXPECT_EQ(stats.scenes[1].name, "ngp-int4");
+    EXPECT_EQ(stats.scenes[0].est_latency_ms, 0.0);
 
-    // First touch compiles and pins; the estimate is the executed cost.
-    bool compiled = false;
-    const auto first = registry.Touch(ngp, nullptr, &compiled);
-    EXPECT_TRUE(compiled);
-    EXPECT_EQ(cache.stats().plan_misses, 1u);
-    EXPECT_EQ(cache.stats().frame_hits, 0u);
-    ExpectBitIdentical(first->cost, Reference("Instant-NGP"));
+    // The first touch compiles and pins; the estimate is the executed
+    // cost, and the estimation run is no replay.
+    const FrameCost warm = service.WarmScene("ngp");
+    ExpectBitIdentical(warm, Reference("Instant-NGP"));
+    EXPECT_EQ(service.cache().stats().plan_misses, 1u);
+    EXPECT_EQ(service.cache().stats().frame_hits, 0u);
 
-    // Second touch returns the same pinned entry; replaying its frame
-    // hits the memoized result, not a recompile.
-    const auto second = registry.Touch(ngp, nullptr, &compiled);
-    EXPECT_FALSE(compiled);
-    EXPECT_EQ(second.get(), first.get());
-    ExpectBitIdentical(cache.Run(second->frame), first->cost);
-    EXPECT_EQ(cache.stats().plan_misses, 1u);
-    EXPECT_EQ(cache.stats().frame_hits, 1u);
-
-    EXPECT_EQ(registry.size(), 1u);
-    EXPECT_EQ(registry.Name(ngp), "ngp");
+    // A second touch returns the pinned cost without running anything;
+    // a request replays the memoized result, not a recompile.
+    ExpectBitIdentical(service.WarmScene("ngp"), warm);
+    EXPECT_EQ(service.cache().stats().frame_hits, 0u);
+    SceneRequest request;
+    request.scene = "ngp";
+    ExpectBitIdentical(service.Wait(service.Submit(request).ticket).cost,
+                       warm);
+    stats = service.Snapshot();
+    EXPECT_EQ(stats.cache.plan_misses, 1u);
+    EXPECT_EQ(stats.cache.frame_hits, 1u);
+    EXPECT_EQ(stats.scenes[0].requests, 1u);
+    EXPECT_EQ(stats.scenes[0].prepared_replays, 1u);
     // The recorded estimate is the critical path — what admission
     // schedules with — not the flat op sum.
-    EXPECT_EQ(registry.EstimatedMs(ngp), EstimatedServiceMs(first->cost));
+    EXPECT_EQ(stats.scenes[0].est_latency_ms, EstimatedServiceMs(warm));
+    EXPECT_EQ(stats.scenes[1].est_latency_ms, 0.0);
 }
 
 TEST(RenderService, SteadyStateRequestsHitThePreparedPath)
@@ -594,25 +602,29 @@ TEST(RenderService, SnapshotReportsPerTierVerdictsAndLatency)
     EXPECT_DOUBLE_EQ(gold_row.busy_ms + bulk_row.busy_ms, 5.0 * est);
 }
 
-TEST(SceneRegistry, RejectsAliasScenesAndDuplicateNames)
+TEST(RenderService, RejectsAliasScenesAndDuplicateNames)
 {
-    PlanCache cache;
-    SceneRegistry registry(cache);
-    registry.Register("ngp", NgpFlexScene());
+    ServeConfig config;
+    config.threads = 1;
+    RenderService service(config);
+    service.RegisterScene("ngp", NgpFlexScene());
     // Same spec under a second name would double-count the estimation
     // run and split one frame across two stat rows — rejected outright
     // (the label is presentation only and does not de-alias).
     SweepPoint alias = NgpFlexScene();
     alias.label = "different label";
-    EXPECT_DEATH(registry.Register("ngp-alias", alias),
+    EXPECT_DEATH(service.RegisterScene("ngp-alias", alias),
+                 "duplicates the spec of scene 'ngp'");
+    EXPECT_DEATH(service.RegisterScene("ngp", NgpFlexScene()),
                  "duplicates the spec");
-    EXPECT_DEATH(registry.Register("ngp", NgpFlexScene()),
-                 "duplicates the spec");
-    // A genuinely different spec registers fine.
+    // A genuinely different spec registers fine, but not under a taken
+    // name.
     SweepPoint other = NgpFlexScene();
     other.precision = Precision::kInt4;
-    registry.Register("ngp-int4", other);
-    EXPECT_EQ(registry.size(), 2u);
+    EXPECT_DEATH(service.RegisterScene("ngp", other),
+                 "scene 'ngp' registered twice");
+    service.RegisterScene("ngp-int4", other);
+    EXPECT_EQ(service.Snapshot().scenes.size(), 2u);
 
     // The guard keys on the frame the spec lowers to, not on raw spec
     // fields: the GPU model ignores precision, so two GPU scenes
@@ -620,46 +632,62 @@ TEST(SceneRegistry, RejectsAliasScenesAndDuplicateNames)
     SweepPoint gpu16 = NgpFlexScene();
     gpu16.backend = Backend::kGpu;
     gpu16.precision = Precision::kInt16;
-    registry.Register("ngp-gpu", gpu16);
+    service.RegisterScene("ngp-gpu", gpu16);
     SweepPoint gpu8 = gpu16;
     gpu8.precision = Precision::kInt8;
-    EXPECT_DEATH(registry.Register("ngp-gpu-int8", gpu8),
+    EXPECT_DEATH(service.RegisterScene("ngp-gpu-int8", gpu8),
                  "duplicates the spec");
+    SweepPoint sweep = NgpFlexScene();
+    sweep.model.clear();
+    EXPECT_DEATH(service.RegisterScene("all", sweep),
+                 "must name a single model");
 }
 
-TEST(SceneRegistry, RacingFirstTouchesConvergeToOneEntry)
+TEST(RenderService, RacingColdSubmitsRunOneEstimation)
 {
-    // Many workers touch one cold scene at once: duplicate prepares may
-    // race, but exactly one compile is counted, one entry survives, and
-    // every caller observes the same estimate.
-    PlanCache cache;
-    SceneRegistry registry(cache);
-    const SceneId ngp = registry.Register("ngp", NgpFlexScene());
+    // 16 submits from 8 threads race to one cold scene: exactly one
+    // estimation run executes, only the request that ran it is not a
+    // prepared replay, and every request sees the same cost.
+    ServeConfig config;
+    config.threads = 2;
+    config.admission.max_queue_depth = 64;
+    config.admission.default_deadline_ms = 1e9;
+    RenderService service(config);
+    service.RegisterScene("ngp", NgpFlexScene());
 
-    ThreadPool pool(8);
-    std::vector<double> estimates(16, 0.0);
-    std::atomic<int> compiles{0};
-    pool.ParallelFor(16, [&registry, &estimates, &compiles,
-                          ngp](std::int64_t i) {
-        bool compiled = false;
-        estimates[static_cast<std::size_t>(i)] =
-            registry.Touch(ngp, nullptr, &compiled)->cost.latency_ms;
-        if (compiled) ++compiles;
-    });
-    const FrameCost reference = Reference("Instant-NGP");
-    for (double estimate : estimates) {
-        EXPECT_EQ(estimate, reference.latency_ms);
+    constexpr int kThreads = 8;
+    constexpr int kPerThread = 2;
+    std::atomic<int> ready{0};
+    std::vector<std::thread> submitters;
+    for (int t = 0; t < kThreads; ++t) {
+        submitters.emplace_back([&] {
+            ++ready;
+            while (ready.load() < kThreads) std::this_thread::yield();
+            for (int i = 0; i < kPerThread; ++i) {
+                SceneRequest request;
+                request.scene = "ngp";
+                service.Submit(request);
+            }
+        });
     }
-    EXPECT_EQ(cache.size(), 1u);
-    EXPECT_EQ(cache.stats().plan_misses, 1u);
-    // Exactly one estimation run executed (racers serialize on the
-    // per-scene mutex and adopt the winner's entry), so no touch ever
-    // replays from the result memo — frame hits stay reserved for
-    // actual requests.
-    EXPECT_EQ(cache.stats().frame_hits, 0u);
-    // Exactly one touch reports the compile: the other 15 adopted the
-    // winner's entry, which a service counts as prepared replays.
-    EXPECT_EQ(compiles.load(), 1);
+    for (std::thread& submitter : submitters) submitter.join();
+
+    constexpr std::uint64_t kRequests = kThreads * kPerThread;
+    const std::vector<RenderResult> results = service.WaitAll();
+    ASSERT_EQ(results.size(), kRequests);
+    const FrameCost reference = Reference("Instant-NGP");
+    for (const RenderResult& result : results) {
+        EXPECT_EQ(result.status, RequestStatus::kCompleted);
+        ExpectBitIdentical(result.cost, reference);
+    }
+    const ServiceStats stats = service.Snapshot();
+    EXPECT_EQ(stats.accepted, kRequests);
+    EXPECT_EQ(stats.cache.plan_misses, 1u);
+    // The estimation run is no memo hit, so frame hits are exactly the
+    // replays of accepted requests.
+    EXPECT_EQ(stats.cache.frame_hits, stats.accepted);
+    EXPECT_EQ(stats.scenes[0].requests, kRequests);
+    EXPECT_EQ(stats.scenes[0].prepared_replays, kRequests - 1);
 }
 
 TEST(RenderService, SnapshotIsZeroSafeWhenNothingWasAccepted)

@@ -1467,12 +1467,17 @@ RegisterRepertoire(ShardedRenderService& cluster)
     return names;
 }
 
-/** @p scene's id on live shard @p shard (kNoScene if not there). */
+/** @p scene's id on live shard @p shard (kNoScene if not there): its
+ *  row index in the replica's snapshot. */
 SceneId
 IdOn(ShardedRenderService& cluster, std::size_t shard,
      const std::string& scene)
 {
-    return cluster.shard(shard).registry().Find(scene);
+    const std::vector<SceneStats> rows = cluster.shard(shard).Snapshot().scenes;
+    for (std::size_t id = 0; id < rows.size(); ++id) {
+        if (rows[id].name == scene) return static_cast<SceneId>(id);
+    }
+    return kNoScene;
 }
 
 /** Every result names @p scene; every completed one carries its warm
@@ -1521,7 +1526,8 @@ TEST(ShardedRenderService, SpillShardServesTheSceneUnderItsOwnId)
     const double est = EstimatedServiceMs(warm);
     EXPECT_EQ(IdOn(cluster, home, scene), 0u);
     ASSERT_EQ(IdOn(cluster, other, scene), kNoScene);
-    const std::size_t homed_there = cluster.shard(other).registry().size();
+    const std::size_t homed_there =
+        cluster.shard(other).Snapshot().scenes.size();
     ASSERT_GT(homed_there, 0u);
 
     // As in SpillPaysRecompileOnceAndKeepsInvariants: the third request
@@ -1703,7 +1709,7 @@ TEST(ShardedRenderService, ResizeReissuesSceneIds)
             EXPECT_EQ(id, next++) << name << " on shard " << shard;
             EXPECT_EQ(cluster.router().Home(name), shard);
         }
-        EXPECT_EQ(cluster.shard(shard).registry().size(), next);
+        EXPECT_EQ(cluster.shard(shard).Snapshot().scenes.size(), next);
         registered += next;
     }
     EXPECT_EQ(registered, names.size());

@@ -287,6 +287,51 @@ TEST(TraceExport, BatchJoinRecordsLifecycleInstantsForEveryMember)
     }
 }
 
+TEST(TraceExport, AcceptedInstantReportsTheBookedEstimateWhenBatching)
+{
+    // An accepted instant's est_service_ms is what admission booked:
+    // the rule's price plus the surcharge, for a batch opener and a
+    // joiner just as for a solo or session frame.
+    TraceRecorder recorder;
+    TraceRecorder::InstallGlobal(&recorder);
+    constexpr double kExtraMs = 0.5;
+    double solo = 0.0;
+    double marginal = 0.0;
+    {
+        ServeConfig config;
+        config.threads = 1;
+        config.batch_window_ms = 1e6;
+        RenderService service(config);
+        service.RegisterScene("ngp", NgpFlexScene());
+        solo = EstimatedServiceMs(service.WarmScene("ngp"));
+        SceneRequest request;
+        request.scene = "ngp";
+        SubmitOptions options;
+        options.extra_service_ms = kExtraMs;
+        service.Submit(request, options);  // opener
+        const RequestPrice joiner = service.Preview(request, options);
+        ASSERT_EQ(joiner.rule, PriceRule::kJoin);
+        marginal = joiner.price_ms;
+        service.Submit(request, options);  // joiner
+        service.WaitAll();
+    }
+    TraceRecorder::InstallGlobal(nullptr);
+
+    // Trace 1 is the warm-up; the opener is trace 2, the joiner 3.
+    const std::vector<TraceEvent> events = recorder.SortedEvents();
+    const auto booked = [&](std::uint64_t trace) {
+        const TraceEvent* accepted =
+            Find(events, trace, TracePhase::kInstant, "accepted");
+        if (accepted == nullptr) return std::string("none");
+        for (const TraceArg& arg : accepted->args) {
+            if (arg.key == "est_service_ms") return arg.value;
+        }
+        return std::string("missing");
+    };
+    EXPECT_EQ(booked(2), TraceArg::Num("", solo + kExtraMs).value);
+    EXPECT_EQ(booked(3), TraceArg::Num("", marginal + kExtraMs).value);
+}
+
 TEST(TraceExport, ClusterRoutingRecordsProbesAndSpills)
 {
     TraceRecorder recorder;

@@ -11,7 +11,9 @@
 #  - any docs/*.md file is not linked from README.md (orphan docs rot
 #    unseen — every guide must be reachable from the front page);
 #  - any src/ header is an orphan module: nothing outside its own
-#    .h/.cpp pair includes it (see check 7).
+#    .h/.cpp pair includes it (see check 7);
+#  - any backtick-quoted `Name::` qualifier in README.md or docs/*.md
+#    names no class, struct, enum or `using` declared in src/ (check 8).
 set -u
 cd "$(dirname "$0")/.."
 fail=0
@@ -143,6 +145,24 @@ for header in src/*/*.h; do
         fail=1
     fi
 done
+
+# 8. Dead qualifiers: a backtick-quoted `Name::member` in the README or
+#    a docs file must qualify by a type src/ still declares (a class,
+#    struct or enum definition, not a forward declaration, or a `using`
+#    alias), so deleting a type fails here until its docs move on. The
+#    standard library's `std::` is the one namespace allowed.
+while IFS= read -r name; do
+    [ -z "${name}" ] && continue
+    [ "${name}" = "std" ] && continue
+    decl="^\s*((class|struct|enum(\s+(class|struct))?)\s+${name}"
+    decl+="(\s*$|\s*[:{]|\s+final)|using\s+${name}\s*=)"
+    if ! grep -rqE "${decl}" src --include='*.h' --include='*.cpp'; then
+        echo "docs: \`${name}::\` qualifies by a type src/ does not" \
+             "declare" >&2
+        fail=1
+    fi
+done < <(grep -ohE '`[A-Za-z_][A-Za-z0-9_]*::' README.md docs/*.md |
+         tr -d '`' | sed 's/::$//' | sort -u)
 
 if [ "${fail}" -ne 0 ]; then
     echo "docs check FAILED" >&2
