@@ -5,7 +5,7 @@
  * an analytic formula. Each batch point fuses batch/2048 same-scene
  * frames into one FramePlan (models/workload.h, FuseBatch) and executes
  * it through Accelerator::Plan: the fused DAG's cross-element pipeline
- * edges let the wavefront overlap element N's color/compositing with
+ * edges let the critical path overlap element N's color/compositing with
  * element N+1's sampling, so the per-frame critical path amortizes
  * toward the bottleneck stage and gains plateau — the paper's saturation
  * shape, now produced by the same plans the serving stack dispatches.

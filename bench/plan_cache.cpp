@@ -7,13 +7,15 @@
  * configurations. The cold path does what the legacy frame loop did on
  * every frame: re-derive all per-op decisions (compile) and run the
  * engines (execute). The cached path compiles each distinct frame once
- * into a PlanCache and replays it afterwards.
+ * into a PlanCache and replays it afterwards. Every frame runs on the
+ * calling thread.
  *
- * stdout (thread-count and cache invariant): the per-frame metric table,
- * printed only after verifying the cold and cached passes rendered
- * byte-identical tables. stderr: wall-clock numbers and the speedup.
+ * stdout (cache invariant): the per-frame metric table, printed only
+ * after verifying the cold and cached passes rendered byte-identical
+ * tables. stderr: wall-clock numbers and the speedup.
  *
  * Usage: plan_cache [--threads N] [--rounds N]
+ * (--threads is validated and ignored, like the serving benches'.)
  */
 #include <cstdio>
 #include <cstdlib>
@@ -31,7 +33,6 @@
 #include "plan/frame_planner.h"
 #include "plan/plan_cache.h"
 #include "runtime/sweep_runner.h"
-#include "runtime/thread_pool.h"
 #include "obs/metrics.h"
 
 using namespace flexnerfer;
@@ -51,14 +52,13 @@ WallMs(const std::chrono::steady_clock::time_point& start)
 int
 main(int argc, char** argv)
 {
-    const int threads = ThreadsFromArgs(argc, argv);
+    ThreadsFromArgs(argc, argv);
     const std::int64_t rounds_arg = IntFromArgs(argc, argv, "--rounds", 64);
     if (rounds_arg > 1000000) {
         Fatal("invalid --rounds value " + std::to_string(rounds_arg) +
               " (expected an integer in [0, 1000000])");
     }
     const int rounds = static_cast<int>(rounds_arg);
-    ThreadPool pool(threads);
 
     std::vector<std::unique_ptr<Accelerator>> accels;
     for (Precision p : {Precision::kInt16, Precision::kInt8,
@@ -100,7 +100,7 @@ main(int argc, char** argv)
         for (const auto& w : workloads) {
             for (const auto& accel : accels) {
                 const FrameCost cost =
-                    FramePlanner::Compile(*accel, w).Execute(&pool);
+                    FramePlanner::Compile(*accel, w).Execute();
                 if (round == 0) cold_costs.push_back(cost);
             }
         }
@@ -114,14 +114,14 @@ main(int argc, char** argv)
     // Untimed warm-up round: compiles each distinct frame once.
     for (const auto& w : workloads) {
         for (const auto& accel : accels) {
-            cache.Run(*accel, w, &pool);
+            cache.Run(*accel, w);
         }
     }
     const auto warm_start = std::chrono::steady_clock::now();
     for (int round = 0; round < rounds; ++round) {
         for (const auto& w : workloads) {
             for (const auto& accel : accels) {
-                const FrameCost cost = cache.Run(*accel, w, &pool);
+                const FrameCost cost = cache.Run(*accel, w);
                 if (round == 0) warm_costs.push_back(cost);
             }
         }
@@ -141,7 +141,7 @@ main(int argc, char** argv)
     const auto prepared_start = std::chrono::steady_clock::now();
     for (int round = 0; round < rounds; ++round) {
         for (std::size_t i = 0; i < prepared.size(); ++i) {
-            const FrameCost cost = cache.Run(prepared[i], &pool);
+            const FrameCost cost = cache.Run(prepared[i]);
             if (round == 0) prepared_costs.push_back(cost);
         }
     }
@@ -167,8 +167,8 @@ main(int argc, char** argv)
         static_cast<double>(rounds) * static_cast<double>(frames_per_round);
     const PlanCache::Stats stats = cache.stats();
     std::fprintf(stderr,
-                 "[plan_cache] %d rounds x %zu frames on %d threads\n",
-                 rounds, frames_per_round, pool.n_threads());
+                 "[plan_cache] %d rounds x %zu frames\n", rounds,
+                 frames_per_round);
     std::fprintf(stderr,
                  "[plan_cache] cold:   %10.1f ms  (%8.2f us/frame)\n",
                  cold_ms, 1e3 * cold_ms / total_frames);

@@ -22,9 +22,10 @@
  * than the baseline. The default (0) preserves the legacy single-frame
  * path and its stdout byte-for-byte.
  *
- * stdout (thread-count invariant): admission/latency/cache summary and
+ * stdout (wall-clock invariant): admission/latency/cache summary and
  * the per-scene table, all in virtual (model) time. stderr: wall-clock
- * throughput, which is the only thing --threads changes.
+ * throughput. --threads is validated and ignored: every request, cold
+ * compile included, runs on the submitting thread.
  *
  * With --trace-out PATH the primary run records an end-to-end request
  * trace and exports it as Chrome trace-event JSON (bench/trace_support.h);
@@ -63,7 +64,6 @@ struct RunOutput {
     std::vector<std::string> scenes;
     std::vector<FrameCost> warm_costs;
     double wall_ms = 0.0;
-    int pool_threads = 0;
 };
 
 /**
@@ -74,12 +74,10 @@ struct RunOutput {
  * batching FLEX_CHECK rides on.
  */
 RunOutput
-RunOpenLoop(int threads, std::size_t requests, double load,
-            std::size_t cache_cap, std::uint64_t seed,
-            double batch_window_ms)
+RunOpenLoop(std::size_t requests, double load, std::size_t cache_cap,
+            std::uint64_t seed, double batch_window_ms)
 {
     ServeConfig config;
-    config.threads = threads;
     config.plan_cache_capacity = cache_cap;
     config.admission.max_queue_depth = 128;
     config.batch_window_ms = batch_window_ms;
@@ -130,7 +128,6 @@ RunOpenLoop(int threads, std::size_t requests, double load,
                       std::chrono::steady_clock::now() - wall_start)
                       .count();
     out.stats = service.Snapshot();
-    out.pool_threads = service.pool().n_threads();
     return out;
 }
 
@@ -139,7 +136,7 @@ RunOpenLoop(int threads, std::size_t requests, double load,
 int
 main(int argc, char** argv)
 {
-    const int threads = ThreadsFromArgs(argc, argv);
+    ThreadsFromArgs(argc, argv);
     const std::int64_t requests_arg =
         IntFromArgs(argc, argv, "--requests", 2000);
     if (requests_arg > 10000000) {
@@ -157,8 +154,8 @@ main(int argc, char** argv)
     const bool batching = batch_window_ms > 0.0;
 
     BenchTraceSession trace_session(argc, argv);
-    const RunOutput run = RunOpenLoop(threads, requests, load, cache_cap,
-                                      seed, batch_window_ms);
+    const RunOutput run =
+        RunOpenLoop(requests, load, cache_cap, seed, batch_window_ms);
     const ServiceStats& stats = run.stats;
     const std::vector<std::string>& scenes = run.scenes;
     const std::vector<FrameCost>& warm_costs = run.warm_costs;
@@ -284,8 +281,7 @@ main(int argc, char** argv)
         // the primary run — stop recording so it stays untraced.
         trace_session.StopRecording();
         const RunOutput baseline = RunOpenLoop(
-            threads, requests, load, cache_cap, seed,
-            /*batch_window_ms=*/0.0);
+            requests, load, cache_cap, seed, /*batch_window_ms=*/0.0);
         const ServiceStats& base = baseline.stats;
         Table versus({"Metric", "window=0", "batched", "delta"});
         versus.AddRow(
@@ -336,10 +332,10 @@ main(int argc, char** argv)
     }
 
     std::fprintf(stderr,
-                 "[serving] %zu requests on %d threads: %.1f ms wall "
+                 "[serving] %zu requests: %.1f ms wall "
                  "(%.0f wall QPS; model-time QPS above is "
-                 "thread-invariant)\n",
-                 requests, run.pool_threads, run.wall_ms,
+                 "wall-clock invariant)\n",
+                 requests, run.wall_ms,
                  run.wall_ms > 0.0 ? 1e3 * static_cast<double>(requests) /
                                          run.wall_ms
                                    : 0.0);

@@ -30,9 +30,10 @@
  *     replayed, and that every live replica's own snapshot agrees
  *     with the merged cluster snapshot row-for-row.
  *
- * stdout (thread-count invariant): human tables plus machine-readable
+ * stdout (wall-clock invariant): human tables plus machine-readable
  * `[cluster] scenario=... key=value` lines for tools/bench_trajectory.sh.
- * stderr: wall-clock throughput, the only thing --threads changes.
+ * stderr: wall-clock throughput. --threads is validated and ignored:
+ * replicas start no threads.
  *
  * Usage: serving_cluster [--threads N] [--requests N] [--seed N]
  *                        [--load F] [--cache-cap N]
@@ -144,7 +145,7 @@ CheckStatsParity(const ClusterStats& a, const ClusterStats& b)
 int
 main(int argc, char** argv)
 {
-    const int threads = ThreadsFromArgs(argc, argv, 1);
+    ThreadsFromArgs(argc, argv);
     const std::int64_t requests_arg =
         IntFromArgs(argc, argv, "--requests", 2000);
     if (requests_arg <= 0 || requests_arg > 10000000) {
@@ -171,7 +172,6 @@ main(int argc, char** argv)
     // scenario as the base shape.
     ClusterConfig base;
     base.shards = 4;
-    base.threads_per_shard = threads;
     base.plan_cache_capacity = cache_cap;
     base.admission.max_queue_depth = 128;
 
@@ -268,9 +268,9 @@ main(int argc, char** argv)
                 std::chrono::steady_clock::now() - wall_start)
                 .count();
         std::fprintf(stderr,
-                     "[serving_cluster] parity: %zu requests x 2 runs, %d "
-                     "thread(s)/shard: %.1f ms wall\n",
-                     requests, threads, wall_ms);
+                     "[serving_cluster] parity: %zu requests x 2 runs: "
+                     "%.1f ms wall\n",
+                     requests, wall_ms);
     }
 
     // ------------------------------------------------------------------
@@ -407,9 +407,9 @@ main(int argc, char** argv)
                 std::chrono::steady_clock::now() - wall_start)
                 .count();
         std::fprintf(stderr,
-                     "[serving_cluster] flash: %zu requests x 2 runs, %d "
-                     "thread(s)/shard: %.1f ms wall\n",
-                     requests, threads, wall_ms);
+                     "[serving_cluster] flash: %zu requests x 2 runs: "
+                     "%.1f ms wall\n",
+                     requests, wall_ms);
     }
 
     // ------------------------------------------------------------------
@@ -613,9 +613,9 @@ main(int argc, char** argv)
                 std::chrono::steady_clock::now() - wall_start)
                 .count();
         std::fprintf(stderr,
-                     "[serving_cluster] kill: %zu requests, %d "
-                     "thread(s)/shard: %.1f ms wall\n",
-                     requests, threads, wall_ms);
+                     "[serving_cluster] kill: %zu requests: %.1f ms "
+                     "wall\n",
+                     requests, wall_ms);
     }
 
     std::printf("All drills held their invariants: wire transparency, "

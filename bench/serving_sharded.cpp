@@ -19,9 +19,9 @@
  * requests exactly (spill recompiles surface as plan misses, never as
  * broken hit accounting), and completed == accepted.
  *
- * stdout (thread-count invariant): per-shard-count summary + per-shard
- * tables, all in virtual (model) time. stderr: wall-clock throughput,
- * the only thing --threads changes.
+ * stdout (wall-clock invariant): per-shard-count summary + per-shard
+ * tables, all in virtual (model) time. stderr: wall-clock throughput.
+ * --threads is validated and ignored: replicas start no threads.
  *
  * With --trace-out PATH every shard-count pass records request traces
  * (including routing probes and spills) into one Chrome trace-event
@@ -53,7 +53,7 @@ using namespace flexnerfer;
 int
 main(int argc, char** argv)
 {
-    const int threads = ThreadsFromArgs(argc, argv, 1);
+    ThreadsFromArgs(argc, argv);
     const std::int64_t requests_arg =
         IntFromArgs(argc, argv, "--requests", 2000);
     if (requests_arg > 10000000) {
@@ -88,7 +88,6 @@ main(int argc, char** argv)
     for (const std::size_t shard_count : {1u, 2u, 4u, 8u}) {
         ClusterConfig config;
         config.shards = shard_count;
-        config.threads_per_shard = threads;
         config.plan_cache_capacity = cache_cap;
         config.admission.max_queue_depth = 128;
         config.spill_recompile_factor = spill_factor;
@@ -201,11 +200,10 @@ main(int argc, char** argv)
         std::printf("%s\n", per_shard.ToString().c_str());
 
         std::fprintf(stderr,
-                     "[serving_sharded] %zu requests, %zu shard(s) x %d "
-                     "thread(s): %.1f ms wall (%.0f wall QPS; model-time "
-                     "QPS above is thread-invariant)\n",
-                     requests, shard_count,
-                     cluster.shard(0).pool().n_threads(), wall_ms,
+                     "[serving_sharded] %zu requests, %zu shard(s): %.1f "
+                     "ms wall (%.0f wall QPS; model-time QPS above is "
+                     "wall-clock invariant)\n",
+                     requests, shard_count, wall_ms,
                      wall_ms > 0.0 ? 1e3 * static_cast<double>(requests) /
                                          wall_ms
                                    : 0.0);

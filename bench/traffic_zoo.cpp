@@ -23,8 +23,8 @@
  * stdout (thread-count invariant): per-scenario, per-tier tables plus
  * one machine-readable "[zoo] ..." line per (scenario, policy, tier),
  * which tools/bench_trajectory.sh folds into BENCH_ci.json. All values
- * are virtual (model) time. stderr: wall-clock throughput, the only
- * thing --threads changes.
+ * are virtual (model) time. stderr: wall-clock throughput. --threads is
+ * validated and ignored: every request runs on the submitting thread.
  *
  * With --batch-window-ms > 0 every service (and the sharded section's
  * replicas) fuses same-scene arrivals within the window into single
@@ -149,7 +149,6 @@ BuildRepertoire()
     // be derived from the estimates. Scene costs are pure, so every
     // per-run service warms to the identical numbers.
     ServeConfig config;
-    config.threads = 1;
     RenderService probe(config);
     Repertoire repertoire;
     repertoire.scenes = PaperSceneRepertoire();
@@ -336,11 +335,9 @@ CheckInvariants(const ServiceStats& stats, bool batching)
 
 std::unique_ptr<RenderService>
 MakeService(const Repertoire& repertoire,
-            AdmissionDiscipline discipline, int threads,
-            double batch_window_ms)
+            AdmissionDiscipline discipline, double batch_window_ms)
 {
     ServeConfig config;
-    config.threads = threads;
     config.admission = ZooPolicy(repertoire.max_est_ms, discipline);
     config.batch_window_ms = batch_window_ms;
     auto service = std::make_unique<RenderService>(config);
@@ -357,10 +354,10 @@ MakeService(const Repertoire& repertoire,
 ServiceStats
 RunOpenLoop(const Repertoire& repertoire, const Scenario& scenario,
             AdmissionDiscipline discipline, std::size_t requests,
-            std::uint64_t seed, int threads, double batch_window_ms)
+            std::uint64_t seed, double batch_window_ms)
 {
     const std::unique_ptr<RenderService> service =
-        MakeService(repertoire, discipline, threads, batch_window_ms);
+        MakeService(repertoire, discipline, batch_window_ms);
 
     TrafficZooStream stream(seed, repertoire.mean_est_ms,
                             repertoire.scenes.size(), scenario.config);
@@ -381,10 +378,10 @@ RunOpenLoop(const Repertoire& repertoire, const Scenario& scenario,
             std::chrono::steady_clock::now() - wall_start)
             .count();
     std::fprintf(stderr,
-                 "[traffic_zoo] scenario=%s policy=%s: %zu requests on "
-                 "%d thread(s), %.1f ms wall\n",
+                 "[traffic_zoo] scenario=%s policy=%s: %zu requests, "
+                 "%.1f ms wall\n",
                  scenario.name.c_str(), PolicyLabel(discipline), requests,
-                 service->pool().n_threads(), wall_ms);
+                 wall_ms);
 
     const ServiceStats stats = service->Snapshot();
     CheckInvariants(stats, batch_window_ms > 0.0);
@@ -401,10 +398,10 @@ RunOpenLoop(const Repertoire& repertoire, const Scenario& scenario,
 ServiceStats
 RunClosedLoop(const Repertoire& repertoire,
               AdmissionDiscipline discipline, std::size_t requests,
-              std::uint64_t seed, int threads, double batch_window_ms)
+              std::uint64_t seed, double batch_window_ms)
 {
     const std::unique_ptr<RenderService> service =
-        MakeService(repertoire, discipline, threads, batch_window_ms);
+        MakeService(repertoire, discipline, batch_window_ms);
 
     struct Client {
         std::size_t tier = 0;
@@ -465,9 +462,9 @@ RunClosedLoop(const Repertoire& repertoire,
             .count();
     std::fprintf(stderr,
                  "[traffic_zoo] scenario=closed policy=%s: %zu requests "
-                 "from %zu clients on %d thread(s), %.1f ms wall\n",
+                 "from %zu clients, %.1f ms wall\n",
                  PolicyLabel(discipline), requests, clients.size(),
-                 service->pool().n_threads(), wall_ms);
+                 wall_ms);
 
     const ServiceStats stats = service->Snapshot();
     CheckInvariants(stats, batch_window_ms > 0.0);
@@ -482,12 +479,11 @@ RunClosedLoop(const Repertoire& repertoire,
  */
 void
 RunShardedFlash(const Repertoire& repertoire, const Scenario& flash,
-                std::size_t requests, std::uint64_t seed, int threads,
+                std::size_t requests, std::uint64_t seed,
                 double batch_window_ms)
 {
     ClusterConfig config;
     config.shards = 4;
-    config.threads_per_shard = threads;
     config.admission =
         ZooPolicy(repertoire.max_est_ms, AdmissionDiscipline::kWeightedFair);
     config.batch_window_ms = batch_window_ms;
@@ -569,7 +565,7 @@ RunShardedFlash(const Repertoire& repertoire, const Scenario& flash,
 int
 main(int argc, char** argv)
 {
-    const int threads = ThreadsFromArgs(argc, argv);
+    ThreadsFromArgs(argc, argv);
     const std::int64_t requests_arg =
         IntFromArgs(argc, argv, "--requests", 800);
     if (requests_arg <= 0 || requests_arg > 10000000) {
@@ -607,10 +603,9 @@ main(int argc, char** argv)
             const ServiceStats stats =
                 scenario.closed_loop
                     ? RunClosedLoop(repertoire, discipline, requests,
-                                    seed, threads, batch_window_ms)
+                                    seed, batch_window_ms)
                     : RunOpenLoop(repertoire, scenario, discipline,
-                                  requests, seed, threads,
-                                  batch_window_ms);
+                                  requests, seed, batch_window_ms);
             std::vector<TierOutcome>& outcomes =
                 discipline == AdmissionDiscipline::kWeightedFair ? wfq
                                                                  : fifo;
@@ -642,8 +637,7 @@ main(int argc, char** argv)
     }
 
     FLEX_CHECK(flash != nullptr);
-    RunShardedFlash(repertoire, *flash, requests, seed, threads,
-                    batch_window_ms);
+    RunShardedFlash(repertoire, *flash, requests, seed, batch_window_ms);
 
     if (batching) {
         std::printf("Batched zoo complete: every scenario ran with a "

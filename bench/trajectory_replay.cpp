@@ -30,10 +30,11 @@
  *     compiles (the break replays the scene's pinned full frame; the
  *     trajectory then resumes on the already-compiled delta shape).
  *
- * stdout (thread-count invariant): the sweep table, the teleport
+ * stdout (wall-clock invariant): the sweep table, the teleport
  * drill, and "[trajectory] key=value" machine lines (one per run)
  * that tools/bench_trajectory.sh folds into BENCH_ci.json. stderr:
- * wall-clock timing, the only thing --threads changes.
+ * wall-clock timing. --threads is validated and ignored: every frame
+ * runs on the submitting thread.
  *
  * Usage: trajectory_replay [--threads N] [--frames N]
  */
@@ -83,13 +84,10 @@ struct PanPoint {
  * baseline).
  */
 RunOutput
-RunTrajectory(int threads, std::size_t frames, double pan_step,
-              bool use_session, std::size_t teleport_at,
-              double teleport_jump)
+RunTrajectory(std::size_t frames, double pan_step, bool use_session,
+              std::size_t teleport_at, double teleport_jump)
 {
-    ServeConfig config;
-    config.threads = threads;
-    RenderService service(config);
+    RenderService service(ServeConfig{});
 
     const NamedScene scene = PaperSceneRepertoire().front();
     service.RegisterScene(scene.name, scene.spec);
@@ -177,7 +175,7 @@ PrintMachineLine(const char* kind, double pan, std::size_t frames,
 int
 main(int argc, char** argv)
 {
-    const int threads = ThreadsFromArgs(argc, argv);
+    ThreadsFromArgs(argc, argv);
     const std::int64_t frames_arg =
         IntFromArgs(argc, argv, "--frames", 150);
     if (frames_arg < 20 || frames_arg > 1000000) {
@@ -199,14 +197,14 @@ main(int argc, char** argv)
     std::vector<RunOutput> runs;
     runs.reserve(sweep.size());
     for (const PanPoint& pan : sweep) {
-        runs.push_back(RunTrajectory(threads, frames, pan.step,
+        runs.push_back(RunTrajectory(frames, pan.step,
                                      /*use_session=*/true,
                                      /*teleport_at=*/0,
                                      /*teleport_jump=*/0.0));
         total_wall_ms += runs.back().wall_ms;
     }
     const RunOutput baseline =
-        RunTrajectory(threads, frames, /*pan_step=*/0.0,
+        RunTrajectory(frames, /*pan_step=*/0.0,
                       /*use_session=*/false, /*teleport_at=*/0,
                       /*teleport_jump=*/0.0);
     total_wall_ms += baseline.wall_ms;
@@ -267,7 +265,7 @@ main(int argc, char** argv)
     // full frame (a frame hit, not a compile), and the trajectory
     // resumes on the already-compiled delta shape. ---------------------
     const RunOutput teleport =
-        RunTrajectory(threads, frames, /*pan_step=*/0.05,
+        RunTrajectory(frames, /*pan_step=*/0.05,
                       /*use_session=*/true, /*teleport_at=*/frames / 2,
                       /*teleport_jump=*/10.0);
     total_wall_ms += teleport.wall_ms;
@@ -333,9 +331,9 @@ main(int argc, char** argv)
                 baseline.stats.mean_ms);
 
     std::fprintf(stderr,
-                 "[trajectory] %zu runs x %zu frames on %d threads: "
-                 "%.1f ms wall (virtual-time results above are "
-                 "thread-invariant)\n",
-                 runs.size() + 2, frames, threads, total_wall_ms);
+                 "[trajectory] %zu runs x %zu frames: %.1f ms wall "
+                 "(virtual-time results above are wall-clock "
+                 "invariant)\n",
+                 runs.size() + 2, frames, total_wall_ms);
     return 0;
 }

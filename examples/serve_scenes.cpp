@@ -64,7 +64,6 @@ RunSharded(std::size_t shards)
 {
     ClusterConfig config;
     config.shards = shards;
-    config.threads_per_shard = 2;
     config.plan_cache_capacity = 8;
     config.admission.max_queue_depth = 4;
     config.spill_recompile_factor = 1.0;
@@ -166,7 +165,6 @@ RunSingle()
     // A service with a tight queue and a default deadline, so this
     // walkthrough shows all three admission outcomes.
     ServeConfig config;
-    config.threads = 2;
     config.plan_cache_capacity = 8;  // bounded LRU; scenes stay pinned
     config.admission.max_queue_depth = 4;
     RenderService service(config);

@@ -5,9 +5,9 @@
 namespace flexnerfer {
 
 FrameCost
-Accelerator::RunWorkload(const NerfWorkload& workload, ThreadPool* pool) const
+Accelerator::RunWorkload(const NerfWorkload& workload) const
 {
-    return Plan(workload).Execute(pool);
+    return Plan(workload).Execute();
 }
 
 }  // namespace flexnerfer

@@ -6,9 +6,9 @@
  *
  * Execution is split into compile and execute: an Accelerator lowers a
  * workload into a FramePlan of fully resolved per-op decisions (Plan),
- * and the plan is executed — serially or across a ThreadPool — by the
- * plan layer (see plan/frame_plan.h). RunWorkload is the one-shot
- * convenience that compiles and executes in place.
+ * and the plan is executed, in topological order on the calling
+ * thread, by the plan layer (see plan/frame_plan.h). RunWorkload is the
+ * one-shot convenience that compiles and executes in place.
  */
 #ifndef FLEXNERFER_ACCEL_ACCELERATOR_H_
 #define FLEXNERFER_ACCEL_ACCELERATOR_H_
@@ -20,7 +20,6 @@
 namespace flexnerfer {
 
 class FramePlan;
-class ThreadPool;
 
 /** Per-frame cost with a stage breakdown. */
 struct FrameCost {
@@ -191,13 +190,10 @@ class Accelerator
 
     /**
      * Estimates the cost of rendering one frame of @p workload by
-     * compiling and executing a plan in place. With a pool, the op DAG
-     * runs as a wavefront (dependencies respected, independent stages
-     * overlapped); the result is bit-identical for any thread count
-     * (including none). Safe to call concurrently on one instance.
+     * compiling and executing a plan in place. Safe to call
+     * concurrently on one instance.
      */
-    FrameCost RunWorkload(const NerfWorkload& workload,
-                          ThreadPool* pool = nullptr) const;
+    FrameCost RunWorkload(const NerfWorkload& workload) const;
 
     virtual std::string name() const = 0;
 };

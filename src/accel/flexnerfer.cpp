@@ -40,7 +40,8 @@ FlexNeRFerModel::Plan(const NerfWorkload& workload) const
 
     // Ops lower 1:1 in workload order, so the dependency edges each op
     // carries (models/workload.h) keep their indices; Build validates
-    // them into the layered DAG the wavefront executor schedules.
+    // them into the layered DAG Execute walks and the critical path
+    // folds over.
     for (const WorkloadOp& op : workload.ops) {
         switch (op.kind) {
           case OpKind::kGemm: {

@@ -145,7 +145,7 @@ void AppendFingerprint(const GemmShape& shape, std::string* out);
  * its immutable config, and every stateful collaborator (DistributionNetwork,
  * MacArray, FlexFormatCodec) is constructed locally per invocation. One
  * GemmEngine instance may therefore serve concurrent calls from SweepRunner
- * or frame-plan wavefront workers without synchronization. Results are a pure
+ * workers or serving threads without synchronization. Results are a pure
  * function of (config, operands): no RNG, clocks, or global counters are
  * consulted, which is what makes parallel sweeps bit-reproducible.
  */

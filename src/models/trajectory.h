@@ -14,7 +14,7 @@
  * base op DAG accordingly: sampling/feature/color ops scale down to the
  * invalidated fraction of the view, a warp/validate pass proportional
  * to the reused fraction is added, and every dependency edge is
- * preserved, so the unchanged wavefront executor runs the delta plan
+ * preserved, so the unchanged plan executor runs the delta plan
  * exactly like any other frame.
  *
  * Reuse fractions are quantized to a fixed grid (CoherenceModel::
@@ -127,7 +127,7 @@ struct CoherenceModel {
  * sample counts, encoding volumes, and misc flops all multiply by inv,
  * floored at one unit so no op vanishes (the warp still touches every
  * stage's control path) — while the dependency edges are copied
- * verbatim, so the delta plan's wavefront schedule has the base frame's
+ * verbatim, so the delta plan's pipeline schedule has the base frame's
  * shape, just thinner. A "warp_validate" source op proportional to the
  * *reused* fraction is appended (Cicero's reprojection + validation
  * pass: work that grows with how much is kept, the floor cost of a

@@ -99,9 +99,9 @@ struct WorkloadOp {
      * on the sampling pass that produced their query points, volume
      * rendering chains on the final color head. Edges may point forward
      * (op order is the reduction order, not the schedule); the plan
-     * layer topologically sorts them into a layered DAG and executes it
-     * as a wavefront (see plan/frame_plan.h). An empty list marks a
-     * source op, ready at frame start.
+     * layer topologically sorts them into a layered DAG, executes it in
+     * that order and folds its critical path (see plan/frame_plan.h).
+     * An empty list marks a source op, ready at frame start.
      */
     OpDeps deps;
 
@@ -178,8 +178,8 @@ NerfWorkload BuildWorkload(const std::string& model_name,
  * cross-element edge per op from the previous element's instance of the
  * same op. The cross edges model per-stage unit occupancy — each
  * pipeline stage serves one batch element at a time — so the plan
- * layer's wavefront overlaps element N's color/compositing with element
- * N+1's sampling (the Potamoi-style unified streaming of ray/sample
+ * layer's critical path overlaps element N's color/compositing with
+ * element N+1's sampling (the Potamoi-style unified streaming of ray/sample
  * stages; see PAPERS.md), and the fused frame's critical path grows by
  * roughly one bottleneck-stage latency per extra element instead of a
  * whole frame:

@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <cstring>
-#include <condition_variable>
-#include <mutex>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/units.h"
 #include "obs/trace.h"
 #include "plan/gemm_memo.h"
-#include "runtime/thread_pool.h"
 
 namespace flexnerfer {
 namespace {
@@ -107,118 +104,8 @@ PlannedOp::Evaluate(GemmMemo* memo) const
     return fixed;
 }
 
-const std::size_t*
-FramePlan::successors_begin(std::size_t i) const
-{
-    const std::size_t n = ops_.size();
-    return index_.data() + 4 * n + 1 + index_[3 * n + i];
-}
-
-const std::size_t*
-FramePlan::successors_end(std::size_t i) const
-{
-    return successors_begin(i + 1);
-}
-
-void
-FramePlan::EvaluateOp(std::size_t i, GemmMemo* memo, OpSlot* slots,
-                      TraceRecorder* recorder) const
-{
-    // An op repeating a predecessor's engine run copies its fragment:
-    // the predecessor retired before this op became ready.
-    const std::size_t source = run_source(i);
-    if (recorder != nullptr) slots[i].wall_begin_us = recorder->NowWallUs();
-    slots[i].fragment =
-        source == i ? ops_[i].Evaluate(memo) : slots[source].fragment;
-    if (recorder != nullptr) slots[i].wall_end_us = recorder->NowWallUs();
-}
-
-void
-FramePlan::EvaluateSerial(GemmMemo* memo, OpSlot* slots,
-                          TraceRecorder* recorder) const
-{
-    // Topological order is the serial analogue of the wavefront: each
-    // op runs after its predecessors, as the modeled pipeline would.
-    // (Evaluation is pure per op, so any order yields the same
-    // fragments; the contract is about fidelity, not correctness.)
-    for (std::size_t k = 0; k < ops_.size(); ++k) {
-        EvaluateOp(topo_order(k), memo, slots, recorder);
-    }
-}
-
-void
-FramePlan::EvaluateWavefront(ThreadPool& pool, GemmMemo* memo,
-                             OpSlot* slots, TraceRecorder* recorder) const
-{
-    const std::size_t n = ops_.size();
-    // Plan-local wavefront state, drained by a ParallelFor over n
-    // slots: each iteration completes exactly one op — pop a ready op,
-    // evaluate it, retire its out-edges (enabling successors). Riding
-    // ParallelFor (rather than raw Enqueues plus a completion future)
-    // keeps the wavefront nest-safe: ParallelFor's caller claims
-    // iterations itself, so an Execute issued from inside a pool task
-    // — the serving hot path — finishes even when every other worker
-    // is blocked in a frame of its own.
-    //
-    // The ready FIFO lives in the slots' `ready` fields: every op is
-    // pushed exactly once, so [ready_head, ready_tail) never passes n.
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::size_t ready_head = 0;
-    std::size_t ready_tail = 0;
-    bool aborted = false;  // an Evaluate threw; wake and bail out
-    for (std::size_t i = 0; i < n; ++i) {
-        slots[i].pending = ops_[i].deps.size();
-        if (slots[i].pending == 0) slots[ready_tail++].ready = i;
-    }
-
-    pool.ParallelFor(
-        static_cast<std::int64_t>(n), [&](std::int64_t) {
-            std::size_t op;
-            {
-                // Waiting is deadlock-free: when the ready FIFO is
-                // empty and ops remain, some op is mid-evaluation on
-                // another thread (an iteration never blocks while it
-                // holds an op), and its retirement — or its failure —
-                // signals us.
-                std::unique_lock<std::mutex> lock(mutex);
-                cv.wait(lock, [&] {
-                    return ready_head != ready_tail || aborted;
-                });
-                if (aborted) return;
-                op = slots[ready_head++].ready;
-            }
-            try {
-                EvaluateOp(op, memo, slots, recorder);
-            } catch (...) {
-                // Unblock every waiting iteration before propagating:
-                // the op's successors will never retire, and
-                // ParallelFor's cancel machinery only skips iterations
-                // that have not yet entered this fn.
-                {
-                    std::lock_guard<std::mutex> lock(mutex);
-                    aborted = true;
-                }
-                cv.notify_all();
-                throw;  // ParallelFor rethrows on the calling thread
-            }
-            bool enabled = false;
-            {
-                std::lock_guard<std::mutex> lock(mutex);
-                for (const std::size_t* succ = successors_begin(op);
-                     succ != successors_end(op); ++succ) {
-                    if (--slots[*succ].pending == 0) {
-                        slots[ready_tail++].ready = *succ;
-                        enabled = true;
-                    }
-                }
-            }
-            if (enabled) cv.notify_all();
-        });
-}
-
 FrameCost
-FramePlan::Execute(ThreadPool* pool, GemmMemo* memo) const
+FramePlan::Execute(GemmMemo* memo) const
 {
     // Tracing is on only when a recorder is installed AND the calling
     // thread carries a request context (set by the serving layer's
@@ -233,21 +120,21 @@ FramePlan::Execute(ThreadPool* pool, GemmMemo* memo) const
     double frame_wall_begin_us = 0.0;
     if (recorder != nullptr) frame_wall_begin_us = recorder->NowWallUs();
 
+    // Topological order, as the modeled pipeline would run the ops. An
+    // op repeating a predecessor's engine run copies its fragment: the
+    // predecessor was evaluated earlier in this walk.
     std::vector<OpSlot> slots(ops_.size());
-    // The wavefront only pays off when the DAG has width: a pure chain
-    // (depth == op count) admits one ready op at a time, so fanning it
-    // out would just park pool workers in waits for the whole frame —
-    // run it on the calling thread instead (identical result either
-    // way; evaluation is pure and the reduction is fixed-order).
-    if (pool != nullptr && ops_.size() > 1 && depth_ < ops_.size()) {
-        EvaluateWavefront(*pool, memo, slots.data(), recorder);
-    } else {
-        EvaluateSerial(memo, slots.data(), recorder);
+    for (std::size_t k = 0; k < ops_.size(); ++k) {
+        const std::size_t i = topo_order(k);
+        const std::size_t source = run_source(i);
+        if (recorder != nullptr) slots[i].wall_begin_us = recorder->NowWallUs();
+        slots[i].fragment =
+            source == i ? ops_[i].Evaluate(memo) : slots[source].fragment;
+        if (recorder != nullptr) slots[i].wall_end_us = recorder->NowWallUs();
     }
 
     // Enqueue-order reduction: one addition per op per field, in op
-    // order, exactly the sequence the legacy serial loops performed —
-    // this is what keeps the result bit-identical for any thread count.
+    // order, exactly the sequence the legacy serial loops performed.
     FrameCost total;
     double energy = 0.0;
     double utilization_weighted = 0.0;
@@ -280,9 +167,9 @@ FramePlan::Execute(ThreadPool* pool, GemmMemo* memo) const
     // Critical path: the frame's pipeline floor. Folded in topological
     // order with exactly one max per edge and one add per op —
     // finish(i) = max over deps(finish(dep)) + latency(i) — so the
-    // value is bit-identical for any thread count and reproducible by
-    // an independent implementation of the same recurrence (the parity
-    // tests compute it from the legacy per-op latencies).
+    // value is reproducible by an independent implementation of the
+    // same recurrence (the parity tests compute it from the legacy
+    // per-op latencies).
     double critical_path_ms = 0.0;
     for (std::size_t k = 0; k < ops_.size(); ++k) {
         const std::size_t i = topo_order(k);
@@ -299,8 +186,8 @@ FramePlan::Execute(ThreadPool* pool, GemmMemo* memo) const
         // Per-op spans on the *virtual* pipeline schedule the critical
         // path implies — op i runs [max dep finish, finish(i)] after
         // the scope's anchor — so the trace lays the frame out as the
-        // modeled device executes it, whatever the host interleaving
-        // was. Wall endpoints are the measured evaluation windows.
+        // modeled device executes it. Wall endpoints are the measured
+        // evaluation windows.
         const double anchor_ms = CurrentTraceAnchorMs();
         const std::string frame_name =
             std::string("frame:").append(workload_name_);
@@ -402,8 +289,6 @@ FramePlanBuilder::Build()
     const std::size_t n = plan_.ops_.size();
     const std::vector<PlannedOp>& ops = plan_.ops_;
 
-    // Validate edges and count them, so the index block is sized once.
-    std::size_t edges = 0;
     for (std::size_t i = 0; i < n; ++i) {
         for (const std::size_t dep : ops[i].deps) {
             if (dep >= n) {
@@ -419,14 +304,11 @@ FramePlanBuilder::Build()
                       "' depends on itself");
             }
         }
-        edges += ops[i].deps.size();
     }
-    plan_.index_.assign(4 * n + 1 + edges, 0);
+    plan_.index_.assign(3 * n, 0);
     std::size_t* const topo = plan_.index_.data();
     std::size_t* const layer_of = topo + n;
     std::size_t* const run_source = layer_of + n;
-    std::size_t* const begin = run_source + n;
-    std::size_t* const successors = begin + n + 1;
 
     // Run sources: an engine op whose run is bit-equal to that of one of
     // its direct predecessors (equal layers of an MLP trunk, one layer
@@ -444,60 +326,38 @@ FramePlanBuilder::Build()
         }
     }
 
-    // Count each op's out-degree, then an inclusive prefix sum:
-    // begin[d] is one past the end of d's run. Scattering each edge to
-    // --begin[dep], consumers in descending order, then leaves begin[d]
-    // at the start of d's run and every run ascending (the order the
-    // nested successor lists had).
-    for (std::size_t i = 0; i < n; ++i) {
-        for (const std::size_t dep : ops[i].deps) ++begin[dep];
-    }
-    for (std::size_t i = 1; i < n; ++i) begin[i] += begin[i - 1];
-    begin[n] = edges;
-    for (std::size_t i = n; i-- > 0;) {
+    // Kahn's algorithm with a deterministic tie-break: each step emits
+    // the lowest-index op whose predecessors have all been emitted, and
+    // fixes its layer then (every predecessor's layer is final). An op
+    // is unemitted while its layer word reads kUnplaced. Ops below
+    // `first` are all emitted, so a plan whose edges all point backward
+    // — every workload the models build — finds each op at the cursor.
+    constexpr std::size_t kUnplaced = static_cast<std::size_t>(-1);
+    std::fill(layer_of, layer_of + n, kUnplaced);
+    const auto ready = [&](std::size_t i) {
+        if (layer_of[i] != kUnplaced) return false;
         for (const std::size_t dep : ops[i].deps) {
-            successors[--begin[dep]] = i;
+            if (layer_of[dep] == kUnplaced) return false;
         }
-    }
-
-    // Kahn's algorithm with a deterministic tie-break: among ready ops,
-    // the lowest index runs first. n is a few dozen at most, so the
-    // O(n^2) ready scan beats a heap on both simplicity and constant.
-    // The layer words hold each op's pending count until the order is
-    // fixed; an emitted op's count becomes kEmitted so the scan skips
-    // it.
-    constexpr std::size_t kEmitted = static_cast<std::size_t>(-1);
-    std::size_t* const pending = layer_of;
-    for (std::size_t i = 0; i < n; ++i) pending[i] = ops[i].deps.size();
+        return true;
+    };
+    std::size_t first = 0;
     for (std::size_t step = 0; step < n; ++step) {
-        std::size_t next = n;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (pending[i] == 0) {
-                next = i;
-                break;
-            }
-        }
+        std::size_t next = first;
+        while (next < n && !ready(next)) ++next;
         if (next == n) {
             Fatal("plan '" + std::string(plan_.workload_name_) +
                   "': dependency edges form a cycle (no executable "
                   "order exists)");
         }
-        pending[next] = kEmitted;
-        topo[step] = next;
-        for (std::size_t e = begin[next]; e < begin[next + 1]; ++e) {
-            --pending[successors[e]];
-        }
-    }
-    // Layers, folded in topological order so every dependency's layer
-    // is final before its consumers read it.
-    for (std::size_t step = 0; step < n; ++step) {
-        const std::size_t op = topo[step];
         std::size_t layer = 0;
-        for (const std::size_t dep : ops[op].deps) {
+        for (const std::size_t dep : ops[next].deps) {
             layer = std::max(layer, layer_of[dep] + 1);
         }
-        layer_of[op] = layer;
+        layer_of[next] = layer;
+        topo[step] = next;
         plan_.depth_ = std::max(plan_.depth_, layer + 1);
+        while (first < n && layer_of[first] != kUnplaced) ++first;
     }
     return std::move(plan_);
 }

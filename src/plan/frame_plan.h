@@ -13,27 +13,27 @@
  * lowering, useful MACs) is bit-equal to that of one of its direct
  * predecessors — the equal hidden layers of an MLP trunk, one layer
  * across the elements of a fused batch — and Execute copies that
- * predecessor's fragment, which has always retired by then.
+ * predecessor's fragment, which has always been evaluated by then.
  *
  * Plans are dependency-aware: each PlannedOp carries the predecessor
  * edges of its workload op (MLP layer chains, the sampling -> feature
  * -> color stage structure; see models/workload.h), and Build validates
- * them into a layered DAG with a deterministic topological order. With
- * a pool, Execute schedules the DAG as a *wavefront* — an op is
- * enqueued the moment its last predecessor retires, so independent
- * branches (a color head and a view encoding, sibling feature grids)
- * overlap instead of serializing behind a flat ParallelFor barrier.
- * The DAG also yields the frame's pipeline floor: the critical-path
- * latency reported in FrameCost::critical_path_ms, which serving
- * admission uses as its service-time estimator (accelerator.h's
- * EstimatedServiceMs).
+ * them into a layered DAG with a deterministic topological order.
+ * Execute evaluates the ops in that order on the calling thread: an op
+ * costs about a tenth of a microsecond, far less than a hand-off to a
+ * pool worker, so host parallelism pays only across frames (see
+ * runtime/sweep_runner.h). The overlap of independent branches (a color
+ * head and a view encoding, sibling feature grids) is modeled on the
+ * chip's virtual timeline instead: the DAG yields the frame's pipeline
+ * floor, the critical-path latency reported in
+ * FrameCost::critical_path_ms, which serving admission uses as its
+ * service-time estimator (accelerator.h's EstimatedServiceMs).
  *
  * Determinism contract (matching SweepRunner): Execute is a pure
  * function of the plan — fragments are computed into pre-assigned slots
- * and reduced in op order (never completion order), and the critical
- * path is folded in topological order with one max+add per edge — so
- * the returned FrameCost is bit-identical whether it runs serially, on
- * one pool thread, or on many.
+ * and reduced in op order, and the critical path is folded in
+ * topological order with one max+add per edge — so the returned
+ * FrameCost is bit-identical on any thread, run after run.
  *
  * Thread-safety: a FramePlan is immutable after Build; Execute is deeply
  * const and may be called concurrently on one instance (each call owns
@@ -53,7 +53,6 @@
 namespace flexnerfer {
 
 class GemmMemo;
-class ThreadPool;
 class TraceRecorder;
 
 /** Cost fragment of one planned op plus its utilization sample. */
@@ -111,19 +110,16 @@ class FramePlan
 {
   public:
     /**
-     * Executes every op and reduces the fragments in enqueue order.
-     * The engine runs engine_run_count() times; the other engine ops
-     * copy a direct predecessor's fragment. With @p pool, the
-     * dependency DAG runs as a wavefront across the work-stealing pool
-     * (ops become ready as their predecessors retire); with null,
-     * execution walks the deterministic topological order serially.
-     * @p memo, when given, memoizes engine runs across repeated
-     * executions (and across plans sharing engine-config/shape pairs):
-     * one lookup per distinct run. Bit-identical for any combination,
-     * including the critical-path field.
+     * Executes every op in topological order on the calling thread and
+     * reduces the fragments in enqueue order. The engine runs
+     * engine_run_count() times; the other engine ops copy a direct
+     * predecessor's fragment. @p memo, when given, memoizes engine runs
+     * across repeated executions (and across plans sharing
+     * engine-config/shape pairs): one lookup per distinct run.
+     * Bit-identical with or without it, including the critical-path
+     * field.
      */
-    FrameCost Execute(ThreadPool* pool = nullptr,
-                      GemmMemo* memo = nullptr) const;
+    FrameCost Execute(GemmMemo* memo = nullptr) const;
 
     std::string_view workload_name() const { return workload_name_; }
     const std::vector<PlannedOp>& ops() const { return ops_; }
@@ -167,24 +163,7 @@ class FramePlan
         double finish_ms = 0.0;      //!< critical-path fold
         double wall_begin_us = 0.0;  //!< measured when tracing
         double wall_end_us = 0.0;
-        std::size_t pending = 0;     //!< wavefront: unretired deps
-        std::size_t ready = 0;       //!< wavefront: the ready FIFO
     };
-
-    /**
-     * Evaluates op @p i into its slot's fragment, wall-timing it into
-     * the slot when tracing (each slot written once by the evaluating
-     * thread, read only after every op retired — race-free by
-     * construction).
-     */
-    void EvaluateOp(std::size_t i, GemmMemo* memo, OpSlot* slots,
-                    TraceRecorder* recorder) const;
-    /** Evaluates fragments serially, in topological order. */
-    void EvaluateSerial(GemmMemo* memo, OpSlot* slots,
-                        TraceRecorder* recorder) const;
-    /** Evaluates fragments as a wavefront over @p pool. */
-    void EvaluateWavefront(ThreadPool& pool, GemmMemo* memo, OpSlot* slots,
-                           TraceRecorder* recorder) const;
 
     /** The op whose fragment op @p i copies: @p i itself when op i is
      *  evaluated, else a direct predecessor with a bit-equal engine
@@ -193,22 +172,14 @@ class FramePlan
         return index_[2 * ops_.size() + i];
     }
 
-    /** Op @p i's successors: [successors_begin(i), successors_end(i)),
-     *  ascending (a dependency listed twice appears twice). */
-    const std::size_t* successors_begin(std::size_t i) const;
-    const std::size_t* successors_end(std::size_t i) const;
-
     /** The workload's name (NerfWorkload::name: interned or a
      *  literal), so a plan carries no copy of it. */
     std::string_view workload_name_;
     std::vector<PlannedOp> ops_;
     /**
-     * Every index Build derives, in one block. With n ops and e edges:
-     * [0, n) the topological order; [n, 2n) each op's layer (Build's
-     * pending counts until the order is fixed); [2n, 3n) each op's run
-     * source (see run_source); [3n, 4n + 1) the CSR offsets of the
-     * transposed edge list the wavefront walks; and
-     * [4n + 1, 4n + 1 + e) the successors themselves.
+     * Every index Build derives, in one block of 3n words for n ops:
+     * [0, n) the topological order; [n, 2n) each op's layer; and
+     * [2n, 3n) each op's run source (see run_source).
      */
     std::vector<std::size_t> index_;
     std::size_t depth_ = 0;
@@ -247,8 +218,7 @@ class FramePlanBuilder
      * Finalizes the plan; the builder must not be reused afterwards.
      * Validates the dependency edges — every index in range, no cycles
      * (fatal otherwise) — and derives the deterministic topological
-     * order, the layer assignment, and the flat successor array Execute's
-     * wavefront walks.
+     * order, the layer assignment and each op's run source.
      */
     FramePlan Build();
 

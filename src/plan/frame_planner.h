@@ -32,7 +32,7 @@ class FramePlanner
     /**
      * Lowers @p workload for @p accel: every per-op decision is resolved
      * into the returned plan, which can then be executed any number of
-     * times (serially or on a pool) with bit-identical results.
+     * times, on any thread, with bit-identical results.
      */
     static FramePlan Compile(const Accelerator& accel,
                              const NerfWorkload& workload);

@@ -1,12 +1,11 @@
 #include "plan/plan_cache.h"
 
-#include <chrono>
+#include <optional>
 #include <utility>
 
 #include "common/logging.h"
 #include "obs/trace.h"
 #include "plan/frame_planner.h"
-#include "runtime/thread_pool.h"
 
 namespace flexnerfer {
 namespace {
@@ -40,16 +39,6 @@ ScratchKey(const Accelerator& accel, const NerfWorkload& workload)
     FramePlanner::AppendCacheKey(accel, workload, &key);
     return key;
 }
-
-/**
- * Plan executions in flight on this thread's stack. The in-flight
- * dedup below must only ever *wait* at depth 0: an executing frame's
- * drain loop helps run arbitrary queued tasks, so a wait nested above
- * an execution could close a cycle (waiting — directly or through a
- * chain of entries — on its own unwinding). Waits from non-executors
- * only, toward executors only, cannot cycle: executors never wait.
- */
-thread_local int tls_executing_plans = 0;
 
 }  // namespace
 
@@ -110,15 +99,14 @@ PlanCache::Get(const Accelerator& accel, const NerfWorkload& workload)
 }
 
 FrameCost
-PlanCache::RunEntry(const std::shared_ptr<Entry>& entry, ThreadPool* pool)
+PlanCache::RunEntry(const std::shared_ptr<Entry>& entry)
 {
     // Loops only when a joined execution fails without publishing a
     // result (its exception propagates on the executing thread; this
     // waiter then retries, typically becoming the executor itself).
     for (;;) {
-        std::shared_ptr<const FramePlan> plan;
         std::shared_future<void> wait_on;
-        std::shared_ptr<std::promise<void>> fulfil;
+        std::optional<std::promise<void>> fulfil;  // set when executing
         {
             std::lock_guard<std::mutex> lock(mutex_);
             if (entry->result != nullptr) {
@@ -126,34 +114,21 @@ PlanCache::RunEntry(const std::shared_ptr<Entry>& entry, ThreadPool* pool)
                 TraceCacheInstant("frame_hit");
                 return *entry->result;
             }
-            if (entry->inflight.valid() && tls_executing_plans == 0) {
+            if (entry->inflight.valid()) {
                 // Another thread is already executing this frame: join
-                // it instead of redundantly re-running a pure plan.
-                // Joining is only safe at depth 0 (see
-                // tls_executing_plans); a call nested inside an
-                // execution falls through and duplicates the pure run
-                // instead — bit-identical, just not deduplicated.
+                // it instead of redundantly re-running a pure plan. An
+                // execution runs nothing but its own ops, so a joiner
+                // never waits on itself.
                 wait_on = entry->inflight;
             } else {
-                if (!entry->inflight.valid()) {
-                    fulfil = std::make_shared<std::promise<void>>();
-                    entry->inflight = fulfil->get_future().share();
-                }
-                plan = entry->plan;
+                fulfil.emplace();
+                entry->inflight = fulfil->get_future().share();
             }
         }
 
         if (wait_on.valid()) {
             TraceCacheInstant("frame_join");
-            // Wait helping drain the pool: the executing thread's
-            // wavefront tasks may need this worker, so parking without
-            // helping could deadlock a fully-subscribed pool.
-            while (wait_on.wait_for(std::chrono::seconds(0)) !=
-                   std::future_status::ready) {
-                if (pool == nullptr || !pool->Help()) {
-                    wait_on.wait_for(std::chrono::milliseconds(1));
-                }
-            }
+            wait_on.wait();
             std::lock_guard<std::mutex> lock(mutex_);
             // The result is published under the lock before the
             // promise is fulfilled — unless the execution threw, in
@@ -166,46 +141,33 @@ PlanCache::RunEntry(const std::shared_ptr<Entry>& entry, ThreadPool* pool)
         }
 
         FrameCost cost;
-        ++tls_executing_plans;
         try {
-            cost = plan->Execute(pool, &memo_);
+            cost = entry->plan->Execute(&memo_);
         } catch (...) {
-            // Release the in-flight marker (if owned) and wake joined
-            // waiters before propagating; they observe the missing
-            // result and retry.
-            --tls_executing_plans;
-            if (fulfil != nullptr) {
-                {
-                    std::lock_guard<std::mutex> lock(mutex_);
-                    entry->inflight = std::shared_future<void>();
-                }
-                fulfil->set_value();
-            }
-            throw;
-        }
-        --tls_executing_plans;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (entry->result == nullptr) {
-                entry->result = std::make_shared<const FrameCost>(cost);
-            }
-            // Only the promise owner retires the in-flight marker; a
-            // nested duplicate run leaves the real executor's in place.
-            if (fulfil != nullptr) {
+            // Release the in-flight marker and wake joined waiters
+            // before propagating; they observe the missing result and
+            // retry.
+            {
+                std::lock_guard<std::mutex> lock(mutex_);
                 entry->inflight = std::shared_future<void>();
             }
+            fulfil->set_value();
+            throw;
         }
-        if (fulfil != nullptr) fulfil->set_value();
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            entry->result = std::make_shared<const FrameCost>(cost);
+            entry->inflight = std::shared_future<void>();
+        }
+        fulfil->set_value();
         return cost;
     }
 }
 
 FrameCost
-PlanCache::Run(const Accelerator& accel, const NerfWorkload& workload,
-               ThreadPool* pool)
+PlanCache::Run(const Accelerator& accel, const NerfWorkload& workload)
 {
-    return RunEntry(GetByKey(ScratchKey(accel, workload), accel, workload),
-                    pool);
+    return RunEntry(GetByKey(ScratchKey(accel, workload), accel, workload));
 }
 
 PlanCache::PreparedFrame
@@ -216,11 +178,11 @@ PlanCache::Prepare(const Accelerator& accel, const NerfWorkload& workload)
 }
 
 FrameCost
-PlanCache::Run(const PreparedFrame& frame, ThreadPool* pool)
+PlanCache::Run(const PreparedFrame& frame)
 {
     FLEX_CHECK_MSG(frame.entry_ != nullptr,
                    "null prepared frame handle (default-constructed?)");
-    return RunEntry(frame.entry_, pool);
+    return RunEntry(frame.entry_);
 }
 
 PlanCache::PreparedFrame

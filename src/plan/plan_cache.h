@@ -17,8 +17,8 @@
  * Thread-safety: all members may be called concurrently. Racing misses
  * may compile the same plan twice; the first insert wins and both
  * callers observe identical plans. Racing *executions* of one frame do
- * not duplicate work: the first Run executes, concurrent Runs wait on
- * it (helping drain the pool) and replay the memoized result as frame
+ * not duplicate work: the first Run executes on its own thread,
+ * concurrent Runs wait on it and replay the memoized result as frame
  * hits — a burst of identical requests costs one execution.
  *
  * By default entries are never evicted — the working set is bounded by
@@ -102,12 +102,11 @@ class PlanCache
                                          const NerfWorkload& workload);
 
     /**
-     * The serving hot path: compile (or reuse) the plan, execute it (or
-     * replay the memoized result). With @p pool, a cold execution fans
-     * its ops across the pool. Bit-identical however it is served.
+     * The serving hot path: compile (or reuse) the plan, execute it on
+     * the calling thread (or replay the memoized result). Bit-identical
+     * however it is served.
      */
-    FrameCost Run(const Accelerator& accel, const NerfWorkload& workload,
-                  ThreadPool* pool = nullptr);
+    FrameCost Run(const Accelerator& accel, const NerfWorkload& workload);
 
     /**
      * Handle to a prepared (config, workload) pair: pins the cache
@@ -150,7 +149,7 @@ class PlanCache
 
     /** Replays (or, first time, executes) a prepared frame. Bit-identical
      *  to the keyed Run of the same pair. */
-    FrameCost Run(const PreparedFrame& frame, ThreadPool* pool = nullptr);
+    FrameCost Run(const PreparedFrame& frame);
 
     /**
      * The predecessor-keyed lookup next to the exact-fingerprint path:
@@ -199,10 +198,10 @@ class PlanCache
         std::shared_ptr<const FrameCost> result;
         /**
          * Set while the first execution of this frame is in flight:
-         * concurrent Runs of one entry wait on it (helping drain the
-         * pool) and then replay the memoized result as frame hits,
-         * instead of redundantly executing the same pure plan — the
-         * thundering-herd guard for a burst of identical requests.
+         * concurrent Runs of one entry wait on it and then replay the
+         * memoized result as frame hits, instead of redundantly
+         * executing the same pure plan — the thundering-herd guard for
+         * a burst of identical requests.
          */
         std::shared_future<void> inflight;
         /** This entry's slot in the recency list (bounded caches). */
@@ -217,8 +216,7 @@ class PlanCache
                                     bool* compiled = nullptr);
 
     /** Executes @p entry's plan, memoizing the frame result. */
-    FrameCost RunEntry(const std::shared_ptr<Entry>& entry,
-                       ThreadPool* pool);
+    FrameCost RunEntry(const std::shared_ptr<Entry>& entry);
 
     mutable std::mutex mutex_;
     std::unordered_map<std::string, std::shared_ptr<Entry>> entries_;

@@ -68,15 +68,15 @@ SweepOutcome
 SweepRunner::Evaluate(const SweepPoint& point) const
 {
     const std::unique_ptr<Accelerator> accel = MakeAccelerator(point);
-    // Frames compile through the plan layer and run their dependency
-    // DAG as a wavefront across the pool (nested ParallelFor); with a
-    // cache, revisited (config, workload) pairs replay the compiled
-    // plan. Both paths are bit-identical to serial execution, keeping
-    // the sweep contract (results independent of thread count and
-    // cache state).
+    // Frames compile through the plan layer and execute serially on
+    // this task's thread: the pool's parallelism is across points,
+    // where a task is worth a hand-off. With a cache, revisited
+    // (config, workload) pairs replay the compiled plan, bit-identical
+    // to a fresh run, keeping the sweep contract (results independent
+    // of thread count and cache state).
     const auto run_frame = [this, &accel](const NerfWorkload& w) {
-        return cache_ != nullptr ? cache_->Run(*accel, w, &pool_)
-                                 : accel->RunWorkload(w, &pool_);
+        return cache_ != nullptr ? cache_->Run(*accel, w)
+                                 : accel->RunWorkload(w);
     };
     SweepOutcome outcome;
     outcome.point = point;

@@ -4,11 +4,12 @@
  *
  * A sweep is a grid of SweepPoints — workload x precision x sparsity x
  * dataflow x accelerator backend — each evaluated independently on the
- * cycle-level models. SweepRunner fans the grid across a ThreadPool and
- * returns results in input order, so the output of a sweep is bit-identical
- * whatever the thread count: every point's computation is a pure function
- * of the point (the engines are stateless and every RNG is point-local),
- * and each result lands in its pre-assigned slot.
+ * cycle-level models. SweepRunner fans the grid across a ThreadPool —
+ * one task per point, each running its frames serially — and returns
+ * results in input order, so the output of a sweep is bit-identical
+ * whatever the thread count: every point's computation is a pure
+ * function of the point (the engines are stateless and every RNG is
+ * point-local), and each result lands in its pre-assigned slot.
  *
  * Thread-safety: SweepRunner itself is immutable after construction and
  * may be shared across threads; Run/Map may be called concurrently.

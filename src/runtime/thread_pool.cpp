@@ -202,10 +202,4 @@ ThreadPool::ParallelFor(std::int64_t n,
     if (state->error) std::rethrow_exception(state->error);
 }
 
-bool
-ThreadPool::Help()
-{
-    return TryRunOne(tls_worker.pool == this ? tls_worker.index : -1);
-}
-
 }  // namespace flexnerfer

@@ -2,12 +2,13 @@
  * @file
  * Work-stealing thread pool for host-side parallelism.
  *
- * The simulator's experiment drivers (sweeps, ablations) and the frame
- * plan's wavefront issue many independent engine/accelerator
- * invocations; this pool fans them across hardware threads. Each worker
- * owns a deque: it pushes and pops its own work LIFO (cache-warm) and
- * steals FIFO from victims when idle, so coarse parent tasks migrate
- * while fine child tasks stay local.
+ * The simulator's experiment drivers (sweeps, ablations) issue many
+ * independent frame evaluations; this pool fans them across hardware
+ * threads (see runtime/sweep_runner.h). A single frame runs on one
+ * thread: its ops are too cheap to hand off. Each worker owns a deque:
+ * it pushes and pops its own work LIFO (cache-warm) and steals FIFO
+ * from victims when idle, so coarse parent tasks migrate while fine
+ * child tasks stay local.
  *
  * Thread-safety: all public member functions may be called concurrently
  * from any thread, including from inside pool tasks. Determinism is the
@@ -80,15 +81,6 @@ class ThreadPool
      */
     void ParallelFor(std::int64_t n,
                      const std::function<void(std::int64_t)>& fn);
-
-    /**
-     * Runs one queued task on the calling thread, if any is queued;
-     * returns whether one ran. Lets code that must block on a result
-     * help drain the pool instead of idling: PlanCache's join of an
-     * in-flight frame runs the executor's queued wavefront work while
-     * it waits.
-     */
-    bool Help();
 
     int n_threads() const { return static_cast<int>(workers_.size()); }
 

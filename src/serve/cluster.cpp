@@ -66,7 +66,6 @@ ServeConfig
 ReplicaConfig(const ClusterConfig& config)
 {
     ServeConfig replica;
-    replica.threads = config.threads_per_shard;
     replica.plan_cache_capacity = config.plan_cache_capacity;
     replica.admission = config.admission;
     replica.batch_window_ms = config.batch_window_ms;
@@ -108,8 +107,8 @@ ShardedRenderService::ShardedRenderService(const ClusterConfig& config)
 
 ShardedRenderService::~ShardedRenderService()
 {
-    // Resolve every outstanding cluster ticket before the replicas (and
-    // their pools) go down.
+    // Resolve every outstanding cluster ticket before the replicas go
+    // down.
     WaitAll();
 }
 

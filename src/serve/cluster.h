@@ -5,9 +5,10 @@
  *
  * One RenderService models one device; fleet-scale traffic needs many.
  * The cluster owns N fully independent replicas — each with its own
- * ThreadPool, bounded PlanCache, scene table of pinned frames, and
- * virtual-time AdmissionController — and routes Submit(SceneRequest) by
- * rendezvous (HRW) hashing on the scene name (serve/shard_router.h):
+ * bounded PlanCache, scene table of pinned frames, and virtual-time
+ * AdmissionController, and no threads of its own — and routes
+ * Submit(SceneRequest) by rendezvous (HRW) hashing on the scene name
+ * (serve/shard_router.h):
  *
  *   Submit ──> scene name -> cluster SceneId   the one string lookup
  *          ──> SceneDesc::rank (cached HRW)    home = first *live* rank
@@ -75,8 +76,8 @@
  * per-link ordinal) — so for a fixed submission sequence and fault
  * schedule, every request's shard, spill/replay/transport flags,
  * verdict, and latency, every per-shard counter, and the merged
- * cluster percentiles are bit-identical for any threads_per_shard and
- * any wall-clock interleaving. Only wall-clock throughput varies.
+ * cluster percentiles are bit-identical for any wall-clock
+ * interleaving. Only wall-clock throughput varies.
  *
  * Trajectory sessions (OpenSession / SubmitOptions::session): a
  * session is sticky to its home shard — the scene's live HRW home when
@@ -153,8 +154,8 @@ struct ReplicationConfig {
 struct ClusterConfig {
     /** Replica count (>= 1; fatal otherwise). */
     std::size_t shards = 1;
-    /** Pool threads per replica for cold-compile wavefronts (0 =
-     *  hardware concurrency; see ServeConfig::threads). */
+    /** Ignored: replicas run every frame on the submitting thread and
+     *  start no threads. Kept only because callers still set it. */
     int threads_per_shard = 0;
     /** Per-replica PlanCache capacity in entries (0 = unbounded). */
     std::size_t plan_cache_capacity = 0;

@@ -324,8 +324,7 @@ RenderService::RenderService(const ServeConfig& config)
       admission_(config.admission),
       tier_latency_(admission_.tiers().size()),
       batch_window_ms_(config.batch_window_ms),
-      max_batch_elements_(config.max_batch_elements),
-      pool_(config.threads)
+      max_batch_elements_(config.max_batch_elements)
 {
     if (batch_window_ms_ < 0.0) {
         Fatal("ServeConfig::batch_window_ms must be >= 0");
@@ -468,7 +467,7 @@ RenderService::Replay(const PlanCache::PreparedFrame& frame,
     TraceRecorder* const recorder =
         trace.active() ? TraceRecorder::Global() : nullptr;
     if (recorder == nullptr) {
-        result.cost = cache_.Run(frame, &pool_);
+        result.cost = cache_.Run(frame);
     } else {
         const double wall_begin = recorder->NowWallUs();
         {
@@ -476,7 +475,7 @@ RenderService::Replay(const PlanCache::PreparedFrame& frame,
             // PlanCache instants and any FramePlan execution land in
             // this trace, anchored at the virtual start.
             ScopedTraceContext scoped(trace.ctx, trace.start_ms);
-            result.cost = cache_.Run(frame, &pool_);
+            result.cost = cache_.Run(frame);
         }
         TraceServed(recorder, trace, result.scene, wall_begin,
                     recorder->NowWallUs(), {});
@@ -511,9 +510,9 @@ RenderService::TouchLocked(std::unique_lock<std::mutex>& lock, SceneId id,
         touched_.wait(lock, [&] { return scenes_[id].frame.has_value(); });
         return scenes_[id];
     }
-    // Cold first touch: compile outside the service lock, its wavefronts
-    // on the pool, with the model and workload taken out under the lock
-    // and the result stored back by id.
+    // Cold first touch: compile and execute outside the service lock,
+    // with the model and workload taken out under the lock and the
+    // result stored back by id.
     std::unique_ptr<const Accelerator> accel = std::move(warm.accel);
     NerfWorkload workload = std::move(warm.workload);
     lock.unlock();
@@ -532,7 +531,7 @@ RenderService::Shape
 RenderService::Estimate(PlanCache::PreparedFrame frame)
 {
     Shape shape;
-    shape.cost = cache_.Run(frame, &pool_);
+    shape.cost = cache_.Run(frame);
     shape.frame = std::move(frame);
     return shape;
 }
@@ -878,10 +877,10 @@ RenderService::FlushBatchLocked(std::list<OpenBatch>::iterator batch)
         // many members): its plan-layer instants land in the opener's
         // trace.
         ScopedTraceContext scoped(opener.ctx, opener.start_ms);
-        fused_cost = cache_.Run(closing.frame, &pool_);
+        fused_cost = cache_.Run(closing.frame);
         wall_end = recorder->NowWallUs();
     } else {
-        fused_cost = cache_.Run(closing.frame, &pool_);
+        fused_cost = cache_.Run(closing.frame);
     }
     FLEX_CHECK_MSG(fused_cost == closing.fused_cost,
                    "fused batch replay diverged from its estimation run "

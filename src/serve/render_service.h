@@ -3,9 +3,9 @@
  * RenderService: the render-serving front-end over the plan layer.
  *
  * This is the repo's "millions of users" request path. A RenderService
- * owns a shared (optionally bounded/LRU) PlanCache, one accelerator
- * instance per registered scene, and a work-stealing ThreadPool, and
- * exposes a Submit(SceneRequest) -> ticket + verdict API:
+ * owns a shared (optionally bounded/LRU) PlanCache and one accelerator
+ * instance per registered scene, starts no threads, and exposes a
+ * Submit(SceneRequest) -> ticket + verdict API:
  *
  *   Submit(name | id) ──> service lock, held once: name -> SceneId
  *                          (the one string lookup; a router passes the
@@ -17,23 +17,23 @@
  *                          PlanCache::Run (the memoized replay), the
  *                          result under its ticket
  *                     ──> cold first touch only: the lock drops while
- *                          the scene compiles, its wavefronts on the
- *                          ThreadPool
+ *                          the scene compiles and executes once
  *
  * Every admitted request resolves inside Submit. The replay is a
  * memoized hit: first touch (or the estimation run that prepares a
  * fused or delta shape) already executed the frame, and the pinned
- * handle keeps that result past LRU eviction. A worker hop would add
- * nothing but plumbing, so the pool runs cold compiles only. The one
- * deferral is a fused batch: its members resolve when the batch
- * flushes (window close, a full batch, or a Wait/WaitAll).
+ * handle keeps that result past LRU eviction. Cold compiles and
+ * estimation runs execute on the submitting thread too: a frame's ops
+ * cost far less than a worker hand-off. The one deferral is a fused
+ * batch: its members resolve when the batch flushes (window close, a
+ * full batch, or a Wait/WaitAll).
  *
  * Determinism contract (the repo-wide one, extended to serving): every
  * request's verdict, virtual latency, and FrameCost are fixed at
  * admission in virtual time — model milliseconds, not wall clock — so
  * for a fixed submission sequence, Snapshot() and every result are
- * bit-identical for any thread count. Only wall-clock throughput (which
- * bench/serving prints to stderr) varies with --threads. The virtual
+ * bit-identical for any wall-clock interleaving. Only wall-clock
+ * throughput (which bench/serving prints to stderr) varies. The virtual
  * device is weighted-fair across SLO tiers (serve/admission.h):
  * SceneRequest::tier shapes verdicts and telemetry — deterministically,
  * because WFQ runs on the same virtual clock.
@@ -49,8 +49,8 @@
  * racing first touches of that scene wait on a condition variable for
  * its one estimation run; fused and delta shapes prepare under the
  * lock, as the shape a request prices depends on the state it guards.
- * Pool workers never take the service lock, so the lock order is one
- * way: cluster router -> service -> {plan cache, histograms}.
+ * The lock order is one way: cluster router -> service -> {plan cache,
+ * histograms}.
  */
 #ifndef FLEXNERFER_SERVE_RENDER_SERVICE_H_
 #define FLEXNERFER_SERVE_RENDER_SERVICE_H_
@@ -74,7 +74,6 @@
 #include "obs/trace.h"
 #include "plan/plan_cache.h"
 #include "runtime/sweep_runner.h"
-#include "runtime/thread_pool.h"
 #include "serve/admission.h"
 
 namespace flexnerfer {
@@ -462,9 +461,9 @@ struct ServiceStats : ServingStats {
 
 /** Configuration of a RenderService. */
 struct ServeConfig {
-    /** Pool threads for cold-compile wavefronts (0 = hardware
-     *  concurrency). Requests themselves resolve on the submitting
-     *  thread, so this moves no result and no verdict. */
+    /** Ignored: every request, cold compile and estimation run executes
+     *  on the submitting thread, and the service starts no threads.
+     *  Kept only because callers still set it. */
     int threads = 0;
     /** PlanCache capacity in entries (0 = unbounded). Pinned scenes
      *  survive eviction; see plan/plan_cache.h. */
@@ -532,8 +531,8 @@ class RenderService
      * requests at once, accepted ones by replaying the scene's prepared
      * frame (a memoized hit) on the submitting thread. Fused-batch
      * members are the exception: they resolve when their batch flushes.
-     * The first request against a cold scene additionally compiles it,
-     * with the compile's wavefronts on the pool (WarmScene avoids that).
+     * The first request against a cold scene additionally compiles and
+     * executes it once (WarmScene moves that ahead of the traffic).
      * The receipt's verdict equals a Quote with the same arguments
      * taken just before.
      *
@@ -628,7 +627,6 @@ class RenderService
      *  into its fleet ledger (see ServeLedger). */
     ServeLedger Ledger() const;
 
-    ThreadPool& pool() { return pool_; }
     PlanCache& cache() { return cache_; }
 
     /**
@@ -804,7 +802,7 @@ class RenderService
                                   std::size_t reuse_quantum,
                                   std::size_t reuse_quanta);
     /** Executes the freshly prepared @p frame once — its estimation
-     *  run, wavefronts on the pool — and returns it with its cost. Reads
+     *  run — and returns it with its cost. Reads
      *  no guarded state, so a cold first touch calls it unlocked. */
     Shape Estimate(PlanCache::PreparedFrame frame);
     /**
@@ -844,8 +842,8 @@ class RenderService
 
     PlanCache cache_;
 
-    /** The service lock: guards every member below but pool_ (see the
-     *  file header's Thread-safety paragraph). The histograms keep
+    /** The service lock: guards every member below (see the file
+     *  header's Thread-safety paragraph). The histograms keep
      *  their own locks but record under this one too, so a snapshot
      *  reads them in the same cut as the counters. */
     mutable std::mutex mutex_;
@@ -895,10 +893,6 @@ class RenderService
      *  open with their members' capacity kept: a warmed service opens
      *  batches without allocating. */
     std::list<OpenBatch> spare_batches_;
-
-    /** Runs the wavefronts of cold compiles and estimation runs; no
-     *  request is ever enqueued on it. */
-    ThreadPool pool_;
 };
 
 }  // namespace flexnerfer

@@ -305,7 +305,6 @@ ServiceHoldsBudget(const std::vector<Scene>& scenes)
 {
     const std::vector<double> est_ms = Estimates(scenes);
     ServeConfig config;
-    config.threads = 1;
     config.admission = Policy(est_ms);
     RenderService service(config);
     for (const Scene& scene : scenes) {
@@ -329,7 +328,6 @@ ClusterHoldsBudget(const std::vector<Scene>& scenes)
     const std::vector<double> est_ms = Estimates(scenes);
     ClusterConfig config;
     config.shards = 2;
-    config.threads_per_shard = 1;
     config.admission = Policy(est_ms);
     config.replication.top_k = 1;
     config.replication.factor = 2;
@@ -390,7 +388,6 @@ BatchedServiceHoldsBudget(const std::vector<Scene>& scenes)
 {
     const std::vector<double> est_ms = Estimates(scenes);
     ServeConfig config;
-    config.threads = 1;
     config.admission = Policy(est_ms);
     config.batch_window_ms = BatchWindowMs(est_ms);
     config.max_batch_elements = kMaxBatch;
@@ -423,7 +420,6 @@ BatchedClusterHoldsBudget(const std::vector<Scene>& scenes)
     const std::vector<double> est_ms = Estimates(scenes);
     ClusterConfig config;
     config.shards = 2;
-    config.threads_per_shard = 1;
     config.admission = Policy(est_ms);
     config.batch_window_ms = BatchWindowMs(est_ms);
     config.max_batch_elements = kMaxBatch;

@@ -5,8 +5,8 @@
  * conservation identities (every ticket resolves exactly once, shard
  * admissions reconcile with router submissions via replays and
  * transport failures, the merged latency histogram's count equals the
- * lifetime accepted count) and thread-count invariance (threads 1 and
- * 8 produce field-identical verdicts and telemetry for the same seed),
+ * lifetime accepted count) and rerun invariance (two runs of one seed
+ * produce field-identical verdicts and telemetry),
  * plus the message-size model pinned against its hand-computed frame
  * layout.
  */
@@ -126,13 +126,11 @@ struct ChaosRun {
 };
 
 ChaosRun
-RunChaos(std::uint64_t seed, FaultPlan plan, int threads_per_shard,
-         std::size_t requests = 120)
+RunChaos(std::uint64_t seed, FaultPlan plan, std::size_t requests = 120)
 {
     SimTransport transport(seed);
     ClusterConfig config;
     config.shards = 4;
-    config.threads_per_shard = threads_per_shard;
     config.admission.max_queue_depth = 8;
     config.transport = &transport;
     ShardedRenderService cluster(config);
@@ -262,17 +260,17 @@ class ChaosSweep
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, FaultPlan>>
 {};
 
-TEST_P(ChaosSweep, ConservationHoldsAndThreadsAreInvariant)
+TEST_P(ChaosSweep, ConservationHoldsAndRerunsAreIdentical)
 {
     const std::uint64_t seed = std::get<0>(GetParam());
     const FaultPlan plan = std::get<1>(GetParam());
 
-    const ChaosRun single = RunChaos(seed, plan, 1);
+    const ChaosRun single = RunChaos(seed, plan);
     CheckConservation(single, 120);
 
-    const ChaosRun wide = RunChaos(seed, plan, 8);
-    CheckConservation(wide, 120);
-    ExpectIdenticalRuns(single, wide);
+    const ChaosRun rerun = RunChaos(seed, plan);
+    CheckConservation(rerun, 120);
+    ExpectIdenticalRuns(single, rerun);
 
     // Kill plans must actually exercise the replay path for at least
     // one seed-independent guarantee: the first death always lands
@@ -311,7 +309,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ChaosQuick, KillReplaysInFlightTicketsExactlyOnce)
 {
-    const ChaosRun run = RunChaos(11u, FaultPlan::kKill, 2);
+    const ChaosRun run = RunChaos(11u, FaultPlan::kKill);
     CheckConservation(run, 120);
     EXPECT_GE(run.stats.killed_shards, 1u);
     // Replays re-admit on a live shard: every replayed ticket still
@@ -329,7 +327,7 @@ TEST(ChaosQuick, KillReplaysInFlightTicketsExactlyOnce)
 
 TEST(ChaosQuick, PartitionFailsRequestsTerminallyAndDeterministically)
 {
-    const ChaosRun run = RunChaos(13u, FaultPlan::kPartition, 2);
+    const ChaosRun run = RunChaos(13u, FaultPlan::kPartition);
     CheckConservation(run, 120);
     // A partition outlasting the retry budget is a terminal failure:
     // the partitioned link's home traffic dies on the wire.
@@ -350,7 +348,6 @@ TEST(ChaosQuick, FaultFreeTransportMatchesInProcessCluster)
     // and the link carries exactly the size model's bytes.
     ClusterConfig plain_config;
     plain_config.shards = 4;
-    plain_config.threads_per_shard = 2;
     plain_config.admission.max_queue_depth = 8;
     ShardedRenderService plain(plain_config);
 
@@ -400,7 +397,6 @@ TEST(ChaosQuick, TransportDeathsApplyAtTheirScheduledInstant)
     SimTransport transport(0x5EEDu);
     ClusterConfig config;
     config.shards = 3;
-    config.threads_per_shard = 1;
     config.transport = &transport;
     ShardedRenderService cluster(config);
     const std::string scene = ChaosModels()[0];

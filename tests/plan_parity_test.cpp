@@ -12,8 +12,8 @@
  * topological fold). Planned execution must reproduce their FrameCost
  * bit-identically — every field compared with EXPECT_EQ on the raw
  * doubles — for all 7 workloads x all precisions x all three
- * accelerator families, at any thread count, with or without plan/memo
- * caching. This is the contract that allowed deleting the legacy loops.
+ * accelerator families, with or without plan/memo caching. This is the
+ * contract that allowed deleting the legacy loops.
  */
 #include <gtest/gtest.h>
 
@@ -33,7 +33,6 @@
 #include "plan/frame_planner.h"
 #include "plan/gemm_memo.h"
 #include "plan/plan_cache.h"
-#include "runtime/thread_pool.h"
 #include "frame_cost_matchers.h"
 
 namespace flexnerfer {
@@ -311,8 +310,8 @@ LegacyGpu(const GpuModel& model, const NerfWorkload& workload)
 
 /**
  * Checks every planned execution path against the legacy reference:
- * serial, 1-thread pool, 8-thread pool, memoized (twice, so the second
- * pass replays hits), and the PlanCache hot path (cold then cached).
+ * plain, memoized (twice, so the second pass replays hits), and the
+ * PlanCache hot path (cold then cached).
  */
 void
 CheckAllPaths(const Accelerator& accel, const NerfWorkload& workload,
@@ -323,15 +322,9 @@ CheckAllPaths(const Accelerator& accel, const NerfWorkload& workload,
     ExpectBitIdentical(accel.RunWorkload(workload), reference,
                        label + " RunWorkload");
 
-    ThreadPool pool1(1);
-    ThreadPool pool8(8);
-    ExpectBitIdentical(plan.Execute(&pool1), reference, label + " 1-thread");
-    ExpectBitIdentical(plan.Execute(&pool8), reference, label + " 8-thread");
-
     GemmMemo memo;
-    ExpectBitIdentical(plan.Execute(&pool8, &memo), reference,
-                       label + " memo cold");
-    ExpectBitIdentical(plan.Execute(nullptr, &memo), reference,
+    ExpectBitIdentical(plan.Execute(&memo), reference, label + " memo cold");
+    ExpectBitIdentical(plan.Execute(&memo), reference,
                        label + " memo replay");
     // Identical ops (e.g. a chain of equal hidden layers) share one memo
     // entry even within the cold pass: misses = distinct (config, shape)
@@ -343,7 +336,7 @@ CheckAllPaths(const Accelerator& accel, const NerfWorkload& workload,
     EXPECT_LE(memo.size(), plan.engine_op_count()) << label;
 
     PlanCache cache;
-    ExpectBitIdentical(cache.Run(accel, workload, &pool8), reference,
+    ExpectBitIdentical(cache.Run(accel, workload), reference,
                        label + " cache cold");
     ExpectBitIdentical(cache.Run(accel, workload), reference,
                        label + " cache replay");

@@ -82,20 +82,15 @@ TEST(FramePlan, ResolvesEveryOpAtCompileTime)
     }
 }
 
-TEST(FramePlan, ExecuteDeterministicAcrossThreadCounts)
+TEST(FramePlan, ExecuteDeterministicRunAfterRun)
 {
-    // The SweepRunner contract extended to intra-frame parallelism:
-    // serial, 1-thread, 4-thread, and 8-thread executions of one plan
-    // are bit-identical, run after run.
+    // Executions of one plan are bit-identical, run after run.
     const FlexNeRFerModel model;
     const FramePlan plan =
         FramePlanner::Compile(model, BuildWorkload("NeRF"));
     const FrameCost reference = plan.Execute();
-    for (int threads : {1, 4, 8}) {
-        ThreadPool pool(threads);
-        ExpectBitIdentical(plan.Execute(&pool), reference);
-        ExpectBitIdentical(plan.Execute(&pool), reference);
-    }
+    ExpectBitIdentical(plan.Execute(), reference);
+    ExpectBitIdentical(plan.Execute(), reference);
 }
 
 TEST(GemmMemo, HitsReplayIdenticalResults)
@@ -397,10 +392,9 @@ TEST(PlanCache, RunReplaysBitIdenticalFrames)
     const NerfWorkload w = BuildWorkload("Mip-NeRF");
     const FrameCost reference = model.RunWorkload(w);
 
-    ThreadPool pool(4);
     PlanCache cache;
-    ExpectBitIdentical(cache.Run(model, w, &pool), reference);
-    ExpectBitIdentical(cache.Run(model, w, &pool), reference);
+    ExpectBitIdentical(cache.Run(model, w), reference);
+    ExpectBitIdentical(cache.Run(model, w), reference);
     ExpectBitIdentical(cache.Run(model, w), reference);
     EXPECT_EQ(cache.stats().plan_misses, 1u);
     EXPECT_EQ(cache.stats().frame_hits, 2u);
@@ -419,8 +413,7 @@ TEST(PlanCache, PreparedFramesReplayBitIdentically)
     const PlanCache::PreparedFrame again = cache.Prepare(model, w);
     EXPECT_EQ(cache.size(), 2u);
 
-    ThreadPool pool(4);
-    ExpectBitIdentical(cache.Run(flex_frame, &pool), model.RunWorkload(w));
+    ExpectBitIdentical(cache.Run(flex_frame), model.RunWorkload(w));
     ExpectBitIdentical(cache.Run(flex_frame), model.RunWorkload(w));
     ExpectBitIdentical(cache.Run(again), model.RunWorkload(w));
     ExpectBitIdentical(cache.Run(neurex_frame), neurex.RunWorkload(w));
@@ -429,21 +422,19 @@ TEST(PlanCache, PreparedFramesReplayBitIdentically)
     EXPECT_EQ(cache.stats().frame_hits, 3u);
 }
 
-TEST(PlanCache, PoolTasksJoinAnInFlightColdFrame)
+TEST(PlanCache, ConcurrentRunsJoinAnInFlightColdFrame)
 {
-    // Two pool tasks replay one cold prepared frame at the same moment:
+    // Two threads replay one cold prepared frame at the same moment:
     // one executes it, the other joins that in-flight run (a
-    // "frame_join") and runs the executor's queued wavefront work
-    // through ThreadPool::Help while it waits. The pool has a single
-    // worker; the test thread runs the second task by helping.
+    // "frame_join") and waits for its result instead of executing the
+    // plan a second time.
     //
-    // The join is a race the late task must win before the run ends. A
-    // real frame runs in ~0.1 ms, which the late task loses whenever the
-    // two share one core. The frame here is 4096 independent GEMMs of
-    // distinct shapes: its cold run takes milliseconds, so even on one
-    // core the scheduler hands the late task the CPU mid-run, and its
-    // width gives the joiner wavefront work to help with. Fresh caches
-    // are retried until the join is seen.
+    // The join is a race the late thread must win before the run ends.
+    // A real frame runs in ~0.1 ms, which the late thread loses whenever
+    // the two share one core. The frame here is 4096 GEMMs of distinct
+    // shapes: its cold run takes milliseconds, so even on one core the
+    // scheduler hands the late thread the CPU mid-run. Fresh caches are
+    // retried until the join is seen.
     NerfWorkload w;
     w.name = "wide";
     for (int i = 0; i < 4096; ++i) {
@@ -454,7 +445,6 @@ TEST(PlanCache, PoolTasksJoinAnInFlightColdFrame)
     }
     const FlexNeRFerModel model;
     const FrameCost reference = model.RunWorkload(w);
-    ThreadPool pool(1);
 
     bool joined = false;
     for (int attempt = 0; attempt < 100 && !joined; ++attempt) {
@@ -464,23 +454,19 @@ TEST(PlanCache, PoolTasksJoinAnInFlightColdFrame)
         PlanCache cache;
         const PlanCache::PreparedFrame frame = cache.Prepare(model, w);
         std::atomic<int> arrived{0};
-        const auto replay = [&] {
+        FrameCost costs[2];
+        const auto replay = [&](FrameCost* out) {
             const ScopedTraceContext scope(ctx, 0.0);
             arrived.fetch_add(1);
             while (arrived.load() < 2) std::this_thread::yield();
-            return cache.Run(frame, &pool);
+            *out = cache.Run(frame);
         };
-        auto first = pool.Submit(replay);
-        auto second = pool.Submit(replay);
-        // The worker holds one task at the rendezvous until this thread
-        // takes the other. Help may first run a spent wavefront strider
-        // left queued by an earlier attempt, so help until both tasks
-        // have arrived.
-        while (arrived.load() < 2) {
-            if (!pool.Help()) std::this_thread::yield();
-        }
-        ExpectBitIdentical(first.get(), reference);
-        ExpectBitIdentical(second.get(), reference);
+        std::thread first(replay, &costs[0]);
+        std::thread second(replay, &costs[1]);
+        first.join();
+        second.join();
+        ExpectBitIdentical(costs[0], reference);
+        ExpectBitIdentical(costs[1], reference);
         // The executor counts no hit; the joiner replays the published
         // result as one.
         EXPECT_EQ(cache.stats().plan_misses, 1u);
@@ -530,7 +516,7 @@ TEST(PlanCache, ConcurrentHitMissStress)
         const auto a = static_cast<std::size_t>(i) % accels.size();
         const auto w =
             (static_cast<std::size_t>(i) / accels.size()) % workloads.size();
-        const FrameCost got = cache.Run(*accels[a], workloads[w], &pool);
+        const FrameCost got = cache.Run(*accels[a], workloads[w]);
         const FrameCost& want = references[a][w];
         if (got.latency_ms != want.latency_ms ||
             got.energy_mj != want.energy_mj ||

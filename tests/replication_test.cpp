@@ -41,12 +41,10 @@ Models()
 }
 
 ClusterConfig
-ReplicatedConfig(std::size_t factor, std::uint64_t refresh_every = 0,
-                 int threads = 1)
+ReplicatedConfig(std::size_t factor, std::uint64_t refresh_every = 0)
 {
     ClusterConfig config;
     config.shards = 4;
-    config.threads_per_shard = threads;
     config.replication.top_k = 1;
     config.replication.factor = factor;
     config.replication.refresh_every = refresh_every;
@@ -264,13 +262,13 @@ TEST(Replication, BatchedReplicasKeepFrameHitsEqualToDispatches)
     }
 }
 
-TEST(Replication, ThreadCountInvariant)
+TEST(Replication, RerunsAreIdentical)
 {
     // The full feature — census, refresh cadence, p2c burst, a kill —
-    // replays field-identically at 1 and 4 threads per shard.
-    const auto run = [](int threads) {
+    // replays field-identically on a fresh cluster.
+    const auto run = [] {
         ShardedRenderService cluster(
-            ReplicatedConfig(3, /*refresh_every=*/5, threads));
+            ReplicatedConfig(3, /*refresh_every=*/5));
         SetupScenes(cluster);
         SubmitSpaced(cluster, "Instant-NGP", 10, 0.0, 50.0);
         cluster.WaitAll();
@@ -303,8 +301,8 @@ TEST(Replication, ThreadCountInvariant)
         return outcome;
     };
 
-    const auto narrow = run(1);
-    const auto wide = run(4);
+    const auto narrow = run();
+    const auto wide = run();
     EXPECT_EQ(narrow.shards, wide.shards);
     EXPECT_EQ(narrow.latencies, wide.latencies);
     EXPECT_EQ(narrow.replicas, wide.replicas);

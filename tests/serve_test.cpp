@@ -414,7 +414,6 @@ TEST(AdmissionController, WfqShieldsPaidTierFromLowTierFlood)
 TEST(RenderService, FirstTouchCompilesAndIdsAreRegistrationIndices)
 {
     ServeConfig config;
-    config.threads = 1;
     RenderService service(config);
     EXPECT_EQ(service.RegisterScene("ngp", NgpFlexScene()), 0u);
     SweepPoint int4 = NgpFlexScene();
@@ -457,7 +456,6 @@ TEST(RenderService, FirstTouchCompilesAndIdsAreRegistrationIndices)
 TEST(RenderService, SteadyStateRequestsHitThePreparedPath)
 {
     ServeConfig config;
-    config.threads = 2;
     RenderService service(config);
     service.RegisterScene("ngp", NgpFlexScene());
 
@@ -497,7 +495,6 @@ TEST(RenderService, SteadyStateRequestsHitThePreparedPath)
 TEST(RenderService, DeadlineAndQueueDepthPoliciesShedAndReject)
 {
     ServeConfig config;
-    config.threads = 2;
     config.admission.max_queue_depth = 3;
     RenderService service(config);
     service.RegisterScene("ngp", NgpFlexScene());
@@ -538,7 +535,6 @@ TEST(RenderService, DeadlineAndQueueDepthPoliciesShedAndReject)
 TEST(RenderService, SnapshotReportsPerTierVerdictsAndLatency)
 {
     ServeConfig config;
-    config.threads = 2;
     config.admission.max_queue_depth = 0;
     TierPolicy gold;
     gold.name = "gold";
@@ -605,7 +601,6 @@ TEST(RenderService, SnapshotReportsPerTierVerdictsAndLatency)
 TEST(RenderService, RejectsAliasScenesAndDuplicateNames)
 {
     ServeConfig config;
-    config.threads = 1;
     RenderService service(config);
     service.RegisterScene("ngp", NgpFlexScene());
     // Same spec under a second name would double-count the estimation
@@ -649,7 +644,6 @@ TEST(RenderService, RacingColdSubmitsRunOneEstimation)
     // estimation run executes, only the request that ran it is not a
     // prepared replay, and every request sees the same cost.
     ServeConfig config;
-    config.threads = 2;
     config.admission.max_queue_depth = 64;
     config.admission.default_deadline_ms = 1e9;
     RenderService service(config);
@@ -693,7 +687,6 @@ TEST(RenderService, RacingColdSubmitsRunOneEstimation)
 TEST(RenderService, SnapshotIsZeroSafeWhenNothingWasAccepted)
 {
     ServeConfig config;
-    config.threads = 1;
     RenderService service(config);
     service.RegisterScene("ngp", NgpFlexScene());
     const double est = EstimatedServiceMs(service.WarmScene("ngp"));
@@ -721,7 +714,6 @@ TEST(RenderService, MultiThreadedSoakKeepsEveryInvariant)
     // Admission order is nondeterministic here, so the assertions are
     // the order-free invariants.
     ServeConfig config;
-    config.threads = 4;
     config.plan_cache_capacity = 2;  // force evictions under load
     config.admission.max_queue_depth = 16;
     config.admission.default_deadline_ms = 1e7;
@@ -805,11 +797,10 @@ struct PathRun {
  * path teleports once to force a coherence break.
  */
 PathRun
-RunPath(ServePath path, int threads)
+RunPath(ServePath path)
 {
     const double est = EstimatedServiceMs(Reference("Instant-NGP"));
     ServeConfig config;
-    config.threads = threads;
     config.admission.max_queue_depth = 4;
     if (path == ServePath::kBatched) config.batch_window_ms = 2.0 * est;
     RenderService service(config);
@@ -848,7 +839,7 @@ RunPath(ServePath path, int threads)
 TEST(RenderService, SoloAndSessionRequestsResolveInsideSubmit)
 {
     for (const ServePath path : {ServePath::kSolo, ServePath::kSession}) {
-        const PathRun run = RunPath(path, 2);
+        const PathRun run = RunPath(path);
         EXPECT_TRUE(run.resolved_in_submit);
         EXPECT_EQ(run.stats.completed, run.stats.accepted);
         EXPECT_EQ(run.stats.cache.frame_hits, run.stats.accepted);
@@ -856,14 +847,14 @@ TEST(RenderService, SoloAndSessionRequestsResolveInsideSubmit)
         EXPECT_GT(run.stats.rejected_queue_full + run.stats.shed_deadline,
                   0u);
     }
-    const ServiceStats session = RunPath(ServePath::kSession, 2).stats;
+    const ServiceStats session = RunPath(ServePath::kSession).stats;
     EXPECT_GT(session.delta_frames, 0u);
     EXPECT_GT(session.coherence_breaks, 0u);
 }
 
 TEST(BatchedRenderService, MembersResolveWhenTheirBatchFlushes)
 {
-    const PathRun run = RunPath(ServePath::kBatched, 2);
+    const PathRun run = RunPath(ServePath::kBatched);
     // Open batches hold their members' results until they flush.
     EXPECT_FALSE(run.resolved_in_submit);
     EXPECT_EQ(run.stats.completed, run.stats.accepted);
@@ -874,7 +865,6 @@ TEST(BatchedRenderService, MembersResolveWhenTheirBatchFlushes)
 TEST(BatchedRenderService, WaitOnAnOpenBatchMemberReturnsItsFlushedResult)
 {
     ServeConfig config;
-    config.threads = 2;
     config.batch_window_ms = 1e6;
     RenderService service(config);
     service.RegisterScene("ngp", NgpFlexScene());
@@ -903,29 +893,27 @@ TEST(BatchedRenderService, WaitOnAnOpenBatchMemberReturnsItsFlushedResult)
     }
 }
 
-TEST(RenderService, EveryPathIsThreadCountInvariant)
+TEST(RenderService, EveryPathIsRerunInvariant)
 {
     for (const ServePath path :
          {ServePath::kSolo, ServePath::kBatched, ServePath::kSession}) {
-        const PathRun reference = RunPath(path, 1);
+        const PathRun reference = RunPath(path);
         ASSERT_EQ(reference.results.size(), 24u);
-        for (const int threads : {2, 8}) {
-            const PathRun run = RunPath(path, threads);
-            ASSERT_EQ(run.results.size(), reference.results.size());
-            for (std::size_t i = 0; i < run.results.size(); ++i) {
-                const RenderResult& got = run.results[i];
-                const RenderResult& want = reference.results[i];
-                EXPECT_EQ(got.status, want.status) << i;
-                EXPECT_EQ(got.scene, want.scene) << i;
-                EXPECT_EQ(got.tier, want.tier) << i;
-                ExpectBitIdentical(got.cost, want.cost);
-                EXPECT_EQ(got.queue_wait_ms, want.queue_wait_ms) << i;
-                EXPECT_EQ(got.latency_ms, want.latency_ms) << i;
-                EXPECT_EQ(got.batch_elements, want.batch_elements) << i;
-            }
-            EXPECT_EQ(run.stats.completed, reference.stats.completed);
-            EXPECT_EQ(run.stats.p99_ms, reference.stats.p99_ms);
+        const PathRun run = RunPath(path);
+        ASSERT_EQ(run.results.size(), reference.results.size());
+        for (std::size_t i = 0; i < run.results.size(); ++i) {
+            const RenderResult& got = run.results[i];
+            const RenderResult& want = reference.results[i];
+            EXPECT_EQ(got.status, want.status) << i;
+            EXPECT_EQ(got.scene, want.scene) << i;
+            EXPECT_EQ(got.tier, want.tier) << i;
+            ExpectBitIdentical(got.cost, want.cost);
+            EXPECT_EQ(got.queue_wait_ms, want.queue_wait_ms) << i;
+            EXPECT_EQ(got.latency_ms, want.latency_ms) << i;
+            EXPECT_EQ(got.batch_elements, want.batch_elements) << i;
         }
+        EXPECT_EQ(run.stats.completed, reference.stats.completed);
+        EXPECT_EQ(run.stats.p99_ms, reference.stats.p99_ms);
     }
 }
 
@@ -934,7 +922,6 @@ TEST(BatchedRenderService, DestroysWithUnclaimedTicketsAndAnOpenBatch)
     // Nothing is waited on: the service goes out of scope holding an
     // unclaimed solo result and a still-open batch (the ASan target).
     ServeConfig config;
-    config.threads = 2;
     config.batch_window_ms = 1e6;
     auto service = std::make_unique<RenderService>(config);
     service->RegisterScene("ngp", NgpFlexScene());
@@ -959,7 +946,6 @@ TEST(RenderService, SnapshotsAreAConsistentCut)
     // reads, so each snapshot falls between whole requests.
     const double est = EstimatedServiceMs(Reference("Instant-NGP"));
     ServeConfig config;
-    config.threads = 2;
     config.admission.max_queue_depth = 6;
     config.admission.tiers.resize(2);
     config.admission.tiers[0].weight = 3.0;
@@ -1055,7 +1041,6 @@ RunColdShapeStream(bool contend)
 {
     const double est = EstimatedServiceMs(Reference("Instant-NGP"));
     ServeConfig config;
-    config.threads = 4;
     config.batch_window_ms = 1e-3;
     RenderService service(config);
     service.RegisterScene("ngp", NgpFlexScene());

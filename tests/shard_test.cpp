@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <iomanip>
 #include <map>
 #include <set>
@@ -427,7 +428,6 @@ SweepSubmitVerdicts(std::uint64_t seed, int calls, PathTally* tally)
     for (const double e : est) mean_est += e / static_cast<double>(est.size());
 
     ServeConfig config;
-    config.threads = 1;
     config.batch_window_ms = 2.0 * mean_est;
     config.max_batch_elements = 3;
     config.admission.max_queue_depth = 10;
@@ -652,7 +652,6 @@ TEST(ShardedRenderService, SpillPaysRecompileOnceAndKeepsInvariants)
     // (factor 1.0 -> E) exactly once — later spills find the pin.
     ClusterConfig config;
     config.shards = 2;
-    config.threads_per_shard = 2;
     config.spill_recompile_factor = 1.0;
     ShardedRenderService cluster(config);
     cluster.RegisterScene("ngp", FlexScene("Instant-NGP"));
@@ -722,7 +721,6 @@ TEST(ShardedRenderService, WarmSpillPaysNoSurcharge)
     // spill shard drains between bursts.
     ClusterConfig config;
     config.shards = 2;
-    config.threads_per_shard = 1;
     config.spill_recompile_factor = 1.0;
     ShardedRenderService cluster(config);
     cluster.RegisterScene("ngp", FlexScene("Instant-NGP"));
@@ -788,13 +786,11 @@ struct ClusterRun {
 };
 
 ClusterRun
-RunCluster(std::size_t shards, int threads_per_shard,
-           const std::vector<std::string>& scenes,
+RunCluster(std::size_t shards, const std::vector<std::string>& scenes,
            const std::vector<SceneRequest>& schedule)
 {
     ClusterConfig config;
     config.shards = shards;
-    config.threads_per_shard = threads_per_shard;
     config.plan_cache_capacity = 4;  // bounded: pins must survive LRU
     config.admission.max_queue_depth = 8;
     config.admission.tiers = DeterminismTiers();
@@ -814,13 +810,13 @@ RunCluster(std::size_t shards, int threads_per_shard,
     return run;
 }
 
-TEST(ShardedRenderService, DeterministicAcrossThreadCountsAndInvariant)
+TEST(ShardedRenderService, DeterministicAcrossRerunsAndInvariant)
 {
     // The acceptance-criteria test: for a fixed tiered submission
     // sequence under the three-queue WFQ policy, every verdict, routed
     // shard, spill decision, surcharge, latency, per-shard counter,
-    // per-tier counter, and merged percentile is bit-identical for
-    // --threads 1 vs 8, at every shard count; and per-shard frame hits
+    // per-tier counter, and merged percentile is bit-identical across
+    // two fresh clusters, at every shard count; and per-shard frame hits
     // == accepted (spill recompiles are explicit plan misses, never
     // phantom hits) at 1, 2, 4, and 8 shards.
     const std::vector<std::string> scenes = {
@@ -831,7 +827,6 @@ TEST(ShardedRenderService, DeterministicAcrossThreadCountsAndInvariant)
         // One throwaway cluster just to learn the estimates.
         ClusterConfig config;
         config.shards = 1;
-        config.threads_per_shard = 1;
         ShardedRenderService probe(config);
         for (const std::string& scene : scenes) {
             probe.RegisterScene(scene, FlexScene(scene));
@@ -844,9 +839,8 @@ TEST(ShardedRenderService, DeterministicAcrossThreadCountsAndInvariant)
         FixedSchedule(scenes, est_ms, mean_est, 160);
 
     for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
-        const ClusterRun serial = RunCluster(shards, 1, scenes, schedule);
-        const ClusterRun parallel =
-            RunCluster(shards, 8, scenes, schedule);
+        const ClusterRun serial = RunCluster(shards, scenes, schedule);
+        const ClusterRun parallel = RunCluster(shards, scenes, schedule);
 
         ASSERT_EQ(serial.results.size(), schedule.size());
         ASSERT_EQ(parallel.results.size(), schedule.size());
@@ -928,7 +922,6 @@ TEST(ShardedRenderService, ResizeDrainsRebalancesAndKeepsTelemetry)
                                              "TensoRF", "NeRF"};
     ClusterConfig config;
     config.shards = 3;
-    config.threads_per_shard = 2;
     ShardedRenderService cluster(config);
     for (const std::string& scene : scenes) {
         cluster.RegisterScene(scene, FlexScene(scene));
@@ -1016,7 +1009,6 @@ TEST(ShardedRenderService, TierTelemetryMergesAcrossShardsAndResize)
                                              "TensoRF", "NeRF"};
     ClusterConfig config;
     config.shards = 2;
-    config.threads_per_shard = 2;
     config.admission.max_queue_depth = 0;
     config.admission.tiers = DeterminismTiers();
     ShardedRenderService cluster(config);
@@ -1101,7 +1093,6 @@ TEST(ShardedRenderService, FleetLedgerIsExactAcrossKillAndResize)
     // fleet mean off 0.5.
     ClusterConfig config;
     config.shards = 2;
-    config.threads_per_shard = 1;
     config.enable_spill = false;
     // Bursts share one arrival instant, so any positive window fuses
     // each burst and none of the next.
@@ -1242,7 +1233,6 @@ KillDrillConfig()
 {
     ClusterConfig config;
     config.shards = 2;
-    config.threads_per_shard = 1;
     config.enable_spill = false;
     config.batch_window_ms = 1e-3;
     return config;
@@ -1320,12 +1310,10 @@ TEST(ShardedRenderService, SingleShardMatchesPlainRenderService)
     // identical verdicts, latencies, and telemetry for the same
     // sequence.
     ServeConfig serve_config;
-    serve_config.threads = 2;
     serve_config.admission.max_queue_depth = 4;
     RenderService plain(serve_config);
     ClusterConfig cluster_config;
     cluster_config.shards = 1;
-    cluster_config.threads_per_shard = 2;
     cluster_config.admission.max_queue_depth = 4;
     ShardedRenderService cluster(cluster_config);
 
@@ -1383,7 +1371,6 @@ TEST(ShardedRenderService, MarginalAwareProbeKeepsBatchJoinersHome)
     const auto run = [est_probe](double window_fraction) {
         ClusterConfig config;
         config.shards = 2;
-        config.threads_per_shard = 1;
         config.spill_recompile_factor = 1.0;
         config.batch_window_ms = window_fraction * est_probe;
         ShardedRenderService cluster(config);
@@ -1516,7 +1503,6 @@ TEST(ShardedRenderService, SpillShardServesTheSceneUnderItsOwnId)
     // registers it lazily, after the scenes homed there.
     ClusterConfig config;
     config.shards = 2;
-    config.threads_per_shard = 1;
     ShardedRenderService cluster(config);
     const std::vector<std::string> names = RegisterRepertoire(cluster);
     const std::string& scene = names[0];
@@ -1553,7 +1539,6 @@ TEST(ShardedRenderService, P2cReplicasServeTheSceneUnderTheirOwnIds)
 {
     ClusterConfig config;
     config.shards = 2;
-    config.threads_per_shard = 1;
     config.replication.top_k = 1;
     config.replication.factor = 2;
     ShardedRenderService cluster(config);
@@ -1597,7 +1582,6 @@ TEST(ShardedRenderService, SceneCountersFollowTheIdPath)
     // spill that compiles a scene on the shard that never held it.
     ClusterConfig config;
     config.shards = 2;
-    config.threads_per_shard = 1;
     config.replication.top_k = 1;
     config.replication.factor = 2;
     ShardedRenderService cluster(config);
@@ -1652,7 +1636,6 @@ TEST(ShardedRenderService, KillShardReplaysUnderTheNewHomesId)
 {
     ClusterConfig config;
     config.shards = 2;
-    config.threads_per_shard = 1;
     config.enable_spill = false;
     ShardedRenderService cluster(config);
     const std::vector<std::string> names = RegisterRepertoire(cluster);
@@ -1689,7 +1672,6 @@ TEST(ShardedRenderService, ResizeReissuesSceneIds)
 {
     ClusterConfig config;
     config.shards = 2;
-    config.threads_per_shard = 1;
     ShardedRenderService cluster(config);
     const std::vector<std::string> names = RegisterRepertoire(cluster);
     std::vector<FrameCost> warm;
@@ -1745,7 +1727,6 @@ TEST(ShardedRenderService, ResultsKeepTheirSceneNamePastTheirOwners)
     {
         ClusterConfig config;
         config.shards = 2;
-        config.threads_per_shard = 1;
         config.enable_spill = false;
         ShardedRenderService cluster(config);
         cluster.RegisterScene(name, FlexScene("Instant-NGP"));
@@ -1782,7 +1763,6 @@ TEST(ShardedRenderService, ResultsKeepTheirSceneNamePastTheirOwners)
         transport.Schedule(partition);
         ClusterConfig config;
         config.shards = 2;
-        config.threads_per_shard = 1;
         config.transport = &transport;
         ShardedRenderService cluster(config);
         cluster.RegisterScene(name, FlexScene("Instant-NGP"));
@@ -1801,11 +1781,44 @@ TEST(ShardedRenderService, ResultsKeepTheirSceneNamePastTheirOwners)
     EXPECT_EQ(fleet.back().result.status, RequestStatus::kFailedTransport);
 }
 
+/** This process's threads: one entry each in /proc/self/task. */
+std::size_t
+ThreadCount()
+{
+    std::size_t count = 0;
+    for (const auto& task :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+        count += task.is_directory() ? 1 : 0;
+    }
+    return count;
+}
+
+TEST(ShardedRenderService, ReplicasStartNoThreads)
+{
+    // Every frame a replica runs — warm-ups, cold compiles, estimation
+    // runs — executes on the calling thread, so neither a default
+    // RenderService nor a cluster of them starts a thread of its own.
+    if (!std::filesystem::exists("/proc/self/task")) {
+        GTEST_SKIP() << "no /proc/self/task to count threads in";
+    }
+    const std::size_t before = ThreadCount();
+    ClusterConfig cluster_config;
+    cluster_config.shards = 2;
+    ShardedRenderService cluster(cluster_config);
+    RenderService service(ServeConfig{});
+    for (const std::string& model : AllModelNames()) {
+        cluster.RegisterScene(model, FlexScene(model));
+        service.RegisterScene(model, FlexScene(model));
+        cluster.WarmScene(model);
+        service.WarmScene(model);
+    }
+    EXPECT_EQ(ThreadCount(), before);
+}
+
 TEST(ShardedRenderServiceDeathTest, UnknownSceneAndSessionMismatchAreFatal)
 {
     ClusterConfig config;
     config.shards = 2;
-    config.threads_per_shard = 1;
     ShardedRenderService cluster(config);
     const std::vector<std::string> names = RegisterRepertoire(cluster);
     SceneRequest unknown;
@@ -1822,7 +1835,6 @@ TEST(ShardedRenderServiceDeathTest, UnknownSceneAndSessionMismatchAreFatal)
                  "'rep-1'");
 
     ServeConfig serve_config;
-    serve_config.threads = 1;
     RenderService service(serve_config);
     service.RegisterScene("a", FlexScene("Instant-NGP"));
     service.RegisterScene("b", FlexScene("KiloNeRF"));
@@ -1841,7 +1853,6 @@ TEST(ShardedRenderServiceDeathTest, TransportDeathOutsideTheClusterIsFatal)
     SimTransport transport(0x5EEDu);
     ClusterConfig config;
     config.shards = 3;
-    config.threads_per_shard = 1;
     config.transport = &transport;
     ShardedRenderService cluster(config);
     cluster.RegisterScene("a", FlexScene("Instant-NGP"));

@@ -64,7 +64,6 @@ std::unique_ptr<RenderService>
 MakeService(bool batching)
 {
     ServeConfig config;
-    config.threads = 2;
     config.admission.max_queue_depth = 0;
     if (batching) config.batch_window_ms = 1e6;
     auto service = std::make_unique<RenderService>(config);
@@ -81,7 +80,6 @@ MakeCluster(bool batching)
 {
     ClusterConfig config;
     config.shards = 2;
-    config.threads_per_shard = 1;
     config.admission.max_queue_depth = 0;
     if (batching) config.batch_window_ms = 1e6;
     auto cluster = std::make_unique<ShardedRenderService>(config);
@@ -354,8 +352,6 @@ ExpectConsumedTicketsAreFatal(Service& service, const char* message)
 
 TEST(TicketStoreDeathTest, RenderServiceRejectsConsumedAndUnissuedTickets)
 {
-    // The services own pool threads: re-execute instead of forking them.
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     const auto service = MakeService(true);
     ExpectConsumedTicketsAreFatal(*service,
                                   "unknown or already-consumed serve ticket");
@@ -363,7 +359,6 @@ TEST(TicketStoreDeathTest, RenderServiceRejectsConsumedAndUnissuedTickets)
 
 TEST(TicketStoreDeathTest, ClusterRejectsConsumedAndUnissuedTickets)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     const auto cluster = MakeCluster(true);
     ExpectConsumedTicketsAreFatal(
         *cluster, "unknown or already-consumed cluster ticket");
@@ -375,7 +370,6 @@ MakeDrillCluster()
 {
     ClusterConfig config;
     config.shards = 2;
-    config.threads_per_shard = 1;
     config.admission.max_queue_depth = 0;
     auto cluster = std::make_unique<ShardedRenderService>(config);
     for (const char* model :

@@ -72,16 +72,15 @@ CountNamed(const std::vector<TraceEvent>& events, TracePhase phase,
 /**
  * One deterministic traced serving run: two scenes, a mixed stream of
  * accepted / shed / rejected requests, exported as the virtual
- * Chrome-trace projection. The export must not depend on @p threads.
+ * Chrome-trace projection. Two runs must export identically.
  */
 std::string
-TracedServingRun(int threads)
+TracedServingRun()
 {
     TraceRecorder recorder;
     TraceRecorder::InstallGlobal(&recorder);
     {
         ServeConfig config;
-        config.threads = threads;
         config.admission.max_queue_depth = 8;
         RenderService service(config);
         service.RegisterScene("ngp", NgpFlexScene());
@@ -107,16 +106,16 @@ TracedServingRun(int threads)
     return out.str();
 }
 
-TEST(TraceExport, VirtualProjectionIsThreadCountInvariant)
+TEST(TraceExport, VirtualProjectionIsRerunInvariant)
 {
     // The repo-wide determinism contract extended to observability:
     // every event's virtual timestamps, ids, and order derive from the
     // virtual clock only, so the serialized projection is bit-identical
-    // whether the service dispatches on one worker or eight.
-    const std::string one = TracedServingRun(1);
-    const std::string eight = TracedServingRun(8);
-    EXPECT_FALSE(one.empty());
-    EXPECT_EQ(one, eight);
+    // run after run, whatever the wall clock read.
+    const std::string first = TracedServingRun();
+    const std::string second = TracedServingRun();
+    EXPECT_FALSE(first.empty());
+    EXPECT_EQ(first, second);
 }
 
 TEST(TraceExport, EventsTiedOnEveryTimeKeySortByTheirArgs)
@@ -152,7 +151,6 @@ TEST(TraceExport, SpanNestingLinksRequestServiceFrameAndOps)
     TraceRecorder::InstallGlobal(&recorder);
     {
         ServeConfig config;
-        config.threads = 2;
         RenderService service(config);
         service.RegisterScene("ngp", NgpFlexScene());
         service.WarmScene("ngp");
@@ -239,7 +237,6 @@ TEST(TraceExport, BatchJoinRecordsLifecycleInstantsForEveryMember)
     std::uint64_t traces = 0;
     {
         ServeConfig config;
-        config.threads = 2;
         config.batch_window_ms = 1e6;
         RenderService service(config);
         service.RegisterScene("ngp", NgpFlexScene());
@@ -299,7 +296,6 @@ TEST(TraceExport, AcceptedInstantReportsTheBookedEstimateWhenBatching)
     double marginal = 0.0;
     {
         ServeConfig config;
-        config.threads = 1;
         config.batch_window_ms = 1e6;
         RenderService service(config);
         service.RegisterScene("ngp", NgpFlexScene());
@@ -341,7 +337,6 @@ TEST(TraceExport, ClusterRoutingRecordsProbesAndSpills)
     {
         ClusterConfig config;
         config.shards = 2;
-        config.threads_per_shard = 2;
         config.admission.max_queue_depth = 1;  // force spills fast
         ShardedRenderService cluster(config);
         cluster.RegisterScene("ngp", NgpFlexScene());
@@ -400,14 +395,13 @@ TEST(TraceExport, ClusterRoutingRecordsProbesAndSpills)
  * @p events receives the sorted events.
  */
 std::string
-TracedClusterSessionRun(int threads, std::vector<TraceEvent>* events)
+TracedClusterSessionRun(std::vector<TraceEvent>* events)
 {
     TraceRecorder recorder;
     TraceRecorder::InstallGlobal(&recorder);
     {
         ClusterConfig config;
         config.shards = 2;
-        config.threads_per_shard = threads;
         ShardedRenderService cluster(config);
         // A second scene homed on the other shard, so both replicas
         // compile delta shapes.
@@ -451,17 +445,17 @@ TracedClusterSessionRun(int threads, std::vector<TraceEvent>* events)
     return out.str();
 }
 
-TEST(TraceExport, ClusterSessionDeltaCompilesTraceOnceAtAnyThreadCount)
+TEST(TraceExport, ClusterSessionDeltaCompilesTraceOnce)
 {
     // The router no longer previews a session frame's price before its
     // Submit, so a cold delta shape's compile and estimation run land
     // in the frame's own trace context, inside the shard's Submit. The
-    // projection must still be identical at any pool size, and each
-    // cold shape must compile (and trace) exactly once.
+    // projection must still be identical run after run, and each cold
+    // shape must compile (and trace) exactly once.
     std::vector<TraceEvent> events;
     std::vector<TraceEvent> unused;
-    const std::string one = TracedClusterSessionRun(1, &events);
-    EXPECT_EQ(one, TracedClusterSessionRun(4, &unused));
+    const std::string one = TracedClusterSessionRun(&events);
+    EXPECT_EQ(one, TracedClusterSessionRun(&unused));
 
     std::vector<std::string> shapes;
     for (const TraceEvent& event : events) {
@@ -508,7 +502,6 @@ TEST(TraceExport, ClusterSessionDeltaCompilesTraceOnceAtAnyThreadCount)
 TEST(MetricsRegistry, SnapshotPublishMatchesServiceStats)
 {
     ServeConfig config;
-    config.threads = 2;
     config.admission.max_queue_depth = 4;
     RenderService service(config);
     service.RegisterScene("ngp", NgpFlexScene());
@@ -566,7 +559,6 @@ TEST(TraceDisabled, RecordsNothingAndKeepsProbesCheap)
     EXPECT_FALSE(CurrentTraceContext().active());
 
     ServeConfig config;
-    config.threads = 2;
     RenderService service(config);
     service.RegisterScene("ngp", NgpFlexScene());
     service.WarmScene("ngp");

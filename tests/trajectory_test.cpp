@@ -223,7 +223,6 @@ TEST(RenderService, UnifiedSubmitMatchesDefaults)
     enum class Variant { kBare, kDefaultOptions, kSurcharged };
     const auto run = [](Variant variant) {
         ServeConfig config;
-        config.threads = 2;
         RenderService service(config);
         service.RegisterScene("ngp", FlexScene("Instant-NGP"));
         const double est = EstimatedServiceMs(service.WarmScene("ngp"));
@@ -271,12 +270,10 @@ TEST(RenderService, UnifiedSubmitMatchesDefaults)
  *  extended to match); returns results and the snapshot for determinism
  *  comparisons. */
 std::pair<std::vector<RenderResult>, ServiceStats>
-ReplayTrajectory(int threads, const std::vector<Pose>& poses,
+ReplayTrajectory(const std::vector<Pose>& poses,
                  double surcharge_share = 0.0)
 {
-    ServeConfig config;
-    config.threads = threads;
-    RenderService service(config);
+    RenderService service(ServeConfig{});
     service.RegisterScene("ngp", FlexScene("Instant-NGP"));
     const double est = EstimatedServiceMs(service.WarmScene("ngp"));
     const SessionId session = service.OpenSession("ngp");
@@ -305,7 +302,7 @@ TEST(RenderService, SessionsPriceDeltasAndFallBackOnBreaks)
     for (int k = 0; k < 12; ++k) {
         poses.push_back(PoseAt(0.05 * k + (k >= 6 ? 10.0 : 0.0)));
     }
-    const auto [results, stats] = ReplayTrajectory(2, poses);
+    const auto [results, stats] = ReplayTrajectory(poses);
 
     ASSERT_EQ(stats.sessions.size(), 1u);
     const SessionStats& session = stats.sessions.front();
@@ -340,7 +337,7 @@ TEST(RenderService, SessionsPriceDeltasAndFallBackOnBreaks)
 
     // A surcharge rides the delta and the full price alike: the savings
     // are the delta rule's alone.
-    const auto [taxed_results, taxed] = ReplayTrajectory(2, poses, 0.25);
+    const auto [taxed_results, taxed] = ReplayTrajectory(poses, 0.25);
     ASSERT_EQ(taxed.sessions.size(), 1u);
     EXPECT_EQ(taxed.sessions.front().delta_frames, session.delta_frames);
     EXPECT_NEAR(taxed.sessions.front().delta_savings_ms,
@@ -387,27 +384,27 @@ TEST(RenderService, SessionsPriceDeltasAndFallBackOnBreaks)
     EXPECT_EQ(previewed.cache.delta_misses, 1u);
 }
 
-TEST(RenderService, SessionVerdictsAreThreadCountInvariant)
+TEST(RenderService, SessionVerdictsAreRerunInvariant)
 {
     std::vector<Pose> poses;
     for (int k = 0; k < 16; ++k) {
         poses.push_back(PoseAt(0.03 * k, 1.5 * k));
     }
-    const auto [one, stats_one] = ReplayTrajectory(1, poses);
-    const auto [four, stats_four] = ReplayTrajectory(4, poses);
+    const auto [one, stats_one] = ReplayTrajectory(poses);
+    const auto [again, stats_again] = ReplayTrajectory(poses);
 
-    ASSERT_EQ(one.size(), four.size());
+    ASSERT_EQ(one.size(), again.size());
     for (std::size_t k = 0; k < one.size(); ++k) {
-        EXPECT_EQ(one[k].status, four[k].status) << k;
-        EXPECT_DOUBLE_EQ(one[k].latency_ms, four[k].latency_ms) << k;
-        ExpectBitIdentical(one[k].cost, four[k].cost);
+        EXPECT_EQ(one[k].status, again[k].status) << k;
+        EXPECT_DOUBLE_EQ(one[k].latency_ms, again[k].latency_ms) << k;
+        ExpectBitIdentical(one[k].cost, again[k].cost);
     }
-    EXPECT_EQ(stats_one.delta_frames, stats_four.delta_frames);
-    EXPECT_EQ(stats_one.coherence_breaks, stats_four.coherence_breaks);
+    EXPECT_EQ(stats_one.delta_frames, stats_again.delta_frames);
+    EXPECT_EQ(stats_one.coherence_breaks, stats_again.coherence_breaks);
     EXPECT_DOUBLE_EQ(stats_one.delta_savings_ms,
-                     stats_four.delta_savings_ms);
+                     stats_again.delta_savings_ms);
     EXPECT_DOUBLE_EQ(stats_one.session_mean_reuse,
-                     stats_four.session_mean_reuse);
+                     stats_again.session_mean_reuse);
 }
 
 /** What a service shows for one session's second frame. */
@@ -499,7 +496,6 @@ TEST(ShardedRenderService, SessionsStickToTheirHomeAndRehomeOnKill)
 {
     ClusterConfig config;
     config.shards = 3;
-    config.threads_per_shard = 2;
     ShardedRenderService cluster(config);
     cluster.RegisterScene("ngp", FlexScene("Instant-NGP"));
     const double est = EstimatedServiceMs(cluster.WarmScene("ngp"));
